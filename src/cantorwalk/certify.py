@@ -11,17 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .rational import rat
 from .maps import (PAHomeo, apply, compose, equals, image,
-                   inverse_name, invert, is_identity)
+                   inverse_name, invert, is_identity, orbit_bfs)
 from .space import (CompactSet, Piece, PointSet, Region,
-                    epsilon_neighborhood_of_values)
+                    epsilon_neighborhood)
 from .measure_solver import solve_feasibility
-from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, contraction_scan,
-                   forward_word, measure_cells, preimage_cell_indices,
-                   CellMeasure, WalkError)
+from .walk import (Trajectory, WalkModel, contraction_scan, forward_word,
+                   invariance_residual, invariance_rows, make_model,
+                   measure_cells, CellMeasure, WalkError, _repulsor_extremes,
+                   _single_linkage)
 
 
 class CertifyError(ValueError):
@@ -32,7 +34,6 @@ class CertifyError(ValueError):
 class Budgets:
     max_len: int = 6
     runs: int = 100
-    d_max: int = 6
     n_max: int = 40
 
 
@@ -181,25 +182,15 @@ def find_finite_orbit(gens, starts, bound: int = 2000):
     a certificate iff the closure stabilizes within `bound` points."""
     if bound < 1:
         raise CertifyError("bound must be at least 1")
-    named = _named(gens)
-    maps = list(named.values())
-    space = maps[0].space
-    ops = maps + [invert(g) for g in maps]
-    orbit = {rat(s) for s in starts}
-    frontier = list(orbit)
-    while frontier:
-        if len(orbit) > bound:
-            return None
-        nxt = []
-        for p in frontier:
-            for op in ops:
-                q = apply(op, p)
-                if q not in orbit:
-                    orbit.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    verified = all(apply(op, p) in orbit for p in orbit for op in ops)
-    return FiniteOrbitCertificate(PointSet.of(space, sorted(orbit)), verified)
+    maps = list(_named(gens).values())
+    ops = [partial(apply, g) for g in maps + [invert(g) for g in maps]]
+    closure = orbit_bfs({rat(s) for s in starts}, ops, cap=bound)
+    if closure is None:
+        return None
+    orbit = set(closure[0])
+    verified = all(op(p) in orbit for p in orbit for op in ops)
+    return FiniteOrbitCertificate(PointSet.of(maps[0].space, sorted(orbit)),
+                                  verified)
 
 
 def find_displacement(gens, A, B, max_len: int = 6) -> DisplacementResult:
@@ -257,46 +248,24 @@ def _attracting_fixed_points(w: PAHomeo) -> list:
     return sorted(pts)
 
 
-def _cluster_extremes(points, radius, hull):
-    """One representative per single-linkage cluster, pushed toward the
-    nearer hull extreme (matching the repulsor convention in walk)."""
-    center = (hull[0] + hull[1]) / 2
-    pts = sorted(set(points))
-    if not pts:
-        return []
-    clusters = [[pts[0]]]
-    for p in pts[1:]:
-        if p - clusters[-1][-1] <= radius:
-            clusters[-1].append(p)
-        else:
-            clusters.append([p])
-    return [c[-1] if (c[0] + c[-1]) / 2 >= center else c[0] for c in clusters]
-
-
 def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
                             streams: int):
     """Yields (trajectory, n, word, A points, B points) with the inclusion
     word(K off A^eps) subset of B^eps verified exactly."""
     eps = rat(eps)
     K = model.space
-    depth = K.depth if K.depth is not None else 0
-    cells = measure_cells(K, depth)
-    cellwidth = cells[0][1] - cells[0][0]
+    cells = measure_cells(K, K.depth)
     for r in range(streams):
         t = Trajectory(model, stream=r)
         try:
-            scan = contraction_scan(t, depth, min(n_max, 24))
+            scan = contraction_scan(t, K.depth, min(n_max, 24))
         except WalkError:
             continue
-        rep_pts = []
-        for v, (l, h) in zip(scan.verdicts, cells):
-            if v == "repulsor":
-                rep_pts.extend((l, h))
-        A = _cluster_extremes(rep_pts, 3 * cellwidth, K.hull)
+        A = _repulsor_extremes(scan, cells, K.hull)
         if not A or len(A) > p_cap:
             continue
         off = Region.whole(K).difference(
-            epsilon_neighborhood_of_values(A, eps, K))
+            epsilon_neighborhood(A, eps, K))
         if off.is_empty():
             continue
         for n in range(1, n_max + 1):
@@ -304,7 +273,7 @@ def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
             B = _attracting_fixed_points(w)
             if not B or len(B) > p_cap:
                 continue
-            b_reg = epsilon_neighborhood_of_values(B, eps, K)
+            b_reg = epsilon_neighborhood(B, eps, K)
             if image(w, off).subset_of(b_reg):
                 yield t, n, w, A, B
                 break
@@ -352,13 +321,7 @@ def stabilize_contraction_pair(pairs, radius) -> StabilizedPair:
 
     def component(samples, tag):
         # cluster by value, then pick the cluster holding the last sample
-        vals = sorted(set(samples))
-        clusters = [[vals[0]]]
-        for v in vals[1:]:
-            if v - clusters[-1][-1] <= radius:
-                clusters[-1].append(v)
-            else:
-                clusters.append([v])
+        clusters = _single_linkage(samples, radius)
         if len(clusters) > 1:
             flags[tag] = len(clusters)
         last = samples[-1]
@@ -432,8 +395,8 @@ def assemble_free_pair(model: WalkModel, eps, budgets=None):
     last_stage = "displacement"
     for shrink in range(4):
         e = eps / 3 ** shrink
-        a_reg = epsilon_neighborhood_of_values(A, e, K)
-        b_reg = epsilon_neighborhood_of_values(B, e, K)
+        a_reg = epsilon_neighborhood(A, e, K)
+        b_reg = epsilon_neighborhood(B, e, K)
         off = Region.whole(K).difference(a_reg)
         g = None
         for t, n, w, _, _ in usable:
@@ -522,29 +485,27 @@ def _cells_compatible(maps: Sequence[PAHomeo], space: CompactSet,
                for g in maps for b in g.branches)
 
 
-def _invariance_rows(maps, space, cells):
-    """Equality rows (coeffs, 0) for mu(g^{-1} c) = mu(c), expressible
-    constraints only, plus the total-mass row (ones, 1)."""
+def _invariance_system(maps, cells):
+    """The system {A mu = b} for the exact simplex: the total-mass row
+    (ones, 1), then one dense row (coeffs, 0) per invariance row."""
     nvar = len(cells)
     rows, rhs = [[Fraction(1)] * nvar], [Fraction(1)]
-    for g in maps:
-        for ci, js in enumerate(preimage_cell_indices(g, cells, space)):
-            if js is None:
-                continue
-            row = [Fraction(0)] * nvar
-            row[ci] += 1
-            for j in js:
-                row[j] -= 1
-            if any(v != 0 for v in row):
-                rows.append(row)
-                rhs.append(Fraction(0))
+    for _, ci, js in invariance_rows(maps, cells):
+        row = [Fraction(0)] * nvar
+        row[ci] += 1
+        for j in js:
+            row[j] -= 1
+        if any(v != 0 for v in row):
+            rows.append(row)
+            rhs.append(Fraction(0))
     return rows, rhs
 
 
-def _check_invariant(maps, space, cells, masses) -> bool:
-    rows, rhs = _invariance_rows(maps, space, cells)
-    return all(sum(c * m for c, m in zip(row, masses)) == b
-               for row, b in zip(rows, rhs))
+def _is_invariant(named: dict, space: CompactSet, depth: int, masses) -> bool:
+    """Whether masses summing to 1 satisfy every invariance equation
+    expressible at their depth."""
+    mu = CellMeasure(depth, tuple(masses), True)
+    return invariance_residual(mu, make_model(space, named))[1] == 0
 
 
 def solve_invariant_measure(gens, depth: int, d_max: int = 6):
@@ -564,7 +525,7 @@ def solve_invariant_measure(gens, depth: int, d_max: int = 6):
         raise CertifyError(f"generators not cell-aligned at any depth <= {d_max}")
 
     cells = measure_cells(space, d)
-    rows, rhs = _invariance_rows(maps, space, cells)
+    rows, rhs = _invariance_system(maps, cells)
     res = solve_feasibility(rows, rhs)
     if not res.feasible:
         return InfeasibilityReport(d, res.gap)
@@ -581,10 +542,10 @@ def solve_invariant_measure(gens, depth: int, d_max: int = 6):
         for kids, m in zip(children, prev_masses):
             for j in kids:
                 cand[j] = m / len(kids)
-        if _check_invariant(maps, space, cells2, cand):
+        if _is_invariant(named, space, d2, cand):
             consistency, prev_cells, prev_masses = d2, cells2, cand
             continue
-        rows2, rhs2 = _invariance_rows(maps, space, cells2)
+        rows2, rhs2 = _invariance_system(maps, cells2)
         for kids, m in zip(children, prev_masses):
             row = [Fraction(0)] * len(cells2)
             for j in kids:
@@ -612,7 +573,7 @@ def verify_invariant_measure(gens, cert: InvariantMeasureCertificate) -> Verdict
         return Verdict(False, "negative mass")
     if sum(masses) != 1:
         return Verdict(False, "masses do not sum to 1")
-    if not _check_invariant(maps, space, cells, masses):
+    if not _is_invariant(named, space, cert.depth, masses):
         return Verdict(False, "invariance equation violated")
     return Verdict(True)
 
@@ -756,8 +717,8 @@ def find_morse_smale(model: WalkModel, eps, n_max: int = 40, runs: int = 20):
     K = model.space
     for _, _, w, A, B in _contraction_candidates(model, eps, 4, n_max, runs):
         for e in (eps, eps / 3):
-            a_reg = epsilon_neighborhood_of_values(A, e, K)
-            b_reg = epsilon_neighborhood_of_values(B, e, K)
+            a_reg = epsilon_neighborhood(A, e, K)
+            b_reg = epsilon_neighborhood(B, e, K)
             if not a_reg.disjoint_from(b_reg):
                 continue
             cert = check_morse_smale(w, a_reg, b_reg)

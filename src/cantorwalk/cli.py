@@ -15,17 +15,15 @@ import csv
 import os
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 
 from .rational import rat, rat_str
-from .space import CompactSet, Region, SpaceError, ternary_cantor
-from .maps import MapError, PrefixTable, from_prefix_table, image, invert
+from .space import CompactSet, SpaceError, ternary_cantor
+from .maps import MapError, PrefixTable, from_prefix_table, invert
 from .giet import GietError, blow_up
 from .walk import (Trajectory, WalkError, estimate_entropy,
-                   estimate_stationary_measure, forward_word,
-                   global_contraction_report, invariance_residual, make_model,
-                   measure_cells)
+                   estimate_stationary_measure, global_contraction_report,
+                   invariance_residual, make_model)
 from .certify import (Budgets, CertifyError, assemble_free_pair,
                       find_morse_smale, solve_invariant_measure)
 from . import serialize as ser
@@ -135,24 +133,6 @@ def parse_scenario(text: str) -> Scenario:
                     output=obj.get("output", "scenario"))
 
 
-def serialize_scenario(s: Scenario) -> dict:
-    obj = {"kind": s.kind, "space": s.space, "seed": s.seed,
-           "output": s.output}
-    if s.generators:
-        obj["generators"] = list(s.generators)
-    if s.include_inverses:
-        obj["include_inverses"] = True
-    if s.probabilities is not None:
-        obj["probabilities"] = s.probabilities
-    if s.budgets:
-        obj["budgets"] = s.budgets
-    if s.giets:
-        obj["giets"] = list(s.giets)
-    if s.blowup:
-        obj["blowup"] = s.blowup
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # scenario execution
 
@@ -196,12 +176,6 @@ def _budget(s: Scenario, overrides: dict) -> dict:
     return out
 
 
-def _write(out_dir: str, stem: str, suffix: str, obj) -> str:
-    path = os.path.join(out_dir, f"{stem}_{suffix}.json")
-    ser.write_json_atomic(path, obj)
-    return path
-
-
 def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
                  seed: int = None, runs: int = None, depth: int = None):
     """(exit_code, verdict line); writes report/certificate/meta files."""
@@ -210,6 +184,15 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
     stem = s.output
     eps = rat(bud["eps"])
 
+    def done(code: int, line: str, **documents):
+        """Write each document as <stem>_<name>.json, then the meta file."""
+        for name, obj in documents.items():
+            ser.write_json_atomic(os.path.join(out_dir, f"{stem}_{name}.json"),
+                                  obj)
+        ser.write_meta(os.path.join(out_dir, f"{stem}_meta.json"),
+                       {"scenario_kind": s.kind})
+        return code, line
+
     if s.kind == "giet-blowup":
         giets = [ser.giet_from_obj(g) for g in s.giets]
         if not giets:
@@ -217,24 +200,19 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
         L = int(s.blowup.get("L", 3))
         rho = rat(s.blowup.get("rho", "1/3"))
         result = blow_up(giets, L, rho)
-        _write(out_dir, stem, "report",
-               {"kind": s.kind, "seed": seed,
-                "blown_points": len(result.blown_points),
-                "exact": result.exact, "defects": list(result.defects)})
-        _write(out_dir, stem, "blowup", ser.blowup_to_scenario(result))
-        ser.write_meta(os.path.join(out_dir, f"{stem}_meta.json"),
-                       {"scenario_kind": s.kind})
         tag = "exact" if result.exact else "inexact"
-        return 0, f"BLOWUP ({len(result.blown_points)} points, {tag})"
+        return done(0, f"BLOWUP ({len(result.blown_points)} points, {tag})",
+                    report={"kind": s.kind, "seed": seed,
+                            "blown_points": len(result.blown_points),
+                            "exact": result.exact,
+                            "defects": list(result.defects)},
+                    blowup=ser.blowup_to_scenario(result))
 
     space = _build_space(s.space)
     gens = _build_generators(s, space)
     names = list(gens)
     model = make_model(space, gens, _probs(s, names), seed)
-    depth_eff = bud["depth"]
-    if depth_eff is None:
-        depth_eff = space.depth if space.depth is not None else 0
-    meta_path = os.path.join(out_dir, f"{stem}_meta.json")
+    depth_eff = space.depth if bud["depth"] is None else bud["depth"]
 
     if s.kind == "simulate":
         mu = estimate_stationary_measure(model, bud["n"] * 25, depth_eff)
@@ -242,6 +220,8 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
         ent = estimate_entropy(mu, model)
         t = Trajectory(model, stream=0)
         rep = global_contraction_report(t, depth_eff, bud["n"], eps)
+        if emit_series:
+            _emit_diameter_series(out_dir, stem, rep.scan.diameters)
         report = {"kind": s.kind, "seed": seed, "depth": depth_eff,
                   "stationary_masses": [float(m) for m in mu.masses],
                   "residual": {"averaged": float(avg),
@@ -250,82 +230,61 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
                   "entropy": ent.h_estimate,
                   "contraction": {"F": [rat_str(f) for f in rep.F],
                                   "p": rep.p, "lambda": rep.lambda_fit}}
-        _write(out_dir, stem, "report", report)
-        if emit_series:
-            _emit_diameter_series(out_dir, stem, t, depth_eff, bud["n"])
-        ser.write_meta(meta_path, {"scenario_kind": s.kind})
-        return 0, (f"SIMULATED (entropy {ent.h_estimate:.4f}, "
-                   f"p {'inf' if rep.p is None else rep.p})")
+        return done(0, (f"SIMULATED (entropy {ent.h_estimate:.4f}, "
+                        f"p {'inf' if rep.p is None else rep.p})"),
+                    report=report)
 
     if s.kind == "certify-free":
         budgets = Budgets(max_len=bud["max_len"], runs=bud["runs"],
-                          d_max=bud["d_max"], n_max=bud["n"])
+                          n_max=bud["n"])
         cert = assemble_free_pair(model, eps, budgets)
         if cert:
-            _write(out_dir, stem, "certificate", ser.certificate_to_obj(cert))
-            _write(out_dir, stem, "report",
-                   {"kind": s.kind, "seed": seed, "verified": True,
-                    "a1": list(cert.a1.label), "a2": list(cert.a2.label)})
-            ser.write_meta(meta_path, {"scenario_kind": s.kind})
-            return 0, "FREE (ping-pong verified)"
-        _write(out_dir, stem, "report",
-               {"kind": s.kind, "seed": seed, "verified": False,
-                "stage": cert.stage, "flag": cert.flag})
-        ser.write_meta(meta_path, {"scenario_kind": s.kind})
-        return 2, "undecided within budget"
+            return done(0, "FREE (ping-pong verified)",
+                        certificate=ser.certificate_to_obj(cert),
+                        report={"kind": s.kind, "seed": seed, "verified": True,
+                                "a1": list(cert.a1.label),
+                                "a2": list(cert.a2.label)})
+        return done(2, "undecided within budget",
+                    report={"kind": s.kind, "seed": seed, "verified": False,
+                            "stage": cert.stage, "flag": cert.flag})
 
     if s.kind == "find-measure":
         res = solve_invariant_measure(gens, depth_eff, bud["d_max"])
         if res:
-            _write(out_dir, stem, "certificate",
-                   ser.certificate_to_obj(res, gens))
-            _write(out_dir, stem, "report",
-                   {"kind": s.kind, "seed": seed, "depth": res.depth,
-                    "masses": [rat_str(m) for m in res.measure.masses],
-                    "consistency_depth": res.consistency_depth})
-            ser.write_meta(meta_path, {"scenario_kind": s.kind})
-            return 0, (f"INVARIANT MEASURE (depth {res.depth}, "
-                       f"consistent to {res.consistency_depth})")
-        _write(out_dir, stem, "report",
-               {"kind": s.kind, "seed": seed, "depth": res.depth,
-                "infeasible": True, "gap": rat_str(res.gap)})
-        ser.write_meta(meta_path, {"scenario_kind": s.kind})
-        return 0, f"INFEASIBLE (no invariant cell measure at depth {res.depth})"
+            return done(0, (f"INVARIANT MEASURE (depth {res.depth}, "
+                            f"consistent to {res.consistency_depth})"),
+                        certificate=ser.certificate_to_obj(res, gens),
+                        report={"kind": s.kind, "seed": seed, "depth": res.depth,
+                                "masses": [rat_str(m) for m in res.measure.masses],
+                                "consistency_depth": res.consistency_depth})
+        return done(0, f"INFEASIBLE (no invariant cell measure at depth {res.depth})",
+                    report={"kind": s.kind, "seed": seed, "depth": res.depth,
+                            "infeasible": True, "gap": rat_str(res.gap)})
 
     if s.kind == "morse-smale":
         cert = find_morse_smale(model, eps, n_max=bud["n"], runs=bud["runs"])
         if cert:
-            _write(out_dir, stem, "certificate", ser.certificate_to_obj(cert))
-            _write(out_dir, stem, "report",
-                   {"kind": s.kind, "seed": seed, "word": list(cert.g.label),
-                    "periodic": [[rat_str(x), p, rat_str(m)]
-                                 for x, p, m in cert.periodic]})
-            ser.write_meta(meta_path, {"scenario_kind": s.kind})
-            return 0, f"MORSE-SMALE ({len(cert.periodic)} periodic points)"
-        _write(out_dir, stem, "report",
-               {"kind": s.kind, "seed": seed, "found": False})
-        ser.write_meta(meta_path, {"scenario_kind": s.kind})
-        return 2, "undecided within budget"
+            return done(0, f"MORSE-SMALE ({len(cert.periodic)} periodic points)",
+                        certificate=ser.certificate_to_obj(cert),
+                        report={"kind": s.kind, "seed": seed,
+                                "word": list(cert.g.label),
+                                "periodic": [[rat_str(x), p, rat_str(m)]
+                                             for x, p, m in cert.periodic]})
+        return done(2, "undecided within budget",
+                    report={"kind": s.kind, "seed": seed, "found": False})
 
     raise ScenarioError(f"cannot run scenario of kind {s.kind!r}")
 
 
-def _emit_diameter_series(out_dir, stem, t, depth, n):
+def _emit_diameter_series(out_dir, stem, diameters):
     """Per-step image diameter of every depth-d cell, as plot-ready CSV."""
-    from .space import Piece
-    K = t.model.space
-    cells = measure_cells(K, depth)
-    regions = [Region.from_pieces(K, (Piece(l, r, True, True),))
-               for l, r in cells]
     path = os.path.join(out_dir, f"{stem}_series.csv")
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["step"] + [f"diam_cell_{i}" for i in range(len(cells))])
-        for k in range(n + 1):
-            word = forward_word(t, k)
-            w.writerow([k] + [float(image(word, reg).diameter())
-                              for reg in regions])
+        w.writerow(["step"] + [f"diam_cell_{i}" for i in range(len(diameters))])
+        for k, row in enumerate(zip(*diameters)):
+            w.writerow([k] + [float(d) for d in row])
     os.replace(tmp, path)
 
 

@@ -2,22 +2,31 @@
 
 All addresses are over the alphabet {0, 2}; orientations are +1 unless
 noted.  H swaps the two halves, R is the reflection, G3 translates mass
-toward 0, and A1/A2 admit an exact ping-pong certificate.
+toward 0, and A1/A2 admit an exact ping-pong certificate.  The prefix
+tables are read from the bundled scenarios that use them.
 """
+
+import json
+from importlib import resources
 
 from .maps import PAHomeo, PrefixTable, from_prefix_table, invert
 from .space import CompactSet, ternary_cantor
 
-H_TABLE = PrefixTable((("0", "2", 1), ("2", "0", 1)))
-R_TABLE = PrefixTable((("", "", -1),))
-G3_TABLE = PrefixTable((("0", "00", 1), ("20", "02", 1), ("22", "2", 1)))
-A1_TABLE = PrefixTable((("0", "020", 1), ("20", "022", 1),
-                        ("220", "00", 1), ("222", "2", 1)))
-A2_TABLE = PrefixTable((("2", "202", 1), ("02", "200", 1),
-                        ("000", "22", 1), ("002", "0", 1)))
 
-TABLES = {"H": H_TABLE, "R": R_TABLE, "G3": G3_TABLE,
-          "A1": A1_TABLE, "A2": A2_TABLE}
+def _scenario_tables(*names) -> dict:
+    """Generator name -> prefix table over the named bundled scenarios."""
+    tables = {}
+    for name in names:
+        path = resources.files(__package__) / "scenarios" / f"{name}.json"
+        for g in json.loads(path.read_text())["generators"]:
+            tables[g["name"]] = PrefixTable(
+                tuple((src, dst, int(sign)) for src, dst, sign in g["table"]))
+    return tables
+
+
+TABLES = {n: t for n, t in _scenario_tables("klein_four", "g3",
+                                             "free_pair").items()
+          if n in ("H", "R", "G3", "A1", "A2")}
 
 DEFAULT_DEPTH = 3
 

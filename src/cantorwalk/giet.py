@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .rational import rat
-from .maps import Branch, MapError, PAHomeo, pa_homeo
+from .maps import Branch, MapError, PAHomeo, orbit_bfs, pa_homeo
 from .space import CompactSet, SpaceError
 
 
@@ -38,10 +39,6 @@ class Giet:
     a: Fraction
     b: Fraction
     branches: tuple[GBranch, ...]
-
-    @property
-    def is_iet(self) -> bool:
-        return all(br.slope == 1 for br in self.branches)
 
     def branch_at(self, x: Fraction) -> GBranch:
         for br in self.branches:
@@ -143,37 +140,21 @@ def discontinuity_closure(gens: Sequence[Giet], L: int,
     <= L over the generators and their inverses, in BFS discovery order."""
     if L < 0:
         raise GietError("negative word length bound")
-    ops = _ops(gens)
     if seeds is None:
         seedset = sorted({p for g in gens for p in g.jump_points()})
     else:
         seedset = sorted({rat(s) for s in seeds})
-    order = list(seedset)
-    known = set(seedset)
-    frontier = list(seedset)
-    for _ in range(L):
-        nxt = []
-        for p in frontier:
-            for op in ops:
-                try:
-                    q = op.preimage(p)
-                except GietError:
-                    continue
-                if q not in known:
-                    known.add(q)
-                    order.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    closed = True
-    for p in order:
-        for op in ops:
-            try:
-                q = op.preimage(p)
-            except GietError:
-                continue
-            if q not in known:
-                closed = False
-    return order, closed
+    steps = [partial(_preimage, op) for op in _ops(gens)]
+    order, _ = orbit_bfs(seedset, steps, L)
+    # closed: one more round from every point finds nothing new
+    return order, not orbit_bfs(order, steps, 1)[1]
+
+
+def _preimage(g: Giet, y: Fraction) -> Optional[Fraction]:
+    try:
+        return g.preimage(y)
+    except GietError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +178,9 @@ def one_sided_orbit(gens: Sequence[Giet], x, side: str, bound: int) -> SidedOrbi
         raise GietError("no left limit at the left endpoint")
     if x == g0.b and side == "right":
         raise GietError("no right limit at the right endpoint")
-    ops = _ops(gens)
-    known = {x}
-    order = [x]
-    frontier = [x]
-    for _ in range(bound):
-        nxt = []
-        for p in frontier:
-            for op in ops:
-                q = op.one_sided(p, side)
-                if q not in known:
-                    known.add(q)
-                    order.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    closed = bound >= 1 and not frontier
-    return SidedOrbit(x, side, tuple(order), closed)
+    steps = [partial(op.one_sided, side=side) for op in _ops(gens)]
+    order, frontier = orbit_bfs([x], steps, bound)
+    return SidedOrbit(x, side, tuple(order), not frontier)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .rational import rat, rat_str
-from .space import (CompactSet, Piece, Region, SpaceError, _intersect_piece,
+from .rational import rat
+from .space import (CompactSet, Piece, Region, _intersect_piece,
                     _normalize_intervals)
 
 
@@ -90,6 +90,31 @@ def apply(f: PAHomeo, x) -> Fraction:
     return f.branch_at(x).value(x)
 
 
+def orbit_bfs(seeds: Iterable[Fraction], steps: Sequence[Callable],
+              rounds: Optional[int] = None, cap: Optional[int] = None):
+    """Breadth-first closure of the seed points under the step functions.
+
+    A step maps a point to a point, or to None where it is undefined.
+    Expands `rounds` times (None: until no new point appears) and returns
+    (points in discovery order, points found in the last round), or None
+    when more than `cap` points are known before a round.
+    """
+    order = list(dict.fromkeys(seeds))
+    known, frontier, k = set(order), order, 0
+    while frontier and (rounds is None or k < rounds):
+        if cap is not None and len(known) > cap:
+            return None
+        nxt = []
+        for p in frontier:
+            for step in steps:
+                q = step(p)
+                if q is not None and q not in known:
+                    known.add(q)
+                    nxt.append(q)
+        order, frontier, k = order + nxt, nxt, k + 1
+    return order, frontier
+
+
 # ---------------------------------------------------------------------------
 # construction and validation
 
@@ -141,7 +166,6 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
     """Bijectivity of the limit set: every branch source decomposes into
     cylinders, each mapped affinely onto a single cylinder, and the image
     cylinders tile the limit set (complete antichain)."""
-    max_depth = space.depth + 16
     if any(b.slope < 0 for b in branches):
         _check_reflection_symmetric(space)
 
@@ -157,14 +181,14 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
     img_cyls = []
     src_cyls = []
     for b in branches:
-        words = space.decompose_into_cylinders(b.lo, b.hi, max_depth)
+        words = space.decompose_into_cylinders(b.lo, b.hi)
         if not words:
             raise MapError(f"branch source [{b.lo}, {b.hi}] not cylinder-aligned")
         for w in words:
             clo, chi = space.cylinder(w)
             src_cyls.append((clo, chi))
             ia, ib = sorted((b.value(clo), b.value(chi)))
-            dec = space.decompose_into_cylinders(ia, ib, max_depth)
+            dec = space.decompose_into_cylinders(ia, ib)
             if dec is None or len(dec) != 1:
                 raise MapError(f"image of cylinder {w or 'hull'} is not a cylinder")
             if space.cylinder(dec[0]) != (ia, ib):
@@ -428,10 +452,6 @@ def image(f: PAHomeo, S: Region) -> Region:
             else:
                 pieces.append(Piece(vb, va, q.hi_closed, q.lo_closed))
     return Region.from_pieces(f.space, pieces)
-
-
-def image_of_set(f: PAHomeo, K: CompactSet) -> Region:
-    return image(f, Region.whole(K))
 
 
 def _branch_region(f: PAHomeo, b: Branch) -> Region:

@@ -13,7 +13,6 @@ import json
 import os
 import tempfile
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from .rational import rat, rat_str
 from .space import CompactSet, Ifs, Piece, PointSet, Region
@@ -84,13 +83,6 @@ def region_from_obj(space: CompactSet, obj: dict) -> Region:
               bool(p["hi_closed"])) for p in obj["pieces"]])
 
 
-def giet_to_obj(g: Giet) -> dict:
-    return {"interval": [_q(g.a), _q(g.b)],
-            "branches": [{"src": [_q(b.lo), _q(b.hi)],
-                          "slope": _q(b.slope), "offset": _q(b.offset)}
-                         for b in g.branches]}
-
-
 def giet_from_obj(obj: dict) -> Giet:
     return giet_from_branches(
         (rat(obj["interval"][0]), rat(obj["interval"][1])),
@@ -139,32 +131,37 @@ def certificate_to_obj(cert, gens=None) -> dict:
 
 
 def certificate_from_obj(obj: dict):
-    """(certificate, generator maps or None)."""
-    kind = obj.get("type")
-    space = space_from_obj(obj["space"])
-    if kind == "ping-pong":
-        return PingPongCertificate(
-            map_from_obj(space, obj["a1"]), map_from_obj(space, obj["a2"]),
-            region_from_obj(space, obj["A1"]), region_from_obj(space, obj["B1"]),
-            region_from_obj(space, obj["A2"]), region_from_obj(space, obj["B2"])), None
-    if kind == "invariant-measure":
-        gens = [map_from_obj(space, g) for g in obj["generators"]]
-        masses = tuple(rat(m) for m in obj["masses"])
-        cert = InvariantMeasureCertificate(
-            int(obj["depth"]), CellMeasure(int(obj["depth"]), masses, True),
-            int(obj["consistency_depth"]))
-        return cert, gens
-    if kind == "finite-orbit":
-        gens = [map_from_obj(space, g) for g in obj["generators"]]
-        orbit = PointSet.of(space, [rat(p) for p in obj["orbit"]])
-        return FiniteOrbitCertificate(orbit, True), gens
-    if kind == "morse-smale":
-        g = map_from_obj(space, obj["g"])
-        periodic = tuple((rat(x), int(per), rat(m))
-                         for x, per, m in obj["periodic"])
-        return MorseSmaleCertificate(g, periodic,
-                                     region_from_obj(space, obj["A"]),
-                                     region_from_obj(space, obj["B"])), None
+    """(certificate, generator maps or None); a document of the wrong shape
+    raises SerializeError."""
+    try:
+        kind = obj.get("type")
+        space = space_from_obj(obj["space"])
+        if kind == "ping-pong":
+            return PingPongCertificate(
+                map_from_obj(space, obj["a1"]), map_from_obj(space, obj["a2"]),
+                region_from_obj(space, obj["A1"]), region_from_obj(space, obj["B1"]),
+                region_from_obj(space, obj["A2"]), region_from_obj(space, obj["B2"])), None
+        if kind == "invariant-measure":
+            gens = [map_from_obj(space, g) for g in obj["generators"]]
+            masses = tuple(rat(m) for m in obj["masses"])
+            cert = InvariantMeasureCertificate(
+                int(obj["depth"]), CellMeasure(int(obj["depth"]), masses, True),
+                int(obj["consistency_depth"]))
+            return cert, gens
+        if kind == "finite-orbit":
+            gens = [map_from_obj(space, g) for g in obj["generators"]]
+            orbit = PointSet.of(space, [rat(p) for p in obj["orbit"]])
+            return FiniteOrbitCertificate(orbit, True), gens
+        if kind == "morse-smale":
+            g = map_from_obj(space, obj["g"])
+            periodic = tuple((rat(x), int(per), rat(m))
+                             for x, per, m in obj["periodic"])
+            return MorseSmaleCertificate(g, periodic,
+                                         region_from_obj(space, obj["A"]),
+                                         region_from_obj(space, obj["B"])), None
+    except (KeyError, TypeError, AttributeError, IndexError) as e:
+        raise SerializeError(
+            f"malformed certificate ({type(e).__name__}: {e})") from None
     raise SerializeError(f"unknown certificate type {kind!r}")
 
 

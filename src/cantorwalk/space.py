@@ -47,26 +47,22 @@ class Ifs:
                 raise SpaceError(f"IFS ratio {r} not in (0,1)")
         if len(set(self.symbols)) != len(self.symbols):
             raise SpaceError("IFS symbols must be distinct")
-
-    @property
-    def hull(self) -> tuple[Fraction, Fraction]:
         lo = self.offsets[0] / (1 - self.ratios[0])
         hi = self.offsets[-1] / (1 - self.ratios[-1])
         if lo >= hi:
             raise SpaceError("degenerate IFS hull")
-        return lo, hi
-
-    def apply_map(self, i: int, x: Fraction) -> Fraction:
-        return self.ratios[i] * x + self.offsets[i]
+        children = tuple((r * lo + o, r * hi + o)
+                         for r, o in zip(self.ratios, self.offsets))
+        if any(h1 >= l2 for (_, h1), (l2, _) in zip(children, children[1:])):
+            raise SpaceError("IFS images must be disjoint, left to right")
+        object.__setattr__(self, "hull", (lo, hi))
+        object.__setattr__(self, "_children", children)
 
     def cylinder(self, address: str) -> tuple[Fraction, Fraction]:
         """Interval of the cylinder addressed by a word over the symbols.
 
         The word is read outermost-first: I_w = phi_{w0}(I_{w1 w2 ...}).
         """
-        return self._cyl(address)
-
-    def _cyl(self, address: str) -> tuple[Fraction, Fraction]:
         lo, hi = self.hull
         for sym in address[::-1]:
             i = self.symbols.index(sym)
@@ -81,109 +77,65 @@ class Ifs:
         return words
 
     def intervals_at(self, depth: int) -> list[tuple[Fraction, Fraction]]:
-        return [self._cyl(w) for w in self.addresses(depth)]
+        return [self.cylinder(w) for w in self.addresses(depth)]
+
+    def _expand(self, t: Fraction):
+        """The address of t, one level per step, as (levels, gap).
+
+        levels[k] = (i, y, s, u): at depth k the point has local coordinate
+        y (t = s*y + u) and lies in child i.  The expansion stops when y
+        repeats, so t is a limit point with an eventually periodic address
+        and gap is None; or when y falls between two children, and gap is
+        that bounded gap of the limit set.  Points off the hull give
+        ([], None).
+        """
+        levels, seen = [], set()
+        s, u = Fraction(1), Fraction(0)
+        lo, hi = self.hull
+        children = self._children
+        if not lo <= t <= hi:
+            return levels, None
+        while t not in seen:
+            seen.add(t)
+            for i, (clo, chi) in enumerate(children):
+                if clo <= t <= chi:
+                    break
+            else:
+                i = next(i for i, ((_, h1), (l2, _))
+                         in enumerate(zip(children, children[1:])) if h1 < t < l2)
+                return levels, (s * children[i][1] + u,
+                                s * children[i + 1][0] + u)
+            levels.append((i, t, s, u))
+            r, o = self.ratios[i], self.offsets[i]
+            t = (t - o) / r
+            s, u = s * r, s * o + u
+        return levels, None
 
     def contains_limit_point(self, x: Fraction) -> bool:
         """Exact membership of a rational in the limit (infinite-depth) set."""
-        lo, hi = self.hull
-        seen: set[Fraction] = set()
-
-        def visit(y: Fraction) -> bool:
-            if y < lo or y > hi:
-                return False
-            if y in seen:
-                # revisiting a value yields an eventually periodic expansion
-                return True
-            seen.add(y)
-            for r, o in zip(self.ratios, self.offsets):
-                pre = (y - o) / r
-                if lo <= pre <= hi and visit(pre):
-                    return True
-            return False
-
-        return visit(x)
+        levels, gap = self._expand(x)
+        return bool(levels) and gap is None
 
     def limit_gap_containing(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
         """The bounded gap of the limit set whose open interval contains t,
         or None when t is a limit point or outside the hull."""
-        lo, hi = self.hull
-        if t <= lo or t >= hi:
-            return None
-        s, u = Fraction(1), Fraction(0)  # current coords -> original coords
-        seen = set()
-        images = [(r * lo + o, r * hi + o)
-                  for r, o in zip(self.ratios, self.offsets)]
-        while True:
-            if t in seen:
-                return None  # eventually periodic expansion: t is a limit point
-            seen.add(t)
-            for i, (plo, phi) in enumerate(images):
-                if plo <= t <= phi:
-                    if t == plo or t == phi:
-                        return None  # cylinder endpoint, a limit point
-                    r, o = self.ratios[i], self.offsets[i]
-                    t = (t - o) / r
-                    s, u = s * r, s * o + u
-                    break
-            else:
-                for (p1, h1), (p2, _) in zip(images, images[1:]):
-                    if h1 < t < p2:
-                        return (s * h1 + u, s * p2 + u)
-                return None  # outside every child: not inside the limit hull
+        return self._expand(t)[1]
 
     def adjacent_limit_gap(self, t: Fraction, side: str) -> Optional[tuple[Fraction, Fraction]]:
         """The bounded gap of the limit set touching the limit point t on
         the given side ("left" or "right"), or None if no gap is adjacent.
-
-        Only meaningful for t in the limit set; for other t use
-        limit_gap_containing.
         """
-        lo, hi = self.hull
-        if side == "right" and t == hi:
-            return None
-        if side == "left" and t == lo:
-            return None
-        if t < lo or t > hi:
-            return None
-        s, u = Fraction(1), Fraction(0)
-        seen = set()
-        images = [(r * lo + o, r * hi + o)
-                  for r, o in zip(self.ratios, self.offsets)]
-        while True:
-            if t in seen:
-                return None  # two-sided limit point, no adjacent gap
-            seen.add(t)
-            for i, (plo, phi) in enumerate(images):
-                if plo <= t <= phi:
-                    if side == "right" and t == phi and i + 1 < len(images):
-                        return (s * t + u, s * images[i + 1][0] + u)
-                    if side == "left" and t == plo and i > 0:
-                        return (s * images[i - 1][1] + u, s * t + u)
-                    r, o = self.ratios[i], self.offsets[i]
-                    t = (t - o) / r
-                    s, u = s * r, s * o + u
-                    break
-            else:
-                return None  # t lies in a gap, not in the limit set
+        children = self._children
+        for i, y, s, u in self._expand(t)[0]:
+            if side == "right" and y == children[i][1] and i + 1 < len(children):
+                return (s * y + u, s * children[i + 1][0] + u)
+            if side == "left" and y == children[i][0] and i > 0:
+                return (s * children[i - 1][1] + u, s * y + u)
+        return None
 
     def is_gap_pair(self, u: Fraction, v: Fraction) -> bool:
         """Whether (u, v) bounds a gap of the limit set, at any depth."""
-        if u >= v:
-            return False
-        lo, hi = self.hull
-        width = hi - lo
-        images = [(r * lo + o, r * hi + o) for r, o in zip(self.ratios, self.offsets)]
-        while v - u <= width:
-            for (_, a_hi), (b_lo, _) in zip(images, images[1:]):
-                if u == a_hi and v == b_lo:
-                    return True
-            for (plo, phi), r, o in zip(images, self.ratios, self.offsets):
-                if plo <= u and v <= phi:
-                    u, v = (u - o) / r, (v - o) / r
-                    break
-            else:
-                return False
-        return False
+        return self.adjacent_limit_gap(u, "right") == (u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +212,6 @@ class CompactSet:
             return self.contains(x)
         return self.ifs.contains_limit_point(x)
 
-    def interval_index(self, x: Fraction) -> int:
-        i = bisect.bisect_right([iv[0] for iv in self.intervals], x) - 1
-        if i < 0 or not (self.intervals[i][0] <= x <= self.intervals[i][1]):
-            raise SpaceError(f"{x} not in the set")
-        return i
-
     def endpoints(self) -> list[Fraction]:
         pts = []
         for l, r in self.intervals:
@@ -320,11 +266,6 @@ class CompactSet:
 
     # -- IFS-aware structure ------------------------------------------------
 
-    def refine(self) -> "CompactSet":
-        if self.ifs is None:
-            raise SpaceError("set has no IFS structure to refine")
-        return CompactSet.from_ifs(self.ifs, self.depth + 1)
-
     def addresses(self) -> list[str]:
         if self.ifs is None:
             raise SpaceError("set has no IFS structure")
@@ -333,40 +274,33 @@ class CompactSet:
     def cylinder(self, address: str) -> tuple[Fraction, Fraction]:
         if self.ifs is None:
             raise SpaceError("set has no IFS structure")
-        return self.ifs._cyl(address)
+        return self.ifs.cylinder(address)
 
-    def cells(self) -> list[tuple[Fraction, Fraction]]:
-        """The depth-d cells: cylinders for IFS sets, else the intervals."""
-        return list(self.intervals)
-
-    def cell_index(self, x: Fraction) -> int:
-        return self.interval_index(x)
-
-    def decompose_into_cylinders(self, lo: Fraction, hi: Fraction,
-                                 max_depth: int) -> Optional[list[str]]:
+    def decompose_into_cylinders(self, lo: Fraction,
+                                 hi: Fraction) -> Optional[list[str]]:
         """Write [lo, hi] (intersected with the limit set) as a disjoint
-        union of maximal cylinders of length <= max_depth, or None if the
-        interval is not cylinder-aligned within that depth."""
+        union of maximal cylinders, or None if the interval is not
+        cylinder-aligned."""
         if self.ifs is None:
             raise SpaceError("set has no IFS structure")
-
-        def rec(addr: str) -> Optional[list[str]]:
-            clo, chi = self.ifs._cyl(addr)
+        # only cylinders holding lo or hi without lying inside [lo, hi] are
+        # split.  Deeper than that point's address expansion, no cylinder
+        # holds it, or one starts (lo) or ends (hi) at it, or [lo, hi] is
+        # not cylinder-aligned at any depth.
+        max_depth = 1 + max(len(self.ifs._expand(x)[0]) for x in (lo, hi))
+        parts, stack = [], [""]
+        while stack:
+            addr = stack.pop()
+            clo, chi = self.ifs.cylinder(addr)
             if hi < clo or chi < lo:
-                return []
+                continue
             if lo <= clo and chi <= hi:
-                return [addr]
-            if len(addr) >= max_depth:
+                parts.append(addr)
+            elif len(addr) >= max_depth:
                 return None
-            parts = []
-            for s in self.ifs.symbols:
-                sub = rec(addr + s)
-                if sub is None:
-                    return None
-                parts.extend(sub)
-            return parts
-
-        return rec("")
+            else:
+                stack.extend(addr + s for s in reversed(self.ifs.symbols))
+        return parts
 
 
 def make_compact_set(pairs) -> CompactSet:
@@ -414,13 +348,6 @@ def delta_m(points: PointSet) -> Fraction:
         raise SpaceError("delta_m needs at least two points")
     pts = points.points
     return min(b - a for a, b in zip(pts, pts[1:]))
-
-
-def min_pairwise_distance(values: Sequence[Fraction]) -> Fraction:
-    if len(values) < 2:
-        raise SpaceError("need at least two values")
-    vs = sorted(values)
-    return min(b - a for a, b in zip(vs, vs[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -651,47 +578,12 @@ class Region:
     def diameter(self) -> Fraction:
         return self.supremum() - self.infimum()
 
-    def sample_point(self) -> Fraction:
-        """Some point of K inside the region (its infimum or a point just
-        right of it when the boundary is open)."""
-        for p in self.pieces:
-            for l, r in self.space.intervals:
-                if r < p.lo or l > p.hi:
-                    continue
-                olo, ohi = max(l, p.lo), min(r, p.hi)
-                if olo < ohi:
-                    if olo > p.lo or p.lo_closed:
-                        return olo
-                    # open left boundary: look for a set point strictly inside
-                    for cand in self._interior_candidates(olo, ohi):
-                        if self.contains(cand):
-                            return cand
-                elif olo == ohi and self.contains(olo):
-                    return olo
-        raise SpaceError("empty region has no sample point")
 
-    def _interior_candidates(self, lo: Fraction, hi: Fraction):
-        k = self.space
-        for l, r in k.intervals:
-            for v in (l, r):
-                if lo < v < hi:
-                    yield v
-        yield (lo + hi) / 2
-
-
-def epsilon_neighborhood(points: PointSet, eps, space: CompactSet) -> Region:
-    """The strict neighborhood {x in K : d(x, A) < eps}, exactly."""
+def epsilon_neighborhood(points: Iterable, eps, space: CompactSet) -> Region:
+    """The strict neighborhood {x in K : d(x, A) < eps}, exactly, of the
+    rationals A (a PointSet or any iterable of them)."""
     eps = rat(eps)
     if eps <= 0:
         raise SpaceError("eps must be positive")
-    pieces = [Piece(p - eps, p + eps, False, False) for p in points]
-    return Region.from_pieces(space, pieces)
-
-
-def epsilon_neighborhood_of_values(values: Iterable[Fraction], eps,
-                                   space: CompactSet) -> Region:
-    eps = rat(eps)
-    if eps <= 0:
-        raise SpaceError("eps must be positive")
-    pieces = [Piece(rat(p) - eps, rat(p) + eps, False, False) for p in values]
+    pieces = [Piece(rat(p) - eps, rat(p) + eps, False, False) for p in points]
     return Region.from_pieces(space, pieces)

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .rational import rat
-from .maps import (PAHomeo, apply, break_pairs, break_points, compose,
-                   identity_map, image, invert, slope_range, equals, MapError)
-from .space import (CompactSet, Piece, PointSet, Region, SpaceError,
-                    epsilon_neighborhood_of_values)
+from .maps import (PAHomeo, apply, break_points, compose, identity_map,
+                   image, invert, slope_range, equals)
+from .space import CompactSet, Piece, Region, epsilon_neighborhood
 
 TWO64 = 2 ** 64
 
@@ -238,7 +237,7 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int,
     return CellMeasure(depth, tuple(float(m) for m in masses), False)
 
 
-def preimage_cell_indices(g: PAHomeo, cells, depth_space: CompactSet):
+def preimage_cell_indices(g: PAHomeo, cells):
     """For each cell c: the indices j with g^{-1}(c) = union of cells j,
     or None when the preimage is not expressible at this depth."""
     ginv = invert(g)
@@ -246,14 +245,24 @@ def preimage_cell_indices(g: PAHomeo, cells, depth_space: CompactSet):
     out = []
     cell_regions = [Region.from_pieces(K, (Piece(l, r, True, True),))
                     for l, r in cells]
-    for l, r in cells:
-        pre = image(ginv, Region.from_pieces(K, (Piece(l, r, True, True),)))
+    for reg in cell_regions:
+        pre = image(ginv, reg)
         js = [j for j, cr in enumerate(cell_regions) if cr.subset_of(pre)]
         cover = Region.empty(K)
         for j in js:
             cover = cover.union(cell_regions[j])
         out.append(js if pre.subset_of(cover) else None)
     return out
+
+
+def invariance_rows(gens: Sequence[PAHomeo], cells) -> list:
+    """The harmonic-measure equations mu(c) = mu(g^{-1} c) expressible on
+    the cells, as (generator index, cell index, js) with g^{-1}(c) the
+    union of the cells js; a preimage that is no union of cells gives no
+    row."""
+    return [(gi, ci, js) for gi, g in enumerate(gens)
+            for ci, js in enumerate(preimage_cell_indices(g, cells))
+            if js is not None]
 
 
 def invariance_residual(mu: CellMeasure, model: WalkModel):
@@ -269,25 +278,20 @@ def invariance_residual(mu: CellMeasure, model: WalkModel):
         raise WalkError("measure depth incompatible with the space")
     K = model.space
     if mu.exact:
-        # only constraints expressible at this depth, tested exactly
-        pres = [preimage_cell_indices(g, cells, K) for g in model.gens]
-        per_gen = averaged = Fraction(0)
-        skipped = 0
-        for ci in range(len(cells)):
-            ok_all = True
-            acc = Fraction(0)
-            for gi in range(len(model.gens)):
-                js = pres[gi][ci]
-                if js is None:
-                    ok_all = False
-                    skipped += 1
-                    continue
-                pm = sum((mu.masses[j] for j in js), Fraction(0))
-                per_gen = max(per_gen, abs(mu.masses[ci] - pm))
-                acc += model.probs[gi] * pm
-            if ok_all:
-                averaged = max(averaged, abs(mu.masses[ci] - acc))
-        return averaged, per_gen, skipped
+        # only constraints expressible at this depth, tested exactly; the
+        # averaged residual of a cell is sum_s P(s) (mu(c) - mu(s^{-1} c))
+        rows = invariance_rows(model.gens, cells)
+        defects = {}
+        for gi, ci, js in rows:
+            pm = sum((mu.masses[j] for j in js), Fraction(0))
+            defects.setdefault(ci, []).append(
+                (model.probs[gi], mu.masses[ci] - pm))
+        per_gen = max((abs(d) for ds in defects.values() for _, d in ds),
+                      default=Fraction(0))
+        averaged = max((abs(sum(p * d for p, d in ds))
+                        for ds in defects.values() if len(ds) == len(model.gens)),
+                       default=Fraction(0))
+        return averaged, per_gen, len(model.gens) * len(cells) - len(rows)
     # float diagnostics: evaluate mu(g^{-1} c) with the uniform-split
     # convention for preimages finer than the cell depth
     invs = [invert(g) for g in model.gens]
@@ -332,15 +336,10 @@ def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region,
             inter = cell.intersect(region)
             return float((inter.supremum() - inter.infimum()) / (hi - lo))
         # children of [lo, hi] under the IFS self-similarity
-        n = len(space.ifs.ratios)
-        acc = 0.0
-        for i in range(n):
-            r, o = space.ifs.ratios[i], space.ifs.offsets[i]
-            hlo, hhi = space.ifs.hull
-            clo = lo + (hi - lo) * (r * hlo + o - hlo) / (hhi - hlo)
-            chi = lo + (hi - lo) * (r * hhi + o - hlo) / (hhi - hlo)
-            acc += portion(clo, chi, depth_left - 1) / n
-        return acc
+        (hlo, hhi), kids = space.ifs.hull, space.ifs._children
+        scale = (hi - lo) / (hhi - hlo)
+        return sum(portion(lo + (clo - hlo) * scale, lo + (chi - hlo) * scale,
+                           depth_left - 1) / len(kids) for clo, chi in kids)
 
     total = 0.0
     for m, (l, r) in zip(mu.masses, cells):
@@ -459,6 +458,7 @@ class CellScan:
     delta: Fraction
     depth: int
     horizon: int
+    diameters: tuple  # exact image diameters per cell, steps 0..horizon
 
     @property
     def repulsor_count(self) -> int:
@@ -493,7 +493,8 @@ def contraction_scan(t: Trajectory, depth: int, n: int,
         else:
             verdicts.append("undecided")
             rates.append(0.0)
-    scan = CellScan(tuple(verdicts), tuple(rates), delta, depth, n)
+    scan = CellScan(tuple(verdicts), tuple(rates), delta, depth, n,
+                    tuple(map(tuple, diam_series)))
     lo, hi = K.hull
     if scan.repulsor_count * delta > hi - lo:
         raise WalkError("repulsor count bound violated: "
@@ -505,7 +506,9 @@ def contraction_scan(t: Trajectory, depth: int, n: int,
 # break accumulation and backward clusters
 
 
-def _single_linkage(points: Sequence[Fraction], radius: Fraction):
+def _single_linkage(points: Iterable[Fraction], radius: Fraction):
+    """Clusters of the sorted points, split where neighbours are more than
+    radius apart."""
     pts = sorted(points)
     if not pts:
         return []
@@ -516,6 +519,22 @@ def _single_linkage(points: Sequence[Fraction], radius: Fraction):
         else:
             clusters.append([p])
     return clusters
+
+
+def _extremes(clusters, hull) -> list:
+    """One point per cluster: its end toward the hull extreme nearer the
+    cluster's midpoint."""
+    center = (hull[0] + hull[1]) / 2
+    return [c[-1] if (c[0] + c[-1]) / 2 >= center else c[0] for c in clusters]
+
+
+def _repulsor_extremes(scan: CellScan, cells, hull) -> list:
+    """Cluster representatives of the repulsor-cell endpoints of a scan,
+    clustered at three cell widths."""
+    pts = [x for v, cell in zip(scan.verdicts, cells) if v == "repulsor"
+           for x in cell]
+    return _extremes(_single_linkage(pts, 3 * (cells[0][1] - cells[0][0])),
+                     hull)
 
 
 def break_accumulation(t: Trajectory, n: int, radius=Fraction(1, 27)):
@@ -557,7 +576,6 @@ class ProximalityReport:
     cap: int
     samples: int
     failures: tuple
-    delta_sum_mean: float
 
 
 def proximality_degree(model: WalkModel, cap: int = 4, samples: int = 20,
@@ -585,9 +603,9 @@ def proximality_degree(model: WalkModel, cap: int = 4, samples: int = 20,
                 all_good = False
                 fails.append(tuple(tup))
         if all_good:
-            return ProximalityReport(m, cap, samples, (), 0.0)
+            return ProximalityReport(m, cap, samples, ())
         failures.append((m, tuple(fails[:3])))
-    return ProximalityReport(None, cap, samples, tuple(failures), 0.0)
+    return ProximalityReport(None, cap, samples, tuple(failures))
 
 
 def delta_sum_statistic(model: WalkModel, points, n: int, runs: int,
@@ -629,24 +647,7 @@ class ContractionReport:
     sup_slope_off_F: float
     horizon: int
     eps: Fraction
-
-
-def _cover_with_balls(region: Region, radius: Fraction, cap: int = 64):
-    """Greedy left-to-right cover of region∩K by closed balls of the given
-    radius; returns the (center, radius) list or None past the cap."""
-    balls = []
-    rest = region
-    while not rest.is_empty():
-        if len(balls) >= cap:
-            return None
-        lo = rest.infimum()
-        center = lo + radius
-        balls.append((center, radius))
-        ball = Region.from_pieces(region.space,
-                                  (Piece(center - radius, center + radius,
-                                         True, True),))
-        rest = rest.difference(ball)
-    return balls
+    scan: CellScan  # the cell scan F was drawn from
 
 
 def global_contraction_report(t: Trajectory, depth: int, n: int, eps,
@@ -656,32 +657,18 @@ def global_contraction_report(t: Trajectory, depth: int, n: int, eps,
     K = t.model.space
     scan = contraction_scan(t, depth, n, delta)
     cells = measure_cells(K, depth)
-    lo, hi = K.hull
-    center = (lo + hi) / 2
-    # F: one representative per cluster of repulsor-cell endpoints, pushed
-    # toward the nearer extreme of the hull, plus break accumulation points
-    rep_pts = []
-    for v, (l, r) in zip(scan.verdicts, cells):
-        if v == "repulsor":
-            rep_pts.extend((l, r))
-    F = []
-    for cluster in _single_linkage(rep_pts, 3 * (cells[0][1] - cells[0][0])):
-        mid = (cluster[0] + cluster[-1]) / 2
-        F.append(cluster[-1] if mid >= center else cluster[0])
-    bpts, bclusters = break_accumulation(t, min(n, 12))
-    for cluster in bclusters:
-        cand = cluster[-1] if (cluster[0] + cluster[-1]) / 2 >= center else cluster[0]
+    # F: the repulsor cluster representatives, plus those of the break
+    # accumulation clusters not within eps of one already taken
+    F = _repulsor_extremes(scan, cells, K.hull)
+    _, bclusters = break_accumulation(t, min(n, 12))
+    for cand in _extremes(bclusters, K.hull):
         if all(abs(cand - f) > eps for f in F):
             F.append(cand)
     F = sorted(set(F))
     w = forward_word(t, n)
-    if F:
-        off = Region.whole(K).difference(
-            epsilon_neighborhood_of_values(F, eps, K))
-    else:
-        off = Region.whole(K)
+    off = Region.whole(K).difference(epsilon_neighborhood(F, eps, K))
     if len(F) > p_cap or off.is_empty():
-        return ContractionReport(tuple(F), None, 0.0, (), 0.0, n, eps)
+        return ContractionReport(tuple(F), None, 0.0, (), 0.0, n, eps, scan)
     img = image(w, off)
     sup_slope = float(slope_range(w, off)[1])
     # cluster the image pieces at scale delta; each cluster must itself be
@@ -695,13 +682,15 @@ def global_contraction_report(t: Trajectory, depth: int, n: int, eps,
             clusters.append([p.lo, p.hi])
     cdiam = max(b - a for a, b in clusters)
     if cdiam >= delta or len(clusters) > p_cap:
-        return ContractionReport(tuple(F), None, 0.0, (), sup_slope, n, eps)
+        return ContractionReport(tuple(F), None, 0.0, (), sup_slope, n, eps,
+                                 scan)
     radius = max(cdiam / 2, Fraction(1, 3 ** (4 * n)))
     lam = -math.log(float(radius)) / n
     balls = tuple(((a + b) / 2, radius) for a, b in clusters)
     ball_region = Region.from_pieces(K, tuple(
         Piece(c - r, c + r, True, True) for c, r in balls))
     if not img.subset_of(ball_region):
-        return ContractionReport(tuple(F), None, lam, (), sup_slope, n, eps)
+        return ContractionReport(tuple(F), None, lam, (), sup_slope, n, eps,
+                                 scan)
     return ContractionReport(tuple(F), len(balls), lam, tuple(balls),
-                             sup_slope, n, eps)
+                             sup_slope, n, eps, scan)

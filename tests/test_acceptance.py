@@ -24,7 +24,7 @@ from cantorwalk.giet import blow_up, discontinuity_closure, rotation
 from cantorwalk.maps import (apply, break_pairs, break_points, compose,
                              identity_map, image, invert, is_regular_on,
                              regularity_radius)
-from cantorwalk.space import Piece, Region, epsilon_neighborhood_of_values
+from cantorwalk.space import Piece, Region, epsilon_neighborhood
 from cantorwalk.walk import (Trajectory, backward_cluster, contraction_scan,
                              delta_sum_statistic, dichotomy_report,
                              estimate_entropy, estimate_stationary_measure,
@@ -170,9 +170,9 @@ def test_criterion_6_deterministic_contraction():
         ok = ok and list(A) == [F(1)] and list(B) == [F(1, 4)]
         # re-verify the inclusion from scratch at depth 5
         off = Region.whole(K5).difference(
-            epsilon_neighborhood_of_values(A, eps, K5))
+            epsilon_neighborhood(A, eps, K5))
         ok = ok and image(w, off).subset_of(
-            epsilon_neighborhood_of_values(B, eps, K5))
+            epsilon_neighborhood(B, eps, K5))
     _report(6, "find_contraction({A1}) = (A1^k, {1}, {1/4}), k <= 8", ok)
 
 
@@ -265,7 +265,7 @@ def test_criterion_11_morse_smale():
     ok = rep.points == expected and rep.families == ()
     ok = ok and _brute_periodic(A1, 6) == set(expected)
     A = Region.from_pieces(K, (Piece(F(8, 9), F(1), False, True),))
-    B = epsilon_neighborhood_of_values([F(0), F(1, 3)], F(1, 27), K).union(
+    B = epsilon_neighborhood([F(0), F(1, 3)], F(1, 27), K).union(
         Region.from_intervals(K, [(0, F(1, 3))]))
     cert = check_morse_smale(A1, A, B)
     ok = ok and bool(cert)

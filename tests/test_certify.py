@@ -16,7 +16,7 @@ from cantorwalk.certify import (AssemblyFailure, CertifyError,
                                 verify_ping_pong)
 from cantorwalk.fixtures import cantor_space, fixture, named_generators
 from cantorwalk.maps import apply, identity_map, invert, power
-from cantorwalk.space import Piece, Region, epsilon_neighborhood_of_values
+from cantorwalk.space import Piece, Region, epsilon_neighborhood
 from cantorwalk.walk import CellMeasure, make_model
 
 K = cantor_space(3)
@@ -230,7 +230,7 @@ def test_periodic_points_r_family():
 
 def test_check_morse_smale_a1():
     A = Region.from_pieces(K, (Piece(F(8, 9), F(1), False, True),))
-    B = epsilon_neighborhood_of_values([F(0), F(1, 3)], F(1, 27), K).union(
+    B = epsilon_neighborhood([F(0), F(1, 3)], F(1, 27), K).union(
         Region.from_intervals(K, [(0, F(1, 3))]))
     cert = check_morse_smale(A1, A, B)
     assert cert

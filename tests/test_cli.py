@@ -8,8 +8,7 @@ import pytest
 
 from cantorwalk.cli import (BUDGET_ENV, DEFAULT_BUDGETS, Scenario,
                             ScenarioError, _env_budgets, main, parse_scenario,
-                            run_scenario, serialize_scenario,
-                            _load_scenario_text)
+                            run_scenario, _load_scenario_text)
 
 BUNDLED = ("free_pair", "klein_four", "g3", "rotation_third", "identity")
 
@@ -71,9 +70,15 @@ def test_parse_rejects_bad_kind_and_shallow_depth():
 
 
 def test_scenario_round_trip():
-    s = _bundled("g3")
-    again = parse_scenario(json.dumps(serialize_scenario(s)))
-    assert again == s
+    # scenario document -> Scenario keeps every field of the document
+    obj = json.loads(_load_scenario_text("g3"))
+    s = parse_scenario(json.dumps(obj))
+    assert (s.kind, s.space, s.seed, s.output) == (
+        obj["kind"], obj["space"], obj["seed"], obj["output"])
+    assert s.generators == tuple(obj["generators"])
+    assert s.probabilities == obj["probabilities"]
+    assert s.budgets == obj["budgets"]
+    assert not s.include_inverses and s.giets == () and s.blowup == {}
 
 
 def test_env_budget_parsing(monkeypatch):
@@ -187,3 +192,31 @@ def test_morse_smale_kind(tmp_path):
     assert line.startswith("MORSE-SMALE")
     report = json.load(open(tmp_path / "ms_report.json"))
     assert report["periodic"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "ping-pong"},
+    [1, 2],
+    {"type": "invariant-measure", "space": {"intervals": 5}},
+])
+def test_verify_malformed_certificate_exits_1(tmp_path, capsys, doc):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("error: malformed certificate")
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_accepts_deep_image_cylinders(tmp_path, capsys):
+    # at walk seed 6 the certified a2 maps cylinder 0 onto a cylinder of
+    # depth 22, far deeper than the depth-3 space
+    scn = parse_scenario(_load_scenario_text("free_pair"))
+    code, _ = run_scenario(scn, out_dir=str(tmp_path), seed=6)
+    assert code == 0
+    cert = tmp_path / "free_pair_certificate.json"
+    slopes = [F(b["slope"]) for b in json.loads(cert.read_text())["a2"]["branches"]]
+    assert F(1, 3 ** 21) in slopes
+    assert main(["verify", str(cert)]) == 0
+    assert "VERIFIED" in capsys.readouterr().out

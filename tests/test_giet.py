@@ -17,13 +17,13 @@ def test_rotation_branches():
     assert [(b.lo, b.hi, b.slope, b.offset) for b in ROT3.branches] == [
         (F(0), F(2, 3), F(1), F(1, 3)),
         (F(2, 3), F(1), F(1), F(-2, 3))]
-    assert ROT3.is_iet
+    assert all(b.slope == 1 for b in ROT3.branches)
     assert ROT3.apply(0) == F(1, 3)
     assert ROT3.apply(F(2, 3)) == 0
 
 
 def test_swap_is_valid_iet():
-    assert SWAP.is_iet
+    assert all(b.slope == 1 for b in SWAP.branches)
     assert SWAP.apply(0) == F(1, 2)
     assert is_identity_like(SWAP)
 

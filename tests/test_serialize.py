@@ -14,7 +14,7 @@ from cantorwalk.fixtures import cantor_space, fixture, named_generators
 from cantorwalk.giet import rotation
 from cantorwalk.maps import equals
 from cantorwalk.measure_solver import solve_feasibility
-from cantorwalk.space import Piece, Region, epsilon_neighborhood_of_values
+from cantorwalk.space import Piece, Region, epsilon_neighborhood
 
 K = cantor_space(3)
 
@@ -78,7 +78,7 @@ def test_map_round_trip():
 
 
 def test_region_round_trip():
-    reg = epsilon_neighborhood_of_values([F(0), F(1)], F(1, 27), K).union(
+    reg = epsilon_neighborhood([F(0), F(1)], F(1, 27), K).union(
         Region.from_pieces(K, (Piece(F(2, 9), F(1, 3), True, False),)))
     again = ser.region_from_obj(K, ser.region_to_obj(reg))
     assert again.same_set(reg)
@@ -86,8 +86,13 @@ def test_region_round_trip():
 
 
 def test_giet_round_trip():
+    # the document form of a rotation reads back as that rotation
     g = rotation((0, 1), F(1, 3))
-    again = ser.giet_from_obj(ser.giet_to_obj(g))
+    obj = {"interval": ["0", "1"],
+           "branches": [{"src": ["0", "2/3"], "slope": "1", "offset": "1/3"},
+                        {"src": ["2/3", "1"], "slope": "1", "offset": "-2/3"}]}
+    again = ser.giet_from_obj(obj)
+    assert (again.a, again.b) == (g.a, g.b)
     assert again.branches == g.branches
 
 

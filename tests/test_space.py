@@ -1,16 +1,15 @@
 """Exact oracles and metric properties for compact sets and regions."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorwalk.space import (CompactSet, PointSet, Region, SpaceError,
+from cantorwalk.space import (CompactSet, Ifs, PointSet, Region, SpaceError,
                               delta_m, epsilon_neighborhood,
-                              epsilon_neighborhood_of_values,
                               hausdorff_distance, make_compact_set,
-                              min_pairwise_distance, point_to_set_distance,
-                              ternary_cantor)
+                              point_to_set_distance, ternary_cantor)
 
 
 def test_normalization():
@@ -56,7 +55,7 @@ def test_epsilon_neighborhood_strictness():
     allk = epsilon_neighborhood(PointSet.of(K, [0, 1]), 2, K)
     assert Region.whole(K).subset_of(allk)
     with pytest.raises(SpaceError):
-        epsilon_neighborhood_of_values([F(0)], 0, K)
+        epsilon_neighborhood([F(0)], 0, K)
 
 
 def test_hausdorff_oracles():
@@ -76,7 +75,8 @@ def test_delta_m():
     # duplicates collapse; a single point has no pairwise distance
     with pytest.raises(SpaceError):
         delta_m(PointSet.of(K, [0, 0]))
-    assert min_pairwise_distance([F(1), F(0), F(1, 3)]) == F(1, 3)
+    # unsorted input
+    assert delta_m(PointSet.of(K, [F(1), F(0), F(1, 3)])) == F(1, 3)
 
 
 def test_point_to_set_distance():
@@ -139,7 +139,7 @@ def test_region_isolated_point_diameter():
     r = Region.from_intervals(K, [(F(1, 9), F(1, 9) + F(1, 100))])
     assert not r.is_empty()
     assert r.diameter() == 0
-    assert r.sample_point() == F(1, 9)
+    assert r.infimum() == r.supremum() == F(1, 9)
 
 
 def test_region_empty_queries():
@@ -150,13 +150,60 @@ def test_region_empty_queries():
     with pytest.raises(SpaceError):
         r.infimum()
     with pytest.raises(SpaceError):
-        r.sample_point()
+        r.supremum()
 
 
 def test_cylinders():
     K = ternary_cantor(3)
     assert K.cylinder("02") == (F(2, 9), F(1, 3))
     assert K.cylinder("") == (F(0), F(1))
-    assert K.decompose_into_cylinders(F(0), F(1, 3), 4) == ["0"]
-    assert sorted(K.decompose_into_cylinders(F(0), F(1), 4)) == ["0", "2"] or \
-        K.decompose_into_cylinders(F(0), F(1), 4) == [""]
+    assert K.decompose_into_cylinders(F(0), F(1, 3)) == ["0"]
+    assert K.decompose_into_cylinders(F(0), F(1)) == [""]
+    assert K.decompose_into_cylinders(F(2, 9), F(7, 9)) == ["02", "20"]
+    # a gap end inside the interval: the cylinders around it are split
+    assert K.decompose_into_cylinders(F(1, 4), F(1)) is None
+    assert K.decompose_into_cylinders(F(1, 3), F(1)) is None
+    # cylinders far deeper than the stored depth
+    assert K.decompose_into_cylinders(F(2, 3 ** 25), F(1, 3)) == \
+        ["0" * k + "2" for k in range(24, 0, -1)]
+
+
+# -- the IFS address engine --------------------------------------------------
+
+TERNARY = ternary_cantor(0).ifs
+UNEQUAL = Ifs((F(1, 4), F(1, 3)), (F(0), F(2, 3)), ("a", "b"))
+
+
+def test_long_period_limit_point():
+    # purely periodic ternary expansion with a random 1,500-digit period
+    rng = random.Random(1500)
+    digits = [rng.choice((0, 2)) for _ in range(1500)]
+    x = sum(F(d, 3 ** (i + 1)) for i, d in enumerate(digits)) / \
+        (1 - F(1, 3 ** 1500))
+    assert TERNARY.contains_limit_point(x)
+    assert TERNARY.limit_gap_containing(x) is None
+    assert ternary_cantor(3).contains_limit_point(x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([TERNARY, UNEQUAL]), st.integers(1, 4), st.data())
+def test_address_engine_against_depth_d_sets(ifs, d, data):
+    K = CompactSet.from_ifs(ifs, d)
+    gaps = K.bounded_gaps()
+    ends = K.endpoints()
+    for lo, hi in gaps:
+        assert ifs.is_gap_pair(lo, hi)
+        assert ifs.adjacent_limit_gap(lo, "right") == (lo, hi)
+        assert ifs.adjacent_limit_gap(hi, "left") == (lo, hi)
+        t = lo + (hi - lo) * data.draw(st.fractions(0, 1).filter(
+            lambda q: 0 < q < 1))
+        assert ifs.limit_gap_containing(t) == (lo, hi)
+        assert not ifs.contains_limit_point(t)
+    # endpoints of depth-d cells are limit points; a pair of them bounds a
+    # gap of the limit set exactly when it bounds a gap of the depth-d set
+    u, v = sorted(data.draw(st.lists(st.sampled_from(ends), min_size=2,
+                                     max_size=2, unique=True)))
+    assert ifs.contains_limit_point(u)
+    assert ifs.limit_gap_containing(u) is None
+    assert ifs.is_gap_pair(u, v) == ((u, v) in gaps)
+    assert not ifs.is_gap_pair(v, u)
