@@ -9,6 +9,7 @@ budget yields a falsy failure report, never an unverified claim.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -138,7 +139,10 @@ def _named(gens) -> dict:
         return dict(gens)
     out = {}
     for i, g in enumerate(gens):
-        out["-".join(g.label) or f"g{i}"] = g
+        name = "-".join(g.label) or f"g{i}"
+        if name in out:
+            raise CertifyError(f"duplicate generator label {name!r}")
+        out[name] = g
     return out
 
 
@@ -535,8 +539,9 @@ def solve_invariant_measure(gens, depth: int, d_max: int = 6):
     prev_cells, prev_masses = cells, masses
     for d2 in range(d + 1, d_max + 1):
         cells2 = measure_cells(space, d2)
-        children = [[j for j, (l2, h2) in enumerate(cells2)
-                     if l <= l2 and h2 <= h] for l, h in prev_cells]
+        los2, his2 = [l for l, _ in cells2], [h for _, h in cells2]
+        children = [range(bisect.bisect_left(los2, l),
+                          bisect.bisect_right(his2, h)) for l, h in prev_cells]
         # cheap candidate first: split each parent mass uniformly
         cand = [Fraction(0)] * len(cells2)
         for kids, m in zip(children, prev_masses):

@@ -129,7 +129,7 @@ def _validate_plain(space: CompactSet, branches: Sequence[Branch]) -> None:
     imgs = []
     total = Fraction(0)
     for b in branches:
-        for kl, kr in space.intervals:
+        for kl, kr in space.meeting(b.lo, b.hi):
             olo, ohi = max(kl, b.lo), min(kr, b.hi)
             if olo < ohi:
                 ia, ib = b.value(olo), b.value(ohi)
@@ -336,10 +336,8 @@ def equals(f: PAHomeo, g: PAHomeo) -> bool:
                   {b.lo for b in g.branches} | {b.hi for b in g.branches})
     K = f.space
     for l, r in zip(cuts, cuts[1:]):
-        for kl, kr in K.intervals:
+        for kl, kr in K.meeting(l, r):
             olo, ohi = max(kl, l), min(kr, r)
-            if olo > ohi:
-                continue
             if olo < ohi:
                 bf, bg = f.branch_at(olo), g.branch_at(olo)
                 # both branches cover the whole cut segment
@@ -440,10 +438,10 @@ def image(f: PAHomeo, S: Region) -> Region:
     if S.space != f.space:
         raise MapError("region lives on a different space")
     pieces = []
-    for b in f.branches:
-        src = Piece(b.lo, b.hi, True, True)
-        for p in S.pieces:
-            q = _intersect_piece(p, src)
+    for p in S.pieces:
+        for b in f.branches[bisect.bisect_left(f._src_his, p.lo):
+                            bisect.bisect_right(f._src_los, p.hi)]:
+            q = _intersect_piece(p, Piece(b.lo, b.hi, True, True))
             if q is None:
                 continue
             va, vb = b.value(q.lo), b.value(q.hi)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .rational import rat
@@ -201,9 +202,22 @@ class CompactSet:
     def __contains__(self, x) -> bool:
         return self.contains(rat(x))
 
+    @cached_property
+    def _los(self) -> list:
+        return [l for l, _ in self.intervals]
+
+    @cached_property
+    def _his(self) -> list:
+        return [r for _, r in self.intervals]
+
     def contains(self, x: Fraction) -> bool:
-        i = bisect.bisect_right([iv[0] for iv in self.intervals], x) - 1
-        return i >= 0 and self.intervals[i][0] <= x <= self.intervals[i][1]
+        i = bisect.bisect_right(self._los, x) - 1
+        return i >= 0 and x <= self.intervals[i][1]
+
+    def meeting(self, lo: Fraction, hi: Fraction):
+        """The intervals that meet [lo, hi], found by bisection."""
+        return self.intervals[bisect.bisect_left(self._his, lo):
+                              bisect.bisect_right(self._los, hi)]
 
     def contains_limit_point(self, x: Fraction) -> bool:
         """Membership in the underlying limit set (equals contains() when
@@ -498,9 +512,7 @@ class Region:
         return False
 
     def _piece_meets_space(self, p: Piece) -> bool:
-        for l, r in self.space.intervals:
-            if r < p.lo or l > p.hi:
-                continue
+        for l, r in self.space.meeting(p.lo, p.hi):
             olo, ohi = max(l, p.lo), min(r, p.hi)
             if olo < ohi:
                 return True
@@ -549,11 +561,7 @@ class Region:
 
     def infimum(self) -> Fraction:
         for p in self.pieces:
-            for l, r in self.space.intervals:
-                if r < p.lo:
-                    continue
-                if l > p.hi:
-                    break
+            for l, r in self.space.meeting(p.lo, p.hi):
                 olo = max(l, p.lo)
                 if self._piece_meets_space(Piece(olo, min(r, p.hi),
                                                  p.lo_closed or olo > p.lo,
@@ -564,9 +572,7 @@ class Region:
     def supremum(self) -> Fraction:
         best = None
         for p in self.pieces:
-            for l, r in self.space.intervals:
-                if r < p.lo or l > p.hi:
-                    continue
+            for l, r in self.space.meeting(p.lo, p.hi):
                 ohi = min(r, p.hi)
                 if self._piece_meets_space(Piece(max(l, p.lo), ohi, True,
                                                  p.hi_closed or ohi < p.hi)):

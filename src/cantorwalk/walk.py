@@ -186,15 +186,15 @@ def uniform_cell_measure(space: CompactSet, depth: int) -> CellMeasure:
     return CellMeasure(depth, tuple([Fraction(1, len(cells))] * len(cells)), True)
 
 
-def _cell_index(cells, x) -> int:
-    los = [float(l) for l, _ in cells]
+def _cell_index(los, his, x) -> int:
+    """The cell of the float x, given the cells' float ends."""
     i = bisect.bisect_right(los, x) - 1
     if i < 0:
         return 0
-    if i + 1 < len(cells):
+    if i + 1 < len(los):
         # x may have drifted into a gap; snap to the nearer cell
-        if x > float(cells[i][1]):
-            gap_mid = (float(cells[i][1]) + float(cells[i + 1][0])) / 2
+        if x > his[i]:
+            gap_mid = (his[i] + los[i + 1]) / 2
             if x > gap_mid:
                 return i + 1
     return i
@@ -217,14 +217,17 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int,
     for g in model.gens:
         gens_f.append([(float(b.lo), float(b.hi), float(b.slope), float(b.offset))
                        for b in g.branches])
-    starts = [float(cells[r % len(cells)][0]) for r in range(restarts)]
+    branch_los = [[b[0] for b in branches] for branches in gens_f]
+    los, his = [float(l) for l, _ in cells], [float(r) for _, r in cells]
+    starts = [los[r % len(cells)] for r in range(restarts)]
     for r in range(restarts):
         t = Trajectory(model, stream=r)
         x = starts[r]
         for k in range(n_steps):
-            counts[_cell_index(cells, x)] += 1
-            branches = gens_f[t.index(k)]
-            j = bisect.bisect_right([b[0] for b in branches], x) - 1
+            counts[_cell_index(los, his, x)] += 1
+            gi = t.index(k)
+            branches = gens_f[gi]
+            j = bisect.bisect_right(branch_los[gi], x) - 1
             j = max(0, min(j, len(branches) - 1))
             # float drift can push x just past a source endpoint; pick the
             # nearest branch, the exact point always lies inside one
@@ -239,15 +242,21 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int,
 
 def preimage_cell_indices(g: PAHomeo, cells):
     """For each cell c: the indices j with g^{-1}(c) = union of cells j,
-    or None when the preimage is not expressible at this depth."""
+    or None when the preimage is not expressible at this depth.
+
+    The cells are sorted, disjoint and each meets the space, so only the
+    cells meeting the hull of g^{-1}(c) can lie inside it."""
     ginv = invert(g)
     K = g.space
     out = []
+    los, his = [l for l, _ in cells], [r for _, r in cells]
     cell_regions = [Region.from_pieces(K, (Piece(l, r, True, True),))
                     for l, r in cells]
     for reg in cell_regions:
         pre = image(ginv, reg)
-        js = [j for j, cr in enumerate(cell_regions) if cr.subset_of(pre)]
+        near = range(bisect.bisect_left(his, pre.pieces[0].lo),
+                     bisect.bisect_right(los, pre.pieces[-1].hi))
+        js = [j for j in near if cell_regions[j].subset_of(pre)]
         cover = Region.empty(K)
         for j in js:
             cover = cover.union(cell_regions[j])
@@ -397,24 +406,35 @@ def _fit_slope(ys: Sequence[float]) -> float:
     return num / den
 
 
-def classify_pair(t: Trajectory, x, y, delta=DEFAULT_DELTA, n: int = 60) -> str:
-    """Lemma-style dichotomy verdict for one pair along one trajectory:
-    'synchronized', 'separated' or 'undecided'."""
+def _tail_verdict(tail, delta, far: str, near: str):
+    """(verdict, rate) for the tail of a distance or diameter series: `far`
+    if it stays at least delta; `near`, with the fitted decay rate, if its
+    log decays and it ends below delta; else 'undecided'."""
+    if all(d >= delta for d in tail):
+        return far, 0.0
+    slope = _fit_slope([math.log(float(d)) if d > 0 else math.log(1e-300)
+                        for d in tail])
+    if slope < SLOPE_MARGIN and tail[-1] < delta:
+        return near, -slope
+    return "undecided", 0.0
+
+
+def _pair_verdict(t: Trajectory, x, y, delta, n: int):
+    """classify_pair's verdict with its fitted decay rate."""
     x, y, delta = rat(x), rat(y), rat(delta)
     if n < 1:
         raise WalkError("horizon must be positive")
     if x == y:
-        return "synchronized"
-    xs = forward_orbit(t, x, n)
-    ys = forward_orbit(t, y, n)
-    dists = [abs(a - b) for a, b in zip(xs, ys)]
-    tail = dists[n // 2:]
-    if all(d >= delta for d in tail):
-        return "separated"
-    slope = _fit_slope([math.log(float(d)) for d in tail])
-    if slope < SLOPE_MARGIN and dists[-1] < delta:
-        return "synchronized"
-    return "undecided"
+        return "synchronized", 0.0
+    dists = [abs(a - b) for a, b in zip(forward_orbit(t, x, n),
+                                        forward_orbit(t, y, n))]
+    return _tail_verdict(dists[n // 2:], delta, "separated", "synchronized")
+
+
+def classify_pair(t: Trajectory, x, y, delta=DEFAULT_DELTA, n: int = 60) -> str:
+    """Lemma-style dichotomy verdict for one pair along one trajectory:
+    'synchronized', 'separated' or 'undecided'."""
+    return _pair_verdict(t, x, y, delta, n)[0]
 
 
 @dataclass(frozen=True)
@@ -434,14 +454,10 @@ def dichotomy_report(model: WalkModel, pairs, delta=DEFAULT_DELTA,
     rates = []
     for i, (x, y) in enumerate(pairs):
         t = Trajectory(model, stream=stream_base + i)
-        verdict = classify_pair(t, x, y, delta, n)
+        verdict, rate = _pair_verdict(t, x, y, delta, n)
         counts[verdict] += 1
         if verdict == "synchronized" and rat(x) != rat(y):
-            xs = forward_orbit(t, x, n)
-            ys = forward_orbit(t, y, n)
-            tail = [math.log(float(abs(a - b)))
-                    for a, b in zip(xs[n // 2:], ys[n // 2:])]
-            rates.append(-_fit_slope(tail))
+            rates.append(rate)
     lam = float(np.mean(rates)) if rates else 0.0
     return DichotomyReport(delta, lam, counts["synchronized"],
                            counts["separated"], counts["undecided"], n)
@@ -477,23 +493,10 @@ def contraction_scan(t: Trajectory, depth: int, n: int,
         w = forward_word(t, k)
         for i, reg in enumerate(regions):
             diam_series[i].append(image(w, reg).diameter())
-    verdicts = []
-    rates = []
-    for series in diam_series:
-        tail = series[n // 2:]
-        if all(d >= delta for d in tail):
-            verdicts.append("repulsor")
-            rates.append(0.0)
-            continue
-        logs = [math.log(float(d)) if d > 0 else math.log(1e-300) for d in tail]
-        slope = _fit_slope(logs)
-        if slope < SLOPE_MARGIN and tail[-1] < delta:
-            verdicts.append("attractor")
-            rates.append(-slope)
-        else:
-            verdicts.append("undecided")
-            rates.append(0.0)
-    scan = CellScan(tuple(verdicts), tuple(rates), delta, depth, n,
+    verdicts, rates = zip(*(_tail_verdict(series[n // 2:], delta,
+                                          "repulsor", "attractor")
+                            for series in diam_series))
+    scan = CellScan(verdicts, rates, delta, depth, n,
                     tuple(map(tuple, diam_series)))
     lo, hi = K.hull
     if scan.repulsor_count * delta > hi - lo:

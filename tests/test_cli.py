@@ -209,6 +209,27 @@ def test_verify_malformed_certificate_exits_1(tmp_path, capsys, doc):
     assert captured.err.count("\n") == 1
 
 
+def test_verify_rejects_duplicate_generator_labels(tmp_path, capsys):
+    # H and the identity, both labelled X: the masses (1, 0) are invariant
+    # under the identity only, so checking one generator per label would
+    # accept the document
+    run_scenario(_bundled("klein_four"), out_dir=str(tmp_path))
+    path = tmp_path / "klein_four_certificate.json"
+    doc = json.loads(path.read_text())
+    h = next(g for g in doc["generators"] if g["label"] == ["H"])
+    ident = {"branches": [{"src": ["0", "1"], "slope": "1", "offset": "0"}]}
+    doc["generators"] = [dict(h, label=["X"]), dict(ident, label=["X"])]
+    doc["masses"] = ["1", "0"]
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: duplicate generator label 'X'\n"
+    doc["generators"][1]["label"] = ["Y"]
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert "INVALID" in capsys.readouterr().out
+
+
 def test_verify_accepts_deep_image_cylinders(tmp_path, capsys):
     # at walk seed 6 the certified a2 maps cylinder 0 onto a cylinder of
     # depth 22, far deeper than the depth-3 space

@@ -1,0 +1,204 @@
+"""Bisected lookups against brute-force scans.
+
+CompactSet.contains, Region.is_empty, infimum, supremum, maps.image and
+walk.preimage_cell_indices look up sorted intervals, branch sources and
+cells by bisection.  The references below scan every interval, branch and
+cell pair instead, as a plain reading of the definitions would.
+"""
+
+from fractions import Fraction as F
+from functools import cache
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cantorwalk.fixtures import TABLES, fixture
+from cantorwalk.maps import compose, from_prefix_table, image, invert
+from cantorwalk.space import CompactSet, Ifs, Piece, Region, _intersect_piece
+from cantorwalk.walk import measure_cells, preimage_cell_indices
+
+TERNARY = Ifs((F(1, 3), F(1, 3)), (F(0), F(2, 3)), ("0", "2"))
+UNEQUAL = Ifs((F(1, 4), F(1, 3)), (F(0), F(2, 3)), ("0", "2"))
+SPACES = [(TERNARY, d) for d in (3, 4, 5)] + [(UNEQUAL, 3), (UNEQUAL, 4)]
+
+
+@cache
+def _letters(ifs, depth):
+    """A1, A2 and their inverses on the depth-d set of the IFS."""
+    K = CompactSet.from_ifs(ifs, depth)
+    gens = [from_prefix_table(TABLES[n], K, label=(n,)) for n in ("A1", "A2")]
+    return gens + [invert(g) for g in gens]
+
+
+@st.composite
+def words(draw):
+    """(space, a reduced word of length 0 to 6 in A1, A2 and inverses)."""
+    ifs, depth = draw(st.sampled_from(SPACES))
+    letters = _letters(ifs, depth)
+    w, last = None, None
+    for i in draw(st.lists(st.integers(0, 3), max_size=6)):
+        if last is not None and i == (last + 2) % 4:
+            continue
+        w = letters[i] if w is None else compose(letters[i], w)
+        last = i
+    K = letters[0].space
+    return K, (w if w is not None else compose(letters[0], letters[2]))
+
+
+@st.composite
+def regions(draw, K):
+    """Unions of cells of K and of flagged rational intervals near its hull."""
+    lo, hi = K.hull
+    cells = measure_cells(K, draw(st.integers(1, K.depth + 1)))
+    pieces = [Piece(l, r, True, True) for l, r in
+              draw(st.lists(st.sampled_from(cells), max_size=3))]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = sorted(draw(st.lists(
+            st.fractions(lo - F(1, 8), hi + F(1, 8), max_denominator=3 ** 6),
+            min_size=2, max_size=2)))
+        pieces.append(Piece(a, b, draw(st.booleans()), draw(st.booleans())))
+    return Region.from_pieces(K, pieces)
+
+
+# -- brute-force references ------------------------------------------------
+
+
+def contains_ref(K, x):
+    return any(l <= x <= r for l, r in K.intervals)
+
+
+def meets_ref(K, p):
+    for l, r in K.intervals:
+        olo, ohi = max(l, p.lo), min(r, p.hi)
+        if olo < ohi or (olo == ohi and (olo > p.lo or p.lo_closed)
+                         and (ohi < p.hi or p.hi_closed)):
+            return True
+    return False
+
+
+def is_empty_ref(S):
+    return not any(meets_ref(S.space, p) for p in S.pieces)
+
+
+def infimum_ref(S):
+    for p in S.pieces:
+        for l, r in S.space.intervals:
+            olo = max(l, p.lo)
+            if olo <= min(r, p.hi) and meets_ref(S.space, Piece(
+                    olo, min(r, p.hi), p.lo_closed or olo > p.lo, True)):
+                return olo
+    return None
+
+
+def supremum_ref(S):
+    best = None
+    for p in S.pieces:
+        for l, r in S.space.intervals:
+            ohi = min(r, p.hi)
+            if max(l, p.lo) <= ohi and meets_ref(S.space, Piece(
+                    max(l, p.lo), ohi, True, p.hi_closed or ohi < p.hi)):
+                best = ohi if best is None else max(best, ohi)
+    return best
+
+
+def image_ref(f, S):
+    pieces = []
+    for b in f.branches:
+        for p in S.pieces:
+            q = _intersect_piece(p, Piece(b.lo, b.hi, True, True))
+            if q is None:
+                continue
+            va, vb = b.value(q.lo), b.value(q.hi)
+            if b.slope > 0:
+                pieces.append(Piece(va, vb, q.lo_closed, q.hi_closed))
+            else:
+                pieces.append(Piece(vb, va, q.hi_closed, q.lo_closed))
+    return Region.from_pieces(f.space, pieces)
+
+
+def preimage_ref(g, cells):
+    ginv = invert(g)
+    K = g.space
+    regs = [Region.from_pieces(K, [Piece(l, r, True, True)]) for l, r in cells]
+    out = []
+    for reg in regs:
+        pre = image(ginv, reg)
+        js = [j for j, cr in enumerate(regs) if cr.subset_of(pre)]
+        cover = Region.from_pieces(K, [p for j in js for p in regs[j].pieces])
+        out.append(js if pre.subset_of(cover) else None)
+    return out
+
+
+# -- the comparisons -------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SPACES), st.data())
+def test_contains_matches_scan(space, data):
+    K = CompactSet.from_ifs(*space)
+    ends = [x for iv in K.intervals for x in iv]
+    x = data.draw(st.one_of(
+        st.sampled_from(ends),
+        st.fractions(K.hull[0] - 1, K.hull[1] + 1, max_denominator=3 ** 7)))
+    assert K.contains(x) == contains_ref(K, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SPACES), st.data())
+def test_region_queries_match_scan(space, data):
+    K = CompactSet.from_ifs(*space)
+    S = data.draw(regions(K))
+    assert S.is_empty() == is_empty_ref(S)
+    if not S.is_empty():
+        assert S.infimum() == infimum_ref(S)
+        assert S.supremum() == supremum_ref(S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words(), st.data())
+def test_image_matches_scan(word, data):
+    K, w = word
+    S = data.draw(regions(K))
+    assert image(w, S) == image_ref(w, S)
+
+
+@settings(max_examples=25, deadline=None)
+@given(words(), st.data())
+def test_preimage_cells_match_scan(word, data):
+    K, w = word
+    cells = measure_cells(K, data.draw(st.integers(1, 5)))
+    assert preimage_cell_indices(w, cells) == preimage_ref(w, cells)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_queries_on_pieces_touching_k(space):
+    # pieces between neighbouring ends of K's intervals and midpoints of its
+    # gaps, with every choice of closed ends, meet K in an interval, in one
+    # end of an interval of K or of a branch source, or not at all
+    K = CompactSet.from_ifs(*space)
+    marks = sorted({x for iv in K.intervals for x in iv} |
+                   {(a + b) / 2 for a, b in K.bounded_gaps()})
+    for a, b in zip(marks, marks[1:]):
+        for flags in product((True, False), repeat=2):
+            T = Region(K, (Piece(a, b, *flags),))
+            assert T.is_empty() == is_empty_ref(T)
+            if not T.is_empty():
+                assert T.infimum() == infimum_ref(T)
+                assert T.supremum() == supremum_ref(T)
+            for g in _letters(*space):
+                assert image(g, T) == image_ref(g, T)
+
+
+def test_preimage_cells_subset_checks_are_linear(monkeypatch):
+    # only the cells meeting the hull of g^-1(c) are tested for inclusion;
+    # testing all pairs of the 128 depth-7 cells makes 128 * 129 checks
+    K = CompactSet.from_ifs(TERNARY, 7)
+    cells = measure_cells(K, 7)
+    calls = []
+    subset_of = Region.subset_of
+    monkeypatch.setattr(Region, "subset_of",
+                        lambda a, b: calls.append(1) or subset_of(a, b))
+    rows = preimage_cell_indices(fixture("A1", K), cells)
+    assert len(cells) == len(rows) == 128
+    assert len(calls) <= 4 * len(cells)
