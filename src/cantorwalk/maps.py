@@ -382,15 +382,8 @@ def break_pairs(f: PAHomeo) -> list[BreakPair]:
         bounds.add(b.hi)
     bounds -= {hull_lo, hull_hi}
     candidates = set()
-    for t in sorted(bounds):
-        gap = K.limit_gap_containing(t)
-        if gap is not None:
-            candidates.add(gap)
-            continue
-        for side in ("left", "right"):
-            gap = K.adjacent_limit_gap(t, side)
-            if gap is not None:
-                candidates.add(gap)
+    for t in bounds:
+        candidates.update(K.gaps_at(t))
     out = []
     for a, b in sorted(candidates):
         u, v = sorted((apply(f, a), apply(f, b)))

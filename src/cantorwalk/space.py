@@ -13,6 +13,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .rational import rat
@@ -78,39 +79,68 @@ class Ifs:
         return words
 
     def intervals_at(self, depth: int) -> list[tuple[Fraction, Fraction]]:
-        return [self.cylinder(w) for w in self.addresses(depth)]
+        """The depth-d cylinders in address order, level by level:
+        I_{s w} = phi_s(I_w)."""
+        cells = [self.hull]
+        for _ in range(depth):
+            cells = [(r * lo + o, r * hi + o)
+                     for r, o in zip(self.ratios, self.offsets)
+                     for lo, hi in cells]
+        return cells
 
     def _expand(self, t: Fraction):
         """The address of t, one level per step, as (levels, gap).
 
-        levels[k] = (i, y, s, u): at depth k the point has local coordinate
-        y (t = s*y + u) and lies in child i.  The expansion stops when y
-        repeats, so t is a limit point with an eventually periodic address
-        and gap is None; or when y falls between two children, and gap is
-        that bounded gap of the limit set.  Points off the hull give
-        ([], None).
+        levels[k] = (i, y): at depth k the point has local coordinate y and
+        lies in child i; its global scale there is the product of the ratios
+        of the children above it.  The expansion stops when y repeats, so t
+        is a limit point with an eventually periodic address and gap is
+        None; or when y falls between children g and g + 1 at depth k, and
+        gap is (k, g, y), a bounded gap of the limit set.  Points off the
+        hull give ([], None).
         """
         levels, seen = [], set()
-        s, u = Fraction(1), Fraction(0)
         lo, hi = self.hull
-        children = self._children
         if not lo <= t <= hi:
             return levels, None
-        while t not in seen:
-            seen.add(t)
+        children, y = self._children, t
+        while (key := (y.numerator, y.denominator)) not in seen:
+            seen.add(key)
             for i, (clo, chi) in enumerate(children):
-                if clo <= t <= chi:
+                if y <= chi:
                     break
-            else:
-                i = next(i for i, ((_, h1), (l2, _))
-                         in enumerate(zip(children, children[1:])) if h1 < t < l2)
-                return levels, (s * children[i][1] + u,
-                                s * children[i + 1][0] + u)
-            levels.append((i, t, s, u))
-            r, o = self.ratios[i], self.offsets[i]
-            t = (t - o) / r
-            s, u = s * r, s * o + u
+            if y < clo:
+                return levels, (len(levels), i - 1, y)
+            levels.append((i, y))
+            y = (y - self.offsets[i]) / self.ratios[i]
         return levels, None
+
+    def gaps_at(self, t: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The bounded gaps of the limit set whose closure holds t: the gap
+        containing t, or the gap adjacent to the limit point t; () when t is
+        off the hull or touches no gap."""
+        levels, gap = self._expand(t)
+        children = self._children
+        if gap is None:
+            # a limit point touches a gap where it ends a child with a
+            # neighbour on that side; from the next level on it sits at a
+            # hull end, which repeats at once: that is the second-last level
+            if len(levels) < 2:
+                return ()
+            k = len(levels) - 2
+            i, y = levels[k]
+            if y == children[i][0] and i > 0:
+                gap = k, i - 1, y
+            elif y == children[i][1] and i + 1 < len(children):
+                gap = k, i, y
+            else:
+                return ()
+        k, g, y = gap
+        above = [self.ratios[i] for i, _ in levels[:k]]
+        scale = Fraction(prod(r.numerator for r in above),
+                         prod(r.denominator for r in above))
+        return ((t + scale * (children[g][1] - y),
+                 t + scale * (children[g + 1][0] - y)),)
 
     def contains_limit_point(self, x: Fraction) -> bool:
         """Exact membership of a rational in the limit (infinite-depth) set."""
@@ -120,23 +150,26 @@ class Ifs:
     def limit_gap_containing(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
         """The bounded gap of the limit set whose open interval contains t,
         or None when t is a limit point or outside the hull."""
-        return self._expand(t)[1]
+        return _gap_containing(self.gaps_at(t), t)
 
     def adjacent_limit_gap(self, t: Fraction, side: str) -> Optional[tuple[Fraction, Fraction]]:
         """The bounded gap of the limit set touching the limit point t on
         the given side ("left" or "right"), or None if no gap is adjacent.
         """
-        children = self._children
-        for i, y, s, u in self._expand(t)[0]:
-            if side == "right" and y == children[i][1] and i + 1 < len(children):
-                return (s * y + u, s * children[i + 1][0] + u)
-            if side == "left" and y == children[i][0] and i > 0:
-                return (s * children[i - 1][1] + u, s * y + u)
-        return None
+        return _gap_ending_at(self.gaps_at(t), t, side)
 
     def is_gap_pair(self, u: Fraction, v: Fraction) -> bool:
         """Whether (u, v) bounds a gap of the limit set, at any depth."""
-        return self.adjacent_limit_gap(u, "right") == (u, v)
+        return (u, v) in self.gaps_at(u)
+
+
+def _gap_containing(gaps, t):
+    return next((g for g in gaps if g[0] < t < g[1]), None)
+
+
+def _gap_ending_at(gaps, t, side):
+    end = 1 if side == "left" else 0
+    return next((g for g in gaps if g[end] == t), None)
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +277,23 @@ class CompactSet:
     def bounded_gaps(self) -> list[tuple[Fraction, Fraction]]:
         return [(g.left, g.right) for g in self.gaps() if g.kind == "bounded"]
 
+    def gaps_at(self, t: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The bounded gaps of the true set whose closure holds t, left to
+        right (with IFS structure, of the limit set)."""
+        if self.ifs is not None:
+            return self.ifs.gaps_at(t)
+        # gap j is (his[j], los[j + 1])
+        first = max(bisect.bisect_left(self._los, t) - 1, 0)
+        stop = min(bisect.bisect_right(self._his, t), len(self.intervals) - 1)
+        return tuple((self._his[j], self._los[j + 1]) for j in range(first, stop))
+
     def limit_gap_containing(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
         """Bounded gap of the true set whose open interval contains t."""
-        if self.ifs is not None:
-            return self.ifs.limit_gap_containing(t)
-        for l, r in self.bounded_gaps():
-            if l < t < r:
-                return (l, r)
-        return None
+        return _gap_containing(self.gaps_at(t), t)
 
     def adjacent_limit_gap(self, t: Fraction, side: str) -> Optional[tuple[Fraction, Fraction]]:
         """Bounded gap of the true set touching the point t on that side."""
-        if self.ifs is not None:
-            return self.ifs.adjacent_limit_gap(t, side)
-        for l, r in self.bounded_gaps():
-            if side == "right" and l == t:
-                return (l, r)
-            if side == "left" and r == t:
-                return (l, r)
-        return None
+        return _gap_ending_at(self.gaps_at(t), t, side)
 
     def is_gap_pair(self, u: Fraction, v: Fraction) -> bool:
         """Whether the sorted pair (u, v) bounds a bounded gap.
@@ -270,13 +301,8 @@ class CompactSet:
         With IFS structure the test is against the limit set, so gaps finer
         than the stored depth are recognized.
         """
-        if u > v:
-            u, v = v, u
-        if u == v:
-            return False
-        if self.ifs is not None:
-            return self.ifs.is_gap_pair(u, v)
-        return (u, v) in self.bounded_gaps()
+        u, v = sorted((u, v))
+        return (u, v) in self.gaps_at(u)
 
     # -- IFS-aware structure ------------------------------------------------
 
@@ -302,10 +328,11 @@ class CompactSet:
         # holds it, or one starts (lo) or ends (hi) at it, or [lo, hi] is
         # not cylinder-aligned at any depth.
         max_depth = 1 + max(len(self.ifs._expand(x)[0]) for x in (lo, hi))
-        parts, stack = [], [""]
+        # a child cylinder is its parent's image of the child of the hull
+        hlo, hhi = self.ifs.hull
+        parts, stack = [], [("", hlo, hhi)]
         while stack:
-            addr = stack.pop()
-            clo, chi = self.ifs.cylinder(addr)
+            addr, clo, chi = stack.pop()
             if hi < clo or chi < lo:
                 continue
             if lo <= clo and chi <= hi:
@@ -313,7 +340,10 @@ class CompactSet:
             elif len(addr) >= max_depth:
                 return None
             else:
-                stack.extend(addr + s for s in reversed(self.ifs.symbols))
+                k = (chi - clo) / (hhi - hlo)
+                stack.extend((addr + s, clo + k * (a - hlo), clo + k * (b - hlo))
+                             for s, (a, b) in zip(self.ifs.symbols[::-1],
+                                                  self.ifs._children[::-1]))
         return parts
 
 
@@ -570,16 +600,13 @@ class Region:
         raise SpaceError("empty region has no infimum")
 
     def supremum(self) -> Fraction:
-        best = None
-        for p in self.pieces:
-            for l, r in self.space.meeting(p.lo, p.hi):
+        for p in reversed(self.pieces):
+            for l, r in reversed(self.space.meeting(p.lo, p.hi)):
                 ohi = min(r, p.hi)
                 if self._piece_meets_space(Piece(max(l, p.lo), ohi, True,
                                                  p.hi_closed or ohi < p.hi)):
-                    best = ohi if best is None else max(best, ohi)
-        if best is None:
-            raise SpaceError("empty region has no supremum")
-        return best
+                    return ohi
+        raise SpaceError("empty region has no supremum")
 
     def diameter(self) -> Fraction:
         return self.supremum() - self.infimum()

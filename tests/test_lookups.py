@@ -1,9 +1,11 @@
-"""Bisected lookups against brute-force scans.
+"""Bisected and one-pass lookups against brute-force scans.
 
 CompactSet.contains, Region.is_empty, infimum, supremum, maps.image and
 walk.preimage_cell_indices look up sorted intervals, branch sources and
-cells by bisection.  The references below scan every interval, branch and
-cell pair instead, as a plain reading of the definitions would.
+cells by bisection, and maps.break_pairs expands each branch boundary once.
+The references below scan every interval, branch and cell pair, and query
+the gap containing a boundary and the gaps on either side of it one by one,
+as a plain reading of the definitions would.
 """
 
 from fractions import Fraction as F
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk.fixtures import TABLES, fixture
-from cantorwalk.maps import compose, from_prefix_table, image, invert
+from cantorwalk.maps import (BreakPair, apply, break_pairs, compose,
+                             from_prefix_table, image, invert)
 from cantorwalk.space import CompactSet, Ifs, Piece, Region, _intersect_piece
 from cantorwalk.walk import measure_cells, preimage_cell_indices
 
@@ -32,12 +35,13 @@ def _letters(ifs, depth):
 
 
 @st.composite
-def words(draw):
-    """(space, a reduced word of length 0 to 6 in A1, A2 and inverses)."""
+def words(draw, max_size=6):
+    """(space, a reduced word of length 0 to max_size in A1, A2 and
+    inverses)."""
     ifs, depth = draw(st.sampled_from(SPACES))
     letters = _letters(ifs, depth)
     w, last = None, None
-    for i in draw(st.lists(st.integers(0, 3), max_size=6)):
+    for i in draw(st.lists(st.integers(0, 3), max_size=max_size)):
         if last is not None and i == (last + 2) % 4:
             continue
         w = letters[i] if w is None else compose(letters[i], w)
@@ -102,6 +106,43 @@ def supremum_ref(S):
     return best
 
 
+def supremum_max_ref(S):
+    """The largest point of K in any piece, over every interval of K."""
+    best = None
+    for p in S.pieces:
+        for l, r in S.space.intervals:
+            olo, ohi = max(l, p.lo), min(r, p.hi)
+            if olo < ohi or (olo == ohi and (olo > p.lo or p.lo_closed)
+                             and (ohi < p.hi or p.hi_closed)):
+                best = ohi if best is None else max(best, ohi)
+    return best
+
+
+def break_candidates_ref(f):
+    """The gaps meeting an interior branch boundary, three queries each."""
+    K = f.space
+    bounds = {x for b in f.branches for x in (b.lo, b.hi)} - set(K.hull)
+    candidates = set()
+    for t in sorted(bounds):
+        gap = K.limit_gap_containing(t)
+        if gap is not None:
+            candidates.add(gap)
+            continue
+        for side in ("left", "right"):
+            gap = K.adjacent_limit_gap(t, side)
+            if gap is not None:
+                candidates.add(gap)
+    return bounds, candidates
+
+
+def break_pairs_ref(f):
+    out = []
+    for a, b in sorted(break_candidates_ref(f)[1]):
+        if not f.space.is_gap_pair(apply(f, a), apply(f, b)):
+            out.append(BreakPair(a, b))
+    return out
+
+
 def image_ref(f, S):
     pieces = []
     for b in f.branches:
@@ -152,7 +193,7 @@ def test_region_queries_match_scan(space, data):
     assert S.is_empty() == is_empty_ref(S)
     if not S.is_empty():
         assert S.infimum() == infimum_ref(S)
-        assert S.supremum() == supremum_ref(S)
+        assert S.supremum() == supremum_ref(S) == supremum_max_ref(S)
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,6 +212,31 @@ def test_preimage_cells_match_scan(word, data):
     assert preimage_cell_indices(w, cells) == preimage_ref(w, cells)
 
 
+@settings(max_examples=40, deadline=None)
+@given(words(max_size=8))
+def test_break_pairs_match_three_query_loop(word):
+    K, w = word
+    assert break_pairs(w) == break_pairs_ref(w)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_break_pairs_expand_each_point_once(space, monkeypatch):
+    # one expansion per interior branch boundary and one per candidate gap
+    # (its image pair through is_gap_pair); asking for the gap containing a
+    # boundary and then for the gaps on either side expands it three times
+    a1, a2, a1i, a2i = _letters(*space)
+    for w in (a1, a2i, compose(a1, a2), compose(a2, compose(a1i, a2)),
+              compose(a1, compose(a1, compose(a2i, a1)))):
+        bounds, candidates = break_candidates_ref(w)
+        calls = []
+        expand = Ifs._expand
+        monkeypatch.setattr(Ifs, "_expand",
+                            lambda ifs, t: calls.append(t) or expand(ifs, t))
+        break_pairs(w)
+        monkeypatch.undo()
+        assert candidates and len(calls) <= len(bounds) + len(candidates)
+
+
 @pytest.mark.parametrize("space", SPACES)
 def test_queries_on_pieces_touching_k(space):
     # pieces between neighbouring ends of K's intervals and midpoints of its
@@ -185,7 +251,7 @@ def test_queries_on_pieces_touching_k(space):
             assert T.is_empty() == is_empty_ref(T)
             if not T.is_empty():
                 assert T.infimum() == infimum_ref(T)
-                assert T.supremum() == supremum_ref(T)
+                assert T.supremum() == supremum_ref(T) == supremum_max_ref(T)
             for g in _letters(*space):
                 assert image(g, T) == image_ref(g, T)
 

@@ -207,3 +207,37 @@ def test_address_engine_against_depth_d_sets(ifs, d, data):
     assert ifs.limit_gap_containing(u) is None
     assert ifs.is_gap_pair(u, v) == ((u, v) in gaps)
     assert not ifs.is_gap_pair(v, u)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([TERNARY, UNEQUAL]), st.integers(1, 4), st.data())
+def test_gaps_at_is_the_three_queries_in_one(ifs, d, data):
+    # every endpoint of a depth-d cell, and a random interior point of every
+    # depth-d gap; the gaps whose closure holds such a point are gaps of the
+    # depth-d set, which the plain set finds by bisection
+    K = CompactSet.from_ifs(ifs, d)
+    plain = CompactSet.from_intervals(K.intervals)
+    points = K.endpoints() + [
+        lo + (hi - lo) * data.draw(st.fractions(0, 1).filter(lambda q: 0 < q < 1))
+        for lo, hi in K.bounded_gaps()]
+    for t in points:
+        old = (ifs.limit_gap_containing(t), ifs.adjacent_limit_gap(t, "left"),
+               ifs.adjacent_limit_gap(t, "right"))
+        expected = tuple(g for g in K.bounded_gaps() if g[0] <= t <= g[1])
+        assert ifs.gaps_at(t) == tuple(g for g in old if g is not None)
+        assert ifs.gaps_at(t) == K.gaps_at(t) == plain.gaps_at(t) == expected
+
+
+def test_gaps_at_deep_and_plain():
+    # the scale of a gap 24 levels down is taken only at that level
+    t = F(2, 3 ** 25)
+    assert TERNARY.adjacent_limit_gap(t, "left") == (F(1, 3 ** 25), t)
+    assert TERNARY.adjacent_limit_gap(t, "right") is None
+    assert TERNARY.limit_gap_containing(F(3, 2 * 3 ** 25)) == (F(1, 3 ** 25), t)
+    assert TERNARY.gaps_at(F(-1)) == TERNARY.gaps_at(F(1, 4)) == ()
+    # a one-point interval of a plain set touches a gap on each side
+    K = make_compact_set([(0, 1), (2, 2), (3, 4)])
+    assert K.gaps_at(F(2)) == ((1, 2), (2, 3))
+    assert K.gaps_at(F(3, 2)) == ((1, 2),)
+    assert K.gaps_at(F(1, 2)) == K.gaps_at(F(5)) == ()
+    assert K.is_gap_pair(F(3), F(2)) and not K.is_gap_pair(F(1), F(3))
