@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -71,8 +72,18 @@ def _env_budgets() -> dict:
     return out
 
 
+def _reads_document(fn):
+    """fn, turning errors from reading a malformed document into ScenarioError."""
+    def read(*args):
+        try:
+            return fn(*args)
+        except (KeyError, TypeError, AttributeError, IndexError) as e:
+            raise ScenarioError(f"malformed scenario ({type(e).__name__}: {e})") from None
+    return read
+
+
+@_reads_document
 def parse_scenario(text: str) -> Scenario:
-    import json
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -84,6 +95,8 @@ def parse_scenario(text: str) -> Scenario:
     if kind != "verify" and not isinstance(space, dict):
         raise ScenarioError("field 'space': missing or not an object")
     gens = tuple(obj.get("generators", ()))
+    if not gens and kind not in ("giet-blowup", "verify"):
+        raise ScenarioError("field 'generators': missing or empty")
     names = []
     for i, g in enumerate(gens):
         if "name" not in g:
@@ -137,12 +150,14 @@ def parse_scenario(text: str) -> Scenario:
 # scenario execution
 
 
+@_reads_document
 def _build_space(spec: dict) -> CompactSet:
     if spec.get("ifs") == "ternary":
         return ternary_cantor(int(spec.get("depth", 3)))
     return ser.space_from_obj(spec)
 
 
+@_reads_document
 def _build_generators(s: Scenario, space: CompactSet) -> dict:
     gens = {}
     for spec in s.generators:
@@ -324,7 +339,6 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
-            import json
             with open(args.certificate) as fh:
                 obj = json.load(fh)
             verdict = ser.verify_certificate(obj)

@@ -14,7 +14,7 @@ computed exactly.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
@@ -28,12 +28,17 @@ class MapError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     lo: Fraction
     hi: Fraction
     slope: Fraction
     offset: Fraction
+    ends: tuple[Fraction, Fraction] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a, b = self.value(self.lo), self.value(self.hi)
+        object.__setattr__(self, "ends", (a, b) if a <= b else (b, a))
 
     def value(self, x: Fraction) -> Fraction:
         return self.slope * x + self.offset
@@ -42,8 +47,8 @@ class Branch:
         return (y - self.offset) / self.slope
 
     def image_interval(self) -> tuple[Fraction, Fraction]:
-        a, b = self.value(self.lo), self.value(self.hi)
-        return (a, b) if a <= b else (b, a)
+        """The sorted ends of the image, computed once at construction."""
+        return self.ends
 
 
 def inverse_name(name: str) -> str:
@@ -117,10 +122,6 @@ def orbit_bfs(seeds: Iterable[Fraction], steps: Sequence[Callable],
 
 # ---------------------------------------------------------------------------
 # construction and validation
-
-
-def _merge_sources(branches: Sequence[Branch]):
-    return _normalize_intervals([(b.lo, b.hi) for b in branches])
 
 
 def _validate_plain(space: CompactSet, branches: Sequence[Branch]) -> None:
@@ -217,7 +218,7 @@ def pa_homeo(space: CompactSet, branches: Iterable[Branch],
             # sources may legitimately split across gaps of deeper cylinders
             _validate_ifs(space, bs)
         else:
-            merged = _merge_sources(bs)
+            merged = _normalize_intervals([(b.lo, b.hi) for b in bs])
             for kl, kr in space.intervals:
                 if not any(l <= kl and kr <= r for l, r in merged):
                     raise MapError(f"sources do not cover [{kl}, {kr}]")
@@ -301,7 +302,9 @@ def compose(f: PAHomeo, g: PAHomeo) -> PAHomeo:
                 break
             olo, ohi = max(ia, bf.lo), min(ib, bf.hi)
             if olo < ohi:
-                pa, pb = sorted((bg.preimage(olo), bg.preimage(ohi)))
+                # an image inside bf's source leaves bg's source uncut
+                pa, pb = ((bg.lo, bg.hi) if (olo, ohi) == (ia, ib) else
+                          sorted((bg.preimage(olo), bg.preimage(ohi))))
                 out.append(Branch(pa, pb, bf.slope * bg.slope,
                                   bf.slope * bg.offset + bf.offset))
             j += 1
@@ -434,6 +437,11 @@ def image(f: PAHomeo, S: Region) -> Region:
     for p in S.pieces:
         for b in f.branches[bisect.bisect_left(f._src_his, p.lo):
                             bisect.bisect_right(f._src_los, p.hi)]:
+            if ((p.lo < b.lo or p.lo == b.lo and p.lo_closed) and
+                    (b.hi < p.hi or b.hi == p.hi and p.hi_closed)):
+                # p holds b's whole closed source
+                pieces.append(Piece(*b.image_interval(), True, True))
+                continue
             q = _intersect_piece(p, Piece(b.lo, b.hi, True, True))
             if q is None:
                 continue
@@ -445,14 +453,10 @@ def image(f: PAHomeo, S: Region) -> Region:
     return Region.from_pieces(f.space, pieces)
 
 
-def _branch_region(f: PAHomeo, b: Branch) -> Region:
-    return Region.from_pieces(f.space, (Piece(b.lo, b.hi, True, True),))
-
-
 def slope_range(f: PAHomeo, S: Region) -> tuple[Fraction, Fraction]:
     """(min, max) of |slope| over branches meeting S inside K."""
     mags = [abs(b.slope) for b in f.branches
-            if not _branch_region(f, b).intersect(S).is_empty()]
+            if not Region(f.space, (Piece(b.lo, b.hi, True, True),)).intersect(S).is_empty()]
     if not mags:
         raise MapError("region meets no branch")
     return min(mags), max(mags)

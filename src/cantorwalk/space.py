@@ -13,7 +13,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .rational import rat
@@ -59,6 +59,13 @@ class Ifs:
             raise SpaceError("IFS images must be disjoint, left to right")
         object.__setattr__(self, "hull", (lo, hi))
         object.__setattr__(self, "_children", children)
+        # for _expand, in ints: the children, and each inverse map
+        # y -> (y - o) / r as p/q -> (p*a - q*b) / (q*c)
+        object.__setattr__(self, "_int_children", tuple(
+            tuple((x.numerator, x.denominator) for x in c) for c in children))
+        object.__setattr__(self, "_int_inverses", tuple(
+            (o.denominator * r.denominator, o.numerator * r.denominator,
+             o.denominator * r.numerator) for r, o in zip(self.ratios, self.offsets)))
 
     def cylinder(self, address: str) -> tuple[Fraction, Fraction]:
         """Interval of the cylinder addressed by a word over the symbols.
@@ -91,28 +98,32 @@ class Ifs:
     def _expand(self, t: Fraction):
         """The address of t, one level per step, as (levels, gap).
 
-        levels[k] = (i, y): at depth k the point has local coordinate y and
-        lies in child i; its global scale there is the product of the ratios
-        of the children above it.  The expansion stops when y repeats, so t
-        is a limit point with an eventually periodic address and gap is
-        None; or when y falls between children g and g + 1 at depth k, and
-        gap is (k, g, y), a bounded gap of the limit set.  Points off the
+        levels[k] = (i, y): at depth k the point has local coordinate y, an
+        int pair (numerator, denominator > 0) in lowest terms, and lies in
+        child i; its global scale there is the product of the ratios of the
+        children above it.  The expansion stops when y repeats, so t is a
+        limit point with an eventually periodic address and gap is None; or
+        when y falls between children g and g + 1 at depth k, and gap is
+        (k, g, Fraction(y)), a bounded gap of the limit set.  Points off the
         hull give ([], None).
         """
         levels, seen = [], set()
         lo, hi = self.hull
         if not lo <= t <= hi:
             return levels, None
-        children, y = self._children, t
-        while (key := (y.numerator, y.denominator)) not in seen:
-            seen.add(key)
-            for i, (clo, chi) in enumerate(children):
-                if y <= chi:
+        children, y = self._int_children, (t.numerator, t.denominator)
+        while y not in seen:
+            seen.add(y)
+            p, q = y
+            for i, ((ln, ld), (hn, hd)) in enumerate(children):
+                if p * hd <= hn * q:
                     break
-            if y < clo:
-                return levels, (len(levels), i - 1, y)
+            if p * ld < ln * q:
+                return levels, (len(levels), i - 1, Fraction(p, q))
             levels.append((i, y))
-            y = (y - self.offsets[i]) / self.ratios[i]
+            a, b, c = self._int_inverses[i]
+            p, q = p * a - q * b, q * c
+            y = (p // (g := gcd(p, q)), q // g)
         return levels, None
 
     def gaps_at(self, t: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -129,10 +140,10 @@ class Ifs:
                 return ()
             k = len(levels) - 2
             i, y = levels[k]
-            if y == children[i][0] and i > 0:
-                gap = k, i - 1, y
-            elif y == children[i][1] and i + 1 < len(children):
-                gap = k, i, y
+            if y == self._int_children[i][0] and i > 0:
+                gap = k, i - 1, Fraction(*y)
+            elif y == self._int_children[i][1] and i + 1 < len(children):
+                gap = k, i, Fraction(*y)
             else:
                 return ()
         k, g, y = gap

@@ -209,6 +209,22 @@ def test_verify_malformed_certificate_exits_1(tmp_path, capsys, doc):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "simulate", "space": {"ifs": "ternary", "depth": 3}},
+    {"kind": "simulate", "space": {"ifs": "ternary", "depth": 3},
+     "generators": [{"name": "A", "table": 5}]},
+    [{"kind": "simulate"}],
+])
+def test_malformed_scenario_exits_1(tmp_path, capsys, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_rejects_duplicate_generator_labels(tmp_path, capsys):
     # H and the identity, both labelled X: the masses (1, 0) are invariant
     # under the identity only, so checking one generator per label would

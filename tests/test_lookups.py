@@ -1,11 +1,14 @@
-"""Bisected and one-pass lookups against brute-force scans.
+"""Bisected, one-pass and fast-path lookups against brute-force scans.
 
 CompactSet.contains, Region.is_empty, infimum, supremum, maps.image and
 walk.preimage_cell_indices look up sorted intervals, branch sources and
 cells by bisection, and maps.break_pairs expands each branch boundary once.
-The references below scan every interval, branch and cell pair, and query
-the gap containing a boundary and the gaps on either side of it one by one,
-as a plain reading of the definitions would.
+maps.compose keeps an inner branch's source when its image lies inside one
+outer source, and maps.image takes a whole branch source's image ends as
+they are.  The references below scan every interval, branch and cell pair,
+cut and evaluate every branch, and query the gap containing a boundary and
+the gaps on either side of it one by one, as a plain reading of the
+definitions would.
 """
 
 from fractions import Fraction as F
@@ -16,8 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk.fixtures import TABLES, fixture
-from cantorwalk.maps import (BreakPair, apply, break_pairs, compose,
-                             from_prefix_table, image, invert)
+from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
+                             break_pairs, compose, from_prefix_table, image,
+                             invert, pa_homeo)
 from cantorwalk.space import CompactSet, Ifs, Piece, Region, _intersect_piece
 from cantorwalk.walk import measure_cells, preimage_cell_indices
 
@@ -48,6 +52,46 @@ def words(draw, max_size=6):
         last = i
     K = letters[0].space
     return K, (w if w is not None else compose(letters[0], letters[2]))
+
+
+# a set without IFS structure, a piecewise-linear map with a break inside
+# [0, 1] that swaps [2, 3] and [4, 6], and an orientation-reversing involution
+PLAIN = CompactSet.from_intervals([(0, 1), (2, 3), (4, 6)])
+PLAIN_LETTERS = (
+    pa_homeo(PLAIN, [Branch(F(0), F(1, 2), F(1, 2), F(0)),
+                     Branch(F(1, 2), F(1), F(3, 2), F(-1, 2)),
+                     Branch(F(2), F(3), F(2), F(0)),
+                     Branch(F(4), F(6), F(1, 2), F(0))], label=("P",)),
+    pa_homeo(PLAIN, [Branch(F(0), F(1), F(-1), F(3)),
+                     Branch(F(2), F(3), F(-1), F(3)),
+                     Branch(F(4), F(6), F(-1), F(10))], label=("Q",)))
+
+
+@cache
+def _alphabets():
+    """Letter sets: A1, A2 and inverses on every space; the same with the
+    reflection R on the ternary set; P, Q and P^-1 on the plain set."""
+    K = CompactSet.from_ifs(TERNARY, 3)
+    r = from_prefix_table(PrefixTable((("", "", -1),)), K, label=("R",))
+    return ([_letters(*space) for space in SPACES] +
+            [_letters(TERNARY, 3) + [r],
+             list(PLAIN_LETTERS) + [invert(PLAIN_LETTERS[0])]])
+
+
+@st.composite
+def letter_words(draw, max_size=10):
+    """(letters, a word of length 1 to max_size in them) with no letter
+    next to its inverse: among the first four, letters i and (i + 2) % 4
+    are mutually inverse."""
+    letters = draw(st.sampled_from(_alphabets()))
+    w, last = None, None
+    for i in draw(st.lists(st.integers(0, len(letters) - 1), min_size=1,
+                           max_size=max_size)):
+        if last is not None and max(i, last) < 4 and i == (last + 2) % 4:
+            continue
+        w = letters[i] if w is None else compose(letters[i], w)
+        last = i
+    return letters, w
 
 
 @st.composite
@@ -158,6 +202,21 @@ def image_ref(f, S):
     return Region.from_pieces(f.space, pieces)
 
 
+def compose_ref(f, g):
+    """f∘g, cutting every branch of g at every source of f it meets."""
+    out = []
+    for bg in g.branches:
+        ia, ib = sorted((bg.value(bg.lo), bg.value(bg.hi)))
+        for bf in f.branches:
+            olo, ohi = max(ia, bf.lo), min(ib, bf.hi)
+            if olo < ohi:
+                pa, pb = sorted((bg.preimage(olo), bg.preimage(ohi)))
+                out.append(Branch(pa, pb, bf.slope * bg.slope,
+                                  bf.slope * bg.offset + bf.offset))
+    out.sort(key=lambda b: b.lo)
+    return PAHomeo(f.space, tuple(out), f.label + g.label)
+
+
 def preimage_ref(g, cells):
     ginv = invert(g)
     K = g.space
@@ -202,6 +261,42 @@ def test_image_matches_scan(word, data):
     K, w = word
     S = data.draw(regions(K))
     assert image(w, S) == image_ref(w, S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(letter_words(), st.data())
+def test_compose_and_image_match_reference_loops(word, data):
+    letters, w = word
+    K = w.space
+    for g in letters:
+        assert compose(g, w) == compose_ref(g, w)
+        assert compose(w, g) == compose_ref(w, g)
+    assert all(b.image_interval() == tuple(sorted((b.value(b.lo),
+                                                   b.value(b.hi))))
+               for b in w.branches)
+    for S in (Region.whole(K), data.draw(regions(K))):
+        assert image(w, S) == image_ref(w, S)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_uncut_compose_takes_no_preimage(space, monkeypatch):
+    # a word that ends with A1^-1 maps each branch source into one source
+    # of A1, so A1 after it cuts no branch
+    a1, a2, a1i, a2i = _letters(*space)
+    src = [(b.lo, b.hi) for b in a1.branches]
+    for w in (a1i, compose(a1i, a2), compose(a1i, compose(a2i, a1)),
+              compose(a1i, compose(a2, compose(a2, a1)))):
+        assert all(any(lo <= b.image_interval()[0] and
+                       b.image_interval()[1] <= hi for lo, hi in src)
+                   for b in w.branches)
+        expected = compose_ref(a1, w)
+        calls = []
+        preimage = Branch.preimage
+        monkeypatch.setattr(Branch, "preimage",
+                            lambda b, y: calls.append(y) or preimage(b, y))
+        assert compose(a1, w) == expected
+        monkeypatch.undo()
+        assert calls == []
 
 
 @settings(max_examples=25, deadline=None)

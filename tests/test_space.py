@@ -241,3 +241,74 @@ def test_gaps_at_deep_and_plain():
     assert K.gaps_at(F(3, 2)) == ((1, 2),)
     assert K.gaps_at(F(1, 2)) == K.gaps_at(F(5)) == ()
     assert K.is_gap_pair(F(3), F(2)) and not K.is_gap_pair(F(1), F(3))
+
+
+# -- the integer expansion against a Fraction reference ----------------------
+
+
+def expand_ref(ifs, t):
+    """The expansion loop in Fraction arithmetic: (levels, gap) with every
+    local coordinate a Fraction."""
+    levels, seen = [], set()
+    lo, hi = ifs.hull
+    if not lo <= t <= hi:
+        return levels, None
+    children, y = ifs._children, t
+    while (key := (y.numerator, y.denominator)) not in seen:
+        seen.add(key)
+        for i, (clo, chi) in enumerate(children):
+            if y <= chi:
+                break
+        if y < clo:
+            return levels, (len(levels), i - 1, y)
+        levels.append((i, y))
+        y = (y - ifs.offsets[i]) / ifs.ratios[i]
+    return levels, None
+
+
+def gaps_at_ref(ifs, t):
+    levels, gap = expand_ref(ifs, t)
+    children = ifs._children
+    if gap is None:
+        if len(levels) < 2:
+            return ()
+        k = len(levels) - 2
+        i, y = levels[k]
+        if y == children[i][0] and i > 0:
+            gap = k, i - 1, y
+        elif y == children[i][1] and i + 1 < len(children):
+            gap = k, i, y
+        else:
+            return ()
+    k, g, y = gap
+    scale = F(1)
+    for i, _ in levels[:k]:
+        scale *= ifs.ratios[i]
+    return ((t + scale * (children[g][1] - y),
+             t + scale * (children[g + 1][0] - y)),)
+
+
+THREE_MAPS = Ifs((F(1, 5), F(1, 4), F(1, 5)), (F(0), F(2, 5), F(4, 5)),
+                 ("a", "b", "c"))
+# hull [-3/2, 1/2]: local coordinates change sign along the expansion
+NEGATIVE = Ifs((F(1, 3), F(1, 3)), (F(-1), F(1, 3)), ("l", "r"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([TERNARY, UNEQUAL, THREE_MAPS, NEGATIVE]), st.data())
+def test_integer_expansion_matches_fraction_loop(ifs, data):
+    # cell ends, gap points and arbitrary rationals in and around the hull
+    K = CompactSet.from_ifs(ifs, data.draw(st.integers(0, 4)))
+    lo, hi = ifs.hull
+    t = data.draw(st.one_of(
+        st.sampled_from(K.endpoints()),
+        st.fractions(lo - 1, hi + 1, max_denominator=10 ** 4),
+        st.builds(lambda a, b: a + (b - a) / 7, st.sampled_from(K.endpoints()),
+                  st.sampled_from(K.endpoints()))))
+    levels, gap = ifs._expand(t)
+    ref_levels, ref_gap = expand_ref(ifs, t)
+    # the same levels, as reduced pairs with positive denominators, so the
+    # same number of levels before a repeat
+    assert levels == [(i, (y.numerator, y.denominator)) for i, y in ref_levels]
+    assert gap == ref_gap
+    assert ifs.gaps_at(t) == gaps_at_ref(ifs, t)
