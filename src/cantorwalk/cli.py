@@ -51,7 +51,7 @@ class Scenario:
     probabilities: object = None  # list, name dict, or None for uniform
     seed: int = 0
     budgets: dict = field(default_factory=dict)
-    giets: tuple = ()
+    giets: tuple = ()  # of giet.Giet
     blowup: dict = field(default_factory=dict)
     output: str = "scenario"
 
@@ -121,9 +121,13 @@ def parse_scenario(text: str) -> Scenario:
         if total != 1:
             raise ScenarioError(f"probabilities sum {rat_str(total)}, not 1")
     budgets = dict(obj.get("budgets", {}))
-    for k in budgets:
+    for k, v in budgets.items():
         if k not in DEFAULT_BUDGETS and k != "generators":
             raise ScenarioError(f"unknown budget key {k!r}")
+        if k == "eps":
+            budgets[k] = rat(v)
+        elif k != "generators" and type(v) is not int and (k, v) != ("depth", None):
+            raise ScenarioError(f"budget {k!r}: {v!r} is not an integer")
     for n in budgets.get("generators", ()):
         if n not in names:
             raise ScenarioError(f"budget section names unknown generator {n!r}")
@@ -138,13 +142,17 @@ def parse_scenario(text: str) -> Scenario:
                     raise ScenarioError(
                         f"generator {g['name']}: table needs depth "
                         f">= {max(len(row[0]), len(row[1]))}, space has {depth}")
+    blowup = dict(obj.get("blowup", {}))
+    if type(blowup.get("L", 3)) is not int:
+        raise ScenarioError(f"blowup 'L': {blowup['L']!r} is not an integer")
+    if "rho" in blowup:
+        blowup["rho"] = rat(blowup["rho"])
     return Scenario(kind=kind, space=dict(space or {}), generators=gens,
                     include_inverses=bool(obj.get("include_inverses", False)),
                     probabilities=probs, seed=int(obj.get("seed", 0)),
-                    budgets=budgets, giets=tuple(obj.get("giets", ())),
-                    blowup=dict(obj.get("blowup", {})),
-                    output=obj.get("output", "scenario"))
-
+                    budgets=budgets,
+                    giets=tuple(ser.giet_from_obj(g) for g in obj.get("giets", ())),
+                    blowup=blowup, output=obj.get("output", "scenario"))
 
 # ---------------------------------------------------------------------------
 # scenario execution
@@ -209,12 +217,9 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
         return code, line
 
     if s.kind == "giet-blowup":
-        giets = [ser.giet_from_obj(g) for g in s.giets]
-        if not giets:
+        if not s.giets:
             raise ScenarioError("giet-blowup needs at least one giet")
-        L = int(s.blowup.get("L", 3))
-        rho = rat(s.blowup.get("rho", "1/3"))
-        result = blow_up(giets, L, rho)
+        result = blow_up(s.giets, s.blowup.get("L", 3), s.blowup.get("rho", "1/3"))
         tag = "exact" if result.exact else "inexact"
         return done(0, f"BLOWUP ({len(result.blown_points)} points, {tag})",
                     report={"kind": s.kind, "seed": seed,

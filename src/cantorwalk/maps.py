@@ -20,8 +20,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .rational import rat
-from .space import (CompactSet, Piece, Region, _intersect_piece,
-                    _normalize_intervals)
+from .space import CompactSet, Piece, Region, _normalize_intervals
 
 
 class MapError(ValueError):
@@ -437,19 +436,21 @@ def image(f: PAHomeo, S: Region) -> Region:
     for p in S.pieces:
         for b in f.branches[bisect.bisect_left(f._src_his, p.lo):
                             bisect.bisect_right(f._src_los, p.hi)]:
-            if ((p.lo < b.lo or p.lo == b.lo and p.lo_closed) and
-                    (b.hi < p.hi or b.hi == p.hi and p.hi_closed)):
-                # p holds b's whole closed source
+            # clip p to b's closed source; the bisection makes them meet
+            holds_lo = p.lo < b.lo or p.lo == b.lo and p.lo_closed
+            holds_hi = b.hi < p.hi or b.hi == p.hi and p.hi_closed
+            if holds_lo and holds_hi:
                 pieces.append(Piece(*b.image_interval(), True, True))
                 continue
-            q = _intersect_piece(p, Piece(b.lo, b.hi, True, True))
-            if q is None:
+            lo, lo_closed = (b.lo, True) if holds_lo else (p.lo, p.lo_closed)
+            hi, hi_closed = (b.hi, True) if holds_hi else (p.hi, p.hi_closed)
+            if lo == hi and not (lo_closed and hi_closed):
                 continue
-            va, vb = b.value(q.lo), b.value(q.hi)
+            va, vb = b.value(lo), b.value(hi)
             if b.slope > 0:
-                pieces.append(Piece(va, vb, q.lo_closed, q.hi_closed))
+                pieces.append(Piece(va, vb, lo_closed, hi_closed))
             else:
-                pieces.append(Piece(vb, va, q.hi_closed, q.lo_closed))
+                pieces.append(Piece(vb, va, hi_closed, lo_closed))
     return Region.from_pieces(f.space, pieces)
 
 

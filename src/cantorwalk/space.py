@@ -10,6 +10,7 @@ set; every membership and inclusion query is exact.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -451,64 +452,75 @@ class Piece(NamedTuple):
     hi_closed: bool
 
 
-def _piece_valid(p: Piece) -> bool:
-    if p.lo < p.hi:
-        return True
-    return p.lo == p.hi and p.lo_closed and p.hi_closed
-
-
 def _normalize_pieces(pieces: Iterable[Piece]) -> tuple[Piece, ...]:
-    ps = sorted((p for p in pieces if _piece_valid(p)),
+    """A bag of pieces as sorted, disjoint and maximal ones."""
+    ps = sorted((p for p in pieces
+                 if p.lo < p.hi or p.lo == p.hi and p.lo_closed and p.hi_closed),
                 key=lambda p: (p.lo, not p.lo_closed))
     out: list[Piece] = []
     for p in ps:
         if out:
             q = out[-1]
             if p.lo < q.hi or (p.lo == q.hi and (q.hi_closed or p.lo_closed)):
-                hi, hi_closed = max((q.hi, q.hi_closed), (p.hi, p.hi_closed),
-                                    key=lambda t: (t[0], t[1]))
+                hi, hi_closed = max((q.hi, q.hi_closed), (p.hi, p.hi_closed))
                 out[-1] = Piece(q.lo, hi, q.lo_closed, hi_closed)
                 continue
         out.append(p)
     return tuple(out)
 
 
-def _complement_pieces(pieces: Sequence[Piece], lo: Fraction, hi: Fraction) -> list[Piece]:
-    """Complement within the closed interval [lo, hi]."""
-    out = []
-    cur, cur_closed = lo, True
-    for p in pieces:
-        if p.hi < lo or p.lo > hi:
-            continue
-        seg = Piece(cur, min(p.lo, hi), cur_closed, not p.lo_closed)
-        if _piece_valid(seg) and seg.lo <= hi:
-            out.append(Piece(seg.lo, min(seg.hi, hi), seg.lo_closed,
-                             seg.hi_closed if seg.hi <= hi else True))
-        cur, cur_closed = p.hi, not p.hi_closed
-        if cur > hi:
-            return out
-    tail = Piece(cur, hi, cur_closed, True)
-    if _piece_valid(tail):
-        out.append(tail)
-    return out
+def _sweep(a: Sequence[Piece], b: Sequence[Piece], keep):
+    """The pieces, left to right, where keep(in a, in b) holds, for a and b
+    sorted, disjoint and maximal and keep(False, False) false.
 
-
-def _intersect_piece(a: Piece, b: Piece) -> Optional[Piece]:
-    if a.lo > b.lo or (a.lo == b.lo and (b.lo_closed or not a.lo_closed)):
-        lo, lo_closed = a.lo, a.lo_closed and (b.lo < a.lo or b.lo_closed)
-    else:
-        lo, lo_closed = b.lo, b.lo_closed and (a.lo < b.lo or a.lo_closed)
-    if a.hi < b.hi or (a.hi == b.hi and (b.hi_closed or not a.hi_closed)):
-        hi, hi_closed = a.hi, a.hi_closed and (b.hi > a.hi or b.hi_closed)
-    else:
-        hi, hi_closed = b.hi, b.hi_closed and (a.hi > b.hi or a.hi_closed)
-    p = Piece(lo, hi, lo_closed, hi_closed)
-    return p if _piece_valid(p) else None
+    An end is a key (x, 0) just before x or (x, 1) just after it: a piece
+    runs from (lo, not lo_closed) to (hi, hi_closed).  The keys of a and b
+    are merged in order and ends of both at one key toggle together, so the
+    pieces yielded are sorted, disjoint and maximal.  The merge stops when
+    an operand has no ends left and keep is false outside it.
+    """
+    ka, kb = ([k for p in ps for k in ((p.lo, not p.lo_closed), (p.hi, p.hi_closed))]
+              for ps in (a, b))
+    na, nb = len(ka), len(kb)
+    rest_of_a, rest_of_b = keep(True, False), keep(False, True)
+    i = j = 0
+    in_a = in_b = on = False
+    while (i < na or rest_of_b and j < nb) and (j < nb or rest_of_a and i < na):
+        if j == nb:
+            step_a, step_b = True, False
+        elif i == na:
+            step_a, step_b = False, True
+        else:
+            (x, f), (y, g) = ka[i], kb[j]
+            if x == y:
+                step_a, step_b = f <= g, g <= f
+            else:
+                step_a = x < y
+                step_b = not step_a
+        if step_a:
+            x, f = ka[i]
+            i += 1
+            in_a = not in_a
+        if step_b:
+            x, f = kb[j]
+            j += 1
+            in_b = not in_b
+        if keep(in_a, in_b) != on:
+            if on:
+                yield Piece(lo, x, not lo_key, f)
+            on, lo, lo_key = not on, x, f
 
 
 @dataclass(frozen=True)
 class Region:
-    """A finite union of flagged rational intervals intersected with K."""
+    """A finite union of flagged rational intervals intersected with K.
+
+    The pieces are sorted, disjoint and maximal: no two of them overlap or
+    touch at a point that one of them holds.  The Boolean operations merge
+    the ends of two such tuples in one sweep and keep that form.  They act
+    on the pieces as sets of the line, so A.difference(B) is not clipped to
+    the hull of K; on K it is the same set.
+    """
 
     space: CompactSet
     pieces: tuple[Piece, ...]
@@ -517,10 +529,6 @@ class Region:
     def whole(space: CompactSet) -> "Region":
         lo, hi = space.hull
         return Region(space, (Piece(lo, hi, True, True),))
-
-    @staticmethod
-    def empty(space: CompactSet) -> "Region":
-        return Region(space, ())
 
     @staticmethod
     def from_intervals(space: CompactSet, pairs,
@@ -553,15 +561,11 @@ class Region:
         return False
 
     def _piece_meets_space(self, p: Piece) -> bool:
+        # an interval meeting [p.lo, p.hi] in one point meets p if p holds it
         for l, r in self.space.meeting(p.lo, p.hi):
-            olo, ohi = max(l, p.lo), min(r, p.hi)
-            if olo < ohi:
+            if (max(l, p.lo) < min(r, p.hi) or (p.lo_closed or p.lo < l)
+                    and (p.hi_closed or r < p.hi)):
                 return True
-            if olo == ohi:
-                ok_lo = olo > p.lo or p.lo_closed
-                ok_hi = ohi < p.hi or p.hi_closed
-                if ok_lo and ok_hi:
-                    return True
         return False
 
     def is_empty(self) -> bool:
@@ -570,30 +574,22 @@ class Region:
     # -- boolean operations -------------------------------------------------
 
     def union(self, other: "Region") -> "Region":
-        return Region(self.space, _normalize_pieces(self.pieces + other.pieces))
+        return Region(self.space, tuple(_sweep(self.pieces, other.pieces, operator.or_)))
 
     def intersect(self, other: "Region") -> "Region":
-        out = []
-        for a in self.pieces:
-            for b in other.pieces:
-                c = _intersect_piece(a, b)
-                if c is not None:
-                    out.append(c)
-        return Region(self.space, _normalize_pieces(out))
-
-    def complement(self) -> "Region":
-        lo, hi = self.space.hull
-        return Region(self.space,
-                      _normalize_pieces(_complement_pieces(self.pieces, lo, hi)))
+        return Region(self.space, tuple(_sweep(self.pieces, other.pieces, operator.and_)))
 
     def difference(self, other: "Region") -> "Region":
-        return self.intersect(other.complement())
+        # operator.gt on flags: in self and not in other
+        return Region(self.space, tuple(_sweep(self.pieces, other.pieces, operator.gt)))
 
     def subset_of(self, other: "Region") -> bool:
-        return self.difference(other).is_empty()
+        return not any(map(self._piece_meets_space,
+                           _sweep(self.pieces, other.pieces, operator.gt)))
 
     def disjoint_from(self, other: "Region") -> bool:
-        return self.intersect(other).is_empty()
+        return not any(map(self._piece_meets_space,
+                           _sweep(self.pieces, other.pieces, operator.and_)))
 
     def same_set(self, other: "Region") -> bool:
         return self.subset_of(other) and other.subset_of(self)

@@ -257,9 +257,7 @@ def preimage_cell_indices(g: PAHomeo, cells):
         near = range(bisect.bisect_left(his, pre.pieces[0].lo),
                      bisect.bisect_right(los, pre.pieces[-1].hi))
         js = [j for j in near if cell_regions[j].subset_of(pre)]
-        cover = Region.empty(K)
-        for j in js:
-            cover = cover.union(cell_regions[j])
+        cover = Region.from_pieces(K, [p for j in js for p in cell_regions[j].pieces])
         out.append(js if pre.subset_of(cover) else None)
     return out
 
@@ -338,7 +336,7 @@ def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region,
         cell = Region.from_pieces(space, (Piece(lo, hi, True, True),))
         if cell.subset_of(region):
             return 1.0
-        if cell.intersect(region).is_empty():
+        if cell.disjoint_from(region):
             return 0.0
         if space.ifs is None or depth_left <= 0:
             # fall back to length fraction of the overlap
@@ -678,7 +676,7 @@ def global_contraction_report(t: Trajectory, depth: int, n: int, eps,
     # tiny for the walk to count as contracting, and one ball per cluster
     # with radius e^{-n*lam} := max cluster half-diameter covers exactly
     clusters = []
-    for p in sorted(img.pieces):
+    for p in img.pieces:
         if clusters and p.lo - clusters[-1][1] <= delta:
             clusters[-1][1] = max(clusters[-1][1], p.hi)
         else:

@@ -214,11 +214,17 @@ def test_verify_malformed_certificate_exits_1(tmp_path, capsys, doc):
     {"kind": "simulate", "space": {"ifs": "ternary", "depth": 3},
      "generators": [{"name": "A", "table": 5}]},
     [{"kind": "simulate"}],
+    # fields read when the scenario runs: giets, blowup and budget values
+    {"kind": "giet-blowup", "space": {"ifs": "ternary", "depth": 3},
+     "giets": [5]},
+    dict(json.loads(_load_scenario_text("rotation_third")), blowup={"L": None}),
+    dict(json.loads(_load_scenario_text("g3")), budgets={"n": "x"}),
 ])
 def test_malformed_scenario_exits_1(tmp_path, capsys, doc):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
-    assert main(["simulate", str(path), "--out", str(tmp_path)]) == 1
+    command = doc["kind"] if isinstance(doc, dict) else "simulate"
+    assert main([command, str(path), "--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert captured.err.startswith("error: ")

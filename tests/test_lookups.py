@@ -22,7 +22,7 @@ from cantorwalk.fixtures import TABLES, fixture
 from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
                              break_pairs, compose, from_prefix_table, image,
                              invert, pa_homeo)
-from cantorwalk.space import CompactSet, Ifs, Piece, Region, _intersect_piece
+from cantorwalk.space import CompactSet, Ifs, Piece, Region
 from cantorwalk.walk import measure_cells, preimage_cell_indices
 
 TERNARY = Ifs((F(1, 3), F(1, 3)), (F(0), F(2, 3)), ("0", "2"))
@@ -185,6 +185,20 @@ def break_pairs_ref(f):
         if not f.space.is_gap_pair(apply(f, a), apply(f, b)):
             out.append(BreakPair(a, b))
     return out
+
+
+def _intersect_piece(a, b):
+    if a.lo > b.lo or (a.lo == b.lo and (b.lo_closed or not a.lo_closed)):
+        lo, lo_closed = a.lo, a.lo_closed and (b.lo < a.lo or b.lo_closed)
+    else:
+        lo, lo_closed = b.lo, b.lo_closed and (a.lo < b.lo or a.lo_closed)
+    if a.hi < b.hi or (a.hi == b.hi and (b.hi_closed or not a.hi_closed)):
+        hi, hi_closed = a.hi, a.hi_closed and (b.hi > a.hi or b.hi_closed)
+    else:
+        hi, hi_closed = b.hi, b.hi_closed and (a.hi > b.hi or a.hi_closed)
+    if lo < hi or lo == hi and lo_closed and hi_closed:
+        return Piece(lo, hi, lo_closed, hi_closed)
+    return None
 
 
 def image_ref(f, S):

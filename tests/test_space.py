@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorwalk.space import (CompactSet, Ifs, PointSet, Region, SpaceError,
+from cantorwalk.space import (CompactSet, Ifs, Piece, PointSet, Region, SpaceError,
                               delta_m, epsilon_neighborhood,
                               hausdorff_distance, make_compact_set,
                               point_to_set_distance, ternary_cantor)
@@ -122,15 +122,151 @@ def test_region_boolean_laws(data):
     K = ternary_cantor(3)
     A = _rand_region(K, data)
     B = _rand_region(K, data)
+    W = Region.whole(K)
     assert A.intersect(B).subset_of(A)
     assert A.subset_of(A.union(B))
     # de Morgan on K
-    lhs = A.union(B).complement()
-    rhs = A.complement().intersect(B.complement())
+    lhs = W.difference(A.union(B))
+    rhs = W.difference(A).intersect(W.difference(B))
     assert lhs.same_set(rhs)
     # complement is an involution modulo K
-    assert A.complement().complement().same_set(A)
+    assert W.difference(W.difference(A)).same_set(A)
     assert A.difference(B).disjoint_from(B)
+
+
+# -- flagged regions against a point oracle and the pairwise reference ------
+#
+# The reference is the region algebra these operations replaced: pairwise
+# piece intersection, a complement within the hull, and one sort and merge.
+# Serialized regions hold the piece tuples, so the sweep must give exactly
+# the same ones.
+
+
+def _valid_ref(p):
+    if p.lo < p.hi:
+        return True
+    return p.lo == p.hi and p.lo_closed and p.hi_closed
+
+
+def _normalize_ref(pieces):
+    ps = sorted((p for p in pieces if _valid_ref(p)),
+                key=lambda p: (p.lo, not p.lo_closed))
+    out = []
+    for p in ps:
+        if out:
+            q = out[-1]
+            if p.lo < q.hi or (p.lo == q.hi and (q.hi_closed or p.lo_closed)):
+                hi, hi_closed = max((q.hi, q.hi_closed), (p.hi, p.hi_closed),
+                                    key=lambda t: (t[0], t[1]))
+                out[-1] = Piece(q.lo, hi, q.lo_closed, hi_closed)
+                continue
+        out.append(p)
+    return tuple(out)
+
+
+def _complement_ref(pieces, lo, hi):
+    out = []
+    cur, cur_closed = lo, True
+    for p in pieces:
+        if p.hi < lo or p.lo > hi:
+            continue
+        seg = Piece(cur, min(p.lo, hi), cur_closed, not p.lo_closed)
+        if _valid_ref(seg) and seg.lo <= hi:
+            out.append(Piece(seg.lo, min(seg.hi, hi), seg.lo_closed,
+                             seg.hi_closed if seg.hi <= hi else True))
+        cur, cur_closed = p.hi, not p.hi_closed
+        if cur > hi:
+            return out
+    tail = Piece(cur, hi, cur_closed, True)
+    if _valid_ref(tail):
+        out.append(tail)
+    return out
+
+
+def _intersect_piece_ref(a, b):
+    if a.lo > b.lo or (a.lo == b.lo and (b.lo_closed or not a.lo_closed)):
+        lo, lo_closed = a.lo, a.lo_closed and (b.lo < a.lo or b.lo_closed)
+    else:
+        lo, lo_closed = b.lo, b.lo_closed and (a.lo < b.lo or a.lo_closed)
+    if a.hi < b.hi or (a.hi == b.hi and (b.hi_closed or not a.hi_closed)):
+        hi, hi_closed = a.hi, a.hi_closed and (b.hi > a.hi or b.hi_closed)
+    else:
+        hi, hi_closed = b.hi, b.hi_closed and (a.hi > b.hi or a.hi_closed)
+    p = Piece(lo, hi, lo_closed, hi_closed)
+    return p if _valid_ref(p) else None
+
+
+def _intersect_ref(a, b):
+    cut = (_intersect_piece_ref(p, q) for p in a for q in b)
+    return _normalize_ref(c for c in cut if c is not None)
+
+
+def _on_pieces(pieces, x):
+    """Point membership in the union of the pieces, on the line."""
+    return any(p.lo < x < p.hi or x == p.lo and p.lo_closed
+               or x == p.hi and p.hi_closed for p in pieces)
+
+
+def _rand_flagged(rng, grid):
+    """A bag of up to four pieces with ends on the grid: closed, open and
+    half-open ones, single points, and empty ones (lo == hi, not closed)."""
+    pieces = []
+    for _ in range(rng.randint(0, 4)):
+        lo, hi = sorted(rng.choice(grid) for _ in range(2))
+        if rng.random() < 0.2:
+            hi = lo
+        pieces.append(Piece(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+    return pieces
+
+
+# ternary depths 3 and 5 on a grid reaching past the hull [0, 1], and a
+# plain set with its gaps, on a grid reaching past its hull [0, 6]
+FLAGGED_SPACES = [
+    (0, ternary_cantor(3), [F(k, 27) for k in range(-3, 31)]),
+    (1, ternary_cantor(5), [F(k, 81) for k in range(-4, 86, 2)]),
+    (2, make_compact_set([(0, 1), (2, 3), (4, 6)]),
+     [F(k, 2) for k in range(-2, 15)]),
+]
+
+
+@pytest.mark.parametrize("seed, K, grid", FLAGGED_SPACES,
+                         ids=["ternary3", "ternary5", "plain"])
+def test_flagged_region_operations(seed, K, grid):
+    W = Region.whole(K)
+    rng = random.Random(seed)
+    for _ in range(600):
+        bag_a, bag_b = _rand_flagged(rng, grid), _rand_flagged(rng, grid)
+        A, B = Region.from_pieces(K, bag_a), Region.from_pieces(K, bag_b)
+        assert A.pieces == _normalize_ref(bag_a)
+        assert B.pieces == _normalize_ref(bag_b)
+        union, inter = A.union(B), A.intersect(B)
+        diff, off_b = A.difference(B), W.difference(B)
+        # the piece tuples of the pairwise reference, exactly
+        assert union.pieces == _normalize_ref(A.pieces + B.pieces)
+        assert inter.pieces == _intersect_ref(A.pieces, B.pieces)
+        lo, hi = K.hull
+        assert off_b.pieces == _intersect_ref(
+            W.pieces, _normalize_ref(_complement_ref(B.pieces, lo, hi)))
+        # every end and midpoint decides membership on the line and on K
+        ends = sorted({x for p in A.pieces + B.pieces + W.pieces
+                       for x in (p.lo, p.hi)} | set(K.endpoints()))
+        pts = ends + [(u + v) / 2 for u, v in zip(ends, ends[1:])]
+        pts += [ends[0] - 1, ends[-1] + 1]
+        a_on_k = a_not_b_on_k = both_on_k = False
+        for x in pts:
+            a, b = _on_pieces(A.pieces, x), _on_pieces(B.pieces, x)
+            assert _on_pieces(union.pieces, x) == (a or b)
+            assert _on_pieces(inter.pieces, x) == (a and b)
+            assert _on_pieces(diff.pieces, x) == (a and not b)
+            on_k = K.contains(x)
+            assert off_b.contains(x) == (on_k and not b)
+            a_on_k = a_on_k or on_k and a
+            a_not_b_on_k = a_not_b_on_k or on_k and a and not b
+            both_on_k = both_on_k or on_k and a and b
+        assert A.is_empty() == (not a_on_k)
+        assert A.subset_of(B) == (not a_not_b_on_k)
+        assert A.disjoint_from(B) == (not both_on_k)
+        assert W.subset_of(W.difference(A).union(A))
 
 
 def test_region_isolated_point_diameter():
