@@ -19,18 +19,17 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .rational import rat, rat_str
-from .space import CompactSet, SpaceError, ternary_cantor
-from .maps import MapError, PrefixTable, from_prefix_table, invert
-from .giet import GietError, blow_up
-from .walk import (Trajectory, WalkError, estimate_entropy,
-                   estimate_stationary_measure, global_contraction_report,
-                   invariance_residual, make_model)
-from .certify import (Budgets, CertifyError, assemble_free_pair,
-                      find_morse_smale, solve_invariant_measure)
+from .space import CompactSet, ternary_cantor
+from .maps import PrefixTable, from_prefix_table, invert
+from .giet import blow_up
+from .walk import (Trajectory, estimate_entropy, estimate_stationary_measure,
+                   global_contraction_report, invariance_residual, make_model)
+from .certify import (Budgets, assemble_free_pair, find_morse_smale,
+                      solve_invariant_measure)
 from . import serialize as ser
 
 KINDS = ("simulate", "certify-free", "find-measure", "morse-smale",
-         "giet-blowup", "verify")
+         "giet-blowup")
 
 DEFAULT_BUDGETS = {"n": 40, "runs": 100, "eps": "1/27", "max_len": 6,
                    "d_max": 6, "depth": None}
@@ -45,10 +44,9 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     kind: str
-    space: dict
-    generators: tuple = ()
-    include_inverses: bool = False
-    probabilities: object = None  # list, name dict, or None for uniform
+    space: CompactSet = None  # None for giet-blowup
+    generators: dict = field(default_factory=dict)  # name -> PAHomeo
+    probabilities: tuple = None  # Fractions aligned with generators; None: uniform
     seed: int = 0
     budgets: dict = field(default_factory=dict)
     giets: tuple = ()  # of giet.Giet
@@ -72,129 +70,91 @@ def _env_budgets() -> dict:
     return out
 
 
-def _reads_document(fn):
-    """fn, turning errors from reading a malformed document into ScenarioError."""
-    def read(*args):
-        try:
-            return fn(*args)
-        except (KeyError, TypeError, AttributeError, IndexError) as e:
-            raise ScenarioError(f"malformed scenario ({type(e).__name__}: {e})") from None
-    return read
-
-
-@_reads_document
 def parse_scenario(text: str) -> Scenario:
+    """The scenario a JSON document states, with its space, generators
+    (inverses appended when asked), walk law, giets and blow-up built."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ScenarioError(f"not valid JSON: {e}")
-    kind = obj.get("kind")
-    if kind not in KINDS:
-        raise ScenarioError(f"field 'kind': {kind!r} not one of {KINDS}")
-    space = obj.get("space")
-    if kind != "verify" and not isinstance(space, dict):
-        raise ScenarioError("field 'space': missing or not an object")
-    gens = tuple(obj.get("generators", ()))
-    if not gens and kind not in ("giet-blowup", "verify"):
-        raise ScenarioError("field 'generators': missing or empty")
-    names = []
-    for i, g in enumerate(gens):
-        if "name" not in g:
-            raise ScenarioError(f"generator {i}: missing 'name'")
-        if "table" not in g and "branches" not in g:
-            raise ScenarioError(f"generator {g['name']}: needs 'table' or 'branches'")
-        names.append(g["name"])
-    if len(set(names)) != len(names):
-        raise ScenarioError("duplicate generator names")
-    if obj.get("include_inverses"):
-        names += [n + "^-1" for n in names]
-    probs = obj.get("probabilities")
-    if probs is not None:
-        if isinstance(probs, dict):
-            for n in probs:
-                if n not in names:
-                    raise ScenarioError(f"probability for unknown generator {n!r}")
-            vals = [rat(v) for v in probs.values()]
-        else:
-            vals = [rat(v) for v in probs]
-        total = sum(vals)
-        if total != 1:
-            raise ScenarioError(f"probabilities sum {rat_str(total)}, not 1")
-    budgets = dict(obj.get("budgets", {}))
-    for k, v in budgets.items():
-        if k not in DEFAULT_BUDGETS and k != "generators":
-            raise ScenarioError(f"unknown budget key {k!r}")
-        if k == "eps":
-            budgets[k] = rat(v)
-        elif k != "generators" and type(v) is not int and (k, v) != ("depth", None):
-            raise ScenarioError(f"budget {k!r}: {v!r} is not an integer")
-    for n in budgets.get("generators", ()):
-        if n not in names:
-            raise ScenarioError(f"budget section names unknown generator {n!r}")
-    if space and "ifs" in space and isinstance(space["ifs"], str) \
-            and space["ifs"] != "ternary":
-        raise ScenarioError(f"unknown space shorthand {space['ifs']!r}")
-    depth = space.get("depth") if space else None
-    if depth is not None:
-        for g in gens:
-            for row in g.get("table", ()):
-                if max(len(row[0]), len(row[1])) > depth:
+        kind = obj.get("kind")
+        if kind not in KINDS:
+            raise ScenarioError(f"field 'kind': {kind!r} not one of {KINDS}")
+        spec = obj.get("space")
+        if not isinstance(spec, dict):
+            raise ScenarioError("field 'space': missing or not an object")
+        space, gens, probs = None, {}, None
+        if kind != "giet-blowup":
+            if spec.get("ifs") == "ternary":
+                space = ternary_cantor(int(spec.get("depth", 3)))
+            elif isinstance(spec.get("ifs"), str):
+                raise ScenarioError(f"unknown space shorthand {spec['ifs']!r}")
+            else:
+                space = ser.space_from_obj(spec)
+            for g in obj.get("generators", ()):
+                name = g["name"]
+                if name in gens:
+                    raise ScenarioError(f"duplicate generator name {name!r}")
+                if "table" in g:
+                    table = PrefixTable(tuple(
+                        (row[0], row[1], int(row[2])) for row in g["table"]))
+                    gens[name] = from_prefix_table(table, space, label=(name,))
+                else:
+                    gens[name] = ser.map_from_obj(
+                        space, {"label": [name], "branches": g["branches"]})
+            if not gens:
+                raise ScenarioError("field 'generators': missing or empty")
+            if obj.get("include_inverses"):
+                inverses = {n + "^-1": invert(g) for n, g in gens.items()}
+                clash = sorted(inverses.keys() & gens.keys())
+                if clash:
+                    raise ScenarioError(f"duplicate generator names {clash}")
+                gens.update(inverses)
+            probs = obj.get("probabilities")
+            if isinstance(probs, dict):
+                if probs.keys() != gens.keys():
                     raise ScenarioError(
-                        f"generator {g['name']}: table needs depth "
-                        f">= {max(len(row[0]), len(row[1]))}, space has {depth}")
-    blowup = dict(obj.get("blowup", {}))
-    if type(blowup.get("L", 3)) is not int:
-        raise ScenarioError(f"blowup 'L': {blowup['L']!r} is not an integer")
-    if "rho" in blowup:
-        blowup["rho"] = rat(blowup["rho"])
-    return Scenario(kind=kind, space=dict(space or {}), generators=gens,
-                    include_inverses=bool(obj.get("include_inverses", False)),
-                    probabilities=probs, seed=int(obj.get("seed", 0)),
-                    budgets=budgets,
-                    giets=tuple(ser.giet_from_obj(g) for g in obj.get("giets", ())),
-                    blowup=blowup, output=obj.get("output", "scenario"))
+                        "probabilities must name every generator once: "
+                        f"{sorted(probs.keys() ^ gens.keys())} unmatched")
+                probs = [probs[n] for n in gens]
+            if probs is not None:
+                probs = tuple(rat(p) for p in probs)
+                if sum(probs) != 1:
+                    raise ScenarioError(
+                        f"probabilities sum {rat_str(sum(probs))}, not 1")
+        budgets = dict(obj.get("budgets", {}))
+        for k, v in budgets.items():
+            if k not in DEFAULT_BUDGETS:
+                raise ScenarioError(f"unknown budget key {k!r}")
+            if k == "eps":
+                budgets[k] = rat(v)
+            elif type(v) is not int and (k, v) != ("depth", None):
+                raise ScenarioError(f"budget {k!r}: {v!r} is not an integer")
+        giets = tuple(ser.giet_from_obj(g) for g in obj.get("giets", ()))
+        if kind == "giet-blowup" and not giets:
+            raise ScenarioError("giet-blowup needs at least one giet")
+        blowup = dict(obj.get("blowup", {}))
+        if type(blowup.get("L", 3)) is not int:
+            raise ScenarioError(f"blowup 'L': {blowup['L']!r} is not an integer")
+        if "rho" in blowup:
+            blowup["rho"] = rat(blowup["rho"])
+        output = obj.get("output", "scenario")
+        if os.path.basename(output) != output or output in ("", ".", ".."):
+            raise ScenarioError(f"field 'output': {output!r} is not a file name")
+        return Scenario(kind=kind, space=space, generators=gens,
+                        probabilities=probs, seed=int(obj.get("seed", 0)),
+                        budgets=budgets, giets=giets, blowup=blowup,
+                        output=output)
+    except (KeyError, TypeError, AttributeError, IndexError,
+            json.JSONDecodeError) as e:
+        raise ScenarioError(f"malformed scenario ({type(e).__name__}: {e})") from None
 
 # ---------------------------------------------------------------------------
 # scenario execution
 
 
-@_reads_document
-def _build_space(spec: dict) -> CompactSet:
-    if spec.get("ifs") == "ternary":
-        return ternary_cantor(int(spec.get("depth", 3)))
-    return ser.space_from_obj(spec)
-
-
-@_reads_document
-def _build_generators(s: Scenario, space: CompactSet) -> dict:
-    gens = {}
-    for spec in s.generators:
-        name = spec["name"]
-        if "table" in spec:
-            table = PrefixTable(tuple(
-                (row[0], row[1], int(row[2])) for row in spec["table"]))
-            gens[name] = from_prefix_table(table, space, label=(name,))
-        else:
-            gens[name] = ser.map_from_obj(
-                space, {"label": [name], "branches": spec["branches"]})
-    if s.include_inverses:
-        for name in list(gens):
-            gens[name + "^-1"] = invert(gens[name])
-    return gens
-
-
-def _probs(s: Scenario, names) -> list:
-    if s.probabilities is None:
-        return None
-    if isinstance(s.probabilities, dict):
-        return [rat(s.probabilities[n]) for n in names]
-    return [rat(p) for p in s.probabilities]
-
-
 def _budget(s: Scenario, overrides: dict) -> dict:
     out = dict(DEFAULT_BUDGETS)
     out.update(_env_budgets())
-    out.update({k: v for k, v in s.budgets.items() if k in DEFAULT_BUDGETS})
+    out.update(s.budgets)
     out.update({k: v for k, v in overrides.items() if v is not None})
     return out
 
@@ -217,8 +177,6 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
         return code, line
 
     if s.kind == "giet-blowup":
-        if not s.giets:
-            raise ScenarioError("giet-blowup needs at least one giet")
         result = blow_up(s.giets, s.blowup.get("L", 3), s.blowup.get("rho", "1/3"))
         tag = "exact" if result.exact else "inexact"
         return done(0, f"BLOWUP ({len(result.blown_points)} points, {tag})",
@@ -228,11 +186,8 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
                             "defects": list(result.defects)},
                     blowup=ser.blowup_to_scenario(result))
 
-    space = _build_space(s.space)
-    gens = _build_generators(s, space)
-    names = list(gens)
-    model = make_model(space, gens, _probs(s, names), seed)
-    depth_eff = space.depth if bud["depth"] is None else bud["depth"]
+    model = make_model(s.space, s.generators, s.probabilities, seed)
+    depth_eff = s.space.depth if bud["depth"] is None else bud["depth"]
 
     if s.kind == "simulate":
         mu = estimate_stationary_measure(model, bud["n"] * 25, depth_eff)
@@ -269,11 +224,11 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
                             "stage": cert.stage, "flag": cert.flag})
 
     if s.kind == "find-measure":
-        res = solve_invariant_measure(gens, depth_eff, bud["d_max"])
+        res = solve_invariant_measure(s.generators, depth_eff, bud["d_max"])
         if res:
             return done(0, (f"INVARIANT MEASURE (depth {res.depth}, "
                             f"consistent to {res.consistency_depth})"),
-                        certificate=ser.certificate_to_obj(res, gens),
+                        certificate=ser.certificate_to_obj(res, s.generators),
                         report={"kind": s.kind, "seed": seed, "depth": res.depth,
                                 "masses": [rat_str(m) for m in res.measure.masses],
                                 "consistency_depth": res.consistency_depth})
@@ -281,19 +236,17 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
                     report={"kind": s.kind, "seed": seed, "depth": res.depth,
                             "infeasible": True, "gap": rat_str(res.gap)})
 
-    if s.kind == "morse-smale":
-        cert = find_morse_smale(model, eps, n_max=bud["n"], runs=bud["runs"])
-        if cert:
-            return done(0, f"MORSE-SMALE ({len(cert.periodic)} periodic points)",
-                        certificate=ser.certificate_to_obj(cert),
-                        report={"kind": s.kind, "seed": seed,
-                                "word": list(cert.g.label),
-                                "periodic": [[rat_str(x), p, rat_str(m)]
-                                             for x, p, m in cert.periodic]})
-        return done(2, "undecided within budget",
-                    report={"kind": s.kind, "seed": seed, "found": False})
-
-    raise ScenarioError(f"cannot run scenario of kind {s.kind!r}")
+    # morse-smale
+    cert = find_morse_smale(model, eps, n_max=bud["n"], runs=bud["runs"])
+    if cert:
+        return done(0, f"MORSE-SMALE ({len(cert.periodic)} periodic points)",
+                    certificate=ser.certificate_to_obj(cert),
+                    report={"kind": s.kind, "seed": seed,
+                            "word": list(cert.g.label),
+                            "periodic": [[rat_str(x), p, rat_str(m)]
+                                         for x, p, m in cert.periodic]})
+    return done(2, "undecided within budget",
+                report={"kind": s.kind, "seed": seed, "found": False})
 
 
 def _emit_diameter_series(out_dir, stem, diameters):
@@ -329,8 +282,7 @@ def main(argv=None) -> int:
         description="Random-walk diagnostics and Tits-alternative "
                     "certificates on compact subsets of the line.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for kind in ("simulate", "certify-free", "find-measure", "morse-smale",
-                 "giet-blowup"):
+    for kind in KINDS:
         p = sub.add_parser(kind)
         p.add_argument("scenario", help="scenario file or bundled name")
         p.add_argument("--seed", type=int, default=None)
@@ -363,8 +315,7 @@ def main(argv=None) -> int:
                                   depth=args.depth)
         print(line)
         return code
-    except (ScenarioError, SpaceError, MapError, GietError, WalkError,
-            CertifyError, ser.SerializeError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

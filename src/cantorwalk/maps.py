@@ -175,7 +175,7 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
         if cyls[0][0] != lo or cyls[-1][1] != hi:
             raise MapError(f"{what} cylinders do not reach the extremes")
         for (l1, r1), (l2, r2) in zip(cyls, cyls[1:]):
-            if not (r1 < l2 and space.ifs.is_gap_pair(r1, l2)):
+            if not (r1 < l2 and (r1, l2) in space.ifs.gaps_at(r1)):
                 raise MapError(f"{what} cylinders do not tile the limit set")
 
     img_cyls = []
@@ -389,7 +389,7 @@ def break_pairs(f: PAHomeo) -> list[BreakPair]:
     out = []
     for a, b in sorted(candidates):
         u, v = sorted((apply(f, a), apply(f, b)))
-        if not K.is_gap_pair(u, v):
+        if (u, v) not in K.gaps_at(u):
             out.append(BreakPair(a, b))
     return out
 

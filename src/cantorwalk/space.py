@@ -159,30 +159,6 @@ class Ifs:
         levels, gap = self._expand(x)
         return bool(levels) and gap is None
 
-    def limit_gap_containing(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-        """The bounded gap of the limit set whose open interval contains t,
-        or None when t is a limit point or outside the hull."""
-        return _gap_containing(self.gaps_at(t), t)
-
-    def adjacent_limit_gap(self, t: Fraction, side: str) -> Optional[tuple[Fraction, Fraction]]:
-        """The bounded gap of the limit set touching the limit point t on
-        the given side ("left" or "right"), or None if no gap is adjacent.
-        """
-        return _gap_ending_at(self.gaps_at(t), t, side)
-
-    def is_gap_pair(self, u: Fraction, v: Fraction) -> bool:
-        """Whether (u, v) bounds a gap of the limit set, at any depth."""
-        return (u, v) in self.gaps_at(u)
-
-
-def _gap_containing(gaps, t):
-    return next((g for g in gaps if g[0] < t < g[1]), None)
-
-
-def _gap_ending_at(gaps, t, side):
-    end = 1 if side == "left" else 0
-    return next((g for g in gaps if g[end] == t), None)
-
 
 # ---------------------------------------------------------------------------
 # compact sets
@@ -298,23 +274,6 @@ class CompactSet:
         first = max(bisect.bisect_left(self._los, t) - 1, 0)
         stop = min(bisect.bisect_right(self._his, t), len(self.intervals) - 1)
         return tuple((self._his[j], self._los[j + 1]) for j in range(first, stop))
-
-    def limit_gap_containing(self, t: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-        """Bounded gap of the true set whose open interval contains t."""
-        return _gap_containing(self.gaps_at(t), t)
-
-    def adjacent_limit_gap(self, t: Fraction, side: str) -> Optional[tuple[Fraction, Fraction]]:
-        """Bounded gap of the true set touching the point t on that side."""
-        return _gap_ending_at(self.gaps_at(t), t, side)
-
-    def is_gap_pair(self, u: Fraction, v: Fraction) -> bool:
-        """Whether the sorted pair (u, v) bounds a bounded gap.
-
-        With IFS structure the test is against the limit set, so gaps finer
-        than the stored depth are recognized.
-        """
-        u, v = sorted((u, v))
-        return (u, v) in self.gaps_at(u)
 
     # -- IFS-aware structure ------------------------------------------------
 

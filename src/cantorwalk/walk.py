@@ -79,6 +79,13 @@ def make_model(space, named_gens: dict, probs=None, seed: int = 0) -> WalkModel:
     return WalkModel(space, names, gens, tuple(rat(p) for p in probs), seed)
 
 
+def _philox(seed: int, stream: int) -> np.random.Generator:
+    """The Philox generator keyed by (seed, stream), each taken mod 2**64;
+    an explicit uint64 key keeps keys of 2**63 and more exact."""
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed % TWO64, stream % TWO64], dtype=np.uint64)))
+
+
 class Trajectory:
     """The i.i.d. generator-index stream omega for one (model, stream) key."""
 
@@ -88,8 +95,7 @@ class Trajectory:
         self.model = model
         self.stream = stream
         self._indices: list[int] = []
-        self._rng = np.random.Generator(
-            np.random.Philox(key=[model.seed % TWO64, stream % TWO64]))
+        self._rng = _philox(model.seed, stream)
         cum = Fraction(0)
         self._thresholds = []
         for p in model.probs:
@@ -588,7 +594,7 @@ def proximality_degree(model: WalkModel, cap: int = 4, samples: int = 20,
     delta = rat(delta)
     cells = measure_cells(model.space, 3 if model.space.ifs else 0)
     endpoints = sorted({v for c in cells for v in c})
-    rng = np.random.Generator(np.random.Philox(key=[model.seed % TWO64, 777]))
+    rng = _philox(model.seed, 777)
     failures = []
     for m in range(2, cap + 1):
         all_good = True

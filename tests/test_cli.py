@@ -6,9 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantorwalk.cli import (BUDGET_ENV, DEFAULT_BUDGETS, Scenario,
-                            ScenarioError, _env_budgets, main, parse_scenario,
-                            run_scenario, _load_scenario_text)
+from cantorwalk.cli import (BUDGET_ENV, DEFAULT_BUDGETS, ScenarioError,
+                            _env_budgets, main, parse_scenario, run_scenario,
+                            _load_scenario_text)
+from cantorwalk.maps import MapError
+from cantorwalk.space import ternary_cantor
 
 BUNDLED = ("free_pair", "klein_four", "g3", "rotation_third", "identity")
 
@@ -25,8 +27,7 @@ def test_bundled_scenarios_parse():
                      "rotation_third": "giet-blowup",
                      "identity": "certify-free"}
     fp = _bundled("free_pair")
-    assert [g["name"] for g in fp.generators] == ["A1", "A2"]
-    assert fp.include_inverses
+    assert list(fp.generators) == ["A1", "A2", "A1^-1", "A2^-1"]
 
 
 def test_parse_rejects_bad_probabilities():
@@ -53,11 +54,11 @@ def test_parse_rejects_unknown_generator_in_budgets():
         "kind": "simulate", "space": {"ifs": "ternary", "depth": 3},
         "generators": [{"name": "R", "table": [["", "", -1]]}],
         "budgets": {"generators": ["nope"]}})
-    with pytest.raises(ScenarioError, match="unknown generator"):
+    with pytest.raises(ScenarioError, match="unknown budget key 'generators'"):
         parse_scenario(text)
 
 
-def test_parse_rejects_bad_kind_and_shallow_depth():
+def test_parse_rejects_bad_kind_and_shallow_depth(tmp_path, capsys):
     with pytest.raises(ScenarioError, match="kind"):
         parse_scenario(json.dumps({"kind": "dance", "space": {}}))
     text = json.dumps({
@@ -65,20 +66,24 @@ def test_parse_rejects_bad_kind_and_shallow_depth():
         "generators": [{"name": "G3", "table": [["0", "00", 1],
                                                 ["20", "02", 1],
                                                 ["22", "2", 1]]}]})
-    with pytest.raises(ScenarioError, match="depth"):
+    with pytest.raises(MapError, match="depth"):
         parse_scenario(text)
+    path = tmp_path / "shallow.json"
+    path.write_text(text)
+    assert main(["simulate", str(path), "--out", str(tmp_path)]) == 1
+    assert "depth 1 too small" in capsys.readouterr().err
 
 
 def test_scenario_round_trip():
-    # scenario document -> Scenario keeps every field of the document
+    # scenario document -> Scenario holds every field of the document, built
     obj = json.loads(_load_scenario_text("g3"))
     s = parse_scenario(json.dumps(obj))
     assert (s.kind, s.space, s.seed, s.output) == (
-        obj["kind"], obj["space"], obj["seed"], obj["output"])
-    assert s.generators == tuple(obj["generators"])
-    assert s.probabilities == obj["probabilities"]
+        obj["kind"], ternary_cantor(3), obj["seed"], obj["output"])
+    assert list(s.generators) == [g["name"] for g in obj["generators"]]
+    assert s.probabilities == (F(2, 3), F(1, 3))
     assert s.budgets == obj["budgets"]
-    assert not s.include_inverses and s.giets == () and s.blowup == {}
+    assert s.giets == () and s.blowup == {}
 
 
 def test_env_budget_parsing(monkeypatch):
@@ -179,14 +184,9 @@ def test_main_missing_scenario(capsys):
 
 
 def test_morse_smale_kind(tmp_path):
-    scn = Scenario(
-        kind="morse-smale", space={"ifs": "ternary", "depth": 3},
-        generators=(
-            {"name": "A1", "table": [["0", "020", 1], ["20", "022", 1],
-                                     ["220", "00", 1], ["222", "2", 1]]},
-            {"name": "A2", "table": [["2", "202", 1], ["02", "200", 1],
-                                     ["000", "22", 1], ["002", "0", 1]]}),
-        include_inverses=True, seed=3, output="ms")
+    scn = parse_scenario(json.dumps(dict(
+        json.loads(_load_scenario_text("free_pair")),
+        kind="morse-smale", seed=3, budgets={}, output="ms")))
     code, line = run_scenario(scn, out_dir=str(tmp_path))
     assert code == 0
     assert line.startswith("MORSE-SMALE")
@@ -219,16 +219,31 @@ def test_verify_malformed_certificate_exits_1(tmp_path, capsys, doc):
      "giets": [5]},
     dict(json.loads(_load_scenario_text("rotation_third")), blowup={"L": None}),
     dict(json.loads(_load_scenario_text("g3")), budgets={"n": "x"}),
+    # a probabilities object that leaves out a generator
+    dict(json.loads(_load_scenario_text("g3")), probabilities={"G3": "1"}),
+    # an output stem that is a path out of --out
+    dict(json.loads(_load_scenario_text("g3")), output="../escaped"),
 ])
 def test_malformed_scenario_exits_1(tmp_path, capsys, doc):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
     command = doc["kind"] if isinstance(doc, dict) else "simulate"
-    assert main([command, str(path), "--out", str(tmp_path)]) == 1
+    assert main([command, str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("output", ["../x", "/tmp/x", "a/b", "", ".", ".."])
+def test_parse_rejects_output_paths(output):
+    text = json.dumps(dict(json.loads(_load_scenario_text("g3")), output=output))
+    with pytest.raises(ScenarioError, match="not a file name"):
+        parse_scenario(text)
 
 
 def test_verify_rejects_duplicate_generator_labels(tmp_path, capsys):

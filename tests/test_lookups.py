@@ -6,9 +6,9 @@ cells by bisection, and maps.break_pairs expands each branch boundary once.
 maps.compose keeps an inner branch's source when its image lies inside one
 outer source, and maps.image takes a whole branch source's image ends as
 they are.  The references below scan every interval, branch and cell pair,
-cut and evaluate every branch, and query the gap containing a boundary and
-the gaps on either side of it one by one, as a plain reading of the
-definitions would.
+and cut and evaluate every branch, as a plain reading of the definitions
+would; the break-pair reference asks whether an image pair bounds a gap
+from its right end, where maps.break_pairs asks from its left end.
 """
 
 from fractions import Fraction as F
@@ -163,26 +163,18 @@ def supremum_max_ref(S):
 
 
 def break_candidates_ref(f):
-    """The gaps meeting an interior branch boundary, three queries each."""
+    """The interior branch boundaries, and the gaps whose closure holds one."""
     K = f.space
     bounds = {x for b in f.branches for x in (b.lo, b.hi)} - set(K.hull)
-    candidates = set()
-    for t in sorted(bounds):
-        gap = K.limit_gap_containing(t)
-        if gap is not None:
-            candidates.add(gap)
-            continue
-        for side in ("left", "right"):
-            gap = K.adjacent_limit_gap(t, side)
-            if gap is not None:
-                candidates.add(gap)
+    candidates = {g for t in bounds for g in K.gaps_at(t)}
     return bounds, candidates
 
 
 def break_pairs_ref(f):
     out = []
     for a, b in sorted(break_candidates_ref(f)[1]):
-        if not f.space.is_gap_pair(apply(f, a), apply(f, b)):
+        u, v = sorted((apply(f, a), apply(f, b)))
+        if (u, v) not in f.space.gaps_at(v):
             out.append(BreakPair(a, b))
     return out
 
@@ -331,7 +323,7 @@ def test_break_pairs_match_three_query_loop(word):
 @pytest.mark.parametrize("space", SPACES)
 def test_break_pairs_expand_each_point_once(space, monkeypatch):
     # one expansion per interior branch boundary and one per candidate gap
-    # (its image pair through is_gap_pair); asking for the gap containing a
+    # (its image pair through gaps_at); asking for the gap containing a
     # boundary and then for the gaps on either side expands it three times
     a1, a2, a1i, a2i = _letters(*space)
     for w in (a1, a2i, compose(a1, a2), compose(a2, compose(a1i, a2)),

@@ -41,10 +41,10 @@ def test_gaps():
 
 def test_is_gap_pair_sees_limit_set():
     K = ternary_cantor(2)
-    assert K.is_gap_pair(F(1, 3), F(2, 3))
+    assert (F(1, 3), F(2, 3)) in K.gaps_at(F(1, 3))
     # finer than the stored depth, still a gap of the limit set
-    assert K.is_gap_pair(F(1, 27), F(2, 27))
-    assert not K.is_gap_pair(F(0), F(1))
+    assert (F(1, 27), F(2, 27)) in K.gaps_at(F(1, 27))
+    assert (F(0), F(1)) not in K.gaps_at(F(0))
 
 
 def test_epsilon_neighborhood_strictness():
@@ -317,7 +317,7 @@ def test_long_period_limit_point():
     x = sum(F(d, 3 ** (i + 1)) for i, d in enumerate(digits)) / \
         (1 - F(1, 3 ** 1500))
     assert TERNARY.contains_limit_point(x)
-    assert TERNARY.limit_gap_containing(x) is None
+    assert TERNARY.gaps_at(x) == ()  # touches no gap
     assert ternary_cantor(3).contains_limit_point(x)
 
 
@@ -328,55 +328,52 @@ def test_address_engine_against_depth_d_sets(ifs, d, data):
     gaps = K.bounded_gaps()
     ends = K.endpoints()
     for lo, hi in gaps:
-        assert ifs.is_gap_pair(lo, hi)
-        assert ifs.adjacent_limit_gap(lo, "right") == (lo, hi)
-        assert ifs.adjacent_limit_gap(hi, "left") == (lo, hi)
+        # each end of a gap touches that gap only, and so does its inside
+        assert ifs.gaps_at(lo) == ifs.gaps_at(hi) == ((lo, hi),)
         t = lo + (hi - lo) * data.draw(st.fractions(0, 1).filter(
             lambda q: 0 < q < 1))
-        assert ifs.limit_gap_containing(t) == (lo, hi)
+        assert ifs.gaps_at(t) == ((lo, hi),)
         assert not ifs.contains_limit_point(t)
     # endpoints of depth-d cells are limit points; a pair of them bounds a
     # gap of the limit set exactly when it bounds a gap of the depth-d set
     u, v = sorted(data.draw(st.lists(st.sampled_from(ends), min_size=2,
                                      max_size=2, unique=True)))
     assert ifs.contains_limit_point(u)
-    assert ifs.limit_gap_containing(u) is None
-    assert ifs.is_gap_pair(u, v) == ((u, v) in gaps)
-    assert not ifs.is_gap_pair(v, u)
+    assert not any(lo < u < hi for lo, hi in ifs.gaps_at(u))
+    assert ((u, v) in ifs.gaps_at(u)) == ((u, v) in gaps)
+    assert (v, u) not in ifs.gaps_at(v)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([TERNARY, UNEQUAL]), st.integers(1, 4), st.data())
 def test_gaps_at_is_the_three_queries_in_one(ifs, d, data):
     # every endpoint of a depth-d cell, and a random interior point of every
-    # depth-d gap; the gaps whose closure holds such a point are gaps of the
-    # depth-d set, which the plain set finds by bisection
+    # depth-d gap; the gaps whose closure holds such a point (the gap that
+    # contains it, or the gaps that end at it) are gaps of the depth-d set,
+    # which the plain set finds by bisection
     K = CompactSet.from_ifs(ifs, d)
     plain = CompactSet.from_intervals(K.intervals)
     points = K.endpoints() + [
         lo + (hi - lo) * data.draw(st.fractions(0, 1).filter(lambda q: 0 < q < 1))
         for lo, hi in K.bounded_gaps()]
     for t in points:
-        old = (ifs.limit_gap_containing(t), ifs.adjacent_limit_gap(t, "left"),
-               ifs.adjacent_limit_gap(t, "right"))
         expected = tuple(g for g in K.bounded_gaps() if g[0] <= t <= g[1])
-        assert ifs.gaps_at(t) == tuple(g for g in old if g is not None)
         assert ifs.gaps_at(t) == K.gaps_at(t) == plain.gaps_at(t) == expected
 
 
 def test_gaps_at_deep_and_plain():
     # the scale of a gap 24 levels down is taken only at that level
     t = F(2, 3 ** 25)
-    assert TERNARY.adjacent_limit_gap(t, "left") == (F(1, 3 ** 25), t)
-    assert TERNARY.adjacent_limit_gap(t, "right") is None
-    assert TERNARY.limit_gap_containing(F(3, 2 * 3 ** 25)) == (F(1, 3 ** 25), t)
+    assert TERNARY.gaps_at(t) == ((F(1, 3 ** 25), t),)  # on its left only
+    assert TERNARY.gaps_at(F(3, 2 * 3 ** 25)) == ((F(1, 3 ** 25), t),)
     assert TERNARY.gaps_at(F(-1)) == TERNARY.gaps_at(F(1, 4)) == ()
     # a one-point interval of a plain set touches a gap on each side
     K = make_compact_set([(0, 1), (2, 2), (3, 4)])
     assert K.gaps_at(F(2)) == ((1, 2), (2, 3))
     assert K.gaps_at(F(3, 2)) == ((1, 2),)
     assert K.gaps_at(F(1, 2)) == K.gaps_at(F(5)) == ()
-    assert K.is_gap_pair(F(3), F(2)) and not K.is_gap_pair(F(1), F(3))
+    assert (F(2), F(3)) in K.gaps_at(F(2))
+    assert (F(1), F(3)) not in K.gaps_at(F(1))
 
 
 # -- the integer expansion against a Fraction reference ----------------------

@@ -1,5 +1,6 @@
 """Seeded-walk diagnostics: words, measures, entropy, contraction scans."""
 
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -65,6 +66,20 @@ def test_trajectory_is_deterministic():
     assert a.word(40) == b.word(40)
     c = Trajectory(FREE, stream=6)
     assert a.word(40) != c.word(40)
+
+
+def test_negative_seeds_key_distinct_streams():
+    # -1 and -2 key the stream as 2**64 - 1 and 2**64 - 2; cast through
+    # float64 they round to one key, with a RuntimeWarning
+    g3 = fixture("G3", K)
+    words = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (-1, -2):
+            model = make_model(K, {"G3": g3, "G3^-1": invert(g3)},
+                               [F(2, 3), F(1, 3)], seed)
+            words.append(Trajectory(model, stream=0).word(20))
+    assert words[0] != words[1]
 
 
 def test_stationary_measure_klein():
