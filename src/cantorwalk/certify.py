@@ -22,30 +22,12 @@ from .space import (CompactSet, Piece, PointSet, Region,
                     epsilon_neighborhood)
 from .measure_solver import solve_feasibility
 from .walk import (Trajectory, WalkModel, contraction_scan, forward_word,
-                   invariance_residual, invariance_rows, make_model,
-                   measure_cells, CellMeasure, WalkError, _repulsor_extremes,
-                   _single_linkage)
+                   invariance_rows, measure_cells, CellMeasure, WalkError,
+                   _repulsor_extremes, _single_linkage)
 
 
 class CertifyError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Budgets:
-    max_len: int = 6
-    runs: int = 100
-    n_max: int = 40
-
-
-def as_budgets(b) -> Budgets:
-    if b is None:
-        return Budgets()
-    if isinstance(b, Budgets):
-        return b
-    if isinstance(b, dict):
-        return Budgets(**b)
-    return Budgets(*b)
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +46,7 @@ class PingPongCertificate:
 
 @dataclass(frozen=True)
 class InvariantMeasureCertificate:
+    gens: tuple  # the generator maps, in order
     depth: int
     measure: CellMeasure
     consistency_depth: int
@@ -71,8 +54,8 @@ class InvariantMeasureCertificate:
 
 @dataclass(frozen=True)
 class FiniteOrbitCertificate:
+    gens: tuple  # the generator maps, in order
     orbit: PointSet
-    verified: bool
 
 
 @dataclass(frozen=True)
@@ -90,15 +73,6 @@ class Verdict:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass(frozen=True)
-class Rejection:
-    """Falsy failure report carrying the first violated condition."""
-    reason: str
-
-    def __bool__(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -132,18 +106,6 @@ class DisplacementResult:
 
 # ---------------------------------------------------------------------------
 # word enumeration
-
-
-def _named(gens) -> dict:
-    if isinstance(gens, dict):
-        return dict(gens)
-    out = {}
-    for i, g in enumerate(gens):
-        name = "-".join(g.label) or f"g{i}"
-        if name in out:
-            raise CertifyError(f"duplicate generator label {name!r}")
-        out[name] = g
-    return out
 
 
 def _make_letters(named: dict):
@@ -181,23 +143,21 @@ def _iter_words(letters, inv, max_len: int):
 # finite orbits and displacement
 
 
-def find_finite_orbit(gens, starts, bound: int = 2000):
+def find_finite_orbit(gens: dict, starts, bound: int = 2000):
     """BFS orbit closure of the start points under generators and inverses;
     a certificate iff the closure stabilizes within `bound` points."""
     if bound < 1:
         raise CertifyError("bound must be at least 1")
-    maps = list(_named(gens).values())
+    maps = list(gens.values())
     ops = [partial(apply, g) for g in maps + [invert(g) for g in maps]]
     closure = orbit_bfs({rat(s) for s in starts}, ops, cap=bound)
     if closure is None:
         return None
-    orbit = set(closure[0])
-    verified = all(op(p) in orbit for p in orbit for op in ops)
-    return FiniteOrbitCertificate(PointSet.of(maps[0].space, sorted(orbit)),
-                                  verified)
+    return FiniteOrbitCertificate(
+        tuple(maps), PointSet.of(maps[0].space, sorted(closure[0])))
 
 
-def find_displacement(gens, A, B, max_len: int = 6) -> DisplacementResult:
+def find_displacement(gens: dict, A, B, max_len: int = 6) -> DisplacementResult:
     """Shortest word g (shortlex) with g(A) disjoint from B.
 
     Direct BFS first; if that fails with orbits still growing, an
@@ -211,16 +171,15 @@ def find_displacement(gens, A, B, max_len: int = 6) -> DisplacementResult:
         raise CertifyError("A and B must be nonempty")
     if max_len < 1:
         raise CertifyError("max_len must be at least 1")
-    named = _named(gens)
-    letters, inv = _make_letters(named)
+    letters, inv = _make_letters(gens)
     for _, w in _iter_words(letters, inv, max_len):
         if all(apply(w, a) not in b_vals for a in a_vals):
             return DisplacementResult(w)
-    orbit = find_finite_orbit(named, a_vals, bound=4 ** max_len)
+    orbit = find_finite_orbit(gens, a_vals, bound=4 ** max_len)
     if orbit is not None:
         return DisplacementResult(None, "finite-orbit")
     if len(a_vals) > 1:
-        sub = find_displacement(named, a_vals[:-1], b_vals, max_len)
+        sub = find_displacement(gens, a_vals[:-1], b_vals, max_len)
         if sub.word is not None:
             for _, u in _iter_words(letters, inv, max_len):
                 w = compose(u, sub.word)
@@ -302,9 +261,6 @@ class StabilizedPair:
     B: tuple
     flags: dict = field(default_factory=dict)
 
-    def __iter__(self):
-        return iter((self.A, self.B))
-
 
 def stabilize_contraction_pair(pairs, radius) -> StabilizedPair:
     """Componentwise cluster representatives over a sample of (A_n, B_n).
@@ -370,18 +326,17 @@ def verify_ping_pong(cert: PingPongCertificate) -> Verdict:
     return Verdict(True)
 
 
-def assemble_free_pair(model: WalkModel, eps, budgets=None):
+def assemble_free_pair(model: WalkModel, eps, max_len: int = 6,
+                       runs: int = 100, n_max: int = 40):
     """Contraction, stabilization, displacement, conjugation, exact
     verification; eps shrinks by thirds until the four sets separate."""
     eps = rat(eps)
-    bud = as_budgets(budgets)
     K = model.space
     named = {n: g for n, g in zip(model.names, model.gens)}
     letters, inv = _make_letters(named)
 
     samples = []
-    for cand in _contraction_candidates(model, eps, 4, bud.n_max,
-                                        min(bud.runs, 16)):
+    for cand in _contraction_candidates(model, eps, 4, n_max, min(runs, 16)):
         samples.append(cand)
         if len(samples) >= 4:
             break
@@ -394,17 +349,17 @@ def assemble_free_pair(model: WalkModel, eps, budgets=None):
 
     p, q = len(samples[0][3]), len(samples[0][4])
     usable = [s for s in samples if (len(s[3]), len(s[4])) == (p, q)]
-    A, B = stabilize_contraction_pair([(s[3], s[4]) for s in usable], 3 * eps)
+    pair = stabilize_contraction_pair([(s[3], s[4]) for s in usable], 3 * eps)
 
     last_stage = "displacement"
     for shrink in range(4):
         e = eps / 3 ** shrink
-        a_reg = epsilon_neighborhood(A, e, K)
-        b_reg = epsilon_neighborhood(B, e, K)
+        a_reg = epsilon_neighborhood(pair.A, e, K)
+        b_reg = epsilon_neighborhood(pair.B, e, K)
         off = Region.whole(K).difference(a_reg)
         g = None
         for t, n, w, _, _ in usable:
-            for n2 in range(n, bud.n_max + 1):
+            for n2 in range(n, n_max + 1):
                 w2 = forward_word(t, n2)
                 if image(w2, off).subset_of(b_reg):
                     g = w2
@@ -417,12 +372,12 @@ def assemble_free_pair(model: WalkModel, eps, budgets=None):
             a1, A1, B1 = g, a_reg, b_reg
         else:
             u = _find_region_displacement(letters, inv, b_reg, a_reg,
-                                          bud.max_len)
+                                          max_len)
             if u is None:
                 continue
             a1, A1, B1 = compose(u, g), a_reg, image(u, b_reg)
         both = A1.union(B1)
-        v = _find_region_displacement(letters, inv, both, both, bud.max_len)
+        v = _find_region_displacement(letters, inv, both, both, max_len)
         if v is None:
             continue
         a2 = compose(v, compose(a1, invert(v)))
@@ -505,22 +460,21 @@ def _invariance_system(maps, cells):
     return rows, rhs
 
 
-def _is_invariant(named: dict, space: CompactSet, depth: int, masses) -> bool:
-    """Whether masses summing to 1 satisfy every invariance equation
-    expressible at their depth."""
-    mu = CellMeasure(depth, tuple(masses), True)
-    return invariance_residual(mu, make_model(space, named))[1] == 0
+def _is_invariant(maps, cells, masses) -> bool:
+    """Whether the masses satisfy every invariance equation expressible on
+    the cells."""
+    return all(masses[ci] == sum(masses[j] for j in js)
+               for _, ci, js in invariance_rows(maps, cells))
 
 
-def solve_invariant_measure(gens, depth: int, d_max: int = 6):
+def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
     """Exact feasibility of {mu(g^-1 c) = mu(c), sum mu = 1, mu >= 0} over
     depth-d cells, then a marginal-consistency ladder up to d_max.
 
     Returns a certificate, or a falsy InfeasibilityReport carrying the
     exact phase-1 gap when the system has no solution.
     """
-    named = _named(gens)
-    maps = list(named.values())
+    maps = list(gens.values())
     space = maps[0].space
     d = depth
     while d <= d_max and not _cells_compatible(maps, space, d):
@@ -547,7 +501,7 @@ def solve_invariant_measure(gens, depth: int, d_max: int = 6):
         for kids, m in zip(children, prev_masses):
             for j in kids:
                 cand[j] = m / len(kids)
-        if _is_invariant(named, space, d2, cand):
+        if _is_invariant(maps, cells2, cand):
             consistency, prev_cells, prev_masses = d2, cells2, cand
             continue
         rows2, rhs2 = _invariance_system(maps, cells2)
@@ -562,15 +516,12 @@ def solve_invariant_measure(gens, depth: int, d_max: int = 6):
             break
         consistency, prev_cells, prev_masses = d2, cells2, list(res2.solution)
     return InvariantMeasureCertificate(
-        d, CellMeasure(d, tuple(masses), True), consistency)
+        tuple(maps), d, CellMeasure(d, tuple(masses), True), consistency)
 
 
-def verify_invariant_measure(gens, cert: InvariantMeasureCertificate) -> Verdict:
+def verify_invariant_measure(cert: InvariantMeasureCertificate) -> Verdict:
     """Standalone re-check of a serialized invariant-measure certificate."""
-    named = _named(gens)
-    maps = list(named.values())
-    space = maps[0].space
-    cells = measure_cells(space, cert.depth)
+    cells = measure_cells(cert.gens[0].space, cert.depth)
     masses = cert.measure.masses
     if len(masses) != len(cells):
         return Verdict(False, "mass vector does not match the cell count")
@@ -578,19 +529,17 @@ def verify_invariant_measure(gens, cert: InvariantMeasureCertificate) -> Verdict
         return Verdict(False, "negative mass")
     if sum(masses) != 1:
         return Verdict(False, "masses do not sum to 1")
-    if not _is_invariant(named, space, cert.depth, masses):
+    if not _is_invariant(cert.gens, cells, masses):
         return Verdict(False, "invariance equation violated")
     return Verdict(True)
 
 
-def verify_finite_orbit(gens, cert: FiniteOrbitCertificate) -> Verdict:
+def verify_finite_orbit(cert: FiniteOrbitCertificate) -> Verdict:
     """Standalone re-check of a serialized finite-orbit certificate."""
-    named = _named(gens)
-    maps = list(named.values())
     pts = set(cert.orbit)
     if not pts:
         return Verdict(False, "empty orbit")
-    for op in maps + [invert(g) for g in maps]:
+    for op in cert.gens + tuple(invert(g) for g in cert.gens):
         for p in pts:
             if apply(op, p) not in pts:
                 return Verdict(False, f"orbit not stable at {p}")
@@ -605,12 +554,6 @@ def verify_finite_orbit(gens, cert: FiniteOrbitCertificate) -> Verdict:
 class PeriodicReport:
     points: tuple  # (point, period, multiplier), least periods, sorted
     families: tuple  # (lo, hi, period) intervals of non-hyperbolic points
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
 
 
 def periodic_points(f: PAHomeo, max_period: int) -> PeriodicReport:
@@ -684,30 +627,41 @@ def check_morse_smale(f: PAHomeo, A: Region, B: Region):
     if A.space != K or B.space != K:
         raise CertifyError("regions live on a different space")
     if A.is_empty() or B.is_empty():
-        return Rejection("A and B must be nonempty")
+        return Verdict(False, "A and B must be nonempty")
     if not A.disjoint_from(B):
-        return Rejection("A meets B")
+        return Verdict(False, "A meets B")
     off_a = Region.whole(K).difference(A)
     off_b = Region.whole(K).difference(B)
     if off_a.is_empty() or off_b.is_empty():
-        return Rejection("A or B covers the whole space")
+        return Verdict(False, "A or B covers the whole space")
     if _constraining_slope_max(f, off_a) >= 1:
-        return Rejection("slope off A not below 1")
+        return Verdict(False, "slope off A not below 1")
     finv = invert(f)
     if _constraining_slope_max(finv, off_b) >= 1:
-        return Rejection("inverse slope off B not below 1")
+        return Verdict(False, "inverse slope off B not below 1")
     if not image(f, off_a).subset_of(B):
-        return Rejection("image of K off A escapes B")
+        return Verdict(False, "image of K off A escapes B")
     horizon = max(4, min(6, len(f.branches)))
     rep = periodic_points(f, horizon)
     if rep.families:
-        return Rejection("non-hyperbolic periodic family")
+        return Verdict(False, "non-hyperbolic periodic family")
     for x, per, mult in rep.points:
         if abs(mult) == 1:
-            return Rejection(f"non-hyperbolic periodic point {x}")
+            return Verdict(False, f"non-hyperbolic periodic point {x}")
         if not (A.contains(x) or B.contains(x)):
-            return Rejection(f"periodic point {x} outside A and B")
+            return Verdict(False, f"periodic point {x} outside A and B")
     return MorseSmaleCertificate(f, rep.points, A, B)
+
+
+def verify_morse_smale(cert: MorseSmaleCertificate) -> Verdict:
+    """Standalone re-check of a serialized Morse-Smale certificate, its
+    periodic points included."""
+    res = check_morse_smale(cert.g, cert.A, cert.B)
+    if not res:
+        return res
+    if res.periodic != cert.periodic:
+        return Verdict(False, "periodic points differ from the recomputed ones")
+    return Verdict(True)
 
 
 def find_morse_smale(model: WalkModel, eps, n_max: int = 40, runs: int = 20):

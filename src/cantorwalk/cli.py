@@ -24,7 +24,7 @@ from .maps import PrefixTable, from_prefix_table, invert
 from .giet import blow_up
 from .walk import (Trajectory, estimate_entropy, estimate_stationary_measure,
                    global_contraction_report, invariance_residual, make_model)
-from .certify import (Budgets, assemble_free_pair, find_morse_smale,
+from .certify import (assemble_free_pair, find_morse_smale,
                       solve_invariant_measure)
 from . import serialize as ser
 
@@ -210,9 +210,8 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
                     report=report)
 
     if s.kind == "certify-free":
-        budgets = Budgets(max_len=bud["max_len"], runs=bud["runs"],
-                          n_max=bud["n"])
-        cert = assemble_free_pair(model, eps, budgets)
+        cert = assemble_free_pair(model, eps, max_len=bud["max_len"],
+                                  runs=bud["runs"], n_max=bud["n"])
         if cert:
             return done(0, "FREE (ping-pong verified)",
                         certificate=ser.certificate_to_obj(cert),
@@ -228,7 +227,7 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
         if res:
             return done(0, (f"INVARIANT MEASURE (depth {res.depth}, "
                             f"consistent to {res.consistency_depth})"),
-                        certificate=ser.certificate_to_obj(res, s.generators),
+                        certificate=ser.certificate_to_obj(res),
                         report={"kind": s.kind, "seed": seed, "depth": res.depth,
                                 "masses": [rat_str(m) for m in res.measure.masses],
                                 "consistency_depth": res.consistency_depth})

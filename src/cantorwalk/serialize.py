@@ -94,9 +94,8 @@ def giet_from_obj(obj: dict) -> Giet:
 # certificates
 
 
-def certificate_to_obj(cert, gens=None) -> dict:
-    """Self-contained certificate document; invariant-measure and
-    finite-orbit certificates need the generator maps for re-verification."""
+def certificate_to_obj(cert) -> dict:
+    """Self-contained certificate document."""
     if isinstance(cert, PingPongCertificate):
         return {"type": "ping-pong",
                 "space": space_to_obj(cert.a1.space),
@@ -104,22 +103,16 @@ def certificate_to_obj(cert, gens=None) -> dict:
                 "A1": region_to_obj(cert.A1), "B1": region_to_obj(cert.B1),
                 "A2": region_to_obj(cert.A2), "B2": region_to_obj(cert.B2)}
     if isinstance(cert, InvariantMeasureCertificate):
-        if gens is None:
-            raise SerializeError("invariant-measure certificate needs gens")
-        maps = list(gens.values()) if isinstance(gens, dict) else list(gens)
         return {"type": "invariant-measure",
-                "space": space_to_obj(maps[0].space),
-                "generators": [map_to_obj(g) for g in maps],
+                "space": space_to_obj(cert.gens[0].space),
+                "generators": [map_to_obj(g) for g in cert.gens],
                 "depth": cert.depth,
                 "masses": [_q(m) for m in cert.measure.masses],
                 "consistency_depth": cert.consistency_depth}
     if isinstance(cert, FiniteOrbitCertificate):
-        if gens is None:
-            raise SerializeError("finite-orbit certificate needs gens")
-        maps = list(gens.values()) if isinstance(gens, dict) else list(gens)
         return {"type": "finite-orbit",
                 "space": space_to_obj(cert.orbit.space),
-                "generators": [map_to_obj(g) for g in maps],
+                "generators": [map_to_obj(g) for g in cert.gens],
                 "orbit": [_q(p) for p in cert.orbit]}
     if isinstance(cert, MorseSmaleCertificate):
         return {"type": "morse-smale",
@@ -130,8 +123,20 @@ def certificate_to_obj(cert, gens=None) -> dict:
     raise SerializeError(f"unknown certificate {type(cert).__name__}")
 
 
+def _generators_from_obj(space: CompactSet, objs) -> tuple:
+    """The generator maps in order; none, or a repeated label, is refused."""
+    gens = tuple(map_from_obj(space, g) for g in objs)
+    if not gens:
+        raise SerializeError("malformed certificate (no generators)")
+    names = ["-".join(g.label) or f"g{i}" for i, g in enumerate(gens)]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise SerializeError(f"duplicate generator label {name!r}")
+    return gens
+
+
 def certificate_from_obj(obj: dict):
-    """(certificate, generator maps or None); a document of the wrong shape
+    """The certificate a document states; a document of the wrong shape
     raises SerializeError."""
     try:
         kind = obj.get("type")
@@ -140,25 +145,25 @@ def certificate_from_obj(obj: dict):
             return PingPongCertificate(
                 map_from_obj(space, obj["a1"]), map_from_obj(space, obj["a2"]),
                 region_from_obj(space, obj["A1"]), region_from_obj(space, obj["B1"]),
-                region_from_obj(space, obj["A2"]), region_from_obj(space, obj["B2"])), None
+                region_from_obj(space, obj["A2"]), region_from_obj(space, obj["B2"]))
         if kind == "invariant-measure":
-            gens = [map_from_obj(space, g) for g in obj["generators"]]
+            gens = _generators_from_obj(space, obj["generators"])
             masses = tuple(rat(m) for m in obj["masses"])
-            cert = InvariantMeasureCertificate(
-                int(obj["depth"]), CellMeasure(int(obj["depth"]), masses, True),
+            return InvariantMeasureCertificate(
+                gens, int(obj["depth"]),
+                CellMeasure(int(obj["depth"]), masses, True),
                 int(obj["consistency_depth"]))
-            return cert, gens
         if kind == "finite-orbit":
-            gens = [map_from_obj(space, g) for g in obj["generators"]]
-            orbit = PointSet.of(space, [rat(p) for p in obj["orbit"]])
-            return FiniteOrbitCertificate(orbit, True), gens
+            return FiniteOrbitCertificate(
+                _generators_from_obj(space, obj["generators"]),
+                PointSet.of(space, [rat(p) for p in obj["orbit"]]))
         if kind == "morse-smale":
             g = map_from_obj(space, obj["g"])
             periodic = tuple((rat(x), int(per), rat(m))
                              for x, per, m in obj["periodic"])
             return MorseSmaleCertificate(g, periodic,
                                          region_from_obj(space, obj["A"]),
-                                         region_from_obj(space, obj["B"])), None
+                                         region_from_obj(space, obj["B"]))
     except (KeyError, TypeError, AttributeError, IndexError) as e:
         raise SerializeError(
             f"malformed certificate ({type(e).__name__}: {e})") from None
@@ -166,18 +171,17 @@ def certificate_from_obj(obj: dict):
 
 
 def verify_certificate(obj: dict) -> Verdict:
-    """Re-verify a serialized certificate from scratch, exactly."""
-    cert, gens = certificate_from_obj(obj)
+    """Re-verify a serialized certificate from scratch, exactly.  Each
+    verifier is read off the certify module at call time, so a rebinding
+    of its name takes effect."""
+    cert = certificate_from_obj(obj)
     if isinstance(cert, PingPongCertificate):
         return cert_mod.verify_ping_pong(cert)
     if isinstance(cert, InvariantMeasureCertificate):
-        return cert_mod.verify_invariant_measure(gens, cert)
+        return cert_mod.verify_invariant_measure(cert)
     if isinstance(cert, FiniteOrbitCertificate):
-        return cert_mod.verify_finite_orbit(gens, cert)
-    res = cert_mod.check_morse_smale(cert.g, cert.A, cert.B)
-    if res:
-        return Verdict(True)
-    return Verdict(False, res.reason)
+        return cert_mod.verify_finite_orbit(cert)
+    return cert_mod.verify_morse_smale(cert)
 
 
 def blowup_to_scenario(result: BlowUpResult) -> dict:

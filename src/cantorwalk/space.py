@@ -19,6 +19,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .rational import rat
 
+MAX_INTERVALS = 2 ** 16  # the most intervals from_ifs builds
+
 
 class SpaceError(ValueError):
     pass
@@ -207,6 +209,11 @@ class CompactSet:
     def from_ifs(ifs: Ifs, depth: int) -> "CompactSet":
         if depth < 0:
             raise SpaceError("depth must be nonnegative")
+        # an IFS has at least two maps, so 17 levels already pass the bound;
+        # capping the exponent keeps a huge depth cheap to refuse
+        if len(ifs.ratios) ** min(depth, 17) > MAX_INTERVALS:
+            raise SpaceError(
+                f"depth {depth} gives more than {MAX_INTERVALS} intervals")
         return CompactSet(tuple(ifs.intervals_at(depth)), ifs=ifs, depth=depth)
 
     # -- basic queries ------------------------------------------------------
@@ -316,11 +323,6 @@ class CompactSet:
                              for s, (a, b) in zip(self.ifs.symbols[::-1],
                                                   self.ifs._children[::-1]))
         return parts
-
-
-def make_compact_set(pairs) -> CompactSet:
-    """Normalize a list of rational endpoint pairs into a CompactSet."""
-    return CompactSet.from_intervals(pairs)
 
 
 def ternary_cantor(depth: int) -> CompactSet:

@@ -67,9 +67,6 @@ class WalkModel:
                 return False
         return True
 
-    def generator(self, name: str) -> PAHomeo:
-        return self.gens[self.names.index(name)]
-
 
 def make_model(space, named_gens: dict, probs=None, seed: int = 0) -> WalkModel:
     names = tuple(named_gens)

@@ -1,4 +1,4 @@
-"""Canonical maps on the ternary Cantor set, used across tests and the CLI.
+"""Canonical maps on the ternary Cantor set, used across the tests.
 
 All addresses are over the alphabet {0, 2}; orientations are +1 unless
 noted.  H swaps the two halves, R is the reflection, G3 translates mass
@@ -9,15 +9,15 @@ tables are read from the bundled scenarios that use them.
 import json
 from importlib import resources
 
-from .maps import PAHomeo, PrefixTable, from_prefix_table, invert
-from .space import CompactSet, ternary_cantor
+from cantorwalk.maps import PAHomeo, PrefixTable, from_prefix_table, invert
+from cantorwalk.space import CompactSet, ternary_cantor
 
 
 def _scenario_tables(*names) -> dict:
     """Generator name -> prefix table over the named bundled scenarios."""
     tables = {}
     for name in names:
-        path = resources.files(__package__) / "scenarios" / f"{name}.json"
+        path = resources.files("cantorwalk") / "scenarios" / f"{name}.json"
         for g in json.loads(path.read_text())["generators"]:
             tables[g["name"]] = PrefixTable(
                 tuple((src, dst, int(sign)) for src, dst, sign in g["table"]))

@@ -17,9 +17,8 @@ from cantorwalk.certify import (AssemblyFailure, PingPongCertificate,
                                 find_finite_orbit, find_morse_smale,
                                 assemble_free_pair, free_group_sanity,
                                 periodic_points, solve_invariant_measure,
-                                verify_ping_pong)
+                                verify_finite_orbit, verify_ping_pong)
 from cantorwalk.cli import parse_scenario, run_scenario, _load_scenario_text
-from cantorwalk.fixtures import cantor_space, fixture, named_generators
 from cantorwalk.giet import blow_up, discontinuity_closure, rotation
 from cantorwalk.maps import (apply, break_pairs, break_points, compose,
                              identity_map, image, invert, is_regular_on,
@@ -30,6 +29,8 @@ from cantorwalk.walk import (Trajectory, backward_cluster, contraction_scan,
                              estimate_entropy, estimate_stationary_measure,
                              global_contraction_report, invariance_residual,
                              make_model, uniform_cell_measure)
+
+from fixtures import cantor_space, fixture, named_generators
 
 K = cantor_space(3)
 A1 = fixture("A1", K)
@@ -134,7 +135,7 @@ def test_criterion_4_klein_invariant_branch():
     ok = ok and avg == 0 and per_gen == 0
     orb = find_finite_orbit(KLEIN_GENS, [F(0)])
     ok = ok and list(orb.orbit) == [F(0), F(1, 3), F(2, 3), F(1)]
-    ok = ok and orb.verified
+    ok = ok and bool(verify_finite_orbit(orb))
     res = assemble_free_pair(model, F(1, 27))
     ok = ok and isinstance(res, AssemblyFailure) and res.flag == "finite-orbit"
     elapsed = time.monotonic() - t0
@@ -319,7 +320,7 @@ def test_criterion_12_giet_blowup():
     # every orbit of a cell endpoint is finite of size 3
     for start in res.space.endpoints():
         orb = find_finite_orbit({"g": g}, [start], bound=10)
-        if orb is None or len(orb.orbit) != 3 or not orb.verified:
+        if orb is None or len(orb.orbit) != 3 or not verify_finite_orbit(orb):
             ok = False
             break
     _report(12, "rotation-by-1/3 blow-up: closure, conjugacy, breaks, "

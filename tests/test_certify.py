@@ -14,10 +14,11 @@ from cantorwalk.certify import (AssemblyFailure, CertifyError,
                                 stabilize_contraction_pair,
                                 verify_finite_orbit, verify_invariant_measure,
                                 verify_ping_pong)
-from cantorwalk.fixtures import cantor_space, fixture, named_generators
 from cantorwalk.maps import apply, identity_map, invert, power
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
 from cantorwalk.walk import CellMeasure, make_model
+
+from fixtures import cantor_space, fixture, named_generators
 
 K = cantor_space(3)
 H = fixture("H", K)
@@ -41,8 +42,7 @@ def test_find_displacement_single_step():
 def test_find_finite_orbit_klein():
     orb = find_finite_orbit(KLEIN_GENS, [F(0)])
     assert list(orb.orbit) == [F(0), F(1, 3), F(2, 3), F(1)]
-    assert orb.verified
-    assert verify_finite_orbit(KLEIN_GENS, orb)
+    assert verify_finite_orbit(orb)
 
 
 def test_find_displacement_invariant_orbit_flagged():
@@ -177,7 +177,7 @@ def test_solve_invariant_measure_klein():
     assert cert.depth == 1
     assert cert.measure.masses == (F(1, 2), F(1, 2))
     assert cert.consistency_depth == 6
-    assert verify_invariant_measure(KLEIN_GENS, cert)
+    assert verify_invariant_measure(cert)
 
 
 def test_solve_invariant_measure_g3_concentrates_on_fixed_points():
@@ -201,8 +201,8 @@ def test_solve_invariant_measure_free_is_infeasible():
 def test_verify_invariant_measure_rejects_tampering():
     cert = solve_invariant_measure(KLEIN_GENS, 1)
     bad = InvariantMeasureCertificate(
-        1, CellMeasure(1, (F(1), F(0)), True), cert.consistency_depth)
-    v = verify_invariant_measure(KLEIN_GENS, bad)
+        cert.gens, 1, CellMeasure(1, (F(1), F(0)), True), cert.consistency_depth)
+    v = verify_invariant_measure(bad)
     assert not v and v.reason == "invariance equation violated"
 
 

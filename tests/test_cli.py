@@ -198,6 +198,8 @@ def test_morse_smale_kind(tmp_path):
     {"type": "ping-pong"},
     [1, 2],
     {"type": "invariant-measure", "space": {"intervals": 5}},
+    {"type": "invariant-measure", "space": {"intervals": [["0", "1"]]},
+     "generators": [], "depth": 0, "masses": ["1"], "consistency_depth": 0},
 ])
 def test_verify_malformed_certificate_exits_1(tmp_path, capsys, doc):
     path = tmp_path / "cert.json"
@@ -244,6 +246,24 @@ def test_parse_rejects_output_paths(output):
     text = json.dumps(dict(json.loads(_load_scenario_text("g3")), output=output))
     with pytest.raises(ScenarioError, match="not a file name"):
         parse_scenario(text)
+
+
+def test_parse_rejects_deep_space():
+    text = json.dumps(dict(json.loads(_load_scenario_text("g3")),
+                           space={"ifs": "ternary", "depth": 17}))
+    with pytest.raises(ValueError, match="more than 65536 intervals"):
+        parse_scenario(text)
+
+
+def test_verify_rejects_deep_certificate_space(tmp_path, capsys):
+    run_scenario(_bundled("klein_four"), out_dir=str(tmp_path))
+    path = tmp_path / "klein_four_certificate.json"
+    doc = json.loads(path.read_text())
+    doc["space"]["depth"] = 17
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: depth 17 gives more than 65536 intervals\n"
 
 
 def test_verify_rejects_duplicate_generator_labels(tmp_path, capsys):

@@ -1,17 +1,19 @@
-"""Private helpers of the package are all in use.
+"""Every definition of the package is in use.
 
 A module-level function or class, or a method, whose name starts with an
 underscore (dunder names aside) must be referenced somewhere in the
-package besides its own definition.
+package besides its own definition; a public one must be referenced
+somewhere in the package or its tests.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cantorwalk"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cantorwalk"
 
 
-def _private_definitions(tree):
+def _definitions(tree):
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             yield node
@@ -31,16 +33,26 @@ def _references(tree):
             yield node.name
 
 
-def unreferenced_private_names(src=SRC):
-    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
-    used = {name for tree in trees.values() for name in _references(tree)}
+def _trees(d):
+    return {p.name: ast.parse(p.read_text()) for p in sorted(d.glob("*.py"))}
+
+
+def unreferenced_names(private: bool, *dirs):
+    """module:name for each private (or public) definition in the package
+    that no module in dirs references."""
+    used = {name for d in dirs for tree in _trees(d).values()
+            for name in _references(tree)}
     return sorted(
         f"{module}:{node.name}"
-        for module, tree in trees.items()
-        for node in _private_definitions(tree)
-        if node.name.startswith("_") and node.name not in used
+        for module, tree in _trees(SRC).items()
+        for node in _definitions(tree)
+        if node.name.startswith("_") == private and node.name not in used
         and not (node.name.startswith("__") and node.name.endswith("__")))
 
 
 def test_no_unreferenced_private_names():
-    assert unreferenced_private_names() == []
+    assert unreferenced_names(True, SRC) == []
+
+
+def test_no_unreferenced_public_names():
+    assert unreferenced_names(False, SRC, TESTS) == []

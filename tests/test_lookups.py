@@ -18,12 +18,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorwalk.fixtures import TABLES, fixture
 from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
                              break_pairs, compose, from_prefix_table, image,
                              invert, pa_homeo)
 from cantorwalk.space import CompactSet, Ifs, Piece, Region
 from cantorwalk.walk import measure_cells, preimage_cell_indices
+
+from fixtures import TABLES, fixture
 
 TERNARY = Ifs((F(1, 3), F(1, 3)), (F(0), F(2, 3)), ("0", "2"))
 UNEQUAL = Ifs((F(1, 4), F(1, 3)), (F(0), F(2, 3)), ("0", "2"))

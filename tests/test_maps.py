@@ -6,13 +6,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorwalk.fixtures import TABLES, cantor_space, fixture
 from cantorwalk.maps import (Branch, BreakPair, MapError, PrefixTable, apply,
                              break_pairs, break_points, compose, distortion,
                              equals, from_prefix_table, identity_map, image,
                              invert, is_identity, is_regular_on, pa_homeo,
                              power, regularity_radius, slope_range)
 from cantorwalk.space import Region, ternary_cantor
+
+from fixtures import TABLES, cantor_space, fixture
 
 K = cantor_space(3)
 H = fixture("H", K)

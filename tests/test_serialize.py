@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from cantorwalk import serialize as ser
 from cantorwalk.certify import (FiniteOrbitCertificate, PingPongCertificate,
                                 check_morse_smale, find_finite_orbit,
-                                solve_invariant_measure)
-from cantorwalk.fixtures import cantor_space, fixture, named_generators
+                                find_morse_smale, solve_invariant_measure)
 from cantorwalk.giet import rotation
 from cantorwalk.maps import equals
 from cantorwalk.measure_solver import solve_feasibility
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
+from cantorwalk.walk import make_model
+
+from fixtures import cantor_space, fixture, named_generators
 
 K = cantor_space(3)
 
@@ -115,18 +117,16 @@ def test_ping_pong_certificate_round_trip():
 def test_invariant_measure_certificate_round_trip():
     gens = named_generators(["H", "R"])
     cert = solve_invariant_measure(gens, 1)
-    obj = ser.certificate_to_obj(cert, gens)
+    obj = ser.certificate_to_obj(cert)
     assert obj["type"] == "invariant-measure"
     assert obj["masses"] == ["1/2", "1/2"]
     assert ser.verify_certificate(obj)
-    with pytest.raises(ser.SerializeError):
-        ser.certificate_to_obj(cert)  # generators are required
 
 
 def test_finite_orbit_certificate_round_trip():
     gens = named_generators(["H", "R"])
     cert = find_finite_orbit(gens, [F(0)])
-    obj = ser.certificate_to_obj(cert, gens)
+    obj = ser.certificate_to_obj(cert)
     assert obj["type"] == "finite-orbit"
     assert ser.verify_certificate(obj)
 
@@ -142,10 +142,21 @@ def test_morse_smale_certificate_round_trip():
     assert ser.verify_certificate(obj)
 
 
+@pytest.mark.parametrize("periodic", [[["1/2", 7, "5"]], []])
+def test_verify_rejects_tampered_periodic_points(periodic):
+    gens = named_generators(["A1", "A2"], with_inverses=True)
+    cert = find_morse_smale(make_model(K, gens, seed=3), F(1, 27))
+    obj = ser.certificate_to_obj(cert)
+    assert ser.verify_certificate(obj)
+    obj["periodic"] = periodic
+    v = ser.verify_certificate(obj)
+    assert not v and "periodic" in v.reason
+
+
 def test_verify_rejects_corrupted_certificate():
     gens = named_generators(["H", "R"])
     cert = find_finite_orbit(gens, [F(0)])
-    obj = ser.certificate_to_obj(cert, gens)
+    obj = ser.certificate_to_obj(cert)
     obj["orbit"] = obj["orbit"][:-1]  # drop a point: closure breaks
     assert not ser.verify_certificate(obj)
     with pytest.raises(ser.SerializeError):

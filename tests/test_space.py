@@ -8,17 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from cantorwalk.space import (CompactSet, Ifs, Piece, PointSet, Region, SpaceError,
                               delta_m, epsilon_neighborhood,
-                              hausdorff_distance, make_compact_set,
-                              point_to_set_distance, ternary_cantor)
+                              hausdorff_distance, point_to_set_distance,
+                              ternary_cantor)
 
 
 def test_normalization():
-    assert make_compact_set([(0, 1)]).intervals == ((F(0), F(1)),)
+    assert CompactSet.from_intervals([(0, 1)]).intervals == ((F(0), F(1)),)
     # touching intervals merge
-    assert make_compact_set([(0, F(1, 3)), (F(1, 3), 1)]).intervals == \
+    assert CompactSet.from_intervals([(0, F(1, 3)), (F(1, 3), 1)]).intervals == \
         ((F(0), F(1)),)
     # unsorted input is sorted
-    assert make_compact_set([(F(2, 3), 1), (0, F(1, 3))]).intervals == \
+    assert CompactSet.from_intervals([(F(2, 3), 1), (0, F(1, 3))]).intervals == \
         ((F(0), F(1, 3)), (F(2, 3), F(1)))
 
 
@@ -33,7 +33,7 @@ def test_gaps():
     assert ternary_cantor(1).bounded_gaps() == [(F(1, 3), F(2, 3))]
     assert ternary_cantor(2).bounded_gaps() == [
         (F(1, 9), F(2, 9)), (F(1, 3), F(2, 3)), (F(7, 9), F(8, 9))]
-    assert make_compact_set([(0, 1)]).bounded_gaps() == []
+    assert CompactSet.from_intervals([(0, 1)]).bounded_gaps() == []
     # unbounded gaps flank every set
     kinds = [g.kind for g in ternary_cantor(1).gaps()]
     assert kinds[0] == "left-unbounded" and kinds[-1] == "right-unbounded"
@@ -59,12 +59,12 @@ def test_epsilon_neighborhood_strictness():
 
 
 def test_hausdorff_oracles():
-    a = make_compact_set([(0, 1)])
-    b = make_compact_set([(0, 0)])
+    a = CompactSet.from_intervals([(0, 1)])
+    b = CompactSet.from_intervals([(0, 0)])
     assert hausdorff_distance(a, b) == 1
     assert hausdorff_distance(a, a) == 0
-    pts_a = make_compact_set([(0, 0), (1, 1)])
-    pts_b = make_compact_set([(F(1, 3), F(1, 3)), (F(2, 3), F(2, 3))])
+    pts_a = CompactSet.from_intervals([(0, 0), (1, 1)])
+    pts_b = CompactSet.from_intervals([(F(1, 3), F(1, 3)), (F(2, 3), F(2, 3))])
     assert hausdorff_distance(pts_a, pts_b) == F(1, 3)
 
 
@@ -94,7 +94,7 @@ intervals_st = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(intervals_st, intervals_st)
 def test_hausdorff_symmetry_and_identity(ia, ib):
-    a, b = make_compact_set(ia), make_compact_set(ib)
+    a, b = CompactSet.from_intervals(ia), CompactSet.from_intervals(ib)
     d = hausdorff_distance(a, b)
     assert d == hausdorff_distance(b, a)
     assert d >= 0
@@ -104,7 +104,7 @@ def test_hausdorff_symmetry_and_identity(ia, ib):
 @settings(max_examples=40, deadline=None)
 @given(intervals_st, intervals_st, intervals_st)
 def test_hausdorff_triangle(ia, ib, ic):
-    a, b, c = (make_compact_set(x) for x in (ia, ib, ic))
+    a, b, c = (CompactSet.from_intervals(x) for x in (ia, ib, ic))
     assert hausdorff_distance(a, c) <= \
         hausdorff_distance(a, b) + hausdorff_distance(b, c)
 
@@ -224,7 +224,7 @@ def _rand_flagged(rng, grid):
 FLAGGED_SPACES = [
     (0, ternary_cantor(3), [F(k, 27) for k in range(-3, 31)]),
     (1, ternary_cantor(5), [F(k, 81) for k in range(-4, 86, 2)]),
-    (2, make_compact_set([(0, 1), (2, 3), (4, 6)]),
+    (2, CompactSet.from_intervals([(0, 1), (2, 3), (4, 6)]),
      [F(k, 2) for k in range(-2, 15)]),
 ]
 
@@ -368,7 +368,7 @@ def test_gaps_at_deep_and_plain():
     assert TERNARY.gaps_at(F(3, 2 * 3 ** 25)) == ((F(1, 3 ** 25), t),)
     assert TERNARY.gaps_at(F(-1)) == TERNARY.gaps_at(F(1, 4)) == ()
     # a one-point interval of a plain set touches a gap on each side
-    K = make_compact_set([(0, 1), (2, 2), (3, 4)])
+    K = CompactSet.from_intervals([(0, 1), (2, 2), (3, 4)])
     assert K.gaps_at(F(2)) == ((1, 2), (2, 3))
     assert K.gaps_at(F(3, 2)) == ((1, 2),)
     assert K.gaps_at(F(1, 2)) == K.gaps_at(F(5)) == ()

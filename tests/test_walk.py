@@ -5,7 +5,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantorwalk.fixtures import cantor_space, fixture, named_generators
 from cantorwalk.maps import (apply, compose, equals, identity_map, invert,
                              is_identity)
 from cantorwalk.walk import (CellMeasure, Trajectory, WalkError,
@@ -18,6 +17,8 @@ from cantorwalk.walk import (CellMeasure, Trajectory, WalkError,
                              global_contraction_report, invariance_residual,
                              make_model, measure_cells, proximality_degree,
                              uniform_cell_measure)
+
+from fixtures import cantor_space, fixture, named_generators
 
 K = cantor_space(3)
 KLEIN = make_model(K, named_generators(["H", "R"]))
