@@ -16,8 +16,8 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .rational import rat
-from .maps import (PAHomeo, apply, compose, equals, image,
-                   inverse_name, invert, is_identity, orbit_bfs)
+from .maps import (PAHomeo, apply, compose, equals, image, inverse_name,
+                   invert, is_identity, maps_into, orbit_bfs)
 from .space import (CompactSet, Piece, PointSet, Region,
                     epsilon_neighborhood)
 from .measure_solver import solve_feasibility
@@ -75,24 +75,33 @@ class Verdict:
         return self.ok
 
 
+class _Failure:
+    """A report of a search that proved nothing: always falsy."""
+
+    def __bool__(self) -> bool:
+        return False
+
+
 @dataclass(frozen=True)
-class InfeasibilityReport:
-    """Falsy: the invariance system has no solution; gap is the exact
-    positive phase-1 optimum witnessing infeasibility."""
+class InfeasibilityReport(_Failure):
+    """The invariance system has no solution; gap is the exact positive
+    phase-1 optimum witnessing infeasibility."""
     depth: int
     gap: Fraction
 
-    def __bool__(self) -> bool:
-        return False
+
+@dataclass(frozen=True)
+class UnprovedMeasure(_Failure):
+    """The expressible invariance equations have a solution, but `skipped`
+    equations are not expressible on the depth-d cells."""
+    depth: int
+    skipped: int
 
 
 @dataclass(frozen=True)
-class AssemblyFailure:
+class AssemblyFailure(_Failure):
     stage: str
     flag: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -237,7 +246,7 @@ def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
             if not B or len(B) > p_cap:
                 continue
             b_reg = epsilon_neighborhood(B, eps, K)
-            if image(w, off).subset_of(b_reg):
+            if maps_into(w, off, b_reg):
                 yield t, n, w, A, B
                 break
 
@@ -321,7 +330,7 @@ def verify_ping_pong(cert: PingPongCertificate) -> Verdict:
     for tag, a, A, B in (("a1", cert.a1, cert.A1, cert.B1),
                          ("a2", cert.a2, cert.A2, cert.B2)):
         off = Region.whole(K).difference(A)
-        if not image(a, off).subset_of(B):
+        if not maps_into(a, off, B):
             return Verdict(False, f"image({tag}, K off {tag[1]}) not inside B")
     return Verdict(True)
 
@@ -361,7 +370,7 @@ def assemble_free_pair(model: WalkModel, eps, max_len: int = 6,
         for t, n, w, _, _ in usable:
             for n2 in range(n, n_max + 1):
                 w2 = forward_word(t, n2)
-                if image(w2, off).subset_of(b_reg):
+                if maps_into(w2, off, b_reg):
                     g = w2
                     break
             if g is not None:
@@ -444,12 +453,11 @@ def _cells_compatible(maps: Sequence[PAHomeo], space: CompactSet,
                for g in maps for b in g.branches)
 
 
-def _invariance_system(maps, cells):
-    """The system {A mu = b} for the exact simplex: the total-mass row
-    (ones, 1), then one dense row (coeffs, 0) per invariance row."""
-    nvar = len(cells)
+def _invariance_system(inv_rows, nvar: int):
+    """The system {A mu = b} for the exact simplex over nvar cells: the
+    total-mass row (ones, 1), then one dense row (coeffs, 0) per row."""
     rows, rhs = [[Fraction(1)] * nvar], [Fraction(1)]
-    for _, ci, js in invariance_rows(maps, cells):
+    for _, ci, js in inv_rows:
         row = [Fraction(0)] * nvar
         row[ci] += 1
         for j in js:
@@ -460,11 +468,10 @@ def _invariance_system(maps, cells):
     return rows, rhs
 
 
-def _is_invariant(maps, cells, masses) -> bool:
-    """Whether the masses satisfy every invariance equation expressible on
-    the cells."""
+def _is_invariant(inv_rows, masses) -> bool:
+    """Whether the masses satisfy the invariance rows."""
     return all(masses[ci] == sum(masses[j] for j in js)
-               for _, ci, js in invariance_rows(maps, cells))
+               for _, ci, js in inv_rows)
 
 
 def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
@@ -472,7 +479,8 @@ def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
     depth-d cells, then a marginal-consistency ladder up to d_max.
 
     Returns a certificate, or a falsy InfeasibilityReport carrying the
-    exact phase-1 gap when the system has no solution.
+    exact phase-1 gap when the system has no solution, or a falsy
+    UnprovedMeasure when it has one but skips equations.
     """
     maps = list(gens.values())
     space = maps[0].space
@@ -483,10 +491,12 @@ def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
         raise CertifyError(f"generators not cell-aligned at any depth <= {d_max}")
 
     cells = measure_cells(space, d)
-    rows, rhs = _invariance_system(maps, cells)
-    res = solve_feasibility(rows, rhs)
+    inv_rows = invariance_rows(maps, cells)
+    res = solve_feasibility(*_invariance_system(inv_rows, len(cells)))
     if not res.feasible:
         return InfeasibilityReport(d, res.gap)
+    if len(inv_rows) < len(maps) * len(cells):
+        return UnprovedMeasure(d, len(maps) * len(cells) - len(inv_rows))
     masses = list(res.solution)
 
     consistency = d
@@ -501,10 +511,11 @@ def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
         for kids, m in zip(children, prev_masses):
             for j in kids:
                 cand[j] = m / len(kids)
-        if _is_invariant(maps, cells2, cand):
+        inv_rows2 = invariance_rows(maps, cells2)
+        if _is_invariant(inv_rows2, cand):
             consistency, prev_cells, prev_masses = d2, cells2, cand
             continue
-        rows2, rhs2 = _invariance_system(maps, cells2)
+        rows2, rhs2 = _invariance_system(inv_rows2, len(cells2))
         for kids, m in zip(children, prev_masses):
             row = [Fraction(0)] * len(cells2)
             for j in kids:
@@ -529,7 +540,12 @@ def verify_invariant_measure(cert: InvariantMeasureCertificate) -> Verdict:
         return Verdict(False, "negative mass")
     if sum(masses) != 1:
         return Verdict(False, "masses do not sum to 1")
-    if not _is_invariant(cert.gens, cells, masses):
+    inv_rows = invariance_rows(cert.gens, cells)
+    skipped = len(cert.gens) * len(cells) - len(inv_rows)
+    if skipped:
+        return Verdict(False, f"{skipped} invariance equations are not "
+                              f"expressible at depth {cert.depth}")
+    if not _is_invariant(inv_rows, masses):
         return Verdict(False, "invariance equation violated")
     return Verdict(True)
 
@@ -639,7 +655,7 @@ def check_morse_smale(f: PAHomeo, A: Region, B: Region):
     finv = invert(f)
     if _constraining_slope_max(finv, off_b) >= 1:
         return Verdict(False, "inverse slope off B not below 1")
-    if not image(f, off_a).subset_of(B):
+    if not maps_into(f, off_a, B):
         return Verdict(False, "image of K off A escapes B")
     horizon = max(4, min(6, len(f.branches)))
     rep = periodic_points(f, horizon)

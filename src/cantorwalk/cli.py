@@ -24,7 +24,7 @@ from .maps import PrefixTable, from_prefix_table, invert
 from .giet import blow_up
 from .walk import (Trajectory, estimate_entropy, estimate_stationary_measure,
                    global_contraction_report, invariance_residual, make_model)
-from .certify import (assemble_free_pair, find_morse_smale,
+from .certify import (UnprovedMeasure, assemble_free_pair, find_morse_smale,
                       solve_invariant_measure)
 from . import serialize as ser
 
@@ -231,6 +231,11 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
                         report={"kind": s.kind, "seed": seed, "depth": res.depth,
                                 "masses": [rat_str(m) for m in res.measure.masses],
                                 "consistency_depth": res.consistency_depth})
+        if isinstance(res, UnprovedMeasure):
+            return done(2, (f"undecided: {res.skipped} invariance equations "
+                            f"not expressible at depth {res.depth}"),
+                        report={"kind": s.kind, "seed": seed, "depth": res.depth,
+                                "skipped": res.skipped})
         return done(0, f"INFEASIBLE (no invariant cell measure at depth {res.depth})",
                     report={"kind": s.kind, "seed": seed, "depth": res.depth,
                             "infeasible": True, "gap": rat_str(res.gap)})

@@ -428,11 +428,10 @@ def regularity_radius(gens: Sequence[PAHomeo]) -> Optional[Fraction]:
 # images, slopes, distortion
 
 
-def image(f: PAHomeo, S: Region) -> Region:
-    """Exact image region of S∩K under f."""
+def _image_pieces(f: PAHomeo, S: Region):
+    """The images of S's pieces clipped to f's branch sources, unsorted."""
     if S.space != f.space:
         raise MapError("region lives on a different space")
-    pieces = []
     for p in S.pieces:
         for b in f.branches[bisect.bisect_left(f._src_his, p.lo):
                             bisect.bisect_right(f._src_los, p.hi)]:
@@ -440,7 +439,7 @@ def image(f: PAHomeo, S: Region) -> Region:
             holds_lo = p.lo < b.lo or p.lo == b.lo and p.lo_closed
             holds_hi = b.hi < p.hi or b.hi == p.hi and p.hi_closed
             if holds_lo and holds_hi:
-                pieces.append(Piece(*b.image_interval(), True, True))
+                yield Piece(*b.image_interval(), True, True)
                 continue
             lo, lo_closed = (b.lo, True) if holds_lo else (p.lo, p.lo_closed)
             hi, hi_closed = (b.hi, True) if holds_hi else (p.hi, p.hi_closed)
@@ -448,10 +447,19 @@ def image(f: PAHomeo, S: Region) -> Region:
                 continue
             va, vb = b.value(lo), b.value(hi)
             if b.slope > 0:
-                pieces.append(Piece(va, vb, lo_closed, hi_closed))
+                yield Piece(va, vb, lo_closed, hi_closed)
             else:
-                pieces.append(Piece(vb, va, hi_closed, lo_closed))
-    return Region.from_pieces(f.space, pieces)
+                yield Piece(vb, va, hi_closed, lo_closed)
+
+
+def image(f: PAHomeo, S: Region) -> Region:
+    """Exact image region of S∩K under f."""
+    return Region.from_pieces(f.space, _image_pieces(f, S))
+
+
+def maps_into(f: PAHomeo, S: Region, T: Region) -> bool:
+    """image(f, S).subset_of(T), stopping at the first piece outside T."""
+    return all(Region(f.space, (p,)).subset_of(T) for p in _image_pieces(f, S))
 
 
 def slope_range(f: PAHomeo, S: Region) -> tuple[Fraction, Fraction]:

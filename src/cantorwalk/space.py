@@ -472,6 +472,13 @@ def _sweep(a: Sequence[Piece], b: Sequence[Piece], keep):
             on, lo, lo_key = not on, x, f
 
 
+def _meets(p: Piece, l: Fraction, r: Fraction) -> bool:
+    """Whether p holds a point of [l, r], an interval meeting [p.lo, p.hi]:
+    they overlap in more than a point, or in a point that p holds."""
+    return (max(l, p.lo) < min(r, p.hi) or (p.lo_closed or p.lo < l)
+            and (p.hi_closed or r < p.hi))
+
+
 @dataclass(frozen=True)
 class Region:
     """A finite union of flagged rational intervals intersected with K.
@@ -522,12 +529,7 @@ class Region:
         return False
 
     def _piece_meets_space(self, p: Piece) -> bool:
-        # an interval meeting [p.lo, p.hi] in one point meets p if p holds it
-        for l, r in self.space.meeting(p.lo, p.hi):
-            if (max(l, p.lo) < min(r, p.hi) or (p.lo_closed or p.lo < l)
-                    and (p.hi_closed or r < p.hi)):
-                return True
-        return False
+        return any(_meets(p, l, r) for l, r in self.space.meeting(p.lo, p.hi))
 
     def is_empty(self) -> bool:
         return not any(self._piece_meets_space(p) for p in self.pieces)
@@ -560,20 +562,15 @@ class Region:
     def infimum(self) -> Fraction:
         for p in self.pieces:
             for l, r in self.space.meeting(p.lo, p.hi):
-                olo = max(l, p.lo)
-                if self._piece_meets_space(Piece(olo, min(r, p.hi),
-                                                 p.lo_closed or olo > p.lo,
-                                                 True)):
-                    return olo
+                if _meets(p, l, r):
+                    return max(l, p.lo)
         raise SpaceError("empty region has no infimum")
 
     def supremum(self) -> Fraction:
         for p in reversed(self.pieces):
             for l, r in reversed(self.space.meeting(p.lo, p.hi)):
-                ohi = min(r, p.hi)
-                if self._piece_meets_space(Piece(max(l, p.lo), ohi, True,
-                                                 p.hi_closed or ohi < p.hi)):
-                    return ohi
+                if _meets(p, l, r):
+                    return min(r, p.hi)
         raise SpaceError("empty region has no supremum")
 
     def diameter(self) -> Fraction:

@@ -482,23 +482,40 @@ class CellScan:
         return sum(1 for v in self.verdicts if v == "repulsor")
 
 
+def cell_image_diameters(w: PAHomeo, cells) -> list:
+    """image(w, c).diameter() for each sorted closed cell c = [l, r], from
+    one merge pass over the branches image bisects to, b.hi >= l and
+    b.lo <= r (one-point touches too).  A source inside c gives its image
+    ends, any other branch its values at max(b.lo, l) and min(b.hi, r).
+    Exact: cells are K's intervals (plain sets) or IFS cylinders, and branch
+    sources end at points of K.  A validated map sends K-material to K (plain
+    sets) and limit points to limit points (IFS), so every clipped image end
+    lies in K, and the extreme ends are the inf and sup of image(w, c) ∩ K."""
+    bs, out, j = w.branches, [], 0
+    for l, r in cells:
+        while bs[j].hi < l:
+            j += 1
+        ends, k = [], j
+        while k < len(bs) and bs[k].lo <= r:
+            b = bs[k]
+            ends += (b.ends if l <= b.lo and b.hi <= r else
+                     (b.value(max(b.lo, l)), b.value(min(b.hi, r))))
+            k += 1
+        out.append(max(ends) - min(ends))
+    return out
+
+
 def contraction_scan(t: Trajectory, depth: int, n: int,
                      delta=DEFAULT_DELTA) -> CellScan:
     delta = rat(delta)
     K = t.model.space
     cells = measure_cells(K, depth)
-    regions = [Region.from_pieces(K, (Piece(l, r, True, True),))
-               for l, r in cells]
-    diam_series = [[] for _ in cells]
-    for k in range(n + 1):
-        w = forward_word(t, k)
-        for i, reg in enumerate(regions):
-            diam_series[i].append(image(w, reg).diameter())
+    diam_series = tuple(zip(*(cell_image_diameters(forward_word(t, k), cells)
+                              for k in range(n + 1))))
     verdicts, rates = zip(*(_tail_verdict(series[n // 2:], delta,
                                           "repulsor", "attractor")
                             for series in diam_series))
-    scan = CellScan(verdicts, rates, delta, depth, n,
-                    tuple(map(tuple, diam_series)))
+    scan = CellScan(verdicts, rates, delta, depth, n, diam_series)
     lo, hi = K.hull
     if scan.repulsor_count * delta > hi - lo:
         raise WalkError("repulsor count bound violated: "

@@ -11,7 +11,7 @@ from cantorwalk.certify import (AssemblyFailure, CertifyError,
                                 find_displacement, find_finite_orbit,
                                 find_morse_smale, free_group_sanity,
                                 periodic_points, solve_invariant_measure,
-                                stabilize_contraction_pair,
+                                stabilize_contraction_pair, UnprovedMeasure,
                                 verify_finite_orbit, verify_invariant_measure,
                                 verify_ping_pong)
 from cantorwalk.maps import apply, identity_map, invert, power
@@ -180,14 +180,15 @@ def test_solve_invariant_measure_klein():
     assert verify_invariant_measure(cert)
 
 
-def test_solve_invariant_measure_g3_concentrates_on_fixed_points():
-    cert = solve_invariant_measure({"G3": G3}, 2)
-    assert cert
-    # invariant measures of G3 are carried by the fixed points 0 and 1, so
-    # interior cells receive no mass
-    cells_with_mass = [i for i, m in enumerate(cert.measure.masses) if m > 0]
-    assert set(cells_with_mass) <= {0, len(cert.measure.masses) - 1}
-    assert sum(cert.measure.masses) == 1
+def test_solve_invariant_measure_g3_is_undecided():
+    # G3 maps the cylinder 22w onto 2w with slope 3, so the preimage of a
+    # depth-d cell inside [2/3, 1] is a depth-(d + 1) cylinder: at no depth
+    # is every equation expressible, and a solution of the others proves
+    # nothing
+    res = solve_invariant_measure({"G3": G3}, 2)
+    assert not res
+    assert isinstance(res, UnprovedMeasure)
+    assert (res.depth, res.skipped) == (2, 2)
 
 
 def test_solve_invariant_measure_free_is_infeasible():
@@ -204,6 +205,22 @@ def test_verify_invariant_measure_rejects_tampering():
         cert.gens, 1, CellMeasure(1, (F(1), F(0)), True), cert.consistency_depth)
     v = verify_invariant_measure(bad)
     assert not v and v.reason == "invariance equation violated"
+
+
+def test_measure_on_cells_finer_than_the_space_is_not_proved():
+    # on the depth-3 space no preimage of a depth-4 cell under A1, A2 or an
+    # inverse is a union of depth-4 cells: all 64 equations are skipped, so
+    # any probability vector satisfies the ones that are left
+    res = solve_invariant_measure(FREE_GENS, 4, d_max=8)
+    assert not res
+    assert isinstance(res, UnprovedMeasure)
+    assert (res.depth, res.skipped) == (4, 64)
+    forged = InvariantMeasureCertificate(
+        tuple(FREE_GENS.values()), 4,
+        CellMeasure(4, (F(1),) + (F(0),) * 15, True), 8)
+    v = verify_invariant_measure(forged)
+    assert not v
+    assert v.reason == "64 invariance equations are not expressible at depth 4"
 
 
 # -- periodic points and Morse-Smale ----------------------------------------

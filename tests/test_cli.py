@@ -1,8 +1,10 @@
 """Scenario parsing, bundled runs, determinism and the verify subcommand."""
 
+import hashlib
 import json
 import os
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +142,28 @@ def test_reports_are_byte_identical(tmp_path):
     ca = (a / "klein_four_certificate.json").read_bytes()
     cb = (b / "klein_four_certificate.json").read_bytes()
     assert ca == cb
+
+
+RECORD = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+@pytest.mark.parametrize("name, command, flags", (
+    ("free_pair", "certify-free", ()),
+    ("g3", "simulate", ("--emit-series",)),
+    ("identity", "certify-free", ()),
+    ("klein_four", "find-measure", ()),
+    ("rotation_third", "giet-blowup", ())))
+def test_bundled_outputs_match_the_benchmark_record(tmp_path, name, command,
+                                                   flags):
+    # the exit code and the 24-hex sha256 of every file but the meta file,
+    # as the benchmark records them; g3's series holds the scan's diameters
+    expected = json.loads(RECORD.read_text())["bundled"][f"bundled/{name}"]
+    code = main([command, name, "--out", str(tmp_path), *flags])
+    files = {f.name[len(name) + 1:]:
+             hashlib.sha256(f.read_bytes()).hexdigest()[:24]
+             for f in sorted(tmp_path.iterdir())
+             if f.name != f"{name}_meta.json"}
+    assert {"exit": code, "files": files} == expected
 
 
 def test_main_free_pair_and_verify(tmp_path, capsys):

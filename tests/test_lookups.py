@@ -1,8 +1,10 @@
 """Bisected, one-pass and fast-path lookups against brute-force scans.
 
-CompactSet.contains, Region.is_empty, infimum, supremum, maps.image and
-walk.preimage_cell_indices look up sorted intervals, branch sources and
-cells by bisection, and maps.break_pairs expands each branch boundary once.
+CompactSet.contains, Region.is_empty, infimum, supremum, maps.image,
+maps.maps_into and walk.preimage_cell_indices look up sorted intervals,
+branch sources and cells by bisection, walk.cell_image_diameters merges
+cells with branches in one pass, and maps.break_pairs expands each branch
+boundary once.
 maps.compose keeps an inner branch's source when its image lies inside one
 outer source, and maps.image takes a whole branch source's image ends as
 they are.  The references below scan every interval, branch and cell pair,
@@ -20,9 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
                              break_pairs, compose, from_prefix_table, image,
-                             invert, pa_homeo)
+                             invert, maps_into, pa_homeo)
 from cantorwalk.space import CompactSet, Ifs, Piece, Region
-from cantorwalk.walk import measure_cells, preimage_cell_indices
+from cantorwalk.walk import (cell_image_diameters, measure_cells,
+                             preimage_cell_indices)
 
 from fixtures import TABLES, fixture
 
@@ -130,37 +133,25 @@ def is_empty_ref(S):
     return not any(meets_ref(S.space, p) for p in S.pieces)
 
 
-def infimum_ref(S):
-    for p in S.pieces:
-        for l, r in S.space.intervals:
-            olo = max(l, p.lo)
-            if olo <= min(r, p.hi) and meets_ref(S.space, Piece(
-                    olo, min(r, p.hi), p.lo_closed or olo > p.lo, True)):
-                return olo
-    return None
-
-
-def supremum_ref(S):
-    best = None
-    for p in S.pieces:
-        for l, r in S.space.intervals:
-            ohi = min(r, p.hi)
-            if max(l, p.lo) <= ohi and meets_ref(S.space, Piece(
-                    max(l, p.lo), ohi, True, p.hi_closed or ohi < p.hi)):
-                best = ohi if best is None else max(best, ohi)
-    return best
-
-
-def supremum_max_ref(S):
-    """The largest point of K in any piece, over every interval of K."""
-    best = None
+def _overlaps_held(S):
+    """(inf, sup) of each interval of K that S's pieces meet in more than
+    a point, or in a point the piece holds."""
     for p in S.pieces:
         for l, r in S.space.intervals:
             olo, ohi = max(l, p.lo), min(r, p.hi)
             if olo < ohi or (olo == ohi and (olo > p.lo or p.lo_closed)
                              and (ohi < p.hi or p.hi_closed)):
-                best = ohi if best is None else max(best, ohi)
-    return best
+                yield olo, ohi
+
+
+def infimum_ref(S):
+    """The inf of S ∩ K, over every piece and every interval of K."""
+    return min((olo for olo, _ in _overlaps_held(S)), default=None)
+
+
+def supremum_ref(S):
+    """The sup of S ∩ K, over every piece and every interval of K."""
+    return max((ohi for _, ohi in _overlaps_held(S)), default=None)
 
 
 def break_candidates_ref(f):
@@ -259,7 +250,7 @@ def test_region_queries_match_scan(space, data):
     assert S.is_empty() == is_empty_ref(S)
     if not S.is_empty():
         assert S.infimum() == infimum_ref(S)
-        assert S.supremum() == supremum_ref(S) == supremum_max_ref(S)
+        assert S.supremum() == supremum_ref(S)
 
 
 @settings(max_examples=60, deadline=None)
@@ -283,6 +274,40 @@ def test_compose_and_image_match_reference_loops(word, data):
                for b in w.branches)
     for S in (Region.whole(K), data.draw(regions(K))):
         assert image(w, S) == image_ref(w, S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(letter_words())
+def test_cell_image_diameters_match_image_regions(word):
+    letters, w = word
+    K = w.space
+    for d in range(K.depth + 2):
+        cells = measure_cells(K, d)
+        assert cell_image_diameters(w, cells) == [
+            image(w, Region(K, (Piece(l, r, True, True),))).diameter()
+            for l, r in cells]
+
+
+@settings(max_examples=60, deadline=None)
+@given(letter_words(), st.data())
+def test_maps_into_matches_image_inclusion(word, data):
+    # S is drawn, or one flagged piece between ends of K's intervals and
+    # midpoints of its gaps, whose image may be one point; T is drawn, or
+    # drawn and joined with the image, so both answers occur
+    letters, w = word
+    K = w.space
+    marks = sorted({x for iv in K.intervals for x in iv} |
+                   {(a + b) / 2 for a, b in K.bounded_gaps()})
+    a, b = sorted(data.draw(st.lists(st.sampled_from(marks), min_size=2,
+                                     max_size=2, unique=True)))
+    S = data.draw(st.one_of(regions(K), st.builds(
+        lambda flags: Region(K, (Piece(a, b, *flags),)),
+        st.tuples(st.booleans(), st.booleans()))))
+    T = data.draw(regions(K))
+    if data.draw(st.booleans()):
+        T = T.union(image_ref(w, S))
+    assert (maps_into(w, S, T) == image(w, S).subset_of(T)
+            == image_ref(w, S).subset_of(T))
 
 
 @pytest.mark.parametrize("space", SPACES)
@@ -353,7 +378,7 @@ def test_queries_on_pieces_touching_k(space):
             assert T.is_empty() == is_empty_ref(T)
             if not T.is_empty():
                 assert T.infimum() == infimum_ref(T)
-                assert T.supremum() == supremum_ref(T) == supremum_max_ref(T)
+                assert T.supremum() == supremum_ref(T)
             for g in _letters(*space):
                 assert image(g, T) == image_ref(g, T)
 

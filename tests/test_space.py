@@ -289,6 +289,22 @@ def test_region_empty_queries():
         r.supremum()
 
 
+def test_region_extremes_skip_points_a_piece_does_not_hold():
+    # an open end where an interval of K starts or stops is no point of the
+    # region: depth-1 K is [0, 1/3] and [2/3, 1]
+    K = ternary_cantor(1)
+    r = epsilon_neighborhood([F(1, 2)], F(1, 6), K)
+    assert r.is_empty()
+    with pytest.raises(SpaceError):
+        r.diameter()
+    r = Region(K, (Piece(F(1, 2), F(2, 3), True, False),
+                   Piece(F(3, 4), F(1), True, True)))
+    assert r.infimum() == F(3, 4)
+    r = Region(K, (Piece(F(0), F(1, 4), True, True),
+                   Piece(F(1, 3), F(1, 2), False, True)))
+    assert r.supremum() == F(1, 4)
+
+
 def test_cylinders():
     K = ternary_cantor(3)
     assert K.cylinder("02") == (F(2, 9), F(1, 3))
