@@ -272,11 +272,11 @@ class StabilizedPair:
 
 
 def stabilize_contraction_pair(pairs, radius) -> StabilizedPair:
-    """Componentwise cluster representatives over a sample of (A_n, B_n).
+    """Componentwise representatives over a sample of (A_n, B_n).
 
-    The representative of each component is the latest sample in the
-    cluster containing the latest sample (the limit surrogate); components
-    whose samples split into several clusters are flagged, not rejected.
+    The representative of each component is its latest sample (the limit
+    surrogate); components whose samples split into several clusters are
+    flagged, not rejected.
     """
     radius = rat(radius)
     if not pairs:
@@ -289,16 +289,11 @@ def stabilize_contraction_pair(pairs, radius) -> StabilizedPair:
     flags = {}
 
     def component(samples, tag):
-        # cluster by value, then pick the cluster holding the last sample
+        # cluster by value to flag a split; the last sample represents
         clusters = _single_linkage(samples, radius)
         if len(clusters) > 1:
             flags[tag] = len(clusters)
-        last = samples[-1]
-        chosen = next(c for c in clusters if c[0] <= last <= c[-1])
-        for s in reversed(samples):
-            if chosen[0] <= s <= chosen[-1]:
-                return s
-        return last
+        return samples[-1]
 
     A = tuple(component([sorted(a_n)[i] for a_n, _ in pairs], f"A[{i}]")
               for i in range(p))
@@ -344,17 +339,19 @@ def assemble_free_pair(model: WalkModel, eps, max_len: int = 6,
     named = {n: g for n, g in zip(model.names, model.gens)}
     letters, inv = _make_letters(named)
 
+    def failure(stage, flag=None):
+        # a finite orbit through the hull's left end is the obstruction
+        if find_finite_orbit(named, [K.hull[0]], bound=512) is not None:
+            flag = "finite-orbit"
+        return AssemblyFailure(stage, flag)
+
     samples = []
     for cand in _contraction_candidates(model, eps, 4, n_max, min(runs, 16)):
         samples.append(cand)
         if len(samples) >= 4:
             break
     if not samples:
-        flag = "budget-exhausted"
-        orbit = find_finite_orbit(named, [K.hull[0]], bound=512)
-        if orbit is not None:
-            flag = "finite-orbit"
-        return AssemblyFailure("contraction", flag)
+        return failure("contraction", "budget-exhausted")
 
     p, q = len(samples[0][3]), len(samples[0][4])
     usable = [s for s in samples if (len(s[3]), len(s[4])) == (p, q)]
@@ -395,11 +392,7 @@ def assemble_free_pair(model: WalkModel, eps, max_len: int = 6,
         last_stage = "verify"
         if verify_ping_pong(cert):
             return cert
-    flag = None
-    orbit = find_finite_orbit(named, [K.hull[0]], bound=512)
-    if orbit is not None:
-        flag = "finite-orbit"
-    return AssemblyFailure(last_stage, flag)
+    return failure(last_stage)
 
 
 def free_group_sanity(a1: PAHomeo, a2: PAHomeo, L: int) -> bool:

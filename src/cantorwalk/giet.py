@@ -24,23 +24,12 @@ class GietError(ValueError):
 
 
 @dataclass(frozen=True)
-class GBranch:
-    lo: Fraction
-    hi: Fraction  # source is [lo, hi)
-    slope: Fraction
-    offset: Fraction
-
-    def value(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.offset
-
-
-@dataclass(frozen=True)
 class Giet:
     a: Fraction
     b: Fraction
-    branches: tuple[GBranch, ...]
+    branches: tuple[Branch, ...]  # increasing; the source of each is [lo, hi)
 
-    def branch_at(self, x: Fraction) -> GBranch:
+    def branch_at(self, x: Fraction) -> Branch:
         for br in self.branches:
             if br.lo <= x < br.hi:
                 return br
@@ -66,14 +55,13 @@ class Giet:
 
     def preimage(self, y: Fraction) -> Fraction:
         for br in self.branches:
-            ia, ib = br.value(br.lo), br.value(br.hi)
+            ia, ib = br.ends
             if ia <= y < ib:
                 return (y - br.offset) / br.slope
         raise GietError(f"{y} not in the image [{self.a}, {self.b})")
 
     def inverse(self) -> "Giet":
-        inv = [GBranch(br.value(br.lo), br.value(br.hi),
-                       1 / br.slope, -br.offset / br.slope)
+        inv = [Branch(*br.ends, 1 / br.slope, -br.offset / br.slope)
                for br in self.branches]
         inv.sort(key=lambda br: br.lo)
         return Giet(self.a, self.b, tuple(inv))
@@ -100,14 +88,14 @@ def giet_from_branches(interval, branches) -> Giet:
             raise GietError("slopes must be positive")
         if lo >= hi:
             raise GietError("degenerate branch source")
-        bs.append(GBranch(lo, hi, slope, offset))
+        bs.append(Branch(lo, hi, slope, offset))
     bs.sort(key=lambda br: br.lo)
     if bs[0].lo != a or bs[-1].hi != b:
         raise GietError("sources do not span the interval")
     for b1, b2 in zip(bs, bs[1:]):
         if b1.hi != b2.lo:
             raise GietError("sources do not partition the interval")
-    imgs = sorted((br.value(br.lo), br.value(br.hi)) for br in bs)
+    imgs = sorted(br.ends for br in bs)
     if imgs[0][0] != a or imgs[-1][1] != b:
         raise GietError("images do not span the interval")
     for (l1, r1), (l2, r2) in zip(imgs, imgs[1:]):

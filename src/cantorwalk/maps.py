@@ -33,6 +33,7 @@ class Branch:
     hi: Fraction
     slope: Fraction
     offset: Fraction
+    # the sorted ends of the image, computed once at construction
     ends: tuple[Fraction, Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -44,10 +45,6 @@ class Branch:
 
     def preimage(self, y: Fraction) -> Fraction:
         return (y - self.offset) / self.slope
-
-    def image_interval(self) -> tuple[Fraction, Fraction]:
-        """The sorted ends of the image, computed once at construction."""
-        return self.ends
 
 
 def inverse_name(name: str) -> str:
@@ -291,7 +288,7 @@ def compose(f: PAHomeo, g: PAHomeo) -> PAHomeo:
     f_his = f._src_his
     nf = len(f.branches)
     for bg in g.branches:
-        ia, ib = bg.image_interval()
+        ia, ib = bg.ends
         j = bisect.bisect_right(f_his, ia)
         if j > 0 and f.branches[j - 1].hi >= ia:
             j -= 1
@@ -314,7 +311,7 @@ def compose(f: PAHomeo, g: PAHomeo) -> PAHomeo:
 def invert(f: PAHomeo) -> PAHomeo:
     branches = []
     for b in f.branches:
-        ia, ib = b.image_interval()
+        ia, ib = b.ends
         branches.append(Branch(ia, ib, 1 / b.slope, -b.offset / b.slope))
     branches.sort(key=lambda b: b.lo)
     label = tuple(inverse_name(n) for n in reversed(f.label))
@@ -439,7 +436,7 @@ def _image_pieces(f: PAHomeo, S: Region):
             holds_lo = p.lo < b.lo or p.lo == b.lo and p.lo_closed
             holds_hi = b.hi < p.hi or b.hi == p.hi and p.hi_closed
             if holds_lo and holds_hi:
-                yield Piece(*b.image_interval(), True, True)
+                yield Piece(*b.ends, True, True)
                 continue
             lo, lo_closed = (b.lo, True) if holds_lo else (p.lo, p.lo_closed)
             hi, hi_closed = (b.hi, True) if holds_hi else (p.hi, p.hi_closed)

@@ -63,12 +63,11 @@ def map_to_obj(f: PAHomeo) -> dict:
                          for b in f.branches]}
 
 
-def map_from_obj(space: CompactSet, obj: dict, validate: bool = True) -> PAHomeo:
+def map_from_obj(space: CompactSet, obj: dict) -> PAHomeo:
     branches = [Branch(rat(b["src"][0]), rat(b["src"][1]),
                        rat(b["slope"]), rat(b["offset"]))
                 for b in obj["branches"]]
-    return pa_homeo(space, branches, label=tuple(obj["label"]),
-                    validate=validate)
+    return pa_homeo(space, branches, label=tuple(obj["label"]))
 
 
 def region_to_obj(reg: Region) -> dict:

@@ -62,6 +62,9 @@ class Ifs:
             raise SpaceError("IFS images must be disjoint, left to right")
         object.__setattr__(self, "hull", (lo, hi))
         object.__setattr__(self, "_children", children)
+        # the children as fractions of the hull, for children()
+        object.__setattr__(self, "_unit_children", tuple(
+            ((a - lo) / (hi - lo), (b - lo) / (hi - lo)) for a, b in children))
         # for _expand, in ints: the children, and each inverse map
         # y -> (y - o) / r as p/q -> (p*a - q*b) / (q*c)
         object.__setattr__(self, "_int_children", tuple(
@@ -70,23 +73,21 @@ class Ifs:
             (o.denominator * r.denominator, o.numerator * r.denominator,
              o.denominator * r.numerator) for r, o in zip(self.ratios, self.offsets)))
 
+    def children(self, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+        """The child cylinders of the cylinder [lo, hi], left to right: the
+        hull's children scaled into it, I_{w s} = phi_w(I_s)."""
+        k = hi - lo
+        return [(lo + k * a, lo + k * b) for a, b in self._unit_children]
+
     def cylinder(self, address: str) -> tuple[Fraction, Fraction]:
         """Interval of the cylinder addressed by a word over the symbols.
 
         The word is read outermost-first: I_w = phi_{w0}(I_{w1 w2 ...}).
         """
         lo, hi = self.hull
-        for sym in address[::-1]:
-            i = self.symbols.index(sym)
-            lo = self.ratios[i] * lo + self.offsets[i]
-            hi = self.ratios[i] * hi + self.offsets[i]
+        for sym in address:
+            lo, hi = self.children(lo, hi)[self.symbols.index(sym)]
         return lo, hi
-
-    def addresses(self, depth: int) -> list[str]:
-        words = [""]
-        for _ in range(depth):
-            words = [w + s for w in words for s in self.symbols]
-        return words
 
     def intervals_at(self, depth: int) -> list[tuple[Fraction, Fraction]]:
         """The depth-d cylinders in address order, level by level:
@@ -172,18 +173,10 @@ def _normalize_intervals(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
         l, r = rat(l), rat(r)
         if l > r:
             raise SpaceError(f"interval [{l}, {r}] reversed")
-        cleaned.append((l, r))
+        cleaned.append(Piece(l, r, True, True))
     if not cleaned:
         raise SpaceError("empty interval list")
-    cleaned.sort()
-    merged = [cleaned[0]]
-    for l, r in cleaned[1:]:
-        pl, pr = merged[-1]
-        if l <= pr:
-            merged[-1] = (pl, max(pr, r))
-        else:
-            merged.append((l, r))
-    return tuple(merged)
+    return tuple((p.lo, p.hi) for p in _normalize_pieces(cleaned))
 
 
 @dataclass(frozen=True)
@@ -284,11 +277,6 @@ class CompactSet:
 
     # -- IFS-aware structure ------------------------------------------------
 
-    def addresses(self) -> list[str]:
-        if self.ifs is None:
-            raise SpaceError("set has no IFS structure")
-        return self.ifs.addresses(self.depth)
-
     def cylinder(self, address: str) -> tuple[Fraction, Fraction]:
         if self.ifs is None:
             raise SpaceError("set has no IFS structure")
@@ -306,9 +294,7 @@ class CompactSet:
         # holds it, or one starts (lo) or ends (hi) at it, or [lo, hi] is
         # not cylinder-aligned at any depth.
         max_depth = 1 + max(len(self.ifs._expand(x)[0]) for x in (lo, hi))
-        # a child cylinder is its parent's image of the child of the hull
-        hlo, hhi = self.ifs.hull
-        parts, stack = [], [("", hlo, hhi)]
+        parts, stack = [], [("", *self.ifs.hull)]
         while stack:
             addr, clo, chi = stack.pop()
             if hi < clo or chi < lo:
@@ -318,10 +304,9 @@ class CompactSet:
             elif len(addr) >= max_depth:
                 return None
             else:
-                k = (chi - clo) / (hhi - hlo)
-                stack.extend((addr + s, clo + k * (a - hlo), clo + k * (b - hlo))
-                             for s, (a, b) in zip(self.ifs.symbols[::-1],
-                                                  self.ifs._children[::-1]))
+                # a child cylinder is its parent's image of the child of the hull
+                stack.extend((addr + s, a, b) for s, (a, b) in zip(
+                    self.ifs.symbols[::-1], self.ifs.children(clo, chi)[::-1]))
         return parts
 
 
@@ -517,16 +502,8 @@ class Region:
 
     def contains(self, x) -> bool:
         x = rat(x)
-        if not self.space.contains(x):
-            return False
-        for p in self.pieces:
-            if p.lo < x < p.hi:
-                return True
-            if x == p.lo and p.lo_closed:
-                return True
-            if x == p.hi and p.hi_closed:
-                return True
-        return False
+        return self.space.contains(x) and any(
+            p.lo <= x <= p.hi and _meets(p, x, x) for p in self.pieces)
 
     def _piece_meets_space(self, p: Piece) -> bool:
         return any(_meets(p, l, r) for l, r in self.space.meeting(p.lo, p.hi))

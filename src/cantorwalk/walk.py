@@ -19,7 +19,7 @@ import numpy as np
 
 from .rational import rat
 from .maps import (PAHomeo, apply, break_points, compose, identity_map,
-                   image, invert, slope_range, equals)
+                   image, invert, equals)
 from .space import CompactSet, Piece, Region, epsilon_neighborhood
 
 TWO64 = 2 ** 64
@@ -98,8 +98,9 @@ class Trajectory:
         for p in model.probs:
             cum += p
             self._thresholds.append(int(cum * TWO64))
-        self._fwd = {0: identity_map(model.space)}
-        self._bwd = {0: identity_map(model.space)}
+        # the forward and backward words of lengths 0, 1, ... computed so far
+        self._fwd = [identity_map(model.space)]
+        self._bwd = [identity_map(model.space)]
 
     def index(self, k: int) -> int:
         while len(self._indices) <= k:
@@ -116,28 +117,25 @@ class Trajectory:
         return [self.model.names[self.index(k)] for k in range(n)]
 
 
-def forward_word(t: Trajectory, n: int) -> PAHomeo:
-    """f_omega^n = f_{omega_{n-1}} o ... o f_{omega_0}."""
+def _cached_word(t: Trajectory, n: int, words: list, forward: bool) -> PAHomeo:
+    """words[n], extending the list of words of lengths 0, 1, ... by one
+    letter at a time: on the left when forward, else on the right."""
     if n < 0:
         raise WalkError("negative horizon")
-    top = max(k for k in t._fwd if k <= n)
-    w = t._fwd[top]
-    for k in range(top, n):
-        w = compose(t.step_map(k), w)
-        t._fwd[k + 1] = w
-    return t._fwd[n]
+    while len(words) <= n:
+        f, w = t.step_map(len(words) - 1), words[-1]
+        words.append(compose(f, w) if forward else compose(w, f))
+    return words[n]
+
+
+def forward_word(t: Trajectory, n: int) -> PAHomeo:
+    """f_omega^n = f_{omega_{n-1}} o ... o f_{omega_0}."""
+    return _cached_word(t, n, t._fwd, True)
 
 
 def backward_word(t: Trajectory, n: int) -> PAHomeo:
     """f-bar_omega^n = f_{omega_0} o ... o f_{omega_{n-1}}."""
-    if n < 0:
-        raise WalkError("negative horizon")
-    top = max(k for k in t._bwd if k <= n)
-    w = t._bwd[top]
-    for k in range(top, n):
-        w = compose(w, t.step_map(k))
-        t._bwd[k + 1] = w
-    return t._bwd[n]
+    return _cached_word(t, n, t._bwd, False)
 
 
 def forward_orbit(t: Trajectory, x, n: int) -> list[Fraction]:
@@ -346,10 +344,9 @@ def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region,
             inter = cell.intersect(region)
             return float((inter.supremum() - inter.infimum()) / (hi - lo))
         # children of [lo, hi] under the IFS self-similarity
-        (hlo, hhi), kids = space.ifs.hull, space.ifs._children
-        scale = (hi - lo) / (hhi - hlo)
-        return sum(portion(lo + (clo - hlo) * scale, lo + (chi - hlo) * scale,
-                           depth_left - 1) / len(kids) for clo, chi in kids)
+        kids = space.ifs.children(lo, hi)
+        return sum(portion(clo, chi, depth_left - 1) / len(kids)
+                   for clo, chi in kids)
 
     total = 0.0
     for m, (l, r) in zip(mu.masses, cells):
@@ -471,7 +468,6 @@ def dichotomy_report(model: WalkModel, pairs, delta=DEFAULT_DELTA,
 @dataclass(frozen=True)
 class CellScan:
     verdicts: tuple[str, ...]  # attractor | repulsor | undecided per cell
-    rates: tuple[float, ...]
     delta: Fraction
     depth: int
     horizon: int
@@ -512,10 +508,10 @@ def contraction_scan(t: Trajectory, depth: int, n: int,
     cells = measure_cells(K, depth)
     diam_series = tuple(zip(*(cell_image_diameters(forward_word(t, k), cells)
                               for k in range(n + 1))))
-    verdicts, rates = zip(*(_tail_verdict(series[n // 2:], delta,
-                                          "repulsor", "attractor")
-                            for series in diam_series))
-    scan = CellScan(verdicts, rates, delta, depth, n, diam_series)
+    verdicts = tuple(_tail_verdict(series[n // 2:], delta,
+                                   "repulsor", "attractor")[0]
+                     for series in diam_series)
+    scan = CellScan(verdicts, delta, depth, n, diam_series)
     lo, hi = K.hull
     if scan.repulsor_count * delta > hi - lo:
         raise WalkError("repulsor count bound violated: "
@@ -665,7 +661,6 @@ class ContractionReport:
     p: Optional[int]  # None is the infinity sentinel
     lambda_fit: float
     cover: tuple  # (center, radius) pairs
-    sup_slope_off_F: float
     horizon: int
     eps: Fraction
     scan: CellScan  # the cell scan F was drawn from
@@ -689,9 +684,8 @@ def global_contraction_report(t: Trajectory, depth: int, n: int, eps,
     w = forward_word(t, n)
     off = Region.whole(K).difference(epsilon_neighborhood(F, eps, K))
     if len(F) > p_cap or off.is_empty():
-        return ContractionReport(tuple(F), None, 0.0, (), 0.0, n, eps, scan)
+        return ContractionReport(tuple(F), None, 0.0, (), n, eps, scan)
     img = image(w, off)
-    sup_slope = float(slope_range(w, off)[1])
     # cluster the image pieces at scale delta; each cluster must itself be
     # tiny for the walk to count as contracting, and one ball per cluster
     # with radius e^{-n*lam} := max cluster half-diameter covers exactly
@@ -703,15 +697,13 @@ def global_contraction_report(t: Trajectory, depth: int, n: int, eps,
             clusters.append([p.lo, p.hi])
     cdiam = max(b - a for a, b in clusters)
     if cdiam >= delta or len(clusters) > p_cap:
-        return ContractionReport(tuple(F), None, 0.0, (), sup_slope, n, eps,
-                                 scan)
+        return ContractionReport(tuple(F), None, 0.0, (), n, eps, scan)
     radius = max(cdiam / 2, Fraction(1, 3 ** (4 * n)))
     lam = -math.log(float(radius)) / n
     balls = tuple(((a + b) / 2, radius) for a, b in clusters)
     ball_region = Region.from_pieces(K, tuple(
         Piece(c - r, c + r, True, True) for c, r in balls))
     if not img.subset_of(ball_region):
-        return ContractionReport(tuple(F), None, lam, (), sup_slope, n, eps,
-                                 scan)
-    return ContractionReport(tuple(F), len(balls), lam, tuple(balls),
-                             sup_slope, n, eps, scan)
+        return ContractionReport(tuple(F), None, lam, (), n, eps, scan)
+    return ContractionReport(tuple(F), len(balls), lam, tuple(balls), n, eps,
+                             scan)

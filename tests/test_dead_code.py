@@ -2,8 +2,10 @@
 
 A module-level function or class, or a method, whose name starts with an
 underscore (dunder names aside) must be referenced somewhere in the
-package besides its own definition; a public one must be referenced
-somewhere in the package or its tests.
+package outside its own definition; a public one must be referenced
+somewhere in the package or its tests outside its own definition.  A
+reference inside the body of the definition (a recursive call, or a
+method calling a namesake) does not count.
 """
 
 import ast
@@ -24,29 +26,39 @@ def _definitions(tree):
 
 
 def _references(tree):
+    """(name, line) of every name, attribute and imported name in tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
-            yield node.name
+            yield node.name, node.lineno
 
 
 def _trees(d):
-    return {p.name: ast.parse(p.read_text()) for p in sorted(d.glob("*.py"))}
+    return {p: ast.parse(p.read_text()) for p in sorted(d.glob("*.py"))}
+
+
+def _used(node, path, refs) -> bool:
+    """Whether a reference to node's name lies outside node's own lines."""
+    return any(not (p == path and node.lineno <= line <= node.end_lineno)
+               for p, line in refs.get(node.name, ()))
 
 
 def unreferenced_names(private: bool, *dirs):
     """module:name for each private (or public) definition in the package
-    that no module in dirs references."""
-    used = {name for d in dirs for tree in _trees(d).values()
-            for name in _references(tree)}
+    that no module in dirs references outside the definition itself."""
+    refs = {}
+    for d in dirs:
+        for path, tree in _trees(d).items():
+            for name, line in _references(tree):
+                refs.setdefault(name, []).append((path, line))
     return sorted(
-        f"{module}:{node.name}"
-        for module, tree in _trees(SRC).items()
+        f"{path.name}:{node.name}"
+        for path, tree in _trees(SRC).items()
         for node in _definitions(tree)
-        if node.name.startswith("_") == private and node.name not in used
+        if node.name.startswith("_") == private and not _used(node, path, refs)
         and not (node.name.startswith("__") and node.name.endswith("__")))
 
 

@@ -269,7 +269,7 @@ def test_compose_and_image_match_reference_loops(word, data):
     for g in letters:
         assert compose(g, w) == compose_ref(g, w)
         assert compose(w, g) == compose_ref(w, g)
-    assert all(b.image_interval() == tuple(sorted((b.value(b.lo),
+    assert all(b.ends == tuple(sorted((b.value(b.lo),
                                                    b.value(b.hi))))
                for b in w.branches)
     for S in (Region.whole(K), data.draw(regions(K))):
@@ -318,8 +318,8 @@ def test_uncut_compose_takes_no_preimage(space, monkeypatch):
     src = [(b.lo, b.hi) for b in a1.branches]
     for w in (a1i, compose(a1i, a2), compose(a1i, compose(a2i, a1)),
               compose(a1i, compose(a2, compose(a2, a1)))):
-        assert all(any(lo <= b.image_interval()[0] and
-                       b.image_interval()[1] <= hi for lo, hi in src)
+        assert all(any(lo <= b.ends[0] and
+                       b.ends[1] <= hi for lo, hi in src)
                    for b in w.branches)
         expected = compose_ref(a1, w)
         calls = []

@@ -1,5 +1,6 @@
 """Exact oracles and metric properties for compact sets and regions."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -20,6 +21,33 @@ def test_normalization():
     # unsorted input is sorted
     assert CompactSet.from_intervals([(F(2, 3), 1), (0, F(1, 3))]).intervals == \
         ((F(0), F(1, 3)), (F(2, 3), F(1)))
+
+
+def merge_ref(pairs):
+    """Sort the closed intervals and merge those that overlap or touch."""
+    merged = []
+    for l, r in sorted(pairs):
+        if merged and l <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], r))
+        else:
+            merged.append((l, r))
+    return tuple(merged)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4)), min_size=1,
+                max_size=8))
+def test_normalization_matches_sort_and_merge(specs):
+    # points, touching, nested and overlapping intervals over a coarse grid
+    pairs = [(F(a, 4), F(a + b, 4)) for a, b in specs]
+    assert CompactSet.from_intervals(pairs).intervals == merge_ref(pairs)
+
+
+def test_normalization_rejects_reversed_and_empty_lists():
+    with pytest.raises(SpaceError, match="reversed"):
+        CompactSet.from_intervals([(1, 0)])
+    with pytest.raises(SpaceError, match="empty interval list"):
+        CompactSet.from_intervals([])
 
 
 def test_ternary_cantor_depths():
@@ -402,7 +430,7 @@ def expand_ref(ifs, t):
     lo, hi = ifs.hull
     if not lo <= t <= hi:
         return levels, None
-    children, y = ifs._children, t
+    children, y = ifs.children(*ifs.hull), t
     while (key := (y.numerator, y.denominator)) not in seen:
         seen.add(key)
         for i, (clo, chi) in enumerate(children):
@@ -417,7 +445,7 @@ def expand_ref(ifs, t):
 
 def gaps_at_ref(ifs, t):
     levels, gap = expand_ref(ifs, t)
-    children = ifs._children
+    children = ifs.children(*ifs.hull)
     if gap is None:
         if len(levels) < 2:
             return ()
@@ -461,3 +489,23 @@ def test_integer_expansion_matches_fraction_loop(ifs, data):
     assert levels == [(i, (y.numerator, y.denominator)) for i, y in ref_levels]
     assert gap == ref_gap
     assert ifs.gaps_at(t) == gaps_at_ref(ifs, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([TERNARY, UNEQUAL, THREE_MAPS, NEGATIVE]), st.data())
+def test_cylinders_match_the_map_composition(ifs, data):
+    # I_w = phi_{w0}(phi_{w1}(... hull)), the maps applied innermost first;
+    # its children are the I_{w s}, it is one cylinder of the limit set, and
+    # the depth-d cylinders in address order are intervals_at(d)
+    w = data.draw(st.text(alphabet="".join(ifs.symbols), max_size=6))
+    lo, hi = ifs.hull
+    for sym in reversed(w):
+        i = ifs.symbols.index(sym)
+        r, o = ifs.ratios[i], ifs.offsets[i]
+        lo, hi = r * lo + o, r * hi + o
+    assert ifs.cylinder(w) == (lo, hi)
+    assert ifs.children(lo, hi) == [ifs.cylinder(w + s) for s in ifs.symbols]
+    assert CompactSet.from_ifs(ifs, 0).decompose_into_cylinders(lo, hi) == [w]
+    d = data.draw(st.integers(0, 3))
+    assert ifs.intervals_at(d) == [ifs.cylinder("".join(a))
+                                   for a in itertools.product(ifs.symbols, repeat=d)]

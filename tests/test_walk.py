@@ -47,6 +47,20 @@ def test_words_trivials():
     assert equals(backward_word(t, 2), compose(t.step_map(0), t.step_map(1)))
 
 
+def test_cached_words_match_fresh_products():
+    # lengths asked out of order, each against the product of its letters
+    t = Trajectory(FREE, stream=2)
+    for n in (5, 2, 8, 0, 8):
+        fw = bw = identity_map(K)
+        for k in range(n):
+            fw, bw = compose(t.step_map(k), fw), compose(bw, t.step_map(k))
+        assert forward_word(t, n) == fw
+        assert backward_word(t, n) == bw
+    for word in (forward_word, backward_word):
+        with pytest.raises(WalkError, match="negative horizon"):
+            word(t, -1)
+
+
 def test_forward_word_matches_pointwise_orbit():
     t = Trajectory(FREE, stream=1)
     n = 6
