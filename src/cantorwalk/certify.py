@@ -12,12 +12,12 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import Optional, Sequence
 
 from .rational import rat
-from .maps import (PAHomeo, apply, compose, equals, image, inverse_name,
-                   invert, is_identity, maps_into, orbit_bfs)
+from .maps import (PAHomeo, apply, compose, equals, image, invert,
+                   is_identity, maps_into, orbit_bfs)
 from .space import (CompactSet, Piece, PointSet, Region,
                     epsilon_neighborhood)
 from .measure_solver import solve_feasibility
@@ -120,32 +120,39 @@ class DisplacementResult:
 def _make_letters(named: dict):
     """(letters, inv) with inverses appended unless already present; inv[j]
     is the index of letter j's inverse (itself for involutions)."""
-    letters = list(named.items())
-    for name, g in list(letters):
+    letters = list(named.values())
+    for g in list(letters):
         gi = invert(g)
-        if not any(equals(gi, h) for _, h in letters):
-            letters.append((inverse_name(name), gi))
+        if not any(equals(gi, h) for h in letters):
+            letters.append(gi)
     inv = []
-    for _, g in letters:
+    for g in letters:
         gi = invert(g)
-        inv.append(next(k for k, (_, h) in enumerate(letters) if equals(gi, h)))
+        inv.append(next(k for k, h in enumerate(letters) if equals(gi, h)))
     return letters, inv
 
 
-def _iter_words(letters, inv, max_len: int):
-    """Reduced words in shortlex order, lengths 1..max_len, as
-    (name tuple, composed map); letter j never follows its inverse."""
-    frontier = [((), None, -1)]
+def _reduced_words(letters, inv, max_len: int, start, step):
+    """Reduced words in shortlex order, lengths 1..max_len, as (letter
+    indices, value); letter j never follows its inverse inv[j].  The value
+    folds step(value, letter) over the word's letters from start, and each
+    word is yielded before the next one is built."""
+    frontier = [((), start)]
     for _ in range(max_len):
         nxt = []
-        for names, m, last in frontier:
-            for j, (nm, g) in enumerate(letters):
-                if last >= 0 and inv[j] == last:
+        for idxs, value in frontier:
+            for j, g in enumerate(letters):
+                if idxs and inv[j] == idxs[-1]:
                     continue
-                m2 = g if m is None else compose(g, m)
-                nxt.append((names + (nm,), m2, j))
-                yield names + (nm,), m2
+                word = idxs + (j,), step(value, g)
+                nxt.append(word)
+                yield word
         frontier = nxt
+
+
+def _then(m: Optional[PAHomeo], g: PAHomeo) -> PAHomeo:
+    """The word map m followed by the letter g; None is the empty word."""
+    return g if m is None else compose(g, m)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +188,7 @@ def find_displacement(gens: dict, A, B, max_len: int = 6) -> DisplacementResult:
     if max_len < 1:
         raise CertifyError("max_len must be at least 1")
     letters, inv = _make_letters(gens)
-    for _, w in _iter_words(letters, inv, max_len):
+    for _, w in _reduced_words(letters, inv, max_len, None, _then):
         if all(apply(w, a) not in b_vals for a in a_vals):
             return DisplacementResult(w)
     orbit = find_finite_orbit(gens, a_vals, bound=4 ** max_len)
@@ -190,7 +197,7 @@ def find_displacement(gens: dict, A, B, max_len: int = 6) -> DisplacementResult:
     if len(a_vals) > 1:
         sub = find_displacement(gens, a_vals[:-1], b_vals, max_len)
         if sub.word is not None:
-            for _, u in _iter_words(letters, inv, max_len):
+            for _, u in _reduced_words(letters, inv, max_len, None, _then):
                 w = compose(u, sub.word)
                 if all(apply(w, a) not in b_vals for a in a_vals):
                     return DisplacementResult(w)
@@ -199,7 +206,7 @@ def find_displacement(gens: dict, A, B, max_len: int = 6) -> DisplacementResult:
 
 def _find_region_displacement(letters, inv, src: Region, avoid: Region,
                               max_len: int) -> Optional[PAHomeo]:
-    for _, w in _iter_words(letters, inv, max_len):
+    for _, w in _reduced_words(letters, inv, max_len, None, _then):
         if image(w, src).disjoint_from(avoid):
             return w
     return None
@@ -406,30 +413,19 @@ def free_group_sanity(a1: PAHomeo, a2: PAHomeo, L: int) -> bool:
         raise CertifyError("L must be at least 1")
     if is_identity(a1) or is_identity(a2):
         return False
-    letters = [("a1", a1), ("a1^-1", invert(a1)),
-               ("a2", a2), ("a2^-1", invert(a2))]
-    inv = [1, 0, 3, 2]
+    letters = [a1, invert(a1), a2, invert(a2)]
     ends = a1.space.endpoints()
     witnesses = tuple(sorted({ends[0], ends[len(ends) // 3],
                               ends[(2 * len(ends)) // 3], ends[-1]}))
-    frontier = [(witnesses, (), -1)]
-    for _ in range(L):
-        nxt = []
-        for vals, idxs, last in frontier:
-            for j, (_, g) in enumerate(letters):
-                if last >= 0 and inv[j] == last:
-                    continue
-                vals2 = tuple(apply(g, v) for v in vals)
-                if vals2 == witnesses:
-                    # the word fixes every witness: compare as a full map
-                    m = letters[idxs[0]][1] if idxs else None
-                    for k in idxs[1:]:
-                        m = compose(letters[k][1], m)
-                    m = g if m is None else compose(g, m)
-                    if is_identity(m):
-                        return False
-                nxt.append((vals2, idxs + (j,), j))
-        frontier = nxt
+
+    def move(vals, g):
+        return tuple(apply(g, v) for v in vals)
+
+    for idxs, vals in _reduced_words(letters, [1, 0, 3, 2], L, witnesses, move):
+        # the word fixes every witness: compare as a full map
+        if vals == witnesses and is_identity(
+                reduce(_then, (letters[k] for k in idxs), None)):
+            return False
     return True
 
 

@@ -15,7 +15,8 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .rational import rat
-from .maps import Branch, MapError, PAHomeo, orbit_bfs, pa_homeo
+from .maps import (Branch, MapError, PAHomeo, invert_branches, orbit_bfs,
+                   pa_homeo)
 from .space import CompactSet, SpaceError
 
 
@@ -57,14 +58,11 @@ class Giet:
         for br in self.branches:
             ia, ib = br.ends
             if ia <= y < ib:
-                return (y - br.offset) / br.slope
+                return br.preimage(y)
         raise GietError(f"{y} not in the image [{self.a}, {self.b})")
 
     def inverse(self) -> "Giet":
-        inv = [Branch(*br.ends, 1 / br.slope, -br.offset / br.slope)
-               for br in self.branches]
-        inv.sort(key=lambda br: br.lo)
-        return Giet(self.a, self.b, tuple(inv))
+        return Giet(self.a, self.b, invert_branches(self.branches))
 
     def jump_points(self) -> list[Fraction]:
         """Interior points where the map is genuinely discontinuous."""

@@ -178,17 +178,16 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
     img_cyls = []
     src_cyls = []
     for b in branches:
-        words = space.decompose_into_cylinders(b.lo, b.hi)
-        if not words:
+        parts = space.decompose_into_cylinders(b.lo, b.hi)
+        if not parts:
             raise MapError(f"branch source [{b.lo}, {b.hi}] not cylinder-aligned")
-        for w in words:
-            clo, chi = space.cylinder(w)
+        for w, clo, chi in parts:
             src_cyls.append((clo, chi))
             ia, ib = sorted((b.value(clo), b.value(chi)))
             dec = space.decompose_into_cylinders(ia, ib)
             if dec is None or len(dec) != 1:
                 raise MapError(f"image of cylinder {w or 'hull'} is not a cylinder")
-            if space.cylinder(dec[0]) != (ia, ib):
+            if dec[0][1:] != (ia, ib):
                 raise MapError(f"image of cylinder {w or 'hull'} misses cylinder endpoints")
             img_cyls.append((ia, ib))
     antichain(src_cyls, "source")
@@ -238,18 +237,6 @@ class PrefixTable:
     rules: tuple[tuple[str, str, int], ...]
 
 
-def _check_antichain(words: Sequence[str], alphabet_size: int, what: str) -> None:
-    for w in words:
-        for v in words:
-            if w != v and v.startswith(w):
-                raise MapError(f"{what} address {w!r} is a prefix of {v!r}")
-    if len(set(words)) != len(words):
-        raise MapError(f"duplicate {what} address")
-    mass = sum(Fraction(1, alphabet_size ** len(w)) for w in words)
-    if mass != 1:
-        raise MapError(f"{what} addresses cover mass {mass}, not 1")
-
-
 def from_prefix_table(table: PrefixTable, K: CompactSet,
                       label: tuple[str, ...] = ()) -> PAHomeo:
     if K.ifs is None:
@@ -257,9 +244,6 @@ def from_prefix_table(table: PrefixTable, K: CompactSet,
     maxlen = max((max(len(s), len(d)) for s, d, _ in table.rules), default=0)
     if K.depth < maxlen:
         raise MapError(f"depth {K.depth} too small for addresses of length {maxlen}")
-    m = len(K.ifs.symbols)
-    _check_antichain([s for s, _, _ in table.rules], m, "source")
-    _check_antichain([d for _, d, _ in table.rules], m, "target")
     branches = []
     for src, dst, sign in table.rules:
         if sign not in (1, -1):
@@ -269,6 +253,7 @@ def from_prefix_table(table: PrefixTable, K: CompactSet,
         slope = Fraction(dhi - dlo, shi - slo) * sign
         offset = (dlo - slope * slo) if sign == 1 else (dhi - slope * slo)
         branches.append(Branch(slo, shi, slope, offset))
+    # pa_homeo rejects sources or targets that do not tile the limit set
     return pa_homeo(K, branches, label=label)
 
 
@@ -308,14 +293,15 @@ def compose(f: PAHomeo, g: PAHomeo) -> PAHomeo:
     return PAHomeo(f.space, tuple(out), f.label + g.label)
 
 
+def invert_branches(branches: Iterable[Branch]) -> tuple[Branch, ...]:
+    """The inverse branches y -> (y - offset) / slope on the images, sorted."""
+    return tuple(sorted((Branch(*b.ends, 1 / b.slope, -b.offset / b.slope)
+                         for b in branches), key=lambda b: b.lo))
+
+
 def invert(f: PAHomeo) -> PAHomeo:
-    branches = []
-    for b in f.branches:
-        ia, ib = b.ends
-        branches.append(Branch(ia, ib, 1 / b.slope, -b.offset / b.slope))
-    branches.sort(key=lambda b: b.lo)
     label = tuple(inverse_name(n) for n in reversed(f.label))
-    return PAHomeo(f.space, tuple(branches), label)
+    return PAHomeo(f.space, invert_branches(f.branches), label)
 
 
 def power(f: PAHomeo, k: int) -> PAHomeo:

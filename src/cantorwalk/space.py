@@ -86,6 +86,9 @@ class Ifs:
         """
         lo, hi = self.hull
         for sym in address:
+            if sym not in self.symbols:
+                raise SpaceError(f"address symbol {sym!r} not in the IFS "
+                                 f"alphabet {self.symbols}")
             lo, hi = self.children(lo, hi)[self.symbols.index(sym)]
         return lo, hi
 
@@ -282,11 +285,11 @@ class CompactSet:
             raise SpaceError("set has no IFS structure")
         return self.ifs.cylinder(address)
 
-    def decompose_into_cylinders(self, lo: Fraction,
-                                 hi: Fraction) -> Optional[list[str]]:
+    def decompose_into_cylinders(self, lo: Fraction, hi: Fraction
+                                 ) -> Optional[list[tuple[str, Fraction, Fraction]]]:
         """Write [lo, hi] (intersected with the limit set) as a disjoint
-        union of maximal cylinders, or None if the interval is not
-        cylinder-aligned."""
+        union of maximal cylinders, left to right as (address, lo, hi)
+        triples, or None if the interval is not cylinder-aligned."""
         if self.ifs is None:
             raise SpaceError("set has no IFS structure")
         # only cylinders holding lo or hi without lying inside [lo, hi] are
@@ -300,7 +303,7 @@ class CompactSet:
             if hi < clo or chi < lo:
                 continue
             if lo <= clo and chi <= hi:
-                parts.append(addr)
+                parts.append((addr, clo, chi))
             elif len(addr) >= max_depth:
                 return None
             else:

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantorwalk.certify import (AssemblyFailure, CertifyError,
+from cantorwalk.certify import (_make_letters, _reduced_words, _then,
+                                AssemblyFailure, CertifyError,
                                 InfeasibilityReport, InvariantMeasureCertificate,
                                 PingPongCertificate, assemble_free_pair,
                                 check_morse_smale, find_contraction,
@@ -14,7 +15,7 @@ from cantorwalk.certify import (AssemblyFailure, CertifyError,
                                 stabilize_contraction_pair, UnprovedMeasure,
                                 verify_finite_orbit, verify_invariant_measure,
                                 verify_ping_pong)
-from cantorwalk.maps import apply, identity_map, invert, power
+from cantorwalk.maps import apply, compose, equals, identity_map, invert, power
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
 from cantorwalk.walk import CellMeasure, make_model
 
@@ -138,6 +139,30 @@ def test_verify_ping_pong_rejects_identity():
     cert = PingPongCertificate(identity_map(K), A2, _cyl("22"), _cyl("02"),
                                _cyl("00"), _cyl("20"))
     assert not verify_ping_pong(cert)
+
+
+def test_reduced_words_are_shortlex_and_reduced():
+    letters, inv = _make_letters({"A1": A1, "A2": A2})
+    assert inv == [2, 3, 0, 1]
+    steps = []
+
+    def spell(word, g):
+        steps.append(g)
+        return word + (g,)
+
+    gen = _reduced_words(letters, inv, 3, (), spell)
+    first = next(gen)
+    assert first == ((0,), (A1,)) and len(steps) == 1  # lazy
+    words = [first] + list(gen)
+    idxs = [w for w, _ in words]
+    assert [sum(len(w) == n for w in idxs) for n in (1, 2, 3)] == [4, 12, 36]
+    assert idxs == sorted(idxs, key=lambda w: (len(w), w))
+    assert not any(inv[a] == b for w in idxs for a, b in zip(w, w[1:]))
+    assert all(value == tuple(letters[k] for k in w) for w, value in words)
+    # the map fold applies each letter after the word before it
+    for w, m in _reduced_words(letters, inv, 2, None, _then):
+        assert equals(m, letters[w[0]] if len(w) == 1 else
+                      compose(letters[w[1]], letters[w[0]]))
 
 
 def test_free_group_sanity():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cantorwalk.cli import (BUDGET_ENV, DEFAULT_BUDGETS, ScenarioError,
-                            _env_budgets, main, parse_scenario, run_scenario,
+                            _budget, _env_budgets, main, parse_scenario, run_scenario,
                             _load_scenario_text)
 from cantorwalk.maps import MapError
 from cantorwalk.space import ternary_cantor
@@ -94,6 +94,21 @@ def test_env_budget_parsing(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "bogus=3")
     with pytest.raises(ScenarioError):
         _env_budgets()
+
+
+def test_budget_layers(monkeypatch):
+    # defaults, then the environment, then the scenario's budgets, then
+    # --runs/--depth; a flag left unset (None) keeps the layer below it
+    monkeypatch.setenv(BUDGET_ENV, "n=80, eps=1/81, runs=7, max_len=4")
+    scn = parse_scenario(json.dumps(dict(
+        json.loads(_load_scenario_text("free_pair")),
+        budgets={"eps": "1/27", "max_len": 5, "runs": 9, "depth": 3})))
+    assert _budget(scn, {"runs": 3, "depth": None}) == {
+        "d_max": DEFAULT_BUDGETS["d_max"],  # default
+        "n": 80,                            # environment
+        "eps": F(1, 27), "max_len": 5,      # scenario over environment
+        "depth": 3,                         # scenario; the flag is unset
+        "runs": 3}                          # flag over scenario and environment
 
 
 def test_run_identity_is_undecided(tmp_path):
@@ -208,6 +223,21 @@ def test_main_bad_input_exits_1(tmp_path, capsys):
     assert main(["simulate", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "probabilities sum 5/6, not 1" in err
+
+
+def test_main_unknown_address_symbol_exits_1(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(
+        json.loads(_load_scenario_text("g3")),
+        generators=[{"name": "X", "table": [["x", "0", 1]]}], probabilities=["1"])))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'x'" in err and "alphabet ('0', '2')" in err
+    assert not any(out.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]
 
 
 def test_main_kind_mismatch(capsys):

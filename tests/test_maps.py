@@ -11,7 +11,7 @@ from cantorwalk.maps import (Branch, BreakPair, MapError, PrefixTable, apply,
                              equals, from_prefix_table, identity_map, image,
                              invert, is_identity, is_regular_on, pa_homeo,
                              power, regularity_radius, slope_range)
-from cantorwalk.space import Region, ternary_cantor
+from cantorwalk.space import Ifs, Region, ternary_cantor
 
 from fixtures import TABLES, cantor_space, fixture
 
@@ -133,6 +133,31 @@ def test_prefix_table_validation():
     with pytest.raises(MapError):
         # depth 1 too shallow for length-2 addresses
         from_prefix_table(TABLES["G3"], ternary_cantor(1))
+    # sources and targets that are not a complete antichain of addresses
+    # end in the map checks of pa_homeo
+    for rows in [(("0", "0", 1), ("0", "2", 1)),  # a duplicate source
+                 (("0", "0", 1), ("2", "02", 1)),  # "0" is a prefix of "02"
+                 (("0", "00", 1), ("2", "2", 1)),  # targets cover mass 3/4
+                 ()]:
+        with pytest.raises(MapError):
+            from_prefix_table(PrefixTable(rows), K)
+    # orientations other than +-1 are refused by name: without that check
+    # ("2", "22", -3) would build a valid reflection of "2" onto itself
+    for rows in [(("0", "00", 3), ("2", "2", 1)),
+                 (("0", "0", 1), ("2", "22", -3))]:
+        with pytest.raises(MapError, match="bad orientation"):
+            from_prefix_table(PrefixTable(rows), K)
+
+
+def test_validation_asks_no_cylinder(monkeypatch):
+    # the cylinder decomposition already holds each cylinder's interval
+    calls = []
+    cylinder = Ifs.cylinder
+    monkeypatch.setattr(Ifs, "cylinder",
+                        lambda self, w: calls.append(w) or cylinder(self, w))
+    w = compose(A1, compose(A2, A1))
+    assert pa_homeo(K, w.branches).branches == w.branches
+    assert calls == []
 
 
 def test_power():

@@ -337,15 +337,16 @@ def test_cylinders():
     K = ternary_cantor(3)
     assert K.cylinder("02") == (F(2, 9), F(1, 3))
     assert K.cylinder("") == (F(0), F(1))
-    assert K.decompose_into_cylinders(F(0), F(1, 3)) == ["0"]
-    assert K.decompose_into_cylinders(F(0), F(1)) == [""]
-    assert K.decompose_into_cylinders(F(2, 9), F(7, 9)) == ["02", "20"]
+    assert K.decompose_into_cylinders(F(0), F(1, 3)) == [("0", F(0), F(1, 3))]
+    assert K.decompose_into_cylinders(F(0), F(1)) == [("", F(0), F(1))]
+    assert K.decompose_into_cylinders(F(2, 9), F(7, 9)) == [
+        ("02", F(2, 9), F(1, 3)), ("20", F(2, 3), F(7, 9))]
     # a gap end inside the interval: the cylinders around it are split
     assert K.decompose_into_cylinders(F(1, 4), F(1)) is None
     assert K.decompose_into_cylinders(F(1, 3), F(1)) is None
     # cylinders far deeper than the stored depth
-    assert K.decompose_into_cylinders(F(2, 3 ** 25), F(1, 3)) == \
-        ["0" * k + "2" for k in range(24, 0, -1)]
+    assert K.decompose_into_cylinders(F(2, 3 ** 25), F(1, 3)) == [
+        ("0" * k + "2", F(2, 3 ** (k + 1)), F(1, 3 ** k)) for k in range(24, 0, -1)]
 
 
 # -- the IFS address engine --------------------------------------------------
@@ -505,7 +506,7 @@ def test_cylinders_match_the_map_composition(ifs, data):
         lo, hi = r * lo + o, r * hi + o
     assert ifs.cylinder(w) == (lo, hi)
     assert ifs.children(lo, hi) == [ifs.cylinder(w + s) for s in ifs.symbols]
-    assert CompactSet.from_ifs(ifs, 0).decompose_into_cylinders(lo, hi) == [w]
+    assert CompactSet.from_ifs(ifs, 0).decompose_into_cylinders(lo, hi) == [(w, lo, hi)]
     d = data.draw(st.integers(0, 3))
     assert ifs.intervals_at(d) == [ifs.cylinder("".join(a))
                                    for a in itertools.product(ifs.symbols, repeat=d)]
