@@ -14,12 +14,13 @@ computed exactly.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
-from .rational import rat
+from .rational import coprime_fraction, pair_key, rat
 from .space import CompactSet, Piece, Region, _normalize_intervals
 
 
@@ -27,18 +28,44 @@ class MapError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Branch:
-    lo: Fraction
-    hi: Fraction
-    slope: Fraction
-    offset: Fraction
-    # the sorted ends of the image, computed once at construction
-    ends: tuple[Fraction, Fraction] = field(init=False, repr=False, compare=False)
+def _affine(s: tuple, x: tuple, o: tuple = (0, 1)) -> tuple:
+    """s*x + o on reduced (numerator, denominator > 0) int pairs, reduced."""
+    (sn, sd), (xn, xd), (on, od) = s, x, o
+    n, d = sn * xn * od + on * sd * xd, sd * xd * od
+    g = gcd(n, d)
+    return n // g, d // g
 
-    def __post_init__(self):
-        a, b = self.value(self.lo), self.value(self.hi)
-        object.__setattr__(self, "ends", (a, b) if a <= b else (b, a))
+
+def _inverse(s: tuple, o: tuple) -> tuple:
+    """The slope and offset pairs of y -> (y - o) / s."""
+    t = (s[1], s[0]) if s[0] > 0 else (-s[1], -s[0])
+    return t, _affine(t, (-o[0], o[1]))
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Branch:
+    """x -> slope*x + offset on the closed source [lo, hi].  `pairs` holds lo,
+    hi, slope, offset and the sorted image ends as reduced (numerator,
+    denominator > 0) int pairs, which equality compares and the kernels use;
+    the Fraction views lo, hi, slope, offset and ends are built when read."""
+
+    pairs: tuple
+
+    def __init__(self, lo, hi, slope, offset):
+        lo, hi, s, o = ((v.numerator, v.denominator) for v in (lo, hi, slope, offset))
+        a, b = _affine(s, lo, o), _affine(s, hi, o)
+        object.__setattr__(self, "pairs", (lo, hi, s, o, *sorted((a, b), key=pair_key)))
+
+    @classmethod
+    def from_pairs(cls, pairs: tuple) -> "Branch":
+        """The branch whose `pairs` are these six reduced pairs."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "pairs", pairs)
+        return b
+
+    lo, hi, slope, offset = (property(lambda b, i=i: coprime_fraction(*b.pairs[i]))
+                             for i in range(4))
+    ends = property(lambda b: tuple(coprime_fraction(*p) for p in b.pairs[4:]))
 
     def value(self, x: Fraction) -> Fraction:
         return self.slope * x + self.offset
@@ -69,14 +96,13 @@ class PAHomeo:
         """The branch whose source contains x; raises off the sources.
 
         When two branches share the point x they must agree there for x in
-        the ambient set; the left one is returned.
+        the ambient set; the right one is returned.
         """
-        i = bisect.bisect_right(self._src_los, x) - 1
-        if 0 <= i and self.branches[i].lo <= x <= self.branches[i].hi:
-            return self.branches[i]
-        j = i + 1
-        if j < len(self.branches) and self.branches[j].lo <= x <= self.branches[j].hi:
-            return self.branches[j]
+        los, his = self._src_los, self._src_his
+        i = bisect.bisect_right(los, x) - 1
+        for k in (i, i + 1):
+            if 0 <= k < len(los) and los[k] <= x <= his[k]:
+                return self.branches[k]
         raise MapError(f"{x} is not in any branch source")
 
     def __call__(self, x) -> Fraction:
@@ -187,8 +213,6 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
             dec = space.decompose_into_cylinders(ia, ib)
             if dec is None or len(dec) != 1:
                 raise MapError(f"image of cylinder {w or 'hull'} is not a cylinder")
-            if dec[0][1:] != (ia, ib):
-                raise MapError(f"image of cylinder {w or 'hull'} misses cylinder endpoints")
             img_cyls.append((ia, ib))
     antichain(src_cyls, "source")
     antichain(img_cyls, "image")
@@ -262,41 +286,39 @@ def from_prefix_table(table: PrefixTable, K: CompactSet,
 
 
 def compose(f: PAHomeo, g: PAHomeo) -> PAHomeo:
-    """The map f∘g (g applied first).
-
-    Composition of validated maps is again a valid map, so no re-validation
-    is performed; branch refinement stays exact.
-    """
+    """The map f∘g (g applied first), not re-validated: a composition of
+    valid maps is valid.  On int pairs, a branch of g whose image lies in one
+    source of f keeps its source, a cut one takes g's preimages of the cuts,
+    and f gives the image ends; pieces come out in source order."""
     if f.space != g.space:
         raise MapError("composition across different spaces")
-    out = []
-    f_his = f._src_his
-    nf = len(f.branches)
-    for bg in g.branches:
-        ia, ib = bg.ends
-        j = bisect.bisect_right(f_his, ia)
-        if j > 0 and f.branches[j - 1].hi >= ia:
-            j -= 1
-        while j < nf:
-            bf = f.branches[j]
-            if bf.lo >= ib:
+    fq, out = [b.pairs for b in f.branches], []
+    his = [pair_key(q[1]) for q in fq]
+    for glo, ghi, gs, go, ia, ib in (b.pairs for b in g.branches):
+        (an, ad), (bn, bd), up = ia, ib, gs[0] > 0
+        pieces = []
+        for flo, fhi, fs, fo, fa, fb in fq[bisect.bisect_right(his, pair_key(ia)):]:
+            if flo[0] * bd >= bn * flo[1]:
                 break
-            olo, ohi = max(ia, bf.lo), min(ib, bf.hi)
-            if olo < ohi:
-                # an image inside bf's source leaves bg's source uncut
-                pa, pb = ((bg.lo, bg.hi) if (olo, ohi) == (ia, ib) else
-                          sorted((bg.preimage(olo), bg.preimage(ohi))))
-                out.append(Branch(pa, pb, bf.slope * bg.slope,
-                                  bf.slope * bg.offset + bf.offset))
-            j += 1
-    out.sort(key=lambda b: b.lo)
+            cut_lo, cut_hi = flo[0] * ad > an * flo[1], fhi[0] * bd < bn * fhi[1]
+            if cut_lo or cut_hi:
+                ginv = _inverse(gs, go)
+            xa = _affine(ginv[0], flo, ginv[1]) if cut_lo else (glo if up else ghi)
+            xb = _affine(ginv[0], fhi, ginv[1]) if cut_hi else (ghi if up else glo)
+            ya = (fa, fb)[fs[0] < 0] if cut_lo else _affine(fs, ia, fo)
+            yb = (fb, fa)[fs[0] < 0] if cut_hi else _affine(fs, ib, fo)
+            pieces.append(Branch.from_pairs(
+                ((xa, xb) if up else (xb, xa)) + (_affine(fs, gs), _affine(fs, go, fo))
+                + ((ya, yb) if fs[0] > 0 else (yb, ya))))
+        out += pieces if up else reversed(pieces)
     return PAHomeo(f.space, tuple(out), f.label + g.label)
 
 
 def invert_branches(branches: Iterable[Branch]) -> tuple[Branch, ...]:
     """The inverse branches y -> (y - offset) / slope on the images, sorted."""
-    return tuple(sorted((Branch(*b.ends, 1 / b.slope, -b.offset / b.slope)
-                         for b in branches), key=lambda b: b.lo))
+    inv = (Branch.from_pairs(b.pairs[4:] + _inverse(*b.pairs[2:4]) + b.pairs[:2])
+           for b in branches)
+    return tuple(sorted(inv, key=lambda b: pair_key(b.pairs[0])))
 
 
 def invert(f: PAHomeo) -> PAHomeo:
@@ -361,10 +383,7 @@ def break_pairs(f: PAHomeo) -> list[BreakPair]:
     """
     K = f.space
     hull_lo, hull_hi = K.hull
-    bounds = set()
-    for b in f.branches:
-        bounds.add(b.lo)
-        bounds.add(b.hi)
+    bounds = set(f._src_los) | set(f._src_his)
     bounds -= {hull_lo, hull_hi}
     candidates = set()
     for t in bounds:
@@ -419,13 +438,14 @@ def _image_pieces(f: PAHomeo, S: Region):
         for b in f.branches[bisect.bisect_left(f._src_his, p.lo):
                             bisect.bisect_right(f._src_los, p.hi)]:
             # clip p to b's closed source; the bisection makes them meet
-            holds_lo = p.lo < b.lo or p.lo == b.lo and p.lo_closed
-            holds_hi = b.hi < p.hi or b.hi == p.hi and p.hi_closed
+            blo, bhi = b.lo, b.hi
+            holds_lo = p.lo < blo or p.lo == blo and p.lo_closed
+            holds_hi = bhi < p.hi or bhi == p.hi and p.hi_closed
             if holds_lo and holds_hi:
                 yield Piece(*b.ends, True, True)
                 continue
-            lo, lo_closed = (b.lo, True) if holds_lo else (p.lo, p.lo_closed)
-            hi, hi_closed = (b.hi, True) if holds_hi else (p.hi, p.hi_closed)
+            lo, lo_closed = (blo, True) if holds_lo else (p.lo, p.lo_closed)
+            hi, hi_closed = (bhi, True) if holds_hi else (p.hi, p.hi_closed)
             if lo == hi and not (lo_closed and hi_closed):
                 continue
             va, vb = b.value(lo), b.value(hi)

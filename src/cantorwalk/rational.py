@@ -1,6 +1,7 @@
 """Helpers for exact rationals and their "p/q" string form."""
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 
 def rat(value) -> Fraction:
@@ -16,6 +17,17 @@ def rat(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def coprime_fraction(n: int, d: int) -> Fraction:
+    """n/d for coprime ints n and d > 0, without the gcd of Fraction(n, d)."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
+
+
+# orders (numerator, denominator > 0) int pairs by value
+pair_key = cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1])
 
 
 def rat_str(value: Fraction) -> str:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .rational import rat
+from .rational import pair_key, rat
 from .maps import (PAHomeo, apply, break_points, compose, identity_map,
                    image, invert, equals)
 from .space import CompactSet, Piece, Region, epsilon_neighborhood
@@ -486,18 +486,23 @@ def cell_image_diameters(w: PAHomeo, cells) -> list:
     Exact: cells are K's intervals (plain sets) or IFS cylinders, and branch
     sources end at points of K.  A validated map sends K-material to K (plain
     sets) and limit points to limit points (IFS), so every clipped image end
-    lies in K, and the extreme ends are the inf and sup of image(w, c) ∩ K."""
-    bs, out, j = w.branches, [], 0
+    lies in K, and the extreme ends are the inf and sup of image(w, c) ∩ K.
+    On int pairs (values at cell ends unreduced), one Fraction per cell."""
+    bs, out, j = [b.pairs for b in w.branches], [], 0
     for l, r in cells:
-        while bs[j].hi < l:
+        (ln, ld), (rn, rd) = l.as_integer_ratio(), r.as_integer_ratio()
+        while bs[j][1][0] * ld < ln * bs[j][1][1]:
             j += 1
-        ends, k = [], j
-        while k < len(bs) and bs[k].lo <= r:
-            b = bs[k]
-            ends += (b.ends if l <= b.lo and b.hi <= r else
-                     (b.value(max(b.lo, l)), b.value(min(b.hi, r))))
-            k += 1
-        out.append(max(ends) - min(ends))
+        ends = []
+        for (an, ad), (bn, bd), (sn, sd), (on, od), ia, ib in bs[j:]:
+            if an * rd > rn * ad:
+                break
+            ends.append((ia, ib)[sn < 0] if an * ld >= ln * ad else
+                        (sn * ln * od + on * sd * ld, sd * ld * od))
+            ends.append((ib, ia)[sn < 0] if bn * rd <= rn * bd else
+                        (sn * rn * od + on * sd * rd, sd * rd * od))
+        lo, hi = min(ends, key=pair_key), max(ends, key=pair_key)
+        out.append(Fraction(hi[0] * lo[1] - lo[0] * hi[1], hi[1] * lo[1]))
     return out
 
 

@@ -16,6 +16,7 @@ from its right end, where maps.break_pairs asks from its left end.
 from fractions import Fraction as F
 from functools import cache
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,9 +312,11 @@ def test_maps_into_matches_image_inclusion(word, data):
 
 
 @pytest.mark.parametrize("space", SPACES)
-def test_uncut_compose_takes_no_preimage(space, monkeypatch):
+def test_uncut_compose_takes_no_preimage(space):
     # a word that ends with A1^-1 maps each branch source into one source
-    # of A1, so A1 after it cuts no branch
+    # of A1, so A1 after it cuts no branch: each branch of the product holds
+    # the very source pairs of its branch of w, where taking preimages of
+    # the image ends would build new ones
     a1, a2, a1i, a2i = _letters(*space)
     src = [(b.lo, b.hi) for b in a1.branches]
     for w in (a1i, compose(a1i, a2), compose(a1i, compose(a2i, a1)),
@@ -321,14 +324,34 @@ def test_uncut_compose_takes_no_preimage(space, monkeypatch):
         assert all(any(lo <= b.ends[0] and
                        b.ends[1] <= hi for lo, hi in src)
                    for b in w.branches)
-        expected = compose_ref(a1, w)
-        calls = []
-        preimage = Branch.preimage
-        monkeypatch.setattr(Branch, "preimage",
-                            lambda b, y: calls.append(y) or preimage(b, y))
-        assert compose(a1, w) == expected
-        monkeypatch.undo()
-        assert calls == []
+        out = compose(a1, w)
+        assert out == compose_ref(a1, w)
+        assert len(out.branches) == len(w.branches)
+        assert all(u.pairs[0] is b.pairs[0] and u.pairs[1] is b.pairs[1]
+                   for u, b in zip(out.branches, w.branches))
+
+
+def _assert_canonical(b):
+    """b stores int numerators over positive int denominators in lowest
+    terms, and the branch rebuilt from its Fraction views equals it."""
+    assert len(b.pairs) == 6
+    for n, d in b.pairs:
+        assert type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1
+    twin = Branch(b.lo, b.hi, b.slope, b.offset)
+    assert twin == b and hash(twin) == hash(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(letter_words())
+def test_branches_hold_reduced_int_pairs(word):
+    # the alphabets hold the letters of words() on every IFS space, the
+    # orientation-reversing R and the plain set's P, Q (slope -1) and P^-1
+    letters, w = word
+    for g in letters:
+        for b in compose(g, w).branches + compose(w, g).branches:
+            _assert_canonical(b)
+    for b in invert(w).branches:
+        _assert_canonical(b)
 
 
 @settings(max_examples=25, deadline=None)

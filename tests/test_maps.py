@@ -123,6 +123,25 @@ def test_pa_homeo_rejects_bad_branches():
         pa_homeo(K, [Branch(F(0), F(1, 3), F(1), F(0))])
 
 
+def test_images_with_ends_off_their_cylinder_are_refused():
+    """An image of a source cylinder that decomposes into one cylinder with
+    other ends is refused by the image antichain check alone.  The limit
+    points in such an image interval are those of its cylinder, so an image
+    end that is not a cylinder end is not a limit point; the antichain
+    check needs every image end to be a hull end or an end of a gap, and
+    both are limit points."""
+    K2 = ternary_cantor(2)
+    with pytest.raises(MapError, match="do not reach the extremes"):
+        # [0, 1/3] goes onto [1/6, 1/2], whose limit points are those of 02
+        pa_homeo(K2, [Branch(F(0), F(1, 3), F(1), F(1, 6)),
+                      Branch(F(2, 3), F(1), F(1), F(0))])
+    with pytest.raises(MapError, match="do not tile the limit set"):
+        # [2/9, 1/3] goes onto [5/18, 7/18], whose limit points are those of 022
+        pa_homeo(K2, [Branch(F(0), F(1, 9), F(1), F(0)),
+                      Branch(F(2, 9), F(1, 3), F(1), F(1, 18)),
+                      Branch(F(2, 3), F(1), F(1), F(0))])
+
+
 def test_prefix_table_validation():
     with pytest.raises(MapError):
         # source addresses do not cover mass 1
