@@ -17,10 +17,9 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
-from .rational import coprime_fraction, pair_key, rat
+from .rational import affine, as_pair, coprime_fraction, pair_key, rat
 from .space import CompactSet, Piece, Region, _normalize_intervals
 
 
@@ -28,18 +27,10 @@ class MapError(ValueError):
     pass
 
 
-def _affine(s: tuple, x: tuple, o: tuple = (0, 1)) -> tuple:
-    """s*x + o on reduced (numerator, denominator > 0) int pairs, reduced."""
-    (sn, sd), (xn, xd), (on, od) = s, x, o
-    n, d = sn * xn * od + on * sd * xd, sd * xd * od
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 def _inverse(s: tuple, o: tuple) -> tuple:
     """The slope and offset pairs of y -> (y - o) / s."""
     t = (s[1], s[0]) if s[0] > 0 else (-s[1], -s[0])
-    return t, _affine(t, (-o[0], o[1]))
+    return t, affine(t, (-o[0], o[1]))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -53,7 +44,7 @@ class Branch:
 
     def __init__(self, lo, hi, slope, offset):
         lo, hi, s, o = ((v.numerator, v.denominator) for v in (lo, hi, slope, offset))
-        a, b = _affine(s, lo, o), _affine(s, hi, o)
+        a, b = affine(s, lo, o), affine(s, hi, o)
         object.__setattr__(self, "pairs", (lo, hi, s, o, *sorted((a, b), key=pair_key)))
 
     @classmethod
@@ -68,10 +59,11 @@ class Branch:
     ends = property(lambda b: tuple(coprime_fraction(*p) for p in b.pairs[4:]))
 
     def value(self, x: Fraction) -> Fraction:
-        return self.slope * x + self.offset
+        return coprime_fraction(*affine(self.pairs[2], as_pair(x), self.pairs[3]))
 
     def preimage(self, y: Fraction) -> Fraction:
-        return (y - self.offset) / self.slope
+        t, u = _inverse(*self.pairs[2:4])
+        return coprime_fraction(*affine(t, as_pair(y), u))
 
 
 def inverse_name(name: str) -> str:
@@ -85,36 +77,37 @@ class PAHomeo:
     label: tuple[str, ...] = ()
 
     @cached_property
-    def _src_los(self) -> list:
-        return [b.lo for b in self.branches]
+    def _src_keys(self) -> tuple[list, list]:
+        """The pair_keys of the branch sources' left ends and right ends."""
+        return tuple([pair_key(b.pairs[j]) for b in self.branches] for j in (0, 1))
 
-    @cached_property
-    def _src_his(self) -> list:
-        return [b.hi for b in self.branches]
-
-    def branch_at(self, x: Fraction) -> Branch:
-        """The branch whose source contains x; raises off the sources.
+    def _branch_at(self, x: tuple) -> Branch:
+        """The branch whose source holds the int pair x; raises off them.
 
         When two branches share the point x they must agree there for x in
         the ambient set; the right one is returned.
         """
-        los, his = self._src_los, self._src_his
-        i = bisect.bisect_right(los, x) - 1
-        for k in (i, i + 1):
-            if 0 <= k < len(los) and los[k] <= x <= his[k]:
-                return self.branches[k]
-        raise MapError(f"{x} is not in any branch source")
+        (los, his), k = self._src_keys, pair_key(x)
+        i = bisect.bisect_right(los, k) - 1
+        if i >= 0 and k <= his[i]:
+            return self.branches[i]
+        raise MapError(f"{coprime_fraction(*x)} is not in any branch source")
 
     def __call__(self, x) -> Fraction:
         return apply(self, x)
 
 
+def _apply(f: PAHomeo, x: tuple) -> tuple:
+    """f at the int pair x, a point of its ambient set, as an int pair."""
+    if not f.space._holds(x):
+        raise MapError(f"{coprime_fraction(*x)} not in the ambient set")
+    _, _, s, o, _, _ = f._branch_at(x).pairs
+    return affine(s, x, o)
+
+
 def apply(f: PAHomeo, x) -> Fraction:
     """Evaluate f at a point of its ambient set."""
-    x = rat(x)
-    if not f.space.contains(x):
-        raise MapError(f"{x} not in the ambient set")
-    return f.branch_at(x).value(x)
+    return coprime_fraction(*_apply(f, as_pair(rat(x))))
 
 
 def orbit_bfs(seeds: Iterable[Fraction], steps: Sequence[Callable],
@@ -189,7 +182,7 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
     """Bijectivity of the limit set: every branch source decomposes into
     cylinders, each mapped affinely onto a single cylinder, and the image
     cylinders tile the limit set (complete antichain)."""
-    if any(b.slope < 0 for b in branches):
+    if any(b.pairs[2][0] < 0 for b in branches):
         _check_reflection_symmetric(space)
 
     def antichain(cyls, what):
@@ -207,9 +200,11 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
         parts = space.decompose_into_cylinders(b.lo, b.hi)
         if not parts:
             raise MapError(f"branch source [{b.lo}, {b.hi}] not cylinder-aligned")
+        _, _, s, o, _, _ = b.pairs
         for w, clo, chi in parts:
             src_cyls.append((clo, chi))
-            ia, ib = sorted((b.value(clo), b.value(chi)))
+            ia, ib = (coprime_fraction(*affine(s, as_pair(x), o))
+                      for x in ((clo, chi) if s[0] > 0 else (chi, clo)))
             dec = space.decompose_into_cylinders(ia, ib)
             if dec is None or len(dec) != 1:
                 raise MapError(f"image of cylinder {w or 'hull'} is not a cylinder")
@@ -303,12 +298,12 @@ def compose(f: PAHomeo, g: PAHomeo) -> PAHomeo:
             cut_lo, cut_hi = flo[0] * ad > an * flo[1], fhi[0] * bd < bn * fhi[1]
             if cut_lo or cut_hi:
                 ginv = _inverse(gs, go)
-            xa = _affine(ginv[0], flo, ginv[1]) if cut_lo else (glo if up else ghi)
-            xb = _affine(ginv[0], fhi, ginv[1]) if cut_hi else (ghi if up else glo)
-            ya = (fa, fb)[fs[0] < 0] if cut_lo else _affine(fs, ia, fo)
-            yb = (fb, fa)[fs[0] < 0] if cut_hi else _affine(fs, ib, fo)
+            xa = affine(ginv[0], flo, ginv[1]) if cut_lo else (glo if up else ghi)
+            xb = affine(ginv[0], fhi, ginv[1]) if cut_hi else (ghi if up else glo)
+            ya = (fa, fb)[fs[0] < 0] if cut_lo else affine(fs, ia, fo)
+            yb = (fb, fa)[fs[0] < 0] if cut_hi else affine(fs, ib, fo)
             pieces.append(Branch.from_pairs(
-                ((xa, xb) if up else (xb, xa)) + (_affine(fs, gs), _affine(fs, go, fo))
+                ((xa, xb) if up else (xb, xa)) + (affine(fs, gs), affine(fs, go, fo))
                 + ((ya, yb) if fs[0] > 0 else (yb, ya))))
         out += pieces if up else reversed(pieces)
     return PAHomeo(f.space, tuple(out), f.label + g.label)
@@ -339,16 +334,15 @@ def equals(f: PAHomeo, g: PAHomeo) -> bool:
     """Equality as maps restricted to the ambient set."""
     if f.space != g.space:
         return False
-    cuts = sorted({b.lo for b in f.branches} | {b.hi for b in f.branches} |
-                  {b.lo for b in g.branches} | {b.hi for b in g.branches})
+    cuts = sorted({x for b in f.branches + g.branches for x in (b.lo, b.hi)})
     K = f.space
     for l, r in zip(cuts, cuts[1:]):
         for kl, kr in K.meeting(l, r):
             olo, ohi = max(kl, l), min(kr, r)
             if olo < ohi:
-                bf, bg = f.branch_at(olo), g.branch_at(olo)
+                x = as_pair(olo)
                 # both branches cover the whole cut segment
-                if (bf.slope, bf.offset) != (bg.slope, bg.offset):
+                if f._branch_at(x).pairs[2:4] != g._branch_at(x).pairs[2:4]:
                     return False
             elif apply(f, olo) != apply(g, olo):
                 return False
@@ -382,26 +376,21 @@ def break_pairs(f: PAHomeo) -> list[BreakPair]:
     boundary need testing; that makes the search finite and exact.
     """
     K = f.space
-    hull_lo, hull_hi = K.hull
-    bounds = set(f._src_los) | set(f._src_his)
-    bounds -= {hull_lo, hull_hi}
+    bounds = {x for b in f.branches for x in b.pairs[:2]} - set(map(as_pair, K.hull))
     candidates = set()
     for t in bounds:
-        candidates.update(K.gaps_at(t))
+        candidates.update(K._gap_pairs(t))
     out = []
-    for a, b in sorted(candidates):
-        u, v = sorted((apply(f, a), apply(f, b)))
-        if (u, v) not in K.gaps_at(u):
-            out.append(BreakPair(a, b))
+    # on int pairs; disjoint gaps sort by their left ends
+    for a, b in sorted(candidates, key=lambda g: pair_key(g[0])):
+        u, v = sorted((_apply(f, a), _apply(f, b)), key=pair_key)
+        if (u, v) not in K._gap_pairs(u):
+            out.append(BreakPair(coprime_fraction(*a), coprime_fraction(*b)))
     return out
 
 
 def break_points(f: PAHomeo) -> list[Fraction]:
-    pts = set()
-    for p in break_pairs(f):
-        pts.add(p.a)
-        pts.add(p.b)
-    return sorted(pts)
+    return sorted({x for p in break_pairs(f) for x in (p.a, p.b)})
 
 
 def is_regular_on(f: PAHomeo, a, b) -> bool:
@@ -434,9 +423,10 @@ def _image_pieces(f: PAHomeo, S: Region):
     """The images of S's pieces clipped to f's branch sources, unsorted."""
     if S.space != f.space:
         raise MapError("region lives on a different space")
+    los, his = f._src_keys
     for p in S.pieces:
-        for b in f.branches[bisect.bisect_left(f._src_his, p.lo):
-                            bisect.bisect_right(f._src_los, p.hi)]:
+        for b in f.branches[bisect.bisect_left(his, pair_key(as_pair(p.lo))):
+                            bisect.bisect_right(los, pair_key(as_pair(p.hi)))]:
             # clip p to b's closed source; the bisection makes them meet
             blo, bhi = b.lo, b.hi
             holds_lo = p.lo < blo or p.lo == blo and p.lo_closed

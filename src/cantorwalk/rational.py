@@ -1,7 +1,9 @@
-"""Helpers for exact rationals and their "p/q" string form."""
+"""Helpers for exact rationals, their reduced (numerator, denominator > 0)
+int pairs and their "p/q" string form."""
 
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 
 
 def rat(value) -> Fraction:
@@ -24,6 +26,19 @@ def coprime_fraction(n: int, d: int) -> Fraction:
     f = object.__new__(Fraction)
     f._numerator, f._denominator = n, d
     return f
+
+
+def as_pair(x) -> tuple:
+    """The int pair of a Fraction or an int."""
+    return x.numerator, x.denominator
+
+
+def affine(s: tuple, x: tuple, o: tuple = (0, 1)) -> tuple:
+    """s*x + o on (numerator, denominator > 0) int pairs, reduced."""
+    (sn, sd), (xn, xd), (on, od) = s, x, o
+    n, d = sn * xn * od + on * sd * xd, sd * xd * od
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 # orders (numerator, denominator > 0) int pairs by value

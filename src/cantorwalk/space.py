@@ -17,7 +17,7 @@ from functools import cached_property
 from math import gcd, prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .rational import rat
+from .rational import affine, as_pair, coprime_fraction, pair_key, rat
 
 MAX_INTERVALS = 2 ** 16  # the most intervals from_ifs builds
 
@@ -61,36 +61,42 @@ class Ifs:
         if any(h1 >= l2 for (_, h1), (l2, _) in zip(children, children[1:])):
             raise SpaceError("IFS images must be disjoint, left to right")
         object.__setattr__(self, "hull", (lo, hi))
-        object.__setattr__(self, "_children", children)
-        # the children as fractions of the hull, for children()
+        # in int pairs: the hull, the children as fractions of the hull (for
+        # _child_pairs) and the children themselves; for _expand, each inverse
+        # map y -> (y - o) / r as p/q -> (p*a - q*b) / (q*c), where r = c/a
+        object.__setattr__(self, "_int_hull", (as_pair(lo), as_pair(hi)))
         object.__setattr__(self, "_unit_children", tuple(
-            ((a - lo) / (hi - lo), (b - lo) / (hi - lo)) for a, b in children))
-        # for _expand, in ints: the children, and each inverse map
-        # y -> (y - o) / r as p/q -> (p*a - q*b) / (q*c)
+            tuple(as_pair((x - lo) / (hi - lo)) for x in c) for c in children))
         object.__setattr__(self, "_int_children", tuple(
-            tuple((x.numerator, x.denominator) for x in c) for c in children))
+            tuple(as_pair(x) for x in c) for c in children))
         object.__setattr__(self, "_int_inverses", tuple(
             (o.denominator * r.denominator, o.numerator * r.denominator,
              o.denominator * r.numerator) for r, o in zip(self.ratios, self.offsets)))
 
-    def children(self, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    def _child_pairs(self, lo: tuple, hi: tuple) -> list[tuple[tuple, tuple]]:
         """The child cylinders of the cylinder [lo, hi], left to right: the
-        hull's children scaled into it, I_{w s} = phi_w(I_s)."""
-        k = hi - lo
-        return [(lo + k * a, lo + k * b) for a, b in self._unit_children]
+        hull's children scaled into it, I_{w s} = phi_w(I_s).  The ends, in
+        and out, are reduced int pairs."""
+        k = affine(hi, (1, 1), (-lo[0], lo[1]))  # hi - lo
+        return [(affine(k, a, lo), affine(k, b, lo)) for a, b in self._unit_children]
+
+    def children(self, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+        """_child_pairs on Fractions."""
+        return [(coprime_fraction(*a), coprime_fraction(*b))
+                for a, b in self._child_pairs(as_pair(lo), as_pair(hi))]
 
     def cylinder(self, address: str) -> tuple[Fraction, Fraction]:
         """Interval of the cylinder addressed by a word over the symbols.
 
         The word is read outermost-first: I_w = phi_{w0}(I_{w1 w2 ...}).
         """
-        lo, hi = self.hull
+        lo, hi = self._int_hull
         for sym in address:
             if sym not in self.symbols:
                 raise SpaceError(f"address symbol {sym!r} not in the IFS "
                                  f"alphabet {self.symbols}")
-            lo, hi = self.children(lo, hi)[self.symbols.index(sym)]
-        return lo, hi
+            lo, hi = self._child_pairs(lo, hi)[self.symbols.index(sym)]
+        return coprime_fraction(*lo), coprime_fraction(*hi)
 
     def intervals_at(self, depth: int) -> list[tuple[Fraction, Fraction]]:
         """The depth-d cylinders in address order, level by level:
@@ -102,23 +108,23 @@ class Ifs:
                      for lo, hi in cells]
         return cells
 
-    def _expand(self, t: Fraction):
+    def _expand(self, t: tuple):
         """The address of t, one level per step, as (levels, gap).
 
-        levels[k] = (i, y): at depth k the point has local coordinate y, an
-        int pair (numerator, denominator > 0) in lowest terms, and lies in
-        child i; its global scale there is the product of the ratios of the
-        children above it.  The expansion stops when y repeats, so t is a
-        limit point with an eventually periodic address and gap is None; or
-        when y falls between children g and g + 1 at depth k, and gap is
-        (k, g, Fraction(y)), a bounded gap of the limit set.  Points off the
-        hull give ([], None).
+        t is a reduced int pair (numerator, denominator > 0), and so is each
+        local coordinate.  levels[k] = (i, y): at depth k the point has local
+        coordinate y and lies in child i; its global scale there is the
+        product of the ratios of the children above it.  The expansion stops
+        when y repeats, so t is a limit point with an eventually periodic
+        address and gap is None; or when y falls between children g and
+        g + 1 at depth k, and gap is (k, g, y), a bounded gap of the limit
+        set.  Points off the hull give ([], None).
         """
         levels, seen = [], set()
-        lo, hi = self.hull
-        if not lo <= t <= hi:
+        (an, ad), (bn, bd) = self._int_hull
+        if not (an * t[1] <= t[0] * ad and t[0] * bd <= bn * t[1]):
             return levels, None
-        children, y = self._int_children, (t.numerator, t.denominator)
+        children, inverses, y = self._int_children, self._int_inverses, t
         while y not in seen:
             seen.add(y)
             p, q = y
@@ -126,19 +132,20 @@ class Ifs:
                 if p * hd <= hn * q:
                     break
             if p * ld < ln * q:
-                return levels, (len(levels), i - 1, Fraction(p, q))
+                return levels, (len(levels), i - 1, y)
             levels.append((i, y))
-            a, b, c = self._int_inverses[i]
+            a, b, c = inverses[i]
             p, q = p * a - q * b, q * c
             y = (p // (g := gcd(p, q)), q // g)
         return levels, None
 
-    def gaps_at(self, t: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
+    def _gap_pairs(self, t: tuple) -> tuple:
         """The bounded gaps of the limit set whose closure holds t: the gap
         containing t, or the gap adjacent to the limit point t; () when t is
-        off the hull or touches no gap."""
+        off the hull or touches no gap.  t and the gap ends are reduced int
+        pairs."""
         levels, gap = self._expand(t)
-        children = self._children
+        children = self._int_children
         if gap is None:
             # a limit point touches a gap where it ends a child with a
             # neighbour on that side; from the next level on it sits at a
@@ -147,22 +154,27 @@ class Ifs:
                 return ()
             k = len(levels) - 2
             i, y = levels[k]
-            if y == self._int_children[i][0] and i > 0:
-                gap = k, i - 1, Fraction(*y)
-            elif y == self._int_children[i][1] and i + 1 < len(children):
-                gap = k, i, Fraction(*y)
+            if y == children[i][0] and i > 0:
+                gap = k, i - 1, y
+            elif y == children[i][1] and i + 1 < len(children):
+                gap = k, i, y
             else:
                 return ()
-        k, g, y = gap
-        above = [self.ratios[i] for i, _ in levels[:k]]
-        scale = Fraction(prod(r.numerator for r in above),
-                         prod(r.denominator for r in above))
-        return ((t + scale * (children[g][1] - y),
-                 t + scale * (children[g + 1][0] - y)),)
+        # each end is t + scale * (child end - y), scale = product of the c/a above
+        k, g, (yn, yd) = gap
+        above = [self._int_inverses[i] for i, _ in levels[:k]]
+        scale = prod(c for _, _, c in above), prod(a for a, _, _ in above)
+        return (tuple(affine(scale, (cn * yd - yn * cd, cd * yd), t)
+                      for cn, cd in (children[g][1], children[g + 1][0])),)
+
+    def gaps_at(self, t: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
+        """_gap_pairs on Fractions."""
+        return tuple((coprime_fraction(*a), coprime_fraction(*b))
+                     for a, b in self._gap_pairs(as_pair(t)))
 
     def contains_limit_point(self, x: Fraction) -> bool:
         """Exact membership of a rational in the limit (infinite-depth) set."""
-        levels, gap = self._expand(x)
+        levels, gap = self._expand(as_pair(x))
         return bool(levels) and gap is None
 
 
@@ -227,21 +239,24 @@ class CompactSet:
         return self.contains(rat(x))
 
     @cached_property
-    def _los(self) -> list:
-        return [l for l, _ in self.intervals]
+    def _keys(self) -> tuple[list, list]:
+        """The pair_keys of the intervals' left ends and right ends."""
+        return tuple([pair_key(as_pair(x)) for x in ends] for ends in zip(*self.intervals))
 
-    @cached_property
-    def _his(self) -> list:
-        return [r for _, r in self.intervals]
+    def _holds(self, x: tuple) -> bool:
+        """Whether K holds the int pair x."""
+        (los, his), k = self._keys, pair_key(x)
+        i = bisect.bisect_right(los, k) - 1
+        return i >= 0 and k <= his[i]
 
     def contains(self, x: Fraction) -> bool:
-        i = bisect.bisect_right(self._los, x) - 1
-        return i >= 0 and x <= self.intervals[i][1]
+        return self._holds(as_pair(x))
 
     def meeting(self, lo: Fraction, hi: Fraction):
         """The intervals that meet [lo, hi], found by bisection."""
-        return self.intervals[bisect.bisect_left(self._his, lo):
-                              bisect.bisect_right(self._los, hi)]
+        los, his = self._keys
+        return self.intervals[bisect.bisect_left(his, pair_key(as_pair(lo))):
+                              bisect.bisect_right(los, pair_key(as_pair(hi)))]
 
     def contains_limit_point(self, x: Fraction) -> bool:
         """Membership in the underlying limit set (equals contains() when
@@ -268,15 +283,22 @@ class CompactSet:
     def bounded_gaps(self) -> list[tuple[Fraction, Fraction]]:
         return [(g.left, g.right) for g in self.gaps() if g.kind == "bounded"]
 
-    def gaps_at(self, t: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The bounded gaps of the true set whose closure holds t, left to
-        right (with IFS structure, of the limit set)."""
+    def _gap_pairs(self, t: tuple) -> tuple:
+        """The bounded gaps of the true set (with IFS structure, of the limit
+        set) whose closure holds t, left to right; all ends are int pairs."""
         if self.ifs is not None:
-            return self.ifs.gaps_at(t)
-        # gap j is (his[j], los[j + 1])
-        first = max(bisect.bisect_left(self._los, t) - 1, 0)
-        stop = min(bisect.bisect_right(self._his, t), len(self.intervals) - 1)
-        return tuple((self._his[j], self._los[j + 1]) for j in range(first, stop))
+            return self.ifs._gap_pairs(t)
+        # gap j is (right end of interval j, left end of interval j + 1)
+        (los, his), k = self._keys, pair_key(t)
+        first = max(bisect.bisect_left(los, k) - 1, 0)
+        stop = min(bisect.bisect_right(his, k), len(self.intervals) - 1)
+        return tuple((as_pair(self.intervals[j][1]), as_pair(self.intervals[j + 1][0]))
+                     for j in range(first, stop))
+
+    def gaps_at(self, t: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
+        """_gap_pairs on Fractions."""
+        return tuple((coprime_fraction(*a), coprime_fraction(*b))
+                     for a, b in self._gap_pairs(as_pair(t)))
 
     # -- IFS-aware structure ------------------------------------------------
 
@@ -289,27 +311,29 @@ class CompactSet:
                                  ) -> Optional[list[tuple[str, Fraction, Fraction]]]:
         """Write [lo, hi] (intersected with the limit set) as a disjoint
         union of maximal cylinders, left to right as (address, lo, hi)
-        triples, or None if the interval is not cylinder-aligned."""
+        triples, or None if the interval is not cylinder-aligned.  The
+        descent runs on int pairs; only the returned ends are Fractions."""
         if self.ifs is None:
             raise SpaceError("set has no IFS structure")
         # only cylinders holding lo or hi without lying inside [lo, hi] are
         # split.  Deeper than that point's address expansion, no cylinder
         # holds it, or one starts (lo) or ends (hi) at it, or [lo, hi] is
         # not cylinder-aligned at any depth.
+        (ln, ld), (hn, hd) = lo, hi = as_pair(lo), as_pair(hi)
         max_depth = 1 + max(len(self.ifs._expand(x)[0]) for x in (lo, hi))
-        parts, stack = [], [("", *self.ifs.hull)]
+        parts, stack = [], [("", *self.ifs._int_hull)]
         while stack:
-            addr, clo, chi = stack.pop()
-            if hi < clo or chi < lo:
+            addr, a, b = stack.pop()
+            if hn * a[1] < a[0] * hd or b[0] * ld < ln * b[1]:
                 continue
-            if lo <= clo and chi <= hi:
-                parts.append((addr, clo, chi))
+            if ln * a[1] <= a[0] * ld and b[0] * hd <= hn * b[1]:
+                parts.append((addr, coprime_fraction(*a), coprime_fraction(*b)))
             elif len(addr) >= max_depth:
                 return None
             else:
                 # a child cylinder is its parent's image of the child of the hull
-                stack.extend((addr + s, a, b) for s, (a, b) in zip(
-                    self.ifs.symbols[::-1], self.ifs.children(clo, chi)[::-1]))
+                stack.extend((addr + s, *c) for s, c in zip(
+                    self.ifs.symbols[::-1], self.ifs._child_pairs(a, b)[::-1]))
         return parts
 
 

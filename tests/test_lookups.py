@@ -11,6 +11,9 @@ they are.  The references below scan every interval, branch and cell pair,
 and cut and evaluate every branch, as a plain reading of the definitions
 would; the break-pair reference asks whether an image pair bounds a gap
 from its right end, where maps.break_pairs asks from its left end.
+maps.break_pairs, maps.apply and CompactSet.decompose_into_cylinders work
+on int pairs; a last test makes Fraction arithmetic and ordering raise and
+asks them for recorded answers.
 """
 
 from fractions import Fraction as F
@@ -22,8 +25,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
-                             break_pairs, compose, from_prefix_table, image,
-                             invert, maps_into, pa_homeo)
+                             break_pairs, break_points, compose,
+                             from_prefix_table, image, invert, maps_into,
+                             pa_homeo)
 from cantorwalk.space import CompactSet, Ifs, Piece, Region
 from cantorwalk.walk import (cell_image_diameters, measure_cells,
                              preimage_cell_indices)
@@ -369,6 +373,19 @@ def test_break_pairs_match_three_query_loop(word):
     assert break_pairs(w) == break_pairs_ref(w)
 
 
+@settings(max_examples=40, deadline=None)
+@given(letter_words(max_size=8))
+def test_break_pairs_match_three_query_loop_over_every_alphabet(word):
+    # the plain set and the reflections too, so both kinds of space and
+    # negative slopes reach the pair kernels; apply at each break point
+    # equals slope * x + offset of the rightmost branch holding it
+    letters, w = word
+    assert break_pairs(w) == break_pairs_ref(w)
+    for x in break_points(w):
+        b = [b for b in w.branches if b.lo <= x <= b.hi][-1]
+        assert apply(w, x) == b.slope * x + b.offset
+
+
 @pytest.mark.parametrize("space", SPACES)
 def test_break_pairs_expand_each_point_once(space, monkeypatch):
     # one expansion per interior branch boundary and one per candidate gap
@@ -418,3 +435,46 @@ def test_preimage_cells_subset_checks_are_linear(monkeypatch):
     rows = preimage_cell_indices(fixture("A1", K), cells)
     assert len(cells) == len(rows) == 128
     assert len(calls) <= 4 * len(cells)
+
+
+def _pairs(*ends):
+    return [BreakPair(F(a), F(b)) for a, b in ends]
+
+
+def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
+    # break_pairs on words of the ternary, unequal and plain sets, and the
+    # cylinder lookups of tests/test_space.py::test_cylinders, with every
+    # Fraction comparison and arithmetic operator raising
+    a1, a2, a1i, a2i = _letters(TERNARY, 3)
+    u1, u2 = _letters(UNEQUAL, 3)[:2]
+    p, q = PLAIN_LETTERS
+    recorded = [
+        (a1, _pairs(("7/9", "8/9"), ("25/27", "26/27"))),
+        (a2i, _pairs(("7/9", "8/9"))),
+        (compose(a1, a2), _pairs(("1/81", "2/81"), ("1/27", "2/27"))),
+        (compose(a2, compose(a1i, a2)), _pairs(
+            ("1/27", "2/27"), ("7/81", "8/81"), ("217/2187", "218/2187"),
+            ("1/9", "2/9"))),
+        (compose(u1, u2), _pairs(("1/256", "1/96"), ("1/64", "1/24"))),
+        (compose(q, p), _pairs((1, 2), (3, 4)))]
+    K = CompactSet.from_ifs(TERNARY, 3)
+    cylinders = [
+        ((F(0), F(1, 3)), [("0", F(0), F(1, 3))]),
+        ((F(0), F(1)), [("", F(0), F(1))]),
+        ((F(2, 9), F(7, 9)), [("02", F(2, 9), F(1, 3)), ("20", F(2, 3), F(7, 9))]),
+        ((F(1, 4), F(1)), None),
+        ((F(1, 3), F(1)), None),
+        ((F(2, 3 ** 25), F(1, 3)),
+         [("0" * k + "2", F(2, 3 ** (k + 1)), F(1, 3 ** k)) for k in range(24, 0, -1)])]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic or comparison in a pair kernel")
+
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__add__", "__sub__",
+                 "__mul__", "__truediv__"):
+        monkeypatch.setattr(F, name, refuse)
+    for w, pairs in recorded:
+        assert break_pairs(w) == pairs
+    for (lo, hi), parts in cylinders:
+        assert K.decompose_into_cylinders(lo, hi) == parts
+    assert K.cylinder("02") == (F(2, 9), F(1, 3))

@@ -483,12 +483,12 @@ def test_integer_expansion_matches_fraction_loop(ifs, data):
         st.fractions(lo - 1, hi + 1, max_denominator=10 ** 4),
         st.builds(lambda a, b: a + (b - a) / 7, st.sampled_from(K.endpoints()),
                   st.sampled_from(K.endpoints()))))
-    levels, gap = ifs._expand(t)
+    levels, gap = ifs._expand((t.numerator, t.denominator))
     ref_levels, ref_gap = expand_ref(ifs, t)
-    # the same levels, as reduced pairs with positive denominators, so the
-    # same number of levels before a repeat
+    # the same levels and gap point, as reduced pairs with positive
+    # denominators, so the same number of levels before a repeat
     assert levels == [(i, (y.numerator, y.denominator)) for i, y in ref_levels]
-    assert gap == ref_gap
+    assert gap == (ref_gap and (*ref_gap[:2], (ref_gap[2].numerator, ref_gap[2].denominator)))
     assert ifs.gaps_at(t) == gaps_at_ref(ifs, t)
 
 
