@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from typing import Optional, Sequence
 
-from .rational import rat
+from .rational import coprime_fraction, pair_key, rat
 from .maps import (PAHomeo, apply, compose, equals, image, invert,
                    is_identity, maps_into, orbit_bfs)
 from .space import (CompactSet, Piece, PointSet, Region,
@@ -613,14 +613,13 @@ def _constraining_slope_max(f: PAHomeo, region: Region) -> Fraction:
     one point of K.  A branch touching the region only in an isolated point
     constrains no difference quotient there, so it is vacuous for the
     pointwise slope bound."""
-    best = Fraction(0)
+    best = (0, 1)
     for b in f.branches:
-        inter = Region.from_pieces(
-            f.space, (Piece(b.lo, b.hi, True, True),)).intersect(region)
-        if inter.is_empty() or inter.diameter() == 0:
+        inter = Region(f.space, (Piece._make(b.pairs[:2] + (True, True)),)).intersect(region)
+        if inter.is_empty() or inter.infimum() == inter.supremum():
             continue
-        best = max(best, abs(b.slope))
-    return best
+        best = max(best, (abs(b.pairs[2][0]), b.pairs[2][1]), key=pair_key)
+    return coprime_fraction(*best)
 
 
 def check_morse_smale(f: PAHomeo, A: Region, B: Region):

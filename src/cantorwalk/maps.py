@@ -14,12 +14,13 @@ computed exactly.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-from .rational import affine, as_pair, coprime_fraction, pair_key, rat
+from .rational import affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat
 from .space import CompactSet, Piece, Region, _normalize_intervals
 
 
@@ -424,25 +425,23 @@ def _image_pieces(f: PAHomeo, S: Region):
     if S.space != f.space:
         raise MapError("region lives on a different space")
     los, his = f._src_keys
-    for p in S.pieces:
-        for b in f.branches[bisect.bisect_left(his, pair_key(as_pair(p.lo))):
-                            bisect.bisect_right(los, pair_key(as_pair(p.hi)))]:
-            # clip p to b's closed source; the bisection makes them meet
-            blo, bhi = b.lo, b.hi
-            holds_lo = p.lo < blo or p.lo == blo and p.lo_closed
-            holds_hi = bhi < p.hi or bhi == p.hi and p.hi_closed
+    for plo, phi, plo_closed, phi_closed in S.pieces:
+        for b in f.branches[bisect.bisect_left(his, pair_key(plo)):
+                            bisect.bisect_right(los, pair_key(phi))]:
+            # clip the piece to b's closed source; the bisection makes them meet
+            blo, bhi, s, o, ea, eb = b.pairs
+            holds_lo = (c := pair_cmp(plo, blo)) < 0 or c == 0 and plo_closed
+            holds_hi = (c := pair_cmp(bhi, phi)) < 0 or c == 0 and phi_closed
             if holds_lo and holds_hi:
-                yield Piece(*b.ends, True, True)
+                yield Piece._make((ea, eb, True, True))
                 continue
-            lo, lo_closed = (blo, True) if holds_lo else (p.lo, p.lo_closed)
-            hi, hi_closed = (bhi, True) if holds_hi else (p.hi, p.hi_closed)
+            lo, lo_closed = (blo, True) if holds_lo else (plo, plo_closed)
+            hi, hi_closed = (bhi, True) if holds_hi else (phi, phi_closed)
             if lo == hi and not (lo_closed and hi_closed):
                 continue
-            va, vb = b.value(lo), b.value(hi)
-            if b.slope > 0:
-                yield Piece(va, vb, lo_closed, hi_closed)
-            else:
-                yield Piece(vb, va, hi_closed, lo_closed)
+            va, vb = affine(s, lo, o), affine(s, hi, o)
+            yield Piece._make((va, vb, lo_closed, hi_closed) if s[0] > 0
+                              else (vb, va, hi_closed, lo_closed))
 
 
 def image(f: PAHomeo, S: Region) -> Region:
@@ -452,13 +451,14 @@ def image(f: PAHomeo, S: Region) -> Region:
 
 def maps_into(f: PAHomeo, S: Region, T: Region) -> bool:
     """image(f, S).subset_of(T), stopping at the first piece outside T."""
-    return all(Region(f.space, (p,)).subset_of(T) for p in _image_pieces(f, S))
+    # operator.lt on flags: in the image piece and not in T
+    return not any(T._meets_where((p,), operator.lt) for p in _image_pieces(f, S))
 
 
 def slope_range(f: PAHomeo, S: Region) -> tuple[Fraction, Fraction]:
     """(min, max) of |slope| over branches meeting S inside K."""
     mags = [abs(b.slope) for b in f.branches
-            if not Region(f.space, (Piece(b.lo, b.hi, True, True),)).intersect(S).is_empty()]
+            if S._meets_where((Piece._make(b.pairs[:2] + (True, True)),), operator.and_)]
     if not mags:
         raise MapError("region meets no branch")
     return min(mags), max(mags)

@@ -6,18 +6,26 @@ from functools import cmp_to_key
 from math import gcd
 
 
+class RationalError(ValueError):
+    pass
+
+
 def rat(value) -> Fraction:
     """Coerce ints, "p/q" strings, or Fractions to an exact Fraction.
 
-    Floats are rejected: every quantity entering the exact layer must be
-    stated as a rational.
+    Floats are rejected, and a string stating no rational ("1/0") raises
+    RationalError: every quantity entering the exact layer must be stated
+    as a rational.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise RationalError(f"not an exact rational: {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -41,8 +49,13 @@ def affine(s: tuple, x: tuple, o: tuple = (0, 1)) -> tuple:
     return n // g, d // g
 
 
+def pair_cmp(u: tuple, v: tuple) -> int:
+    """An int of the sign of u - v, for (numerator, denominator > 0) pairs."""
+    return u[0] * v[1] - v[0] * u[1]
+
+
 # orders (numerator, denominator > 0) int pairs by value
-pair_key = cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1])
+pair_key = cmp_to_key(pair_cmp)
 
 
 def rat_str(value: Fraction) -> str:

@@ -14,7 +14,7 @@ import os
 import tempfile
 from datetime import datetime, timezone
 
-from .rational import rat, rat_str
+from .rational import RationalError, rat, rat_str
 from .space import CompactSet, Ifs, Piece, PointSet, Region
 from .maps import Branch, PAHomeo, pa_homeo
 from .giet import BlowUpResult, Giet, giet_from_branches
@@ -30,6 +30,13 @@ class SerializeError(ValueError):
 
 def _q(x) -> str:
     return rat_str(rat(x))
+
+
+def _exact(v, kind: type, what: str):
+    """v, when its type is kind itself (a bool is no int here)."""
+    if type(v) is not kind:
+        raise TypeError(f"{what} {v!r} is not {kind.__name__}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +58,7 @@ def space_from_obj(obj: dict) -> CompactSet:
         ifs = Ifs(tuple(rat(v) for v in obj["ifs"]["ratios"]),
                   tuple(rat(v) for v in obj["ifs"]["offsets"]),
                   tuple(obj["ifs"]["symbols"]))
-        return CompactSet.from_ifs(ifs, int(obj["depth"]))
+        return CompactSet.from_ifs(ifs, _exact(obj["depth"], int, "depth"))
     return CompactSet.from_intervals(
         [(rat(l), rat(r)) for l, r in obj["intervals"]])
 
@@ -78,8 +85,8 @@ def region_to_obj(reg: Region) -> dict:
 
 def region_from_obj(space: CompactSet, obj: dict) -> Region:
     return Region.from_pieces(space, [
-        Piece(rat(p["lo"]), rat(p["hi"]), bool(p["lo_closed"]),
-              bool(p["hi_closed"])) for p in obj["pieces"]])
+        Piece(rat(p["lo"]), rat(p["hi"]), _exact(p["lo_closed"], bool, "lo_closed"),
+              _exact(p["hi_closed"], bool, "hi_closed")) for p in obj["pieces"]])
 
 
 def giet_from_obj(obj: dict) -> Giet:
@@ -148,10 +155,10 @@ def certificate_from_obj(obj: dict):
         if kind == "invariant-measure":
             gens = _generators_from_obj(space, obj["generators"])
             masses = tuple(rat(m) for m in obj["masses"])
+            depth = _exact(obj["depth"], int, "depth")
             return InvariantMeasureCertificate(
-                gens, int(obj["depth"]),
-                CellMeasure(int(obj["depth"]), masses, True),
-                int(obj["consistency_depth"]))
+                gens, depth, CellMeasure(depth, masses, True),
+                _exact(obj["consistency_depth"], int, "consistency_depth"))
         if kind == "finite-orbit":
             return FiniteOrbitCertificate(
                 _generators_from_obj(space, obj["generators"]),
@@ -163,7 +170,7 @@ def certificate_from_obj(obj: dict):
             return MorseSmaleCertificate(g, periodic,
                                          region_from_obj(space, obj["A"]),
                                          region_from_obj(space, obj["B"]))
-    except (KeyError, TypeError, AttributeError, IndexError) as e:
+    except (KeyError, TypeError, AttributeError, IndexError, RationalError) as e:
         raise SerializeError(
             f"malformed certificate ({type(e).__name__}: {e})") from None
     raise SerializeError(f"unknown certificate type {kind!r}")

@@ -13,11 +13,11 @@ import bisect
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from math import gcd, prod
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .rational import affine, as_pair, coprime_fraction, pair_key, rat
+from .rational import affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat
 
 MAX_INTERVALS = 2 ** 16  # the most intervals from_ifs builds
 
@@ -99,14 +99,12 @@ class Ifs:
         return coprime_fraction(*lo), coprime_fraction(*hi)
 
     def intervals_at(self, depth: int) -> list[tuple[Fraction, Fraction]]:
-        """The depth-d cylinders in address order, level by level:
-        I_{s w} = phi_s(I_w)."""
-        cells = [self.hull]
+        """The depth-d cylinders in address order, level by level through
+        _child_pairs."""
+        cells = [self._int_hull]
         for _ in range(depth):
-            cells = [(r * lo + o, r * hi + o)
-                     for r, o in zip(self.ratios, self.offsets)
-                     for lo, hi in cells]
-        return cells
+            cells = [c for lo, hi in cells for c in self._child_pairs(lo, hi)]
+        return [(coprime_fraction(*a), coprime_fraction(*b)) for a, b in cells]
 
     def _expand(self, t: tuple):
         """The address of t, one level per step, as (levels, gap).
@@ -240,7 +238,7 @@ class CompactSet:
 
     @cached_property
     def _keys(self) -> tuple[list, list]:
-        """The pair_keys of the intervals' left ends and right ends."""
+        """The pair_keys of the intervals' left and right ends (key.obj is the end)."""
         return tuple([pair_key(as_pair(x)) for x in ends] for ends in zip(*self.intervals))
 
     def _holds(self, x: tuple) -> bool:
@@ -252,11 +250,16 @@ class CompactSet:
     def contains(self, x: Fraction) -> bool:
         return self._holds(as_pair(x))
 
-    def meeting(self, lo: Fraction, hi: Fraction):
-        """The intervals that meet [lo, hi], found by bisection."""
+    def _meeting(self, lo: tuple, hi: tuple) -> list:
+        """The intervals that meet [lo, hi], found by bisection; all int pairs."""
         los, his = self._keys
-        return self.intervals[bisect.bisect_left(his, pair_key(as_pair(lo))):
-                              bisect.bisect_right(los, pair_key(as_pair(hi)))]
+        i, j = bisect.bisect_left(his, pair_key(lo)), bisect.bisect_right(los, pair_key(hi))
+        return [(l.obj, r.obj) for l, r in zip(los[i:j], his[i:j])]
+
+    def meeting(self, lo: Fraction, hi: Fraction) -> list:
+        """_meeting on Fractions."""
+        return [(coprime_fraction(*l), coprime_fraction(*r))
+                for l, r in self._meeting(as_pair(lo), as_pair(hi))]
 
     def contains_limit_point(self, x: Fraction) -> bool:
         """Membership in the underlying limit set (equals contains() when
@@ -418,25 +421,34 @@ def hausdorff_distance(a: CompactSet, b: CompactSet) -> Fraction:
 # regions
 
 
-class Piece(NamedTuple):
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool
-    hi_closed: bool
+class Piece(tuple):
+    """(lo, hi, lo_closed, hi_closed): an interval, its ends as reduced int
+    pairs, and whether it holds each end.  lo and hi are Fraction views;
+    Piece._make builds one from a tuple of pair ends and flags."""
+
+    __slots__ = ()
+    _make = classmethod(tuple.__new__)
+
+    def __new__(cls, lo, hi, lo_closed: bool, hi_closed: bool):
+        return tuple.__new__(cls, (as_pair(lo), as_pair(hi), lo_closed, hi_closed))
+
+    lo, hi = (property(lambda p, i=i: coprime_fraction(*p[i])) for i in (0, 1))
+    lo_closed, hi_closed = (property(operator.itemgetter(i)) for i in (2, 3))
 
 
 def _normalize_pieces(pieces: Iterable[Piece]) -> tuple[Piece, ...]:
     """A bag of pieces as sorted, disjoint and maximal ones."""
-    ps = sorted((p for p in pieces
-                 if p.lo < p.hi or p.lo == p.hi and p.lo_closed and p.hi_closed),
-                key=lambda p: (p.lo, not p.lo_closed))
+    # by left end, a closed one first at equal ends
+    ps = sorted((p for p in pieces if (c := pair_cmp(p[0], p[1])) < 0
+                 or c == 0 and p[2] and p[3]),
+                key=cmp_to_key(lambda p, q: pair_cmp(p[0], q[0]) or q[2] - p[2]))
     out: list[Piece] = []
     for p in ps:
         if out:
             q = out[-1]
-            if p.lo < q.hi or (p.lo == q.hi and (q.hi_closed or p.lo_closed)):
-                hi, hi_closed = max((q.hi, q.hi_closed), (p.hi, p.hi_closed))
-                out[-1] = Piece(q.lo, hi, q.lo_closed, hi_closed)
+            if (c := pair_cmp(p[0], q[1])) < 0 or c == 0 and (q[3] or p[2]):
+                if (c := pair_cmp(p[1], q[1])) > 0 or c == 0 and p[3]:
+                    out[-1] = Piece._make((q[0], p[1], q[2], p[3]))
                 continue
         out.append(p)
     return tuple(out)
@@ -448,11 +460,12 @@ def _sweep(a: Sequence[Piece], b: Sequence[Piece], keep):
 
     An end is a key (x, 0) just before x or (x, 1) just after it: a piece
     runs from (lo, not lo_closed) to (hi, hi_closed).  The keys of a and b
-    are merged in order and ends of both at one key toggle together, so the
-    pieces yielded are sorted, disjoint and maximal.  The merge stops when
-    an operand has no ends left and keep is false outside it.
+    are merged in order (x by cross-multiplication) and ends of both at one
+    key toggle together, so the pieces yielded are sorted, disjoint and
+    maximal.  The merge stops when an operand has no ends left and keep is
+    false outside it.
     """
-    ka, kb = ([k for p in ps for k in ((p.lo, not p.lo_closed), (p.hi, p.hi_closed))]
+    ka, kb = ([k for lo, hi, lc, hc in ps for k in ((lo, not lc), (hi, hc))]
               for ps in (a, b))
     na, nb = len(ka), len(kb)
     rest_of_a, rest_of_b = keep(True, False), keep(False, True)
@@ -464,11 +477,12 @@ def _sweep(a: Sequence[Piece], b: Sequence[Piece], keep):
         elif i == na:
             step_a, step_b = False, True
         else:
-            (x, f), (y, g) = ka[i], kb[j]
-            if x == y:
+            ((xn, xd), f), ((yn, yd), g) = ka[i], kb[j]
+            c = xn * yd - yn * xd
+            if c == 0:
                 step_a, step_b = f <= g, g <= f
             else:
-                step_a = x < y
+                step_a = c < 0
                 step_b = not step_a
         if step_a:
             x, f = ka[i]
@@ -480,15 +494,17 @@ def _sweep(a: Sequence[Piece], b: Sequence[Piece], keep):
             in_b = not in_b
         if keep(in_a, in_b) != on:
             if on:
-                yield Piece(lo, x, not lo_key, f)
+                yield Piece._make((lo, x, not lo_key, f))
             on, lo, lo_key = not on, x, f
 
 
-def _meets(p: Piece, l: Fraction, r: Fraction) -> bool:
+def _meets(p: Piece, l: tuple, r: tuple) -> bool:
     """Whether p holds a point of [l, r], an interval meeting [p.lo, p.hi]:
     they overlap in more than a point, or in a point that p holds."""
-    return (max(l, p.lo) < min(r, p.hi) or (p.lo_closed or p.lo < l)
-            and (p.hi_closed or r < p.hi))
+    lo, hi, lo_closed, hi_closed = p
+    return (pair_cmp(l, r) < 0 and pair_cmp(l, hi) < 0 and pair_cmp(lo, r) < 0
+            and pair_cmp(lo, hi) < 0 or (lo_closed or pair_cmp(lo, l) < 0)
+            and (hi_closed or pair_cmp(r, hi) < 0))
 
 
 @dataclass(frozen=True)
@@ -528,15 +544,20 @@ class Region:
     # -- membership ---------------------------------------------------------
 
     def contains(self, x) -> bool:
-        x = rat(x)
-        return self.space.contains(x) and any(
-            p.lo <= x <= p.hi and _meets(p, x, x) for p in self.pieces)
+        x = as_pair(rat(x))
+        return self.space._holds(x) and any(
+            pair_cmp(p[0], x) <= 0 <= pair_cmp(p[1], x) and _meets(p, x, x)
+            for p in self.pieces)
 
     def _piece_meets_space(self, p: Piece) -> bool:
-        return any(_meets(p, l, r) for l, r in self.space.meeting(p.lo, p.hi))
+        return any(_meets(p, l, r) for l, r in self.space._meeting(p[0], p[1]))
+
+    def _meets_where(self, pieces: Sequence[Piece], keep) -> bool:
+        """Whether K has a point where keep(in self, in the sorted, disjoint pieces)."""
+        return any(map(self._piece_meets_space, _sweep(self.pieces, pieces, keep)))
 
     def is_empty(self) -> bool:
-        return not any(self._piece_meets_space(p) for p in self.pieces)
+        return not any(map(self._piece_meets_space, self.pieces))
 
     # -- boolean operations -------------------------------------------------
 
@@ -551,12 +572,10 @@ class Region:
         return Region(self.space, tuple(_sweep(self.pieces, other.pieces, operator.gt)))
 
     def subset_of(self, other: "Region") -> bool:
-        return not any(map(self._piece_meets_space,
-                           _sweep(self.pieces, other.pieces, operator.gt)))
+        return not self._meets_where(other.pieces, operator.gt)
 
     def disjoint_from(self, other: "Region") -> bool:
-        return not any(map(self._piece_meets_space,
-                           _sweep(self.pieces, other.pieces, operator.and_)))
+        return not self._meets_where(other.pieces, operator.and_)
 
     def same_set(self, other: "Region") -> bool:
         return self.subset_of(other) and other.subset_of(self)
@@ -565,16 +584,16 @@ class Region:
 
     def infimum(self) -> Fraction:
         for p in self.pieces:
-            for l, r in self.space.meeting(p.lo, p.hi):
+            for l, r in self.space._meeting(p[0], p[1]):
                 if _meets(p, l, r):
-                    return max(l, p.lo)
+                    return coprime_fraction(*max(l, p[0], key=pair_key))
         raise SpaceError("empty region has no infimum")
 
     def supremum(self) -> Fraction:
         for p in reversed(self.pieces):
-            for l, r in reversed(self.space.meeting(p.lo, p.hi)):
+            for l, r in reversed(self.space._meeting(p[0], p[1])):
                 if _meets(p, l, r):
-                    return min(r, p.hi)
+                    return coprime_fraction(*min(r, p[1], key=pair_key))
         raise SpaceError("empty region has no supremum")
 
     def diameter(self) -> Fraction:
@@ -587,5 +606,6 @@ def epsilon_neighborhood(points: Iterable, eps, space: CompactSet) -> Region:
     eps = rat(eps)
     if eps <= 0:
         raise SpaceError("eps must be positive")
-    pieces = [Piece(rat(p) - eps, rat(p) + eps, False, False) for p in points]
-    return Region.from_pieces(space, pieces)
+    e, minus_e = as_pair(eps), (-eps.numerator, eps.denominator)
+    return Region.from_pieces(space, [Piece._make((affine((1, 1), minus_e, x), affine(
+        (1, 1), e, x), False, False)) for x in map(as_pair, map(rat, points))])

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .rational import pair_key, rat
+from .rational import as_pair, pair_key, rat
 from .maps import (PAHomeo, apply, break_points, compose, identity_map,
                    image, invert, equals)
 from .space import CompactSet, Piece, Region, epsilon_neighborhood
@@ -93,11 +94,13 @@ class Trajectory:
         self.stream = stream
         self._indices: list[int] = []
         self._rng = _philox(model.seed, stream)
-        cum = Fraction(0)
-        self._thresholds = []
-        for p in model.probs:
+        # a draw u picks generator #{cut <= u}, the cuts being the cumulative
+        # probabilities times 2**64 but the last (2**64, above every draw)
+        cum, cuts = Fraction(0), []
+        for p in model.probs[:-1]:
             cum += p
-            self._thresholds.append(int(cum * TWO64))
+            cuts.append(int(cum * TWO64))
+        self._cuts = np.array(cuts, dtype=np.uint64)
         # the forward and backward words of lengths 0, 1, ... computed so far
         self._fwd = [identity_map(model.space)]
         self._bwd = [identity_map(model.space)]
@@ -106,8 +109,7 @@ class Trajectory:
         while len(self._indices) <= k:
             draws = self._rng.integers(0, TWO64 - 1, size=self.CHUNK,
                                        dtype=np.uint64, endpoint=True)
-            for u in draws:
-                self._indices.append(bisect.bisect_right(self._thresholds, int(u)))
+            self._indices += np.searchsorted(self._cuts, draws, side="right").tolist()
         return self._indices[k]
 
     def step_map(self, k: int) -> PAHomeo:
@@ -187,25 +189,6 @@ def uniform_cell_measure(space: CompactSet, depth: int) -> CellMeasure:
     return CellMeasure(depth, tuple([Fraction(1, len(cells))] * len(cells)), True)
 
 
-def _cell_index(los, his, x) -> int:
-    """The cell of the float x, given the cells' float ends."""
-    i = bisect.bisect_right(los, x) - 1
-    if i < 0:
-        return 0
-    if i + 1 < len(los):
-        # x may have drifted into a gap; snap to the nearer cell
-        if x > his[i]:
-            gap_mid = (his[i] + los[i + 1]) / 2
-            if x > gap_mid:
-                return i + 1
-    return i
-
-
-def _branch_dist(b, x: float) -> float:
-    lo, hi = b[0], b[1]
-    return max(0.0, lo - x, x - hi)
-
-
 def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int,
                                 restarts: int = 4) -> CellMeasure:
     """Birkhoff cell-occupation average of the chain x' = f_omega(x),
@@ -213,31 +196,31 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int,
     if n_steps < 1:
         raise WalkError("need at least one step")
     cells = measure_cells(model.space, depth)
-    counts = np.zeros(len(cells))
-    gens_f = []
-    for g in model.gens:
-        gens_f.append([(float(b.lo), float(b.hi), float(b.slope), float(b.offset))
-                       for b in g.branches])
+    counts = [0] * len(cells)
+    gens_f = [[tuple(n / d for n, d in b.pairs[:4]) for b in g.branches]
+              for g in model.gens]
     branch_los = [[b[0] for b in branches] for branches in gens_f]
     los, his = [float(l) for l, _ in cells], [float(r) for _, r in cells]
-    starts = [los[r % len(cells)] for r in range(restarts)]
+    # x may drift into a gap; past the gap's midpoint it counts to the next cell
+    mids = [(h + l) / 2 for h, l in zip(his, los[1:])]
     for r in range(restarts):
         t = Trajectory(model, stream=r)
-        x = starts[r]
-        for k in range(n_steps):
-            counts[_cell_index(los, his, x)] += 1
-            gi = t.index(k)
+        t.index(n_steps - 1)
+        x = los[r % len(cells)]
+        for gi in t._indices[:n_steps]:
+            i = max(bisect.bisect_right(los, x) - 1, 0)
+            counts[i + (i < len(mids) and x > mids[i])] += 1
             branches = gens_f[gi]
-            j = bisect.bisect_right(branch_los[gi], x) - 1
-            j = max(0, min(j, len(branches) - 1))
+            j = max(bisect.bisect_right(branch_los[gi], x) - 1, 0)
+            lo, hi, s, o = branches[j]
             # float drift can push x just past a source endpoint; pick the
             # nearest branch, the exact point always lies inside one
-            best, bd = j, _branch_dist(branches[j], x)
-            if j + 1 < len(branches) and _branch_dist(branches[j + 1], x) < bd:
-                best = j + 1
-            lo, hi, s, o = branches[best]
+            if not lo <= x <= hi and j + 1 < len(branches):
+                lo2, hi2, _, _ = branches[j + 1]
+                if max(0.0, lo2 - x, x - hi2) < max(0.0, lo - x, x - hi):
+                    lo, hi, s, o = branches[j + 1]
             x = s * min(max(x, lo), hi) + o
-    masses = counts / counts.sum()
+    masses = np.array(counts, dtype=float) / sum(counts)
     return CellMeasure(depth, tuple(float(m) for m in masses), False)
 
 
@@ -250,16 +233,15 @@ def preimage_cell_indices(g: PAHomeo, cells):
     ginv = invert(g)
     K = g.space
     out = []
-    los, his = [l for l, _ in cells], [r for _, r in cells]
-    cell_regions = [Region.from_pieces(K, (Piece(l, r, True, True),))
-                    for l, r in cells]
-    for reg in cell_regions:
-        pre = image(ginv, reg)
-        near = range(bisect.bisect_left(his, pre.pieces[0].lo),
-                     bisect.bisect_right(los, pre.pieces[-1].hi))
-        js = [j for j in near if cell_regions[j].subset_of(pre)]
-        cover = Region.from_pieces(K, [p for j in js for p in cell_regions[j].pieces])
-        out.append(js if pre.subset_of(cover) else None)
+    pieces = [Piece(l, r, True, True) for l, r in cells]
+    los, his = ([pair_key(p[i]) for p in pieces] for i in (0, 1))
+    for c in pieces:
+        pre = image(ginv, Region(K, (c,)))
+        near = range(bisect.bisect_left(his, pair_key(pre.pieces[0][0])),
+                     bisect.bisect_right(los, pair_key(pre.pieces[-1][1])))
+        js = [j for j in near if not pre._meets_where((pieces[j],), operator.lt)]
+        out.append(js if pre.subset_of(Region(K, tuple(pieces[j] for j in js)))
+                   else None)
     return out
 
 
@@ -334,23 +316,23 @@ def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region,
     carries half the parent mass) when the region cuts through a cell."""
 
     def portion(lo, hi, depth_left) -> float:
-        cell = Region.from_pieces(space, (Piece(lo, hi, True, True),))
-        if cell.subset_of(region):
+        cell = Piece._make((lo, hi, True, True))
+        if not region._meets_where((cell,), operator.lt):
             return 1.0
-        if cell.disjoint_from(region):
+        if not region._meets_where((cell,), operator.and_):
             return 0.0
         if space.ifs is None or depth_left <= 0:
             # fall back to length fraction of the overlap
-            inter = cell.intersect(region)
-            return float((inter.supremum() - inter.infimum()) / (hi - lo))
+            inter = Region(space, (cell,)).intersect(region)
+            return float((inter.supremum() - inter.infimum()) / (cell.hi - cell.lo))
         # children of [lo, hi] under the IFS self-similarity
-        kids = space.ifs.children(lo, hi)
+        kids = space.ifs._child_pairs(lo, hi)
         return sum(portion(clo, chi, depth_left - 1) / len(kids)
                    for clo, chi in kids)
 
     total = 0.0
     for m, (l, r) in zip(mu.masses, cells):
-        total += float(m) * portion(l, r, split_depth)
+        total += float(m) * portion(as_pair(l), as_pair(r), split_depth)
     return total
 
 
@@ -375,8 +357,7 @@ def estimate_entropy(mu: CellMeasure, model: WalkModel,
             if m <= 0:
                 skipped += 1
                 continue
-            img = image(g, Region.from_pieces(model.space,
-                                              (Piece(l, r, True, True),)))
+            img = image(g, Region(model.space, (Piece(l, r, True, True),)))
             im = _region_mass(mu, cells, model.space, img)
             if im <= 0:
                 skipped += 1

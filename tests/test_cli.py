@@ -261,14 +261,46 @@ def test_morse_smale_kind(tmp_path):
     assert report["periodic"]
 
 
+def _quote_false_flags(doc):
+    for name in ("A1", "B1", "A2", "B2"):
+        for piece in doc[name]["pieces"]:
+            for flag in ("lo_closed", "hi_closed"):
+                if piece[flag] is False:
+                    piece[flag] = "false"
+
+
+def _edited_certificate(name, edit):
+    """The certificate of a bundled scenario with edit applied to it, built
+    when the test runs."""
+    def build(tmp_path):
+        run_scenario(_bundled(name), out_dir=str(tmp_path))
+        doc = json.loads((tmp_path / f"{name}_certificate.json").read_text())
+        edit(doc)
+        return doc
+    return build
+
+
 @pytest.mark.parametrize("doc", [
     {"type": "ping-pong"},
     [1, 2],
     {"type": "invariant-measure", "space": {"intervals": 5}},
     {"type": "invariant-measure", "space": {"intervals": [["0", "1"]]},
      "generators": [], "depth": 0, "masses": ["1"], "consistency_depth": 0},
+    # a zero denominator, flags and depths of the wrong JSON type: each
+    # would verify, or end in a traceback, if it were read by coercion
+    pytest.param(_edited_certificate(
+        "free_pair", lambda d: d["A1"]["pieces"][0].update(lo="1/0")), id="zero-denominator"),
+    pytest.param(_edited_certificate("free_pair", _quote_false_flags), id="string-flags"),
+    pytest.param(_edited_certificate(
+        "free_pair", lambda d: d["space"].update(depth=3.9)), id="float-depth"),
+    pytest.param(_edited_certificate(
+        "klein_four", lambda d: d.update(depth=True)), id="bool-depth"),
+    pytest.param(_edited_certificate(
+        "klein_four", lambda d: d.update(consistency_depth=4.0)), id="float-consistency-depth"),
 ])
 def test_verify_malformed_certificate_exits_1(tmp_path, capsys, doc):
+    if callable(doc):
+        doc = doc(tmp_path)
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 1
@@ -292,6 +324,8 @@ def test_verify_malformed_certificate_exits_1(tmp_path, capsys, doc):
     dict(json.loads(_load_scenario_text("g3")), probabilities={"G3": "1"}),
     # an output stem that is a path out of --out
     dict(json.loads(_load_scenario_text("g3")), output="../escaped"),
+    # a zero denominator
+    dict(json.loads(_load_scenario_text("free_pair")), budgets={"eps": "1/0"}),
 ])
 def test_malformed_scenario_exits_1(tmp_path, capsys, doc):
     path = tmp_path / "scenario.json"

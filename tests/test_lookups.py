@@ -11,9 +11,10 @@ they are.  The references below scan every interval, branch and cell pair,
 and cut and evaluate every branch, as a plain reading of the definitions
 would; the break-pair reference asks whether an image pair bounds a gap
 from its right end, where maps.break_pairs asks from its left end.
-maps.break_pairs, maps.apply and CompactSet.decompose_into_cylinders work
-on int pairs; a last test makes Fraction arithmetic and ordering raise and
-asks them for recorded answers.
+maps.break_pairs, maps.apply, CompactSet.decompose_into_cylinders, the
+Region operations, maps.image, maps.maps_into and preimage_cell_indices
+work on int pairs; a last test makes Fraction arithmetic and ordering raise
+and asks them for the answers they gave before.
 """
 
 from fractions import Fraction as F
@@ -28,7 +29,7 @@ from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
                              break_pairs, break_points, compose,
                              from_prefix_table, image, invert, maps_into,
                              pa_homeo)
-from cantorwalk.space import CompactSet, Ifs, Piece, Region
+from cantorwalk.space import CompactSet, Ifs, Piece, Region, epsilon_neighborhood
 from cantorwalk.walk import (cell_image_diameters, measure_cells,
                              preimage_cell_indices)
 
@@ -425,13 +426,14 @@ def test_queries_on_pieces_touching_k(space):
 
 def test_preimage_cells_subset_checks_are_linear(monkeypatch):
     # only the cells meeting the hull of g^-1(c) are tested for inclusion;
-    # testing all pairs of the 128 depth-7 cells makes 128 * 129 checks
+    # testing all pairs of the 128 depth-7 cells makes 128 * 129 checks.
+    # Each check, a cell's and the cover's, is one Region._meets_where call
     K = CompactSet.from_ifs(TERNARY, 7)
     cells = measure_cells(K, 7)
     calls = []
-    subset_of = Region.subset_of
-    monkeypatch.setattr(Region, "subset_of",
-                        lambda a, b: calls.append(1) or subset_of(a, b))
+    meets_where = Region._meets_where
+    monkeypatch.setattr(Region, "_meets_where",
+                        lambda r, ps, keep: calls.append(1) or meets_where(r, ps, keep))
     rows = preimage_cell_indices(fixture("A1", K), cells)
     assert len(cells) == len(rows) == 128
     assert len(calls) <= 4 * len(cells)
@@ -441,10 +443,32 @@ def _pairs(*ends):
     return [BreakPair(F(a), F(b)) for a, b in ends]
 
 
+def _region_regions(K):
+    """Three regions on K: neighbourhoods of its ends and midpoint, its hull
+    split at a third with the cut point in neither piece, and the whole."""
+    lo, hi = K.hull
+    cut = (2 * lo + hi) / 3
+    return (epsilon_neighborhood([lo, hi, (lo + hi) / 2], (hi - lo) / 9, K),
+            Region.from_pieces(K, [Piece(lo, cut, True, False), Piece(cut, hi, False, True)]),
+            Region.whole(K))
+
+
+def _region_answers(cases, g, cells):
+    """Boolean operations, inclusions, images and maps_into on the regions
+    of each (map, regions) case, and the preimage cells of g, as one tuple."""
+    out = []
+    for f, (A, B, W) in cases:
+        off = W.difference(A)
+        out += [A.union(B), A.intersect(B), A.difference(B), off, A.subset_of(B),
+                A.subset_of(W), A.disjoint_from(B), off.disjoint_from(A), image(f, A),
+                image(f, B), maps_into(f, W, A), maps_into(f, off, image(f, off))]
+    return tuple(out) + (preimage_cell_indices(g, cells),)
+
+
 def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
-    # break_pairs on words of the ternary, unequal and plain sets, and the
-    # cylinder lookups of tests/test_space.py::test_cylinders, with every
-    # Fraction comparison and arithmetic operator raising
+    # break_pairs on words of the ternary, unequal and plain sets, the
+    # cylinder lookups of tests/test_space.py::test_cylinders and the region
+    # kernels, with every Fraction comparison and arithmetic operator raising
     a1, a2, a1i, a2i = _letters(TERNARY, 3)
     u1, u2 = _letters(UNEQUAL, 3)[:2]
     p, q = PLAIN_LETTERS
@@ -466,6 +490,11 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
         ((F(1, 3), F(1)), None),
         ((F(2, 3 ** 25), F(1, 3)),
          [("0" * k + "2", F(2, 3 ** (k + 1)), F(1, 3 ** k)) for k in range(24, 0, -1)])]
+    cells = measure_cells(K, 3)
+    cases = [(f, _region_regions(f.space)) for f in (a1, u1, p)]
+    regions = _region_answers(cases, a1, cells)
+    assert regions[-1] == [None, None, [0, 1, 2, 3], [4, 5], None, None, None, None]
+    assert regions[10:12] == (False, True)
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic or comparison in a pair kernel")
@@ -478,3 +507,4 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
     for (lo, hi), parts in cylinders:
         assert K.decompose_into_cylinders(lo, hi) == parts
     assert K.cylinder("02") == (F(2, 9), F(1, 3))
+    assert _region_answers(cases, a1, cells) == regions

@@ -1,13 +1,15 @@
 """Seeded-walk diagnostics: words, measures, entropy, contraction scans."""
 
+import bisect
 import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from cantorwalk.maps import (apply, compose, equals, identity_map, invert,
                              is_identity)
-from cantorwalk.walk import (CellMeasure, Trajectory, WalkError,
+from cantorwalk.walk import (TWO64, CellMeasure, Trajectory, WalkError, _philox,
                              backward_cluster, backward_value,
                              break_accumulation, classify_pair,
                              contraction_scan, delta_sum_statistic,
@@ -19,6 +21,7 @@ from cantorwalk.walk import (CellMeasure, Trajectory, WalkError,
                              uniform_cell_measure)
 
 from fixtures import cantor_space, fixture, named_generators
+from test_lookups import PLAIN_LETTERS
 
 K = cantor_space(3)
 KLEIN = make_model(K, named_generators(["H", "R"]))
@@ -194,3 +197,88 @@ def test_global_contraction_g3():
 def test_global_contraction_identity_is_infinite():
     rep = global_contraction_report(Trajectory(IDENT, 0), 2, 20, F(1, 9))
     assert rep.p is None  # infinity sentinel
+
+
+# -- the fused Birkhoff chain against the step loop it replaced -------------
+
+
+def _cell_index_ref(los, his, x):
+    i = bisect.bisect_right(los, x) - 1
+    if i < 0:
+        return 0
+    if i + 1 < len(los) and x > his[i] and x > (his[i] + los[i + 1]) / 2:
+        return i + 1
+    return i
+
+
+def _branch_dist_ref(b, x):
+    return max(0.0, b[0] - x, x - b[1])
+
+
+def _indices_ref(model, stream, n):
+    """The generator indices of a stream, one bisection per draw."""
+    cum, thresholds = F(0), []
+    for p in model.probs:
+        cum += p
+        thresholds.append(int(cum * TWO64))
+    rng = _philox(model.seed, stream)
+    out = []
+    while len(out) < n:
+        for u in rng.integers(0, TWO64 - 1, size=Trajectory.CHUNK,
+                              dtype=np.uint64, endpoint=True):
+            out.append(bisect.bisect_right(thresholds, int(u)))
+    return out[:n]
+
+
+def _stationary_ref(model, n_steps, depth, restarts=4):
+    """The chain stepped one call per cell lookup and branch distance."""
+    cells = measure_cells(model.space, depth)
+    counts = np.zeros(len(cells))
+    gens_f = [[(float(b.lo), float(b.hi), float(b.slope), float(b.offset))
+               for b in g.branches] for g in model.gens]
+    los, his = [float(l) for l, _ in cells], [float(r) for _, r in cells]
+    for r in range(restarts):
+        x, omega = los[r % len(cells)], _indices_ref(model, r, n_steps)
+        for k in range(n_steps):
+            counts[_cell_index_ref(los, his, x)] += 1
+            branches = gens_f[omega[k]]
+            j = bisect.bisect_right([b[0] for b in branches], x) - 1
+            j = max(0, min(j, len(branches) - 1))
+            best = j
+            if (j + 1 < len(branches) and _branch_dist_ref(branches[j + 1], x)
+                    < _branch_dist_ref(branches[j], x)):
+                best = j + 1
+            lo, hi, s, o = branches[best]
+            x = s * min(max(x, lo), hi) + o
+    return tuple(float(m) for m in counts / counts.sum())
+
+
+CHAIN_MODELS = [
+    (KLEIN, 1), (KLEIN, 3), (FREE, 3), (FREE, 5), (G3_ONLY, 2),
+    (make_model(K, named_generators(["A1", "A2"], with_inverses=True),
+                [F(1, 7), F(2, 7), F(3, 7), F(1, 7)], seed=11), 4),
+    (make_model(K, named_generators(["H", "R", "G3"]),
+                [F(1, 1000), F(499, 1000), F(1, 2)], seed=3), 3),
+    (make_model(PLAIN_LETTERS[0].space, dict(zip("PQ", PLAIN_LETTERS)),
+                [F(1, 3), F(2, 3)], seed=5), 0),
+]
+
+
+@pytest.mark.parametrize("model, depth", CHAIN_MODELS)
+def test_stationary_chain_matches_step_loop(model, depth):
+    for n_steps, restarts in ((1, 1), (700, 4), (1500, 3)):
+        mu = estimate_stationary_measure(model, n_steps, depth, restarts)
+        assert mu.masses == _stationary_ref(model, n_steps, depth, restarts)
+
+
+@pytest.mark.parametrize("probs", [
+    (F(1, 2), F(1, 2)), (F(2, 3), F(1, 3)), (F(1, 3),) * 3,
+    (F(1, 2 ** 63), F(2 ** 63 - 1, 2 ** 63)), (F(1, 7), F(2, 7), F(3, 7), F(1, 7)),
+    (F(999, 1000), F(1, 2000), F(1, 2000))])
+def test_trajectory_indices_match_bisection(probs):
+    names = ["A1", "A2", "A1^-1", "A2^-1"][:len(probs)]
+    gens = named_generators(["A1", "A2"], with_inverses=True)
+    model = make_model(K, {n: gens[n] for n in names}, probs, seed=7)
+    for stream in (0, 5):
+        t = Trajectory(model, stream)
+        assert [t.index(k) for k in range(1100)] == _indices_ref(model, stream, 1100)
