@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import partial, reduce
 from typing import Optional, Sequence
 
-from .rational import coprime_fraction, pair_key, rat
-from .maps import (PAHomeo, apply, compose, equals, image, invert,
-                   is_identity, maps_into, orbit_bfs)
+from .rational import affine, coprime_fraction, pair_cmp, pair_key, rat
+from .maps import (PAHomeo, apply, compose, equals, identity_map, image,
+                   invert, is_identity, maps_into, orbit_bfs)
 from .space import (CompactSet, Piece, PointSet, Region,
                     epsilon_neighborhood)
 from .measure_solver import solve_feasibility
@@ -216,15 +216,23 @@ def _find_region_displacement(letters, inv, src: Region, avoid: Region,
 # contraction pairs
 
 
-def _attracting_fixed_points(w: PAHomeo) -> list:
-    pts = set()
-    for b in w.branches:
-        if abs(b.slope) >= 1:
+def _fixed_points(w: PAHomeo) -> tuple[list, list]:
+    """The fixed points of w's branches, as int pairs (x, slope) in branch
+    order, and the sources (lo, hi) of the branches that are the identity.
+    A branch x -> s*x + o with s != 1 fixes x = o / (1 - s) when x lies on
+    its closed source and in K's limit set."""
+    points, sources = [], []
+    for lo, hi, s, o, _, _ in (b.pairs for b in w.branches):
+        if s == (1, 1):
+            if o == (0, 1):
+                sources.append((lo, hi))
             continue
-        x = b.offset / (1 - b.slope)
-        if b.lo <= x <= b.hi and w.space.contains(x):
-            pts.add(x)
-    return sorted(pts)
+        sn, sd = s
+        x = affine((sd, sd - sn) if sd > sn else (-sd, sn - sd), o)  # o / (1 - s)
+        if pair_cmp(lo, x) <= 0 <= pair_cmp(hi, x) and \
+                w.space.contains_limit_point(coprime_fraction(*x)):
+            points.append((x, s))
+    return points, sources
 
 
 def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
@@ -249,7 +257,8 @@ def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
             continue
         for n in range(1, n_max + 1):
             w = forward_word(t, n)
-            B = _attracting_fixed_points(w)
+            B = [coprime_fraction(*x) for x in sorted(
+                {x for x, (sn, sd) in _fixed_points(w)[0] if abs(sn) < sd}, key=pair_key)]
             if not B or len(B) > p_cap:
                 continue
             b_reg = epsilon_neighborhood(B, eps, K)
@@ -562,50 +571,28 @@ class PeriodicReport:
 
 
 def periodic_points(f: PAHomeo, max_period: int) -> PeriodicReport:
-    """Exact enumeration by branch itineraries: for each feasible cyclic
-    branch sequence the composed affine fixed-point equation is solved and
-    the solution kept iff it lies in K and follows the claimed branches.
-    Composed slope 1 with zero offset is a non-hyperbolic family."""
+    """Exact enumeration by powers: the fixed points of f^p are those of the
+    branches of f^p = f∘f^(p-1), composed once per period.  Each point keeps
+    its least period, with that branch's slope as its multiplier; points are
+    sorted.  A branch of f^p that is the identity is a non-hyperbolic family
+    (lo, hi, p), unless a family of a period dividing p already covers it;
+    families come out in order of period, then source."""
     if max_period < 1:
         raise CertifyError("max_period must be at least 1")
-    K = f.space
-    found = {}
-    fams = []
-
-    def record_family(lo, hi, p):
-        for flo, fhi, fp in fams:
-            if p % fp == 0 and flo <= lo and hi <= fhi:
-                return
-        fams.append((lo, hi, p))
-
-    def dfs(dlo, dhi, s, t, depth, target):
-        if depth == target:
-            if s != 1:
-                x = t / (1 - s)
-                if dlo <= x <= dhi and K.contains(x) and \
-                        (K.ifs is None or K.contains_limit_point(x)):
-                    if x not in found:
-                        found[x] = (depth, s)
-            elif t == 0 and dlo < dhi:
-                record_family(dlo, dhi, depth)
-            return
-        lo_img, hi_img = sorted((s * dlo + t, s * dhi + t))
-        for b in f.branches:
-            nlo, nhi = max(lo_img, b.lo), min(hi_img, b.hi)
-            if nlo > nhi:
-                continue
-            if s > 0:
-                d2 = ((nlo - t) / s, (nhi - t) / s)
-            else:
-                d2 = ((nhi - t) / s, (nlo - t) / s)
-            dfs(max(d2[0], dlo), min(d2[1], dhi),
-                b.slope * s, b.slope * t + b.offset, depth + 1, target)
-
+    found, fams, fp = {}, [], identity_map(f.space)
     for p in range(1, max_period + 1):
-        for b0 in f.branches:
-            dfs(b0.lo, b0.hi, b0.slope, b0.offset, 1, p)
-    pts = tuple(sorted((x, per, mult) for x, (per, mult) in found.items()))
-    return PeriodicReport(pts, tuple(fams))
+        fp = compose(f, fp)
+        points, sources = _fixed_points(fp)
+        for x, s in points:
+            found.setdefault(x, (p, s))
+        for lo, hi in sources:
+            if not any(p % q == 0 and pair_cmp(a, lo) <= 0 <= pair_cmp(b, hi)
+                       for a, b, q in fams):
+                fams.append((lo, hi, p))
+    pts = tuple((coprime_fraction(*x), p, coprime_fraction(*s))
+                for x, (p, s) in sorted(found.items(), key=lambda i: pair_key(i[0])))
+    return PeriodicReport(pts, tuple((coprime_fraction(*lo), coprime_fraction(*hi), p)
+                                     for lo, hi, p in fams))
 
 
 def _constraining_slope_max(f: PAHomeo, region: Region) -> Fraction:

@@ -165,7 +165,7 @@ def certificate_from_obj(obj: dict):
                 PointSet.of(space, [rat(p) for p in obj["orbit"]]))
         if kind == "morse-smale":
             g = map_from_obj(space, obj["g"])
-            periodic = tuple((rat(x), int(per), rat(m))
+            periodic = tuple((rat(x), _exact(per, int, "period"), rat(m))
                              for x, per, m in obj["periodic"])
             return MorseSmaleCertificate(g, periodic,
                                          region_from_obj(space, obj["A"]),

@@ -250,10 +250,13 @@ def test_main_missing_scenario(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+# free_pair as a Morse-Smale search, which certifies at seed 3
+MORSE_SMALE = dict(kind="morse-smale", seed=3, budgets={}, output="ms")
+
+
 def test_morse_smale_kind(tmp_path):
     scn = parse_scenario(json.dumps(dict(
-        json.loads(_load_scenario_text("free_pair")),
-        kind="morse-smale", seed=3, budgets={}, output="ms")))
+        json.loads(_load_scenario_text("free_pair")), **MORSE_SMALE)))
     code, line = run_scenario(scn, out_dir=str(tmp_path))
     assert code == 0
     assert line.startswith("MORSE-SMALE")
@@ -269,12 +272,14 @@ def _quote_false_flags(doc):
                     piece[flag] = "false"
 
 
-def _edited_certificate(name, edit):
-    """The certificate of a bundled scenario with edit applied to it, built
-    when the test runs."""
+def _edited_certificate(name, edit, **changes):
+    """The certificate of a bundled scenario, its fields replaced by
+    changes, with edit applied to it, built when the test runs."""
     def build(tmp_path):
-        run_scenario(_bundled(name), out_dir=str(tmp_path))
-        doc = json.loads((tmp_path / f"{name}_certificate.json").read_text())
+        scn = parse_scenario(json.dumps(dict(
+            json.loads(_load_scenario_text(name)), **changes)))
+        run_scenario(scn, out_dir=str(tmp_path))
+        doc = json.loads((tmp_path / f"{scn.output}_certificate.json").read_text())
         edit(doc)
         return doc
     return build
@@ -286,8 +291,9 @@ def _edited_certificate(name, edit):
     {"type": "invariant-measure", "space": {"intervals": 5}},
     {"type": "invariant-measure", "space": {"intervals": [["0", "1"]]},
      "generators": [], "depth": 0, "masses": ["1"], "consistency_depth": 0},
-    # a zero denominator, flags and depths of the wrong JSON type: each
-    # would verify, or end in a traceback, if it were read by coercion
+    # a zero denominator, and flags, depths and periods of the wrong JSON
+    # type: each would verify, or end in a traceback, if it were read by
+    # coercion
     pytest.param(_edited_certificate(
         "free_pair", lambda d: d["A1"]["pieces"][0].update(lo="1/0")), id="zero-denominator"),
     pytest.param(_edited_certificate("free_pair", _quote_false_flags), id="string-flags"),
@@ -297,6 +303,9 @@ def _edited_certificate(name, edit):
         "klein_four", lambda d: d.update(depth=True)), id="bool-depth"),
     pytest.param(_edited_certificate(
         "klein_four", lambda d: d.update(consistency_depth=4.0)), id="float-consistency-depth"),
+    *(pytest.param(_edited_certificate(
+        "free_pair", lambda d, v=v: d["periodic"][0].__setitem__(1, v), **MORSE_SMALE),
+        id=f"{name}-period") for name, v in (("float", 1.9), ("string", "1"), ("bool", True))),
 ])
 def test_verify_malformed_certificate_exits_1(tmp_path, capsys, doc):
     if callable(doc):

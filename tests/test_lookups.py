@@ -12,8 +12,8 @@ and cut and evaluate every branch, as a plain reading of the definitions
 would; the break-pair reference asks whether an image pair bounds a gap
 from its right end, where maps.break_pairs asks from its left end.
 maps.break_pairs, maps.apply, CompactSet.decompose_into_cylinders, the
-Region operations, maps.image, maps.maps_into and preimage_cell_indices
-work on int pairs; a last test makes Fraction arithmetic and ordering raise
+Region operations, maps.image, maps.maps_into, preimage_cell_indices and
+certify.periodic_points work on int pairs; a last test makes Fraction arithmetic and ordering raise
 and asks them for the answers they gave before.
 """
 
@@ -25,6 +25,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorwalk.certify import periodic_points
 from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
                              break_pairs, break_points, compose,
                              from_prefix_table, image, invert, maps_into,
@@ -75,6 +76,9 @@ PLAIN_LETTERS = (
     pa_homeo(PLAIN, [Branch(F(0), F(1), F(-1), F(3)),
                      Branch(F(2), F(3), F(-1), F(3)),
                      Branch(F(4), F(6), F(-1), F(10))], label=("Q",)))
+# P^-1∘Q∘P: an orientation-reversing involution with kinks at 1/2 and 11/2
+PLAIN_INVOLUTION = compose(invert(PLAIN_LETTERS[0]),
+                           compose(PLAIN_LETTERS[1], PLAIN_LETTERS[0]))
 
 
 @cache
@@ -424,6 +428,16 @@ def test_queries_on_pieces_touching_k(space):
                 assert image(g, T) == image_ref(g, T)
 
 
+def test_periodic_points_skip_kinks_of_a_plain_involution():
+    # the square of P^-1∘Q∘P is the identity on both sides of its kinks at
+    # 1/2 and 11/2, so they lie in period-2 families and are no hyperbolic
+    # points; only the fixed point 5/2 of the reflection of [2, 3] is
+    rep = periodic_points(PLAIN_INVOLUTION, 2)
+    assert rep.points == ((F(5, 2), 1, F(-1)),)
+    assert rep.families == tuple((F(lo), F(hi), 2) for lo, hi in (
+        (0, F(1, 2)), (F(1, 2), 1), (2, 3), (4, F(11, 2)), (F(11, 2), 6)))
+
+
 def test_preimage_cells_subset_checks_are_linear(monkeypatch):
     # only the cells meeting the hull of g^-1(c) are tested for inclusion;
     # testing all pairs of the 128 depth-7 cells makes 128 * 129 checks.
@@ -467,8 +481,9 @@ def _region_answers(cases, g, cells):
 
 def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
     # break_pairs on words of the ternary, unequal and plain sets, the
-    # cylinder lookups of tests/test_space.py::test_cylinders and the region
-    # kernels, with every Fraction comparison and arithmetic operator raising
+    # cylinder lookups of tests/test_space.py::test_cylinders, the region
+    # kernels and periodic points of A1, R and the plain involution, with
+    # every Fraction comparison and arithmetic operator raising
     a1, a2, a1i, a2i = _letters(TERNARY, 3)
     u1, u2 = _letters(UNEQUAL, 3)[:2]
     p, q = PLAIN_LETTERS
@@ -495,6 +510,9 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
     regions = _region_answers(cases, a1, cells)
     assert regions[-1] == [None, None, [0, 1, 2, 3], [4, 5], None, None, None, None]
     assert regions[10:12] == (False, True)
+    powers = ((a1, 6), (fixture("R", K), 2), (PLAIN_INVOLUTION, 2))
+    periodic = [periodic_points(f, n) for f, n in powers]
+    assert periodic[0].points == ((F(1, 4), 1, F(1, 9)), (F(1), 1, F(9)))
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic or comparison in a pair kernel")
@@ -508,3 +526,4 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
         assert K.decompose_into_cylinders(lo, hi) == parts
     assert K.cylinder("02") == (F(2, 9), F(1, 3))
     assert _region_answers(cases, a1, cells) == regions
+    assert [periodic_points(f, n) for f, n in powers] == periodic
