@@ -21,9 +21,9 @@ from .maps import (PAHomeo, apply, compose, equals, identity_map, image,
 from .space import (CompactSet, Piece, PointSet, Region,
                     epsilon_neighborhood)
 from .measure_solver import solve_feasibility
-from .walk import (Trajectory, WalkModel, contraction_scan, forward_word,
-                   invariance_rows, measure_cells, CellMeasure, WalkError,
-                   _repulsor_extremes, _single_linkage)
+from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, cell_image_diameters,
+                   forward_orbit, forward_word, invariance_rows, measure_cells,
+                   CellMeasure, _repulsor_extremes, _single_linkage)
 
 
 class CertifyError(ValueError):
@@ -120,15 +120,13 @@ class DisplacementResult:
 def _make_letters(named: dict):
     """(letters, inv) with inverses appended unless already present; inv[j]
     is the index of letter j's inverse (itself for involutions)."""
-    letters = list(named.values())
-    for g in list(letters):
+    letters, inv = list(named.values()), []
+    for g in letters:  # the appended inverses are visited too
         gi = invert(g)
-        if not any(equals(gi, h) for h in letters):
+        j = next((k for k, h in enumerate(letters) if equals(gi, h)), len(letters))
+        if j == len(letters):
             letters.append(gi)
-    inv = []
-    for g in letters:
-        gi = invert(g)
-        inv.append(next(k for k, h in enumerate(letters) if equals(gi, h)))
+        inv.append(j)
     return letters, inv
 
 
@@ -238,18 +236,25 @@ def _fixed_points(w: PAHomeo) -> tuple[list, list]:
 def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
                             streams: int):
     """Yields (trajectory, n, word, A points, B points) with the inclusion
-    word(K off A^eps) subset of B^eps verified exactly."""
+    word(K off A^eps) subset of B^eps verified exactly; A comes from the
+    repulsors of contraction_scan at horizon h = min(n_max, 24), each cell
+    dropped at its first image diameter below DEFAULT_DELTA, steps h//2..h."""
+    if n_max < 1:
+        raise CertifyError("n_max must be at least 1")
     eps = rat(eps)
     K = model.space
     cells = measure_cells(K, K.depth)
+    h = min(n_max, 24)
     for r in range(streams):
         t = Trajectory(model, stream=r)
-        try:
-            scan = contraction_scan(t, K.depth, min(n_max, 24))
-        except WalkError:
-            continue
-        A = _repulsor_extremes(scan, cells, K.hull)
-        if not A or len(A) > p_cap:
+        live = cells
+        for k in range(h // 2, h + 1):
+            diams = cell_image_diameters(forward_word(t, k), live)
+            live = [c for c, d in zip(live, diams) if d >= DEFAULT_DELTA]
+            if not live:
+                break
+        A = _repulsor_extremes(live, cells, K.hull)
+        if not A or len(A) > p_cap or len(live) * DEFAULT_DELTA > K.hull[1] - K.hull[0]:
             continue
         off = Region.whole(K).difference(
             epsilon_neighborhood(A, eps, K))
@@ -346,6 +351,21 @@ def verify_ping_pong(cert: PingPongCertificate) -> Verdict:
     return Verdict(True)
 
 
+def _first_inclusion(usable, off: Region, b_reg: Region, n_max: int):
+    """The first word w = forward_word(t, n2) of the samples (t, n, ...),
+    n2 = n..n_max, with image(w, off) inside b_reg.  The middle end x of K's
+    intervals in off screens words uncomposed: w(x) must lie in b_reg."""
+    ends = [x for c in off.space.intervals for x in c if off.contains(x)]
+    for t, n, _, _, _ in usable:
+        orbit = forward_orbit(t, ends[len(ends) // 2], n_max) if ends else None
+        for n2 in range(n, n_max + 1):
+            if orbit is None or b_reg.contains(orbit[n2]):
+                w = forward_word(t, n2)
+                if maps_into(w, off, b_reg):
+                    return w
+    return None
+
+
 def assemble_free_pair(model: WalkModel, eps, max_len: int = 6,
                        runs: int = 100, n_max: int = 40):
     """Contraction, stabilization, displacement, conjugation, exact
@@ -379,15 +399,7 @@ def assemble_free_pair(model: WalkModel, eps, max_len: int = 6,
         a_reg = epsilon_neighborhood(pair.A, e, K)
         b_reg = epsilon_neighborhood(pair.B, e, K)
         off = Region.whole(K).difference(a_reg)
-        g = None
-        for t, n, w, _, _ in usable:
-            for n2 in range(n, n_max + 1):
-                w2 = forward_word(t, n2)
-                if maps_into(w2, off, b_reg):
-                    g = w2
-                    break
-            if g is not None:
-                break
+        g = _first_inclusion(usable, off, b_reg, n_max)
         if g is None:
             continue
         if a_reg.disjoint_from(b_reg):

@@ -156,6 +156,9 @@ def _budget(s: Scenario, overrides: dict) -> dict:
     out.update(_env_budgets())
     out.update(s.budgets)
     out.update({k: v for k, v in overrides.items() if v is not None})
+    for k in ("n", "runs", "max_len"):
+        if out[k] < 1:
+            raise ScenarioError(f"budget {k!r}: {out[k]} is below 1")
     return out
 
 

@@ -531,11 +531,10 @@ def _extremes(clusters, hull) -> list:
     return [c[-1] if (c[0] + c[-1]) / 2 >= center else c[0] for c in clusters]
 
 
-def _repulsor_extremes(scan: CellScan, cells, hull) -> list:
-    """Cluster representatives of the repulsor-cell endpoints of a scan,
-    clustered at three cell widths."""
-    pts = [x for v, cell in zip(scan.verdicts, cells) if v == "repulsor"
-           for x in cell]
+def _repulsor_extremes(repulsors, cells, hull) -> list:
+    """Cluster representatives of the endpoints of the repulsor cells,
+    clustered at three widths of the first of all cells."""
+    pts = [x for cell in repulsors for x in cell]
     return _extremes(_single_linkage(pts, 3 * (cells[0][1] - cells[0][0])),
                      hull)
 
@@ -661,7 +660,8 @@ def global_contraction_report(t: Trajectory, depth: int, n: int, eps,
     cells = measure_cells(K, depth)
     # F: the repulsor cluster representatives, plus those of the break
     # accumulation clusters not within eps of one already taken
-    F = _repulsor_extremes(scan, cells, K.hull)
+    F = _repulsor_extremes([c for v, c in zip(scan.verdicts, cells)
+                            if v == "repulsor"], cells, K.hull)
     _, bclusters = break_accumulation(t, min(n, 12))
     for cand in _extremes(bclusters, K.hull):
         if all(abs(cand - f) > eps for f in F):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cantorwalk import certify
 from cantorwalk.certify import (_make_letters, _reduced_words, _then,
                                 AssemblyFailure, CertifyError,
                                 InfeasibilityReport, InvariantMeasureCertificate,
@@ -163,6 +164,30 @@ def test_reduced_words_are_shortlex_and_reduced():
     for w, m in _reduced_words(letters, inv, 2, None, _then):
         assert equals(m, letters[w[0]] if len(w) == 1 else
                       compose(letters[w[1]], letters[w[0]]))
+
+
+@pytest.mark.parametrize("named, inv, calls", [
+    ({"A1": A1, "A2": A2}, [2, 3, 0, 1], (8, 4)),
+    (FREE_GENS, [2, 3, 0, 1], (10, 4)),
+    (KLEIN_GENS, [0, 1], (3, 2)),
+])
+def test_make_letters_inverts_each_letter_once(monkeypatch, named, inv, calls):
+    # one inversion and one equals scan per letter, the appended inverses
+    # included; the two-pass construction made 15, 20 and 6 equals calls
+    # and 6, 8 and 4 inversions on these generators
+    counts = {"equals": 0, "invert": 0}
+    for name, fn in (("equals", equals), ("invert", invert)):
+        monkeypatch.setattr(certify, name, lambda *a, name=name, fn=fn:
+                            counts.__setitem__(name, counts[name] + 1) or fn(*a))
+    letters, got = _make_letters(named)
+    assert (counts["equals"], counts["invert"]) == calls
+    assert got == inv
+    gens = list(named.values())
+    expected = gens + [invert(g) for g in gens if not any(
+        equals(invert(g), h) for h in gens)]
+    assert len(letters) == len(expected)
+    assert all(g is h or equals(g, h) for g, h in zip(letters, expected))
+    assert all(equals(invert(letters[j]), letters[k]) for j, k in enumerate(got))
 
 
 def test_free_group_sanity():

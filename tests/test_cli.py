@@ -335,6 +335,12 @@ def test_verify_malformed_certificate_exits_1(tmp_path, capsys, doc):
     dict(json.loads(_load_scenario_text("g3")), output="../escaped"),
     # a zero denominator
     dict(json.loads(_load_scenario_text("free_pair")), budgets={"eps": "1/0"}),
+    # horizon, run and word-length budgets below 1, which would leave every
+    # search empty and read as "undecided within budget"
+    *(dict(json.loads(_load_scenario_text("free_pair")), budgets={key: v})
+      for key, v in (("n", 0), ("n", -3), ("runs", 0), ("runs", -1), ("max_len", 0))),
+    *(dict(json.loads(_load_scenario_text("free_pair")), **dict(MORSE_SMALE, budgets={key: v}))
+      for key, v in (("n", 0), ("n", -1), ("runs", 0), ("runs", -2))),
 ])
 def test_malformed_scenario_exits_1(tmp_path, capsys, doc):
     path = tmp_path / "scenario.json"
