@@ -119,15 +119,17 @@ class DisplacementResult:
 
 def _make_letters(named: dict):
     """(letters, inv) with inverses appended unless already present; inv[j]
-    is the index of letter j's inverse (itself for involutions)."""
-    letters, inv = list(named.values()), []
-    for g in letters:  # the appended inverses are visited too
+    is the index of letter j's inverse (itself for involutions), and an
+    appended inverse's is the letter it was appended for."""
+    letters, inv, appended_for = list(named.values()), [], []
+    for i, g in enumerate(named.values()):
         gi = invert(g)
         j = next((k for k, h in enumerate(letters) if equals(gi, h)), len(letters))
         if j == len(letters):
             letters.append(gi)
+            appended_for.append(i)
         inv.append(j)
-    return letters, inv
+    return letters, inv + appended_for
 
 
 def _reduced_words(letters, inv, max_len: int, start, step):

@@ -4,8 +4,8 @@ A PAHomeo is a finite list of affine branches x -> slope*x + offset, each on
 a closed rational source interval.  Together the branches restrict to a
 bijection of the ambient set onto itself, which is verified exactly at
 construction.  For IFS-structured sets the bijection is of the underlying
-limit set: branch sources and images must be cylinder-aligned, so that each
-branch carries limit points to limit points.
+limit set: branch sources and images must be cylinder-aligned and end on
+it, so that each branch carries limit points to limit points.
 
 Break pairs, the regularity radius r0, slope ranges and distortion are all
 computed exactly.
@@ -201,6 +201,8 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
         parts = space.decompose_into_cylinders(b.lo, b.hi)
         if not parts:
             raise MapError(f"branch source [{b.lo}, {b.hi}] not cylinder-aligned")
+        if (parts[0][1], parts[-1][2]) != (b.lo, b.hi):
+            raise MapError(f"branch source [{b.lo}, {b.hi}] does not end on the limit set")
         _, _, s, o, _, _ = b.pairs
         for w, clo, chi in parts:
             src_cyls.append((clo, chi))
@@ -374,14 +376,30 @@ def break_pairs(f: PAHomeo) -> list[BreakPair]:
     Gaps strictly inside a single branch source always map to gap pairs
     (the branch is a monotone bijection of the limit material of its source
     onto that of a gap-bounded image), so only gaps meeting a branch
-    boundary need testing; that makes the search finite and exact.
+    boundary need testing; that makes the search finite and exact.  On an
+    IFS set, sources and images end on the limit set and their cylinders
+    tile it, so the boundary gaps are the (p.hi, q.lo) of consecutive
+    sources p, q; a limit point ends at most one gap (the set is perfect),
+    so f(p.hi), f(q.lo) bound a gap iff they are I.hi, J.lo for images I, J
+    consecutive in sorted order.  A plain set's sources may touch or span
+    a gap, so there the gaps at each boundary are looked up.
     """
-    K = f.space
-    bounds = {x for b in f.branches for x in b.pairs[:2]} - set(map(as_pair, K.hull))
+    K, bs = f.space, f.branches
+    out = []
+    if K.ifs is not None:
+        imgs = sorted((b.pairs[4:] for b in bs), key=lambda e: pair_key(e[0]))
+        gaps = {(i[1], j[0]) for i, j in zip(imgs, imgs[1:])}
+        for p, q in zip(bs, bs[1:]):
+            # f(p.hi) is p's upper image end, and f(q.lo) q's lower one, iff increasing
+            u, v = p.pairs[4 + (p.pairs[2][0] > 0)], q.pairs[5 - (q.pairs[2][0] > 0)]
+            if (u, v) not in gaps and (v, u) not in gaps:
+                out.append(BreakPair(coprime_fraction(*p.pairs[1]),
+                                     coprime_fraction(*q.pairs[0])))
+        return out
+    bounds = {x for b in bs for x in b.pairs[:2]} - set(map(as_pair, K.hull))
     candidates = set()
     for t in bounds:
         candidates.update(K._gap_pairs(t))
-    out = []
     # on int pairs; disjoint gaps sort by their left ends
     for a, b in sorted(candidates, key=lambda g: pair_key(g[0])):
         u, v = sorted((_apply(f, a), _apply(f, b)), key=pair_key)

@@ -167,14 +167,16 @@ def test_reduced_words_are_shortlex_and_reduced():
 
 
 @pytest.mark.parametrize("named, inv, calls", [
-    ({"A1": A1, "A2": A2}, [2, 3, 0, 1], (8, 4)),
+    ({"A1": A1, "A2": A2}, [2, 3, 0, 1], (5, 2)),
     (FREE_GENS, [2, 3, 0, 1], (10, 4)),
     (KLEIN_GENS, [0, 1], (3, 2)),
 ])
 def test_make_letters_inverts_each_letter_once(monkeypatch, named, inv, calls):
-    # one inversion and one equals scan per letter, the appended inverses
-    # included; the two-pass construction made 15, 20 and 6 equals calls
-    # and 6, 8 and 4 inversions on these generators
+    # one inversion and one equals scan per named letter; an appended
+    # inverse takes the index of the letter it was appended for.  Scanning
+    # for the appended inverses' inverses too made 8 equals calls and 4
+    # inversions on {A1, A2}; the two-pass construction made 15, 20 and 6
+    # equals calls and 6, 8 and 4 inversions on these generators
     counts = {"equals": 0, "invert": 0}
     for name, fn in (("equals", equals), ("invert", invert)):
         monkeypatch.setattr(certify, name, lambda *a, name=name, fn=fn:

@@ -213,6 +213,23 @@ def test_verify_rejects_relabelled_ping_pong_maps(tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
 
 
+def test_verify_rejects_a_source_ending_in_a_gap(tmp_path, capsys):
+    # a1's first source [0, 1/27] widened to [0, 1/18], a point of the gap
+    # (1/27, 2/27): the branch keeps its one cylinder, but its source no
+    # longer ends on the limit set
+    assert main(["certify-free", "free_pair", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "free_pair_certificate.json"
+    doc = json.loads(path.read_text())
+    assert doc["a1"]["branches"][0]["src"] == ["0", "1/27"]
+    doc["a1"]["branches"][0]["src"] = ["0", "1/18"]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err == "error: branch source [0, 1/18] does not end on the limit set\n"
+
+
 def test_main_bad_input_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad_scenario.json"
     bad.write_text(json.dumps({

@@ -3,14 +3,16 @@
 CompactSet.contains, Region.is_empty, infimum, supremum, maps.image,
 maps.maps_into and walk.preimage_cell_indices look up sorted intervals,
 branch sources and cells by bisection, walk.cell_image_diameters merges
-cells with branches in one pass, and maps.break_pairs expands each branch
-boundary once.
+cells with branches in one pass, and maps.break_pairs reads an IFS map's
+break pairs off its branch list, with no address expansion.
 maps.compose keeps an inner branch's source when its image lies inside one
 outer source, and maps.image takes a whole branch source's image ends as
 they are.  The references below scan every interval, branch and cell pair,
 and cut and evaluate every branch, as a plain reading of the definitions
-would; the break-pair reference asks whether an image pair bounds a gap
-from its right end, where maps.break_pairs asks from its left end.
+would; the break-pair reference asks for the gaps at every branch boundary
+and whether each image pair bounds a gap from its right end, where
+maps.break_pairs compares an IFS map's image pairs with the gaps between
+its consecutive branch images, and asks from the left end on a plain set.
 maps.break_pairs, maps.apply, CompactSet.decompose_into_cylinders, the
 Region operations, maps.image, maps.maps_into, preimage_cell_indices and
 certify.periodic_points work on int pairs; a last test makes Fraction arithmetic and ordering raise
@@ -25,6 +27,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorwalk import maps
 from cantorwalk.certify import periodic_points
 from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
                              break_pairs, break_points, compose,
@@ -35,6 +38,7 @@ from cantorwalk.walk import (cell_image_diameters, measure_cells,
                              preimage_cell_indices)
 
 from fixtures import TABLES, fixture
+from test_space import NEGATIVE, THREE_MAPS
 
 TERNARY = Ifs((F(1, 3), F(1, 3)), (F(0), F(2, 3)), ("0", "2"))
 UNEQUAL = Ifs((F(1, 4), F(1, 3)), (F(0), F(2, 3)), ("0", "2"))
@@ -81,14 +85,36 @@ PLAIN_INVOLUTION = compose(invert(PLAIN_LETTERS[0]),
                            compose(PLAIN_LETTERS[1], PLAIN_LETTERS[0]))
 
 
+def _table_letters(K, *tables):
+    """The maps of the prefix tables on K, then their inverses."""
+    gens = [from_prefix_table(PrefixTable(tuple(map(tuple, t))), K) for t in tables]
+    return gens + [invert(g) for g in gens]
+
+
 @cache
 def _alphabets():
     """Letter sets: A1, A2 and inverses on every space; the same with the
-    reflection R on the ternary set; P, Q and P^-1 on the plain set."""
+    reflection R on the ternary set; two orientation-reversing depth-2
+    involutions on the ternary set; a depth-2 map and a swap of the outer
+    children on THREE_MAPS; A1, A2, their inverses and the reflection on
+    NEGATIVE; P, Q and P^-1 on the plain set."""
     K = CompactSet.from_ifs(TERNARY, 3)
-    r = from_prefix_table(PrefixTable((("", "", -1),)), K, label=("R",))
+    reflection = PrefixTable((("", "", -1),))
+    r = from_prefix_table(reflection, K, label=("R",))
+    klein = _table_letters(
+        K, [["00", "20", 1], ["20", "00", 1], ["02", "22", -1], ["22", "02", -1]],
+        [["00", "02", -1], ["02", "00", -1], ["2", "2", -1]])
+    three = _table_letters(
+        CompactSet.from_ifs(THREE_MAPS, 2),
+        [["a", "aa", 1], ["b", "ab", 1], ["ca", "ac", 1], ["cb", "b", 1], ["cc", "c", 1]],
+        [["a", "c", 1], ["b", "b", 1], ["c", "a", 1]])
+    lr = str.maketrans("02", "lr")
+    KN = CompactSet.from_ifs(NEGATIVE, 3)
+    negative = _table_letters(KN, *([[s.translate(lr), d.translate(lr), o]
+                                     for s, d, o in TABLES[n].rules] for n in ("A1", "A2")))
     return ([_letters(*space) for space in SPACES] +
-            [_letters(TERNARY, 3) + [r],
+            [_letters(TERNARY, 3) + [r], klein, three,
+             negative + [from_prefix_table(reflection, KN)],
              list(PLAIN_LETTERS) + [invert(PLAIN_LETTERS[0])]])
 
 
@@ -393,20 +419,45 @@ def test_break_pairs_match_three_query_loop_over_every_alphabet(word):
 
 @pytest.mark.parametrize("space", SPACES)
 def test_break_pairs_expand_each_point_once(space, monkeypatch):
-    # one expansion per interior branch boundary and one per candidate gap
-    # (its image pair through gaps_at); asking for the gap containing a
-    # boundary and then for the gaps on either side expands it three times
+    # on an IFS set break_pairs reads the gaps off the branch list, so it
+    # expands no point, looks up no gap and evaluates no point, on words
+    # over this space's letters and over every IFS alphabet
     a1, a2, a1i, a2i = _letters(*space)
-    for w in (a1, a2i, compose(a1, a2), compose(a2, compose(a1i, a2)),
-              compose(a1, compose(a1, compose(a2i, a1)))):
-        bounds, candidates = break_candidates_ref(w)
-        calls = []
-        expand = Ifs._expand
-        monkeypatch.setattr(Ifs, "_expand",
-                            lambda ifs, t: calls.append(t) or expand(ifs, t))
-        break_pairs(w)
-        monkeypatch.undo()
-        assert candidates and len(calls) <= len(bounds) + len(candidates)
+    ws = [a1, a2i, compose(a1, a2), compose(a2, compose(a1i, a2)),
+          compose(a1, compose(a1, compose(a2i, a1)))]
+    ws += [compose(g, h) for letters in _alphabets() if letters[0].space.ifs
+           for g in letters for h in letters]
+    pairs = [break_pairs_ref(w) for w in ws]
+    assert all(pairs[:5])
+
+    def refuse(*args):
+        raise AssertionError("an expansion, gap lookup or point value in break_pairs")
+
+    for owner, name in ((Ifs, "_expand"), (Ifs, "_gap_pairs"),
+                        (CompactSet, "_gap_pairs"), (maps, "_apply")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert [break_pairs(w) for w in ws] == pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(letter_words(max_size=8).filter(lambda word: word[1].space.ifs))
+def test_consecutive_sources_and_images_bound_gaps(word):
+    # what break_pairs reads on IFS sets: for letters from prefix tables,
+    # their words and inverses, the sources run from hull end to hull end
+    # with a gap between neighbours, and so do the images sorted; a gap two
+    # levels below the space is a break pair iff it maps onto no gap
+    letters, w = word
+    K = w.space
+    lo, hi = K.hull
+    for f in (w, invert(w), *letters):
+        for ends in ([(b.lo, b.hi) for b in f.branches], sorted(b.ends for b in f.branches)):
+            assert ends[0][0] == lo and ends[-1][1] == hi
+            assert all((r, l) in K.gaps_at(r) for (_, r), (l, _) in zip(ends, ends[1:]))
+        breaks = break_pairs(f)
+        cells = K.ifs.intervals_at(K.depth + 2)
+        for (_, a), (b, _) in zip(cells, cells[1:]):
+            u, v = sorted((apply(f, a), apply(f, b)))
+            assert (BreakPair(a, b) in breaks) != ((u, v) in K.gaps_at(u))
 
 
 @pytest.mark.parametrize("space", SPACES)

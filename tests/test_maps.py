@@ -142,6 +142,16 @@ def test_images_with_ends_off_their_cylinder_are_refused():
                       Branch(F(2, 3), F(1), F(1), F(0))])
 
 
+def test_sources_with_ends_off_the_limit_set_are_refused():
+    # H with sources that meet at 1/2, in the gap (1/3, 2/3): the cylinders
+    # and their images are those of H, but break pairs are read off
+    # neighbouring sources, so a source must start and end at limit points
+    with pytest.raises(MapError, match=r"^branch source \[0, 1/2\] does not "
+                       "end on the limit set$"):
+        pa_homeo(K, [Branch(F(0), F(1, 2), F(1), F(2, 3)),
+                     Branch(F(1, 2), F(1), F(1), F(-2, 3))])
+
+
 def test_prefix_table_validation():
     with pytest.raises(MapError):
         # source addresses do not cover mass 1
