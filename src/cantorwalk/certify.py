@@ -13,6 +13,7 @@ import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import islice
 from typing import Optional, Sequence
 
 from .rational import affine, coprime_fraction, pair_cmp, pair_key, rat
@@ -21,9 +22,9 @@ from .maps import (PAHomeo, apply, compose, equals, identity_map, image,
 from .space import (CompactSet, Piece, PointSet, Region,
                     epsilon_neighborhood)
 from .measure_solver import solve_feasibility
-from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, cell_image_diameters,
-                   forward_orbit, forward_word, invariance_rows, measure_cells,
-                   CellMeasure, _repulsor_extremes, _single_linkage)
+from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, CellMeasure,
+                   cell_image_diameter_series, forward_orbit, forward_word,
+                   invariance_rows, measure_cells, _repulsor_extremes, _single_linkage)
 
 
 class CertifyError(ValueError):
@@ -249,12 +250,12 @@ def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
     h = min(n_max, 24)
     for r in range(streams):
         t = Trajectory(model, stream=r)
-        live = cells
-        for k in range(h // 2, h + 1):
-            diams = cell_image_diameters(forward_word(t, k), live)
-            live = [c for c, d in zip(live, diams) if d >= DEFAULT_DELTA]
-            if not live:
+        keep = range(len(cells))
+        for diams in islice(cell_image_diameter_series(t, cells, h), h // 2, None):
+            keep = [i for i in keep if diams[i] >= DEFAULT_DELTA]
+            if not keep:
                 break
+        live = [cells[i] for i in keep]
         A = _repulsor_extremes(live, cells, K.hull)
         if not A or len(A) > p_cap or len(live) * DEFAULT_DELTA > K.hull[1] - K.hull[0]:
             continue

@@ -14,11 +14,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .rational import as_pair, pair_key, rat
+from .rational import affine, as_pair, coprime_fraction, pair_key, rat
 from .maps import (PAHomeo, apply, break_points, compose, identity_map,
                    image, invert, equals)
 from .space import CompactSet, Piece, Region, epsilon_neighborhood
@@ -101,9 +102,9 @@ class Trajectory:
             cum += p
             cuts.append(int(cum * TWO64))
         self._cuts = np.array(cuts, dtype=np.uint64)
-        # the forward and backward words of lengths 0, 1, ... computed so far
-        self._fwd = [identity_map(model.space)]
-        self._bwd = [identity_map(model.space)]
+        # the forward and backward words computed so far, by length
+        self._fwd = {0: identity_map(model.space)}
+        self._bwd = {0: identity_map(model.space)}
 
     def index(self, k: int) -> int:
         while len(self._indices) <= k:
@@ -119,14 +120,19 @@ class Trajectory:
         return [self.model.names[self.index(k)] for k in range(n)]
 
 
-def _cached_word(t: Trajectory, n: int, words: list, forward: bool) -> PAHomeo:
-    """words[n], extending the list of words of lengths 0, 1, ... by one
-    letter at a time: on the left when forward, else on the right."""
+def _cached_word(t: Trajectory, n: int, words: dict, forward: bool) -> PAHomeo:
+    """words[n]: the longest cached words[m], m <= n, followed by the letters
+    m..n-1 multiplied by halves; composition is associative branch for
+    branch, so any bracketing gives the same map."""
     if n < 0:
         raise WalkError("negative horizon")
-    while len(words) <= n:
-        f, w = t.step_map(len(words) - 1), words[-1]
-        words.append(compose(f, w) if forward else compose(w, f))
+    join = (lambda u, v: compose(v, u)) if forward else compose  # u, then v
+    if n not in words:
+        m = max(k for k in words if k < n)
+        maps = [t.step_map(k) for k in range(m, n)]
+        while len(maps) > 1:
+            maps = [reduce(join, maps[i:i + 2]) for i in range(0, len(maps), 2)]
+        words[n] = join(words[m], maps[0])
     return words[n]
 
 
@@ -196,20 +202,17 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int,
     if n_steps < 1:
         raise WalkError("need at least one step")
     cells = measure_cells(model.space, depth)
-    counts = [0] * len(cells)
     gens_f = [[tuple(n / d for n, d in b.pairs[:4]) for b in g.branches]
               for g in model.gens]
     branch_los = [[b[0] for b in branches] for branches in gens_f]
     los, his = [float(l) for l, _ in cells], [float(r) for _, r in cells]
-    # x may drift into a gap; past the gap's midpoint it counts to the next cell
-    mids = [(h + l) / 2 for h, l in zip(his, los[1:])]
+    visited = []
     for r in range(restarts):
         t = Trajectory(model, stream=r)
         t.index(n_steps - 1)
         x = los[r % len(cells)]
         for gi in t._indices[:n_steps]:
-            i = max(bisect.bisect_right(los, x) - 1, 0)
-            counts[i + (i < len(mids) and x > mids[i])] += 1
+            visited.append(x)
             branches = gens_f[gi]
             j = max(bisect.bisect_right(branch_los[gi], x) - 1, 0)
             lo, hi, s, o = branches[j]
@@ -220,7 +223,10 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int,
                 if max(0.0, lo2 - x, x - hi2) < max(0.0, lo - x, x - hi):
                     lo, hi, s, o = branches[j + 1]
             x = s * min(max(x, lo), hi) + o
-    masses = np.array(counts, dtype=float) / sum(counts)
+    # x may drift into a gap; past the gap's midpoint it counts to the next cell
+    mids = [(h + l) / 2 for h, l in zip(his, los[1:])]
+    counts = np.bincount(np.searchsorted(mids, visited), minlength=len(cells))
+    masses = counts / counts.sum()
     return CellMeasure(depth, tuple(float(m) for m in masses), False)
 
 
@@ -459,32 +465,46 @@ class CellScan:
         return sum(1 for v in self.verdicts if v == "repulsor")
 
 
-def cell_image_diameters(w: PAHomeo, cells) -> list:
-    """image(w, c).diameter() for each sorted closed cell c = [l, r], from
-    one merge pass over the branches image bisects to, b.hi >= l and
-    b.lo <= r (one-point touches too).  A source inside c gives its image
-    ends, any other branch its values at max(b.lo, l) and min(b.hi, r).
-    Exact: cells are K's intervals (plain sets) or IFS cylinders, and branch
-    sources end at points of K.  A validated map sends K-material to K (plain
-    sets) and limit points to limit points (IFS), so every clipped image end
-    lies in K, and the extreme ends are the inf and sup of image(w, c) ∩ K.
-    On int pairs (values at cell ends unreduced), one Fraction per cell."""
-    bs, out, j = [b.pairs for b in w.branches], [], 0
-    for l, r in cells:
-        (ln, ld), (rn, rd) = l.as_integer_ratio(), r.as_integer_ratio()
+def _push_runs(g: PAHomeo, runs: list) -> list:
+    """The runs after one more letter g: each run cut at g's branch sources
+    and its pieces mapped.  A branch keeps its pieces in order (reversed when
+    decreasing) and branch images do not overlap, so taking the branches in
+    image order sorts the pieces by left end; neighbours of one cell merge."""
+    bs, pieces, j = [b.pairs for b in g.branches], [[] for _ in g.branches], 0
+    for lo, hi, c in runs:
+        (ln, ld), (hn, hd) = lo, hi
         while bs[j][1][0] * ld < ln * bs[j][1][1]:
             j += 1
-        ends = []
-        for (an, ad), (bn, bd), (sn, sd), (on, od), ia, ib in bs[j:]:
-            if an * rd > rn * ad:
+        for i, (blo, bhi, s, o, ia, ib) in enumerate(bs[j:], j):
+            if blo[0] * hd > hn * blo[1]:
                 break
-            ends.append((ia, ib)[sn < 0] if an * ld >= ln * ad else
-                        (sn * ln * od + on * sd * ld, sd * ld * od))
-            ends.append((ib, ia)[sn < 0] if bn * rd <= rn * bd else
-                        (sn * rn * od + on * sd * rd, sd * rd * od))
-        lo, hi = min(ends, key=pair_key), max(ends, key=pair_key)
-        out.append(Fraction(hi[0] * lo[1] - lo[0] * hi[1], hi[1] * lo[1]))
+            up = s[0] > 0
+            ya = affine(s, lo, o) if blo[0] * ld <= ln * blo[1] else (ib, ia)[up]
+            yb = affine(s, hi, o) if bhi[0] * hd >= hn * bhi[1] else (ia, ib)[up]
+            pieces[i].append((ya, yb, c) if up else (yb, ya, c))
+    out = []
+    for i in sorted(range(len(bs)), key=lambda i: pair_key(bs[i][4])):
+        for p in pieces[i] if bs[i][2][0] > 0 else reversed(pieces[i]):
+            if out and out[-1][2] == p[2]:
+                p = (out.pop()[0], p[1], p[2])
+            out.append(p)
     return out
+
+
+def cell_image_diameter_series(t: Trajectory, cells, n: int):
+    """For k = 0..n, [image(f_omega^k, c).diameter() for c in cells] over
+    sorted closed cells, composing no word.  The cell images tile K as sorted
+    runs (lo, hi, cell) of int pairs with ends in K (its limit set on IFS
+    sets), so only a gap of K separates sorted neighbours, and a cell's
+    diameter is its last run's hi minus its first run's lo."""
+    runs = [(as_pair(l), as_pair(r), i) for i, (l, r) in enumerate(cells)]
+    for k in range(n + 1):
+        if k:
+            runs = _push_runs(t.step_map(k - 1), runs)
+        first = {c: lo for lo, _, c in reversed(runs)}
+        last = {c: hi for _, hi, c in runs}
+        yield [coprime_fraction(*affine((1, 1), last[c], (-first[c][0], first[c][1])))
+               for c in range(len(cells))]
 
 
 def contraction_scan(t: Trajectory, depth: int, n: int,
@@ -492,8 +512,7 @@ def contraction_scan(t: Trajectory, depth: int, n: int,
     delta = rat(delta)
     K = t.model.space
     cells = measure_cells(K, depth)
-    diam_series = tuple(zip(*(cell_image_diameters(forward_word(t, k), cells)
-                              for k in range(n + 1))))
+    diam_series = tuple(zip(*cell_image_diameter_series(t, cells, n)))
     verdicts = tuple(_tail_verdict(series[n // 2:], delta,
                                    "repulsor", "attractor")[0]
                      for series in diam_series)

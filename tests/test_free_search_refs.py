@@ -2,7 +2,7 @@
 
 certify._contraction_candidates takes a stream's repulsor cells by dropping
 each cell at its first image diameter below DEFAULT_DELTA over the tail of
-the horizon, and stops composing once no cell is left.
+the horizon, and stops pushing the cells' images once no cell is left.
 certify._first_inclusion screens each word of the ping-pong shrink loop by
 the image of one end of K's intervals in K off A before composing it.  The
 references below are the search as it was: the repulsors read off the full
@@ -149,10 +149,10 @@ def test_screen_never_rejects_an_inclusion(word, data):
 
 def test_search_composes_and_tests_fewer_words(monkeypatch):
     # free model at depth 3, walk seed 0: the full scan and the unscreened
-    # loop made 65 maps_into, 125 cell_image_diameters and 138 compose
-    # calls; the early-exit scan and the point screen make 35, 55 and 124
+    # loop made 65 maps_into and 138 compose calls, the early-exit scan
+    # and the point screen 35 and 124; the scan now composes no word
     counts = Counter()
-    for name in ("maps_into", "cell_image_diameters", "compose"):
+    for name in ("maps_into", "compose"):
         for mod in (maps, walk, certify):
             if hasattr(mod, name):
                 fn = getattr(mod, name)
@@ -160,5 +160,19 @@ def test_search_composes_and_tests_fewer_words(monkeypatch):
                                     counts.update([name]) or fn(*a))
     assert assemble_free_pair(_free_model(3, 0), F(1, 27))
     assert counts["maps_into"] <= 40
-    assert counts["cell_image_diameters"] <= 64
-    assert counts["compose"] <= 128
+    assert counts["compose"] <= 64
+
+
+def test_cell_scans_compose_no_word(monkeypatch):
+    # contraction_scan and the repulsor scan of _contraction_candidates push
+    # the cells' images letter by letter; stream 0 of the free model at
+    # depth 3 keeps a cell past step 12 and is then rejected, with no A
+    def compose(*args):
+        raise AssertionError("compose called")
+
+    for mod in (maps, walk, certify):
+        monkeypatch.setattr(mod, "compose", compose)
+    model = _free_model(3, 0)
+    scan = contraction_scan(Trajectory(model, stream=1), 3, 40)
+    assert scan.repulsor_count and len(scan.diameters[0]) == 41
+    assert list(_contraction_candidates(model, F(1, 27), 4, 40, 1)) == []

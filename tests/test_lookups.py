@@ -2,8 +2,9 @@
 
 CompactSet.contains, Region.is_empty, infimum, supremum, maps.image,
 maps.maps_into and walk.preimage_cell_indices look up sorted intervals,
-branch sources and cells by bisection, walk.cell_image_diameters merges
-cells with branches in one pass, and maps.break_pairs reads an IFS map's
+branch sources and cells by bisection, walk.cell_image_diameter_series
+pushes the cells' image runs through the letters of a walk without
+composing its words, and maps.break_pairs reads an IFS map's
 break pairs off its branch list, with no address expansion.
 maps.compose keeps an inner branch's source when its image lies inside one
 outer source, and maps.image takes a whole branch source's image ends as
@@ -23,6 +24,7 @@ from fractions import Fraction as F
 from functools import cache
 from itertools import product
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,10 +33,10 @@ from cantorwalk import maps
 from cantorwalk.certify import periodic_points
 from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
                              break_pairs, break_points, compose,
-                             from_prefix_table, image, invert, maps_into,
-                             pa_homeo)
+                             from_prefix_table, identity_map, image, invert,
+                             maps_into, pa_homeo)
 from cantorwalk.space import CompactSet, Ifs, Piece, Region, epsilon_neighborhood
-from cantorwalk.walk import (cell_image_diameters, measure_cells,
+from cantorwalk.walk import (cell_image_diameter_series, measure_cells,
                              preimage_cell_indices)
 
 from fixtures import TABLES, fixture
@@ -313,15 +315,24 @@ def test_compose_and_image_match_reference_loops(word, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(letter_words())
-def test_cell_image_diameters_match_image_regions(word):
-    letters, w = word
-    K = w.space
+@given(st.data())
+def test_cell_image_diameter_series_matches_image_regions(data):
+    # the diameters after k steps against the image regions of the word of
+    # the first k letters, for every k up to n
+    letters = data.draw(st.sampled_from(_alphabets()))
+    steps = data.draw(st.lists(st.sampled_from(letters), max_size=10))
+    K = letters[0].space
+    words = [identity_map(K)]
+    for g in steps:
+        words.append(compose(g, words[-1]))
+    walk = SimpleNamespace(step_map=steps.__getitem__)
     for d in range(K.depth + 2):
         cells = measure_cells(K, d)
-        assert cell_image_diameters(w, cells) == [
-            image(w, Region(K, (Piece(l, r, True, True),))).diameter()
-            for l, r in cells]
+        series = cell_image_diameter_series(walk, cells, len(steps))
+        for w, diams in zip(words, series, strict=True):
+            assert diams == [
+                image(w, Region(K, (Piece(l, r, True, True),))).diameter()
+                for l, r in cells]
 
 
 @settings(max_examples=60, deadline=None)

@@ -51,14 +51,16 @@ def test_words_trivials():
 
 
 def test_cached_words_match_fresh_products():
-    # lengths asked out of order, each against the product of its letters
+    # lengths asked out of order and far apart, each against the product of
+    # its letters taken one at a time, branch for branch and with its label
     t = Trajectory(FREE, stream=2)
-    for n in (5, 2, 8, 0, 8):
-        fw = bw = identity_map(K)
-        for k in range(n):
-            fw, bw = compose(t.step_map(k), fw), compose(bw, t.step_map(k))
-        assert forward_word(t, n) == fw
-        assert backward_word(t, n) == bw
+    fws, bws = [identity_map(K)], [identity_map(K)]
+    for k in range(90):
+        fws.append(compose(t.step_map(k), fws[-1]))
+        bws.append(compose(bws[-1], t.step_map(k)))
+    for n in (5, 2, 8, 0, 8, 40, 12, 41, 3, 90):
+        assert forward_word(t, n) == fws[n]
+        assert backward_word(t, n) == bws[n]
     for word in (forward_word, backward_word):
         with pytest.raises(WalkError, match="negative horizon"):
             word(t, -1)
