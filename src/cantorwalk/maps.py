@@ -181,19 +181,24 @@ def _check_reflection_symmetric(space: CompactSet) -> None:
 
 def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
     """Bijectivity of the limit set: every branch source decomposes into
-    cylinders, each mapped affinely onto a single cylinder, and the image
-    cylinders tile the limit set (complete antichain)."""
+    cylinders, each mapped affinely onto a single cylinder, and the source
+    and the image cylinders each tile the limit set: they are disjoint and
+    their addresses form a complete prefix code, whose sum of n^-len(address)
+    over n maps is 1 (the equality case of Kraft's inequality)."""
     if any(b.pairs[2][0] < 0 for b in branches):
         _check_reflection_symmetric(space)
+    n = len(space.ifs.symbols)
 
     def antichain(cyls, what):
+        # (lo, hi, part): an interval that must be the cylinder part
         cyls = sorted(cyls)
         lo, hi = space.hull
         if cyls[0][0] != lo or cyls[-1][1] != hi:
             raise MapError(f"{what} cylinders do not reach the extremes")
-        for (l1, r1), (l2, r2) in zip(cyls, cyls[1:]):
-            if not (r1 < l2 and (r1, l2) in space.ifs.gaps_at(r1)):
-                raise MapError(f"{what} cylinders do not tile the limit set")
+        if (any((l, r) != part[1:] for l, r, part in cyls)
+                or any(r1 >= l2 for (_, r1, _), (l2, _, _) in zip(cyls, cyls[1:]))
+                or sum(Fraction(1, n ** len(part[0])) for _, _, part in cyls) != 1):
+            raise MapError(f"{what} cylinders do not tile the limit set")
 
     img_cyls = []
     src_cyls = []
@@ -205,13 +210,13 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
             raise MapError(f"branch source [{b.lo}, {b.hi}] does not end on the limit set")
         _, _, s, o, _, _ = b.pairs
         for w, clo, chi in parts:
-            src_cyls.append((clo, chi))
+            src_cyls.append((clo, chi, (w, clo, chi)))
             ia, ib = (coprime_fraction(*affine(s, as_pair(x), o))
                       for x in ((clo, chi) if s[0] > 0 else (chi, clo)))
             dec = space.decompose_into_cylinders(ia, ib)
             if dec is None or len(dec) != 1:
                 raise MapError(f"image of cylinder {w or 'hull'} is not a cylinder")
-            img_cyls.append((ia, ib))
+            img_cyls.append((ia, ib, dec[0]))
     antichain(src_cyls, "source")
     antichain(img_cyls, "image")
 
@@ -373,39 +378,31 @@ class BreakPair:
 def break_pairs(f: PAHomeo) -> list[BreakPair]:
     """The gaps of the (limit) set whose image pair bounds no gap.
 
-    Gaps strictly inside a single branch source always map to gap pairs
-    (the branch is a monotone bijection of the limit material of its source
-    onto that of a gap-bounded image), so only gaps meeting a branch
-    boundary need testing; that makes the search finite and exact.  On an
-    IFS set, sources and images end on the limit set and their cylinders
-    tile it, so the boundary gaps are the (p.hi, q.lo) of consecutive
-    sources p, q; a limit point ends at most one gap (the set is perfect),
-    so f(p.hi), f(q.lo) bound a gap iff they are I.hi, J.lo for images I, J
-    consecutive in sorted order.  A plain set's sources may touch or span
-    a gap, so there the gaps at each boundary are looked up.
+    Both kinds of set test candidate gaps (a, b), with image ends (u, v),
+    against a set of gaps read off a tiling, on int pairs.  On an IFS set,
+    sources and images end on the limit set and their cylinders tile it,
+    and a branch carries a gap inside its source onto a gap; so the
+    candidates are the (p.hi, q.lo) of consecutive sources p, q, and, as a
+    limit point ends at most one gap (the set is perfect), f(p.hi), f(q.lo)
+    bound a gap iff they are I.hi, J.lo for consecutive sorted images I, J.
+    On a plain set a branch may span a gap whose image holds an interval
+    of K, so the candidates and the gaps are all bounded gaps of K.
     """
     K, bs = f.space, f.branches
-    out = []
     if K.ifs is not None:
         imgs = sorted((b.pairs[4:] for b in bs), key=lambda e: pair_key(e[0]))
         gaps = {(i[1], j[0]) for i, j in zip(imgs, imgs[1:])}
-        for p, q in zip(bs, bs[1:]):
-            # f(p.hi) is p's upper image end, and f(q.lo) q's lower one, iff increasing
-            u, v = p.pairs[4 + (p.pairs[2][0] > 0)], q.pairs[5 - (q.pairs[2][0] > 0)]
-            if (u, v) not in gaps and (v, u) not in gaps:
-                out.append(BreakPair(coprime_fraction(*p.pairs[1]),
-                                     coprime_fraction(*q.pairs[0])))
-        return out
-    bounds = {x for b in bs for x in b.pairs[:2]} - set(map(as_pair, K.hull))
-    candidates = set()
-    for t in bounds:
-        candidates.update(K._gap_pairs(t))
-    # on int pairs; disjoint gaps sort by their left ends
-    for a, b in sorted(candidates, key=lambda g: pair_key(g[0])):
-        u, v = sorted((_apply(f, a), _apply(f, b)), key=pair_key)
-        if (u, v) not in K._gap_pairs(u):
-            out.append(BreakPair(coprime_fraction(*a), coprime_fraction(*b)))
-    return out
+        # f(p.hi) is p's upper image end, and f(q.lo) q's lower one, iff increasing
+        candidates = [((p.pairs[1], q.pairs[0]), (p.pairs[4 + (p.pairs[2][0] > 0)],
+                                                  q.pairs[5 - (q.pairs[2][0] > 0)]))
+                      for p, q in zip(bs, bs[1:])]
+    else:
+        los, his = K._keys
+        ends = [(r.obj, l.obj) for r, l in zip(his, los[1:])]
+        gaps = set(ends)
+        candidates = [((a, b), (_apply(f, a), _apply(f, b))) for a, b in ends]
+    return [BreakPair(coprime_fraction(*a), coprime_fraction(*b))
+            for (a, b), (u, v) in candidates if (u, v) not in gaps and (v, u) not in gaps]
 
 
 def break_points(f: PAHomeo) -> list[Fraction]:

@@ -35,7 +35,8 @@ class Ifs:
     """Finitely many increasing affine contractions x -> ratio*x + offset.
 
     Maps are ordered left to right; their images of the convex hull must be
-    disjoint.  ``symbols`` name the maps and form the address alphabet.
+    disjoint.  ``symbols`` name the maps and form the address alphabet; each
+    is one character, so an address has one character per level.
     """
 
     ratios: tuple[Fraction, ...]
@@ -52,6 +53,8 @@ class Ifs:
                 raise SpaceError(f"IFS ratio {r} not in (0,1)")
         if len(set(self.symbols)) != len(self.symbols):
             raise SpaceError("IFS symbols must be distinct")
+        if not all(isinstance(s, str) and len(s) == 1 for s in self.symbols):
+            raise SpaceError(f"IFS symbols {self.symbols} are not all single characters")
         lo = self.offsets[0] / (1 - self.ratios[0])
         hi = self.offsets[-1] / (1 - self.ratios[-1])
         if lo >= hi:
@@ -527,9 +530,8 @@ class Region:
         return Region(space, (Piece(lo, hi, True, True),))
 
     @staticmethod
-    def from_intervals(space: CompactSet, pairs,
-                       closed: bool = True) -> "Region":
-        ps = [Piece(rat(l), rat(r), closed, closed) for l, r in pairs]
+    def from_intervals(space: CompactSet, pairs) -> "Region":
+        ps = [Piece(rat(l), rat(r), True, True) for l, r in pairs]
         return Region(space, _normalize_pieces(ps))
 
     @staticmethod

@@ -28,6 +28,7 @@ TWO64 = 2 ** 64
 
 DEFAULT_DELTA = Fraction(1, 9)
 SLOPE_MARGIN = -0.01  # fitted log-slope below this counts as decay
+SPLIT_DEPTH = 14  # the levels _region_mass splits a cut cell into
 
 
 class WalkError(ValueError):
@@ -316,8 +317,7 @@ class EntropyReport:
     skipped_cells: int
 
 
-def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region,
-                 split_depth: int = 14) -> float:
+def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region) -> float:
     """Mass of a region under mu, splitting cells uniformly (each IFS child
     carries half the parent mass) when the region cuts through a cell."""
 
@@ -338,17 +338,14 @@ def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region,
 
     total = 0.0
     for m, (l, r) in zip(mu.masses, cells):
-        total += float(m) * portion(as_pair(l), as_pair(r), split_depth)
+        total += float(m) * portion(as_pair(l), as_pair(r), SPLIT_DEPTH)
     return total
 
 
-def estimate_entropy(mu: CellMeasure, model: WalkModel,
-                     depth: Optional[int] = None) -> EntropyReport:
+def estimate_entropy(mu: CellMeasure, model: WalkModel) -> EntropyReport:
     """h ~= sum_s P(s) sum_c mu(c) log(mu(c)/mu(s(c))), s(c) the exact
-    image of cell c; zero-mass cells are skipped and counted."""
-    if depth is None:
-        depth = mu.depth
-    cells = measure_cells(model.space, depth)
+    image of cell c of mu's depth; zero-mass cells are skipped and counted."""
+    cells = measure_cells(model.space, mu.depth)
     if len(cells) != len(mu.masses):
         raise WalkError("measure depth incompatible")
     skipped = 0
@@ -371,7 +368,7 @@ def estimate_entropy(mu: CellMeasure, model: WalkModel,
             term += m * math.log(m / im)
         per_gen.append(term)
     h = sum(float(p) * term for p, term in zip(model.probs, per_gen))
-    return EntropyReport(h, tuple(per_gen), depth, skipped)
+    return EntropyReport(h, tuple(per_gen), mu.depth, skipped)
 
 
 # ---------------------------------------------------------------------------

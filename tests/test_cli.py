@@ -352,6 +352,11 @@ def test_verify_malformed_certificate_exits_1(tmp_path, capsys, doc):
     dict(json.loads(_load_scenario_text("g3")), output="../escaped"),
     # a zero denominator
     dict(json.loads(_load_scenario_text("free_pair")), budgets={"eps": "1/0"}),
+    # an IFS symbol of two characters, whose addresses could not be read back
+    {"kind": "simulate", "space": {"ifs": {"ratios": ["1/3", "1/3"], "offsets": ["0", "2/3"],
+                                           "symbols": ["L", "RR"]}, "depth": 2},
+     "generators": [{"name": "I", "branches": [{"src": ["0", "1"], "slope": "1",
+                                                "offset": "0"}]}]},
     # horizon, run and word-length budgets below 1, which would leave every
     # search empty and read as "undecided within budget"
     *(dict(json.loads(_load_scenario_text("free_pair")), budgets={key: v})
@@ -397,6 +402,18 @@ def test_verify_rejects_deep_certificate_space(tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == "error: depth 17 gives more than 65536 intervals\n"
+
+
+def test_certificate_with_long_ifs_symbols_exits_1(tmp_path, capsys):
+    # a decomposition address of such a set could not be read back
+    run_scenario(_bundled("free_pair"), out_dir=str(tmp_path))
+    path = tmp_path / "free_pair_certificate.json"
+    doc = json.loads(path.read_text())
+    doc["space"]["ifs"]["symbols"] = ["0", "22"]
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: IFS symbols") and err.count("\n") == 1
 
 
 def test_verify_rejects_duplicate_generator_labels(tmp_path, capsys):

@@ -4,16 +4,17 @@ CompactSet.contains, Region.is_empty, infimum, supremum, maps.image,
 maps.maps_into and walk.preimage_cell_indices look up sorted intervals,
 branch sources and cells by bisection, walk.cell_image_diameter_series
 pushes the cells' image runs through the letters of a walk without
-composing its words, and maps.break_pairs reads an IFS map's
-break pairs off its branch list, with no address expansion.
+composing its words, and maps.break_pairs reads break pairs off a
+tiling, with no address expansion or gap lookup.
 maps.compose keeps an inner branch's source when its image lies inside one
 outer source, and maps.image takes a whole branch source's image ends as
 they are.  The references below scan every interval, branch and cell pair,
 and cut and evaluate every branch, as a plain reading of the definitions
 would; the break-pair reference asks for the gaps at every branch boundary
-and whether each image pair bounds a gap from its right end, where
+(every bounded gap on a plain set, where a branch may span one) and
+whether each image pair bounds a gap from its right end, where
 maps.break_pairs compares an IFS map's image pairs with the gaps between
-its consecutive branch images, and asks from the left end on a plain set.
+its consecutive branch images, and a plain set's with its gaps.
 maps.break_pairs, maps.apply, CompactSet.decompose_into_cylinders, the
 Region operations, maps.image, maps.maps_into, preimage_cell_indices and
 certify.periodic_points work on int pairs; a last test makes Fraction arithmetic and ordering raise
@@ -85,6 +86,23 @@ PLAIN_LETTERS = (
 # P^-1∘Q∘P: an orientation-reversing involution with kinks at 1/2 and 11/2
 PLAIN_INVOLUTION = compose(invert(PLAIN_LETTERS[0]),
                            compose(PLAIN_LETTERS[1], PLAIN_LETTERS[0]))
+# a plain set with branches across its gaps.  T swaps [0, 1] and [4, 5]
+# and is the identity on [2, 19/5], carrying the gap (3, 16/5) onto itself;
+# V is the identity on [0, 3], across the gap (1, 2), and swaps
+# [16/5, 19/5] and [4, 5].  S is x + 2 on [0, 3], so it carries the gap
+# (1, 2) onto (3, 4), which holds [16/5, 19/5], the identity on that
+# interval and x - 4 on [4, 5]; its branch images overlap as intervals
+SPANNING = CompactSet.from_intervals([(0, 1), (2, 3), (F(16, 5), F(19, 5)), (4, 5)])
+SPANNING_LETTERS = (
+    pa_homeo(SPANNING, [Branch(F(0), F(1), F(1), F(4)),
+                        Branch(F(2), F(19, 5), F(1), F(0)),
+                        Branch(F(4), F(5), F(1), F(-4))], label=("T",)),
+    pa_homeo(SPANNING, [Branch(F(0), F(3), F(1), F(0)),
+                        Branch(F(16, 5), F(19, 5), F(5, 3), F(-4, 3)),
+                        Branch(F(4), F(5), F(3, 5), F(4, 5))], label=("V",)))
+S = pa_homeo(SPANNING, [Branch(F(0), F(3), F(1), F(2)),
+                        Branch(F(16, 5), F(19, 5), F(1), F(0)),
+                        Branch(F(4), F(5), F(1), F(-4))], label=("S",))
 
 
 def _table_letters(K, *tables):
@@ -99,7 +117,7 @@ def _alphabets():
     reflection R on the ternary set; two orientation-reversing depth-2
     involutions on the ternary set; a depth-2 map and a swap of the outer
     children on THREE_MAPS; A1, A2, their inverses and the reflection on
-    NEGATIVE; P, Q and P^-1 on the plain set."""
+    NEGATIVE; P, Q and P^-1 on the plain set; T, V and T^-1 on SPANNING."""
     K = CompactSet.from_ifs(TERNARY, 3)
     reflection = PrefixTable((("", "", -1),))
     r = from_prefix_table(reflection, K, label=("R",))
@@ -117,7 +135,8 @@ def _alphabets():
     return ([_letters(*space) for space in SPACES] +
             [_letters(TERNARY, 3) + [r], klein, three,
              negative + [from_prefix_table(reflection, KN)],
-             list(PLAIN_LETTERS) + [invert(PLAIN_LETTERS[0])]])
+             list(PLAIN_LETTERS) + [invert(PLAIN_LETTERS[0])],
+             list(SPANNING_LETTERS) + [invert(SPANNING_LETTERS[0])]])
 
 
 @st.composite
@@ -193,16 +212,19 @@ def supremum_ref(S):
 
 
 def break_candidates_ref(f):
-    """The interior branch boundaries, and the gaps whose closure holds one."""
+    """The gaps to test: on an IFS set those whose closure holds an interior
+    branch boundary, and on a plain set, where a branch may span a gap
+    whose image holds an interval of K, every bounded gap."""
     K = f.space
+    if K.ifs is None:
+        return set(K.bounded_gaps())
     bounds = {x for b in f.branches for x in (b.lo, b.hi)} - set(K.hull)
-    candidates = {g for t in bounds for g in K.gaps_at(t)}
-    return bounds, candidates
+    return {g for t in bounds for g in K.gaps_at(t)}
 
 
 def break_pairs_ref(f):
     out = []
-    for a, b in sorted(break_candidates_ref(f)[1]):
+    for a, b in sorted(break_candidates_ref(f)):
         u, v = sorted((apply(f, a), apply(f, b)))
         if (u, v) not in f.space.gaps_at(v):
             out.append(BreakPair(a, b))
@@ -430,24 +452,43 @@ def test_break_pairs_match_three_query_loop_over_every_alphabet(word):
 
 @pytest.mark.parametrize("space", SPACES)
 def test_break_pairs_expand_each_point_once(space, monkeypatch):
-    # on an IFS set break_pairs reads the gaps off the branch list, so it
-    # expands no point, looks up no gap and evaluates no point, on words
-    # over this space's letters and over every IFS alphabet
+    # break_pairs reads the gaps off a tiling, so on either kind of set it
+    # expands no point and looks up no gap, on words over the plain
+    # alphabets and, evaluating no point either, on words over this
+    # space's letters and over every IFS alphabet
     a1, a2, a1i, a2i = _letters(*space)
     ws = [a1, a2i, compose(a1, a2), compose(a2, compose(a1i, a2)),
           compose(a1, compose(a1, compose(a2i, a1)))]
     ws += [compose(g, h) for letters in _alphabets() if letters[0].space.ifs
            for g in letters for h in letters]
-    pairs = [break_pairs_ref(w) for w in ws]
-    assert all(pairs[:5])
+    plain = [compose(g, h) for letters in _alphabets() if not letters[0].space.ifs
+             for g in letters for h in letters]
+    pairs, plain_pairs = [break_pairs_ref(w) for w in ws], [break_pairs_ref(w) for w in plain]
+    assert all(pairs[:5]) and any(plain_pairs)
 
     def refuse(*args):
         raise AssertionError("an expansion, gap lookup or point value in break_pairs")
 
-    for owner, name in ((Ifs, "_expand"), (Ifs, "_gap_pairs"),
-                        (CompactSet, "_gap_pairs"), (maps, "_apply")):
+    for owner, name in ((Ifs, "_expand"), (Ifs, "_gap_pairs"), (Ifs, "gaps_at"),
+                        (CompactSet, "_gap_pairs"), (CompactSet, "gaps_at")):
         monkeypatch.setattr(owner, name, refuse)
+    assert [break_pairs(w) for w in plain] == plain_pairs
+    monkeypatch.setattr(maps, "_apply", refuse)
     assert [break_pairs(w) for w in ws] == pairs
+
+
+def test_break_pairs_test_gaps_inside_a_plain_branch():
+    # S's first branch spans the gap (1, 2) and carries it onto (3, 4),
+    # which [16/5, 19/5] cuts, so (1, 2) is a break pair although no branch
+    # ends at 1 or 2; T and V carry the gaps inside their branches onto gaps
+    t, v = SPANNING_LETTERS
+    assert break_pairs(S) == _pairs((1, 2), (3, "16/5"), ("19/5", 4))
+    assert break_pairs(t) == _pairs((1, 2), ("19/5", 4))
+    assert break_pairs(v) == _pairs((3, "16/5"), ("19/5", 4))
+    ws = [S, t, v]
+    ws += [compose(g, h) for g in ws for h in ws]
+    ws += [compose(g, h) for g in ws[:3] for h in ws[3:]]
+    assert [break_pairs(w) for w in ws] == [break_pairs_ref(w) for w in ws]
 
 
 @settings(max_examples=40, deadline=None)

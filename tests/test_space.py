@@ -306,6 +306,13 @@ def test_region_isolated_point_diameter():
     assert r.infimum() == r.supremum() == F(1, 9)
 
 
+@pytest.mark.parametrize("symbols", [("L", "RR"), ("", "R"), ("0", 2)])
+def test_ifs_symbols_are_single_characters(symbols):
+    # an address reads one character per level, so "RR" would name no map
+    with pytest.raises(SpaceError, match="not all single characters"):
+        Ifs((F(1, 3), F(1, 3)), (F(0), F(2, 3)), symbols)
+
+
 def test_region_empty_queries():
     K = ternary_cantor(1)
     # lives entirely inside the middle gap
