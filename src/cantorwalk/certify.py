@@ -16,15 +16,15 @@ from functools import partial, reduce
 from itertools import islice
 from typing import Optional, Sequence
 
-from .rational import affine, coprime_fraction, pair_cmp, pair_key, rat
+from .rational import affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat
 from .maps import (PAHomeo, apply, compose, equals, identity_map, image,
                    invert, is_identity, maps_into, orbit_bfs)
 from .space import (CompactSet, Piece, PointSet, Region,
                     epsilon_neighborhood)
 from .measure_solver import solve_feasibility
 from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, CellMeasure,
-                   cell_image_diameter_series, forward_orbit, forward_word,
-                   invariance_rows, measure_cells, _repulsor_extremes, _single_linkage)
+                   cell_image_runs, forward_orbit, forward_word, invariance_rows,
+                   measure_cells, run_diameters, _repulsor_extremes, _single_linkage)
 
 
 class CertifyError(ValueError):
@@ -247,12 +247,13 @@ def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
     eps = rat(eps)
     K = model.space
     cells = measure_cells(K, K.depth)
-    h = min(n_max, 24)
+    h, delta = min(n_max, 24), as_pair(DEFAULT_DELTA)
     for r in range(streams):
         t = Trajectory(model, stream=r)
         keep = range(len(cells))
-        for diams in islice(cell_image_diameter_series(t, cells, h), h // 2, None):
-            keep = [i for i in keep if diams[i] >= DEFAULT_DELTA]
+        for runs in islice(cell_image_runs(t, cells, h), h // 2, None):
+            diams = run_diameters(runs, len(cells))
+            keep = [i for i in keep if pair_cmp(diams[i], delta) >= 0]
             if not keep:
                 break
         live = [cells[i] for i in keep]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -283,7 +284,8 @@ def _load_scenario_text(name: str) -> str:
     raise ScenarioError(f"scenario {name!r} not found on disk or bundled")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cantorwalk",
         description="Random-walk diagnostics and Tits-alternative "
@@ -299,7 +301,11 @@ def main(argv=None) -> int:
         p.add_argument("--emit-series", action="store_true")
     pv = sub.add_parser("verify")
     pv.add_argument("certificate", help="certificate file to re-check")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "verify":

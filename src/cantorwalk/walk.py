@@ -215,15 +215,17 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int,
         for gi in t._indices[:n_steps]:
             visited.append(x)
             branches = gens_f[gi]
-            j = max(bisect.bisect_right(branch_los[gi], x) - 1, 0)
+            j = bisect.bisect_right(branch_los[gi], x, 1) - 1  # x < every lo: 0
             lo, hi, s, o = branches[j]
-            # float drift can push x just past a source endpoint; pick the
-            # nearest branch, the exact point always lies inside one
-            if not lo <= x <= hi and j + 1 < len(branches):
-                lo2, hi2, _, _ = branches[j + 1]
-                if max(0.0, lo2 - x, x - hi2) < max(0.0, lo - x, x - hi):
-                    lo, hi, s, o = branches[j + 1]
-            x = s * min(max(x, lo), hi) + o
+            if not lo <= x <= hi:
+                # float drift can push x just past a source endpoint; pick
+                # the nearest branch, the exact point always lies inside one
+                if j + 1 < len(branches):
+                    lo2, hi2, _, _ = branches[j + 1]
+                    if max(0.0, lo2 - x, x - hi2) < max(0.0, lo - x, x - hi):
+                        lo, hi, s, o = branches[j + 1]
+                x = min(max(x, lo), hi)
+            x = s * x + o
     # x may drift into a gap; past the gap's midpoint it counts to the next cell
     mids = [(h + l) / 2 for h, l in zip(his, los[1:])]
     counts = np.bincount(np.searchsorted(mids, visited), minlength=len(cells))
@@ -319,7 +321,8 @@ class EntropyReport:
 
 def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region) -> float:
     """Mass of a region under mu, splitting cells uniformly (each IFS child
-    carries half the parent mass) when the region cuts through a cell."""
+    carries half the parent mass) when the region cuts through a cell; a cell
+    off the region's hull meets K and not the region, adding +0.0, unsummed."""
 
     def portion(lo, hi, depth_left) -> float:
         cell = Piece._make((lo, hi, True, True))
@@ -336,8 +339,12 @@ def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region) -> f
         return sum(portion(clo, chi, depth_left - 1) / len(kids)
                    for clo, chi in kids)
 
-    total = 0.0
-    for m, (l, r) in zip(mu.masses, cells):
+    total, ps = 0.0, region.pieces
+    if not ps:
+        return total
+    a = bisect.bisect_left(cells, pair_key(ps[0][0]), key=lambda c: pair_key(as_pair(c[1])))
+    b = bisect.bisect_right(cells, pair_key(ps[-1][1]), key=lambda c: pair_key(as_pair(c[0])))
+    for m, (l, r) in zip(mu.masses[a:b], cells[a:b]):
         total += float(m) * portion(as_pair(l), as_pair(r), SPLIT_DEPTH)
     return total
 
@@ -488,20 +495,24 @@ def _push_runs(g: PAHomeo, runs: list) -> list:
     return out
 
 
-def cell_image_diameter_series(t: Trajectory, cells, n: int):
-    """For k = 0..n, [image(f_omega^k, c).diameter() for c in cells] over
-    sorted closed cells, composing no word.  The cell images tile K as sorted
-    runs (lo, hi, cell) of int pairs with ends in K (its limit set on IFS
-    sets), so only a gap of K separates sorted neighbours, and a cell's
-    diameter is its last run's hi minus its first run's lo."""
+def cell_image_runs(t: Trajectory, cells, n: int):
+    """For k = 0..n, the images under f_omega^k of the sorted closed cells,
+    composing no word: they tile K as sorted runs (lo, hi, cell) of int pairs
+    with ends in K (its limit set on IFS sets), so only a gap of K separates
+    sorted neighbours."""
     runs = [(as_pair(l), as_pair(r), i) for i, (l, r) in enumerate(cells)]
     for k in range(n + 1):
         if k:
             runs = _push_runs(t.step_map(k - 1), runs)
-        first = {c: lo for lo, _, c in reversed(runs)}
-        last = {c: hi for _, hi, c in runs}
-        yield [coprime_fraction(*affine((1, 1), last[c], (-first[c][0], first[c][1])))
-               for c in range(len(cells))]
+        yield runs
+
+
+def run_diameters(runs, count: int) -> list[tuple]:
+    """The count cells' image diameters as int pairs: last run's hi - first run's lo."""
+    first = {c: lo for lo, _, c in reversed(runs)}
+    last = {c: hi for _, hi, c in runs}
+    return [affine((1, 1), last[c], (-first[c][0], first[c][1])) for c in range(count)]
+
 
 
 def contraction_scan(t: Trajectory, depth: int, n: int,
@@ -509,7 +520,8 @@ def contraction_scan(t: Trajectory, depth: int, n: int,
     delta = rat(delta)
     K = t.model.space
     cells = measure_cells(K, depth)
-    diam_series = tuple(zip(*cell_image_diameter_series(t, cells, n)))
+    diam_series = tuple(zip(*([coprime_fraction(*d) for d in run_diameters(runs, len(cells))]
+                              for runs in cell_image_runs(t, cells, n))))
     verdicts = tuple(_tail_verdict(series[n // 2:], delta,
                                    "repulsor", "attractor")[0]
                      for series in diam_series)
@@ -683,11 +695,12 @@ def global_contraction_report(t: Trajectory, depth: int, n: int, eps,
         if all(abs(cand - f) > eps for f in F):
             F.append(cand)
     F = sorted(set(F))
-    w = forward_word(t, n)
     off = Region.whole(K).difference(epsilon_neighborhood(F, eps, K))
     if len(F) > p_cap or off.is_empty():
         return ContractionReport(tuple(F), None, 0.0, (), n, eps, scan)
-    img = image(w, off)
+    img = off  # image(forward_word(t, n), off), one letter at a time
+    for k in range(n):
+        img = image(t.step_map(k), img)
     # cluster the image pieces at scale delta; each cluster must itself be
     # tiny for the walk to count as contracting, and one ball per cluster
     # with radius e^{-n*lam} := max cluster half-diameter covers exactly

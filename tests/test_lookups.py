@@ -2,9 +2,10 @@
 
 CompactSet.contains, Region.is_empty, infimum, supremum, maps.image,
 maps.maps_into and walk.preimage_cell_indices look up sorted intervals,
-branch sources and cells by bisection, walk.cell_image_diameter_series
+branch sources and cells by bisection, walk.cell_image_runs
 pushes the cells' image runs through the letters of a walk without
-composing its words, and maps.break_pairs reads break pairs off a
+composing its words, walk._region_mass sums only the cells that meet a
+region's hull, and maps.break_pairs reads break pairs off a
 tiling, with no address expansion or gap lookup.
 maps.compose keeps an inner branch's source when its image lies inside one
 outer source, and maps.image takes a whole branch source's image ends as
@@ -14,13 +15,16 @@ would; the break-pair reference asks for the gaps at every branch boundary
 (every bounded gap on a plain set, where a branch may span one) and
 whether each image pair bounds a gap from its right end, where
 maps.break_pairs compares an IFS map's image pairs with the gaps between
-its consecutive branch images, and a plain set's with its gaps.
+its consecutive branch images, and a plain set's with its gaps; the
+region-mass reference sums every cell.
 maps.break_pairs, maps.apply, CompactSet.decompose_into_cylinders, the
-Region operations, maps.image, maps.maps_into, preimage_cell_indices and
-certify.periodic_points work on int pairs; a last test makes Fraction arithmetic and ordering raise
-and asks them for the answers they gave before.
+Region operations, maps.image, maps.maps_into, preimage_cell_indices,
+certify.periodic_points and walk._region_mass work on int pairs; a last
+test makes Fraction arithmetic and ordering raise and asks them for the
+answers they gave before.
 """
 
+import operator
 from fractions import Fraction as F
 from functools import cache
 from itertools import product
@@ -37,8 +41,10 @@ from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
                              from_prefix_table, identity_map, image, invert,
                              maps_into, pa_homeo)
 from cantorwalk.space import CompactSet, Ifs, Piece, Region, epsilon_neighborhood
-from cantorwalk.walk import (cell_image_diameter_series, measure_cells,
-                             preimage_cell_indices)
+from cantorwalk.rational import as_pair, coprime_fraction
+from cantorwalk.walk import (SPLIT_DEPTH, CellMeasure, _region_mass,
+                             cell_image_runs, measure_cells, preimage_cell_indices,
+                             run_diameters)
 
 from fixtures import TABLES, fixture
 from test_space import NEGATIVE, THREE_MAPS
@@ -275,6 +281,30 @@ def compose_ref(f, g):
     return PAHomeo(f.space, tuple(out), f.label + g.label)
 
 
+def region_mass_ref(mu, cells, K, region):
+    """walk._region_mass as a sum over every cell: a cell inside the region
+    counts whole, one outside it not at all, and a cut one is split into its
+    IFS children down to SPLIT_DEPTH levels, or by length on a plain set."""
+
+    def portion(lo, hi, depth_left):
+        cell = Piece._make((lo, hi, True, True))
+        if not region._meets_where((cell,), operator.lt):
+            return 1.0
+        if not region._meets_where((cell,), operator.and_):
+            return 0.0
+        if K.ifs is None or depth_left <= 0:
+            inter = Region(K, (cell,)).intersect(region)
+            return float((inter.supremum() - inter.infimum()) / (cell.hi - cell.lo))
+        kids = K.ifs._child_pairs(lo, hi)
+        return sum(portion(clo, chi, depth_left - 1) / len(kids)
+                   for clo, chi in kids)
+
+    total = 0.0
+    for m, (l, r) in zip(mu.masses, cells):
+        total += float(m) * portion(as_pair(l), as_pair(r), SPLIT_DEPTH)
+    return total
+
+
 def preimage_ref(g, cells):
     ginv = invert(g)
     K = g.space
@@ -350,11 +380,39 @@ def test_cell_image_diameter_series_matches_image_regions(data):
     walk = SimpleNamespace(step_map=steps.__getitem__)
     for d in range(K.depth + 2):
         cells = measure_cells(K, d)
-        series = cell_image_diameter_series(walk, cells, len(steps))
+        series = ([coprime_fraction(*x) for x in run_diameters(runs, len(cells))]
+                  for runs in cell_image_runs(walk, cells, len(steps)))
         for w, diams in zip(words, series, strict=True):
             assert diams == [
                 image(w, Region(K, (Piece(l, r, True, True),))).diameter()
                 for l, r in cells]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_region_mass_matches_every_cell_sum(data):
+    # float and exact masses on the cells of every alphabet's set, on the
+    # images and preimages of each cell under each letter, on flagged pieces
+    # ending at interval ends and gap midpoints of K, and on the empty region
+    letters = data.draw(st.sampled_from(_alphabets()))
+    K = letters[0].space
+    cells = measure_cells(K, data.draw(st.integers(0, min(K.depth, 3))))
+    weights = data.draw(st.lists(st.integers(0, 9), min_size=len(cells),
+                                 max_size=len(cells)).filter(any))
+    if data.draw(st.booleans()):
+        mu = CellMeasure(0, tuple(F(w, sum(weights)) for w in weights), True)
+    else:
+        mu = CellMeasure(0, tuple(w / sum(weights) for w in weights), False)
+    ends = [x for l, r in K.intervals for x in (l, r)]
+    ends += [(a + b) / 2 for a, b in zip(ends[1::2], ends[2::2])]
+    pieces = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        a, b = sorted(data.draw(st.lists(st.sampled_from(ends), min_size=2, max_size=2)))
+        pieces.append(Piece(a, b, data.draw(st.booleans()), data.draw(st.booleans())))
+    cell_regions = [Region(K, (Piece(l, r, True, True),)) for l, r in cells]
+    regions = [image(h, c) for g in letters for h in (g, invert(g)) for c in cell_regions]
+    for R in regions + [Region.from_pieces(K, pieces), Region(K, ())]:
+        assert _region_mass(mu, cells, K, R) == region_mass_ref(mu, cells, K, R)
 
 
 @settings(max_examples=60, deadline=None)
@@ -582,11 +640,30 @@ def _region_answers(cases, g, cells):
     return tuple(out) + (preimage_cell_indices(g, cells),)
 
 
+def _mass_regions(f):
+    """On the depth-3 cells of f's IFS set: the image of each cell under f,
+    and a region cut in a gap of the depth-5 set, whose cut cell splits two
+    levels down, far above SPLIT_DEPTH."""
+    K = f.space
+    fine = CompactSet.from_ifs(K.ifs, 5).intervals
+    coarse = CompactSet.from_ifs(K.ifs, 1).intervals
+    cut = Region.from_pieces(K, [Piece((fine[0][1] + fine[1][0]) / 2,
+                                       (coarse[0][1] + coarse[1][0]) / 2, False, True)])
+    cells = measure_cells(K, 3)
+    return cells, [image(f, Region(K, (Piece(l, r, True, True),))) for l, r in cells] + [cut]
+
+
+def _region_masses(cases):
+    mu = CellMeasure(3, tuple(i / 36 for i in range(1, 9)), False)
+    return [[_region_mass(mu, cells, R.space, R) for R in regions] for cells, regions in cases]
+
+
 def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
     # break_pairs on words of the ternary, unequal and plain sets, the
     # cylinder lookups of tests/test_space.py::test_cylinders, the region
-    # kernels and periodic points of A1, R and the plain involution, with
-    # every Fraction comparison and arithmetic operator raising
+    # kernels and periodic points of A1, R and the plain involution, and the
+    # region masses of A1 and U1, with every Fraction comparison and
+    # arithmetic operator raising
     a1, a2, a1i, a2i = _letters(TERNARY, 3)
     u1, u2 = _letters(UNEQUAL, 3)[:2]
     p, q = PLAIN_LETTERS
@@ -616,6 +693,9 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
     powers = ((a1, 6), (fixture("R", K), 2), (PLAIN_INVOLUTION, 2))
     periodic = [periodic_points(f, n) for f, n in powers]
     assert periodic[0].points == ((F(1, 4), 1, F(1, 9)), (F(1), 1, F(9)))
+    mass_cases = [_mass_regions(f) for f in (a1, u1)]
+    masses = _region_masses(mass_cases)
+    assert masses[0][-1] == 1 / 36 * 0.75 + 2 / 36 + 3 / 36 + 4 / 36
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic or comparison in a pair kernel")
@@ -630,3 +710,4 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
     assert K.cylinder("02") == (F(2, 9), F(1, 3))
     assert _region_answers(cases, a1, cells) == regions
     assert [periodic_points(f, n) for f, n in powers] == periodic
+    assert _region_masses(mass_cases) == masses

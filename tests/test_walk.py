@@ -6,8 +6,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cantorwalk.maps import (apply, compose, equals, identity_map, invert,
+from cantorwalk import walk
+from cantorwalk.maps import (apply, compose, equals, identity_map, image, invert,
                              is_identity)
 from cantorwalk.walk import (TWO64, CellMeasure, Trajectory, WalkError, _philox,
                              backward_cluster, backward_value,
@@ -21,7 +23,7 @@ from cantorwalk.walk import (TWO64, CellMeasure, Trajectory, WalkError, _philox,
                              uniform_cell_measure)
 
 from fixtures import cantor_space, fixture, named_generators
-from test_lookups import PLAIN_LETTERS
+from test_lookups import PLAIN_LETTERS, _alphabets
 
 K = cantor_space(3)
 KLEIN = make_model(K, named_generators(["H", "R"]))
@@ -201,6 +203,46 @@ def test_global_contraction_identity_is_infinite():
     assert rep.p is None  # infinity sentinel
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_alphabets()), st.integers(0, 9), st.integers(1, 16),
+       st.sampled_from([F(1, 27), F(1, 81)]))
+def test_contraction_cover_is_the_image_under_the_composed_word(letters, seed, n, eps):
+    # global_contraction_report pushes K off F^eps through the letters one
+    # image at a time; the region it clusters must be the image under the
+    # composed word, piece for piece and flag for flag
+    K = letters[0].space
+    model = make_model(K, {str(i): g for i, g in enumerate(letters)}, seed=seed)
+    t = Trajectory(model, stream=0)
+    pushed = []
+
+    def spy(f, S):
+        pushed.append((S, image(f, S)))
+        return pushed[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walk, "image", spy)
+        global_contraction_report(t, K.depth, n, eps, p_cap=len(K.intervals))
+    if pushed:
+        assert len(pushed) == n
+        assert pushed[-1][1] == image(forward_word(t, n), pushed[0][0])
+
+
+def test_contraction_report_composes_only_break_accumulation_words(monkeypatch):
+    # the words up to length 12 of break_accumulation are the only ones the
+    # report composes; the cover's horizon-40 word is never built
+    calls = []
+
+    def counted(f, g):
+        calls.append(len(f.label) + len(g.label))
+        return compose(f, g)
+
+    monkeypatch.setattr(walk, "compose", counted)
+    break_accumulation(Trajectory(FREE, stream=0), 12)
+    allowed, calls[:] = list(calls), []
+    rep = global_contraction_report(Trajectory(FREE, stream=0), 3, 40, F(1, 27))
+    assert rep.F and calls == allowed and max(calls) == 12
+
+
 # -- the fused Birkhoff chain against the step loop it replaced -------------
 
 
@@ -233,9 +275,10 @@ def _indices_ref(model, stream, n):
 
 
 def _stationary_ref(model, n_steps, depth, restarts=4):
-    """The chain stepped one call per cell lookup and branch distance."""
+    """The chain stepped one call per cell lookup and branch distance, and
+    the number of steps whose x had drifted out of its bisected branch."""
     cells = measure_cells(model.space, depth)
-    counts = np.zeros(len(cells))
+    counts, drifts = np.zeros(len(cells)), 0
     gens_f = [[(float(b.lo), float(b.hi), float(b.slope), float(b.offset))
                for b in g.branches] for g in model.gens]
     los, his = [float(l) for l, _ in cells], [float(r) for _, r in cells]
@@ -246,13 +289,14 @@ def _stationary_ref(model, n_steps, depth, restarts=4):
             branches = gens_f[omega[k]]
             j = bisect.bisect_right([b[0] for b in branches], x) - 1
             j = max(0, min(j, len(branches) - 1))
+            drifts += _branch_dist_ref(branches[j], x) > 0
             best = j
             if (j + 1 < len(branches) and _branch_dist_ref(branches[j + 1], x)
                     < _branch_dist_ref(branches[j], x)):
                 best = j + 1
             lo, hi, s, o = branches[best]
             x = s * min(max(x, lo), hi) + o
-    return tuple(float(m) for m in counts / counts.sum())
+    return tuple(float(m) for m in counts / counts.sum()), drifts
 
 
 CHAIN_MODELS = [
@@ -268,9 +312,16 @@ CHAIN_MODELS = [
 
 @pytest.mark.parametrize("model, depth", CHAIN_MODELS)
 def test_stationary_chain_matches_step_loop(model, depth):
+    drifts = 0
     for n_steps, restarts in ((1, 1), (700, 4), (1500, 3)):
         mu = estimate_stationary_measure(model, n_steps, depth, restarts)
-        assert mu.masses == _stationary_ref(model, n_steps, depth, restarts)
+        masses, d = _stationary_ref(model, n_steps, depth, restarts)
+        assert mu.masses == masses
+        drifts += d
+    if model is KLEIN:
+        # the Klein chain drifts off its bisected branch on hundreds of
+        # steps, so the nearest-branch test and the clamp are exercised
+        assert drifts > 100
 
 
 @pytest.mark.parametrize("probs", [
