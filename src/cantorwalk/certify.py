@@ -19,8 +19,7 @@ from typing import Optional, Sequence
 from .rational import affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat
 from .maps import (PAHomeo, apply, compose, equals, identity_map, image,
                    invert, is_identity, maps_into, orbit_bfs)
-from .space import (CompactSet, Piece, PointSet, Region,
-                    epsilon_neighborhood)
+from .space import Piece, PointSet, Region, epsilon_neighborhood
 from .measure_solver import solve_feasibility
 from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, CellMeasure,
                    cell_image_runs, forward_orbit, forward_word, invariance_rows,
@@ -458,25 +457,21 @@ def free_group_sanity(a1: PAHomeo, a2: PAHomeo, L: int) -> bool:
 # invariant cell measures
 
 
-def _cells_compatible(maps: Sequence[PAHomeo], space: CompactSet,
-                      depth: int) -> bool:
-    cells = measure_cells(space, depth)
-    los = {l for l, _ in cells}
-    his = {h for _, h in cells}
-    return all(b.lo in los and b.hi in his
-               for g in maps for b in g.branches)
+def _cells_compatible(maps: Sequence[PAHomeo], cells) -> bool:
+    """Whether every branch source starts and ends at cell ends."""
+    los, his = ({as_pair(c[i]) for c in cells} for i in (0, 1))
+    return all(b.pairs[0] in los and b.pairs[1] in his for g in maps for b in g.branches)
 
 
 def _invariance_system(inv_rows, nvar: int):
-    """The system {A mu = b} for the exact simplex over nvar cells: the
-    total-mass row (ones, 1), then one dense row (coeffs, 0) per row."""
-    rows, rhs = [[Fraction(1)] * nvar], [Fraction(1)]
+    """The system {A mu = b} for the exact simplex over nvar cells, as
+    sparse {cell: coefficient} rows: the total-mass row (ones, 1), then one
+    row (mu(c) - sum of mu(js), 0) per invariance row that is not 0 = 0."""
+    rows, rhs = [dict.fromkeys(range(nvar), 1)], [Fraction(1)]
     for _, ci, js in inv_rows:
-        row = [Fraction(0)] * nvar
-        row[ci] += 1
-        for j in js:
-            row[j] -= 1
-        if any(v != 0 for v in row):
+        row = dict.fromkeys(js, -1)
+        row[ci] = row.get(ci, 0) + 1
+        if any(row.values()):
             rows.append(row)
             rhs.append(Fraction(0))
     return rows, rhs
@@ -498,15 +493,15 @@ def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
     """
     maps = list(gens.values())
     space = maps[0].space
-    d = depth
-    while d <= d_max and not _cells_compatible(maps, space, d):
-        d += 1
-    if d > d_max:
+    for d in range(depth, d_max + 1):
+        cells = measure_cells(space, d)
+        if _cells_compatible(maps, cells):
+            break
+    else:
         raise CertifyError(f"generators not cell-aligned at any depth <= {d_max}")
 
-    cells = measure_cells(space, d)
     inv_rows = invariance_rows(maps, cells)
-    res = solve_feasibility(*_invariance_system(inv_rows, len(cells)))
+    res = solve_feasibility(*_invariance_system(inv_rows, len(cells)), len(cells))
     if not res.feasible:
         return InfeasibilityReport(d, res.gap)
     if len(inv_rows) < len(maps) * len(cells):
@@ -531,12 +526,9 @@ def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
             continue
         rows2, rhs2 = _invariance_system(inv_rows2, len(cells2))
         for kids, m in zip(children, prev_masses):
-            row = [Fraction(0)] * len(cells2)
-            for j in kids:
-                row[j] = Fraction(1)
-            rows2.append(row)
+            rows2.append(dict.fromkeys(kids, 1))
             rhs2.append(m)
-        res2 = solve_feasibility(rows2, rhs2)
+        res2 = solve_feasibility(rows2, rhs2, len(cells2))
         if not res2.feasible:
             break
         consistency, prev_cells, prev_masses = d2, cells2, list(res2.solution)

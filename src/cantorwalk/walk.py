@@ -19,9 +19,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .rational import affine, as_pair, coprime_fraction, pair_key, rat
-from .maps import (PAHomeo, apply, break_points, compose, identity_map,
-                   image, invert, equals)
+from .rational import affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat
+from .maps import (PAHomeo, _apply, apply, break_points, compose,
+                   identity_map, image, invert, equals)
 from .space import CompactSet, Piece, Region, epsilon_neighborhood
 
 TWO64 = 2 ** 64
@@ -233,35 +233,39 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int,
     return CellMeasure(depth, tuple(float(m) for m in masses), False)
 
 
-def preimage_cell_indices(g: PAHomeo, cells):
-    """For each cell c: the indices j with g^{-1}(c) = union of cells j,
-    or None when the preimage is not expressible at this depth.
-
-    The cells are sorted, disjoint and each meets the space, so only the
-    cells meeting the hull of g^{-1}(c) can lie inside it."""
-    ginv = invert(g)
-    K = g.space
-    out = []
-    pieces = [Piece(l, r, True, True) for l, r in cells]
-    los, his = ([pair_key(p[i]) for p in pieces] for i in (0, 1))
-    for c in pieces:
-        pre = image(ginv, Region(K, (c,)))
-        near = range(bisect.bisect_left(his, pair_key(pre.pieces[0][0])),
-                     bisect.bisect_right(los, pair_key(pre.pieces[-1][1])))
-        js = [j for j in near if not pre._meets_where((pieces[j],), operator.lt)]
-        out.append(js if pre.subset_of(Region(K, tuple(pieces[j] for j in js)))
-                   else None)
-    return out
-
-
 def invariance_rows(gens: Sequence[PAHomeo], cells) -> list:
-    """The harmonic-measure equations mu(c) = mu(g^{-1} c) expressible on
-    the cells, as (generator index, cell index, js) with g^{-1}(c) the
-    union of the cells js; a preimage that is no union of cells gives no
-    row."""
-    return [(gi, ci, js) for gi, g in enumerate(gens)
-            for ci, js in enumerate(preimage_cell_indices(g, cells))
-            if js is not None]
+    """The equations mu(c) = mu(g^{-1} c) expressible on the sorted cells,
+    as (generator index, cell index, js) with g^{-1}(c) the union of the
+    cells js.  g pushes a tiling of K forward: the cells and, as open runs
+    ~j before cell j, the parts of K between cells finer than K's intervals.
+    Runs and cells end in K, so they meet in K iff they meet as intervals;
+    c has a row iff every run meeting it is from a cell with all runs in c."""
+    cs = [(as_pair(l), as_pair(r)) for l, r in cells]
+    rights = {as_pair(r) for _, r in gens[0].space.intervals}
+    tiling = []
+    for j, (lo, hi) in enumerate(cs):
+        if tiling and tiling[-1][1] not in rights:
+            tiling.append((tiling[-1][1], lo, ~j))
+        tiling.append((lo, hi, j))
+    rows = []
+    for gi, g in enumerate(gens):
+        home, sources, i = {}, [set() for _ in cs], 0
+        for lo, hi, j in _push_runs(g, tiling):
+            while pair_cmp(cs[i][1], lo) < 0:
+                i += 1
+            inside = None  # the one cell holding the run, else -1
+            for c in range(i, len(cs)):
+                l, r = cs[c]
+                if pair_cmp(l, hi) > 0 or j < 0 and pair_cmp(l, hi) == 0:
+                    break
+                if j >= 0 or pair_cmp(r, lo) > 0:
+                    sources[c].add(j)
+                held = pair_cmp(l, lo) <= 0 <= pair_cmp(r, hi)
+                inside = c if inside is None and held else -1
+            home[j] = inside if home.get(j, inside) == inside else -1
+        rows += [(gi, ci, sorted(js)) for ci, js in enumerate(sources)
+                 if all(j >= 0 and home[j] == ci for j in js)]
+    return rows
 
 
 def invariance_residual(mu: CellMeasure, model: WalkModel):
@@ -514,7 +518,6 @@ def run_diameters(runs, count: int) -> list[tuple]:
     return [affine((1, 1), last[c], (-first[c][0], first[c][1])) for c in range(count)]
 
 
-
 def contraction_scan(t: Trajectory, depth: int, n: int,
                      delta=DEFAULT_DELTA) -> CellScan:
     delta = rat(delta)
@@ -569,16 +572,16 @@ def _repulsor_extremes(repulsors, cells, hull) -> list:
 
 def break_accumulation(t: Trajectory, n: int, radius=Fraction(1, 27)):
     """(Delta_n, clusters): all pullbacks of generator break points through
-    forward words up to length n, exactly."""
+    forward words up to length n, exactly.  The pullbacks U_i through the
+    letters k-1, ..., i of every k <= n are the break points and letter i's
+    inverse image of U_{i+1}, so no word is composed or inverted."""
     radius = rat(radius)
-    base = sorted({p for g in t.model.gens for p in break_points(g)})
-    acc = set()
-    for k in range(n + 1):
-        w = forward_word(t, k)
-        wi = invert(w)
-        for p in base:
-            acc.add(apply(wi, p))
-    pts = sorted(acc)
+    base = {as_pair(p) for g in t.model.gens for p in break_points(g)}
+    inverses = {gi: invert(t.model.gens[gi]) for gi in {t.index(k) for k in range(n)}}
+    acc = base
+    for i in range(n - 1, -1, -1):
+        acc = base | {_apply(inverses[t.index(i)], p) for p in acc}
+    pts = sorted(coprime_fraction(*p) for p in acc)
     return pts, _single_linkage(pts, radius)
 
 

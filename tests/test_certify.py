@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantorwalk import certify
+from cantorwalk import certify, maps, walk
 from cantorwalk.certify import (_make_letters, _reduced_words, _then,
                                 AssemblyFailure, CertifyError,
                                 InfeasibilityReport, InvariantMeasureCertificate,
@@ -273,6 +273,27 @@ def test_measure_on_cells_finer_than_the_space_is_not_proved():
     v = verify_invariant_measure(forged)
     assert not v
     assert v.reason == "64 invariance equations are not expressible at depth 4"
+
+
+@pytest.mark.parametrize("names, depth", [
+    pytest.param(names, depth, id=f"{'-'.join(names)}-d{depth}")
+    for names in (["A1", "A2"], ["H", "R"]) for depth in (3, 5)])
+def test_find_measure_inverts_and_images_nothing(monkeypatch, names, depth):
+    # the rows come from pushing the cells forward on int pairs, so the
+    # solve and its consistency ladder invert no map, take no image and
+    # build no region
+    gens = named_generators(names, cantor_space(depth))
+    expected = solve_invariant_measure(gens, depth)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an inversion, image or region in find-measure")
+
+    for mod in (maps, walk, certify):
+        for name in ("image", "invert"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setattr(Region, "__init__", refuse)
+    assert solve_invariant_measure(gens, depth) == expected
 
 
 # -- periodic points and Morse-Smale ----------------------------------------

@@ -176,3 +176,20 @@ def test_cell_scans_compose_no_word(monkeypatch):
     scan = contraction_scan(Trajectory(model, stream=1), 3, 40)
     assert scan.repulsor_count and len(scan.diameters[0]) == 41
     assert list(_contraction_candidates(model, F(1, 27), 4, 40, 1)) == []
+
+
+@pytest.mark.parametrize("depth, skipped", [(4, True), (3, False)])
+def test_too_many_live_cells_skip_the_stream(monkeypatch, depth, skipped):
+    # the images of K's intervals are disjoint, so no walk keeps more than
+    # diam(K) / delta cells at an image diameter of delta or more, and the
+    # skip for len(live) * delta > diam(K) fires only on a scan that says
+    # otherwise: here every cell's image diameter reads diam(K) = 1.  Both
+    # sets give A at most p_cap = 4 points (4 and 2 clusters); the 16 live
+    # depth-4 cells (16/9 > 1) skip the stream before any word is composed,
+    # the 8 depth-3 cells (8/9 <= 1) go on to the words
+    words = []
+    monkeypatch.setattr(certify, "run_diameters", lambda runs, count: [(1, 1)] * count)
+    monkeypatch.setattr(certify, "forward_word",
+                        lambda t, n: words.append(n) or forward_word(t, n))
+    found = list(_contraction_candidates(_free_model(depth, 0), F(1, 27), 4, 3, 1))
+    assert (found == words == []) == skipped

@@ -1,24 +1,26 @@
 """Bisected, one-pass and fast-path lookups against brute-force scans.
 
 CompactSet.contains, Region.is_empty, infimum, supremum, maps.image,
-maps.maps_into and walk.preimage_cell_indices look up sorted intervals,
-branch sources and cells by bisection, walk.cell_image_runs
-pushes the cells' image runs through the letters of a walk without
-composing its words, walk._region_mass sums only the cells that meet a
+maps.maps_into look up sorted intervals and branch sources by bisection,
+walk.cell_image_runs pushes the cells' image runs through the letters of a
+walk without composing its words, walk.invariance_rows pushes a tiling of K
+by the cells forward through each map where a preimage route would invert
+it and take cell images, walk._region_mass sums only the cells that meet a
 region's hull, and maps.break_pairs reads break pairs off a
 tiling, with no address expansion or gap lookup.
 maps.compose keeps an inner branch's source when its image lies inside one
 outer source, and maps.image takes a whole branch source's image ends as
 they are.  The references below scan every interval, branch and cell pair,
 and cut and evaluate every branch, as a plain reading of the definitions
-would; the break-pair reference asks for the gaps at every branch boundary
-(every bounded gap on a plain set, where a branch may span one) and
-whether each image pair bounds a gap from its right end, where
-maps.break_pairs compares an IFS map's image pairs with the gaps between
-its consecutive branch images, and a plain set's with its gaps; the
-region-mass reference sums every cell.
+would; the rows reference takes the preimage region of every cell and
+tests every cell for inclusion in it; the break-pair reference asks for the
+gaps at every branch boundary (every bounded gap on a plain set, where a
+branch may span one) and whether each image pair bounds a gap from its
+right end, where maps.break_pairs compares an IFS map's image pairs with
+the gaps between its consecutive branch images, and a plain set's with its
+gaps; the region-mass reference sums every cell.
 maps.break_pairs, maps.apply, CompactSet.decompose_into_cylinders, the
-Region operations, maps.image, maps.maps_into, preimage_cell_indices,
+Region operations, maps.image, maps.maps_into, walk.invariance_rows,
 certify.periodic_points and walk._region_mass work on int pairs; a last
 test makes Fraction arithmetic and ordering raise and asks them for the
 answers they gave before.
@@ -43,7 +45,7 @@ from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
 from cantorwalk.space import CompactSet, Ifs, Piece, Region, epsilon_neighborhood
 from cantorwalk.rational import as_pair, coprime_fraction
 from cantorwalk.walk import (SPLIT_DEPTH, CellMeasure, _region_mass,
-                             cell_image_runs, measure_cells, preimage_cell_indices,
+                             cell_image_runs, invariance_rows, measure_cells,
                              run_diameters)
 
 from fixtures import TABLES, fixture
@@ -306,6 +308,8 @@ def region_mass_ref(mu, cells, K, region):
 
 
 def preimage_ref(g, cells):
+    """For each cell c: the cells j inside g^-1(c), or None when they do not
+    cover it; images, inclusions and covers of regions."""
     ginv = invert(g)
     K = g.space
     regs = [Region.from_pieces(K, [Piece(l, r, True, True)]) for l, r in cells]
@@ -316,6 +320,12 @@ def preimage_ref(g, cells):
         cover = Region.from_pieces(K, [p for j in js for p in regs[j].pieces])
         out.append(js if pre.subset_of(cover) else None)
     return out
+
+
+def rows_ref(gens, cells):
+    """walk.invariance_rows read off preimage_ref."""
+    return [(gi, ci, js) for gi, g in enumerate(gens)
+            for ci, js in enumerate(preimage_ref(g, cells)) if js is not None]
 
 
 # -- the comparisons -------------------------------------------------------
@@ -485,7 +495,44 @@ def test_branches_hold_reduced_int_pairs(word):
 def test_preimage_cells_match_scan(word, data):
     K, w = word
     cells = measure_cells(K, data.draw(st.integers(1, 5)))
-    assert preimage_cell_indices(w, cells) == preimage_ref(w, cells)
+    assert invariance_rows([w], cells) == rows_ref([w], cells)
+
+
+def _sources_cover_k(f):
+    K = f.space
+    sources = Region.from_pieces(K, [Piece(b.lo, b.hi, True, True) for b in f.branches])
+    return Region.whole(K).subset_of(sources)
+
+
+@settings(max_examples=40, deadline=None)
+@given(letter_words(max_size=6), st.data())
+def test_forward_rows_match_preimage_scan_over_every_alphabet(word, data):
+    # IFS and plain sets, cells coarser than, equal to and finer than K's
+    # intervals (on a plain set the cells are K's intervals at every depth).
+    # A word whose branches are deeper than an IFS set can leave points of
+    # K's intervals (in gaps of its limit set) out of every source; the
+    # preimage scan then puts no cell holding them in any row, so it may
+    # miss rows (at depth 0 the one row mu(K) = mu(K)) that the pushed
+    # limit set gives, and gives no other
+    letters, w = word
+    K = w.space
+    cells = measure_cells(K, data.draw(st.integers(0, K.depth + 2)))
+    rows, ref = invariance_rows([w], cells), rows_ref([w], cells)
+    if _sources_cover_k(w):
+        assert rows == ref
+    else:
+        assert [r for r in ref if r not in rows] == []
+
+
+@pytest.mark.parametrize("letters", _alphabets(), ids=lambda ls: ls[0].space.ifs and
+                         f"{len(ls[0].space.intervals)}-intervals" or "plain")
+def test_forward_rows_of_every_letter_match_preimage_scan(letters):
+    # every letter of every alphabet at once, cells from depth 0 to one
+    # level below the space
+    K = letters[0].space
+    for d in range(K.depth + 2):
+        cells = measure_cells(K, d)
+        assert invariance_rows(letters, cells) == rows_ref(letters, cells)
 
 
 @settings(max_examples=40, deadline=None)
@@ -600,18 +647,19 @@ def test_periodic_points_skip_kinks_of_a_plain_involution():
 
 
 def test_preimage_cells_subset_checks_are_linear(monkeypatch):
-    # only the cells meeting the hull of g^-1(c) are tested for inclusion;
-    # testing all pairs of the 128 depth-7 cells makes 128 * 129 checks.
-    # Each check, a cell's and the cover's, is one Region._meets_where call
+    # the rows of the 128 depth-7 cells test no region for inclusion: the
+    # preimage route made one Region._meets_where call per tested cell and
+    # one per cover, and testing all pairs makes 128 * 129 of them
     K = CompactSet.from_ifs(TERNARY, 7)
     cells = measure_cells(K, 7)
+    a1 = fixture("A1", K)
+    expected = rows_ref([a1], cells)
     calls = []
     meets_where = Region._meets_where
     monkeypatch.setattr(Region, "_meets_where",
                         lambda r, ps, keep: calls.append(1) or meets_where(r, ps, keep))
-    rows = preimage_cell_indices(fixture("A1", K), cells)
-    assert len(cells) == len(rows) == 128
-    assert len(calls) <= 4 * len(cells)
+    assert invariance_rows([a1], cells) == expected
+    assert len(cells) == 128 and calls == []
 
 
 def _pairs(*ends):
@@ -630,14 +678,14 @@ def _region_regions(K):
 
 def _region_answers(cases, g, cells):
     """Boolean operations, inclusions, images and maps_into on the regions
-    of each (map, regions) case, and the preimage cells of g, as one tuple."""
+    of each (map, regions) case, and the invariance rows of g, as one tuple."""
     out = []
     for f, (A, B, W) in cases:
         off = W.difference(A)
         out += [A.union(B), A.intersect(B), A.difference(B), off, A.subset_of(B),
                 A.subset_of(W), A.disjoint_from(B), off.disjoint_from(A), image(f, A),
                 image(f, B), maps_into(f, W, A), maps_into(f, off, image(f, off))]
-    return tuple(out) + (preimage_cell_indices(g, cells),)
+    return tuple(out) + (invariance_rows([g], cells),)
 
 
 def _mass_regions(f):
@@ -688,7 +736,7 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
     cells = measure_cells(K, 3)
     cases = [(f, _region_regions(f.space)) for f in (a1, u1, p)]
     regions = _region_answers(cases, a1, cells)
-    assert regions[-1] == [None, None, [0, 1, 2, 3], [4, 5], None, None, None, None]
+    assert regions[-1] == [(0, 2, [0, 1, 2, 3]), (0, 3, [4, 5])]
     assert regions[10:12] == (False, True)
     powers = ((a1, 6), (fixture("R", K), 2), (PLAIN_INVOLUTION, 2))
     periodic = [periodic_points(f, n) for f, n in powers]

@@ -24,24 +24,29 @@ K = cantor_space(3)
 # -- feasibility solver ------------------------------------------------------
 
 
+def _sparse(rows):
+    """Dense rows as the solver's {column: value} rows."""
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
 def test_solver_feasible_system():
     rows = [[F(1), F(1)], [F(1), F(-1)]]
     rhs = [F(1), F(0)]
-    res = solve_feasibility(rows, rhs)
+    res = solve_feasibility(_sparse(rows), rhs, 2)
     assert res.feasible and res.gap == 0
     assert res.solution == (F(1, 2), F(1, 2))
 
 
 def test_solver_infeasible_has_exact_gap():
     # x >= 0 with x = -1 is infeasible by exactly 1
-    res = solve_feasibility([[F(1)]], [F(-1)])
+    res = solve_feasibility([{0: F(1)}], [F(-1)], 1)
     assert not res.feasible
     assert res.solution is None
     assert res.gap == 1
 
 
 def test_solver_empty_system():
-    res = solve_feasibility([], [])
+    res = solve_feasibility([], [], 0)
     assert res.feasible and res.solution == ()
 
 
@@ -52,7 +57,7 @@ def test_solver_empty_system():
 def test_solver_solutions_satisfy_system(rows, rhs):
     rows = [[F(v) for v in row] for row in rows]
     rhs = [F(v) for v in rhs[:len(rows)]]
-    res = solve_feasibility(rows, rhs)
+    res = solve_feasibility(_sparse(rows), rhs, 3)
     if res.feasible:
         assert all(x >= 0 for x in res.solution)
         for row, b in zip(rows, rhs):

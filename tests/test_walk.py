@@ -228,19 +228,44 @@ def test_contraction_cover_is_the_image_under_the_composed_word(letters, seed, n
 
 
 def test_contraction_report_composes_only_break_accumulation_words(monkeypatch):
-    # the words up to length 12 of break_accumulation are the only ones the
-    # report composes; the cover's horizon-40 word is never built
-    calls = []
+    # break_accumulation pulls each break point back through the letters'
+    # inverses, inverting each distinct letter once, and the cover pushes
+    # its region one letter at a time, so the report composes no word
+    calls, inverted = [], []
 
     def counted(f, g):
         calls.append(len(f.label) + len(g.label))
         return compose(f, g)
 
+    def counted_invert(f):
+        inverted.append(f.label)
+        return invert(f)
+
     monkeypatch.setattr(walk, "compose", counted)
-    break_accumulation(Trajectory(FREE, stream=0), 12)
-    allowed, calls[:] = list(calls), []
+    monkeypatch.setattr(walk, "invert", counted_invert)
     rep = global_contraction_report(Trajectory(FREE, stream=0), 3, 40, F(1, 27))
-    assert rep.F and calls == allowed and max(calls) == 12
+    assert rep.F and calls == []
+    assert len(inverted) == len(set(inverted)) <= len(FREE.gens)
+
+
+def _break_accumulation_ref(t, n):
+    """The break points pulled back through the inverse of every forward
+    word up to length n."""
+    base = sorted({p for g in t.model.gens for p in walk.break_points(g)})
+    return sorted({apply(invert(forward_word(t, k)), p)
+                   for k in range(n + 1) for p in base})
+
+
+@pytest.mark.parametrize("model", [FREE, KLEIN, G3_ONLY, H_ONLY,
+                                   make_model(PLAIN_LETTERS[0].space,
+                                              {"P": PLAIN_LETTERS[0], "Q": PLAIN_LETTERS[1]})],
+                         ids=["free", "klein", "g3", "h", "plain"])
+def test_break_accumulation_matches_inverted_words(model):
+    for stream in range(3):
+        t = Trajectory(model, stream=stream)
+        pts, clusters = break_accumulation(t, 12)
+        assert pts == _break_accumulation_ref(Trajectory(model, stream=stream), 12)
+        assert clusters == walk._single_linkage(pts, F(1, 27))
 
 
 # -- the fused Birkhoff chain against the step loop it replaced -------------
