@@ -474,10 +474,9 @@ class CellScan:
 
 
 def _push_runs(g: PAHomeo, runs: list) -> list:
-    """The runs after one more letter g: each run cut at g's branch sources
-    and its pieces mapped.  A branch keeps its pieces in order (reversed when
-    decreasing) and branch images do not overlap, so taking the branches in
-    image order sorts the pieces by left end; neighbours of one cell merge."""
+    """The runs after one more letter g: each run cut at g's sources, its
+    pieces mapped and taken in branch image order (reversed in a decreasing
+    branch), sorted if two plain-set images overlap; neighbours of a cell merge."""
     bs, pieces, j = [b.pairs for b in g.branches], [[] for _ in g.branches], 0
     for lo, hi, c in runs:
         (ln, ld), (hn, hd) = lo, hi
@@ -490,12 +489,16 @@ def _push_runs(g: PAHomeo, runs: list) -> list:
             ya = affine(s, lo, o) if blo[0] * ld <= ln * blo[1] else (ib, ia)[up]
             yb = affine(s, hi, o) if bhi[0] * hd >= hn * bhi[1] else (ia, ib)[up]
             pieces[i].append((ya, yb, c) if up else (yb, ya, c))
+    order = sorted(range(len(bs)), key=lambda i: pair_key(bs[i][4]))
+    flat = [p for i in order for p in (pieces[i] if bs[i][2][0] > 0 else reversed(pieces[i]))]
+    if g.space.ifs is None and any(pair_cmp(bs[i][5], bs[k][4]) > 0
+                                   for i, k in zip(order, order[1:])):
+        flat.sort(key=lambda p: (pair_key(p[0]), pair_key(p[1])))
     out = []
-    for i in sorted(range(len(bs)), key=lambda i: pair_key(bs[i][4])):
-        for p in pieces[i] if bs[i][2][0] > 0 else reversed(pieces[i]):
-            if out and out[-1][2] == p[2]:
-                p = (out.pop()[0], p[1], p[2])
-            out.append(p)
+    for p in flat:
+        if out and out[-1][2] == p[2]:
+            p = (out.pop()[0], p[1], p[2])
+        out.append(p)
     return out
 
 

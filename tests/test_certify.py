@@ -21,6 +21,7 @@ from cantorwalk.space import Piece, Region, epsilon_neighborhood
 from cantorwalk.walk import CellMeasure, make_model
 
 from fixtures import cantor_space, fixture, named_generators
+from test_lookups import S, SPANNING_LETTERS
 
 K = cantor_space(3)
 H = fixture("H", K)
@@ -273,6 +274,20 @@ def test_measure_on_cells_finer_than_the_space_is_not_proved():
     v = verify_invariant_measure(forged)
     assert not v
     assert v.reason == "64 invariance equations are not expressible at depth 4"
+
+
+def test_measure_under_a_map_carrying_a_gap_over_another_image():
+    # S carries the gap (1, 2) of SPANNING over [16/5, 19/5], which it
+    # fixes, so its branch images overlap and the pushed cells come out of
+    # image order: [16/5, 19/5] has its row mu(c) = mu(c) only when they
+    # are sorted.  The uniform measure and the mass on that interval are
+    # invariant under S, and the uniform measure under S and V
+    uniform = CellMeasure(0, (F(1, 4),) * 4, True)
+    assert verify_invariant_measure(InvariantMeasureCertificate((S,), 0, uniform, 0))
+    lopsided = CellMeasure(0, (F(0), F(0), F(1), F(0)), True)
+    assert verify_invariant_measure(InvariantMeasureCertificate((S,), 0, lopsided, 0))
+    cert = solve_invariant_measure({"S": S, "V": SPANNING_LETTERS[1]}, 0)
+    assert cert and cert.measure == uniform
 
 
 @pytest.mark.parametrize("names, depth", [

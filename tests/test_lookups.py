@@ -34,7 +34,7 @@ from math import gcd
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cantorwalk import maps
 from cantorwalk.certify import periodic_points
@@ -120,47 +120,62 @@ def _table_letters(K, *tables):
 
 
 @cache
-def _alphabets():
+def _alphabets(extra=0):
     """Letter sets: A1, A2 and inverses on every space; the same with the
     reflection R on the ternary set; two orientation-reversing depth-2
     involutions on the ternary set; a depth-2 map and a swap of the outer
     children on THREE_MAPS; A1, A2, their inverses and the reflection on
-    NEGATIVE; P, Q and P^-1 on the plain set; T, V and T^-1 on SPANNING."""
-    K = CompactSet.from_ifs(TERNARY, 3)
+    NEGATIVE; P, Q and P^-1 on the plain set; T, V and T^-1 on SPANNING.
+    With extra > 0 the IFS sets are that many levels deeper."""
+    K = CompactSet.from_ifs(TERNARY, 3 + extra)
     reflection = PrefixTable((("", "", -1),))
     r = from_prefix_table(reflection, K, label=("R",))
     klein = _table_letters(
         K, [["00", "20", 1], ["20", "00", 1], ["02", "22", -1], ["22", "02", -1]],
         [["00", "02", -1], ["02", "00", -1], ["2", "2", -1]])
     three = _table_letters(
-        CompactSet.from_ifs(THREE_MAPS, 2),
+        CompactSet.from_ifs(THREE_MAPS, 2 + extra),
         [["a", "aa", 1], ["b", "ab", 1], ["ca", "ac", 1], ["cb", "b", 1], ["cc", "c", 1]],
         [["a", "c", 1], ["b", "b", 1], ["c", "a", 1]])
     lr = str.maketrans("02", "lr")
-    KN = CompactSet.from_ifs(NEGATIVE, 3)
+    KN = CompactSet.from_ifs(NEGATIVE, 3 + extra)
     negative = _table_letters(KN, *([[s.translate(lr), d.translate(lr), o]
                                      for s, d, o in TABLES[n].rules] for n in ("A1", "A2")))
-    return ([_letters(*space) for space in SPACES] +
-            [_letters(TERNARY, 3) + [r], klein, three,
+    return ([_letters(ifs, d + extra) for ifs, d in SPACES] +
+            [_letters(TERNARY, 3 + extra) + [r], klein, three,
              negative + [from_prefix_table(reflection, KN)],
              list(PLAIN_LETTERS) + [invert(PLAIN_LETTERS[0])],
              list(SPANNING_LETTERS) + [invert(SPANNING_LETTERS[0])]])
 
 
-@st.composite
-def letter_words(draw, max_size=10):
-    """(letters, a word of length 1 to max_size in them) with no letter
-    next to its inverse: among the first four, letters i and (i + 2) % 4
-    are mutually inverse."""
-    letters = draw(st.sampled_from(_alphabets()))
+def _pushed_alphabets(extra=0):
+    """The letter sets, then S, T and V on SPANNING for the kernels that
+    push cells through letters: S carries the gap (1, 2) over the interval
+    [16/5, 19/5], which it fixes, so its branch images overlap (S has no
+    inverse here: maps.invert assumes they do not)."""
+    return _alphabets(extra) + [[S, *SPANNING_LETTERS]]
+
+
+def _word(letters, indices):
+    """The word in the letters of these indices, right to left, skipping a
+    letter next to its inverse: among the first four, letters i and
+    (i + 2) % 4 are mutually inverse."""
     w, last = None, None
-    for i in draw(st.lists(st.integers(0, len(letters) - 1), min_size=1,
-                           max_size=max_size)):
+    for i in indices:
         if last is not None and max(i, last) < 4 and i == (last + 2) % 4:
             continue
         w = letters[i] if w is None else compose(letters[i], w)
         last = i
-    return letters, w
+    return w
+
+
+@st.composite
+def letter_words(draw, max_size=10):
+    """(letters, a word of length 1 to max_size in them) with no letter
+    next to its inverse."""
+    letters = draw(st.sampled_from(_alphabets()))
+    return letters, _word(letters, draw(st.lists(
+        st.integers(0, len(letters) - 1), min_size=1, max_size=max_size)))
 
 
 @st.composite
@@ -381,7 +396,7 @@ def test_compose_and_image_match_reference_loops(word, data):
 def test_cell_image_diameter_series_matches_image_regions(data):
     # the diameters after k steps against the image regions of the word of
     # the first k letters, for every k up to n
-    letters = data.draw(st.sampled_from(_alphabets()))
+    letters = data.draw(st.sampled_from(_pushed_alphabets()))
     steps = data.draw(st.lists(st.sampled_from(letters), max_size=10))
     K = letters[0].space
     words = [identity_map(K)]
@@ -490,14 +505,6 @@ def test_branches_hold_reduced_int_pairs(word):
         _assert_canonical(b)
 
 
-@settings(max_examples=25, deadline=None)
-@given(words(), st.data())
-def test_preimage_cells_match_scan(word, data):
-    K, w = word
-    cells = measure_cells(K, data.draw(st.integers(1, 5)))
-    assert invariance_rows([w], cells) == rows_ref([w], cells)
-
-
 def _sources_cover_k(f):
     K = f.space
     sources = Region.from_pieces(K, [Piece(b.lo, b.hi, True, True) for b in f.branches])
@@ -505,34 +512,30 @@ def _sources_cover_k(f):
 
 
 @settings(max_examples=40, deadline=None)
-@given(letter_words(max_size=6), st.data())
-def test_forward_rows_match_preimage_scan_over_every_alphabet(word, data):
-    # IFS and plain sets, cells coarser than, equal to and finer than K's
-    # intervals (on a plain set the cells are K's intervals at every depth).
-    # A word whose branches are deeper than an IFS set can leave points of
-    # K's intervals (in gaps of its limit set) out of every source; the
-    # preimage scan then puts no cell holding them in any row, so it may
-    # miss rows (at depth 0 the one row mu(K) = mu(K)) that the pushed
-    # limit set gives, and gives no other
-    letters, w = word
-    K = w.space
-    cells = measure_cells(K, data.draw(st.integers(0, K.depth + 2)))
-    rows, ref = invariance_rows([w], cells), rows_ref([w], cells)
-    if _sources_cover_k(w):
-        assert rows == ref
-    else:
-        assert [r for r in ref if r not in rows] == []
-
-
-@pytest.mark.parametrize("letters", _alphabets(), ids=lambda ls: ls[0].space.ifs and
-                         f"{len(ls[0].space.intervals)}-intervals" or "plain")
-def test_forward_rows_of_every_letter_match_preimage_scan(letters):
-    # every letter of every alphabet at once, cells from depth 0 to one
-    # level below the space
-    K = letters[0].space
-    for d in range(K.depth + 2):
-        cells = measure_cells(K, d)
-        assert invariance_rows(letters, cells) == rows_ref(letters, cells)
+@given(st.data())
+def test_preimage_cells_match_scan(data):
+    # a word and the first letter of its alphabet on IFS and plain sets,
+    # cells coarser than, equal to and finer than K's intervals (on a plain
+    # set the cells are K's intervals at every depth).  A word whose
+    # branches are deeper than an IFS set can leave points of K's intervals
+    # (gaps of its limit set) out of every source, which the preimage scan
+    # then puts in no row; its rows on cells no finer than K are read on the
+    # same tables over a set deep enough that the sources cover it, where
+    # the cells, the tiling and the branches are the same
+    k = data.draw(st.integers(0, len(_pushed_alphabets()) - 1))
+    letters = _pushed_alphabets()[k]
+    idx = data.draw(st.lists(st.integers(0, len(letters) - 1), min_size=1, max_size=6))
+    gens = [_word(letters, idx), letters[0]]
+    K = gens[0].space
+    d = data.draw(st.integers(0, K.depth + 2))
+    cells = measure_cells(K, d)
+    ref, extra = gens, 0
+    while d <= K.depth and not all(map(_sources_cover_k, ref)):
+        extra += 1
+        assume(extra <= 6)  # the deeper sets grow geometrically
+        deeper = _pushed_alphabets(extra)[k]
+        ref = [_word(deeper, idx), deeper[0]]
+    assert invariance_rows(gens, cells) == rows_ref(ref, cells)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk import serialize as ser
-from cantorwalk.certify import (FiniteOrbitCertificate, PingPongCertificate,
+from cantorwalk.certify import (FiniteOrbitCertificate,
+                                InvariantMeasureCertificate, PingPongCertificate,
                                 check_morse_smale, find_finite_orbit,
                                 find_morse_smale, solve_invariant_measure)
 from cantorwalk.giet import rotation
-from cantorwalk.maps import equals
+from cantorwalk.maps import compose, equals
 from cantorwalk.measure_solver import solve_feasibility
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
-from cantorwalk.walk import make_model
+from cantorwalk.walk import CellMeasure, make_model
 
 from fixtures import cantor_space, fixture, named_generators
 
@@ -125,6 +126,20 @@ def test_invariant_measure_certificate_round_trip():
     obj = ser.certificate_to_obj(cert)
     assert obj["type"] == "invariant-measure"
     assert obj["masses"] == ["1/2", "1/2"]
+    assert ser.verify_certificate(obj)
+
+
+def test_verify_checks_a_word_whose_sources_leave_gaps_of_the_limit_set():
+    # A1∘A1 on the depth-3 set has branches deeper than the set: no source
+    # holds (79/81, 80/81), a gap of the limit set inside an interval of K.
+    # Pushed forward, its sources tile the limit set, so mu(K) = mu(K) is
+    # expressible at depth 0 and (1) is invariant, though a preimage scan
+    # leaves that equation out: image(invert(A1∘A1), K) does not cover K
+    A1 = fixture("A1", K)
+    a1a1 = compose(A1, A1)
+    assert not any(b.lo <= F(159, 162) <= b.hi for b in a1a1.branches)
+    cert = InvariantMeasureCertificate((a1a1,), 0, CellMeasure(0, (F(1),), True), 0)
+    obj = json.loads(ser.dumps(ser.certificate_to_obj(cert)))
     assert ser.verify_certificate(obj)
 
 
