@@ -7,8 +7,7 @@ construction.  For IFS-structured sets the bijection is of the underlying
 limit set: branch sources and images must be cylinder-aligned and end on
 it, so that each branch carries limit points to limit points.
 
-Break pairs, the regularity radius r0, slope ranges and distortion are all
-computed exactly.
+Break pairs and the regularity radius r0 are computed exactly.
 """
 
 from __future__ import annotations
@@ -432,7 +431,7 @@ def regularity_radius(gens: Sequence[PAHomeo]) -> Optional[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# images, slopes, distortion
+# images
 
 
 def _image_pieces(f: PAHomeo, S: Region):
@@ -468,49 +467,3 @@ def maps_into(f: PAHomeo, S: Region, T: Region) -> bool:
     """image(f, S).subset_of(T), stopping at the first piece outside T."""
     # operator.lt on flags: in the image piece and not in T
     return not any(T._meets_where((p,), operator.lt) for p in _image_pieces(f, S))
-
-
-def slope_range(f: PAHomeo, S: Region) -> tuple[Fraction, Fraction]:
-    """(min, max) of |slope| over branches meeting S inside K."""
-    mags = [abs(b.slope) for b in f.branches
-            if S._meets_where((Piece._make(b.pairs[:2] + (True, True)),), operator.and_)]
-    if not mags:
-        raise MapError("region meets no branch")
-    return min(mags), max(mags)
-
-
-def distortion(f: PAHomeo, B: Region) -> Fraction:
-    """Sup over max/min of difference quotients |f(x)-f(y)|/|x-y| on B∩K.
-
-    f is affine per branch, so the quotient is monotone in each argument
-    between breakpoints and the extremes occur at a finite candidate set:
-    region piece endpoints, ambient interval endpoints and branch endpoints
-    that belong to B.  Open piece boundaries are included (the quotient
-    extends continuously, so the sup is unchanged).
-    """
-    K = f.space
-    cand = set()
-    for p in B.pieces:
-        for v in (p.lo, p.hi):
-            if K.contains(v) and (B.contains(v) or
-                                  any(q.lo <= v <= q.hi for q in B.pieces)):
-                cand.add(v)
-    for l, r in K.intervals:
-        for v in (l, r):
-            if B.contains(v):
-                cand.add(v)
-    for b in f.branches:
-        for v in (b.lo, b.hi):
-            if B.contains(v):
-                cand.add(v)
-    pts = sorted(cand)
-    if len(pts) < 2:
-        raise MapError("degenerate region for distortion")
-    vals = [apply(f, x) for x in pts]
-    qmax = qmin = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            q = abs(vals[j] - vals[i]) / (pts[j] - pts[i])
-            qmax = q if qmax is None else max(qmax, q)
-            qmin = q if qmin is None else min(qmin, q)
-    return qmax / qmin

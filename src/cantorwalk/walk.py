@@ -5,6 +5,8 @@ statistics themselves (measure estimates, log-distance fits, entropy) are
 floating point and flagged as such.  Randomness comes from a counter-based
 Philox stream keyed by (model seed, stream index), so every report is a
 deterministic function of the model, the seed and the parameters.
+numpy is imported only inside the functions that draw or average, so runs
+that draw nothing (verify, find-measure, giet-blowup) never load it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .rational import affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat
 from .maps import (PAHomeo, _apply, apply, break_points, compose,
@@ -79,9 +79,10 @@ def make_model(space, named_gens: dict, probs=None, seed: int = 0) -> WalkModel:
     return WalkModel(space, names, gens, tuple(rat(p) for p in probs), seed)
 
 
-def _philox(seed: int, stream: int) -> np.random.Generator:
+def _philox(seed: int, stream: int):
     """The Philox generator keyed by (seed, stream), each taken mod 2**64;
     an explicit uint64 key keeps keys of 2**63 and more exact."""
+    import numpy as np
     return np.random.Generator(np.random.Philox(
         key=np.array([seed % TWO64, stream % TWO64], dtype=np.uint64)))
 
@@ -102,6 +103,7 @@ class Trajectory:
         for p in model.probs[:-1]:
             cum += p
             cuts.append(int(cum * TWO64))
+        import numpy as np
         self._cuts = np.array(cuts, dtype=np.uint64)
         # the forward and backward words computed so far, by length
         self._fwd = {0: identity_map(model.space)}
@@ -109,6 +111,7 @@ class Trajectory:
 
     def index(self, k: int) -> int:
         while len(self._indices) <= k:
+            import numpy as np
             draws = self._rng.integers(0, TWO64 - 1, size=self.CHUNK,
                                        dtype=np.uint64, endpoint=True)
             self._indices += np.searchsorted(self._cuts, draws, side="right").tolist()
@@ -228,6 +231,7 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int,
             x = s * x + o
     # x may drift into a gap; past the gap's midpoint it counts to the next cell
     mids = [(h + l) / 2 for h, l in zip(his, los[1:])]
+    import numpy as np
     counts = np.bincount(np.searchsorted(mids, visited), minlength=len(cells))
     masses = counts / counts.sum()
     return CellMeasure(depth, tuple(float(m) for m in masses), False)
@@ -451,6 +455,7 @@ def dichotomy_report(model: WalkModel, pairs, delta=DEFAULT_DELTA,
         counts[verdict] += 1
         if verdict == "synchronized" and rat(x) != rat(y):
             rates.append(rate)
+    import numpy as np
     lam = float(np.mean(rates)) if rates else 0.0
     return DichotomyReport(delta, lam, counts["synchronized"],
                            counts["separated"], counts["undecided"], n)
@@ -666,6 +671,7 @@ def delta_sum_statistic(model: WalkModel, points, n: int, runs: int,
         sums.append(s)
         q = max(1, n // 4)
         increments.append((partial[-1] - partial[-1 - q]) / q)
+    import numpy as np
     return (float(np.mean(sums)), float(np.max(sums)),
             float(np.mean(increments)))
 

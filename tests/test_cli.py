@@ -3,11 +3,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import cantorwalk
 from cantorwalk.cli import (BUDGET_ENV, DEFAULT_BUDGETS, ScenarioError,
                             _budget, _env_budgets, main, parse_scenario, run_scenario,
                             _load_scenario_text)
@@ -198,6 +201,37 @@ def test_main_free_pair_and_verify(tmp_path, capsys):
         json.dump(obj, fh)
     assert main(["verify", bad_path]) == 1
     assert "INVALID" in capsys.readouterr().out
+
+
+# runs the commands given as JSON argv lists in one interpreter and prints,
+# per command, its exit code and whether numpy has been imported by then
+COLD_START = """
+import json, sys
+from cantorwalk import cli
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    print(json.dumps([argv[0], code, "numpy" in sys.modules]), file=sys.stderr)
+"""
+
+
+def test_commands_that_draw_nothing_never_import_numpy(tmp_path):
+    # verify, find-measure and giet-blowup start without numpy; simulate
+    # draws its walk from numpy's Philox, so it loads numpy
+    assert main(["certify-free", "free_pair", "--out", str(tmp_path)]) == 0
+    out = str(tmp_path / "fresh")
+    argvs = [["verify", str(tmp_path / "free_pair_certificate.json")],
+             ["find-measure", "klein_four", "--out", out],
+             ["giet-blowup", "rotation_third", "--out", out],
+             ["simulate", "g3", "--out", out]]
+    src = str(Path(cantorwalk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    p = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)],
+                       env=env, capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    assert [json.loads(line) for line in p.stderr.splitlines()] == [
+        ["verify", 0, False], ["find-measure", 0, False],
+        ["giet-blowup", 0, False], ["simulate", 0, True]]
 
 
 @pytest.mark.xfail(strict=True, reason="ping-pong certificates carry no "

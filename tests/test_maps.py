@@ -1,19 +1,70 @@
 """Oracles for piecewise-affine homeomorphisms of the ternary Cantor set."""
 
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorwalk.maps import (Branch, BreakPair, MapError, PrefixTable, apply,
-                             break_pairs, break_points, compose, distortion,
-                             equals, from_prefix_table, identity_map, image,
-                             invert, is_identity, is_regular_on, pa_homeo,
-                             power, regularity_radius, slope_range)
-from cantorwalk.space import Ifs, Region, ternary_cantor
+from cantorwalk.maps import (Branch, BreakPair, MapError, PAHomeo, PrefixTable,
+                             apply, break_pairs, break_points, compose, equals,
+                             from_prefix_table, identity_map, image, invert,
+                             is_identity, is_regular_on, pa_homeo, power,
+                             regularity_radius)
+from cantorwalk.space import Ifs, Piece, Region, ternary_cantor
 
 from fixtures import TABLES, cantor_space, fixture
+
+
+# ---------------------------------------------------------------------------
+# slope and distortion references; no CLI run reports them
+
+
+def slope_range(f: PAHomeo, S: Region) -> tuple[F, F]:
+    """(min, max) of |slope| over branches meeting S inside K."""
+    mags = [abs(b.slope) for b in f.branches
+            if S._meets_where((Piece._make(b.pairs[:2] + (True, True)),), operator.and_)]
+    if not mags:
+        raise MapError("region meets no branch")
+    return min(mags), max(mags)
+
+
+def distortion(f: PAHomeo, B: Region) -> F:
+    """Sup over max/min of difference quotients |f(x)-f(y)|/|x-y| on B∩K.
+
+    f is affine per branch, so the quotient is monotone in each argument
+    between breakpoints and the extremes occur at a finite candidate set:
+    region piece endpoints, ambient interval endpoints and branch endpoints
+    that belong to B.  Open piece boundaries are included (the quotient
+    extends continuously, so the sup is unchanged).
+    """
+    K = f.space
+    cand = set()
+    for p in B.pieces:
+        for v in (p.lo, p.hi):
+            if K.contains(v) and (B.contains(v) or
+                                  any(q.lo <= v <= q.hi for q in B.pieces)):
+                cand.add(v)
+    for l, r in K.intervals:
+        for v in (l, r):
+            if B.contains(v):
+                cand.add(v)
+    for b in f.branches:
+        for v in (b.lo, b.hi):
+            if B.contains(v):
+                cand.add(v)
+    pts = sorted(cand)
+    if len(pts) < 2:
+        raise MapError("degenerate region for distortion")
+    vals = [apply(f, x) for x in pts]
+    qmax = qmin = None
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            q = abs(vals[j] - vals[i]) / (pts[j] - pts[i])
+            qmax = q if qmax is None else max(qmax, q)
+            qmin = q if qmin is None else min(qmin, q)
+    return qmax / qmin
 
 K = cantor_space(3)
 H = fixture("H", K)

@@ -8,9 +8,50 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk.space import (CompactSet, Ifs, Piece, PointSet, Region, SpaceError,
-                              delta_m, epsilon_neighborhood,
-                              hausdorff_distance, point_to_set_distance,
-                              ternary_cantor)
+                              epsilon_neighborhood, ternary_cantor)
+
+
+# ---------------------------------------------------------------------------
+# exact distance references; no CLI run reports them
+
+
+def delta_m(points: PointSet) -> F:
+    """Minimal pairwise distance among the points."""
+    if len(points) < 2:
+        raise SpaceError("delta_m needs at least two points")
+    pts = points.points
+    return min(b - a for a, b in zip(pts, pts[1:]))
+
+
+def point_to_set_distance(x: F, k: CompactSet) -> F:
+    best = None
+    for l, r in k.intervals:
+        if x < l:
+            d = l - x
+        elif x > r:
+            d = x - r
+        else:
+            return F(0)
+        best = d if best is None else min(best, d)
+    return best
+
+
+def hausdorff_distance(a: CompactSet, b: CompactSet) -> F:
+    """Exact Hausdorff distance between two interval unions.
+
+    sup_{x in A} d(x, B) is attained at an endpoint of A or at a midpoint of
+    a gap of B lying inside A, so a finite candidate scan is exact.
+    """
+
+    def one_sided(src: CompactSet, dst: CompactSet) -> F:
+        candidates = src.endpoints()
+        for (l1, r1), (l2, r2) in zip(dst.intervals, dst.intervals[1:]):
+            mid = (r1 + l2) / 2
+            if src.contains(mid):
+                candidates.append(mid)
+        return max(point_to_set_distance(x, dst) for x in candidates)
+
+    return max(one_sided(a, b), one_sided(b, a))
 
 
 def test_normalization():
