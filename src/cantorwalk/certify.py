@@ -10,11 +10,10 @@ budget yields a falsy failure report, never an unverified claim.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import islice
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .rational import affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat
 from .maps import (PAHomeo, apply, compose, equals, identity_map, image,
@@ -34,8 +33,7 @@ class CertifyError(ValueError):
 # certificate types
 
 
-@dataclass(frozen=True)
-class PingPongCertificate:
+class PingPongCertificate(NamedTuple):
     a1: PAHomeo
     a2: PAHomeo
     A1: Region
@@ -44,30 +42,26 @@ class PingPongCertificate:
     B2: Region
 
 
-@dataclass(frozen=True)
-class InvariantMeasureCertificate:
+class InvariantMeasureCertificate(NamedTuple):
     gens: tuple  # the generator maps, in order
     depth: int
     measure: CellMeasure
     consistency_depth: int
 
 
-@dataclass(frozen=True)
-class FiniteOrbitCertificate:
+class FiniteOrbitCertificate(NamedTuple):
     gens: tuple  # the generator maps, in order
     orbit: PointSet
 
 
-@dataclass(frozen=True)
-class MorseSmaleCertificate:
+class MorseSmaleCertificate(NamedTuple):
     g: PAHomeo
     periodic: tuple  # (point, period, multiplier) triples
     A: Region
     B: Region
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     ok: bool
     reason: Optional[str] = None
 
@@ -75,37 +69,34 @@ class Verdict:
         return self.ok
 
 
-class _Failure:
-    """A report of a search that proved nothing: always falsy."""
-
-    def __bool__(self) -> bool:
-        return False
+def _failure(self) -> bool:
+    """A report of a search that proved nothing is always falsy."""
+    return False
 
 
-@dataclass(frozen=True)
-class InfeasibilityReport(_Failure):
+class InfeasibilityReport(NamedTuple):
     """The invariance system has no solution; gap is the exact positive
     phase-1 optimum witnessing infeasibility."""
     depth: int
     gap: Fraction
+    __bool__ = _failure
 
 
-@dataclass(frozen=True)
-class UnprovedMeasure(_Failure):
+class UnprovedMeasure(NamedTuple):
     """The expressible invariance equations have a solution, but `skipped`
     equations are not expressible on the depth-d cells."""
     depth: int
     skipped: int
+    __bool__ = _failure
 
 
-@dataclass(frozen=True)
-class AssemblyFailure(_Failure):
+class AssemblyFailure(NamedTuple):
     stage: str
     flag: Optional[str] = None
+    __bool__ = _failure
 
 
-@dataclass(frozen=True)
-class DisplacementResult:
+class DisplacementResult(NamedTuple):
     word: Optional[PAHomeo]
     flag: Optional[str] = None
 
@@ -288,11 +279,10 @@ def find_contraction(model: WalkModel, eps, p_cap: int = 4, n_max: int = 40,
     return None
 
 
-@dataclass(frozen=True)
-class StabilizedPair:
+class StabilizedPair(NamedTuple):
     A: tuple
     B: tuple
-    flags: dict = field(default_factory=dict)
+    flags: dict
 
 
 def stabilize_contraction_pair(pairs, radius) -> StabilizedPair:
@@ -572,8 +562,7 @@ def verify_finite_orbit(cert: FiniteOrbitCertificate) -> Verdict:
 # periodic points and Morse-Smale
 
 
-@dataclass(frozen=True)
-class PeriodicReport:
+class PeriodicReport(NamedTuple):
     points: tuple  # (point, period, multiplier), least periods, sorted
     families: tuple  # (lo, hi, period) intervals of non-hyperbolic points
 

@@ -16,8 +16,8 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from .rational import rat, rat_str
 from .space import CompactSet, ternary_cantor
@@ -42,17 +42,16 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     kind: str
-    space: CompactSet = None  # None for giet-blowup
-    generators: dict = field(default_factory=dict)  # name -> PAHomeo
-    probabilities: tuple = None  # Fractions aligned with generators; None: uniform
-    seed: int = 0
-    budgets: dict = field(default_factory=dict)
-    giets: tuple = ()  # of giet.Giet
-    blowup: dict = field(default_factory=dict)
-    output: str = "scenario"
+    space: CompactSet  # None for giet-blowup
+    generators: dict  # name -> PAHomeo
+    probabilities: tuple  # Fractions aligned with generators; None: uniform
+    seed: int
+    budgets: dict
+    giets: tuple  # of giet.Giet
+    blowup: dict
+    output: str
 
 
 def _env_budgets() -> dict:
@@ -145,7 +144,7 @@ def parse_scenario(text: str) -> Scenario:
                         budgets=budgets, giets=giets, blowup=blowup,
                         output=output)
     except (KeyError, TypeError, AttributeError, IndexError,
-            json.JSONDecodeError) as e:
+            json.JSONDecodeError, RecursionError) as e:
         raise ScenarioError(f"malformed scenario ({type(e).__name__}: {e})") from None
 
 # ---------------------------------------------------------------------------
@@ -310,7 +309,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             with open(args.certificate) as fh:
-                obj = json.load(fh)
+                try:
+                    obj = json.load(fh)
+                except RecursionError as e:  # nesting too deep to decode
+                    raise ser.SerializeError(f"malformed certificate ({e})") from None
             verdict = ser.verify_certificate(obj)
             if verdict:
                 print("VERIFIED")

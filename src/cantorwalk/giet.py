@@ -9,10 +9,9 @@ maps sit exactly at the blown discontinuities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .rational import rat
 from .maps import (Branch, MapError, PAHomeo, invert_branches, orbit_bfs,
@@ -24,8 +23,7 @@ class GietError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Giet:
+class Giet(NamedTuple):
     a: Fraction
     b: Fraction
     branches: tuple[Branch, ...]  # increasing; the source of each is [lo, hi)
@@ -147,8 +145,7 @@ def _preimage(g: Giet, y: Fraction) -> Optional[Fraction]:
 # one-sided orbits
 
 
-@dataclass(frozen=True)
-class SidedOrbit:
+class SidedOrbit(NamedTuple):
     base: Fraction
     side: str
     points: tuple[Fraction, ...]
@@ -173,8 +170,7 @@ def one_sided_orbit(gens: Sequence[Giet], x, side: str, bound: int) -> SidedOrbi
 # blow-up
 
 
-@dataclass(frozen=True)
-class BlowUpResult:
+class BlowUpResult(NamedTuple):
     space: CompactSet
     induced: tuple[PAHomeo, ...]
     blown_points: tuple[tuple[Fraction, Fraction], ...]  # (c, alpha_c)

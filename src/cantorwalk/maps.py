@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import bisect
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .rational import affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat
-from .space import CompactSet, Piece, Region, _normalize_intervals
+from .space import CompactSet, Piece, Region, _Frozen, _normalize_intervals
 
 
 class MapError(ValueError):
@@ -33,19 +32,26 @@ def _inverse(s: tuple, o: tuple) -> tuple:
     return t, affine(t, (-o[0], o[1]))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Branch:
+class Branch(_Frozen):
     """x -> slope*x + offset on the closed source [lo, hi].  `pairs` holds lo,
     hi, slope, offset and the sorted image ends as reduced (numerator,
     denominator > 0) int pairs, which equality compares and the kernels use;
     the Fraction views lo, hi, slope, offset and ends are built when read."""
 
-    pairs: tuple
+    __slots__ = ("pairs",)
 
     def __init__(self, lo, hi, slope, offset):
         lo, hi, s, o = ((v.numerator, v.denominator) for v in (lo, hi, slope, offset))
         a, b = affine(s, lo, o), affine(s, hi, o)
         object.__setattr__(self, "pairs", (lo, hi, s, o, *sorted((a, b), key=pair_key)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash((self.pairs,))
 
     @classmethod
     def from_pairs(cls, pairs: tuple) -> "Branch":
@@ -70,11 +76,22 @@ def inverse_name(name: str) -> str:
     return name[:-3] if name.endswith("^-1") else name + "^-1"
 
 
-@dataclass(frozen=True)
-class PAHomeo:
-    space: CompactSet
-    branches: tuple[Branch, ...]
-    label: tuple[str, ...] = ()
+class PAHomeo(_Frozen):
+    __slots__ = ("space", "branches", "label", "__dict__")  # __dict__ holds _src_keys
+
+    def __init__(self, space: CompactSet, branches: tuple, label: tuple[str, ...] = ()):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.space, self.branches, self.label) == (
+            other.space, other.branches, other.label)
+
+    def __hash__(self):
+        return hash((self.space, self.branches, self.label))
 
     @cached_property
     def _src_keys(self) -> tuple[list, list]:
@@ -256,8 +273,7 @@ def identity_map(space: CompactSet) -> PAHomeo:
 # prefix tables
 
 
-@dataclass(frozen=True)
-class PrefixTable:
+class PrefixTable(NamedTuple):
     """Rules (source address, target address, sign) over an IFS alphabet."""
 
     rules: tuple[tuple[str, str, int], ...]
@@ -364,8 +380,7 @@ def is_identity(f: PAHomeo) -> bool:
 # break pairs and regularity
 
 
-@dataclass(frozen=True, order=True)
-class BreakPair:
+class BreakPair(NamedTuple):
     a: Fraction
     b: Fraction
 

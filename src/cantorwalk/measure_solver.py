@@ -9,13 +9,11 @@ pivot skip zero entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     solution: Optional[tuple[Fraction, ...]]
     gap: Fraction  # phase-1 optimum; 0 iff feasible

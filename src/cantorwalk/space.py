@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd, prod
@@ -26,12 +25,42 @@ class SpaceError(ValueError):
     pass
 
 
+class _Frozen:
+    """Base of the immutable classes: __init__ sets each field once through
+    object.__setattr__, and assigning or deleting an attribute raises.
+    Instances of one class are equal when their __slots__ are; a class whose
+    slots hold caches, or that is compared in hot loops, writes its equality
+    and hash out."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in type(self).__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                           for f in type(self).__slots__ if not f.startswith("_"))
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # iterated function systems
 
 
-@dataclass(frozen=True)
-class Ifs:
+class Ifs(_Frozen):
     """Finitely many increasing affine contractions x -> ratio*x + offset.
 
     Maps are ordered left to right; their images of the convex hull must be
@@ -39,11 +68,13 @@ class Ifs:
     is one character, so an address has one character per level.
     """
 
-    ratios: tuple[Fraction, ...]
-    offsets: tuple[Fraction, ...]
-    symbols: tuple[str, ...]
+    __slots__ = ("ratios", "offsets", "symbols", "hull", "_int_hull",
+                 "_unit_children", "_int_children", "_int_inverses")
 
-    def __post_init__(self):
+    def __init__(self, ratios: tuple, offsets: tuple, symbols: tuple[str, ...]):
+        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "symbols", symbols)
         if not (len(self.ratios) == len(self.offsets) == len(self.symbols)):
             raise SpaceError("IFS component lists must have equal length")
         if len(self.ratios) < 2:
@@ -75,6 +106,15 @@ class Ifs:
         object.__setattr__(self, "_int_inverses", tuple(
             (o.denominator * r.denominator, o.numerator * r.denominator,
              o.denominator * r.numerator) for r, o in zip(self.ratios, self.offsets)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.ratios, self.offsets, self.symbols) == (
+            other.ratios, other.offsets, other.symbols)
+
+    def __hash__(self):
+        return hash((self.ratios, self.offsets, self.symbols))
 
     def _child_pairs(self, lo: tuple, hi: tuple) -> list[tuple[tuple, tuple]]:
         """The child cylinders of the cylinder [lo, hi], left to right: the
@@ -195,20 +235,24 @@ def _normalize_intervals(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple((p.lo, p.hi) for p in _normalize_pieces(cleaned))
 
 
-@dataclass(frozen=True)
-class Gap:
-    kind: str  # "bounded" | "left-unbounded" | "right-unbounded"
-    left: Optional[Fraction]
-    right: Optional[Fraction]
-
-
-@dataclass(frozen=True)
-class CompactSet:
+class CompactSet(_Frozen):
     """Finite union of disjoint closed rational intervals, sorted."""
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-    ifs: Optional[Ifs] = None
-    depth: int = 0
+    __slots__ = ("intervals", "ifs", "depth", "__dict__")  # __dict__ holds _keys
+
+    def __init__(self, intervals: tuple, ifs: Optional[Ifs] = None, depth: int = 0):
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "ifs", ifs)
+        object.__setattr__(self, "depth", depth)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.intervals, self.ifs, self.depth) == (
+            other.intervals, other.ifs, other.depth)
+
+    def __hash__(self):
+        return hash((self.intervals, self.ifs, self.depth))
 
     @staticmethod
     def from_intervals(pairs) -> "CompactSet":
@@ -230,11 +274,6 @@ class CompactSet:
     @property
     def hull(self) -> tuple[Fraction, Fraction]:
         return self.intervals[0][0], self.intervals[-1][1]
-
-    @property
-    def diameter(self) -> Fraction:
-        lo, hi = self.hull
-        return hi - lo
 
     def __contains__(self, x) -> bool:
         return self.contains(rat(x))
@@ -278,16 +317,6 @@ class CompactSet:
             if r != l:
                 pts.append(r)
         return pts
-
-    def gaps(self) -> list[Gap]:
-        out = [Gap("left-unbounded", None, self.intervals[0][0])]
-        for (l1, r1), (l2, r2) in zip(self.intervals, self.intervals[1:]):
-            out.append(Gap("bounded", r1, l2))
-        out.append(Gap("right-unbounded", self.intervals[-1][1], None))
-        return out
-
-    def bounded_gaps(self) -> list[tuple[Fraction, Fraction]]:
-        return [(g.left, g.right) for g in self.gaps() if g.kind == "bounded"]
 
     def _gap_pairs(self, t: tuple) -> tuple:
         """The bounded gaps of the true set (with IFS structure, of the limit
@@ -355,12 +384,14 @@ def ternary_cantor(depth: int) -> CompactSet:
 # point sets
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(_Frozen):
     """Finite sorted set of rationals, all members of an ambient set."""
 
-    space: CompactSet
-    points: tuple[Fraction, ...]
+    __slots__ = ("space", "points")
+
+    def __init__(self, space: CompactSet, points: tuple[Fraction, ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "points", points)
 
     @staticmethod
     def of(space: CompactSet, points: Iterable) -> "PointSet":
@@ -467,8 +498,7 @@ def _meets(p: Piece, l: tuple, r: tuple) -> bool:
             and (hi_closed or pair_cmp(r, hi) < 0))
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(_Frozen):
     """A finite union of flagged rational intervals intersected with K.
 
     The pieces are sorted, disjoint and maximal: no two of them overlap or
@@ -478,8 +508,19 @@ class Region:
     the hull of K; on K it is the same set.
     """
 
-    space: CompactSet
-    pieces: tuple[Piece, ...]
+    __slots__ = ("space", "pieces")
+
+    def __init__(self, space: CompactSet, pieces: tuple[Piece, ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "pieces", pieces)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.space, self.pieces) == (other.space, other.pieces)
+
+    def __hash__(self):
+        return hash((self.space, self.pieces))
 
     @staticmethod
     def whole(space: CompactSet) -> "Region":
@@ -536,9 +577,6 @@ class Region:
     def disjoint_from(self, other: "Region") -> bool:
         return not self._meets_where(other.pieces, operator.and_)
 
-    def same_set(self, other: "Region") -> bool:
-        return self.subset_of(other) and other.subset_of(self)
-
     # -- metric queries -----------------------------------------------------
 
     def infimum(self) -> Fraction:
@@ -554,9 +592,6 @@ class Region:
                 if _meets(p, l, r):
                     return coprime_fraction(*min(r, p[1], key=pair_key))
         raise SpaceError("empty region has no supremum")
-
-    def diameter(self) -> Fraction:
-        return self.supremum() - self.infimum()
 
 
 def epsilon_neighborhood(points: Iterable, eps, space: CompactSet) -> Region:

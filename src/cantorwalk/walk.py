@@ -14,15 +14,14 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .rational import affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat
 from .maps import (PAHomeo, _apply, apply, break_points, compose,
                    identity_map, image, invert, equals)
-from .space import CompactSet, Piece, Region, epsilon_neighborhood
+from .space import CompactSet, Piece, Region, _Frozen, epsilon_neighborhood
 
 TWO64 = 2 ** 64
 
@@ -39,15 +38,15 @@ class WalkError(ValueError):
 # model and trajectories
 
 
-@dataclass(frozen=True)
-class WalkModel:
-    space: CompactSet
-    names: tuple[str, ...]
-    gens: tuple[PAHomeo, ...]
-    probs: tuple[Fraction, ...]
-    seed: int
+class WalkModel(_Frozen):
+    __slots__ = ("space", "names", "gens", "probs", "seed")
 
-    def __post_init__(self):
+    def __init__(self, space: CompactSet, names: tuple, gens: tuple, probs: tuple, seed: int):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "seed", seed)
         if not (len(self.names) == len(self.gens) == len(self.probs)):
             raise WalkError("names, generators and probabilities must align")
         if len(set(self.names)) != len(self.names):
@@ -179,13 +178,13 @@ def measure_cells(space: CompactSet, depth: int):
     return list(space.intervals)
 
 
-@dataclass(frozen=True)
-class CellMeasure:
-    depth: int
-    masses: tuple
-    exact: bool
+class CellMeasure(_Frozen):
+    __slots__ = ("depth", "masses", "exact")
 
-    def __post_init__(self):
+    def __init__(self, depth: int, masses: tuple, exact: bool):
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "exact", exact)
         total = sum(self.masses)
         if self.exact:
             if total != 1:
@@ -319,8 +318,7 @@ def invariance_residual(mu: CellMeasure, model: WalkModel):
 # entropy
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(NamedTuple):
     h_estimate: float
     per_generator: tuple
     depth: int
@@ -434,8 +432,7 @@ def classify_pair(t: Trajectory, x, y, delta=DEFAULT_DELTA, n: int = 60) -> str:
     return _pair_verdict(t, x, y, delta, n)[0]
 
 
-@dataclass(frozen=True)
-class DichotomyReport:
+class DichotomyReport(NamedTuple):
     delta: Fraction
     lambda_fit: float
     synchronized: int
@@ -465,8 +462,7 @@ def dichotomy_report(model: WalkModel, pairs, delta=DEFAULT_DELTA,
 # attractor / repulsor scan
 
 
-@dataclass(frozen=True)
-class CellScan:
+class CellScan(NamedTuple):
     verdicts: tuple[str, ...]  # attractor | repulsor | undecided per cell
     delta: Fraction
     depth: int
@@ -611,8 +607,7 @@ def backward_cluster(model: WalkModel, x, n: int, runs: int,
 # proximality
 
 
-@dataclass(frozen=True)
-class ProximalityReport:
+class ProximalityReport(NamedTuple):
     m_estimate: Optional[int]
     cap: int
     samples: int
@@ -680,8 +675,7 @@ def delta_sum_statistic(model: WalkModel, points, n: int, runs: int,
 # global contraction report
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(NamedTuple):
     F: tuple[Fraction, ...]
     p: Optional[int]  # None is the infinity sentinel
     lambda_fit: float

@@ -31,6 +31,7 @@ from cantorwalk.walk import (Trajectory, backward_cluster, contraction_scan,
                              make_model, uniform_cell_measure)
 
 from fixtures import cantor_space, fixture, named_generators
+from test_space import bounded_gaps, diameter
 
 K = cantor_space(3)
 A1 = fixture("A1", K)
@@ -184,7 +185,7 @@ def test_criterion_7_global_contraction():
         model = make_model(K, FREE_GENS, seed=seed)
         t = Trajectory(model, stream=0)
         scan = contraction_scan(t, 3, 40)
-        assert scan.repulsor_count * F(1, 9) <= K.diameter
+        assert scan.repulsor_count * F(1, 9) <= diameter(K)
         rep = global_contraction_report(t, 3, 40, F(1, 27))
         if rep.p is not None and rep.p <= 4 and rep.lambda_fit > 0.05:
             successes += 1
@@ -309,11 +310,11 @@ def test_criterion_12_giet_blowup():
     # break points sit exactly at the gap extremities blown from the
     # genuine jump points (gaps blown at continuity preimages map
     # gap-to-gap, so they produce no break pair)
-    extremities = {v for gp in res.space.bounded_gaps() for v in gp}
+    extremities = {v for gp in bounded_gaps(res.space) for v in gp}
     jump_ext = set()
     for c in rot.jump_points():
         fc = res.conjugate_point(c)
-        gap = next(gp for gp in res.space.bounded_gaps() if gp[1] == fc)
+        gap = next(gp for gp in bounded_gaps(res.space) if gp[1] == fc)
         jump_ext.update(gap)
     bpts = set(break_points(g))
     ok = ok and bpts == jump_ext and bpts <= extremities

@@ -203,20 +203,28 @@ def test_main_free_pair_and_verify(tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().out
 
 
-# runs the commands given as JSON argv lists in one interpreter and prints,
-# per command, its exit code and whether numpy has been imported by then
+# imports the CLI and runs the commands given as JSON argv lists in one
+# interpreter; prints, after the import and after each command, its name,
+# its exit code and whether numpy, dataclasses and inspect are loaded by then
 COLD_START = """
 import json, sys
 from cantorwalk import cli
+
+def loaded(step, code):
+    mods = [m in sys.modules for m in ("numpy", "dataclasses", "inspect")]
+    print(json.dumps([step, code, *mods]), file=sys.stderr)
+
+loaded("import", None)
 for argv in json.loads(sys.argv[1]):
-    code = cli.main(argv)
-    print(json.dumps([argv[0], code, "numpy" in sys.modules]), file=sys.stderr)
+    loaded(argv[0], cli.main(argv))
 """
 
 
-def test_commands_that_draw_nothing_never_import_numpy(tmp_path):
-    # verify, find-measure and giet-blowup start without numpy; simulate
-    # draws its walk from numpy's Philox, so it loads numpy
+def test_cold_start_imports_neither_numpy_nor_dataclasses(tmp_path):
+    # the import and verify, find-measure and giet-blowup load neither numpy
+    # nor dataclasses, nor the inspect module dataclasses imports; simulate
+    # draws its walk from numpy's Philox, so it loads numpy, and numpy
+    # imports inspect itself
     assert main(["certify-free", "free_pair", "--out", str(tmp_path)]) == 0
     out = str(tmp_path / "fresh")
     argvs = [["verify", str(tmp_path / "free_pair_certificate.json")],
@@ -229,9 +237,12 @@ def test_commands_that_draw_nothing_never_import_numpy(tmp_path):
     p = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)],
                        env=env, capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
-    assert [json.loads(line) for line in p.stderr.splitlines()] == [
-        ["verify", 0, False], ["find-measure", 0, False],
-        ["giet-blowup", 0, False], ["simulate", 0, True]]
+    steps = [json.loads(line) for line in p.stderr.splitlines()]
+    assert [step[:4] for step in steps] == [
+        ["import", None, False, False], ["verify", 0, False, False],
+        ["find-measure", 0, False, False], ["giet-blowup", 0, False, False],
+        ["simulate", 0, True, False]]
+    assert [inspect for *_, inspect in steps[:4]] == [False] * 4
 
 
 @pytest.mark.xfail(strict=True, reason="ping-pong certificates carry no "
@@ -410,6 +421,25 @@ def test_malformed_scenario_exits_1(tmp_path, capsys, doc):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["verify", "certify-free"])
+def test_deeply_nested_json_exits_1(tmp_path, capsys, command):
+    # json.dumps cannot build this document, and json.load gives up on it
+    # with a RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, str(path)] + (["--out", str(out)] if command != "verify" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("error: malformed " + (
+        "certificate" if command == "verify" else "scenario"))
+    assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json", "out"]
     assert not any(out.iterdir())
 
 

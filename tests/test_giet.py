@@ -8,6 +8,8 @@ from cantorwalk.giet import (GietError, blow_up, discontinuity_closure,
                              giet_from_branches, one_sided_orbit, rotation)
 from cantorwalk.maps import apply, break_pairs, break_points, is_identity
 
+from test_space import bounded_gaps
+
 ROT3 = rotation((0, 1), F(1, 3))
 SWAP = giet_from_branches((0, 1), [(0, F(1, 2), 1, F(1, 2)),
                                    (F(1, 2), 1, 1, F(-1, 2))])
@@ -79,7 +81,7 @@ def test_blow_up_rotation_third():
     assert len(res.blown_points) == 3
     # the blown point at the hull's left edge opens no interior gap, so the
     # compact set carries one bounded gap per blown point strictly inside
-    assert len(res.space.bounded_gaps()) == 2
+    assert len(bounded_gaps(res.space)) == 2
     g = res.induced[0]
     # conjugacy F o rot = induced o F on sampled points
     for i in range(50):
@@ -91,7 +93,7 @@ def test_blow_up_rotation_third():
     expected = set()
     for c, _ in res.blown_points:
         if c in jumps:
-            gap = next(gp for gp in res.space.bounded_gaps()
+            gap = next(gp for gp in bounded_gaps(res.space)
                        if gp[0] < res.conjugate_point(c) <= gp[1])
             expected.update(gap)
     assert set(break_points(g)) == expected
@@ -104,7 +106,7 @@ def test_blow_up_swap():
     assert is_identity(g) is False
     # the induced map swaps the two cells and breaks exactly at the blown
     # {1/2} gap
-    gap = res.space.bounded_gaps()[0]
+    gap = bounded_gaps(res.space)[0]
     assert set(break_points(g)) == set(gap)
 
 
@@ -114,7 +116,7 @@ def test_blow_up_identity_giet():
     assert res.exact
     assert is_identity(res.induced[0])
     assert break_pairs(res.induced[0]) == []
-    assert len(res.space.bounded_gaps()) == 1
+    assert len(bounded_gaps(res.space)) == 1
 
 
 def test_blow_up_rejects_bad_weight():

@@ -49,7 +49,7 @@ from cantorwalk.walk import (SPLIT_DEPTH, CellMeasure, _region_mass,
                              run_diameters)
 
 from fixtures import TABLES, fixture
-from test_space import NEGATIVE, THREE_MAPS
+from test_space import NEGATIVE, THREE_MAPS, bounded_gaps, region_diameter
 
 TERNARY = Ifs((F(1, 3), F(1, 3)), (F(0), F(2, 3)), ("0", "2"))
 UNEQUAL = Ifs((F(1, 4), F(1, 3)), (F(0), F(2, 3)), ("0", "2"))
@@ -240,7 +240,7 @@ def break_candidates_ref(f):
     whose image holds an interval of K, every bounded gap."""
     K = f.space
     if K.ifs is None:
-        return set(K.bounded_gaps())
+        return set(bounded_gaps(K))
     bounds = {x for b in f.branches for x in (b.lo, b.hi)} - set(K.hull)
     return {g for t in bounds for g in K.gaps_at(t)}
 
@@ -409,7 +409,7 @@ def test_cell_image_diameter_series_matches_image_regions(data):
                   for runs in cell_image_runs(walk, cells, len(steps)))
         for w, diams in zip(words, series, strict=True):
             assert diams == [
-                image(w, Region(K, (Piece(l, r, True, True),))).diameter()
+                region_diameter(image(w, Region(K, (Piece(l, r, True, True),))))
                 for l, r in cells]
 
 
@@ -449,7 +449,7 @@ def test_maps_into_matches_image_inclusion(word, data):
     letters, w = word
     K = w.space
     marks = sorted({x for iv in K.intervals for x in iv} |
-                   {(a + b) / 2 for a, b in K.bounded_gaps()})
+                   {(a + b) / 2 for a, b in bounded_gaps(K)})
     a, b = sorted(data.draw(st.lists(st.sampled_from(marks), min_size=2,
                                      max_size=2, unique=True)))
     S = data.draw(st.one_of(regions(K), st.builds(
@@ -627,7 +627,7 @@ def test_queries_on_pieces_touching_k(space):
     # end of an interval of K or of a branch source, or not at all
     K = CompactSet.from_ifs(*space)
     marks = sorted({x for iv in K.intervals for x in iv} |
-                   {(a + b) / 2 for a, b in K.bounded_gaps()})
+                   {(a + b) / 2 for a, b in bounded_gaps(K)})
     for a, b in zip(marks, marks[1:]):
         for flags in product((True, False), repeat=2):
             T = Region(K, (Piece(a, b, *flags),))

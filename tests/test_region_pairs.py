@@ -19,6 +19,7 @@ from cantorwalk.maps import image, maps_into
 from cantorwalk.space import Piece, Region
 
 from test_lookups import infimum_ref, is_empty_ref, letter_words, supremum_ref
+from test_space import bounded_gaps
 
 FPiece = namedtuple("FPiece", "lo hi lo_closed hi_closed")
 
@@ -107,7 +108,7 @@ def marks(K):
     points, one of them inside K's hull."""
     lo, hi = K.hull
     return sorted({x for iv in K.intervals for x in iv} |
-                  {(a + b) / 2 for a, b in K.bounded_gaps()} |
+                  {(a + b) / 2 for a, b in bounded_gaps(K)} |
                   {lo - 1, hi + 1, (lo + hi) / 3})
 
 

@@ -24,6 +24,7 @@ from cantorwalk.walk import (TWO64, CellMeasure, Trajectory, WalkError, _philox,
 
 from fixtures import cantor_space, fixture, named_generators
 from test_lookups import PLAIN_LETTERS, _alphabets
+from test_space import diameter
 
 K = cantor_space(3)
 KLEIN = make_model(K, named_generators(["H", "R"]))
@@ -159,7 +160,7 @@ def test_contraction_scan_oracles():
     # G3 attracts everything except the fixed repeller at 1
     scan2 = contraction_scan(Trajectory(G3_ONLY, 0), 2, 30)
     assert scan2.verdicts == ("attractor", "attractor", "attractor", "repulsor")
-    assert scan2.repulsor_count * scan2.delta <= K.diameter
+    assert scan2.repulsor_count * scan2.delta <= diameter(K)
 
 
 def test_break_accumulation_oracles():
