@@ -15,8 +15,9 @@ from functools import partial, reduce
 from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
-from .rational import affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat
-from .maps import (PAHomeo, apply, compose, equals, identity_map, image,
+from .rational import (affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat,
+                       value_order)
+from .maps import (PAHomeo, _apply, apply, compose, equals, identity_map, image,
                    invert, is_identity, maps_into, orbit_bfs)
 from .space import Piece, PointSet, Region, epsilon_neighborhood
 from .measure_solver import solve_feasibility
@@ -156,12 +157,14 @@ def find_finite_orbit(gens: dict, starts, bound: int = 2000):
     if bound < 1:
         raise CertifyError("bound must be at least 1")
     maps = list(gens.values())
-    ops = [partial(apply, g) for g in maps + [invert(g) for g in maps]]
-    closure = orbit_bfs({rat(s) for s in starts}, ops, cap=bound)
+    ops = [partial(_apply, g) for g in maps + [invert(g) for g in maps]]
+    closure = orbit_bfs([as_pair(x) for x in {rat(s) for s in starts}], ops, cap=bound)
     if closure is None:
         return None
-    return FiniteOrbitCertificate(
-        tuple(maps), PointSet.of(maps[0].space, sorted(closure[0])))
+    # _apply found every point in the ambient set
+    pts = closure[0]
+    return FiniteOrbitCertificate(tuple(maps), PointSet(maps[0].space, tuple(
+        coprime_fraction(*pts[i]) for i in value_order([(x,) for x in pts]))))
 
 
 def find_displacement(gens: dict, A, B, max_len: int = 6) -> DisplacementResult:

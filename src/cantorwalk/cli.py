@@ -70,6 +70,13 @@ def _env_budgets() -> dict:
     return out
 
 
+def _integer(v, what: str) -> int:
+    """v, when an int and not a bool: a float or a string is refused, not truncated."""
+    if type(v) is not int:
+        raise ScenarioError(f"{what}: {v!r} is not an integer")
+    return v
+
+
 def parse_scenario(text: str) -> Scenario:
     """The scenario a JSON document states, with its space, generators
     (inverses appended when asked), walk law, giets and blow-up built."""
@@ -84,7 +91,7 @@ def parse_scenario(text: str) -> Scenario:
         space, gens, probs = None, {}, None
         if kind != "giet-blowup":
             if spec.get("ifs") == "ternary":
-                space = ternary_cantor(int(spec.get("depth", 3)))
+                space = ternary_cantor(_integer(spec.get("depth", 3), "field 'space.depth'"))
             elif isinstance(spec.get("ifs"), str):
                 raise ScenarioError(f"unknown space shorthand {spec['ifs']!r}")
             else:
@@ -95,7 +102,8 @@ def parse_scenario(text: str) -> Scenario:
                     raise ScenarioError(f"duplicate generator name {name!r}")
                 if "table" in g:
                     table = PrefixTable(tuple(
-                        (row[0], row[1], int(row[2])) for row in g["table"]))
+                        (row[0], row[1], _integer(row[2], f"generator {name!r} orientation"))
+                        for row in g["table"]))
                     gens[name] = from_prefix_table(table, space, label=(name,))
                 else:
                     gens[name] = ser.map_from_obj(
@@ -126,8 +134,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"unknown budget key {k!r}")
             if k == "eps":
                 budgets[k] = rat(v)
-            elif type(v) is not int and (k, v) != ("depth", None):
-                raise ScenarioError(f"budget {k!r}: {v!r} is not an integer")
+            elif (k, v) != ("depth", None):
+                _integer(v, f"budget {k!r}")
         giets = tuple(ser.giet_from_obj(g) for g in obj.get("giets", ()))
         if kind == "giet-blowup" and not giets:
             raise ScenarioError("giet-blowup needs at least one giet")
@@ -140,7 +148,7 @@ def parse_scenario(text: str) -> Scenario:
         if os.path.basename(output) != output or output in ("", ".", ".."):
             raise ScenarioError(f"field 'output': {output!r} is not a file name")
         return Scenario(kind=kind, space=space, generators=gens,
-                        probabilities=probs, seed=int(obj.get("seed", 0)),
+                        probabilities=probs, seed=_integer(obj.get("seed", 0), "field 'seed'"),
                         budgets=budgets, giets=giets, blowup=blowup,
                         output=output)
     except (KeyError, TypeError, AttributeError, IndexError,

@@ -12,13 +12,13 @@ Break pairs and the regularity radius r0 are computed exactly.
 
 from __future__ import annotations
 
-import bisect
 import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .rational import affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat
+from .rational import (affine, as_pair, bisect_pairs, coprime_fraction, pair_cmp, pair_key,
+                       rat, value_order)
 from .space import CompactSet, Piece, Region, _Frozen, _normalize_intervals
 
 
@@ -77,7 +77,7 @@ def inverse_name(name: str) -> str:
 
 
 class PAHomeo(_Frozen):
-    __slots__ = ("space", "branches", "label", "__dict__")  # __dict__ holds _src_keys
+    __slots__ = ("space", "branches", "label", "__dict__")  # __dict__ holds the caches
 
     def __init__(self, space: CompactSet, branches: tuple, label: tuple[str, ...] = ()):
         object.__setattr__(self, "space", space)
@@ -94,20 +94,29 @@ class PAHomeo(_Frozen):
         return hash((self.space, self.branches, self.label))
 
     @cached_property
-    def _src_keys(self) -> tuple[list, list]:
-        """The pair_keys of the branch sources' left ends and right ends."""
-        return tuple([pair_key(b.pairs[j]) for b in self.branches] for j in (0, 1))
+    def _pairs(self) -> tuple:
+        """The branches' pairs, in source order."""
+        return tuple(b.pairs for b in self.branches)
 
-    def _branch_at(self, x: tuple) -> Branch:
-        """The branch whose source holds the int pair x; raises off them.
+    @cached_property
+    def _image_order(self) -> tuple[list, bool]:
+        """The branch indices in the order of their images, and whether two
+        images overlap, which only the branches of a plain set may do."""
+        ps = self._pairs
+        order = value_order([p[4:5] for p in ps])
+        return order, self.space.ifs is None and any(
+            pair_cmp(ps[i][5], ps[k][4]) > 0 for i, k in zip(order, order[1:]))
+
+    def _branch_at(self, x: tuple) -> tuple:
+        """The pairs of the branch whose source holds the int pair x; raises off them.
 
         When two branches share the point x they must agree there for x in
         the ambient set; the right one is returned.
         """
-        (los, his), k = self._src_keys, pair_key(x)
-        i = bisect.bisect_right(los, k) - 1
-        if i >= 0 and k <= his[i]:
-            return self.branches[i]
+        ps = self._pairs
+        i = bisect_pairs(ps, 0, x) - 1
+        if i >= 0 and pair_cmp(x, ps[i][1]) <= 0:
+            return ps[i]
         raise MapError(f"{coprime_fraction(*x)} is not in any branch source")
 
     def __call__(self, x) -> Fraction:
@@ -118,7 +127,7 @@ def _apply(f: PAHomeo, x: tuple) -> tuple:
     """f at the int pair x, a point of its ambient set, as an int pair."""
     if not f.space._holds(x):
         raise MapError(f"{coprime_fraction(*x)} not in the ambient set")
-    _, _, s, o, _, _ = f._branch_at(x).pairs
+    _, _, s, o, _, _ = f._branch_at(x)
     return affine(s, x, o)
 
 
@@ -183,15 +192,16 @@ def _validate_plain(space: CompactSet, branches: Sequence[Branch]) -> None:
 
 def _check_reflection_symmetric(space: CompactSet) -> None:
     ifs = space.ifs
-    lo, hi = ifs.hull
-    c2 = lo + hi  # twice the center
+    lo, hi = ifs._int_hull
+    c2 = affine((1, 1), lo, hi)  # twice the center
     n = len(ifs.ratios)
     for i in range(n):
         j = n - 1 - i
         # sigma phi_i sigma = phi_j with sigma(x) = c2 - x
         if ifs.ratios[i] != ifs.ratios[j]:
             raise MapError("orientation-reversing branch on an asymmetric IFS")
-        if c2 - (ifs.ratios[i] * c2 + ifs.offsets[i]) != ifs.offsets[j]:
+        image = affine(as_pair(ifs.ratios[i]), c2, as_pair(ifs.offsets[i]))
+        if affine((-1, 1), image, c2) != as_pair(ifs.offsets[j]):
             raise MapError("orientation-reversing branch on an asymmetric IFS")
 
 
@@ -200,55 +210,58 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
     cylinders, each mapped affinely onto a single cylinder, and the source
     and the image cylinders each tile the limit set: they are disjoint and
     their addresses form a complete prefix code, whose sum of n^-len(address)
-    over n maps is 1 (the equality case of Kraft's inequality)."""
+    over n maps is 1 (the equality case of Kraft's inequality).  All on int
+    pairs."""
     if any(b.pairs[2][0] < 0 for b in branches):
         _check_reflection_symmetric(space)
     n = len(space.ifs.symbols)
 
     def antichain(cyls, what):
-        # (lo, hi, part): an interval that must be the cylinder part
-        cyls = sorted(cyls)
-        lo, hi = space.hull
+        # (lo, hi, address, cylinder): an interval that must be the cylinder;
+        # sorted by (lo, hi), as cylinders equal in both fail as overlapping
+        cyls = [cyls[i] for i in value_order([c[:2] for c in cyls])]
+        lo, hi = space.ifs._int_hull
         if cyls[0][0] != lo or cyls[-1][1] != hi:
             raise MapError(f"{what} cylinders do not reach the extremes")
-        if (any((l, r) != part[1:] for l, r, part in cyls)
-                or any(r1 >= l2 for (_, r1, _), (l2, _, _) in zip(cyls, cyls[1:]))
-                or sum(Fraction(1, n ** len(part[0])) for _, _, part in cyls) != 1):
+        top = max(len(c[2]) for c in cyls)
+        if (any(c[:2] != c[3] for c in cyls)
+                or any(pair_cmp(c[1], d[0]) >= 0 for c, d in zip(cyls, cyls[1:]))
+                or sum(n ** (top - len(c[2])) for c in cyls) != n ** top):
             raise MapError(f"{what} cylinders do not tile the limit set")
 
-    img_cyls = []
-    src_cyls = []
+    img_cyls, src_cyls = [], []
     for b in branches:
-        parts = space.decompose_into_cylinders(b.lo, b.hi)
+        lo, hi, s, o, _, _ = b.pairs
+        parts = space._cylinder_pairs(lo, hi)
         if not parts:
             raise MapError(f"branch source [{b.lo}, {b.hi}] not cylinder-aligned")
-        if (parts[0][1], parts[-1][2]) != (b.lo, b.hi):
+        if (parts[0][1], parts[-1][2]) != (lo, hi):
             raise MapError(f"branch source [{b.lo}, {b.hi}] does not end on the limit set")
-        _, _, s, o, _, _ = b.pairs
         for w, clo, chi in parts:
-            src_cyls.append((clo, chi, (w, clo, chi)))
-            ia, ib = (coprime_fraction(*affine(s, as_pair(x), o))
-                      for x in ((clo, chi) if s[0] > 0 else (chi, clo)))
-            dec = space.decompose_into_cylinders(ia, ib)
+            src_cyls.append((clo, chi, w, (clo, chi)))
+            ia, ib = (affine(s, x, o) for x in ((clo, chi) if s[0] > 0 else (chi, clo)))
+            dec = space._cylinder_pairs(ia, ib)
             if dec is None or len(dec) != 1:
                 raise MapError(f"image of cylinder {w or 'hull'} is not a cylinder")
-            img_cyls.append((ia, ib, dec[0]))
+            img_cyls.append((ia, ib, dec[0][0], dec[0][1:]))
     antichain(src_cyls, "source")
     antichain(img_cyls, "image")
 
 
 def pa_homeo(space: CompactSet, branches: Iterable[Branch],
              label: tuple[str, ...] = (), validate: bool = True) -> PAHomeo:
-    bs = sorted(branches, key=lambda b: (b.lo, b.hi))
+    bs = list(branches)
+    bs = [bs[i] for i in value_order([b.pairs[:2] for b in bs])]
     if not bs:
         raise MapError("a map needs at least one branch")
     for b in bs:
-        if b.slope == 0:
+        (ln, ld), (hn, hd), s = b.pairs[:3]
+        if s[0] == 0:
             raise MapError("zero slope")
-        if b.lo >= b.hi:
+        if ln * hd >= hn * ld:
             raise MapError("degenerate branch source")
     for b1, b2 in zip(bs, bs[1:]):
-        if b2.lo < b1.hi:
+        if pair_cmp(b2.pairs[0], b1.pairs[1]) < 0:
             raise MapError("branch sources overlap")
     if validate:
         if space.ifs is not None:
@@ -310,12 +323,11 @@ def compose(f: PAHomeo, g: PAHomeo) -> PAHomeo:
     and f gives the image ends; pieces come out in source order."""
     if f.space != g.space:
         raise MapError("composition across different spaces")
-    fq, out = [b.pairs for b in f.branches], []
-    his = [pair_key(q[1]) for q in fq]
+    fq, out = f._pairs, []
     for glo, ghi, gs, go, ia, ib in (b.pairs for b in g.branches):
         (an, ad), (bn, bd), up = ia, ib, gs[0] > 0
         pieces = []
-        for flo, fhi, fs, fo, fa, fb in fq[bisect.bisect_right(his, pair_key(ia)):]:
+        for flo, fhi, fs, fo, fa, fb in fq[bisect_pairs(fq, 1, ia):]:
             if flo[0] * bd >= bn * flo[1]:
                 break
             cut_lo, cut_hi = flo[0] * ad > an * flo[1], fhi[0] * bd < bn * fhi[1]
@@ -334,9 +346,9 @@ def compose(f: PAHomeo, g: PAHomeo) -> PAHomeo:
 
 def invert_branches(branches: Iterable[Branch]) -> tuple[Branch, ...]:
     """The inverse branches y -> (y - offset) / slope on the images, sorted."""
-    inv = (Branch.from_pairs(b.pairs[4:] + _inverse(*b.pairs[2:4]) + b.pairs[:2])
-           for b in branches)
-    return tuple(sorted(inv, key=lambda b: pair_key(b.pairs[0])))
+    inv = [Branch.from_pairs(b.pairs[4:] + _inverse(*b.pairs[2:4]) + b.pairs[:2])
+           for b in branches]
+    return tuple(inv[i] for i in value_order([b.pairs[:1] for b in inv]))
 
 
 def invert(f: PAHomeo) -> PAHomeo:
@@ -354,20 +366,24 @@ def power(f: PAHomeo, k: int) -> PAHomeo:
 
 
 def equals(f: PAHomeo, g: PAHomeo) -> bool:
-    """Equality as maps restricted to the ambient set."""
+    """Equality as maps restricted to the ambient set: equal branches, or
+    the same slope and offset on every cut segment meeting it, on int pairs."""
     if f.space != g.space:
         return False
-    cuts = sorted({x for b in f.branches + g.branches for x in (b.lo, b.hi)})
+    if f.branches == g.branches:
+        return True
+    ends = list({x for b in f.branches + g.branches for x in b.pairs[:2]})
+    cuts = [ends[i] for i in value_order([(x,) for x in ends])]
     K = f.space
     for l, r in zip(cuts, cuts[1:]):
-        for kl, kr in K.meeting(l, r):
-            olo, ohi = max(kl, l), min(kr, r)
-            if olo < ohi:
-                x = as_pair(olo)
+        for kl, kr in K._meeting(l, r):
+            olo = kl if pair_cmp(kl, l) > 0 else l
+            ohi = kr if pair_cmp(kr, r) < 0 else r
+            if pair_cmp(olo, ohi) < 0:
                 # both branches cover the whole cut segment
-                if f._branch_at(x).pairs[2:4] != g._branch_at(x).pairs[2:4]:
+                if f._branch_at(olo)[2:4] != g._branch_at(olo)[2:4]:
                     return False
-            elif apply(f, olo) != apply(g, olo):
+            elif _apply(f, olo) != _apply(g, olo):
                 return False
     return True
 
@@ -411,8 +427,7 @@ def break_pairs(f: PAHomeo) -> list[BreakPair]:
                                                   q.pairs[5 - (q.pairs[2][0] > 0)]))
                       for p, q in zip(bs, bs[1:])]
     else:
-        los, his = K._keys
-        ends = [(r.obj, l.obj) for r, l in zip(his, los[1:])]
+        ends = [(r, l) for (_, r), (l, _) in zip(K._ends, K._ends[1:])]
         gaps = set(ends)
         candidates = [((a, b), (_apply(f, a), _apply(f, b))) for a, b in ends]
     return [BreakPair(coprime_fraction(*a), coprime_fraction(*b))
@@ -453,12 +468,10 @@ def _image_pieces(f: PAHomeo, S: Region):
     """The images of S's pieces clipped to f's branch sources, unsorted."""
     if S.space != f.space:
         raise MapError("region lives on a different space")
-    los, his = f._src_keys
+    ps = f._pairs
     for plo, phi, plo_closed, phi_closed in S.pieces:
-        for b in f.branches[bisect.bisect_left(his, pair_key(plo)):
-                            bisect.bisect_right(los, pair_key(phi))]:
-            # clip the piece to b's closed source; the bisection makes them meet
-            blo, bhi, s, o, ea, eb = b.pairs
+        for blo, bhi, s, o, ea, eb in ps[bisect_pairs(ps, 1, plo, False):bisect_pairs(ps, 0, phi)]:
+            # clip the piece to a closed branch source; the bisection makes them meet
             holds_lo = (c := pair_cmp(plo, blo)) < 0 or c == 0 and plo_closed
             holds_hi = (c := pair_cmp(bhi, phi)) < 0 or c == 0 and phi_closed
             if holds_lo and holds_hi:

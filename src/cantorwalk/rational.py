@@ -3,7 +3,7 @@ int pairs and their "p/q" string form."""
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import gcd, lcm
 
 
 class RationalError(ValueError):
@@ -56,6 +56,26 @@ def pair_cmp(u: tuple, v: tuple) -> int:
 
 # orders (numerator, denominator > 0) int pairs by value
 pair_key = cmp_to_key(pair_cmp)
+
+
+def value_order(rows) -> list[int]:
+    """The indices of the rows, tuples of (numerator, denominator > 0) pairs,
+    sorted (stably) by their values left to right, which compare as ints
+    over the pairs' least common denominator."""
+    m = lcm(*(d for row in rows for _, d in row))
+    ks = [tuple(n * (m // d) for n, d in row) for row in rows]
+    return sorted(range(len(rows)), key=ks.__getitem__)
+
+
+def bisect_pairs(rows, j: int, x: tuple, right: bool = True) -> int:
+    """bisect.bisect_right (bisect_left when not right) of the pair x in the
+    rows, sorted by the value of their pairs row[j], by cross-multiplication."""
+    (xn, xd), lo, hi = x, 0, len(rows)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        c = rows[mid][j][0] * xd - xn * rows[mid][j][1]
+        lo, hi = (mid + 1, hi) if c < 0 or right and c == 0 else (lo, mid)
+    return lo
 
 
 def rat_str(value: Fraction) -> str:

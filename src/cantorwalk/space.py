@@ -9,14 +9,13 @@ set; every membership and inclusion query is exact.
 
 from __future__ import annotations
 
-import bisect
 import operator
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from math import gcd, prod
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .rational import affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat
+from .rational import affine, as_pair, bisect_pairs, coprime_fraction, pair_cmp, pair_key, rat
 
 MAX_INTERVALS = 2 ** 16  # the most intervals from_ifs builds
 
@@ -96,8 +95,9 @@ class Ifs(_Frozen):
             raise SpaceError("IFS images must be disjoint, left to right")
         object.__setattr__(self, "hull", (lo, hi))
         # in int pairs: the hull, the children as fractions of the hull (for
-        # _child_pairs) and the children themselves; for _expand, each inverse
-        # map y -> (y - o) / r as p/q -> (p*a - q*b) / (q*c), where r = c/a
+        # _child_pairs) and the children themselves; for _expand and
+        # _cylinder_pairs, each inverse map y -> (y - o) / r as
+        # p/q -> (p*a - q*b) / (q*c), where r = c/a
         object.__setattr__(self, "_int_hull", (as_pair(lo), as_pair(hi)))
         object.__setattr__(self, "_unit_children", tuple(
             tuple(as_pair((x - lo) / (hi - lo)) for x in c) for c in children))
@@ -122,11 +122,6 @@ class Ifs(_Frozen):
         and out, are reduced int pairs."""
         k = affine(hi, (1, 1), (-lo[0], lo[1]))  # hi - lo
         return [(affine(k, a, lo), affine(k, b, lo)) for a, b in self._unit_children]
-
-    def children(self, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-        """_child_pairs on Fractions."""
-        return [(coprime_fraction(*a), coprime_fraction(*b))
-                for a, b in self._child_pairs(as_pair(lo), as_pair(hi))]
 
     def cylinder(self, address: str) -> tuple[Fraction, Fraction]:
         """Interval of the cylinder addressed by a word over the symbols.
@@ -180,39 +175,6 @@ class Ifs(_Frozen):
             y = (p // (g := gcd(p, q)), q // g)
         return levels, None
 
-    def _gap_pairs(self, t: tuple) -> tuple:
-        """The bounded gaps of the limit set whose closure holds t: the gap
-        containing t, or the gap adjacent to the limit point t; () when t is
-        off the hull or touches no gap.  t and the gap ends are reduced int
-        pairs."""
-        levels, gap = self._expand(t)
-        children = self._int_children
-        if gap is None:
-            # a limit point touches a gap where it ends a child with a
-            # neighbour on that side; from the next level on it sits at a
-            # hull end, which repeats at once: that is the second-last level
-            if len(levels) < 2:
-                return ()
-            k = len(levels) - 2
-            i, y = levels[k]
-            if y == children[i][0] and i > 0:
-                gap = k, i - 1, y
-            elif y == children[i][1] and i + 1 < len(children):
-                gap = k, i, y
-            else:
-                return ()
-        # each end is t + scale * (child end - y), scale = product of the c/a above
-        k, g, (yn, yd) = gap
-        above = [self._int_inverses[i] for i, _ in levels[:k]]
-        scale = prod(c for _, _, c in above), prod(a for a, _, _ in above)
-        return (tuple(affine(scale, (cn * yd - yn * cd, cd * yd), t)
-                      for cn, cd in (children[g][1], children[g + 1][0])),)
-
-    def gaps_at(self, t: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
-        """_gap_pairs on Fractions."""
-        return tuple((coprime_fraction(*a), coprime_fraction(*b))
-                     for a, b in self._gap_pairs(as_pair(t)))
-
     def contains_limit_point(self, x: Fraction) -> bool:
         """Exact membership of a rational in the limit (infinite-depth) set."""
         levels, gap = self._expand(as_pair(x))
@@ -238,7 +200,7 @@ def _normalize_intervals(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
 class CompactSet(_Frozen):
     """Finite union of disjoint closed rational intervals, sorted."""
 
-    __slots__ = ("intervals", "ifs", "depth", "__dict__")  # __dict__ holds _keys
+    __slots__ = ("intervals", "ifs", "depth", "__dict__")  # __dict__ holds _ends
 
     def __init__(self, intervals: tuple, ifs: Optional[Ifs] = None, depth: int = 0):
         object.__setattr__(self, "intervals", intervals)
@@ -279,24 +241,23 @@ class CompactSet(_Frozen):
         return self.contains(rat(x))
 
     @cached_property
-    def _keys(self) -> tuple[list, list]:
-        """The pair_keys of the intervals' left and right ends (key.obj is the end)."""
-        return tuple([pair_key(as_pair(x)) for x in ends] for ends in zip(*self.intervals))
+    def _ends(self) -> tuple:
+        """The intervals' ends as int pairs."""
+        return tuple((as_pair(l), as_pair(r)) for l, r in self.intervals)
 
     def _holds(self, x: tuple) -> bool:
         """Whether K holds the int pair x."""
-        (los, his), k = self._keys, pair_key(x)
-        i = bisect.bisect_right(los, k) - 1
-        return i >= 0 and k <= his[i]
+        ends = self._ends
+        i = bisect_pairs(ends, 0, x) - 1
+        return i >= 0 and pair_cmp(x, ends[i][1]) <= 0
 
     def contains(self, x: Fraction) -> bool:
         return self._holds(as_pair(x))
 
     def _meeting(self, lo: tuple, hi: tuple) -> list:
         """The intervals that meet [lo, hi], found by bisection; all int pairs."""
-        los, his = self._keys
-        i, j = bisect.bisect_left(his, pair_key(lo)), bisect.bisect_right(los, pair_key(hi))
-        return [(l.obj, r.obj) for l, r in zip(los[i:j], his[i:j])]
+        ends = self._ends
+        return list(ends[bisect_pairs(ends, 1, lo, False):bisect_pairs(ends, 0, hi)])
 
     def meeting(self, lo: Fraction, hi: Fraction) -> list:
         """_meeting on Fractions."""
@@ -318,23 +279,6 @@ class CompactSet(_Frozen):
                 pts.append(r)
         return pts
 
-    def _gap_pairs(self, t: tuple) -> tuple:
-        """The bounded gaps of the true set (with IFS structure, of the limit
-        set) whose closure holds t, left to right; all ends are int pairs."""
-        if self.ifs is not None:
-            return self.ifs._gap_pairs(t)
-        # gap j is (right end of interval j, left end of interval j + 1)
-        (los, his), k = self._keys, pair_key(t)
-        first = max(bisect.bisect_left(los, k) - 1, 0)
-        stop = min(bisect.bisect_right(his, k), len(self.intervals) - 1)
-        return tuple((as_pair(self.intervals[j][1]), as_pair(self.intervals[j + 1][0]))
-                     for j in range(first, stop))
-
-    def gaps_at(self, t: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
-        """_gap_pairs on Fractions."""
-        return tuple((coprime_fraction(*a), coprime_fraction(*b))
-                     for a, b in self._gap_pairs(as_pair(t)))
-
     # -- IFS-aware structure ------------------------------------------------
 
     def cylinder(self, address: str) -> tuple[Fraction, Fraction]:
@@ -342,33 +286,46 @@ class CompactSet(_Frozen):
             raise SpaceError("set has no IFS structure")
         return self.ifs.cylinder(address)
 
-    def decompose_into_cylinders(self, lo: Fraction, hi: Fraction
-                                 ) -> Optional[list[tuple[str, Fraction, Fraction]]]:
+    def _cylinder_pairs(self, lo: tuple, hi: tuple) -> Optional[list[tuple[str, tuple, tuple]]]:
         """Write [lo, hi] (intersected with the limit set) as a disjoint
         union of maximal cylinders, left to right as (address, lo, hi)
-        triples, or None if the interval is not cylinder-aligned.  The
-        descent runs on int pairs; only the returned ends are Fractions."""
+        triples, or None if the interval is not cylinder-aligned.  The ends,
+        in and out, are reduced int pairs."""
         if self.ifs is None:
             raise SpaceError("set has no IFS structure")
-        # only cylinders holding lo or hi without lying inside [lo, hi] are
-        # split.  Deeper than that point's address expansion, no cylinder
-        # holds it, or one starts (lo) or ends (hi) at it, or [lo, hi] is
-        # not cylinder-aligned at any depth.
-        (ln, ld), (hn, hd) = lo, hi = as_pair(lo), as_pair(hi)
-        max_depth = 1 + max(len(self.ifs._expand(x)[0]) for x in (lo, hi))
-        parts, stack = [], [("", *self.ifs._int_hull)]
+        ifs, ((ln, ld), (hn, hd)) = self.ifs, (lo, hi)
+        # descend while one child holds [lo, hi], read in the coordinates of the
+        # cylinder reached (as _expand reads a point): it is that cylinder at the hull's ends
+        addr, u, v = "", lo, hi
+        while ln * hd < hn * ld and (u, v) != ifs._int_hull:
+            for i, (cl, ch) in enumerate(ifs._int_children):
+                if pair_cmp(cl, u) <= 0 <= pair_cmp(ch, v):
+                    a, b, c = ifs._int_inverses[i]
+                    u, v = (affine((a, c), y, (-b, c)) for y in (u, v))
+                    addr += ifs.symbols[i]
+                    break
+            else:
+                break
+        if (u, v) == ifs._int_hull:
+            return [(addr, lo, hi)]
+        # otherwise, descending from the hull, only cylinders holding lo or
+        # hi without lying inside [lo, hi] are split.  Deeper than that
+        # point's address expansion, no cylinder holds it, or one starts (lo)
+        # or ends (hi) at it, or [lo, hi] is not cylinder-aligned at any depth
+        max_depth = 1 + max(len(ifs._expand(x)[0]) for x in (lo, hi))
+        parts, stack = [], [("", *ifs._int_hull)]
         while stack:
             addr, a, b = stack.pop()
             if hn * a[1] < a[0] * hd or b[0] * ld < ln * b[1]:
                 continue
             if ln * a[1] <= a[0] * ld and b[0] * hd <= hn * b[1]:
-                parts.append((addr, coprime_fraction(*a), coprime_fraction(*b)))
+                parts.append((addr, a, b))
             elif len(addr) >= max_depth:
                 return None
             else:
                 # a child cylinder is its parent's image of the child of the hull
                 stack.extend((addr + s, *c) for s, c in zip(
-                    self.ifs.symbols[::-1], self.ifs._child_pairs(a, b)[::-1]))
+                    ifs.symbols[::-1], ifs._child_pairs(a, b)[::-1]))
         return parts
 
 

@@ -171,9 +171,9 @@ def backward_value(t: Trajectory, x, k: int) -> Fraction:
 
 
 def measure_cells(space: CompactSet, depth: int):
-    """Depth-d cells as closed intervals (the space's intervals when no IFS
-    structure is available)."""
-    if space.ifs is not None:
+    """Depth-d cells as closed intervals (the space's intervals at its own
+    depth, or when no IFS structure is available)."""
+    if space.ifs is not None and depth != space.depth:
         return list(CompactSet.from_ifs(space.ifs, depth).intervals)
     return list(space.intervals)
 
@@ -478,7 +478,8 @@ def _push_runs(g: PAHomeo, runs: list) -> list:
     """The runs after one more letter g: each run cut at g's sources, its
     pieces mapped and taken in branch image order (reversed in a decreasing
     branch), sorted if two plain-set images overlap; neighbours of a cell merge."""
-    bs, pieces, j = [b.pairs for b in g.branches], [[] for _ in g.branches], 0
+    bs, (order, overlap) = g._pairs, g._image_order
+    pieces, j = [[] for _ in bs], 0
     for lo, hi, c in runs:
         (ln, ld), (hn, hd) = lo, hi
         while bs[j][1][0] * ld < ln * bs[j][1][1]:
@@ -490,10 +491,8 @@ def _push_runs(g: PAHomeo, runs: list) -> list:
             ya = affine(s, lo, o) if blo[0] * ld <= ln * blo[1] else (ib, ia)[up]
             yb = affine(s, hi, o) if bhi[0] * hd >= hn * bhi[1] else (ia, ib)[up]
             pieces[i].append((ya, yb, c) if up else (yb, ya, c))
-    order = sorted(range(len(bs)), key=lambda i: pair_key(bs[i][4]))
     flat = [p for i in order for p in (pieces[i] if bs[i][2][0] > 0 else reversed(pieces[i]))]
-    if g.space.ifs is None and any(pair_cmp(bs[i][5], bs[k][4]) > 0
-                                   for i, k in zip(order, order[1:])):
+    if overlap:
         flat.sort(key=lambda p: (pair_key(p[0]), pair_key(p[1])))
     out = []
     for p in flat:

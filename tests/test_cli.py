@@ -443,6 +443,37 @@ def test_deeply_nested_json_exits_1(tmp_path, capsys, command):
     assert not any(out.iterdir())
 
 
+INTEGER_FIELDS = {
+    "depth": ("'space.depth'", lambda doc, v: doc["space"].update(depth=v)),
+    "seed": ("'seed'", lambda doc, v: doc.update(seed=v)),
+    "orientation": ("'A1' orientation",
+                    lambda doc, v: doc["generators"][0]["table"][1].__setitem__(2, v)),
+}
+
+
+@pytest.mark.parametrize("key, value", [(k, v) for k in INTEGER_FIELDS
+                                        for v in (1.9, 1.0, True, "1")])
+def test_scenario_integers_are_not_truncated(tmp_path, capsys, key, value):
+    # the depth, the seed and a table row's orientation must be ints, as a
+    # budget must: a float, a bool or a string would otherwise be read as
+    # another value and run
+    field, edit = INTEGER_FIELDS[key]
+    doc = json.loads(_load_scenario_text("free_pair"))
+    edit(doc, value)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["certify-free", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("error: ") and field in captured.err
+    assert "is not an integer" in captured.err
+    assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("output", ["../x", "/tmp/x", "a/b", "", ".", ".."])
 def test_parse_rejects_output_paths(output):
     text = json.dumps(dict(json.loads(_load_scenario_text("g3")), output=output))

@@ -19,7 +19,7 @@ branch may span one) and whether each image pair bounds a gap from its
 right end, where maps.break_pairs compares an IFS map's image pairs with
 the gaps between its consecutive branch images, and a plain set's with its
 gaps; the region-mass reference sums every cell.
-maps.break_pairs, maps.apply, CompactSet.decompose_into_cylinders, the
+maps.break_pairs, maps.apply, CompactSet._cylinder_pairs, the
 Region operations, maps.image, maps.maps_into, walk.invariance_rows,
 certify.periodic_points and walk._region_mass work on int pairs; a last
 test makes Fraction arithmetic and ordering raise and asks them for the
@@ -49,7 +49,8 @@ from cantorwalk.walk import (SPLIT_DEPTH, CellMeasure, _region_mass,
                              run_diameters)
 
 from fixtures import TABLES, fixture
-from test_space import NEGATIVE, THREE_MAPS, bounded_gaps, region_diameter
+from test_space import (NEGATIVE, THREE_MAPS, bounded_gaps, decompose_into_cylinders, gaps_at,
+                        region_diameter)
 
 TERNARY = Ifs((F(1, 3), F(1, 3)), (F(0), F(2, 3)), ("0", "2"))
 UNEQUAL = Ifs((F(1, 4), F(1, 3)), (F(0), F(2, 3)), ("0", "2"))
@@ -242,14 +243,14 @@ def break_candidates_ref(f):
     if K.ifs is None:
         return set(bounded_gaps(K))
     bounds = {x for b in f.branches for x in (b.lo, b.hi)} - set(K.hull)
-    return {g for t in bounds for g in K.gaps_at(t)}
+    return {g for t in bounds for g in gaps_at(K, t)}
 
 
 def break_pairs_ref(f):
     out = []
     for a, b in sorted(break_candidates_ref(f)):
         u, v = sorted((apply(f, a), apply(f, b)))
-        if (u, v) not in f.space.gaps_at(v):
+        if (u, v) not in gaps_at(f.space, v):
             out.append(BreakPair(a, b))
     return out
 
@@ -561,7 +562,7 @@ def test_break_pairs_match_three_query_loop_over_every_alphabet(word):
 @pytest.mark.parametrize("space", SPACES)
 def test_break_pairs_expand_each_point_once(space, monkeypatch):
     # break_pairs reads the gaps off a tiling, so on either kind of set it
-    # expands no point and looks up no gap, on words over the plain
+    # expands no point (the gap lookups live in the tests), on words over the plain
     # alphabets and, evaluating no point either, on words over this
     # space's letters and over every IFS alphabet
     a1, a2, a1i, a2i = _letters(*space)
@@ -575,11 +576,9 @@ def test_break_pairs_expand_each_point_once(space, monkeypatch):
     assert all(pairs[:5]) and any(plain_pairs)
 
     def refuse(*args):
-        raise AssertionError("an expansion, gap lookup or point value in break_pairs")
+        raise AssertionError("an expansion or point value in break_pairs")
 
-    for owner, name in ((Ifs, "_expand"), (Ifs, "_gap_pairs"), (Ifs, "gaps_at"),
-                        (CompactSet, "_gap_pairs"), (CompactSet, "gaps_at")):
-        monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.setattr(Ifs, "_expand", refuse)
     assert [break_pairs(w) for w in plain] == plain_pairs
     monkeypatch.setattr(maps, "_apply", refuse)
     assert [break_pairs(w) for w in ws] == pairs
@@ -612,12 +611,12 @@ def test_consecutive_sources_and_images_bound_gaps(word):
     for f in (w, invert(w), *letters):
         for ends in ([(b.lo, b.hi) for b in f.branches], sorted(b.ends for b in f.branches)):
             assert ends[0][0] == lo and ends[-1][1] == hi
-            assert all((r, l) in K.gaps_at(r) for (_, r), (l, _) in zip(ends, ends[1:]))
+            assert all((r, l) in gaps_at(K, r) for (_, r), (l, _) in zip(ends, ends[1:]))
         breaks = break_pairs(f)
         cells = K.ifs.intervals_at(K.depth + 2)
         for (_, a), (b, _) in zip(cells, cells[1:]):
             u, v = sorted((apply(f, a), apply(f, b)))
-            assert (BreakPair(a, b) in breaks) != ((u, v) in K.gaps_at(u))
+            assert (BreakPair(a, b) in breaks) != ((u, v) in gaps_at(K, u))
 
 
 @pytest.mark.parametrize("space", SPACES)
@@ -757,7 +756,7 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
     for w, pairs in recorded:
         assert break_pairs(w) == pairs
     for (lo, hi), parts in cylinders:
-        assert K.decompose_into_cylinders(lo, hi) == parts
+        assert decompose_into_cylinders(K, lo, hi) == parts
     assert K.cylinder("02") == (F(2, 9), F(1, 3))
     assert _region_answers(cases, a1, cells) == regions
     assert [periodic_points(f, n) for f, n in powers] == periodic

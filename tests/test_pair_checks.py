@@ -1,0 +1,174 @@
+"""The map checks on int pairs against the Fraction code they replaced.
+
+maps.pa_homeo sorts and validates branches on their int pairs, maps.equals
+answers equal branch tuples at once and sweeps the cuts on pairs, and
+certify.find_finite_orbit closes its seeds on pairs and builds the orbit's
+Fractions once, at the end.  The references below are the Fraction
+versions: equality by a sweep over the cuts with every branch found by a
+scan, and the orbit closure under maps.apply.  A last test makes every way
+of building a Fraction raise and validates a long word and compares
+letters.
+"""
+
+import random
+from fractions import Fraction as F
+from functools import partial
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cantorwalk import maps, space
+from cantorwalk.certify import _make_letters, find_finite_orbit
+from cantorwalk.cli import _load_scenario_text, parse_scenario
+from cantorwalk.maps import (MapError, apply, compose, equals, invert, orbit_bfs,
+                             pa_homeo)
+from cantorwalk.space import PointSet
+
+from fixtures import cantor_space, named_generators
+from test_lookups import _alphabets, _word
+
+
+# -- references ---------------------------------------------------------------
+
+
+def _branch_ref(f, x):
+    """The rightmost branch whose source holds x, by a scan."""
+    held = [b for b in f.branches if b.lo <= x <= b.hi]
+    if not held:
+        raise MapError(f"{x} is not in any branch source")
+    return held[-1]
+
+
+def equals_ref(f, g):
+    """maps.equals on Fractions: between consecutive branch ends, a segment
+    of K of positive length needs the same slope and offset in both maps,
+    and a single point the same value."""
+    if f.space != g.space:
+        return False
+    cuts = sorted({x for b in f.branches + g.branches for x in (b.lo, b.hi)})
+    for l, r in zip(cuts, cuts[1:]):
+        for kl, kr in f.space.intervals:
+            if kr < l or r < kl:
+                continue
+            olo, ohi = max(kl, l), min(kr, r)
+            bf, bg = _branch_ref(f, olo), _branch_ref(g, olo)
+            if olo < ohi:
+                if (bf.slope, bf.offset) != (bg.slope, bg.offset):
+                    return False
+            elif bf.value(olo) != bg.value(olo):
+                return False
+    return True
+
+
+def find_finite_orbit_ref(gens, starts, bound=2000):
+    """The orbit closure under maps.apply on Fractions, sorted, or None."""
+    maps_ = list(gens.values())
+    ops = [partial(apply, g) for g in maps_ + [invert(g) for g in maps_]]
+    closure = orbit_bfs({F(s) for s in starts}, ops, cap=bound)
+    return None if closure is None else PointSet.of(maps_[0].space, closure[0])
+
+
+# -- equality -------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_equals_matches_the_fraction_sweep(data):
+    # two words over one alphabet, and each word against itself with a
+    # letter and its inverse appended: equal maps whose branch lists differ
+    letters = data.draw(st.sampled_from(_alphabets()))
+    index = st.integers(0, len(letters) - 1)
+    w, v = (_word(letters, data.draw(st.lists(index, min_size=1, max_size=6)))
+            for _ in range(2))
+    g = letters[data.draw(index)]
+    padded = compose(w, compose(invert(g), g))
+    for f, h in ((w, v), (w, padded), (padded, w), (v, padded), (w, w)):
+        assert equals(f, h) == equals_ref(f, h)
+    assert equals(w, padded)
+
+
+def test_equals_on_equal_maps_with_different_branch_lists():
+    gens = named_generators(["A1", "A2"], with_inverses=True)
+    a1, a2, a1i, a2i = gens.values()
+    identity = compose(a2i, compose(a1i, compose(a1, a2)))
+    assert len(identity.branches) > 1
+    assert equals(identity, maps.identity_map(a1.space))
+    assert equals_ref(identity, maps.identity_map(a1.space))
+    assert not equals(identity, a1) and not equals_ref(identity, a1)
+
+
+# -- finite orbits --------------------------------------------------------------
+
+
+def _scenario_gens(name):
+    return parse_scenario(_load_scenario_text(name)).generators
+
+
+@pytest.mark.parametrize("name, bound, expected", [
+    ("klein_four", 2000, [F(0), F(1, 3), F(2, 3), F(1)]),
+    ("identity", 2000, [F(0)]),
+    ("free_pair", 512, None),
+])
+def test_finite_orbits_of_the_bundled_generators(name, bound, expected):
+    gens = _scenario_gens(name)
+    orbit = find_finite_orbit(gens, [F(0)], bound=bound)
+    ref = find_finite_orbit_ref(gens, [F(0)], bound=bound)
+    if expected is None:
+        assert orbit is None and ref is None
+    else:
+        assert list(orbit.orbit) == expected == list(ref.points)
+        assert orbit.orbit == ref
+        assert orbit.gens == tuple(gens.values())
+
+
+def test_finite_orbit_from_several_seeds():
+    gens = _scenario_gens("klein_four")
+    starts = [F(1, 9), "2/9", 0, F(1, 9)]
+    assert find_finite_orbit(gens, starts).orbit == find_finite_orbit_ref(gens, starts)
+
+
+def test_finite_orbit_seed_off_k_raises_as_before():
+    gens = _scenario_gens("klein_four")
+    for seed in (F(1, 2), F(5, 4)):
+        with pytest.raises(MapError) as new:
+            find_finite_orbit(gens, [seed])
+        with pytest.raises(MapError) as ref:
+            find_finite_orbit_ref(gens, [seed])
+        assert str(new.value) == str(ref.value) == f"{seed} not in the ambient set"
+
+
+# -- no Fraction built --------------------------------------------------------
+
+
+def test_map_checks_build_no_fraction(monkeypatch):
+    # a reduced word of 30 letters over A1, A2 and their inverses, composed
+    # before Fractions are refused; then pa_homeo validates it and equals
+    # compares every pair of letters on int pairs alone
+    K = cantor_space(3)
+    named = named_generators(["A1", "A2"], space=K)
+    letters = list(named.values()) + [invert(g) for g in named.values()]
+    rng, idxs = random.Random(28), []
+    while len(idxs) < 30:
+        i = rng.randrange(4)
+        if not idxs or i != (idxs[-1] + 2) % 4:
+            idxs.append(i)
+    w = letters[idxs[0]]
+    for i in idxs[1:]:
+        w = compose(letters[i], w)
+    shuffled = list(w.branches)
+    random.Random(29).shuffle(shuffled)
+    table = [[equals(g, h) for h in letters] for g in letters]
+    assert table == [[i == j for j in range(4)] for i in range(4)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction built in a map check")
+
+    monkeypatch.setattr(maps, "coprime_fraction", refuse)
+    monkeypatch.setattr(space, "coprime_fraction", refuse)
+    monkeypatch.setattr(F, "__new__", refuse)
+    with pytest.raises(AssertionError, match="a Fraction built"):
+        F(1, 3)
+    assert pa_homeo(K, shuffled, label=w.label) == w
+    assert [[equals(g, h) for h in letters] for g in letters] == table
+    got, inv = _make_letters(named)
+    assert got == letters and inv == [2, 3, 0, 1]

@@ -1,6 +1,7 @@
 """Exact oracles and metric properties for compact sets and regions."""
 
 import itertools
+import math
 import random
 from collections import namedtuple
 from fractions import Fraction as F
@@ -8,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorwalk.rational import affine, as_pair, bisect_pairs, coprime_fraction
 from cantorwalk.space import (CompactSet, Ifs, Piece, PointSet, Region, SpaceError,
                               epsilon_neighborhood, ternary_cantor)
 
@@ -56,7 +58,8 @@ def hausdorff_distance(a: CompactSet, b: CompactSet) -> F:
 
 
 # ---------------------------------------------------------------------------
-# gaps, diameters and set equality of regions; no CLI run reads them
+# gaps, diameters and set equality of regions, the gaps at a point, and
+# child cylinders and cylinder decompositions on Fractions; no CLI run reads them
 
 Gap = namedtuple("Gap", "kind left right")  # kind: bounded, left- or right-unbounded
 
@@ -83,6 +86,66 @@ def region_diameter(r: Region) -> F:
 
 def same_set(a: Region, b: Region) -> bool:
     return a.subset_of(b) and b.subset_of(a)
+
+
+def _ifs_gap_pairs(ifs: Ifs, t: tuple) -> tuple:
+    """The bounded gaps of the limit set whose closure holds t: the gap
+    containing t, or the gap adjacent to the limit point t; () when t is
+    off the hull or touches no gap.  t and the gap ends are reduced int
+    pairs."""
+    levels, gap = ifs._expand(t)
+    children = ifs._int_children
+    if gap is None:
+        # a limit point touches a gap where it ends a child with a
+        # neighbour on that side; from the next level on it sits at a
+        # hull end, which repeats at once: that is the second-last level
+        if len(levels) < 2:
+            return ()
+        k = len(levels) - 2
+        i, y = levels[k]
+        if y == children[i][0] and i > 0:
+            gap = k, i - 1, y
+        elif y == children[i][1] and i + 1 < len(children):
+            gap = k, i, y
+        else:
+            return ()
+    # each end is t + scale * (child end - y), scale = product of the c/a above
+    k, g, (yn, yd) = gap
+    above = [ifs._int_inverses[i] for i, _ in levels[:k]]
+    scale = math.prod(c for _, _, c in above), math.prod(a for a, _, _ in above)
+    return (tuple(affine(scale, (cn * yd - yn * cd, cd * yd), t)
+                  for cn, cd in (children[g][1], children[g + 1][0])),)
+
+
+def gap_pairs(k, t: tuple) -> tuple:
+    """The bounded gaps of the true set k, an Ifs or a CompactSet (with IFS
+    structure, of the limit set), whose closure holds t, left to right; all
+    ends are int pairs."""
+    if isinstance(k, Ifs) or k.ifs is not None:
+        return _ifs_gap_pairs(k if isinstance(k, Ifs) else k.ifs, t)
+    # gap j is (right end of interval j, left end of interval j + 1)
+    ends = k._ends
+    first = max(bisect_pairs(ends, 0, t, False) - 1, 0)
+    stop = min(bisect_pairs(ends, 1, t), len(ends) - 1)
+    return tuple((ends[j][1], ends[j + 1][0]) for j in range(first, stop))
+
+
+def gaps_at(k, t: F) -> tuple[tuple[F, F], ...]:
+    """gap_pairs on Fractions."""
+    return tuple((coprime_fraction(*a), coprime_fraction(*b))
+                 for a, b in gap_pairs(k, as_pair(t)))
+
+
+def children(ifs: Ifs, lo: F, hi: F) -> list[tuple[F, F]]:
+    """Ifs._child_pairs on Fractions."""
+    return [(coprime_fraction(*a), coprime_fraction(*b))
+            for a, b in ifs._child_pairs(as_pair(lo), as_pair(hi))]
+
+
+def decompose_into_cylinders(k: CompactSet, lo: F, hi: F):
+    """CompactSet._cylinder_pairs on Fractions: (address, lo, hi) triples."""
+    parts = k._cylinder_pairs(as_pair(lo), as_pair(hi))
+    return parts and [(w, coprime_fraction(*a), coprime_fraction(*b)) for w, a, b in parts]
 
 
 def test_normalization():
@@ -141,10 +204,10 @@ def test_gaps():
 
 def test_is_gap_pair_sees_limit_set():
     K = ternary_cantor(2)
-    assert (F(1, 3), F(2, 3)) in K.gaps_at(F(1, 3))
+    assert (F(1, 3), F(2, 3)) in gaps_at(K, F(1, 3))
     # finer than the stored depth, still a gap of the limit set
-    assert (F(1, 27), F(2, 27)) in K.gaps_at(F(1, 27))
-    assert (F(0), F(1)) not in K.gaps_at(F(0))
+    assert (F(1, 27), F(2, 27)) in gaps_at(K, F(1, 27))
+    assert (F(0), F(1)) not in gaps_at(K, F(0))
 
 
 def test_epsilon_neighborhood_strictness():
@@ -416,15 +479,15 @@ def test_cylinders():
     K = ternary_cantor(3)
     assert K.cylinder("02") == (F(2, 9), F(1, 3))
     assert K.cylinder("") == (F(0), F(1))
-    assert K.decompose_into_cylinders(F(0), F(1, 3)) == [("0", F(0), F(1, 3))]
-    assert K.decompose_into_cylinders(F(0), F(1)) == [("", F(0), F(1))]
-    assert K.decompose_into_cylinders(F(2, 9), F(7, 9)) == [
+    assert decompose_into_cylinders(K, F(0), F(1, 3)) == [("0", F(0), F(1, 3))]
+    assert decompose_into_cylinders(K, F(0), F(1)) == [("", F(0), F(1))]
+    assert decompose_into_cylinders(K, F(2, 9), F(7, 9)) == [
         ("02", F(2, 9), F(1, 3)), ("20", F(2, 3), F(7, 9))]
     # a gap end inside the interval: the cylinders around it are split
-    assert K.decompose_into_cylinders(F(1, 4), F(1)) is None
-    assert K.decompose_into_cylinders(F(1, 3), F(1)) is None
+    assert decompose_into_cylinders(K, F(1, 4), F(1)) is None
+    assert decompose_into_cylinders(K, F(1, 3), F(1)) is None
     # cylinders far deeper than the stored depth
-    assert K.decompose_into_cylinders(F(2, 3 ** 25), F(1, 3)) == [
+    assert decompose_into_cylinders(K, F(2, 3 ** 25), F(1, 3)) == [
         ("0" * k + "2", F(2, 3 ** (k + 1)), F(1, 3 ** k)) for k in range(24, 0, -1)]
 
 
@@ -441,7 +504,7 @@ def test_long_period_limit_point():
     x = sum(F(d, 3 ** (i + 1)) for i, d in enumerate(digits)) / \
         (1 - F(1, 3 ** 1500))
     assert TERNARY.contains_limit_point(x)
-    assert TERNARY.gaps_at(x) == ()  # touches no gap
+    assert gaps_at(TERNARY, x) == ()  # touches no gap
     assert ternary_cantor(3).contains_limit_point(x)
 
 
@@ -453,19 +516,19 @@ def test_address_engine_against_depth_d_sets(ifs, d, data):
     ends = K.endpoints()
     for lo, hi in gaps:
         # each end of a gap touches that gap only, and so does its inside
-        assert ifs.gaps_at(lo) == ifs.gaps_at(hi) == ((lo, hi),)
+        assert gaps_at(ifs, lo) == gaps_at(ifs, hi) == ((lo, hi),)
         t = lo + (hi - lo) * data.draw(st.fractions(0, 1).filter(
             lambda q: 0 < q < 1))
-        assert ifs.gaps_at(t) == ((lo, hi),)
+        assert gaps_at(ifs, t) == ((lo, hi),)
         assert not ifs.contains_limit_point(t)
     # endpoints of depth-d cells are limit points; a pair of them bounds a
     # gap of the limit set exactly when it bounds a gap of the depth-d set
     u, v = sorted(data.draw(st.lists(st.sampled_from(ends), min_size=2,
                                      max_size=2, unique=True)))
     assert ifs.contains_limit_point(u)
-    assert not any(lo < u < hi for lo, hi in ifs.gaps_at(u))
-    assert ((u, v) in ifs.gaps_at(u)) == ((u, v) in gaps)
-    assert (v, u) not in ifs.gaps_at(v)
+    assert not any(lo < u < hi for lo, hi in gaps_at(ifs, u))
+    assert ((u, v) in gaps_at(ifs, u)) == ((u, v) in gaps)
+    assert (v, u) not in gaps_at(ifs, v)
 
 
 @settings(max_examples=30, deadline=None)
@@ -482,22 +545,22 @@ def test_gaps_at_is_the_three_queries_in_one(ifs, d, data):
         for lo, hi in bounded_gaps(K)]
     for t in points:
         expected = tuple(g for g in bounded_gaps(K) if g[0] <= t <= g[1])
-        assert ifs.gaps_at(t) == K.gaps_at(t) == plain.gaps_at(t) == expected
+        assert gaps_at(ifs, t) == gaps_at(K, t) == gaps_at(plain, t) == expected
 
 
 def test_gaps_at_deep_and_plain():
     # the scale of a gap 24 levels down is taken only at that level
     t = F(2, 3 ** 25)
-    assert TERNARY.gaps_at(t) == ((F(1, 3 ** 25), t),)  # on its left only
-    assert TERNARY.gaps_at(F(3, 2 * 3 ** 25)) == ((F(1, 3 ** 25), t),)
-    assert TERNARY.gaps_at(F(-1)) == TERNARY.gaps_at(F(1, 4)) == ()
+    assert gaps_at(TERNARY, t) == ((F(1, 3 ** 25), t),)  # on its left only
+    assert gaps_at(TERNARY, F(3, 2 * 3 ** 25)) == ((F(1, 3 ** 25), t),)
+    assert gaps_at(TERNARY, F(-1)) == gaps_at(TERNARY, F(1, 4)) == ()
     # a one-point interval of a plain set touches a gap on each side
     K = CompactSet.from_intervals([(0, 1), (2, 2), (3, 4)])
-    assert K.gaps_at(F(2)) == ((1, 2), (2, 3))
-    assert K.gaps_at(F(3, 2)) == ((1, 2),)
-    assert K.gaps_at(F(1, 2)) == K.gaps_at(F(5)) == ()
-    assert (F(2), F(3)) in K.gaps_at(F(2))
-    assert (F(1), F(3)) not in K.gaps_at(F(1))
+    assert gaps_at(K, F(2)) == ((1, 2), (2, 3))
+    assert gaps_at(K, F(3, 2)) == ((1, 2),)
+    assert gaps_at(K, F(1, 2)) == gaps_at(K, F(5)) == ()
+    assert (F(2), F(3)) in gaps_at(K, F(2))
+    assert (F(1), F(3)) not in gaps_at(K, F(1))
 
 
 # -- the integer expansion against a Fraction reference ----------------------
@@ -510,10 +573,10 @@ def expand_ref(ifs, t):
     lo, hi = ifs.hull
     if not lo <= t <= hi:
         return levels, None
-    children, y = ifs.children(*ifs.hull), t
+    kids, y = children(ifs, *ifs.hull), t
     while (key := (y.numerator, y.denominator)) not in seen:
         seen.add(key)
-        for i, (clo, chi) in enumerate(children):
+        for i, (clo, chi) in enumerate(kids):
             if y <= chi:
                 break
         if y < clo:
@@ -525,15 +588,15 @@ def expand_ref(ifs, t):
 
 def gaps_at_ref(ifs, t):
     levels, gap = expand_ref(ifs, t)
-    children = ifs.children(*ifs.hull)
+    kids = children(ifs, *ifs.hull)
     if gap is None:
         if len(levels) < 2:
             return ()
         k = len(levels) - 2
         i, y = levels[k]
-        if y == children[i][0] and i > 0:
+        if y == kids[i][0] and i > 0:
             gap = k, i - 1, y
-        elif y == children[i][1] and i + 1 < len(children):
+        elif y == kids[i][1] and i + 1 < len(kids):
             gap = k, i, y
         else:
             return ()
@@ -541,8 +604,8 @@ def gaps_at_ref(ifs, t):
     scale = F(1)
     for i, _ in levels[:k]:
         scale *= ifs.ratios[i]
-    return ((t + scale * (children[g][1] - y),
-             t + scale * (children[g + 1][0] - y)),)
+    return ((t + scale * (kids[g][1] - y),
+             t + scale * (kids[g + 1][0] - y)),)
 
 
 THREE_MAPS = Ifs((F(1, 5), F(1, 4), F(1, 5)), (F(0), F(2, 5), F(4, 5)),
@@ -568,7 +631,7 @@ def test_integer_expansion_matches_fraction_loop(ifs, data):
     # denominators, so the same number of levels before a repeat
     assert levels == [(i, (y.numerator, y.denominator)) for i, y in ref_levels]
     assert gap == (ref_gap and (*ref_gap[:2], (ref_gap[2].numerator, ref_gap[2].denominator)))
-    assert ifs.gaps_at(t) == gaps_at_ref(ifs, t)
+    assert gaps_at(ifs, t) == gaps_at_ref(ifs, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -584,8 +647,46 @@ def test_cylinders_match_the_map_composition(ifs, data):
         r, o = ifs.ratios[i], ifs.offsets[i]
         lo, hi = r * lo + o, r * hi + o
     assert ifs.cylinder(w) == (lo, hi)
-    assert ifs.children(lo, hi) == [ifs.cylinder(w + s) for s in ifs.symbols]
-    assert CompactSet.from_ifs(ifs, 0).decompose_into_cylinders(lo, hi) == [(w, lo, hi)]
+    assert children(ifs, lo, hi) == [ifs.cylinder(w + s) for s in ifs.symbols]
+    assert decompose_into_cylinders(CompactSet.from_ifs(ifs, 0), lo, hi) == [(w, lo, hi)]
     d = data.draw(st.integers(0, 3))
     assert ifs.intervals_at(d) == [ifs.cylinder("".join(a))
                                    for a in itertools.product(ifs.symbols, repeat=d)]
+
+
+def decompose_ref(ifs, lo, hi):
+    """The cylinder decomposition as a stack descent from the hull alone, on
+    Fractions: every cylinder holding lo or hi without lying inside [lo, hi]
+    is split, down to one level past the longer address expansion."""
+    max_depth = 1 + max(len(expand_ref(ifs, x)[0]) for x in (lo, hi))
+    parts, stack = [], [("", *ifs.hull)]
+    while stack:
+        addr, a, b = stack.pop()
+        if hi < a or b < lo:
+            continue
+        if lo <= a and b <= hi:
+            parts.append((addr, a, b))
+        elif len(addr) >= max_depth:
+            return None
+        else:
+            stack.extend((addr + s, *c) for s, c in zip(
+                ifs.symbols[::-1], children(ifs, a, b)[::-1]))
+    return parts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([TERNARY, UNEQUAL, THREE_MAPS, NEGATIVE]), st.data())
+def test_cylinder_descent_matches_the_stack_descent(ifs, data):
+    # intervals between ends of cylinders up to depth 4 (single cylinders,
+    # unions of neighbours, intervals ending in gaps or reversed) and
+    # arbitrary rationals: descending into the one child that holds the
+    # interval answers as the plain stack descent does
+    cells = CompactSet.from_ifs(ifs, data.draw(st.integers(0, 4))).intervals
+    lo, hi = ifs.hull
+    ends = st.one_of(st.sampled_from([x for c in cells for x in c]),
+                     st.fractions(lo - 1, hi + 1, max_denominator=3 ** 5))
+    if data.draw(st.booleans()):
+        a, b = data.draw(st.sampled_from(cells))
+    else:
+        a, b = data.draw(ends), data.draw(ends)
+    assert decompose_into_cylinders(CompactSet.from_ifs(ifs, 0), a, b) == decompose_ref(ifs, a, b)

@@ -4,9 +4,10 @@ Cylinders tile the limit set iff they are disjoint and their addresses form
 a complete prefix code, whose sum of n^-len(address) over n maps is 1, so
 _validate_ifs looks up no gap.  The reference below is the check it
 replaced: every pair of neighbouring cylinders must bound a gap of the limit
-set, found by Ifs.gaps_at.  Both are asked about complete codes mapped onto
-complete codes, and about codes with a cylinder dropped, duplicated or
-nested, or widened or narrowed so that it ends off its cylinder.
+set, found by gaps_at (which only the tests define).  Both are asked about
+complete codes mapped onto complete codes, and about codes with a cylinder
+dropped, duplicated or nested, or widened or narrowed so that it ends off
+its cylinder.
 """
 
 import json
@@ -23,7 +24,7 @@ from cantorwalk.space import CompactSet, Ifs
 
 from fixtures import TABLES, cantor_space
 from test_lookups import TERNARY, UNEQUAL
-from test_space import NEGATIVE, THREE_MAPS
+from test_space import NEGATIVE, THREE_MAPS, decompose_into_cylinders, gaps_at
 
 SETS = (TERNARY, THREE_MAPS, UNEQUAL, NEGATIVE)
 MUTATIONS = ("complete", "drop", "duplicate", "nest", "reach")
@@ -42,12 +43,12 @@ def _validate_ifs_ref(space, branches):
         if cyls[0][0] != lo or cyls[-1][1] != hi:
             raise MapError(f"{what} cylinders do not reach the extremes")
         for (l1, r1), (l2, r2) in zip(cyls, cyls[1:]):
-            if not (r1 < l2 and (r1, l2) in space.ifs.gaps_at(r1)):
+            if not (r1 < l2 and (r1, l2) in gaps_at(space.ifs, r1)):
                 raise MapError(f"{what} cylinders do not tile the limit set")
 
     img_cyls, src_cyls = [], []
     for b in branches:
-        parts = space.decompose_into_cylinders(b.lo, b.hi)
+        parts = decompose_into_cylinders(space, b.lo, b.hi)
         if not parts:
             raise MapError(f"branch source [{b.lo}, {b.hi}] not cylinder-aligned")
         if (parts[0][1], parts[-1][2]) != (b.lo, b.hi):
@@ -55,7 +56,7 @@ def _validate_ifs_ref(space, branches):
         for w, clo, chi in parts:
             src_cyls.append((clo, chi))
             ia, ib = sorted((b.value(clo), b.value(chi)))
-            dec = space.decompose_into_cylinders(ia, ib)
+            dec = decompose_into_cylinders(space, ia, ib)
             if dec is None or len(dec) != 1:
                 raise MapError(f"image of cylinder {w or 'hull'} is not a cylinder")
             img_cyls.append((ia, ib))
@@ -156,18 +157,24 @@ def test_images_off_a_tiling_are_refused(sources, images):
 
 def test_validation_looks_up_no_gap(tmp_path, monkeypatch):
     # building A1 from its prefix table and verifying the free_pair
-    # certificate with every gap lookup raising
+    # certificate with no gap lookup in the program and no address
+    # expansion: every source and image there is one cylinder, found by
+    # descending to it
     scn = parse_scenario(_load_scenario_text("free_pair"))
     assert run_scenario(scn, out_dir=str(tmp_path))[0] == 0
     doc = json.loads((tmp_path / "free_pair_certificate.json").read_text())
     K = cantor_space(3)
     a1 = from_prefix_table(TABLES["A1"], K, label=("A1",))
 
-    def refuse(*args):
-        raise AssertionError("a gap lookup in map validation")
-
+    # the program has no gap lookup left to call: gap_pairs and gaps_at
+    # live in tests/test_space.py
     for owner in (Ifs, CompactSet):
         for name in ("_gap_pairs", "gaps_at"):
-            monkeypatch.setattr(owner, name, refuse)
+            assert not hasattr(owner, name)
+
+    def refuse(*args):
+        raise AssertionError("an address expansion in map validation")
+
+    monkeypatch.setattr(Ifs, "_expand", refuse)
     assert from_prefix_table(TABLES["A1"], K, label=("A1",)) == a1
     assert verify_certificate(doc)
