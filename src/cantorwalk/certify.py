@@ -97,14 +97,6 @@ class AssemblyFailure(NamedTuple):
     __bool__ = _failure
 
 
-class DisplacementResult(NamedTuple):
-    word: Optional[PAHomeo]
-    flag: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.word is not None
-
-
 # ---------------------------------------------------------------------------
 # word enumeration
 
@@ -165,37 +157,6 @@ def find_finite_orbit(gens: dict, starts, bound: int = 2000):
     pts = closure[0]
     return FiniteOrbitCertificate(tuple(maps), PointSet(maps[0].space, tuple(
         coprime_fraction(*pts[i]) for i in value_order([(x,) for x in pts]))))
-
-
-def find_displacement(gens: dict, A, B, max_len: int = 6) -> DisplacementResult:
-    """Shortest word g (shortlex) with g(A) disjoint from B.
-
-    Direct BFS first; if that fails with orbits still growing, an
-    induction-style fallback displaces all but the last point and extends
-    the search from there.  A finite orbit through A is the documented
-    obstruction and is flagged.
-    """
-    a_vals = [rat(a) for a in A]
-    b_vals = {rat(b) for b in B}
-    if not a_vals or not b_vals:
-        raise CertifyError("A and B must be nonempty")
-    if max_len < 1:
-        raise CertifyError("max_len must be at least 1")
-    letters, inv = _make_letters(gens)
-    for _, w in _reduced_words(letters, inv, max_len, None, _then):
-        if all(apply(w, a) not in b_vals for a in a_vals):
-            return DisplacementResult(w)
-    orbit = find_finite_orbit(gens, a_vals, bound=4 ** max_len)
-    if orbit is not None:
-        return DisplacementResult(None, "finite-orbit")
-    if len(a_vals) > 1:
-        sub = find_displacement(gens, a_vals[:-1], b_vals, max_len)
-        if sub.word is not None:
-            for _, u in _reduced_words(letters, inv, max_len, None, _then):
-                w = compose(u, sub.word)
-                if all(apply(w, a) not in b_vals for a in a_vals):
-                    return DisplacementResult(w)
-    return DisplacementResult(None, "budget-exhausted")
 
 
 def _find_region_displacement(letters, inv, src: Region, avoid: Region,

@@ -14,7 +14,7 @@ from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 from .rational import rat
-from .maps import (Branch, MapError, PAHomeo, invert_branches, orbit_bfs,
+from .maps import (Branch, MapError, PAHomeo, _tiles, invert_branches, orbit_bfs,
                    pa_homeo)
 from .space import CompactSet, SpaceError
 
@@ -86,17 +86,11 @@ def giet_from_branches(interval, branches) -> Giet:
             raise GietError("degenerate branch source")
         bs.append(Branch(lo, hi, slope, offset))
     bs.sort(key=lambda br: br.lo)
-    if bs[0].lo != a or bs[-1].hi != b:
-        raise GietError("sources do not span the interval")
-    for b1, b2 in zip(bs, bs[1:]):
-        if b1.hi != b2.lo:
-            raise GietError("sources do not partition the interval")
-    imgs = sorted(br.ends for br in bs)
-    if imgs[0][0] != a or imgs[-1][1] != b:
-        raise GietError("images do not span the interval")
-    for (l1, r1), (l2, r2) in zip(imgs, imgs[1:]):
-        if r1 != l2:
-            raise GietError("images do not tile the interval")
+    K = CompactSet(((a, b),))
+    if not _tiles(K, [br.pairs[:2] for br in bs]):
+        raise GietError("sources do not partition the interval")
+    if not _tiles(K, [br.pairs[4:] for br in bs]):
+        raise GietError("images do not tile the interval")
     return Giet(a, b, tuple(bs))
 
 

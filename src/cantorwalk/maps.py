@@ -5,7 +5,10 @@ a closed rational source interval.  Together the branches restrict to a
 bijection of the ambient set onto itself, which is verified exactly at
 construction.  For IFS-structured sets the bijection is of the underlying
 limit set: branch sources and images must be cylinder-aligned and end on
-it, so that each branch carries limit points to limit points.
+it, so that each branch carries limit points to limit points.  On a plain
+set (no IFS) branches are stored cut at the gaps of K, and the sources and
+the images each tile K.  So no two branch images overlap on either kind of
+set; compose and invert keep that, as they only subdivide both.
 
 Break pairs and the regularity radius r0 are computed exactly.
 """
@@ -19,7 +22,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .rational import (affine, as_pair, bisect_pairs, coprime_fraction, pair_cmp, pair_key,
                        rat, value_order)
-from .space import CompactSet, Piece, Region, _Frozen, _normalize_intervals
+from .space import CompactSet, Piece, Region, _Frozen
 
 
 class MapError(ValueError):
@@ -99,13 +102,9 @@ class PAHomeo(_Frozen):
         return tuple(b.pairs for b in self.branches)
 
     @cached_property
-    def _image_order(self) -> tuple[list, bool]:
-        """The branch indices in the order of their images, and whether two
-        images overlap, which only the branches of a plain set may do."""
-        ps = self._pairs
-        order = value_order([p[4:5] for p in ps])
-        return order, self.space.ifs is None and any(
-            pair_cmp(ps[i][5], ps[k][4]) > 0 for i, k in zip(order, order[1:]))
+    def _image_order(self) -> list:
+        """The branch indices in the order of their images, which do not overlap."""
+        return value_order([p[4:5] for p in self._pairs])
 
     def _branch_at(self, x: tuple) -> tuple:
         """The pairs of the branch whose source holds the int pair x; raises off them.
@@ -165,29 +164,27 @@ def orbit_bfs(seeds: Iterable[Fraction], steps: Sequence[Callable],
 # construction and validation
 
 
-def _validate_plain(space: CompactSet, branches: Sequence[Branch]) -> None:
-    """Bijectivity onto K for a set without IFS structure: the branch
-    images of K material tile K exactly (merged equality + length count)."""
-    imgs = []
-    total = Fraction(0)
-    for b in branches:
-        for kl, kr in space.meeting(b.lo, b.hi):
-            olo, ohi = max(kl, b.lo), min(kr, b.hi)
-            if olo < ohi:
-                ia, ib = b.value(olo), b.value(ohi)
-                imgs.append((ia, ib) if ia <= ib else (ib, ia))
-                total += abs(b.slope) * (ohi - olo)
-    if not imgs:
-        raise MapError("branches miss the ambient set entirely")
-    if _normalize_intervals(imgs) != space.intervals:
-        raise MapError("branch images do not tile the ambient set")
-    if total != sum(r - l for l, r in space.intervals):
-        raise MapError("branch images overlap (length mismatch)")
-    # well-definedness where sources meet inside K
-    for b1, b2 in zip(branches, branches[1:]):
-        if b1.hi == b2.lo and space.contains(b1.hi):
-            if b1.value(b1.hi) != b2.value(b1.hi):
-                raise MapError(f"branches disagree at {b1.hi}")
+def _tiles(K: CompactSet, ivs: Sequence[tuple]) -> bool:
+    """Whether the closed intervals ivs, int pairs of positive length, run
+    through each interval of K end to end when sorted: from K's least to
+    its greatest point, each starting where the one before ended, or past
+    a right end of K at the next left end, every gap of K taken in order."""
+    ivs, ends = [ivs[i] for i in value_order([iv[:1] for iv in ivs])], K._ends
+    jumps = [(p[1], q[0]) for p, q in zip(ivs, ivs[1:]) if p[1] != q[0]]
+    return bool(ivs) and (ivs[0][0], ivs[-1][1]) == (ends[0][0], ends[-1][1]) and (
+        jumps == [(r, l) for (_, r), (l, _) in zip(ends, ends[1:])])
+
+
+def _cut(K: CompactSet, b: Branch) -> list[Branch]:
+    """b clipped to each interval of K that it meets in more than a point."""
+    lo, hi, s, o = b.pairs[:4]
+    out = []
+    for kl, kr in K._meeting(lo, hi):
+        l, r = max(kl, lo, key=pair_key), min(kr, hi, key=pair_key)
+        if pair_cmp(l, r) < 0:
+            ya, yb = affine(s, l, o), affine(s, r, o)
+            out.append(Branch.from_pairs((l, r, s, o) + ((ya, yb) if s[0] > 0 else (yb, ya))))
+    return out
 
 
 def _check_reflection_symmetric(space: CompactSet) -> None:
@@ -263,23 +260,28 @@ def pa_homeo(space: CompactSet, branches: Iterable[Branch],
     for b1, b2 in zip(bs, bs[1:]):
         if pair_cmp(b2.pairs[0], b1.pairs[1]) < 0:
             raise MapError("branch sources overlap")
-    if validate:
-        if space.ifs is not None:
-            # limit-set coverage is part of the source antichain check;
-            # sources may legitimately split across gaps of deeper cylinders
-            _validate_ifs(space, bs)
-        else:
-            merged = _normalize_intervals([(b.lo, b.hi) for b in bs])
-            for kl, kr in space.intervals:
-                if not any(l <= kl and kr <= r for l, r in merged):
-                    raise MapError(f"sources do not cover [{kl}, {kr}]")
-            _validate_plain(space, bs)
+    if validate and space.ifs is not None:
+        # limit-set coverage is part of the source antichain check;
+        # sources may legitimately split across gaps of deeper cylinders
+        _validate_ifs(space, bs)
+    if space.ifs is None:
+        if validate:
+            for b1, b2 in zip(bs, bs[1:]):
+                (_, x, s, o), (y, _, t, u) = b1.pairs[:4], b2.pairs[:4]
+                # where two branches as given share a point of K, they must agree
+                if x == y and space._holds(x) and affine(s, x, o) != affine(t, x, u):
+                    raise MapError(f"branches disagree at {b1.hi}")
+        bs = [piece for b in bs for piece in _cut(space, b)]
+        if validate and not _tiles(space, [b.pairs[:2] for b in bs]):
+            raise MapError("branch sources do not tile the ambient set")
+        if validate and not _tiles(space, [b.pairs[4:] for b in bs]):
+            raise MapError("branch images do not tile the ambient set")
     return PAHomeo(space, tuple(bs), tuple(label))
 
 
 def identity_map(space: CompactSet) -> PAHomeo:
     lo, hi = space.hull
-    return PAHomeo(space, (Branch(lo, hi, Fraction(1), Fraction(0)),), ())
+    return pa_homeo(space, [Branch(lo, hi, Fraction(1), Fraction(0))], validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +358,6 @@ def invert(f: PAHomeo) -> PAHomeo:
     return PAHomeo(f.space, invert_branches(f.branches), label)
 
 
-def power(f: PAHomeo, k: int) -> PAHomeo:
-    if k < 0:
-        return power(invert(f), -k)
-    out = identity_map(f.space)
-    for _ in range(k):
-        out = compose(f, out)
-    return out
-
-
 def equals(f: PAHomeo, g: PAHomeo) -> bool:
     """Equality as maps restricted to the ambient set: equal branches, or
     the same slope and offset on every cut segment meeting it, on int pairs."""
@@ -408,28 +401,21 @@ class BreakPair(NamedTuple):
 def break_pairs(f: PAHomeo) -> list[BreakPair]:
     """The gaps of the (limit) set whose image pair bounds no gap.
 
-    Both kinds of set test candidate gaps (a, b), with image ends (u, v),
-    against a set of gaps read off a tiling, on int pairs.  On an IFS set,
-    sources and images end on the limit set and their cylinders tile it,
-    and a branch carries a gap inside its source onto a gap; so the
-    candidates are the (p.hi, q.lo) of consecutive sources p, q, and, as a
-    limit point ends at most one gap (the set is perfect), f(p.hi), f(q.lo)
-    bound a gap iff they are I.hi, J.lo for consecutive sorted images I, J.
-    On a plain set a branch may span a gap whose image holds an interval
-    of K, so the candidates and the gaps are all bounded gaps of K.
+    Sources and images tile the (limit) set, consecutive ones bounding a
+    gap or touching inside an interval of a plain set, and a branch carries
+    a gap inside its source (only on an IFS set) onto a gap.  So the
+    candidate gaps are the (p.hi, q.lo) of consecutive sources p, q that do
+    not touch, and, as a point of the set ends at most one gap, f(p.hi),
+    f(q.lo) bound a gap iff they are I.hi, J.lo for consecutive sorted
+    images I, J.  All on int pairs.
     """
-    K, bs = f.space, f.branches
-    if K.ifs is not None:
-        imgs = sorted((b.pairs[4:] for b in bs), key=lambda e: pair_key(e[0]))
-        gaps = {(i[1], j[0]) for i, j in zip(imgs, imgs[1:])}
-        # f(p.hi) is p's upper image end, and f(q.lo) q's lower one, iff increasing
-        candidates = [((p.pairs[1], q.pairs[0]), (p.pairs[4 + (p.pairs[2][0] > 0)],
-                                                  q.pairs[5 - (q.pairs[2][0] > 0)]))
-                      for p, q in zip(bs, bs[1:])]
-    else:
-        ends = [(r, l) for (_, r), (l, _) in zip(K._ends, K._ends[1:])]
-        gaps = set(ends)
-        candidates = [((a, b), (_apply(f, a), _apply(f, b))) for a, b in ends]
+    bs = f.branches
+    imgs = sorted((b.pairs[4:] for b in bs), key=lambda e: pair_key(e[0]))
+    gaps = {(i[1], j[0]) for i, j in zip(imgs, imgs[1:])}
+    # f(p.hi) is p's upper image end, and f(q.lo) q's lower one, iff increasing
+    candidates = [((p.pairs[1], q.pairs[0]), (p.pairs[4 + (p.pairs[2][0] > 0)],
+                                              q.pairs[5 - (q.pairs[2][0] > 0)]))
+                  for p, q in zip(bs, bs[1:]) if p.pairs[1] != q.pairs[0]]
     return [BreakPair(coprime_fraction(*a), coprime_fraction(*b))
             for (a, b), (u, v) in candidates if (u, v) not in gaps and (v, u) not in gaps]
 

@@ -59,8 +59,12 @@ def space_from_obj(obj: dict) -> CompactSet:
                   tuple(rat(v) for v in obj["ifs"]["offsets"]),
                   tuple(obj["ifs"]["symbols"]))
         return CompactSet.from_ifs(ifs, _exact(obj["depth"], int, "depth"))
-    return CompactSet.from_intervals(
-        [(rat(l), rat(r)) for l, r in obj["intervals"]])
+    K = CompactSet.from_intervals([(rat(l), rat(r)) for l, r in obj["intervals"]])
+    for l, r in K.intervals:
+        if l == r:
+            # a map could carry no branch over it: branches are cut at K's gaps
+            raise SerializeError(f"space interval [{_q(l)}, {_q(r)}] is a single point")
+    return K
 
 
 def map_to_obj(f: PAHomeo) -> dict:

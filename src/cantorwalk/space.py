@@ -259,11 +259,6 @@ class CompactSet(_Frozen):
         ends = self._ends
         return list(ends[bisect_pairs(ends, 1, lo, False):bisect_pairs(ends, 0, hi)])
 
-    def meeting(self, lo: Fraction, hi: Fraction) -> list:
-        """_meeting on Fractions."""
-        return [(coprime_fraction(*l), coprime_fraction(*r))
-                for l, r in self._meeting(as_pair(lo), as_pair(hi))]
-
     def contains_limit_point(self, x: Fraction) -> bool:
         """Membership in the underlying limit set (equals contains() when
         the set carries no IFS structure)."""

@@ -477,8 +477,8 @@ class CellScan(NamedTuple):
 def _push_runs(g: PAHomeo, runs: list) -> list:
     """The runs after one more letter g: each run cut at g's sources, its
     pieces mapped and taken in branch image order (reversed in a decreasing
-    branch), sorted if two plain-set images overlap; neighbours of a cell merge."""
-    bs, (order, overlap) = g._pairs, g._image_order
+    branch), which sorts them as no two images overlap; neighbours of a cell merge."""
+    bs, order = g._pairs, g._image_order
     pieces, j = [[] for _ in bs], 0
     for lo, hi, c in runs:
         (ln, ld), (hn, hd) = lo, hi
@@ -492,8 +492,6 @@ def _push_runs(g: PAHomeo, runs: list) -> list:
             yb = affine(s, hi, o) if bhi[0] * hd >= hn * bhi[1] else (ia, ib)[up]
             pieces[i].append((ya, yb, c) if up else (yb, ya, c))
     flat = [p for i in order for p in (pieces[i] if bs[i][2][0] > 0 else reversed(pieces[i]))]
-    if overlap:
-        flat.sort(key=lambda p: (pair_key(p[0]), pair_key(p[1])))
     out = []
     for p in flat:
         if out and out[-1][2] == p[2]:

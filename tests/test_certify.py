@@ -1,4 +1,4 @@
-"""Certificates: displacement, contraction, ping-pong, measures, Morse-Smale."""
+"""Certificates: finite orbits, contraction, ping-pong, measures, Morse-Smale."""
 
 from fractions import Fraction as F
 
@@ -10,13 +10,13 @@ from cantorwalk.certify import (_make_letters, _reduced_words, _then,
                                 InfeasibilityReport, InvariantMeasureCertificate,
                                 PingPongCertificate, assemble_free_pair,
                                 check_morse_smale, find_contraction,
-                                find_displacement, find_finite_orbit,
+                                find_finite_orbit,
                                 find_morse_smale, free_group_sanity,
                                 periodic_points, solve_invariant_measure,
                                 stabilize_contraction_pair, UnprovedMeasure,
                                 verify_finite_orbit, verify_invariant_measure,
                                 verify_ping_pong)
-from cantorwalk.maps import apply, compose, equals, identity_map, invert, power
+from cantorwalk.maps import compose, equals, identity_map, invert
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
 from cantorwalk.walk import CellMeasure, make_model
 
@@ -33,33 +33,13 @@ KLEIN_GENS = named_generators(["H", "R"])
 FREE_GENS = named_generators(["A1", "A2"], with_inverses=True)
 
 
-# -- displacement and finite orbits -----------------------------------------
-
-
-def test_find_displacement_single_step():
-    res = find_displacement({"H": H}, [F(0)], [F(0)])
-    assert res
-    assert apply(res.word, F(0)) == F(2, 3)
+# -- finite orbits -------------------------------------------------------------
 
 
 def test_find_finite_orbit_klein():
     orb = find_finite_orbit(KLEIN_GENS, [F(0)])
     assert list(orb.orbit) == [F(0), F(1, 3), F(2, 3), F(1)]
     assert verify_finite_orbit(orb)
-
-
-def test_find_displacement_invariant_orbit_flagged():
-    orb = find_finite_orbit(KLEIN_GENS, [F(0)])
-    res = find_displacement(KLEIN_GENS, list(orb.orbit), list(orb.orbit))
-    assert not res
-    assert res.flag == "finite-orbit"
-
-
-def test_find_displacement_free_endpoints():
-    res = find_displacement(FREE_GENS, [F(0), F(1)], [F(0), F(1)])
-    assert res
-    for a in (F(0), F(1)):
-        assert apply(res.word, a) not in (F(0), F(1))
 
 
 def test_find_finite_orbit_negative_cases():
@@ -277,10 +257,10 @@ def test_measure_on_cells_finer_than_the_space_is_not_proved():
 
 
 def test_measure_under_a_map_carrying_a_gap_over_another_image():
-    # S carries the gap (1, 2) of SPANNING over [16/5, 19/5], which it
-    # fixes, so its branch images overlap and the pushed cells come out of
-    # image order: [16/5, 19/5] has its row mu(c) = mu(c) only when they
-    # are sorted.  The uniform measure and the mass on that interval are
+    # S, as given, carries the gap (1, 2) of SPANNING over [16/5, 19/5],
+    # which it fixes; stored cut at the gap, its images do not overlap, so
+    # the pushed cells come out in image order and [16/5, 19/5] has its row
+    # mu(c) = mu(c).  The uniform measure and the mass on that interval are
     # invariant under S, and the uniform measure under S and V
     uniform = CellMeasure(0, (F(1, 4),) * 4, True)
     assert verify_invariant_measure(InvariantMeasureCertificate((S,), 0, uniform, 0))
@@ -348,7 +328,7 @@ def test_check_morse_smale_g3_square():
     # G3 itself has a slope-1 branch meeting K off A in more than a point,
     # so it is honestly rejected; its square contracts there
     assert not check_morse_smale(G3, A, B)
-    assert check_morse_smale(power(G3, 2), A, B)
+    assert check_morse_smale(compose(G3, G3), A, B)
 
 
 def test_check_morse_smale_rejects_isometry():

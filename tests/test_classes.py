@@ -9,8 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantorwalk.certify import (AssemblyFailure, DisplacementResult,
-                                FiniteOrbitCertificate, InfeasibilityReport,
+from cantorwalk.certify import (AssemblyFailure, FiniteOrbitCertificate, InfeasibilityReport,
                                 InvariantMeasureCertificate, MorseSmaleCertificate,
                                 PingPongCertificate, UnprovedMeasure, Verdict)
 from cantorwalk.cli import _load_scenario_text, parse_scenario
@@ -119,11 +118,8 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
 
 
 def test_reports_keep_their_truthiness():
-    g = _identity(ternary_cantor(1))
     assert Verdict(True) and Verdict(True, "why")
     assert not Verdict(False) and not Verdict(False, "why")
-    assert DisplacementResult(g) and DisplacementResult(g, "flag")
-    assert not DisplacementResult(None) and not DisplacementResult(None, "flag")
     for failure in (InfeasibilityReport(3, F(1, 2)), UnprovedMeasure(3, 2),
                     AssemblyFailure("contraction"), AssemblyFailure("stage", "flag")):
         assert not failure

@@ -543,3 +543,53 @@ def test_verify_accepts_deep_image_cylinders(tmp_path, capsys):
     assert F(1, 3 ** 21) in slopes
     assert main(["verify", str(cert)]) == 0
     assert "VERIFIED" in capsys.readouterr().out
+
+
+# S and V of tests/test_lookups.py as scenario generators on SPANNING; S
+# carries the gap (1, 2) over [16/5, 19/5] as given, and is stored cut there
+SPANNING_SPACE = {"intervals": [["0", "1"], ["2", "3"], ["16/5", "19/5"], ["4", "5"]]}
+SPANNING_GENERATORS = [
+    {"name": "S", "branches": [{"src": ["0", "3"], "slope": "1", "offset": "2"},
+                               {"src": ["16/5", "19/5"], "slope": "1", "offset": "0"},
+                               {"src": ["4", "5"], "slope": "1", "offset": "-4"}]},
+    {"name": "V", "branches": [{"src": ["0", "3"], "slope": "1", "offset": "0"},
+                               {"src": ["16/5", "19/5"], "slope": "5/3", "offset": "-4/3"},
+                               {"src": ["4", "5"], "slope": "3/5", "offset": "4/5"}]}]
+
+
+@pytest.mark.parametrize("kind, inverses, code", [
+    ("certify-free", False, 2), ("certify-free", True, 2),
+    ("simulate", False, 0), ("simulate", True, 0),
+    ("morse-smale", True, 2), ("find-measure", False, 0), ("find-measure", True, 0)])
+def test_spanning_scenarios_run(tmp_path, capsys, kind, inverses, code):
+    # valid maps whose branches span gaps of K: the inverse of S is total,
+    # so no run stops on a point outside every branch source
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": kind, "space": SPANNING_SPACE,
+                                "generators": SPANNING_GENERATORS,
+                                "include_inverses": inverses, "output": "spanning"}))
+    assert main([kind, str(path), "--out", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err and captured.err == ""
+    if kind == "find-measure":
+        cert = tmp_path / "spanning_certificate.json"
+        assert json.loads(cert.read_text())["masses"] == ["1/4"] * 4
+        assert main(["verify", str(cert)]) == 0
+        assert "VERIFIED" in capsys.readouterr().out
+
+
+def test_one_point_interval_exits_1(tmp_path, capsys):
+    # no branch meets [2, 2] in more than a point, so no map acts on this set
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "kind": "simulate", "space": {"intervals": [["0", "1"], ["2", "2"]]},
+        "generators": [{"name": "X", "branches": [
+            {"src": ["0", "2"], "slope": "1", "offset": "0"}]}]}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err == "error: space interval [2, 2] is a single point\n"
+    assert not any(out.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]

@@ -6,6 +6,15 @@ package outside its own definition; a public one must be referenced
 somewhere in the package or its tests outside its own definition.  A
 reference inside the body of the definition (a recursive call, or a
 method calling a namesake) does not count.
+
+A stricter pass asks what the command line can reach.  It starts from
+cli.main and the module-level code of every module, and closes over the
+names that each reached definition mentions: a definition is reached when
+its name is mentioned (a method by any attribute of its name), and a
+reached class reaches its dunder methods and its class-level code.  The
+definitions it leaves must be exactly those of REACHED_ONLY_BY_TESTS, each
+with the test or acceptance criterion that calls it, so that the list can
+only shrink.
 """
 
 import ast
@@ -68,3 +77,76 @@ def test_no_unreferenced_private_names():
 
 def test_no_unreferenced_public_names():
     assert unreferenced_names(False, SRC, TESTS) == []
+
+
+# module:name of each definition no CLI run reaches -> the test that calls it
+REACHED_ONLY_BY_TESTS = {
+    "certify:find_contraction": "test_acceptance.py::test_criterion_6_deterministic_contraction",
+    "certify:free_group_sanity": "test_acceptance.py::test_criterion_1_ping_pong_and_sanity",
+    "giet:BlowUpResult.conjugate_point": "test_acceptance.py::test_criterion_12_giet_blowup",
+    "giet:Giet.one_sided": "test_giet.py::test_one_sided_orbit_oracles",
+    "giet:SidedOrbit": "test_giet.py::test_one_sided_orbit_oracles",
+    "giet:one_sided_orbit": "test_giet.py::test_one_sided_orbit_oracles",
+    "giet:rotation": "test_acceptance.py::test_criterion_12_giet_blowup",
+    "maps:BreakPair.span": "test_acceptance.py::test_criterion_3_regularity",
+    "maps:is_regular_on": "test_acceptance.py::test_criterion_3_regularity",
+    "maps:regularity_radius": "test_acceptance.py::test_criterion_3_regularity",
+    "space:CompactSet.endpoints": "test_acceptance.py::test_criterion_12_giet_blowup",
+    "walk:DichotomyReport": "test_acceptance.py::test_criterion_8_dichotomy",
+    "walk:ProximalityReport": "test_walk.py::test_proximality_klein_has_no_proximal_pair",
+    "walk:_pair_verdict": "test_acceptance.py::test_criterion_8_dichotomy",
+    "walk:backward_cluster": "test_acceptance.py::test_criterion_9_backward_accumulation",
+    "walk:backward_value": "test_walk.py::test_forward_word_matches_pointwise_orbit",
+    "walk:backward_word": "test_walk.py::test_words_trivials",
+    "walk:classify_pair": "test_walk.py::test_classify_pair",
+    "walk:delta_sum_statistic": "test_acceptance.py::test_criterion_9_backward_accumulation",
+    "walk:dichotomy_report": "test_acceptance.py::test_criterion_8_dichotomy",
+    "walk:proximality_degree": "test_walk.py::test_proximality_klein_has_no_proximal_pair",
+    "walk:uniform_cell_measure": "test_acceptance.py::test_criterion_10_entropy",
+}
+
+
+def _names(node):
+    return {name for name, _ in _references(node)}
+
+
+def unreachable_from_cli():
+    """module:name (module:class.method for methods) of each definition in
+    the package that no run of cli.main reaches, by names mentioned."""
+    defs, mentioned = {}, set()
+    for path, tree in _trees(SRC).items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                mentioned |= set().union(*map(_names, node.decorator_list))
+            else:
+                mentioned |= _names(node)
+            if isinstance(node, ast.ClassDef):
+                # the class's own code: bases and statements other than methods
+                code = node.bases + [n for n in node.body if not isinstance(
+                    n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+                defs[f"{path.stem}:{node.name}"] = (node.name, code, None)
+                for n in node.body:
+                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        defs[f"{path.stem}:{node.name}.{n.name}"] = (
+                            n.name, [n], f"{path.stem}:{node.name}")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[f"{path.stem}:{node.name}"] = (node.name, [node], None)
+    reached, frontier = set(), ["cli:main"]
+    while frontier:
+        reached |= set(frontier)
+        for key in frontier:
+            mentioned |= set().union(*map(_names, defs[key][1]))
+        frontier = [key for key, (name, _, cls) in defs.items() if key not in reached and (
+            name in mentioned or cls in reached and name.startswith("__") and name.endswith("__"))]
+    return sorted(defs.keys() - reached)
+
+
+def test_every_definition_is_reached_from_the_cli_or_listed():
+    assert unreachable_from_cli() == sorted(REACHED_ONLY_BY_TESTS)
+
+
+def test_listed_definitions_name_a_test_that_exists():
+    for key, test in REACHED_ONLY_BY_TESTS.items():
+        file, name = test.split("::")
+        tree = ast.parse((TESTS / file).read_text())
+        assert any(isinstance(n, ast.FunctionDef) and n.name == name for n in tree.body), key

@@ -43,6 +43,18 @@ def test_overlapping_images_rejected():
         giet_from_branches((0, 1), [(0, F(1, 2), 1, 0), (F(1, 2), 1, 1, F(-1, 2))])
 
 
+@pytest.mark.parametrize("branches, message", [
+    ([(0, F(1, 2), 1, F(1, 2))], "sources do not partition"),
+    ([(0, F(1, 2), 1, F(1, 2)), (F(1, 3), 1, 1, F(-1, 3))], "sources do not partition"),
+    ([(0, F(1, 2), 1, F(1, 2)), (F(1, 2), F(3, 2), 1, F(-1, 2))], "sources do not partition"),
+    ([(0, F(1, 2), 1, F(1, 4)), (F(1, 2), 1, 1, F(-1, 2))], "images do not tile"),
+    ([(0, F(1, 2), 1, F(1, 2)), (F(1, 2), 1, 1, F(1, 2))], "images do not tile"),
+])
+def test_sources_and_images_tile_the_interval(branches, message):
+    with pytest.raises(GietError, match=message):
+        giet_from_branches((0, 1), branches)
+
+
 def test_inverse_and_preimage():
     inv = ROT3.inverse()
     for x in (F(0), F(1, 5), F(2, 3), F(9, 10)):

@@ -14,11 +14,11 @@ they are.  The references below scan every interval, branch and cell pair,
 and cut and evaluate every branch, as a plain reading of the definitions
 would; the rows reference takes the preimage region of every cell and
 tests every cell for inclusion in it; the break-pair reference asks for the
-gaps at every branch boundary (every bounded gap on a plain set, where a
-branch may span one) and whether each image pair bounds a gap from its
-right end, where maps.break_pairs compares an IFS map's image pairs with
-the gaps between its consecutive branch images, and a plain set's with its
-gaps; the region-mass reference sums every cell.
+gaps at every branch boundary (every bounded gap on a plain set) and
+whether each image pair bounds a gap from its right end, where
+maps.break_pairs compares the image pairs at the gaps between consecutive
+sources with the gaps between consecutive branch images, on either kind of
+set; the region-mass reference sums every cell.
 maps.break_pairs, maps.apply, CompactSet._cylinder_pairs, the
 Region operations, maps.image, maps.maps_into, walk.invariance_rows,
 certify.periodic_points and walk._region_mass work on int pairs; a last
@@ -95,23 +95,26 @@ PLAIN_LETTERS = (
 # P^-1∘Q∘P: an orientation-reversing involution with kinks at 1/2 and 11/2
 PLAIN_INVOLUTION = compose(invert(PLAIN_LETTERS[0]),
                            compose(PLAIN_LETTERS[1], PLAIN_LETTERS[0]))
-# a plain set with branches across its gaps.  T swaps [0, 1] and [4, 5]
-# and is the identity on [2, 19/5], carrying the gap (3, 16/5) onto itself;
-# V is the identity on [0, 3], across the gap (1, 2), and swaps
-# [16/5, 19/5] and [4, 5].  S is x + 2 on [0, 3], so it carries the gap
-# (1, 2) onto (3, 4), which holds [16/5, 19/5], the identity on that
-# interval and x - 4 on [4, 5]; its branch images overlap as intervals
+# a plain set with branches given across its gaps, which pa_homeo stores
+# cut at the gaps.  T swaps [0, 1] and [4, 5] and is the identity on
+# [2, 19/5], carrying the gap (3, 16/5) onto itself; V is the identity on
+# [0, 3], across the gap (1, 2), and swaps [16/5, 19/5] and [4, 5].  S is
+# x + 2 on [0, 3], which would carry the gap (1, 2) onto (3, 4), holding
+# [16/5, 19/5], the identity on that interval and x - 4 on [4, 5]; cut at
+# the gap, its branch images do not overlap
 SPANNING = CompactSet.from_intervals([(0, 1), (2, 3), (F(16, 5), F(19, 5)), (4, 5)])
-SPANNING_LETTERS = (
-    pa_homeo(SPANNING, [Branch(F(0), F(1), F(1), F(4)),
-                        Branch(F(2), F(19, 5), F(1), F(0)),
-                        Branch(F(4), F(5), F(1), F(-4))], label=("T",)),
-    pa_homeo(SPANNING, [Branch(F(0), F(3), F(1), F(0)),
-                        Branch(F(16, 5), F(19, 5), F(5, 3), F(-4, 3)),
-                        Branch(F(4), F(5), F(3, 5), F(4, 5))], label=("V",)))
-S = pa_homeo(SPANNING, [Branch(F(0), F(3), F(1), F(2)),
-                        Branch(F(16, 5), F(19, 5), F(1), F(0)),
-                        Branch(F(4), F(5), F(1), F(-4))], label=("S",))
+SPANNING_BRANCHES = {  # as given, before the cut
+    "T": [Branch(F(0), F(1), F(1), F(4)),
+          Branch(F(2), F(19, 5), F(1), F(0)),
+          Branch(F(4), F(5), F(1), F(-4))],
+    "V": [Branch(F(0), F(3), F(1), F(0)),
+          Branch(F(16, 5), F(19, 5), F(5, 3), F(-4, 3)),
+          Branch(F(4), F(5), F(3, 5), F(4, 5))],
+    "S": [Branch(F(0), F(3), F(1), F(2)),
+          Branch(F(16, 5), F(19, 5), F(1), F(0)),
+          Branch(F(4), F(5), F(1), F(-4))]}
+SPANNING_LETTERS = tuple(pa_homeo(SPANNING, SPANNING_BRANCHES[n], label=(n,)) for n in "TV")
+S = pa_homeo(SPANNING, SPANNING_BRANCHES["S"], label=("S",))
 
 
 def _table_letters(K, *tables):
@@ -126,7 +129,8 @@ def _alphabets(extra=0):
     reflection R on the ternary set; two orientation-reversing depth-2
     involutions on the ternary set; a depth-2 map and a swap of the outer
     children on THREE_MAPS; A1, A2, their inverses and the reflection on
-    NEGATIVE; P, Q and P^-1 on the plain set; T, V and T^-1 on SPANNING.
+    NEGATIVE; P, Q and P^-1 on the plain set; S, T, their inverses and V on
+    SPANNING.
     With extra > 0 the IFS sets are that many levels deeper."""
     K = CompactSet.from_ifs(TERNARY, 3 + extra)
     reflection = PrefixTable((("", "", -1),))
@@ -146,15 +150,8 @@ def _alphabets(extra=0):
             [_letters(TERNARY, 3 + extra) + [r], klein, three,
              negative + [from_prefix_table(reflection, KN)],
              list(PLAIN_LETTERS) + [invert(PLAIN_LETTERS[0])],
-             list(SPANNING_LETTERS) + [invert(SPANNING_LETTERS[0])]])
-
-
-def _pushed_alphabets(extra=0):
-    """The letter sets, then S, T and V on SPANNING for the kernels that
-    push cells through letters: S carries the gap (1, 2) over the interval
-    [16/5, 19/5], which it fixes, so its branch images overlap (S has no
-    inverse here: maps.invert assumes they do not)."""
-    return _alphabets(extra) + [[S, *SPANNING_LETTERS]]
+             [S, SPANNING_LETTERS[0], invert(S), invert(SPANNING_LETTERS[0]),
+              SPANNING_LETTERS[1]]])
 
 
 def _word(letters, indices):
@@ -237,8 +234,7 @@ def supremum_ref(S):
 
 def break_candidates_ref(f):
     """The gaps to test: on an IFS set those whose closure holds an interior
-    branch boundary, and on a plain set, where a branch may span a gap
-    whose image holds an interval of K, every bounded gap."""
+    branch boundary, and on a plain set every bounded gap."""
     K = f.space
     if K.ifs is None:
         return set(bounded_gaps(K))
@@ -397,7 +393,7 @@ def test_compose_and_image_match_reference_loops(word, data):
 def test_cell_image_diameter_series_matches_image_regions(data):
     # the diameters after k steps against the image regions of the word of
     # the first k letters, for every k up to n
-    letters = data.draw(st.sampled_from(_pushed_alphabets()))
+    letters = data.draw(st.sampled_from(_alphabets()))
     steps = data.draw(st.lists(st.sampled_from(letters), max_size=10))
     K = letters[0].space
     words = [identity_map(K)]
@@ -523,8 +519,8 @@ def test_preimage_cells_match_scan(data):
     # then puts in no row; its rows on cells no finer than K are read on the
     # same tables over a set deep enough that the sources cover it, where
     # the cells, the tiling and the branches are the same
-    k = data.draw(st.integers(0, len(_pushed_alphabets()) - 1))
-    letters = _pushed_alphabets()[k]
+    k = data.draw(st.integers(0, len(_alphabets()) - 1))
+    letters = _alphabets()[k]
     idx = data.draw(st.lists(st.integers(0, len(letters) - 1), min_size=1, max_size=6))
     gens = [_word(letters, idx), letters[0]]
     K = gens[0].space
@@ -534,7 +530,7 @@ def test_preimage_cells_match_scan(data):
     while d <= K.depth and not all(map(_sources_cover_k, ref)):
         extra += 1
         assume(extra <= 6)  # the deeper sets grow geometrically
-        deeper = _pushed_alphabets(extra)[k]
+        deeper = _alphabets(extra)[k]
         ref = [_word(deeper, idx), deeper[0]]
     assert invariance_rows(gens, cells) == rows_ref(ref, cells)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cantorwalk.maps import (Branch, BreakPair, MapError, PAHomeo, PrefixTable,
                              apply, break_pairs, break_points, compose, equals,
                              from_prefix_table, identity_map, image, invert,
-                             is_identity, is_regular_on, pa_homeo, power,
+                             is_identity, is_regular_on, pa_homeo,
                              regularity_radius)
 from cantorwalk.space import Ifs, Piece, Region, ternary_cantor
 
@@ -239,12 +239,6 @@ def test_validation_asks_no_cylinder(monkeypatch):
     w = compose(A1, compose(A2, A1))
     assert pa_homeo(K, w.branches).branches == w.branches
     assert calls == []
-
-
-def test_power():
-    assert is_identity(power(G3, 0))
-    assert equals(power(G3, 2), compose(G3, G3))
-    assert equals(power(G3, -1), invert(G3))
 
 
 def _random_word(rng, length):
