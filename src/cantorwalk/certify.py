@@ -23,7 +23,7 @@ from .space import Piece, PointSet, Region, epsilon_neighborhood
 from .measure_solver import solve_feasibility
 from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, CellMeasure,
                    cell_image_runs, forward_orbit, forward_word, invariance_rows,
-                   measure_cells, run_diameters, _repulsor_extremes, _single_linkage)
+                   measure_cells, run_diameters, _repulsor_extremes)
 
 
 class CertifyError(ValueError):
@@ -243,43 +243,6 @@ def find_contraction(model: WalkModel, eps, p_cap: int = 4, n_max: int = 40,
     return None
 
 
-class StabilizedPair(NamedTuple):
-    A: tuple
-    B: tuple
-    flags: dict
-
-
-def stabilize_contraction_pair(pairs, radius) -> StabilizedPair:
-    """Componentwise representatives over a sample of (A_n, B_n).
-
-    The representative of each component is its latest sample (the limit
-    surrogate); components whose samples split into several clusters are
-    flagged, not rejected.
-    """
-    radius = rat(radius)
-    if not pairs:
-        raise CertifyError("empty sample list")
-    p = len(tuple(pairs[0][0]))
-    q = len(tuple(pairs[0][1]))
-    for a_n, b_n in pairs:
-        if len(tuple(a_n)) != p or len(tuple(b_n)) != q:
-            raise CertifyError("inconsistent pair cardinalities")
-    flags = {}
-
-    def component(samples, tag):
-        # cluster by value to flag a split; the last sample represents
-        clusters = _single_linkage(samples, radius)
-        if len(clusters) > 1:
-            flags[tag] = len(clusters)
-        return samples[-1]
-
-    A = tuple(component([sorted(a_n)[i] for a_n, _ in pairs], f"A[{i}]")
-              for i in range(p))
-    B = tuple(component([sorted(b_n)[i] for _, b_n in pairs], f"B[{i}]")
-              for i in range(q))
-    return StabilizedPair(A, B, flags)
-
-
 # ---------------------------------------------------------------------------
 # ping-pong assembly
 
@@ -325,8 +288,8 @@ def _first_inclusion(usable, off: Region, b_reg: Region, n_max: int):
 
 def assemble_free_pair(model: WalkModel, eps, max_len: int = 6,
                        runs: int = 100, n_max: int = 40):
-    """Contraction, stabilization, displacement, conjugation, exact
-    verification; eps shrinks by thirds until the four sets separate."""
+    """Contraction, displacement, conjugation, exact verification; eps
+    shrinks by thirds until the four sets separate."""
     eps = rat(eps)
     K = model.space
     named = {n: g for n, g in zip(model.names, model.gens)}
@@ -348,13 +311,15 @@ def assemble_free_pair(model: WalkModel, eps, max_len: int = 6,
 
     p, q = len(samples[0][3]), len(samples[0][4])
     usable = [s for s in samples if (len(s[3]), len(s[4])) == (p, q)]
-    pair = stabilize_contraction_pair([(s[3], s[4]) for s in usable], 3 * eps)
+    # the last usable sample's repulsors and attractors, both sorted, stand
+    # for the limits
+    A, B = usable[-1][3:]
 
     last_stage = "displacement"
     for shrink in range(4):
         e = eps / 3 ** shrink
-        a_reg = epsilon_neighborhood(pair.A, e, K)
-        b_reg = epsilon_neighborhood(pair.B, e, K)
+        a_reg = epsilon_neighborhood(A, e, K)
+        b_reg = epsilon_neighborhood(B, e, K)
         off = Region.whole(K).difference(a_reg)
         g = _first_inclusion(usable, off, b_reg, n_max)
         if g is None:
@@ -469,7 +434,9 @@ def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
         los2, his2 = [l for l, _ in cells2], [h for _, h in cells2]
         children = [range(bisect.bisect_left(los2, l),
                           bisect.bisect_right(his2, h)) for l, h in prev_cells]
-        # cheap candidate first: split each parent mass uniformly
+        # split each parent mass uniformly; on a complete system each valid
+        # generator maps every cell affinely onto a cell, and so each child
+        # onto a child, so this meets every row and the LP below is not reached
         cand = [Fraction(0)] * len(cells2)
         for kids, m in zip(children, prev_masses):
             for j in kids:

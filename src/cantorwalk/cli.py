@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -266,14 +267,12 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
 
 def _emit_diameter_series(out_dir, stem, diameters):
     """Per-step image diameter of every depth-d cell, as plot-ready CSV."""
-    path = os.path.join(out_dir, f"{stem}_series.csv")
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step"] + [f"diam_cell_{i}" for i in range(len(diameters))])
-        for k, row in enumerate(zip(*diameters)):
-            w.writerow([k] + [float(d) for d in row])
-    os.replace(tmp, path)
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["step"] + [f"diam_cell_{i}" for i in range(len(diameters))])
+    for k, row in enumerate(zip(*diameters)):
+        w.writerow([k] + [float(d) for d in row])
+    ser.write_text_atomic(os.path.join(out_dir, f"{stem}_series.csv"), buf.getvalue())
 
 
 # ---------------------------------------------------------------------------

@@ -48,14 +48,6 @@ class Branch(_Frozen):
         a, b = affine(s, lo, o), affine(s, hi, o)
         object.__setattr__(self, "pairs", (lo, hi, s, o, *sorted((a, b), key=pair_key)))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash((self.pairs,))
-
     @classmethod
     def from_pairs(cls, pairs: tuple) -> "Branch":
         """The branch whose `pairs` are these six reduced pairs."""
@@ -86,15 +78,6 @@ class PAHomeo(_Frozen):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "label", label)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.space, self.branches, self.label) == (
-            other.space, other.branches, other.label)
-
-    def __hash__(self):
-        return hash((self.space, self.branches, self.label))
 
     @cached_property
     def _pairs(self) -> tuple:

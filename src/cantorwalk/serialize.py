@@ -213,12 +213,17 @@ def dumps(obj) -> str:
 
 
 def write_json_atomic(path: str, obj) -> None:
+    write_text_atomic(path, dumps(obj))
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Replace path with the text as given, through a temp file beside it."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(dumps(obj))
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -27,11 +27,17 @@ class SpaceError(ValueError):
 class _Frozen:
     """Base of the immutable classes: __init__ sets each field once through
     object.__setattr__, and assigning or deleting an attribute raises.
-    Instances of one class are equal when their __slots__ are; a class whose
-    slots hold caches, or that is compared in hot loops, writes its equality
-    and hash out."""
+    The fields are the slots whose names do not start with an underscore.
+    Instances of one class are equal when their fields are, and hash as the
+    tuple of them.  A slot named with an underscore, __dict__ among them,
+    holds only what is derived from the fields, such as a cache; equality,
+    hash and repr skip it."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
@@ -47,11 +53,10 @@ class _Frozen:
         return hash(self._values())
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in type(self).__slots__)
+        return tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}"
-                           for f in type(self).__slots__ if not f.startswith("_"))
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({fields})"
 
 
@@ -67,7 +72,7 @@ class Ifs(_Frozen):
     is one character, so an address has one character per level.
     """
 
-    __slots__ = ("ratios", "offsets", "symbols", "hull", "_int_hull",
+    __slots__ = ("ratios", "offsets", "symbols", "_int_hull",
                  "_unit_children", "_int_children", "_int_inverses")
 
     def __init__(self, ratios: tuple, offsets: tuple, symbols: tuple[str, ...]):
@@ -93,7 +98,6 @@ class Ifs(_Frozen):
                          for r, o in zip(self.ratios, self.offsets))
         if any(h1 >= l2 for (_, h1), (l2, _) in zip(children, children[1:])):
             raise SpaceError("IFS images must be disjoint, left to right")
-        object.__setattr__(self, "hull", (lo, hi))
         # in int pairs: the hull, the children as fractions of the hull (for
         # _child_pairs) and the children themselves; for _expand and
         # _cylinder_pairs, each inverse map y -> (y - o) / r as
@@ -107,14 +111,7 @@ class Ifs(_Frozen):
             (o.denominator * r.denominator, o.numerator * r.denominator,
              o.denominator * r.numerator) for r, o in zip(self.ratios, self.offsets)))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.ratios, self.offsets, self.symbols) == (
-            other.ratios, other.offsets, other.symbols)
-
-    def __hash__(self):
-        return hash((self.ratios, self.offsets, self.symbols))
+    hull = property(lambda s: tuple(coprime_fraction(*p) for p in s._int_hull))
 
     def _child_pairs(self, lo: tuple, hi: tuple) -> list[tuple[tuple, tuple]]:
         """The child cylinders of the cylinder [lo, hi], left to right: the
@@ -206,15 +203,6 @@ class CompactSet(_Frozen):
         object.__setattr__(self, "intervals", intervals)
         object.__setattr__(self, "ifs", ifs)
         object.__setattr__(self, "depth", depth)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.intervals, self.ifs, self.depth) == (
-            other.intervals, other.ifs, other.depth)
-
-    def __hash__(self):
-        return hash((self.intervals, self.ifs, self.depth))
 
     @staticmethod
     def from_intervals(pairs) -> "CompactSet":
@@ -465,14 +453,6 @@ class Region(_Frozen):
     def __init__(self, space: CompactSet, pieces: tuple[Piece, ...]):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "pieces", pieces)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.space, self.pieces) == (other.space, other.pieces)
-
-    def __hash__(self):
-        return hash((self.space, self.pieces))
 
     @staticmethod
     def whole(space: CompactSet) -> "Region":

@@ -13,7 +13,7 @@ from cantorwalk.certify import (_make_letters, _reduced_words, _then,
                                 find_finite_orbit,
                                 find_morse_smale, free_group_sanity,
                                 periodic_points, solve_invariant_measure,
-                                stabilize_contraction_pair, UnprovedMeasure,
+                                UnprovedMeasure,
                                 verify_finite_orbit, verify_invariant_measure,
                                 verify_ping_pong)
 from cantorwalk.maps import compose, equals, identity_map, invert
@@ -75,26 +75,6 @@ def test_find_contraction_identity_none():
     K5 = cantor_space(5)
     model = make_model(K5, {"id": identity_map(K5)})
     assert find_contraction(model, F(1, 27)) is None
-
-
-def test_stabilize_constant_is_idempotent():
-    pair = ((F(0),), (F(1),))
-    sp = stabilize_contraction_pair([pair, pair, pair], F(1, 9))
-    assert (sp.A, sp.B) == pair
-    assert sp.flags == {}
-
-
-def test_stabilize_ladder_keeps_latest():
-    samples = [((1 - F(1, 3 ** n),), (F(0),)) for n in range(3, 9)]
-    sp = stabilize_contraction_pair(samples, F(1, 9))
-    assert sp.A == (1 - F(1, 3 ** 8),)
-
-
-def test_stabilize_flags_split_clusters():
-    alt = [((F(0),), (F(0),)), ((F(1),), (F(0),))] * 2
-    sp = stabilize_contraction_pair(alt, F(1, 27))
-    assert sp.flags == {"A[0]": 2}
-    assert sp.A == (F(1),)
 
 
 # -- ping-pong ---------------------------------------------------------------

@@ -194,3 +194,13 @@ def test_atomic_write(tmp_path):
     ser.write_json_atomic(path, {"x": 1})
     with open(path) as fh:
         assert json.load(fh) == {"x": 1}
+
+
+def test_atomic_text_write_keeps_line_ends_and_leaves_nothing_on_failure(tmp_path):
+    path = tmp_path / "series.csv"
+    ser.write_text_atomic(str(path), "step,x\r\n0,1.0\r\n")
+    assert path.read_bytes() == b"step,x\r\n0,1.0\r\n"
+    with pytest.raises(TypeError):
+        ser.write_text_atomic(str(path), None)
+    assert path.read_bytes() == b"step,x\r\n0,1.0\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
