@@ -9,7 +9,6 @@ budget yields a falsy failure report, never an unverified claim.
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import islice
@@ -263,11 +262,10 @@ def verify_ping_pong(cert: PingPongCertificate) -> Verdict:
             if not regs[names[i]].disjoint_from(regs[names[j]]):
                 return Verdict(False, f"{names[i]} meets {names[j]}")
     K = cert.a1.space
-    for tag, a, A, B in (("a1", cert.a1, cert.A1, cert.B1),
-                         ("a2", cert.a2, cert.A2, cert.B2)):
-        off = Region.whole(K).difference(A)
-        if not maps_into(a, off, B):
-            return Verdict(False, f"image({tag}, K off {tag[1]}) not inside B")
+    for i, a in (("1", cert.a1), ("2", cert.a2)):
+        off = Region.whole(K).difference(regs["A" + i])
+        if not maps_into(a, off, regs["B" + i]):
+            return Verdict(False, f"image(a{i}, K off A{i}) not inside B{i}")
     return Verdict(True)
 
 
@@ -378,7 +376,7 @@ def free_group_sanity(a1: PAHomeo, a2: PAHomeo, L: int) -> bool:
 
 def _cells_compatible(maps: Sequence[PAHomeo], cells) -> bool:
     """Whether every branch source starts and ends at cell ends."""
-    los, his = ({as_pair(c[i]) for c in cells} for i in (0, 1))
+    los, his = ({c[i] for c in cells} for i in (0, 1))
     return all(b.pairs[0] in los and b.pairs[1] in his for g in maps for b in g.branches)
 
 
@@ -404,7 +402,8 @@ def _is_invariant(inv_rows, masses) -> bool:
 
 def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
     """Exact feasibility of {mu(g^-1 c) = mu(c), sum mu = 1, mu >= 0} over
-    depth-d cells, then a marginal-consistency ladder up to d_max.
+    depth-d cells, then a consistency ladder up to d_max: the deepest depth
+    to which the uniform split of the masses satisfies every row.
 
     Returns a certificate, or a falsy InfeasibilityReport carrying the
     exact phase-1 gap when the system has no solution, or a falsy
@@ -412,6 +411,8 @@ def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
     """
     maps = list(gens.values())
     space = maps[0].space
+    if space.ifs is not None:
+        space.ifs.check_depth(d_max)
     for d in range(depth, d_max + 1):
         cells = measure_cells(space, d)
         if _cells_compatible(maps, cells):
@@ -427,32 +428,18 @@ def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
         return UnprovedMeasure(d, len(maps) * len(cells) - len(inv_rows))
     masses = list(res.solution)
 
+    # each cell's descendants are k consecutive cells, each taking 1/k of its
+    # mass; on a complete system each valid generator maps every cell
+    # affinely onto a cell, and so each child onto a child, so the split
+    # meets every row
     consistency = d
-    prev_cells, prev_masses = cells, masses
     for d2 in range(d + 1, d_max + 1):
         cells2 = measure_cells(space, d2)
-        los2, his2 = [l for l, _ in cells2], [h for _, h in cells2]
-        children = [range(bisect.bisect_left(los2, l),
-                          bisect.bisect_right(his2, h)) for l, h in prev_cells]
-        # split each parent mass uniformly; on a complete system each valid
-        # generator maps every cell affinely onto a cell, and so each child
-        # onto a child, so this meets every row and the LP below is not reached
-        cand = [Fraction(0)] * len(cells2)
-        for kids, m in zip(children, prev_masses):
-            for j in kids:
-                cand[j] = m / len(kids)
-        inv_rows2 = invariance_rows(maps, cells2)
-        if _is_invariant(inv_rows2, cand):
-            consistency, prev_cells, prev_masses = d2, cells2, cand
-            continue
-        rows2, rhs2 = _invariance_system(inv_rows2, len(cells2))
-        for kids, m in zip(children, prev_masses):
-            rows2.append(dict.fromkeys(kids, 1))
-            rhs2.append(m)
-        res2 = solve_feasibility(rows2, rhs2, len(cells2))
-        if not res2.feasible:
+        k = len(cells2) // len(cells)
+        split = [m / k for m in masses for _ in range(k)]
+        if not _is_invariant(invariance_rows(maps, cells2), split):
             break
-        consistency, prev_cells, prev_masses = d2, cells2, list(res2.solution)
+        consistency = d2
     return InvariantMeasureCertificate(
         tuple(maps), d, CellMeasure(d, tuple(masses), True), consistency)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
-from .rational import rat
+from .rational import as_pair, rat
 from .maps import (Branch, MapError, PAHomeo, _tiles, invert_branches, orbit_bfs,
                    pa_homeo)
 from .space import CompactSet, SpaceError
@@ -86,7 +86,7 @@ def giet_from_branches(interval, branches) -> Giet:
             raise GietError("degenerate branch source")
         bs.append(Branch(lo, hi, slope, offset))
     bs.sort(key=lambda br: br.lo)
-    K = CompactSet(((a, b),))
+    K = CompactSet(((as_pair(a), as_pair(b)),))
     if not _tiles(K, [br.pairs[:2] for br in bs]):
         raise GietError("sources do not partition the interval")
     if not _tiles(K, [br.pairs[4:] for br in bs]):

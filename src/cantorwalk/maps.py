@@ -152,7 +152,7 @@ def _tiles(K: CompactSet, ivs: Sequence[tuple]) -> bool:
     through each interval of K end to end when sorted: from K's least to
     its greatest point, each starting where the one before ended, or past
     a right end of K at the next left end, every gap of K taken in order."""
-    ivs, ends = [ivs[i] for i in value_order([iv[:1] for iv in ivs])], K._ends
+    ivs, ends = [ivs[i] for i in value_order([iv[:1] for iv in ivs])], K.ends
     jumps = [(p[1], q[0]) for p, q in zip(ivs, ivs[1:]) if p[1] != q[0]]
     return bool(ivs) and (ivs[0][0], ivs[-1][1]) == (ends[0][0], ends[-1][1]) and (
         jumps == [(r, l) for (_, r), (l, _) in zip(ends, ends[1:])])
@@ -263,8 +263,8 @@ def pa_homeo(space: CompactSet, branches: Iterable[Branch],
 
 
 def identity_map(space: CompactSet) -> PAHomeo:
-    lo, hi = space.hull
-    return pa_homeo(space, [Branch(lo, hi, Fraction(1), Fraction(0))], validate=False)
+    lo, hi = space.ends[0][0], space.ends[-1][1]
+    return pa_homeo(space, [Branch.from_pairs((lo, hi, (1, 1), (0, 1), lo, hi))], validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +290,13 @@ def from_prefix_table(table: PrefixTable, K: CompactSet,
             raise MapError(f"bad orientation {sign!r}")
         slo, shi = K.cylinder(src)
         dlo, dhi = K.cylinder(dst)
-        slope = Fraction(dhi - dlo, shi - slo) * sign
-        offset = (dlo - slope * slo) if sign == 1 else (dhi - slope * slo)
-        branches.append(Branch(slo, shi, slope, offset))
+        # slope sign * (dhi - dlo) / (shi - slo); slo goes to dlo, or to dhi
+        # when decreasing
+        (dn, dd), (sn, sd) = (affine((1, 1), b, (-a[0], a[1]))
+                              for a, b in ((dlo, dhi), (slo, shi)))
+        s = affine((sign * dn * sd, dd), (1, sn))
+        o = affine((-s[0], s[1]), slo, dlo if sign == 1 else dhi)
+        branches.append(Branch.from_pairs((slo, shi, s, o, dlo, dhi)))
     # pa_homeo rejects sources or targets that do not tile the limit set
     return pa_homeo(K, branches, label=label)
 
@@ -393,7 +397,7 @@ def break_pairs(f: PAHomeo) -> list[BreakPair]:
     images I, J.  All on int pairs.
     """
     bs = f.branches
-    imgs = sorted((b.pairs[4:] for b in bs), key=lambda e: pair_key(e[0]))
+    imgs = [bs[i].pairs[4:] for i in f._image_order]
     gaps = {(i[1], j[0]) for i, j in zip(imgs, imgs[1:])}
     # f(p.hi) is p's upper image end, and f(q.lo) q's lower one, iff increasing
     candidates = [((p.pairs[1], q.pairs[0]), (p.pairs[4 + (p.pairs[2][0] > 0)],

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .rational import affine, as_pair, bisect_pairs, coprime_fraction, pair_cmp, pair_key, rat
 
-MAX_INTERVALS = 2 ** 16  # the most intervals from_ifs builds
+MAX_INTERVALS = 2 ** 16  # the most cylinders intervals_at builds
 
 
 class SpaceError(ValueError):
@@ -120,8 +120,9 @@ class Ifs(_Frozen):
         k = affine(hi, (1, 1), (-lo[0], lo[1]))  # hi - lo
         return [(affine(k, a, lo), affine(k, b, lo)) for a, b in self._unit_children]
 
-    def cylinder(self, address: str) -> tuple[Fraction, Fraction]:
-        """Interval of the cylinder addressed by a word over the symbols.
+    def cylinder(self, address: str) -> tuple[tuple, tuple]:
+        """The ends, as int pairs, of the cylinder addressed by a word over
+        the symbols.
 
         The word is read outermost-first: I_w = phi_{w0}(I_{w1 w2 ...}).
         """
@@ -131,15 +132,25 @@ class Ifs(_Frozen):
                 raise SpaceError(f"address symbol {sym!r} not in the IFS "
                                  f"alphabet {self.symbols}")
             lo, hi = self._child_pairs(lo, hi)[self.symbols.index(sym)]
-        return coprime_fraction(*lo), coprime_fraction(*hi)
+        return lo, hi
 
-    def intervals_at(self, depth: int) -> list[tuple[Fraction, Fraction]]:
-        """The depth-d cylinders in address order, level by level through
-        _child_pairs."""
+    def check_depth(self, depth: int) -> None:
+        """Refuse a negative depth, or one with more than MAX_INTERVALS cylinders."""
+        if depth < 0:
+            raise SpaceError("depth must be nonnegative")
+        # an IFS has at least two maps, so 17 levels already pass the bound;
+        # capping the exponent keeps a huge depth cheap to refuse
+        if len(self.ratios) ** min(depth, 17) > MAX_INTERVALS:
+            raise SpaceError(f"depth {depth} gives more than {MAX_INTERVALS} intervals")
+
+    def intervals_at(self, depth: int) -> list[tuple[tuple, tuple]]:
+        """The depth-d cylinders in address order, their ends int pairs,
+        level by level through _child_pairs."""
+        self.check_depth(depth)
         cells = [self._int_hull]
         for _ in range(depth):
             cells = [c for lo, hi in cells for c in self._child_pairs(lo, hi)]
-        return [(coprime_fraction(*a), coprime_fraction(*b)) for a, b in cells]
+        return cells
 
     def _expand(self, t: tuple):
         """The address of t, one level per step, as (levels, gap).
@@ -182,7 +193,7 @@ class Ifs(_Frozen):
 # compact sets
 
 
-def _normalize_intervals(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
+def _normalize_intervals(pairs) -> tuple[tuple[tuple, tuple], ...]:
     cleaned = []
     for l, r in pairs:
         l, r = rat(l), rat(r)
@@ -191,16 +202,18 @@ def _normalize_intervals(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
         cleaned.append(Piece(l, r, True, True))
     if not cleaned:
         raise SpaceError("empty interval list")
-    return tuple((p.lo, p.hi) for p in _normalize_pieces(cleaned))
+    return tuple(p[:2] for p in _normalize_pieces(cleaned))
 
 
 class CompactSet(_Frozen):
-    """Finite union of disjoint closed rational intervals, sorted."""
+    """Finite union of disjoint closed rational intervals, sorted.  `ends`
+    holds them as pairs of reduced (numerator, denominator > 0) int pairs;
+    intervals and hull are Fraction views of it."""
 
-    __slots__ = ("intervals", "ifs", "depth", "__dict__")  # __dict__ holds _ends
+    __slots__ = ("ends", "ifs", "depth")
 
-    def __init__(self, intervals: tuple, ifs: Optional[Ifs] = None, depth: int = 0):
-        object.__setattr__(self, "intervals", intervals)
+    def __init__(self, ends: tuple, ifs: Optional[Ifs] = None, depth: int = 0):
+        object.__setattr__(self, "ends", ends)
         object.__setattr__(self, "ifs", ifs)
         object.__setattr__(self, "depth", depth)
 
@@ -210,32 +223,20 @@ class CompactSet(_Frozen):
 
     @staticmethod
     def from_ifs(ifs: Ifs, depth: int) -> "CompactSet":
-        if depth < 0:
-            raise SpaceError("depth must be nonnegative")
-        # an IFS has at least two maps, so 17 levels already pass the bound;
-        # capping the exponent keeps a huge depth cheap to refuse
-        if len(ifs.ratios) ** min(depth, 17) > MAX_INTERVALS:
-            raise SpaceError(
-                f"depth {depth} gives more than {MAX_INTERVALS} intervals")
         return CompactSet(tuple(ifs.intervals_at(depth)), ifs=ifs, depth=depth)
 
     # -- basic queries ------------------------------------------------------
 
-    @property
-    def hull(self) -> tuple[Fraction, Fraction]:
-        return self.intervals[0][0], self.intervals[-1][1]
+    intervals = property(lambda s: tuple(
+        (coprime_fraction(*l), coprime_fraction(*r)) for l, r in s.ends))
+    hull = property(lambda s: (coprime_fraction(*s.ends[0][0]), coprime_fraction(*s.ends[-1][1])))
 
     def __contains__(self, x) -> bool:
         return self.contains(rat(x))
 
-    @cached_property
-    def _ends(self) -> tuple:
-        """The intervals' ends as int pairs."""
-        return tuple((as_pair(l), as_pair(r)) for l, r in self.intervals)
-
     def _holds(self, x: tuple) -> bool:
         """Whether K holds the int pair x."""
-        ends = self._ends
+        ends = self.ends
         i = bisect_pairs(ends, 0, x) - 1
         return i >= 0 and pair_cmp(x, ends[i][1]) <= 0
 
@@ -244,7 +245,7 @@ class CompactSet(_Frozen):
 
     def _meeting(self, lo: tuple, hi: tuple) -> list:
         """The intervals that meet [lo, hi], found by bisection; all int pairs."""
-        ends = self._ends
+        ends = self.ends
         return list(ends[bisect_pairs(ends, 1, lo, False):bisect_pairs(ends, 0, hi)])
 
     def contains_limit_point(self, x: Fraction) -> bool:
@@ -264,7 +265,7 @@ class CompactSet(_Frozen):
 
     # -- IFS-aware structure ------------------------------------------------
 
-    def cylinder(self, address: str) -> tuple[Fraction, Fraction]:
+    def cylinder(self, address: str) -> tuple[tuple, tuple]:
         if self.ifs is None:
             raise SpaceError("set has no IFS structure")
         return self.ifs.cylinder(address)
@@ -456,8 +457,7 @@ class Region(_Frozen):
 
     @staticmethod
     def whole(space: CompactSet) -> "Region":
-        lo, hi = space.hull
-        return Region(space, (Piece(lo, hi, True, True),))
+        return Region(space, (Piece._make((space.ends[0][0], space.ends[-1][1], True, True)),))
 
     @staticmethod
     def from_intervals(space: CompactSet, pairs) -> "Region":
@@ -470,8 +470,7 @@ class Region(_Frozen):
 
     @staticmethod
     def cylinder(space: CompactSet, address: str) -> "Region":
-        lo, hi = space.cylinder(address)
-        return Region(space, (Piece(lo, hi, True, True),))
+        return Region(space, (Piece._make((*space.cylinder(address), True, True)),))
 
     # -- membership ---------------------------------------------------------
 

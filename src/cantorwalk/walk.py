@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .rational import affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat
+from .rational import affine, as_pair, bisect_pairs, coprime_fraction, pair_cmp, rat
 from .maps import (PAHomeo, _apply, apply, break_points, compose,
                    identity_map, image, invert, equals)
 from .space import CompactSet, Piece, Region, _Frozen, epsilon_neighborhood
@@ -171,11 +171,11 @@ def backward_value(t: Trajectory, x, k: int) -> Fraction:
 
 
 def measure_cells(space: CompactSet, depth: int):
-    """Depth-d cells as closed intervals (the space's intervals at its own
-    depth, or when no IFS structure is available)."""
+    """Depth-d cells as closed intervals, their ends int pairs (the space's
+    intervals at its own depth, or when no IFS structure is available)."""
     if space.ifs is not None and depth != space.depth:
-        return list(CompactSet.from_ifs(space.ifs, depth).intervals)
-    return list(space.intervals)
+        return space.ifs.intervals_at(depth)
+    return list(space.ends)
 
 
 class CellMeasure(_Frozen):
@@ -208,7 +208,7 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int,
     gens_f = [[tuple(n / d for n, d in b.pairs[:4]) for b in g.branches]
               for g in model.gens]
     branch_los = [[b[0] for b in branches] for branches in gens_f]
-    los, his = [float(l) for l, _ in cells], [float(r) for _, r in cells]
+    los, his = [n / d for (n, d), _ in cells], [n / d for _, (n, d) in cells]
     visited = []
     for r in range(restarts):
         t = Trajectory(model, stream=r)
@@ -236,15 +236,15 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int,
     return CellMeasure(depth, tuple(float(m) for m in masses), False)
 
 
-def invariance_rows(gens: Sequence[PAHomeo], cells) -> list:
-    """The equations mu(c) = mu(g^{-1} c) expressible on the sorted cells,
-    as (generator index, cell index, js) with g^{-1}(c) the union of the
-    cells js.  g pushes a tiling of K forward: the cells and, as open runs
-    ~j before cell j, the parts of K between cells finer than K's intervals.
+def invariance_rows(gens: Sequence[PAHomeo], cs) -> list:
+    """The equations mu(c) = mu(g^{-1} c) expressible on the sorted cells
+    cs (int-pair intervals), as (generator index, cell index, js) with
+    g^{-1}(c) the union of the cells js.  g pushes a tiling of K forward:
+    the cells and, as open runs ~j before cell j, the parts of K between
+    cells finer than K's intervals.
     Runs and cells end in K, so they meet in K iff they meet as intervals;
     c has a row iff every run meeting it is from a cell with all runs in c."""
-    cs = [(as_pair(l), as_pair(r)) for l, r in cells]
-    rights = {as_pair(r) for _, r in gens[0].space.intervals}
+    rights = {r for _, r in gens[0].space.ends}
     tiling = []
     for j, (lo, hi) in enumerate(cs):
         if tiling and tiling[-1][1] not in rights:
@@ -303,7 +303,7 @@ def invariance_residual(mu: CellMeasure, model: WalkModel):
     invs = [invert(g) for g in model.gens]
     per_gen = averaged = 0.0
     for ci, (l, r) in enumerate(cells):
-        cell = Region.from_pieces(K, (Piece(l, r, True, True),))
+        cell = Region.from_pieces(K, (Piece._make((l, r, True, True)),))
         acc = 0.0
         for gi, ginv in enumerate(invs):
             pre = image(ginv, cell)
@@ -348,10 +348,9 @@ def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region) -> f
     total, ps = 0.0, region.pieces
     if not ps:
         return total
-    a = bisect.bisect_left(cells, pair_key(ps[0][0]), key=lambda c: pair_key(as_pair(c[1])))
-    b = bisect.bisect_right(cells, pair_key(ps[-1][1]), key=lambda c: pair_key(as_pair(c[0])))
+    a, b = bisect_pairs(cells, 1, ps[0][0], False), bisect_pairs(cells, 0, ps[-1][1])
     for m, (l, r) in zip(mu.masses[a:b], cells[a:b]):
-        total += float(m) * portion(as_pair(l), as_pair(r), SPLIT_DEPTH)
+        total += float(m) * portion(l, r, SPLIT_DEPTH)
     return total
 
 
@@ -373,7 +372,7 @@ def estimate_entropy(mu: CellMeasure, model: WalkModel) -> EntropyReport:
             if m <= 0:
                 skipped += 1
                 continue
-            img = image(g, Region(model.space, (Piece(l, r, True, True),)))
+            img = image(g, Region(model.space, (Piece._make((l, r, True, True)),)))
             im = _region_mass(mu, cells, model.space, img)
             if im <= 0:
                 skipped += 1
@@ -505,7 +504,7 @@ def cell_image_runs(t: Trajectory, cells, n: int):
     composing no word: they tile K as sorted runs (lo, hi, cell) of int pairs
     with ends in K (its limit set on IFS sets), so only a gap of K separates
     sorted neighbours."""
-    runs = [(as_pair(l), as_pair(r), i) for i, (l, r) in enumerate(cells)]
+    runs = [(l, r, i) for i, (l, r) in enumerate(cells)]
     for k in range(n + 1):
         if k:
             runs = _push_runs(t.step_map(k - 1), runs)
@@ -565,10 +564,10 @@ def _extremes(clusters, hull) -> list:
 
 def _repulsor_extremes(repulsors, cells, hull) -> list:
     """Cluster representatives of the endpoints of the repulsor cells,
-    clustered at three widths of the first of all cells."""
-    pts = [x for cell in repulsors for x in cell]
-    return _extremes(_single_linkage(pts, 3 * (cells[0][1] - cells[0][0])),
-                     hull)
+    clustered at three widths of the first of all cells; cell ends are int pairs."""
+    pts = [coprime_fraction(*x) for cell in repulsors for x in cell]
+    lo, hi = (coprime_fraction(*x) for x in cells[0])
+    return _extremes(_single_linkage(pts, 3 * (hi - lo)), hull)
 
 
 def break_accumulation(t: Trajectory, n: int, radius=Fraction(1, 27)):
@@ -619,7 +618,7 @@ def proximality_degree(model: WalkModel, cap: int = 4, samples: int = 20,
         raise WalkError("cap must be at least 2")
     delta = rat(delta)
     cells = measure_cells(model.space, 3 if model.space.ifs else 0)
-    endpoints = sorted({v for c in cells for v in c})
+    endpoints = sorted({coprime_fraction(*v) for c in cells for v in c})
     rng = _philox(model.seed, 777)
     failures = []
     for m in range(2, cap + 1):

@@ -42,9 +42,9 @@ CASES = {
                        symbols=("0", "2")),
           dict(ratios=(F(1, 4), F(1, 4)), offsets=(F(0), F(3, 4)),
                symbols=("a", "b"))),
-    CompactSet: (lambda: dict(intervals=ternary_cantor(1).intervals,
+    CompactSet: (lambda: dict(ends=ternary_cantor(1).ends,
                               ifs=ternary_cantor(1).ifs, depth=1),
-                 dict(intervals=((F(0), F(1)),), ifs=None, depth=2)),
+                 dict(ends=(((0, 1), (1, 1)),), ifs=None, depth=2)),
     Branch: (lambda: dict(lo=F(0), hi=F(1), slope=F(1), offset=F(0)),
              dict(lo=F(1, 3), hi=F(2, 3), slope=F(2), offset=F(-1, 3))),
     PAHomeo: (lambda: dict(space=ternary_cantor(1),
@@ -94,7 +94,7 @@ CASES = {
 FIELDS = {Branch: ("pairs",)}  # a Branch is built from its ends, slope and offset
 
 # class -> the cached properties that fill an instance's underscored slots
-CACHES = {CompactSet: ("_ends",), PAHomeo: ("_pairs", "_image_order")}
+CACHES = {PAHomeo: ("_pairs", "_image_order")}
 
 
 def _fill_caches(obj):

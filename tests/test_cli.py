@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cantorwalk
+from cantorwalk import certify
 from cantorwalk.cli import (BUDGET_ENV, DEFAULT_BUDGETS, ScenarioError,
                             _budget, _env_budgets, main, parse_scenario, run_scenario,
                             _load_scenario_text)
@@ -593,3 +594,52 @@ def test_one_point_interval_exits_1(tmp_path, capsys):
     assert captured.err == "error: space interval [2, 2] is a single point\n"
     assert not any(out.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]
+
+
+def test_find_measure_refuses_a_deep_d_max_before_solving(tmp_path, capsys, monkeypatch):
+    # 17 levels of the ternary set give 2**17 cells, past the bound: the
+    # ladder's last rung is refused before any system is solved
+    def refuse(*args):
+        raise AssertionError("a system was solved before d_max was checked")
+
+    monkeypatch.setattr(certify, "solve_feasibility", refuse)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(json.loads(_load_scenario_text("klein_four")),
+                                    budgets={"depth": 1, "d_max": 17})))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["find-measure", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: depth 17 gives more than 65536 intervals\n"
+    assert not any(out.iterdir())
+
+
+TERNARY_SPACE = {"ifs": {"ratios": ["1/3", "1/3"], "offsets": ["0", "2/3"],
+                         "symbols": ["0", "2"]}, "depth": 1}
+IDENTITY = {"label": ["I"], "branches": [{"src": ["0", "1"], "slope": "1", "offset": "0"}]}
+
+
+@pytest.mark.parametrize("doc, line", [
+    # a2 replaced by a1, which keeps A1's complement inside B1, not A2's inside B2
+    pytest.param(_edited_certificate("free_pair", lambda d: d.update(a2=d["a1"])),
+                 "INVALID (image(a2, K off A2) not inside B2)", id="a2-is-a1"),
+    # every row of the identity holds, and the masses sum to 1
+    pytest.param({"type": "invariant-measure", "space": TERNARY_SPACE,
+                  "generators": [IDENTITY], "depth": 1, "masses": ["2", "-1"],
+                  "consistency_depth": 1}, "INVALID (negative mass)", id="negative-mass"),
+    # no point moves out of an empty orbit
+    pytest.param({"type": "finite-orbit", "space": TERNARY_SPACE,
+                  "generators": [IDENTITY], "orbit": []}, "INVALID (empty orbit)",
+                 id="empty-orbit"),
+])
+def test_verify_rejects_forged_certificates(tmp_path, capsys, doc, line):
+    # each document passes every check of verify but the one it forges
+    if callable(doc):
+        doc = doc(tmp_path)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (line + "\n", "")

@@ -26,8 +26,7 @@ from cantorwalk.rational import coprime_fraction, pair_key
 from cantorwalk.serialize import certificate_to_obj, dumps
 from cantorwalk.space import Region, epsilon_neighborhood
 from cantorwalk.walk import (Trajectory, WalkError, _extremes, _single_linkage,
-                             contraction_scan, forward_word, make_model,
-                             measure_cells)
+                             contraction_scan, forward_word, make_model)
 
 from fixtures import cantor_space, named_generators
 from test_lookups import letter_words, regions
@@ -36,7 +35,7 @@ from test_lookups import letter_words, regions
 def contraction_candidates_ref(model, eps, p_cap, n_max, streams):
     """The candidate search with A from the full contraction_scan."""
     K = model.space
-    cells = measure_cells(K, K.depth)
+    cells = K.intervals  # the cells at K's depth, as Fractions
     for r in range(streams):
         t = Trajectory(model, stream=r)
         try:
@@ -131,7 +130,7 @@ def test_screen_never_rejects_an_inclusion(word, data):
     K = w.space
     lo, hi = K.hull
     eps = (hi - lo) / data.draw(st.sampled_from([9, 27, 81]))
-    ends = sorted({x for c in measure_cells(K, K.depth) for x in c})
+    ends = sorted({x for c in K.intervals for x in c})
     A = data.draw(st.lists(st.sampled_from(ends), min_size=1, max_size=3))
     S = data.draw(st.sampled_from([
         Region.whole(K).difference(epsilon_neighborhood(A, eps, K)),

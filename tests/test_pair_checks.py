@@ -5,9 +5,10 @@ answers equal branch tuples at once and sweeps the cuts on pairs, and
 certify.find_finite_orbit closes its seeds on pairs and builds the orbit's
 Fractions once, at the end.  The references below are the Fraction
 versions: equality by a sweep over the cuts with every branch found by a
-scan, and the orbit closure under maps.apply.  A last test makes every way
-of building a Fraction raise and validates a long word and compares
-letters.
+scan, and the orbit closure under maps.apply.  The last two tests make
+every way of building a Fraction raise: one validates a long word and
+compares letters, the other builds prefix-table maps, cells at other
+depths than the space's and their invariance rows.
 """
 
 import random
@@ -17,14 +18,15 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorwalk import maps, space
+from cantorwalk import maps, space, walk
 from cantorwalk.certify import _make_letters, find_finite_orbit
 from cantorwalk.cli import _load_scenario_text, parse_scenario
-from cantorwalk.maps import (MapError, apply, compose, equals, invert, orbit_bfs,
-                             pa_homeo)
+from cantorwalk.maps import (MapError, apply, compose, equals, from_prefix_table, invert,
+                             orbit_bfs, pa_homeo)
 from cantorwalk.space import PointSet
+from cantorwalk.walk import invariance_rows, measure_cells
 
-from fixtures import cantor_space, named_generators
+from fixtures import TABLES, cantor_space, fixture, named_generators
 from test_lookups import _alphabets, _word
 
 
@@ -172,3 +174,26 @@ def test_map_checks_build_no_fraction(monkeypatch):
     assert [[equals(g, h) for h in letters] for g in letters] == table
     got, inv = _make_letters(named)
     assert got == letters and inv == [2, 3, 0, 1]
+
+
+def test_prefix_tables_cells_and_rows_build_no_fraction(monkeypatch):
+    # from_prefix_table builds H, R, G3, A1 and A2 from the cylinders' int
+    # pairs; measure_cells at depths other than the space's and the
+    # invariance rows there read them too
+    K = cantor_space(3)
+    names = ("H", "R", "G3", "A1", "A2")
+    gens = [fixture(n, K) for n in names]
+    depths = (0, 1, 2, 4, 5)
+    cells = [measure_cells(K, d) for d in depths]
+    rows = [invariance_rows(gens, c) for c in cells]
+    assert [len(c) for c in cells] == [2 ** d for d in depths]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction built for a table, a cell or a row")
+
+    for module in (maps, space, walk):
+        monkeypatch.setattr(module, "coprime_fraction", refuse)
+    monkeypatch.setattr(F, "__new__", refuse)
+    assert [from_prefix_table(TABLES[n], K, label=(n,)) for n in names] == gens
+    assert [measure_cells(K, d) for d in depths] == cells
+    assert [invariance_rows(gens, c) for c in cells] == rows

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from cantorwalk.giet import blow_up, rotation
 from cantorwalk.maps import (Branch, BreakPair, MapError, apply, break_pairs, compose, invert,
                              pa_homeo)
-from cantorwalk.space import CompactSet, _normalize_intervals
+from cantorwalk.space import CompactSet
 
 from test_lookups import SPANNING, SPANNING_BRANCHES, _alphabets, _word
 
@@ -45,7 +45,7 @@ def validate_plain_ref(space, branches):
     images are K's intervals and their lengths add up to K's), and two
     branches that share a point of K agree there."""
     bs = sorted(branches, key=lambda b: b.lo)
-    merged = _normalize_intervals([(b.lo, b.hi) for b in bs])
+    merged = CompactSet.from_intervals([(b.lo, b.hi) for b in bs]).intervals
     for kl, kr in space.intervals:
         if not any(l <= kl and kr <= r for l, r in merged):
             raise MapError(f"sources do not cover [{kl}, {kr}]")
@@ -59,7 +59,7 @@ def validate_plain_ref(space, branches):
                 total += abs(b.slope) * (ohi - olo)
     if not imgs:
         raise MapError("branches miss the ambient set entirely")
-    if _normalize_intervals(imgs) != space.intervals:
+    if CompactSet.from_intervals(imgs).intervals != space.intervals:
         raise MapError("branch images do not tile the ambient set")
     if total != sum(r - l for l, r in space.intervals):
         raise MapError("branch images overlap (length mismatch)")

@@ -124,7 +124,7 @@ def gap_pairs(k, t: tuple) -> tuple:
     if isinstance(k, Ifs) or k.ifs is not None:
         return _ifs_gap_pairs(k if isinstance(k, Ifs) else k.ifs, t)
     # gap j is (right end of interval j, left end of interval j + 1)
-    ends = k._ends
+    ends = k.ends
     first = max(bisect_pairs(ends, 0, t, False) - 1, 0)
     stop = min(bisect_pairs(ends, 1, t), len(ends) - 1)
     return tuple((ends[j][1], ends[j + 1][0]) for j in range(first, stop))
@@ -140,6 +140,11 @@ def children(ifs: Ifs, lo: F, hi: F) -> list[tuple[F, F]]:
     """Ifs._child_pairs on Fractions."""
     return [(coprime_fraction(*a), coprime_fraction(*b))
             for a, b in ifs._child_pairs(as_pair(lo), as_pair(hi))]
+
+
+def cylinder(ifs: Ifs, address: str) -> tuple[F, F]:
+    """Ifs.cylinder on Fractions."""
+    return tuple(coprime_fraction(*x) for x in ifs.cylinder(address))
 
 
 def decompose_into_cylinders(k: CompactSet, lo: F, hi: F):
@@ -477,8 +482,8 @@ def test_region_extremes_skip_points_a_piece_does_not_hold():
 
 def test_cylinders():
     K = ternary_cantor(3)
-    assert K.cylinder("02") == (F(2, 9), F(1, 3))
-    assert K.cylinder("") == (F(0), F(1))
+    assert K.cylinder("02") == ((2, 9), (1, 3))
+    assert K.cylinder("") == ((0, 1), (1, 1))
     assert decompose_into_cylinders(K, F(0), F(1, 3)) == [("0", F(0), F(1, 3))]
     assert decompose_into_cylinders(K, F(0), F(1)) == [("", F(0), F(1))]
     assert decompose_into_cylinders(K, F(2, 9), F(7, 9)) == [
@@ -646,8 +651,8 @@ def test_cylinders_match_the_map_composition(ifs, data):
         i = ifs.symbols.index(sym)
         r, o = ifs.ratios[i], ifs.offsets[i]
         lo, hi = r * lo + o, r * hi + o
-    assert ifs.cylinder(w) == (lo, hi)
-    assert children(ifs, lo, hi) == [ifs.cylinder(w + s) for s in ifs.symbols]
+    assert ifs.cylinder(w) == (as_pair(lo), as_pair(hi))
+    assert ifs._child_pairs(*ifs.cylinder(w)) == [ifs.cylinder(w + s) for s in ifs.symbols]
     assert decompose_into_cylinders(CompactSet.from_ifs(ifs, 0), lo, hi) == [(w, lo, hi)]
     d = data.draw(st.integers(0, 3))
     assert ifs.intervals_at(d) == [ifs.cylinder("".join(a))

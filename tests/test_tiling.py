@@ -24,7 +24,7 @@ from cantorwalk.space import CompactSet, Ifs
 
 from fixtures import TABLES, cantor_space
 from test_lookups import TERNARY, UNEQUAL
-from test_space import NEGATIVE, THREE_MAPS, decompose_into_cylinders, gaps_at
+from test_space import NEGATIVE, THREE_MAPS, cylinder, decompose_into_cylinders, gaps_at
 
 SETS = (TERNARY, THREE_MAPS, UNEQUAL, NEGATIVE)
 MUTATIONS = ("complete", "drop", "duplicate", "nest", "reach")
@@ -89,7 +89,7 @@ def complete_code(draw, ifs, splits):
     for _ in range(splits):
         i = draw(st.integers(0, len(code) - 1))
         code[i:i + 1] = [code[i] + s for s in ifs.symbols]
-    return [ifs.cylinder(w) for w in code], code
+    return [cylinder(ifs, w) for w in code], code
 
 
 @st.composite
@@ -104,7 +104,7 @@ def mutated(draw, ifs, cyls, code, mutation):
     elif mutation == "nest":
         w = code[i][:-1] if code[i] and draw(st.booleans()) else \
             code[i] + draw(st.sampled_from(ifs.symbols))
-        cyls.insert(i, ifs.cylinder(w))
+        cyls.insert(i, cylinder(ifs, w))
     elif mutation == "reach":
         lo, hi = cyls[i]
         d = (hi - lo) * F(draw(st.sampled_from((-2, -1, 1, 2, 4))), 4)

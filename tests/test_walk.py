@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cantorwalk import walk
 from cantorwalk.maps import (apply, compose, equals, identity_map, image, invert,
                              is_identity)
+from cantorwalk.rational import coprime_fraction
 from cantorwalk.walk import (TWO64, CellMeasure, Trajectory, WalkError, _philox,
                              backward_cluster, backward_value,
                              break_accumulation, classify_pair,
@@ -303,7 +304,8 @@ def _indices_ref(model, stream, n):
 def _stationary_ref(model, n_steps, depth, restarts=4):
     """The chain stepped one call per cell lookup and branch distance, and
     the number of steps whose x had drifted out of its bisected branch."""
-    cells = measure_cells(model.space, depth)
+    cells = [(coprime_fraction(*l), coprime_fraction(*r))
+             for l, r in measure_cells(model.space, depth)]
     counts, drifts = np.zeros(len(cells)), 0
     gens_f = [[(float(b.lo), float(b.hi), float(b.slope), float(b.offset))
                for b in g.branches] for g in model.gens]
