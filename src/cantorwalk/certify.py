@@ -22,7 +22,7 @@ from .space import Piece, PointSet, Region, epsilon_neighborhood
 from .measure_solver import solve_feasibility
 from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, CellMeasure,
                    cell_image_runs, forward_orbit, forward_word, invariance_rows,
-                   measure_cells, run_diameters, _repulsor_extremes)
+                   measure_cells, _repulsor_extremes)
 
 
 class CertifyError(ValueError):
@@ -200,13 +200,17 @@ def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
     eps = rat(eps)
     K = model.space
     cells = measure_cells(K, K.depth)
-    h, delta = min(n_max, 24), as_pair(DEFAULT_DELTA)
+    h, (dn, dd) = min(n_max, 24), as_pair(DEFAULT_DELTA)
     for r in range(streams):
         t = Trajectory(model, stream=r)
         keep = range(len(cells))
         for runs in islice(cell_image_runs(t, cells, h), h // 2, None):
-            diams = run_diameters(runs, len(cells))
-            keep = [i for i in keep if pair_cmp(diams[i], delta) >= 0]
+            # a cell's image diameter, last run's hi - first run's lo, against
+            # delta by cross-multiplication
+            first = {c: lo for lo, _, c in reversed(runs)}
+            last = {c: hi for _, hi, c in runs}
+            keep = [i for i in keep for (ln, ld), (hn, hd) in [(first[i], last[i])]
+                    if (hn * ld - ln * hd) * dd >= dn * hd * ld]
             if not keep:
                 break
         live = [cells[i] for i in keep]

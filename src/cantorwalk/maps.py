@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .rational import (affine, as_pair, bisect_pairs, coprime_fraction, pair_cmp, pair_key,
@@ -46,7 +47,8 @@ class Branch(_Frozen):
     def __init__(self, lo, hi, slope, offset):
         lo, hi, s, o = ((v.numerator, v.denominator) for v in (lo, hi, slope, offset))
         a, b = affine(s, lo, o), affine(s, hi, o)
-        object.__setattr__(self, "pairs", (lo, hi, s, o, *sorted((a, b), key=pair_key)))
+        ends = (a, b) if pair_cmp(a, b) <= 0 else (b, a)
+        object.__setattr__(self, "pairs", (lo, hi, s, o) + ends)
 
     @classmethod
     def from_pairs(cls, pairs: tuple) -> "Branch":
@@ -309,26 +311,37 @@ def compose(f: PAHomeo, g: PAHomeo) -> PAHomeo:
     """The map f∘g (g applied first), not re-validated: a composition of
     valid maps is valid.  On int pairs, a branch of g whose image lies in one
     source of f keeps its source, a cut one takes g's preimages of the cuts,
-    and f gives the image ends; pieces come out in source order."""
+    and f gives the image ends; pieces come out in source order.  An affine
+    map is x -> (a*xn + b*xd) / (c*xd) on x = xn/xd, reduced in line."""
     if f.space != g.space:
         raise MapError("composition across different spaces")
-    fq, out = f._pairs, []
-    for glo, ghi, gs, go, ia, ib in (b.pairs for b in g.branches):
-        (an, ad), (bn, bd), up = ia, ib, gs[0] > 0
+    fq, out, new, put = f._pairs, [], object.__new__, object.__setattr__
+    for glo, ghi, (sn, sd), (on, od), ia, ib in (gb.pairs for gb in g.branches):
+        (an, ad), (bn, bd), up = ia, ib, sn > 0
+        # g^-1 as y -> (p*yn + q*yd) / (r*yd), r > 0
+        p, q, r = (od * sd, -on * sd, od * sn) if up else (-od * sd, on * sd, -od * sn)
         pieces = []
-        for flo, fhi, fs, fo, fa, fb in fq[bisect_pairs(fq, 1, ia):]:
-            if flo[0] * bd >= bn * flo[1]:
+        for (ln, ld), (hn, hd), (tn, td), (un, ud), ea, eb in fq[bisect_pairs(fq, 1, ia):]:
+            if ln * bd >= bn * ld:
                 break
-            cut_lo, cut_hi = flo[0] * ad > an * flo[1], fhi[0] * bd < bn * fhi[1]
-            if cut_lo or cut_hi:
-                ginv = _inverse(gs, go)
-            xa = affine(ginv[0], flo, ginv[1]) if cut_lo else (glo if up else ghi)
-            xb = affine(ginv[0], fhi, ginv[1]) if cut_hi else (ghi if up else glo)
-            ya = (fa, fb)[fs[0] < 0] if cut_lo else affine(fs, ia, fo)
-            yb = (fb, fa)[fs[0] < 0] if cut_hi else affine(fs, ib, fo)
-            pieces.append(Branch.from_pairs(
-                ((xa, xb) if up else (xb, xa)) + (affine(fs, gs), affine(fs, go, fo))
-                + ((ya, yb) if fs[0] > 0 else (yb, ya))))
+            a, b, c = tn * ud, un * td, td * ud  # f
+            if ln * ad > an * ld:  # f's source starts inside g's image: cut there
+                n, d = p * ln + q * ld, r * ld
+                xa, ya = (n // (k := gcd(n, d)), d // k), (eb if tn < 0 else ea)
+            else:
+                n, d = a * an + b * ad, c * ad
+                xa, ya = (glo if up else ghi), (n // (k := gcd(n, d)), d // k)
+            if hn * bd < bn * hd:  # f's source ends inside g's image: cut there
+                n, d = p * hn + q * hd, r * hd
+                xb, yb = (n // (k := gcd(n, d)), d // k), (ea if tn < 0 else eb)
+            else:
+                n, d = a * bn + b * bd, c * bd
+                xb, yb = (ghi if up else glo), (n // (k := gcd(n, d)), d // k)
+            n, d, m, e = tn * sn, td * sd, a * on + b * od, c * od
+            pieces.append(br := new(Branch))
+            put(br, "pairs", ((xa, xb) if up else (xb, xa)) + (
+                (n // (k := gcd(n, d)), d // k), (m // (k := gcd(m, e)), e // k))
+                + ((ya, yb) if tn > 0 else (yb, ya)))
         out += pieces if up else reversed(pieces)
     return PAHomeo(f.space, tuple(out), f.label + g.label)
 
@@ -465,6 +478,20 @@ def image(f: PAHomeo, S: Region) -> Region:
 
 
 def maps_into(f: PAHomeo, S: Region, T: Region) -> bool:
-    """image(f, S).subset_of(T), stopping at the first piece outside T."""
-    # operator.lt on flags: in the image piece and not in T
-    return not any(T._meets_where((p,), operator.lt) for p in _image_pieces(f, S))
+    """image(f, S).subset_of(T), stopping at the first piece outside T.  A
+    piece inside the one piece of T that starts at or before it, flags
+    included, is in T; any other goes through T's sweep on K."""
+    ts = T.pieces
+    for p in _image_pieces(f, S):
+        (pn, pd), (qn, qd), p_lo_closed, p_hi_closed = p
+        i = bisect_pairs(ts, 0, p[0]) - 1
+        if i >= 0:
+            (ln, ld), (hn, hd), lo_closed, hi_closed = ts[i]
+            # the bisection puts that piece's lo at or before p's
+            if (ln * pd < pn * ld or lo_closed >= p_lo_closed) and (
+                    (c := qn * hd - hn * qd) < 0 or c == 0 and hi_closed >= p_hi_closed):
+                continue
+        # operator.lt on flags: in the image piece and not in T
+        if T._meets_where((p,), operator.lt):
+            return False
+    return True

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -282,10 +282,13 @@ class CompactSet(_Frozen):
         # cylinder reached (as _expand reads a point): it is that cylinder at the hull's ends
         addr, u, v = "", lo, hi
         while ln * hd < hn * ld and (u, v) != ifs._int_hull:
-            for i, (cl, ch) in enumerate(ifs._int_children):
-                if pair_cmp(cl, u) <= 0 <= pair_cmp(ch, v):
+            (un, ud), (vn, vd) = u, v
+            for i, ((cln, cld), (chn, chd)) in enumerate(ifs._int_children):
+                if cln * ud <= un * cld and vn * chd <= chn * vd:
                     a, b, c = ifs._int_inverses[i]
-                    u, v = (affine((a, c), y, (-b, c)) for y in (u, v))
+                    un, ud, vn, vd = un * a - ud * b, ud * c, vn * a - vd * b, vd * c
+                    u = (un // (k := gcd(un, ud)), ud // k)
+                    v = (vn // (k := gcd(vn, vd)), vd // k)
                     addr += ifs.symbols[i]
                     break
             else:
@@ -313,8 +316,10 @@ class CompactSet(_Frozen):
         return parts
 
 
+@cache
 def ternary_cantor(depth: int) -> CompactSet:
-    """Depth-d approximation of the middle-thirds Cantor set in [0, 1]."""
+    """Depth-d approximation of the middle-thirds Cantor set in [0, 1], one
+    per depth: a depth refused raises on every call and is never cached."""
     ifs = Ifs(ratios=(Fraction(1, 3), Fraction(1, 3)),
               offsets=(Fraction(0), Fraction(2, 3)),
               symbols=("0", "2"))

@@ -16,6 +16,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .rational import affine, as_pair, bisect_pairs, coprime_fraction, pair_cmp, rat
@@ -478,24 +479,37 @@ def _push_runs(g: PAHomeo, runs: list) -> list:
     pieces mapped and taken in branch image order (reversed in a decreasing
     branch), which sorts them as no two images overlap; neighbours of a cell merge."""
     bs, order = g._pairs, g._image_order
-    pieces, j = [[] for _ in bs], 0
-    for lo, hi, c in runs:
-        (ln, ld), (hn, hd) = lo, hi
+    pieces, j, nb = [[] for _ in bs], 0, len(bs)
+    for (ln, ld), (hn, hd), cell in runs:
         while bs[j][1][0] * ld < ln * bs[j][1][1]:
             j += 1
-        for i, (blo, bhi, s, o, ia, ib) in enumerate(bs[j:], j):
+        i = j
+        while i < nb:
+            blo, bhi, (sn, sd), (on, od), ia, ib = bs[i]
             if blo[0] * hd > hn * blo[1]:
                 break
-            up = s[0] > 0
-            ya = affine(s, lo, o) if blo[0] * ld <= ln * blo[1] else (ib, ia)[up]
-            yb = affine(s, hi, o) if bhi[0] * hd >= hn * bhi[1] else (ia, ib)[up]
-            pieces[i].append((ya, yb, c) if up else (yb, ya, c))
-    flat = [p for i in order for p in (pieces[i] if bs[i][2][0] > 0 else reversed(pieces[i]))]
-    out = []
-    for p in flat:
-        if out and out[-1][2] == p[2]:
-            p = (out.pop()[0], p[1], p[2])
-        out.append(p)
+            # the branch as x -> (a*xn + b*xd) / (c*xd), reduced in line
+            up, a, b, c = sn > 0, sn * od, on * sd, sd * od
+            if blo[0] * ld <= ln * blo[1]:
+                n, d = a * ln + b * ld, c * ld
+                ya = (n // (k := gcd(n, d)), d // k)
+            else:
+                ya = (ib, ia)[up]
+            if bhi[0] * hd >= hn * bhi[1]:
+                n, d = a * hn + b * hd, c * hd
+                yb = (n // (k := gcd(n, d)), d // k)
+            else:
+                yb = (ia, ib)[up]
+            pieces[i].append((ya, yb, cell) if up else (yb, ya, cell))
+            i += 1
+    out, last = [], None
+    for i in order:
+        for p in (pieces[i] if bs[i][2][0] > 0 else reversed(pieces[i])):
+            if p[2] == last:
+                out[-1] = (out[-1][0], p[1], last)
+            else:
+                out.append(p)
+                last = p[2]
     return out
 
 

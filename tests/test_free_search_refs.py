@@ -9,11 +9,14 @@ references below are the search as it was: the repulsors read off the full
 walk.contraction_scan series, and every word composed and tested with
 maps_into.  Both must give the same candidates, the same certificates and
 the same failures, and the screen must never reject a word whose inclusion
-holds.
+holds.  The repulsor screen compares each cell's image diameter with
+DEFAULT_DELTA by cross-multiplication; its reference reduces every cell's
+diameter through walk.run_diameters, as the screen did before.
 """
 
 from collections import Counter
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,14 +25,35 @@ from cantorwalk import certify, maps, walk
 from cantorwalk.certify import _contraction_candidates, _fixed_points, assemble_free_pair
 from cantorwalk.cli import _load_scenario_text, parse_scenario
 from cantorwalk.maps import apply, image, maps_into
-from cantorwalk.rational import coprime_fraction, pair_key
+from cantorwalk.rational import as_pair, coprime_fraction, pair_cmp, pair_key
 from cantorwalk.serialize import certificate_to_obj, dumps
 from cantorwalk.space import Region, epsilon_neighborhood
-from cantorwalk.walk import (Trajectory, WalkError, _extremes, _single_linkage,
-                             contraction_scan, forward_word, make_model)
+from cantorwalk.walk import (DEFAULT_DELTA, Trajectory, WalkError, _extremes,
+                             _repulsor_extremes, _single_linkage, cell_image_runs,
+                             contraction_scan, forward_word, make_model, measure_cells,
+                             run_diameters)
 
 from fixtures import cantor_space, named_generators
 from test_lookups import letter_words, regions
+
+
+def _first_word(t, A, eps, p_cap, n_max):
+    """The candidate (t, n, word, A, B) of the trajectory t for the points A,
+    the first n with image(word, K off A^eps) inside B^eps, or None."""
+    K = t.model.space
+    off = Region.whole(K).difference(epsilon_neighborhood(A, eps, K))
+    if off.is_empty():
+        return None
+    for n in range(1, n_max + 1):
+        w = forward_word(t, n)
+        B = [coprime_fraction(*x) for x in sorted(
+            {x for x, (sn, sd) in _fixed_points(w)[0] if abs(sn) < sd}, key=pair_key)]
+        if not B or len(B) > p_cap:
+            continue
+        b_reg = epsilon_neighborhood(B, eps, K)
+        if maps_into(w, off, b_reg):
+            return t, n, w, A, B
+    return None
 
 
 def contraction_candidates_ref(model, eps, p_cap, n_max, streams):
@@ -45,21 +69,29 @@ def contraction_candidates_ref(model, eps, p_cap, n_max, streams):
         pts = [x for v, cell in zip(scan.verdicts, cells) if v == "repulsor"
                for x in cell]
         A = _extremes(_single_linkage(pts, 3 * (cells[0][1] - cells[0][0])), K.hull)
-        if not A or len(A) > p_cap:
-            continue
-        off = Region.whole(K).difference(epsilon_neighborhood(A, eps, K))
-        if off.is_empty():
-            continue
-        for n in range(1, n_max + 1):
-            w = forward_word(t, n)
-            B = [coprime_fraction(*x) for x in sorted(
-                {x for x, (sn, sd) in _fixed_points(w)[0] if abs(sn) < sd}, key=pair_key)]
-            if not B or len(B) > p_cap:
-                continue
-            b_reg = epsilon_neighborhood(B, eps, K)
-            if maps_into(w, off, b_reg):
-                yield t, n, w, A, B
+        if A and len(A) <= p_cap and (found := _first_word(t, A, eps, p_cap, n_max)):
+            yield found
+
+
+def contraction_candidates_screen_ref(model, eps, p_cap, n_max, streams):
+    """The candidate search with the repulsor screen on run_diameters."""
+    K = model.space
+    cells = measure_cells(K, K.depth)
+    h, delta = min(n_max, 24), as_pair(DEFAULT_DELTA)
+    for r in range(streams):
+        t = Trajectory(model, stream=r)
+        keep = range(len(cells))
+        for runs in islice(cell_image_runs(t, cells, h), h // 2, None):
+            diams = run_diameters(runs, len(cells))
+            keep = [i for i in keep if pair_cmp(diams[i], delta) >= 0]
+            if not keep:
                 break
+        live = [cells[i] for i in keep]
+        A = _repulsor_extremes(live, cells, K.hull)
+        if not A or len(A) > p_cap or len(live) * DEFAULT_DELTA > K.hull[1] - K.hull[0]:
+            continue
+        if found := _first_word(t, A, eps, p_cap, n_max):
+            yield found
 
 
 def first_inclusion_ref(usable, off, b_reg, n_max):
@@ -93,9 +125,9 @@ def _model(which, seed):
     return _free_model(which, seed) if isinstance(which, int) else _bundled_model(which, seed)
 
 
-def _candidates(search, model):
+def _candidates(search, model, streams=16):
     return [(t.stream, n, w.branches, tuple(A), tuple(B))
-            for t, n, w, A, B in search(model, F(1, 27), 4, 40, 16)]
+            for t, n, w, A, B in search(model, F(1, 27), 4, 40, streams)]
 
 
 @pytest.mark.parametrize("which, seed", MODELS)
@@ -115,6 +147,18 @@ def test_free_pair_matches_unscreened_search(monkeypatch, which, seed):
     monkeypatch.setattr(certify, "_contraction_candidates", contraction_candidates_ref)
     monkeypatch.setattr(certify, "_first_inclusion", first_inclusion_ref)
     assert got == assemble()
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 5, 8])
+def test_candidates_match_the_run_diameter_screen(depth, seed):
+    # streams 0 to 3 of the free model: the same n, A, B and word branches.
+    # At depth 3, stream 3 of walk seed 5 and stream 0 of walk seed 8 keep
+    # a cell whose image diameter is exactly DEFAULT_DELTA, which the
+    # screen must keep
+    model = _free_model(depth, seed)
+    assert _candidates(_contraction_candidates, model, 4) == \
+        _candidates(contraction_candidates_screen_ref, model, 4)
 
 
 def test_candidates_need_a_positive_horizon():
@@ -185,9 +229,11 @@ def test_too_many_live_cells_skip_the_stream(monkeypatch, depth, skipped):
     # otherwise: here every cell's image diameter reads diam(K) = 1.  Both
     # sets give A at most p_cap = 4 points (4 and 2 clusters); the 16 live
     # depth-4 cells (16/9 > 1) skip the stream before any word is composed,
-    # the 8 depth-3 cells (8/9 <= 1) go on to the words
+    # the 8 depth-3 cells (8/9 <= 1) go on to the words.  The scan reads
+    # each cell's runs, here one run over the hull of K per cell and step
     words = []
-    monkeypatch.setattr(certify, "run_diameters", lambda runs, count: [(1, 1)] * count)
+    monkeypatch.setattr(certify, "cell_image_runs", lambda t, cells, n: (
+        [(cells[0][0], cells[-1][1], c) for c in range(len(cells))] for _ in range(n + 1)))
     monkeypatch.setattr(certify, "forward_word",
                         lambda t, n: words.append(n) or forward_word(t, n))
     found = list(_contraction_candidates(_free_model(depth, 0), F(1, 27), 4, 3, 1))

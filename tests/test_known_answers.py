@@ -1,0 +1,55 @@
+"""Known answers: inputs whose side of the alternative is a theorem.
+
+Thompson's group F acts on the depth-3 ternary set by order-preserving
+prefix replacements, generated by x0 (the bundled G3) and
+x1 = (0 -> 0, 20 -> 200, 220 -> 202, 222 -> 22).  Brin and Squier proved
+that groups of piecewise linear homeomorphisms of an interval contain no
+free subgroup of rank 2, so no run may certify a ping-pong pair in F, and
+no ping-pong certificate whose maps are x0 and x1 may verify.
+"""
+
+import json
+
+import pytest
+
+from cantorwalk.cli import main
+from cantorwalk.maps import PrefixTable, from_prefix_table
+from cantorwalk.serialize import map_to_obj
+from cantorwalk.space import ternary_cantor
+
+from test_cli import _edited_certificate
+
+BRIN_SQUIER = ("Thompson's F contains no free subgroup of rank 2 (Brin and Squier, "
+               "Invent. Math. 79, 1985)")
+X0 = [["0", "00", 1], ["20", "02", 1], ["22", "2", 1]]
+X1 = [["0", "0", 1], ["20", "200", 1], ["220", "202", 1], ["222", "22", 1]]
+
+
+def _thompson_map(name, table):
+    return map_to_obj(from_prefix_table(PrefixTable(tuple(map(tuple, table))),
+                                        ternary_cantor(3), label=(name,)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_certify_free_gives_up_on_thompsons_f(tmp_path, capsys, seed):
+    path = tmp_path / "thompson.json"
+    path.write_text(json.dumps({
+        "kind": "certify-free", "space": {"ifs": "ternary", "depth": 3},
+        "generators": [{"name": "x0", "table": X0}, {"name": "x1", "table": X1}],
+        "include_inverses": True, "seed": seed, "budgets": {"eps": "1/27"},
+        "output": "thompson"}))
+    assert main(["certify-free", str(path), "--out", str(tmp_path)]) == 2, BRIN_SQUIER
+    assert not (tmp_path / "thompson_certificate.json").exists(), BRIN_SQUIER
+
+
+def test_ping_pong_certificate_on_thompsons_f_is_invalid(tmp_path, capsys):
+    # free_pair's regions with its maps replaced by x0 and x1
+    doc = _edited_certificate("free_pair", lambda d: d.update(
+        a1=_thompson_map("x0", X0), a2=_thompson_map("x1", X1)))(tmp_path)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1, BRIN_SQUIER
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "INVALID (image(a1, K off A1) not inside B1)\n", ""), BRIN_SQUIER

@@ -459,6 +459,16 @@ def test_maps_into_matches_image_inclusion(word, data):
             == image_ref(w, S).subset_of(T))
 
 
+@pytest.mark.parametrize("flags, inside", [
+    ((True, True), True), ((False, True), False), ((True, False), False)])
+def test_maps_into_reads_the_flags_of_a_shared_end(flags, inside):
+    # the image of the cylinder [0, 1/3] under the identity ends where T's
+    # one piece ends: it is inside T iff T holds both ends, which lie in K
+    K = CompactSet.from_ifs(TERNARY, 2)
+    S, T = Region.cylinder(K, "0"), Region(K, (Piece(F(0), F(1, 3), *flags),))
+    assert maps_into(identity_map(K), S, T) == inside
+
+
 @pytest.mark.parametrize("space", SPACES)
 def test_uncut_compose_takes_no_preimage(space):
     # a word that ends with A1^-1 maps each branch source into one source

@@ -197,6 +197,17 @@ def test_ternary_cantor_depths():
         (F(0), F(1, 9)), (F(2, 9), F(1, 3)), (F(2, 3), F(7, 9)), (F(8, 9), F(1)))
 
 
+def test_ternary_cantor_is_built_once_per_depth():
+    # every scenario parse asks for the set again; a refused depth raises
+    # on each call and leaves the cache as it was
+    assert ternary_cantor(3) is ternary_cantor(3)
+    size = ternary_cantor.cache_info().currsize
+    for depth, message in [(17, "more than 65536 intervals"), (-1, "nonnegative")] * 2:
+        with pytest.raises(SpaceError, match=message):
+            ternary_cantor(depth)
+    assert ternary_cantor.cache_info().currsize == size
+
+
 def test_gaps():
     assert bounded_gaps(ternary_cantor(1)) == [(F(1, 3), F(2, 3))]
     assert bounded_gaps(ternary_cantor(2)) == [
@@ -683,15 +694,24 @@ def decompose_ref(ifs, lo, hi):
 @given(st.sampled_from([TERNARY, UNEQUAL, THREE_MAPS, NEGATIVE]), st.data())
 def test_cylinder_descent_matches_the_stack_descent(ifs, data):
     # intervals between ends of cylinders up to depth 4 (single cylinders,
-    # unions of neighbours, intervals ending in gaps or reversed) and
-    # arbitrary rationals: descending into the one child that holds the
-    # interval answers as the plain stack descent does
+    # unions of neighbours, intervals ending in gaps or reversed), arbitrary
+    # rationals and single cylinders down to depth 12, as deep as the
+    # sources and images of composed words reach: descending into the one
+    # child that holds the interval answers as the plain stack descent does
     cells = CompactSet.from_ifs(ifs, data.draw(st.integers(0, 4))).intervals
     lo, hi = ifs.hull
     ends = st.one_of(st.sampled_from([x for c in cells for x in c]),
                      st.fractions(lo - 1, hi + 1, max_denominator=3 ** 5))
-    if data.draw(st.booleans()):
+    kind = data.draw(st.sampled_from(["cell", "ends", "deep"]))
+    if kind == "cell":
         a, b = data.draw(st.sampled_from(cells))
-    else:
+    elif kind == "ends":
         a, b = data.draw(ends), data.draw(ends)
+    else:
+        w = "".join(data.draw(st.lists(st.sampled_from(ifs.symbols), min_size=5, max_size=12)))
+        a, b = cylinder(ifs, w)
+        # the descent answers a single cylinder alone, expanding no address
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Ifs, "_expand", None)
+            assert decompose_into_cylinders(CompactSet.from_ifs(ifs, 0), a, b) == [(w, a, b)]
     assert decompose_into_cylinders(CompactSet.from_ifs(ifs, 0), a, b) == decompose_ref(ifs, a, b)

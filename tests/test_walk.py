@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from cantorwalk import walk
 from cantorwalk.maps import (apply, compose, equals, identity_map, image, invert,
                              is_identity)
-from cantorwalk.rational import coprime_fraction
-from cantorwalk.walk import (TWO64, CellMeasure, Trajectory, WalkError, _philox,
+from cantorwalk.rational import affine, coprime_fraction
+from cantorwalk.walk import (TWO64, CellMeasure, Trajectory, WalkError, _philox, _push_runs,
                              backward_cluster, backward_value,
                              break_accumulation, classify_pair,
                              contraction_scan, delta_sum_statistic,
@@ -363,3 +363,48 @@ def test_trajectory_indices_match_bisection(probs):
     for stream in (0, 5):
         t = Trajectory(model, stream)
         assert [t.index(k) for k in range(1100)] == _indices_ref(model, stream, 1100)
+
+
+def push_runs_ref(g, runs):
+    """_push_runs with every image end through rational.affine."""
+    bs, order = g._pairs, g._image_order
+    pieces, j = [[] for _ in bs], 0
+    for lo, hi, c in runs:
+        (ln, ld), (hn, hd) = lo, hi
+        while bs[j][1][0] * ld < ln * bs[j][1][1]:
+            j += 1
+        for i, (blo, bhi, s, o, ia, ib) in enumerate(bs[j:], j):
+            if blo[0] * hd > hn * blo[1]:
+                break
+            up = s[0] > 0
+            ya = affine(s, lo, o) if blo[0] * ld <= ln * blo[1] else (ib, ia)[up]
+            yb = affine(s, hi, o) if bhi[0] * hd >= hn * bhi[1] else (ia, ib)[up]
+            pieces[i].append((ya, yb, c) if up else (yb, ya, c))
+    flat = [p for i in order for p in (pieces[i] if bs[i][2][0] > 0 else reversed(pieces[i]))]
+    out = []
+    for p in flat:
+        if out and out[-1][2] == p[2]:
+            p = (out.pop()[0], p[1], p[2])
+        out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("k", range(len(_alphabets())))
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_push_runs_matches_the_affine_reference(k, data):
+    # the cells of a random depth (on a plain set, K's intervals cut into
+    # equal parts) pushed through every letter of the alphabet in a random
+    # order: each push gives the reference's runs, run for run
+    letters = _alphabets()[k]
+    K = letters[0].space
+    if K.ifs is not None:
+        cells = measure_cells(K, data.draw(st.integers(0, K.depth + 2)))
+    else:
+        m = data.draw(st.integers(1, 3))
+        cells = [(affine((i, m), r, affine((m - i, m), l)), affine((i + 1, m), r, affine(
+            (m - i - 1, m), l))) for l, r in K.ends for i in range(m)]
+    runs = [(l, r, i) for i, (l, r) in enumerate(cells)]
+    for i in data.draw(st.permutations(range(len(letters)))):
+        got, runs = _push_runs(letters[i], runs), push_runs_ref(letters[i], runs)
+        assert got == runs
