@@ -266,12 +266,13 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
 
 
 def _emit_diameter_series(out_dir, stem, diameters):
-    """Per-step image diameter of every depth-d cell, as plot-ready CSV."""
+    """Per-step image diameter of every depth-d cell, as plot-ready CSV; the
+    diameters are int pairs, each written as the float of its Fraction."""
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["step"] + [f"diam_cell_{i}" for i in range(len(diameters))])
     for k, row in enumerate(zip(*diameters)):
-        w.writerow([k] + [float(d) for d in row])
+        w.writerow([k] + [n / d for n, d in row])
     ser.write_text_atomic(os.path.join(out_dir, f"{stem}_series.csv"), buf.getvalue())
 
 

@@ -451,30 +451,55 @@ def regularity_radius(gens: Sequence[PAHomeo]) -> Optional[Fraction]:
 
 
 def _image_pieces(f: PAHomeo, S: Region):
-    """The images of S's pieces clipped to f's branch sources, unsorted."""
+    """The images of S's pieces clipped to f's branch sources, each with the
+    index of its branch; the pieces of one branch come in source order."""
     if S.space != f.space:
         raise MapError("region lives on a different space")
     ps = f._pairs
     for plo, phi, plo_closed, phi_closed in S.pieces:
-        for blo, bhi, s, o, ea, eb in ps[bisect_pairs(ps, 1, plo, False):bisect_pairs(ps, 0, phi)]:
+        (pln, pld), (phn, phd), j = plo, phi, bisect_pairs(ps, 1, plo, False)
+        for i, (blo, bhi, (sn, sd), (on, od), ea, eb) in enumerate(
+                ps[j:bisect_pairs(ps, 0, phi)], j):
             # clip the piece to a closed branch source; the bisection makes them meet
-            holds_lo = (c := pair_cmp(plo, blo)) < 0 or c == 0 and plo_closed
-            holds_hi = (c := pair_cmp(bhi, phi)) < 0 or c == 0 and phi_closed
+            holds_lo = (c := pln * blo[1] - blo[0] * pld) < 0 or c == 0 and plo_closed
+            holds_hi = (c := bhi[0] * phd - phn * bhi[1]) < 0 or c == 0 and phi_closed
             if holds_lo and holds_hi:
-                yield Piece._make((ea, eb, True, True))
+                yield i, Piece._make((ea, eb, True, True))
                 continue
-            lo, lo_closed = (blo, True) if holds_lo else (plo, plo_closed)
-            hi, hi_closed = (bhi, True) if holds_hi else (phi, phi_closed)
+            # the branch as x -> (a*xn + b*xd) / (c*xd), reduced in line
+            a, b, c, up = sn * od, on * sd, sd * od, sn > 0
+            if holds_lo:
+                lo, lo_closed, va = blo, True, (ea if up else eb)
+            else:
+                n, d = a * pln + b * pld, c * pld
+                lo, lo_closed, va = plo, plo_closed, (n // (k := gcd(n, d)), d // k)
+            if holds_hi:
+                hi, hi_closed, vb = bhi, True, (eb if up else ea)
+            else:
+                n, d = a * phn + b * phd, c * phd
+                hi, hi_closed, vb = phi, phi_closed, (n // (k := gcd(n, d)), d // k)
             if lo == hi and not (lo_closed and hi_closed):
                 continue
-            va, vb = affine(s, lo, o), affine(s, hi, o)
-            yield Piece._make((va, vb, lo_closed, hi_closed) if s[0] > 0
-                              else (vb, va, hi_closed, lo_closed))
+            yield i, Piece._make((va, vb, lo_closed, hi_closed) if up
+                                 else (vb, va, hi_closed, lo_closed))
 
 
 def image(f: PAHomeo, S: Region) -> Region:
-    """Exact image region of S∩K under f."""
-    return Region.from_pieces(f.space, _image_pieces(f, S))
+    """Exact image region of S∩K under f, with no sort: the pieces of each
+    branch, reversed in a decreasing one, taken in the image order of the
+    branches, which do not overlap, come out sorted, and neighbours that
+    touch at a point one of them holds merge."""
+    ps, buckets = f._pairs, [[] for _ in f._pairs]
+    for i, p in _image_pieces(f, S):
+        buckets[i].append(p)
+    out = []
+    for i in f._image_order:
+        for p in (buckets[i] if ps[i][2][0] > 0 else reversed(buckets[i])):
+            if out and p[0] == (q := out[-1])[1] and (q[3] or p[2]):
+                out[-1] = Piece._make((q[0], p[1], q[2], p[3]))
+            else:
+                out.append(p)
+    return Region(f.space, tuple(out))
 
 
 def maps_into(f: PAHomeo, S: Region, T: Region) -> bool:
@@ -482,7 +507,7 @@ def maps_into(f: PAHomeo, S: Region, T: Region) -> bool:
     piece inside the one piece of T that starts at or before it, flags
     included, is in T; any other goes through T's sweep on K."""
     ts = T.pieces
-    for p in _image_pieces(f, S):
+    for _, p in _image_pieces(f, S):
         (pn, pd), (qn, qd), p_lo_closed, p_hi_closed = p
         i = bisect_pairs(ts, 0, p[0]) - 1
         if i >= 0:

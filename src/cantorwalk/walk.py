@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -90,8 +89,6 @@ def _philox(seed: int, stream: int):
 class Trajectory:
     """The i.i.d. generator-index stream omega for one (model, stream) key."""
 
-    CHUNK = 512
-
     def __init__(self, model: WalkModel, stream: int = 0):
         self.model = model
         self.stream = stream
@@ -110,9 +107,13 @@ class Trajectory:
         self._bwd = {0: identity_map(model.space)}
 
     def index(self, k: int) -> int:
-        while len(self._indices) <= k:
+        """The k-th index.  The first draw reaches k, and a later one at
+        least doubles what is drawn; a full-range uint64 draw takes one
+        Philox output, so the stream does not depend on the draw sizes."""
+        have = len(self._indices)
+        if have <= k:
             import numpy as np
-            draws = self._rng.integers(0, TWO64 - 1, size=self.CHUNK,
+            draws = self._rng.integers(0, TWO64 - 1, size=max(k + 1 - have, have),
                                        dtype=np.uint64, endpoint=True)
             self._indices += np.searchsorted(self._cuts, draws, side="right").tolist()
         return self._indices[k]
@@ -154,8 +155,9 @@ def forward_orbit(t: Trajectory, x, n: int) -> list[Fraction]:
     """Exact values f_omega^k(x) for k = 0..n, computed pointwise."""
     x = rat(x)
     out = [x]
-    for k in range(n):
-        x = apply(t.step_map(k), x)
+    # the last letter first, so that the trajectory draws them all at once
+    for f in [t.step_map(k) for k in range(n - 1, -1, -1)][::-1]:
+        x = apply(f, x)
         out.append(x)
     return out
 
@@ -329,24 +331,46 @@ class EntropyReport(NamedTuple):
 def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region) -> float:
     """Mass of a region under mu, splitting cells uniformly (each IFS child
     carries half the parent mass) when the region cuts through a cell; a cell
-    off the region's hull meets K and not the region, adding +0.0, unsummed."""
+    off the region's hull meets K and not the region, adding +0.0, unsummed.
+    The region's pieces are sorted, disjoint and maximal, so a closed part
+    [a, b] of K lies in the region iff it lies in the last piece starting at
+    or before a, and meets it iff that piece or the next one holds a point
+    of it, flags included."""
+    ps = region.pieces
 
     def portion(lo, hi, depth_left) -> float:
-        cell = Piece._make((lo, hi, True, True))
-        if not region._meets_where((cell,), operator.lt):
+        inside, meets = True, False
+        for kl, kr in space._meeting(lo, hi):
+            # [a, b]: the cell's part of this interval of K
+            (an, ad) = a = kl if kl[0] * lo[1] > lo[0] * kl[1] else lo
+            bn, bd = kr if kr[0] * hi[1] < hi[0] * kr[1] else hi
+            i, held = bisect_pairs(ps, 0, a), False
+            if i:
+                (ln, ld), (hn, hd), lc, hc = ps[i - 1]
+                held = (ln * ad < an * ld or lc) and ((c := bn * hd - hn * bd) < 0 or c == 0 and hc)
+                meets |= ((c := hn * ad - an * hd) > 0 or c == 0 and hc) and (
+                    ln * bd < bn * ld or lc)
+            if not meets and i < len(ps):
+                (ln, ld), _, lc, _ = ps[i]
+                meets = (c := ln * bd - bn * ld) < 0 or c == 0 and lc
+            inside &= held
+            if meets and not inside:
+                break
+        if inside:
             return 1.0
-        if not region._meets_where((cell,), operator.and_):
+        if not meets:
             return 0.0
         if space.ifs is None or depth_left <= 0:
-            # fall back to length fraction of the overlap
+            # fall back to the length fraction of the overlap
+            cell = Piece._make((lo, hi, True, True))
             inter = Region(space, (cell,)).intersect(region)
-            return float((inter.supremum() - inter.infimum()) / (cell.hi - cell.lo))
+            return float(sum(p.hi - p.lo for p in inter.pieces) / (cell.hi - cell.lo))
         # children of [lo, hi] under the IFS self-similarity
         kids = space.ifs._child_pairs(lo, hi)
         return sum(portion(clo, chi, depth_left - 1) / len(kids)
                    for clo, chi in kids)
 
-    total, ps = 0.0, region.pieces
+    total = 0.0
     if not ps:
         return total
     a, b = bisect_pairs(cells, 1, ps[0][0], False), bisect_pairs(cells, 0, ps[-1][1])
@@ -402,14 +426,16 @@ def _fit_slope(ys: Sequence[float]) -> float:
 
 
 def _tail_verdict(tail, delta, far: str, near: str):
-    """(verdict, rate) for the tail of a distance or diameter series: `far`
-    if it stays at least delta; `near`, with the fitted decay rate, if its
-    log decays and it ends below delta; else 'undecided'."""
-    if all(d >= delta for d in tail):
+    """(verdict, rate) for the tail of a distance or diameter series of int
+    pairs: `far` if it stays at least delta; `near`, with the fitted decay
+    rate, if its log decays and it ends below delta; else 'undecided'."""
+    dn, dd = delta.numerator, delta.denominator
+    if all(n * dd >= dn * d for n, d in tail):
         return far, 0.0
-    slope = _fit_slope([math.log(float(d)) if d > 0 else math.log(1e-300)
-                        for d in tail])
-    if slope < SLOPE_MARGIN and tail[-1] < delta:
+    slope = _fit_slope([math.log(n / d) if n > 0 else math.log(1e-300)
+                        for n, d in tail])
+    n, d = tail[-1]
+    if slope < SLOPE_MARGIN and n * dd < dn * d:
         return near, -slope
     return "undecided", 0.0
 
@@ -421,8 +447,8 @@ def _pair_verdict(t: Trajectory, x, y, delta, n: int):
         raise WalkError("horizon must be positive")
     if x == y:
         return "synchronized", 0.0
-    dists = [abs(a - b) for a, b in zip(forward_orbit(t, x, n),
-                                        forward_orbit(t, y, n))]
+    dists = [as_pair(abs(a - b)) for a, b in zip(forward_orbit(t, x, n),
+                                                 forward_orbit(t, y, n))]
     return _tail_verdict(dists[n // 2:], delta, "separated", "synchronized")
 
 
@@ -467,7 +493,7 @@ class CellScan(NamedTuple):
     delta: Fraction
     depth: int
     horizon: int
-    diameters: tuple  # exact image diameters per cell, steps 0..horizon
+    diameters: tuple  # exact image diameters per cell as int pairs, steps 0..horizon
 
     @property
     def repulsor_count(self) -> int:
@@ -519,9 +545,10 @@ def cell_image_runs(t: Trajectory, cells, n: int):
     with ends in K (its limit set on IFS sets), so only a gap of K separates
     sorted neighbours."""
     runs = [(l, r, i) for i, (l, r) in enumerate(cells)]
-    for k in range(n + 1):
-        if k:
-            runs = _push_runs(t.step_map(k - 1), runs)
+    yield runs
+    # the last letter first, so that the trajectory draws them all at once
+    for g in [t.step_map(k) for k in range(n - 1, -1, -1)][::-1]:
+        runs = _push_runs(g, runs)
         yield runs
 
 
@@ -537,7 +564,7 @@ def contraction_scan(t: Trajectory, depth: int, n: int,
     delta = rat(delta)
     K = t.model.space
     cells = measure_cells(K, depth)
-    diam_series = tuple(zip(*([coprime_fraction(*d) for d in run_diameters(runs, len(cells))]
+    diam_series = tuple(zip(*(run_diameters(runs, len(cells))
                               for runs in cell_image_runs(t, cells, n))))
     verdicts = tuple(_tail_verdict(series[n // 2:], delta,
                                    "repulsor", "attractor")[0]
@@ -594,7 +621,8 @@ def break_accumulation(t: Trajectory, n: int, radius=Fraction(1, 27)):
     inverses = {gi: invert(t.model.gens[gi]) for gi in {t.index(k) for k in range(n)}}
     acc = base
     for i in range(n - 1, -1, -1):
-        acc = base | {_apply(inverses[t.index(i)], p) for p in acc}
+        inverse = inverses[t.index(i)]
+        acc = base | {_apply(inverse, p) for p in acc}
     pts = sorted(coprime_fraction(*p) for p in acc)
     return pts, _single_linkage(pts, radius)
 

@@ -5,12 +5,17 @@ prefix replacements, generated by x0 (the bundled G3) and
 x1 = (0 -> 0, 20 -> 200, 220 -> 202, 222 -> 22).  Brin and Squier proved
 that groups of piecewise linear homeomorphisms of an interval contain no
 free subgroup of rank 2, so no run may certify a ping-pong pair in F, and
-no ping-pong certificate whose maps are x0 and x1 may verify.
+no ping-pong certificate whose maps are x0 and x1 may verify.  The same
+holds for any two order-preserving prefix replacements: two complete
+prefix codes of equal size, paired in order, orientation +1.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorwalk.cli import main
 from cantorwalk.maps import PrefixTable, from_prefix_table
@@ -53,3 +58,39 @@ def test_ping_pong_certificate_on_thompsons_f_is_invalid(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
         "INVALID (image(a1, K off A1) not inside B1)\n", ""), BRIN_SQUIER
+
+
+@st.composite
+def prefix_codes(draw, size):
+    """A complete prefix code of `size` words over the ternary symbols, of
+    length at most 3, in left-to-right order: a word is split into its two
+    children size - 1 times."""
+    code = [""]
+    for _ in range(size - 1):
+        word = draw(st.sampled_from([w for w in code if len(w) < 3]))
+        code.remove(word)
+        code += [word + "0", word + "2"]
+    return sorted(code)
+
+
+@st.composite
+def thompson_tables(draw):
+    """An order-preserving prefix table on the depth-3 ternary set: two
+    complete prefix codes of equal size paired in order, each row +1, an
+    element of Thompson's F."""
+    size = draw(st.integers(2, 8))
+    return [[s, d, 1] for s, d in zip(draw(prefix_codes(size)), draw(prefix_codes(size)))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(thompson_tables(), thompson_tables(), st.integers(0, 2 ** 16))
+def test_certify_free_gives_up_on_random_thompson_pairs(x, y, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "thompson.json"
+        path.write_text(json.dumps({
+            "kind": "certify-free", "space": {"ifs": "ternary", "depth": 3},
+            "generators": [{"name": "x", "table": x}, {"name": "y", "table": y}],
+            "include_inverses": True, "seed": seed, "budgets": {"eps": "1/27"},
+            "output": "thompson"}))
+        assert main(["certify-free", str(path), "--out", tmp]) != 0, BRIN_SQUIER
+        assert not (Path(tmp) / "thompson_certificate.json").exists(), BRIN_SQUIER

@@ -32,6 +32,7 @@ from functools import cache
 from itertools import product
 from math import gcd
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -298,7 +299,8 @@ def compose_ref(f, g):
 def region_mass_ref(mu, cells, K, region):
     """walk._region_mass as a sum over every cell: a cell inside the region
     counts whole, one outside it not at all, and a cut one is split into its
-    IFS children down to SPLIT_DEPTH levels, or by length on a plain set."""
+    IFS children down to SPLIT_DEPTH levels, or on a plain set by the length
+    of its overlap with the region, summed over the overlap's pieces."""
 
     def portion(lo, hi, depth_left):
         cell = Piece._make((lo, hi, True, True))
@@ -308,7 +310,7 @@ def region_mass_ref(mu, cells, K, region):
             return 0.0
         if K.ifs is None or depth_left <= 0:
             inter = Region(K, (cell,)).intersect(region)
-            return float((inter.supremum() - inter.infimum()) / (cell.hi - cell.lo))
+            return float(sum(p.hi - p.lo for p in inter.pieces) / (cell.hi - cell.lo))
         kids = K.ifs._child_pairs(lo, hi)
         return sum(portion(clo, chi, depth_left - 1) / len(kids)
                    for clo, chi in kids)
@@ -373,6 +375,58 @@ def test_image_matches_scan(word, data):
     assert image(w, S) == image_ref(w, S)
 
 
+@st.composite
+def plain_words(draw):
+    """(letters, a word in them, a region) on the plain sets: words of P,
+    Q and P^-1, whose branch images touch at the image of a break inside an
+    interval of K, or of S, T, their inverses and V, with one-point and
+    flagged pieces between interval ends, branch ends and gap midpoints."""
+    letters = draw(st.sampled_from(_alphabets()[-2:]))
+    w = _word(letters, draw(st.lists(st.integers(0, len(letters) - 1),
+                                     min_size=1, max_size=4)))
+    K = w.space
+    marks = sorted({x for b in w.branches for x in (b.lo, b.hi) + b.ends} |
+                   {x for iv in K.intervals for x in iv} |
+                   {(a + b) / 2 for a, b in bounded_gaps(K)})
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = sorted(draw(st.lists(st.sampled_from(marks), min_size=2, max_size=2)))
+        flags = (True, True) if a == b else (draw(st.booleans()), draw(st.booleans()))
+        pieces.append(Piece(a, b, *flags))
+    return letters, w, Region.from_pieces(K, pieces)
+
+
+@settings(max_examples=80, deadline=None)
+@given(plain_words())
+def test_image_matches_scan_on_plain_sets(word):
+    letters, w, S = word
+    assert image(w, S) == image_ref(w, S)
+    for g in letters:
+        assert image(g, S) == image_ref(g, S)
+
+
+def test_image_sorts_no_pieces(monkeypatch):
+    # every letter of every alphabet on the whole set, its cells and
+    # regions with one-point and flagged pieces, with the sort of
+    # Region.from_pieces raising
+    cases = []
+    for letters in _alphabets():
+        K = letters[0].space
+        lo, hi = K.hull
+        Ss = [Region.whole(K), Region.from_pieces(K, [
+            Piece(lo, lo, True, True), Piece((2 * lo + hi) / 3, (lo + hi) / 2, False, True),
+            Piece((lo + hi) / 2, hi, False, False)])]
+        Ss += [Region(K, (Piece._make((l, r, True, True)),)) for l, r in measure_cells(K, 1)]
+        cases += [(g, S, image_ref(g, S)) for g in letters for S in Ss]
+
+    def refuse(pieces):
+        raise AssertionError("image sorted its pieces")
+
+    monkeypatch.setattr("cantorwalk.space._normalize_pieces", refuse)
+    for g, S, expected in cases:
+        assert image(g, S) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(letter_words(), st.data())
 def test_compose_and_image_match_reference_loops(word, data):
@@ -413,12 +467,17 @@ def test_cell_image_diameter_series_matches_image_regions(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_region_mass_matches_every_cell_sum(data):
-    # float and exact masses on the cells of every alphabet's set, on the
-    # images and preimages of each cell under each letter, on flagged pieces
-    # ending at interval ends and gap midpoints of K, and on the empty region
+    # float and exact masses on cells shallower and deeper than the depth of
+    # every alphabet's set (K's own intervals on a plain set), on the images
+    # and preimages under each letter of every cell (of every k-th one, for
+    # 8 to 15 of them, when there are more), on flagged and one-point pieces
+    # ending at interval ends and gap midpoints of K, on strict
+    # eps-neighbourhoods of both ends of an interval of K and of other such
+    # ends, eps with denominators such as 4914, and on the empty region; the
+    # cells split must be the reference's too
     letters = data.draw(st.sampled_from(_alphabets()))
     K = letters[0].space
-    cells = measure_cells(K, data.draw(st.integers(0, min(K.depth, 3))))
+    cells = measure_cells(K, data.draw(st.integers(0, K.depth + 2)))
     weights = data.draw(st.lists(st.integers(0, 9), min_size=len(cells),
                                  max_size=len(cells)).filter(any))
     if data.draw(st.booleans()):
@@ -430,11 +489,42 @@ def test_region_mass_matches_every_cell_sum(data):
     pieces = []
     for _ in range(data.draw(st.integers(1, 3))):
         a, b = sorted(data.draw(st.lists(st.sampled_from(ends), min_size=2, max_size=2)))
+        if data.draw(st.booleans()):
+            pieces.append(Piece(a, a, True, True))
         pieces.append(Piece(a, b, data.draw(st.booleans()), data.draw(st.booleans())))
-    cell_regions = [Region(K, (Piece._make((l, r, True, True)),)) for l, r in cells]
+    lo, hi = K.hull
+    eps = (hi - lo) * F(data.draw(st.integers(1, 400)),
+                        data.draw(st.sampled_from([4914, 2 * 3 ** 6, 1000])))
+    centers = list(data.draw(st.sampled_from(K.intervals)))  # cuts its cell twice
+    centers += data.draw(st.lists(st.sampled_from(ends), max_size=2))
+    cell_regions = [Region(K, (Piece._make((l, r, True, True)),))
+                    for l, r in cells[::max(1, len(cells) // 8)]]
     regions = [image(h, c) for g in letters for h in (g, invert(g)) for c in cell_regions]
-    for R in regions + [Region.from_pieces(K, pieces), Region(K, ())]:
-        assert _region_mass(mu, cells, K, R) == region_mass_ref(mu, cells, K, R)
+    for R in regions + [Region.from_pieces(K, pieces), epsilon_neighborhood(centers, eps, K),
+                        Region(K, ())]:
+        assert _split_cells(_region_mass, mu, cells, K, R) == _split_cells(
+            region_mass_ref, mu, cells, K, R)
+
+
+def _split_cells(mass, *args):
+    """The mass and the cells that it splits into IFS children or measures
+    by length, in order: a cell cut only at a point, which carries no mass,
+    splits as one cut anywhere else does."""
+    calls, child_pairs, intersect = [], Ifs._child_pairs, Region.intersect
+    with mock.patch.object(Ifs, "_child_pairs", lambda ifs, lo, hi: calls.append(
+            (lo, hi)) or child_pairs(ifs, lo, hi)), mock.patch.object(
+            Region, "intersect", lambda a, b: calls.append(a.pieces) or intersect(a, b)):
+        return mass(*args), calls
+
+
+def test_region_mass_splits_a_plain_cell_by_the_length_of_its_overlap():
+    # the region cuts the first cell of [0, 1] ∪ [2, 3] in two quarters: it
+    # holds half that cell, though its hull there is the whole cell
+    K = CompactSet.from_intervals([(0, 1), (2, 3)])
+    mu = CellMeasure(0, (F(1, 2), F(1, 2)), True)
+    R = Region.from_intervals(K, [(0, F(1, 4)), (F(3, 4), 1)])
+    assert _region_mass(mu, measure_cells(K, 0), K, R) == 0.25
+    assert region_mass_ref(mu, measure_cells(K, 0), K, R) == 0.25
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Seeded-walk diagnostics: words, measures, entropy, contraction scans."""
 
 import bisect
+import math
 import warnings
 from fractions import Fraction as F
 
@@ -164,6 +165,60 @@ def test_contraction_scan_oracles():
     assert scan2.repulsor_count * scan2.delta <= diameter(K)
 
 
+def _tail_verdict_ref(tail, delta, far, near):
+    """walk._tail_verdict on a tail of Fractions."""
+    if all(d >= delta for d in tail):
+        return far, 0.0
+    slope = walk._fit_slope([math.log(float(d)) if d > 0 else math.log(1e-300)
+                             for d in tail])
+    if slope < walk.SLOPE_MARGIN and tail[-1] < delta:
+        return near, -slope
+    return "undecided", 0.0
+
+
+def _diameter_series_ref(t, depth, n):
+    """contraction_scan's series as Fractions: after k letters, the
+    greatest image end of a cell's runs less the least."""
+    cells = measure_cells(t.model.space, depth)
+    steps = [[max(F(*hi) for _, hi, c in runs if c == i)
+              - min(F(*lo) for lo, _, c in runs if c == i) for i in range(len(cells))]
+             for runs in walk.cell_image_runs(t, cells, n)]
+    return tuple(zip(*steps))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 8])
+def test_contraction_scan_matches_fraction_series(seed):
+    # the free model at depth 3, at every horizon 4 to 40; these walks put
+    # a diameter exactly equal to delta inside some tails, and at the end
+    # of decaying ones at seed 0 with n = 11 and 13
+    model = make_model(K, named_generators(["A1", "A2"], with_inverses=True), seed=seed)
+    at_delta = 0
+    for n in range(4, 41):
+        scan = contraction_scan(Trajectory(model, 0), 3, n)
+        series = _diameter_series_ref(Trajectory(model, 0), 3, n)
+        assert tuple(tuple(coprime_fraction(*d) for d in s) for s in scan.diameters) == series
+        assert [[a / b for a, b in s] for s in scan.diameters] == [
+            list(map(float, s)) for s in series]
+        assert scan.verdicts == tuple(_tail_verdict_ref(s[n // 2:], walk.DEFAULT_DELTA,
+                                                        "repulsor", "attractor")[0]
+                                      for s in series)
+        at_delta += sum(s[n // 2:].count(walk.DEFAULT_DELTA) for s in series)
+    assert at_delta
+
+
+def test_pair_verdicts_match_fraction_distances():
+    # the distances of classify_pair's orbits as Fractions, some pairs
+    # synchronizing and some separating, at delta equal to a distance
+    pairs = [(F(0), F(1, 9)), (F(0), F(1)), (F(2, 3), F(1)), (F(2, 9), F(8, 9)), (F(1, 3), F(2, 3))]
+    for stream, (x, y) in enumerate(pairs):
+        for delta in (walk.DEFAULT_DELTA, y - x):
+            for n in (4, 20, 60):
+                t = Trajectory(FREE, stream)
+                dists = [abs(a - b) for a, b in zip(forward_orbit(t, x, n), forward_orbit(t, y, n))]
+                assert walk._pair_verdict(t, x, y, delta, n) == _tail_verdict_ref(
+                    dists[n // 2:], delta, "separated", "synchronized")
+
+
 def test_break_accumulation_oracles():
     t = Trajectory(G3_ONLY, 0)
     pts, clusters = break_accumulation(t, 5)
@@ -287,7 +342,8 @@ def _branch_dist_ref(b, x):
 
 
 def _indices_ref(model, stream, n):
-    """The generator indices of a stream, one bisection per draw."""
+    """The generator indices of a stream, drawn 512 at a time, one
+    bisection per draw."""
     cum, thresholds = F(0), []
     for p in model.probs:
         cum += p
@@ -295,7 +351,7 @@ def _indices_ref(model, stream, n):
     rng = _philox(model.seed, stream)
     out = []
     while len(out) < n:
-        for u in rng.integers(0, TWO64 - 1, size=Trajectory.CHUNK,
+        for u in rng.integers(0, TWO64 - 1, size=512,
                               dtype=np.uint64, endpoint=True):
             out.append(bisect.bisect_right(thresholds, int(u)))
     return out[:n]
@@ -363,6 +419,20 @@ def test_trajectory_indices_match_bisection(probs):
     for stream in (0, 5):
         t = Trajectory(model, stream)
         assert [t.index(k) for k in range(1100)] == _indices_ref(model, stream, 1100)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 63 + 5])
+def test_trajectory_draws_only_what_it_reads(seed):
+    # the first draw reaches the index asked for and no further; indices
+    # read in mixed order after it, on several streams, are those of one
+    # 512-draw chunk
+    model = make_model(K, named_generators(["A1", "A2"], with_inverses=True), seed=seed)
+    for stream in (0, 3, 10_000):
+        t, ref = Trajectory(model, stream), _indices_ref(model, stream, 512)
+        assert t.index(6) == ref[6] and len(t._indices) == 7
+        assert [t.index(k) for k in (70, 71, 3, 511, 200, 0)] == [
+            ref[k] for k in (70, 71, 3, 511, 200, 0)]
+        assert t._indices[:512] == ref
 
 
 def push_runs_ref(g, runs):
