@@ -143,12 +143,12 @@ def _then(m: Optional[PAHomeo], g: PAHomeo) -> PAHomeo:
 
 
 def find_finite_orbit(gens: dict, starts, bound: int = 2000):
-    """BFS orbit closure of the start points under generators and inverses;
-    a certificate iff the closure stabilizes within `bound` points."""
+    """BFS closure of the start points under the generators, which is the
+    orbit when finite; a certificate iff it has at most `bound` points."""
     if bound < 1:
         raise CertifyError("bound must be at least 1")
     maps = list(gens.values())
-    ops = [partial(_apply, g) for g in maps + [invert(g) for g in maps]]
+    ops = [partial(_apply, g) for g in maps]
     closure = orbit_bfs([as_pair(x) for x in {rat(s) for s in starts}], ops, cap=bound)
     if closure is None:
         return None
@@ -406,13 +406,16 @@ def _is_invariant(inv_rows, masses) -> bool:
 
 def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
     """Exact feasibility of {mu(g^-1 c) = mu(c), sum mu = 1, mu >= 0} over
-    depth-d cells, then a consistency ladder up to d_max: the deepest depth
-    to which the uniform split of the masses satisfies every row.
+    depth-d cells.  On a complete system each generator maps each cell onto
+    a cell (a cylinder's image is a cylinder inside one cell, and the images
+    have symbolic measure 1), so each child onto a child: consistent to d_max.
 
     Returns a certificate, or a falsy InfeasibilityReport carrying the
     exact phase-1 gap when the system has no solution, or a falsy
     UnprovedMeasure when it has one but skips equations.
     """
+    if d_max < depth:
+        raise CertifyError(f"budget 'd_max': {d_max} is below the cell depth {depth}")
     maps = list(gens.values())
     space = maps[0].space
     if space.ifs is not None:
@@ -431,21 +434,10 @@ def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
     if len(inv_rows) < len(maps) * len(cells):
         return UnprovedMeasure(d, len(maps) * len(cells) - len(inv_rows))
     masses = list(res.solution)
-
-    # each cell's descendants are k consecutive cells, each taking 1/k of its
-    # mass; on a complete system each valid generator maps every cell
-    # affinely onto a cell, and so each child onto a child, so the split
-    # meets every row
-    consistency = d
-    for d2 in range(d + 1, d_max + 1):
-        cells2 = measure_cells(space, d2)
-        k = len(cells2) // len(cells)
-        split = [m / k for m in masses for _ in range(k)]
-        if not _is_invariant(invariance_rows(maps, cells2), split):
-            break
-        consistency = d2
+    if not _is_invariant(inv_rows, masses):
+        raise CertifyError(f"simplex solution not invariant at depth {d}")
     return InvariantMeasureCertificate(
-        tuple(maps), d, CellMeasure(d, tuple(masses), True), consistency)
+        tuple(maps), d, CellMeasure(d, tuple(masses), True), d_max)
 
 
 def verify_invariant_measure(cert: InvariantMeasureCertificate) -> Verdict:
@@ -458,6 +450,8 @@ def verify_invariant_measure(cert: InvariantMeasureCertificate) -> Verdict:
         return Verdict(False, "negative mass")
     if sum(masses) != 1:
         return Verdict(False, "masses do not sum to 1")
+    if cert.consistency_depth < cert.depth:
+        return Verdict(False, "consistency_depth is below the depth")
     inv_rows = invariance_rows(cert.gens, cells)
     skipped = len(cert.gens) * len(cells) - len(inv_rows)
     if skipped:

@@ -123,9 +123,9 @@ def discontinuity_closure(gens: Sequence[Giet], L: int,
     else:
         seedset = sorted({rat(s) for s in seeds})
     steps = [partial(_preimage, op) for op in _ops(gens)]
-    order, _ = orbit_bfs(seedset, steps, L)
-    # closed: one more round from every point finds nothing new
-    return order, not orbit_bfs(order, steps, 1)[1]
+    # closed: round L + 1, whose points are dropped, finds nothing new
+    order, new = orbit_bfs(seedset, steps, L + 1)
+    return order[:len(order) - len(new)], not new
 
 
 def _preimage(g: Giet, y: Fraction) -> Optional[Fraction]:

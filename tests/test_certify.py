@@ -1,11 +1,13 @@
 """Certificates: finite orbits, contraction, ping-pong, measures, Morse-Smale."""
 
 from fractions import Fraction as F
+from functools import partial, reduce
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cantorwalk import certify, maps, walk
-from cantorwalk.certify import (_make_letters, _reduced_words, _then,
+from cantorwalk.certify import (_is_invariant, _make_letters, _reduced_words, _then,
                                 AssemblyFailure, CertifyError,
                                 InfeasibilityReport, InvariantMeasureCertificate,
                                 PingPongCertificate, assemble_free_pair,
@@ -16,11 +18,13 @@ from cantorwalk.certify import (_make_letters, _reduced_words, _then,
                                 UnprovedMeasure,
                                 verify_finite_orbit, verify_invariant_measure,
                                 verify_ping_pong)
-from cantorwalk.maps import compose, equals, identity_map, invert
+from cantorwalk.maps import (PrefixTable, apply, compose, equals, from_prefix_table,
+                             identity_map, invert, orbit_bfs)
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
-from cantorwalk.walk import CellMeasure, make_model
+from cantorwalk.walk import CellMeasure, invariance_rows, make_model, measure_cells
 
 from fixtures import cantor_space, fixture, named_generators
+from test_known_answers import X0, X1, finite_groups
 from test_lookups import S, SPANNING_LETTERS
 
 K = cantor_space(3)
@@ -46,6 +50,72 @@ def test_find_finite_orbit_negative_cases():
     assert find_finite_orbit(FREE_GENS, [F(0)]) is None
     single = find_finite_orbit({"id": identity_map(K)}, [F(1, 3)])
     assert list(single.orbit) == [F(1, 3)]
+
+
+def orbit_closure_ref(gens: dict, starts, bound: int = 2000):
+    """The sorted closure of the start points under the generators and their
+    inverses, or None past `bound` points: the search find_finite_orbit ran
+    before it dropped the inverses."""
+    ops = [partial(apply, g) for g in gens.values()]
+    ops += [partial(apply, invert(g)) for g in gens.values()]
+    closure = orbit_bfs(list(dict.fromkeys(F(s) for s in starts)), ops, cap=bound)
+    return None if closure is None else sorted(closure[0])
+
+
+def _tables_on(space, tables) -> dict:
+    return {f"g{i}": from_prefix_table(PrefixTable(tuple(map(tuple, t))), space,
+                                       label=(f"g{i}",))
+            for i, t in enumerate(tables)}
+
+
+def _assert_closure_matches(gens, starts):
+    orbit = find_finite_orbit(gens, starts)
+    assert (None if orbit is None else list(orbit.orbit)) == orbit_closure_ref(gens, starts)
+    if orbit is None:
+        return
+    n = len(orbit.orbit)
+    assert find_finite_orbit(gens, starts, bound=n) == orbit
+    if n > 1:
+        assert find_finite_orbit(gens, starts, bound=n - 1) is None
+        assert orbit_closure_ref(gens, starts, bound=n - 1) is None
+
+
+# a finite closure S under the generators is the group orbit: g(S) is in S
+# and as large, so g(S) = S and g^-1(S) = S.  An infinite one is infinite
+# under the group too
+@settings(max_examples=40, deadline=None)
+@given(finite_groups(), st.lists(st.sampled_from(
+    [F(0), F(1), F(1, 4), F(3, 4), F(1, 10), F(2, 9)]), min_size=1, max_size=2))
+def test_finite_orbit_of_a_finite_group_is_the_two_sided_closure(group, starts):
+    gens = _tables_on(cantor_space(3), group[1])
+    _assert_closure_matches(gens, starts)
+    assert find_finite_orbit(gens, starts) is not None
+
+
+THOMPSON_F = _tables_on(K, [X0, X1])
+
+
+@pytest.mark.parametrize("gens, starts, finite", [
+    pytest.param(THOMPSON_F, [F(0)], True, id="F-min"),  # F fixes min and max K
+    pytest.param(THOMPSON_F, [F(0), F(1)], True, id="F-ends"),
+    pytest.param(THOMPSON_F, [F(1, 4)], False, id="F-quarter"),
+    pytest.param(FREE_GENS, [F(0)], False, id="free-inverses"),
+    pytest.param(named_generators(["A1", "A2"]), [F(1, 4)], False, id="free"),  # A1 fixes 1/4
+])
+def test_finite_orbit_under_f_and_the_free_pair_is_the_two_sided_closure(
+        gens, starts, finite):
+    _assert_closure_matches(gens, starts)
+    assert (find_finite_orbit(gens, starts) is not None) == finite
+
+
+def test_find_finite_orbit_inverts_no_map(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("find_finite_orbit inverted a map")
+
+    monkeypatch.setattr(certify, "invert", refuse)
+    monkeypatch.setattr(maps, "invert", refuse)
+    assert list(find_finite_orbit(KLEIN_GENS, [F(0)]).orbit) == [F(0), F(1, 3), F(2, 3), F(1)]
+    assert find_finite_orbit(FREE_GENS, [F(0)]) is None
 
 
 # -- contraction pairs -------------------------------------------------------
@@ -255,8 +325,7 @@ def test_measure_under_a_map_carrying_a_gap_over_another_image():
     for names in (["A1", "A2"], ["H", "R"]) for depth in (3, 5)])
 def test_find_measure_inverts_and_images_nothing(monkeypatch, names, depth):
     # the rows come from pushing the cells forward on int pairs, so the
-    # solve and its consistency ladder invert no map, take no image and
-    # build no region
+    # solve inverts no map, takes no image and builds no region
     gens = named_generators(names, cantor_space(depth))
     expected = solve_invariant_measure(gens, depth)
 
@@ -269,6 +338,71 @@ def test_find_measure_inverts_and_images_nothing(monkeypatch, names, depth):
                 monkeypatch.setattr(mod, name, refuse)
     monkeypatch.setattr(Region, "__init__", refuse)
     assert solve_invariant_measure(gens, depth) == expected
+
+
+def consistency_ladder_ref(cert: InvariantMeasureCertificate, d_max: int) -> int:
+    """The deepest depth up to d_max to which the even split of each mass
+    over its cell's descendants meets every invariance row, stopping at the
+    first depth it fails: the rung loop find-measure ran before the theorem
+    that every rung holds replaced it."""
+    space = cert.gens[0].space
+    cells = measure_cells(space, cert.depth)
+    consistency = cert.depth
+    for d2 in range(cert.depth + 1, d_max + 1):
+        cells2 = measure_cells(space, d2)
+        k = len(cells2) // len(cells)
+        split = [m / k for m in cert.measure.masses for _ in range(k)]
+        if not _is_invariant(invariance_rows(cert.gens, cells2), split):
+            break
+        consistency = d2
+    return consistency
+
+
+@st.composite
+def complete_systems(draw):
+    """(gens, depth, d_max): one to three words of 1 to 4 letters in a
+    finite group's tables, on a ternary space of depth 3 to 5."""
+    _, tables = draw(finite_groups())
+    letters = list(_tables_on(cantor_space(draw(st.integers(3, 5))), tables).values())
+    words = draw(st.lists(st.lists(st.sampled_from(range(len(letters))),
+                                   min_size=1, max_size=4), min_size=1, max_size=3))
+    gens = {f"w{i}": reduce(compose, [letters[j] for j in w]) for i, w in enumerate(words)}
+    depth = draw(st.integers(1, 5))
+    return gens, depth, draw(st.sampled_from(range(depth, 8)))
+
+
+# on a complete system each generator maps each depth-d cell onto a depth-d
+# cell, so each child onto a child, and the ladder always reaches d_max
+@settings(max_examples=150, deadline=None)
+@given(complete_systems())
+def test_a_certified_measure_is_consistent_to_d_max(system):
+    gens, depth, d_max = system
+    try:
+        cert = solve_invariant_measure(gens, depth, d_max)
+    except CertifyError:  # not cell-aligned at any depth up to d_max
+        assume(False)
+    assume(cert)
+    assert cert.consistency_depth == d_max
+    assert consistency_ladder_ref(cert, d_max) == d_max
+    assert verify_invariant_measure(cert)
+
+
+@pytest.mark.parametrize("d_max", [0, 3, 7])
+def test_the_plain_set_measure_is_consistent_to_d_max(d_max):
+    # measure_cells gives a plain set's intervals at every depth, so each
+    # rung checks the depth-0 rows again
+    cert = solve_invariant_measure({"S": S, "V": SPANNING_LETTERS[1]}, 0, d_max)
+    assert cert.consistency_depth == d_max
+    assert consistency_ladder_ref(cert, d_max) == d_max
+
+
+def test_find_measure_builds_the_rows_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(certify, "invariance_rows",
+                        lambda *a: calls.append(a) or invariance_rows(*a))
+    cert = solve_invariant_measure(KLEIN_GENS, 1)
+    assert cert.consistency_depth == 6
+    assert len(calls) == 1
 
 
 # -- periodic points and Morse-Smale ----------------------------------------

@@ -598,7 +598,8 @@ def test_one_point_interval_exits_1(tmp_path, capsys):
 
 def test_find_measure_refuses_a_deep_d_max_before_solving(tmp_path, capsys, monkeypatch):
     # 17 levels of the ternary set give 2**17 cells, past the bound: the
-    # ladder's last rung is refused before any system is solved
+    # deepest depth the alignment search may try is refused before any
+    # system is solved
     def refuse(*args):
         raise AssertionError("a system was solved before d_max was checked")
 
@@ -615,6 +616,21 @@ def test_find_measure_refuses_a_deep_d_max_before_solving(tmp_path, capsys, monk
     assert not any(out.iterdir())
 
 
+def test_find_measure_refuses_a_d_max_below_the_cell_depth(tmp_path, capsys):
+    # the budget is at fault, not the generators' alignment
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(json.loads(_load_scenario_text("klein_four")),
+                                    budgets={"depth": 5, "d_max": 3})))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["find-measure", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget 'd_max': 3 is below the cell depth 5\n"
+    assert not any(out.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]
+
+
 TERNARY_SPACE = {"ifs": {"ratios": ["1/3", "1/3"], "offsets": ["0", "2/3"],
                          "symbols": ["0", "2"]}, "depth": 1}
 IDENTITY = {"label": ["I"], "branches": [{"src": ["0", "1"], "slope": "1", "offset": "0"}]}
@@ -628,6 +644,12 @@ IDENTITY = {"label": ["I"], "branches": [{"src": ["0", "1"], "slope": "1", "offs
     pytest.param({"type": "invariant-measure", "space": TERNARY_SPACE,
                   "generators": [IDENTITY], "depth": 1, "masses": ["2", "-1"],
                   "consistency_depth": 1}, "INVALID (negative mass)", id="negative-mass"),
+    # the masses meet every row at depth 1, and the claimed consistency is
+    # shallower than the cells it would extend
+    pytest.param({"type": "invariant-measure", "space": TERNARY_SPACE,
+                  "generators": [IDENTITY], "depth": 1, "masses": ["1/2", "1/2"],
+                  "consistency_depth": 0},
+                 "INVALID (consistency_depth is below the depth)", id="shallow-consistency"),
     # no point moves out of an empty orbit
     pytest.param({"type": "finite-orbit", "space": TERNARY_SPACE,
                   "generators": [IDENTITY], "orbit": []}, "INVALID (empty orbit)",

@@ -1,12 +1,14 @@
 """Interval exchanges, discontinuity orbits and the blow-up construction."""
 
 from fractions import Fraction as F
+from functools import partial
+from math import gcd
 
 import pytest
 
-from cantorwalk.giet import (GietError, blow_up, discontinuity_closure,
+from cantorwalk.giet import (GietError, _ops, _preimage, blow_up, discontinuity_closure,
                              giet_from_branches, one_sided_orbit, rotation)
-from cantorwalk.maps import apply, break_pairs, break_points, is_identity
+from cantorwalk.maps import apply, break_pairs, break_points, is_identity, orbit_bfs
 
 from test_space import bounded_gaps
 
@@ -74,6 +76,37 @@ def test_discontinuity_closure_oracles():
     assert not c1
     D4, c4 = discontinuity_closure([rot4], 4)
     assert c4 and sorted(D4) == [F(0), F(1, 4), F(1, 2), F(3, 4)]
+
+
+def discontinuity_closure_two_pass(gens, L):
+    """D_L by L rounds of BFS, then closed iff one more round from every
+    point of D_L finds nothing new."""
+    seedset = sorted({p for g in gens for p in g.jump_points()})
+    steps = [partial(_preimage, op) for op in _ops(gens)]
+    order, _ = orbit_bfs(seedset, steps, L)
+    return order, not orbit_bfs(order, steps, 1)[1]
+
+
+# the benchmark's giet pool: rotations by p/q, q up to 5, p prime to q
+ROTATION_POOL = [rotation((0, 1), F(p, q)) for q in range(2, 6) for p in range(1, q)
+                 if gcd(p, q) == 1][:8]
+
+
+@pytest.mark.parametrize("L", range(6))
+@pytest.mark.parametrize("gens", [[g] for g in ROTATION_POOL] + [[ROT3, SWAP]])
+def test_discontinuity_closure_takes_one_pass(gens, L):
+    # round L + 1 is run and dropped, not rerun from every point of D_L
+    assert discontinuity_closure(gens, L) == discontinuity_closure_two_pass(gens, L)
+
+
+def test_discontinuity_closure_at_the_edges():
+    # L = 0 is the jump points alone; a rotation by 1/2 closes after one
+    # round, before L = 4 is reached
+    assert discontinuity_closure([ROT3], 0) == ([F(2, 3)], False)
+    assert discontinuity_closure([ROT3], 0) == discontinuity_closure_two_pass([ROT3], 0)
+    half = rotation((0, 1), F(1, 2))
+    assert discontinuity_closure([half], 4) == ([F(1, 2), F(0)], True)
+    assert discontinuity_closure([half], 4) == discontinuity_closure_two_pass([half], 4)
 
 
 def test_one_sided_orbit_oracles():

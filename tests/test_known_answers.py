@@ -1,5 +1,12 @@
 """Known answers: inputs whose side of the alternative is a theorem.
 
+A table that permutes the cylinders of one depth k, each row with either
+orientation, is a signed permutation of the depth-k cells; such tables and
+the reflection R generate a finite group.  Every orbit of a finite group is
+finite, the Cantor measure is invariant under it, and it contains no free
+subgroup: find-measure at cell depth k must certify a measure `verify`
+accepts, and certify-free must never exit 0.
+
 Thompson's group F acts on the depth-3 ternary set by order-preserving
 prefix replacements, generated by x0 (the bundled G3) and
 x1 = (0 -> 0, 20 -> 200, 220 -> 202, 222 -> 22).  Brin and Squier proved
@@ -12,6 +19,7 @@ prefix codes of equal size, paired in order, orientation +1.
 
 import json
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -26,6 +34,18 @@ from test_cli import _edited_certificate
 
 BRIN_SQUIER = ("Thompson's F contains no free subgroup of rank 2 (Brin and Squier, "
                "Invent. Math. 79, 1985)")
+FINITE_MEASURE = ("a finite group of signed cylinder permutations preserves the "
+                  "Cantor measure, invariant on the depth-k cells it permutes")
+FINITE_NOT_FREE = "a finite group contains no free subgroup of rank 2"
+R_TABLE = [["", "", -1]]
+# H and tables of its kind from the benchmark's find-measure pools: signed
+# permutations of the depth-2 cylinders, one written with a depth-1 row
+KLEIN_TYPE = (
+    (1, [["0", "2", 1], ["2", "0", 1]]),
+    (2, [["00", "20", 1], ["20", "00", 1], ["02", "22", -1], ["22", "02", -1]]),
+    (2, [["00", "22", 1], ["22", "00", 1], ["02", "02", 1], ["20", "20", 1]]),
+    (2, [["00", "02", -1], ["02", "00", -1], ["2", "2", 1]]),
+)
 X0 = [["0", "00", 1], ["20", "02", 1], ["22", "2", 1]]
 X1 = [["0", "0", 1], ["20", "200", 1], ["220", "202", 1], ["222", "22", 1]]
 
@@ -94,3 +114,60 @@ def test_certify_free_gives_up_on_random_thompson_pairs(x, y, seed):
             "output": "thompson"}))
         assert main(["certify-free", str(path), "--out", tmp]) != 0, BRIN_SQUIER
         assert not (Path(tmp) / "thompson_certificate.json").exists(), BRIN_SQUIER
+
+
+@st.composite
+def signed_permutations(draw, k):
+    """A prefix table sending the 2**k depth-k cylinders of the ternary set
+    onto a drawn permutation of them, each row with a drawn orientation."""
+    cylinders = ["".join(w) for w in product("02", repeat=k)]
+    return [[s, t, draw(st.sampled_from([1, -1]))]
+            for s, t in zip(cylinders, draw(st.permutations(cylinders)))]
+
+
+@st.composite
+def finite_groups(draw):
+    """(k, tables): one or two signed permutations of the depth-k cylinders,
+    1 <= k <= 3, or a Klein-type table, with R or without.  The group they
+    generate is finite and permutes the depth-k cells."""
+    if draw(st.booleans()):
+        k, table = draw(st.sampled_from(KLEIN_TYPE))
+        tables = [table]
+    else:
+        k = draw(st.integers(1, 3))
+        tables = draw(st.lists(signed_permutations(k), min_size=1, max_size=2))
+    return k, tables + [R_TABLE] * draw(st.booleans())
+
+
+def _finite_group_scenario(kind, tables, **fields) -> dict:
+    return dict({"kind": kind, "space": {"ifs": "ternary", "depth": 3},
+                 "generators": [{"name": f"g{i}", "table": t}
+                                for i, t in enumerate(tables)],
+                 "output": "finite"}, **fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_groups())
+def test_find_measure_certifies_finite_groups(group):
+    k, tables = group
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "finite.json"
+        path.write_text(json.dumps(_finite_group_scenario(
+            "find-measure", tables, budgets={"depth": k})))
+        assert main(["find-measure", str(path), "--out", tmp]) == 0, FINITE_MEASURE
+        cert = Path(tmp) / "finite_certificate.json"
+        assert json.loads(cert.read_text())["depth"] == k, FINITE_MEASURE
+        assert main(["verify", str(cert)]) == 0, FINITE_MEASURE
+
+
+@settings(max_examples=30, deadline=None)
+@given(finite_groups(), st.integers(0, 2 ** 16))
+def test_certify_free_gives_up_on_finite_groups(group, seed):
+    _, tables = group
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "finite.json"
+        path.write_text(json.dumps(_finite_group_scenario(
+            "certify-free", tables, include_inverses=True, seed=seed,
+            budgets={"eps": "1/27"})))
+        assert main(["certify-free", str(path), "--out", tmp]) != 0, FINITE_NOT_FREE
+        assert not (Path(tmp) / "finite_certificate.json").exists(), FINITE_NOT_FREE
