@@ -37,21 +37,6 @@ class Giet(NamedTuple):
     def apply(self, x) -> Fraction:
         return self.branch_at(rat(x)).value(rat(x))
 
-    def one_sided(self, x: Fraction, side: str) -> Fraction:
-        """The limit value g(x-) or g(x+)."""
-        if side == "right":
-            if not self.a <= x < self.b:
-                raise GietError(f"no right limit at {x}")
-            return self.branch_at(x).value(x)
-        if side == "left":
-            if not self.a < x <= self.b:
-                raise GietError(f"no left limit at {x}")
-            for br in self.branches:
-                if br.lo < x <= br.hi:
-                    return br.value(x)
-            raise GietError(f"{x} outside ({self.a}, {self.b}]")
-        raise GietError(f"bad side {side!r}")
-
     def preimage(self, y: Fraction) -> Fraction:
         for br in self.branches:
             ia, ib = br.ends
@@ -133,31 +118,6 @@ def _preimage(g: Giet, y: Fraction) -> Optional[Fraction]:
         return g.preimage(y)
     except GietError:
         return None
-
-
-# ---------------------------------------------------------------------------
-# one-sided orbits
-
-
-class SidedOrbit(NamedTuple):
-    base: Fraction
-    side: str
-    points: tuple[Fraction, ...]
-    closed: bool
-
-
-def one_sided_orbit(gens: Sequence[Giet], x, side: str, bound: int) -> SidedOrbit:
-    x = rat(x)
-    g0 = gens[0]
-    if side not in ("left", "right"):
-        raise GietError(f"bad side {side!r}")
-    if x == g0.a and side == "left":
-        raise GietError("no left limit at the left endpoint")
-    if x == g0.b and side == "right":
-        raise GietError("no right limit at the right endpoint")
-    steps = [partial(op.one_sided, side=side) for op in _ops(gens)]
-    order, frontier = orbit_bfs([x], steps, bound)
-    return SidedOrbit(x, side, tuple(order), not frontier)
 
 
 # ---------------------------------------------------------------------------

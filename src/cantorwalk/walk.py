@@ -102,9 +102,8 @@ class Trajectory:
             cuts.append(int(cum * TWO64))
         import numpy as np
         self._cuts = np.array(cuts, dtype=np.uint64)
-        # the forward and backward words computed so far, by length
+        # the forward words computed so far, by length
         self._fwd = {0: identity_map(model.space)}
-        self._bwd = {0: identity_map(model.space)}
 
     def index(self, k: int) -> int:
         """The k-th index.  The first draw reaches k, and a later one at
@@ -125,30 +124,22 @@ class Trajectory:
         return [self.model.names[self.index(k)] for k in range(n)]
 
 
-def _cached_word(t: Trajectory, n: int, words: dict, forward: bool) -> PAHomeo:
-    """words[n]: the longest cached words[m], m <= n, followed by the letters
-    m..n-1 multiplied by halves; composition is associative branch for
-    branch, so any bracketing gives the same map."""
+def forward_word(t: Trajectory, n: int) -> PAHomeo:
+    """f_omega^n = f_{omega_{n-1}} o ... o f_{omega_0}: the longest cached
+    word of length m <= n followed by the letters m..n-1 multiplied by
+    halves; composition is associative branch for branch, so any bracketing
+    gives the same map."""
     if n < 0:
         raise WalkError("negative horizon")
-    join = (lambda u, v: compose(v, u)) if forward else compose  # u, then v
+    words = t._fwd
     if n not in words:
         m = max(k for k in words if k < n)
         maps = [t.step_map(k) for k in range(m, n)]
         while len(maps) > 1:
-            maps = [reduce(join, maps[i:i + 2]) for i in range(0, len(maps), 2)]
-        words[n] = join(words[m], maps[0])
+            maps = [reduce(lambda u, v: compose(v, u), maps[i:i + 2])
+                    for i in range(0, len(maps), 2)]
+        words[n] = compose(maps[0], words[m])
     return words[n]
-
-
-def forward_word(t: Trajectory, n: int) -> PAHomeo:
-    """f_omega^n = f_{omega_{n-1}} o ... o f_{omega_0}."""
-    return _cached_word(t, n, t._fwd, True)
-
-
-def backward_word(t: Trajectory, n: int) -> PAHomeo:
-    """f-bar_omega^n = f_{omega_0} o ... o f_{omega_{n-1}}."""
-    return _cached_word(t, n, t._bwd, False)
 
 
 def forward_orbit(t: Trajectory, x, n: int) -> list[Fraction]:
@@ -246,7 +237,11 @@ def invariance_rows(gens: Sequence[PAHomeo], cs) -> list:
     the cells and, as open runs ~j before cell j, the parts of K between
     cells finer than K's intervals.
     Runs and cells end in K, so they meet in K iff they meet as intervals;
-    c has a row iff every run meeting it is from a cell with all runs in c."""
+    c has a row iff every run meeting it is from a cell with all runs in c.
+    No cell end is a point that two branch sources share (on plain sets the
+    cells are K's intervals, and sources meet only inside them; on IFS sets
+    sources are disjoint cylinders), so no one-point run of one cell lies
+    beside a run of another at the same point."""
     rights = {r for _, r in gens[0].space.ends}
     tiling = []
     for j, (lo, hi) in enumerate(cs):
@@ -275,34 +270,16 @@ def invariance_rows(gens: Sequence[PAHomeo], cs) -> list:
 
 
 def invariance_residual(mu: CellMeasure, model: WalkModel):
-    """Max violation of the harmonic-measure equation over the constraints
-    expressible at mu's depth.
-
-    Returns (averaged_residual, per_generator_residual, skipped) where
-    averaged uses mu(c) = sum_s P(s) mu(s^{-1} c) and per-generator is
-    max |mu(c) - mu(g^{-1} c)|; skipped counts inexpressible constraints.
-    """
+    """Max violation of the harmonic-measure equation, in floats, as
+    (averaged_residual, per_generator_residual): averaged uses
+    mu(c) = sum_s P(s) mu(s^{-1} c) and per-generator is
+    max |mu(c) - mu(g^{-1} c)|, with the uniform-split convention for
+    preimages finer than the cell depth.  Whether an exact measure is
+    invariant is certify.verify_invariant_measure's question."""
     cells = measure_cells(model.space, mu.depth)
     if len(cells) != len(mu.masses):
         raise WalkError("measure depth incompatible with the space")
     K = model.space
-    if mu.exact:
-        # only constraints expressible at this depth, tested exactly; the
-        # averaged residual of a cell is sum_s P(s) (mu(c) - mu(s^{-1} c))
-        rows = invariance_rows(model.gens, cells)
-        defects = {}
-        for gi, ci, js in rows:
-            pm = sum((mu.masses[j] for j in js), Fraction(0))
-            defects.setdefault(ci, []).append(
-                (model.probs[gi], mu.masses[ci] - pm))
-        per_gen = max((abs(d) for ds in defects.values() for _, d in ds),
-                      default=Fraction(0))
-        averaged = max((abs(sum(p * d for p, d in ds))
-                        for ds in defects.values() if len(ds) == len(model.gens)),
-                       default=Fraction(0))
-        return averaged, per_gen, len(model.gens) * len(cells) - len(rows)
-    # float diagnostics: evaluate mu(g^{-1} c) with the uniform-split
-    # convention for preimages finer than the cell depth
     invs = [invert(g) for g in model.gens]
     per_gen = averaged = 0.0
     for ci, (l, r) in enumerate(cells):
@@ -314,7 +291,7 @@ def invariance_residual(mu: CellMeasure, model: WalkModel):
             per_gen = max(per_gen, abs(float(mu.masses[ci]) - pm))
             acc += float(model.probs[gi]) * pm
         averaged = max(averaged, abs(float(mu.masses[ci]) - acc))
-    return averaged, per_gen, 0
+    return averaged, per_gen
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +418,8 @@ def _tail_verdict(tail, delta, far: str, near: str):
 
 
 def _pair_verdict(t: Trajectory, x, y, delta, n: int):
-    """classify_pair's verdict with its fitted decay rate."""
+    """The dichotomy verdict for one pair along one trajectory,
+    'synchronized', 'separated' or 'undecided', with its fitted decay rate."""
     x, y, delta = rat(x), rat(y), rat(delta)
     if n < 1:
         raise WalkError("horizon must be positive")
@@ -450,12 +428,6 @@ def _pair_verdict(t: Trajectory, x, y, delta, n: int):
     dists = [as_pair(abs(a - b)) for a, b in zip(forward_orbit(t, x, n),
                                                  forward_orbit(t, y, n))]
     return _tail_verdict(dists[n // 2:], delta, "separated", "synchronized")
-
-
-def classify_pair(t: Trajectory, x, y, delta=DEFAULT_DELTA, n: int = 60) -> str:
-    """Lemma-style dichotomy verdict for one pair along one trajectory:
-    'synchronized', 'separated' or 'undecided'."""
-    return _pair_verdict(t, x, y, delta, n)[0]
 
 
 class DichotomyReport(NamedTuple):
@@ -639,47 +611,6 @@ def backward_cluster(model: WalkModel, x, n: int, runs: int,
         vals = {backward_value(t, x, k) for k in range(n // 2, n + 1)}
         counts.append(len(_single_linkage(vals, radius)))
     return counts, max(counts)
-
-
-# ---------------------------------------------------------------------------
-# proximality
-
-
-class ProximalityReport(NamedTuple):
-    m_estimate: Optional[int]
-    cap: int
-    samples: int
-    failures: tuple
-
-
-def proximality_degree(model: WalkModel, cap: int = 4, samples: int = 20,
-                       horizon: int = 60, delta=DEFAULT_DELTA) -> ProximalityReport:
-    """Smallest m <= cap such that every sampled m-tuple of cell endpoints
-    contains a synchronized pair; empirical upper bound only."""
-    if cap < 2:
-        raise WalkError("cap must be at least 2")
-    delta = rat(delta)
-    cells = measure_cells(model.space, 3 if model.space.ifs else 0)
-    endpoints = sorted({coprime_fraction(*v) for c in cells for v in c})
-    rng = _philox(model.seed, 777)
-    failures = []
-    for m in range(2, cap + 1):
-        all_good = True
-        fails = []
-        for s in range(samples):
-            idx = rng.choice(len(endpoints), size=m, replace=False)
-            tup = [endpoints[i] for i in sorted(idx)]
-            t = Trajectory(model, stream=10_000 + s)
-            good = any(
-                classify_pair(t, tup[i], tup[j], delta, horizon) == "synchronized"
-                for i in range(m) for j in range(i + 1, m))
-            if not good:
-                all_good = False
-                fails.append(tuple(tup))
-        if all_good:
-            return ProximalityReport(m, cap, samples, ())
-        failures.append((m, tuple(fails[:3])))
-    return ProximalityReport(None, cap, samples, tuple(failures))
 
 
 def delta_sum_statistic(model: WalkModel, points, n: int, runs: int,

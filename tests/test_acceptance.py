@@ -132,7 +132,7 @@ def test_criterion_4_klein_invariant_branch():
     ok = bool(cert) and cert.measure.masses == (F(1, 2), F(1, 2))
     ok = ok and cert.consistency_depth == 6
     model = make_model(K, KLEIN_GENS)
-    avg, per_gen, _ = invariance_residual(cert.measure, model)
+    avg, per_gen = invariance_residual(cert.measure, model)
     ok = ok and avg == 0 and per_gen == 0
     orb = find_finite_orbit(KLEIN_GENS, [F(0)])
     ok = ok and list(orb.orbit) == [F(0), F(1, 3), F(2, 3), F(1)]

@@ -596,13 +596,28 @@ def test_one_point_interval_exits_1(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]
 
 
-def test_find_measure_refuses_a_deep_d_max_before_solving(tmp_path, capsys, monkeypatch):
-    # 17 levels of the ternary set give 2**17 cells, past the bound: the
-    # deepest depth the alignment search may try is refused before any
-    # system is solved
-    def refuse(*args):
-        raise AssertionError("a system was solved before d_max was checked")
+def test_find_measure_accepts_a_deep_d_max_it_never_builds(tmp_path, capsys):
+    # 17 levels of the ternary set would give 2**17 cells, past the bound,
+    # but the Klein generators align at depth 1, so no deeper depth is built
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(json.loads(_load_scenario_text("klein_four")),
+                                    budgets={"depth": 1, "d_max": 17})))
+    assert main(["find-measure", str(path), "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "INVARIANT MEASURE (depth 1, consistent to 17)\n"
+    assert captured.err == ""
+    assert main(["verify", str(tmp_path / "klein_four_certificate.json")]) == 0
+    assert "VERIFIED" in capsys.readouterr().out
 
+
+def test_find_measure_refuses_a_deep_d_max_before_solving(tmp_path, capsys, monkeypatch):
+    # generators that align at no depth: the search reaches depth 17, whose
+    # 2**17 cells are past the bound, and refuses it before any system is
+    # solved
+    def refuse(*args):
+        raise AssertionError("a system was solved")
+
+    monkeypatch.setattr(certify, "_cells_compatible", lambda *args: False)
     monkeypatch.setattr(certify, "solve_feasibility", refuse)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(dict(json.loads(_load_scenario_text("klein_four")),
@@ -650,6 +665,10 @@ IDENTITY = {"label": ["I"], "branches": [{"src": ["0", "1"], "slope": "1", "offs
                   "generators": [IDENTITY], "depth": 1, "masses": ["1/2", "1/2"],
                   "consistency_depth": 0},
                  "INVALID (consistency_depth is below the depth)", id="shallow-consistency"),
+    # an empty A1 meets no other region; the emptiness check names it
+    # before the inclusion of a1(K) in B1 fails
+    pytest.param(_edited_certificate("free_pair", lambda d: d["A1"].update(pieces=[])),
+                 "INVALID (A1 is empty)", id="empty-A1"),
     # no point moves out of an empty orbit
     pytest.param({"type": "finite-orbit", "space": TERNARY_SPACE,
                   "generators": [IDENTITY], "orbit": []}, "INVALID (empty orbit)",

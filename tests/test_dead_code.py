@@ -13,8 +13,8 @@ names that each reached definition mentions: a definition is reached when
 its name is mentioned (a method by any attribute of its name), and a
 reached class reaches its dunder methods and its class-level code.  The
 definitions it leaves must be exactly those of REACHED_ONLY_BY_TESTS, each
-with the test or acceptance criterion that calls it, so that the list can
-only shrink.
+with a test or acceptance criterion that reaches it by the same closure
+from the names the test mentions, so that the list can only shrink.
 """
 
 import ast
@@ -84,24 +84,17 @@ REACHED_ONLY_BY_TESTS = {
     "certify:find_contraction": "test_acceptance.py::test_criterion_6_deterministic_contraction",
     "certify:free_group_sanity": "test_acceptance.py::test_criterion_1_ping_pong_and_sanity",
     "giet:BlowUpResult.conjugate_point": "test_acceptance.py::test_criterion_12_giet_blowup",
-    "giet:Giet.one_sided": "test_giet.py::test_one_sided_orbit_oracles",
-    "giet:SidedOrbit": "test_giet.py::test_one_sided_orbit_oracles",
-    "giet:one_sided_orbit": "test_giet.py::test_one_sided_orbit_oracles",
     "giet:rotation": "test_acceptance.py::test_criterion_12_giet_blowup",
     "maps:BreakPair.span": "test_acceptance.py::test_criterion_3_regularity",
     "maps:is_regular_on": "test_acceptance.py::test_criterion_3_regularity",
     "maps:regularity_radius": "test_acceptance.py::test_criterion_3_regularity",
     "space:CompactSet.endpoints": "test_acceptance.py::test_criterion_12_giet_blowup",
     "walk:DichotomyReport": "test_acceptance.py::test_criterion_8_dichotomy",
-    "walk:ProximalityReport": "test_walk.py::test_proximality_klein_has_no_proximal_pair",
     "walk:_pair_verdict": "test_acceptance.py::test_criterion_8_dichotomy",
     "walk:backward_cluster": "test_acceptance.py::test_criterion_9_backward_accumulation",
     "walk:backward_value": "test_walk.py::test_forward_word_matches_pointwise_orbit",
-    "walk:backward_word": "test_walk.py::test_words_trivials",
-    "walk:classify_pair": "test_walk.py::test_classify_pair",
     "walk:delta_sum_statistic": "test_acceptance.py::test_criterion_9_backward_accumulation",
     "walk:dichotomy_report": "test_acceptance.py::test_criterion_8_dichotomy",
-    "walk:proximality_degree": "test_walk.py::test_proximality_klein_has_no_proximal_pair",
     "walk:uniform_cell_measure": "test_acceptance.py::test_criterion_10_entropy",
 }
 
@@ -110,9 +103,9 @@ def _names(node):
     return {name for name, _ in _references(node)}
 
 
-def unreachable_from_cli():
-    """module:name (module:class.method for methods) of each definition in
-    the package that no run of cli.main reaches, by names mentioned."""
+def _definition_keys():
+    """({module:name or module:class.method: (name, code, class key)}, the
+    names that module-level code outside the definitions mentions)."""
     defs, mentioned = {}, set()
     for path, tree in _trees(SRC).items():
         for node in tree.body:
@@ -131,14 +124,28 @@ def unreachable_from_cli():
                             n.name, [n], f"{path.stem}:{node.name}")
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs[f"{path.stem}:{node.name}"] = (node.name, [node], None)
-    reached, frontier = set(), ["cli:main"]
-    while frontier:
+    return defs, mentioned
+
+
+def _reached(defs, mentioned, frontier):
+    """The keys of defs that frontier's definitions and the mentioned names
+    reach, closing over the names each reached definition mentions."""
+    reached, mentioned = set(), set(mentioned)
+    while True:
         reached |= set(frontier)
         for key in frontier:
             mentioned |= set().union(*map(_names, defs[key][1]))
         frontier = [key for key, (name, _, cls) in defs.items() if key not in reached and (
             name in mentioned or cls in reached and name.startswith("__") and name.endswith("__"))]
-    return sorted(defs.keys() - reached)
+        if not frontier:
+            return reached
+
+
+def unreachable_from_cli():
+    """module:name (module:class.method for methods) of each definition in
+    the package that no run of cli.main reaches, by names mentioned."""
+    defs, mentioned = _definition_keys()
+    return sorted(defs.keys() - _reached(defs, mentioned, ["cli:main"]))
 
 
 def test_every_definition_is_reached_from_the_cli_or_listed():
@@ -146,7 +153,12 @@ def test_every_definition_is_reached_from_the_cli_or_listed():
 
 
 def test_listed_definitions_name_a_test_that_exists():
+    # and that reaches them by the names it mentions, closed over the
+    # package as from cli.main
+    defs, _ = _definition_keys()
     for key, test in REACHED_ONLY_BY_TESTS.items():
         file, name = test.split("::")
         tree = ast.parse((TESTS / file).read_text())
-        assert any(isinstance(n, ast.FunctionDef) and n.name == name for n in tree.body), key
+        node = next((n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name),
+                    None)
+        assert node is not None and key in _reached(defs, _names(node), []), key

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from cantorwalk.giet import (GietError, _ops, _preimage, blow_up, discontinuity_closure,
-                             giet_from_branches, one_sided_orbit, rotation)
+                             giet_from_branches, rotation)
 from cantorwalk.maps import apply, break_pairs, break_points, is_identity, orbit_bfs
 
 from test_space import bounded_gaps
@@ -107,17 +107,6 @@ def test_discontinuity_closure_at_the_edges():
     half = rotation((0, 1), F(1, 2))
     assert discontinuity_closure([half], 4) == ([F(1, 2), F(0)], True)
     assert discontinuity_closure([half], 4) == discontinuity_closure_two_pass([half], 4)
-
-
-def test_one_sided_orbit_oracles():
-    so = one_sided_orbit([ROT3], 0, "right", 5)
-    assert sorted(so.points) == [F(0), F(1, 3), F(2, 3)]
-    assert so.closed
-    so2 = one_sided_orbit([SWAP], F(1, 2), "left", 3)
-    assert sorted(so2.points) == [F(1, 2), F(1)]
-    assert so2.closed
-    so3 = one_sided_orbit([ROT3], F(1, 5), "right", 0)
-    assert so3.points == (F(1, 5),) and not so3.closed
 
 
 def test_blow_up_rotation_third():

@@ -46,7 +46,7 @@ def hausdorff_distance(a: CompactSet, b: CompactSet) -> F:
     a gap of B lying inside A, so a finite candidate scan is exact.
     """
 
-    def one_sided(src: CompactSet, dst: CompactSet) -> F:
+    def directed(src: CompactSet, dst: CompactSet) -> F:
         candidates = src.endpoints()
         for (l1, r1), (l2, r2) in zip(dst.intervals, dst.intervals[1:]):
             mid = (r1 + l2) / 2
@@ -54,7 +54,7 @@ def hausdorff_distance(a: CompactSet, b: CompactSet) -> F:
                 candidates.append(mid)
         return max(point_to_set_distance(x, dst) for x in candidates)
 
-    return max(one_sided(a, b), one_sided(b, a))
+    return max(directed(a, b), directed(b, a))
 
 
 # ---------------------------------------------------------------------------

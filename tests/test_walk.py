@@ -12,17 +12,14 @@ from hypothesis import given, settings, strategies as st
 from cantorwalk import walk
 from cantorwalk.maps import (apply, compose, equals, identity_map, image, invert,
                              is_identity)
-from cantorwalk.rational import affine, coprime_fraction
+from cantorwalk.rational import affine, coprime_fraction, pair_cmp
 from cantorwalk.walk import (TWO64, CellMeasure, Trajectory, WalkError, _philox, _push_runs,
-                             backward_cluster, backward_value,
-                             break_accumulation, classify_pair,
+                             backward_cluster, backward_value, break_accumulation,
                              contraction_scan, delta_sum_statistic,
                              dichotomy_report, estimate_entropy,
-                             estimate_stationary_measure, forward_orbit,
-                             forward_word, backward_word,
+                             estimate_stationary_measure, forward_orbit, forward_word,
                              global_contraction_report, invariance_residual,
-                             make_model, measure_cells, proximality_degree,
-                             uniform_cell_measure)
+                             make_model, measure_cells, uniform_cell_measure)
 
 from fixtures import cantor_space, fixture, named_generators
 from test_lookups import PLAIN_LETTERS, _alphabets
@@ -49,26 +46,21 @@ def test_model_validation():
 def test_words_trivials():
     t = Trajectory(FREE, stream=0)
     assert is_identity(forward_word(t, 0))
-    assert is_identity(backward_word(t, 0))
-    # composition order: forward stacks on the left, backward on the right
+    # composition order: forward stacks on the left
     assert equals(forward_word(t, 2), compose(t.step_map(1), t.step_map(0)))
-    assert equals(backward_word(t, 2), compose(t.step_map(0), t.step_map(1)))
 
 
 def test_cached_words_match_fresh_products():
     # lengths asked out of order and far apart, each against the product of
     # its letters taken one at a time, branch for branch and with its label
     t = Trajectory(FREE, stream=2)
-    fws, bws = [identity_map(K)], [identity_map(K)]
+    fws = [identity_map(K)]
     for k in range(90):
         fws.append(compose(t.step_map(k), fws[-1]))
-        bws.append(compose(bws[-1], t.step_map(k)))
     for n in (5, 2, 8, 0, 8, 40, 12, 41, 3, 90):
         assert forward_word(t, n) == fws[n]
-        assert backward_word(t, n) == bws[n]
-    for word in (forward_word, backward_word):
-        with pytest.raises(WalkError, match="negative horizon"):
-            word(t, -1)
+    with pytest.raises(WalkError, match="negative horizon"):
+        forward_word(t, -1)
 
 
 def test_forward_word_matches_pointwise_orbit():
@@ -79,8 +71,10 @@ def test_forward_word_matches_pointwise_orbit():
     assert len(pts) >= 4
     for x in pts:
         assert apply(w, x) == forward_orbit(t, x, n)[-1]
-    # backward_value agrees with the backward word
-    bw = backward_word(t, n)
+    # backward_value agrees with f_omega_0 o ... o f_omega_(n-1)
+    bw = identity_map(K)
+    for k in range(n):
+        bw = compose(bw, t.step_map(k))
     for x in pts:
         assert apply(bw, x) == backward_value(t, x, n)
 
@@ -121,14 +115,14 @@ def test_stationary_measure_identity_is_delta():
 
 def test_invariance_residual_oracles():
     u1 = uniform_cell_measure(K, 1)
-    avg, per_gen, skipped = invariance_residual(u1, KLEIN)
-    assert (avg, per_gen, skipped) == (0, 0, 0)
+    avg, per_gen = invariance_residual(u1, KLEIN)
+    assert (avg, per_gen) == (0, 0)
     # a point mass on the left cell is off by a full unit under the swap
     d1 = CellMeasure(1, (F(1), F(0)), True)
-    avg, per_gen, _ = invariance_residual(d1, H_ONLY)
+    avg, per_gen = invariance_residual(d1, H_ONLY)
     assert per_gen == 1
     assert avg == 1
-    avg, per_gen, _ = invariance_residual(d1, IDENT)
+    avg, per_gen = invariance_residual(d1, IDENT)
     assert (avg, per_gen) == (0, 0)
 
 
@@ -141,18 +135,21 @@ def test_entropy_oracles():
     assert estimate_entropy(d1, IDENT).h_estimate == 0.0
 
 
-def test_classify_pair():
-    t = Trajectory(KLEIN, stream=0)
-    assert classify_pair(t, 0, 0) == "synchronized"
-    # Klein generators are isometries: distance stays 1 >= delta
-    assert classify_pair(t, 0, 1) == "separated"
-
-
 def test_dichotomy_free_pairs_mostly_decided():
     pairs = [(F(0), F(1, 9)), (F(0), F(1)), (F(2, 3), F(1)), (F(2, 9), F(8, 9))]
     rep = dichotomy_report(FREE, pairs, n=60)
     assert rep.undecided == 0
     assert rep.synchronized + rep.separated == len(pairs)
+
+
+def test_classify_pair():
+    t = Trajectory(KLEIN, stream=0)
+    assert walk._pair_verdict(t, 0, 0, walk.DEFAULT_DELTA, 60)[0] == "synchronized"
+    # Klein generators are isometries: distance stays 1 >= delta
+    assert walk._pair_verdict(t, 0, 1, walk.DEFAULT_DELTA, 60)[0] == "separated"
+    rep = dichotomy_report(KLEIN, [(F(0), F(0)), (F(0), F(1))], n=60)
+    assert (rep.synchronized, rep.separated, rep.undecided) == (1, 1, 0)
+    assert rep.lambda_fit == 0.0
 
 
 def test_contraction_scan_oracles():
@@ -207,7 +204,7 @@ def test_contraction_scan_matches_fraction_series(seed):
 
 
 def test_pair_verdicts_match_fraction_distances():
-    # the distances of classify_pair's orbits as Fractions, some pairs
+    # the distances of _pair_verdict's orbits as Fractions, some pairs
     # synchronizing and some separating, at delta equal to a distance
     pairs = [(F(0), F(1, 9)), (F(0), F(1)), (F(2, 3), F(1)), (F(2, 9), F(8, 9)), (F(1, 3), F(2, 3))]
     for stream, (x, y) in enumerate(pairs):
@@ -239,12 +236,6 @@ def test_delta_sum_identity_control():
     mean, peak, inc = delta_sum_statistic(IDENT, [0, 1], 20, 3)
     assert mean == peak == 21.0  # (n+1) * Delta_m with Delta_m = 1
     assert inc == 1.0
-
-
-def test_proximality_klein_has_no_proximal_pair():
-    rep = proximality_degree(KLEIN, cap=2, samples=6, horizon=30)
-    assert rep.m_estimate is None
-    assert rep.failures
 
 
 def test_global_contraction_g3():
@@ -478,3 +469,28 @@ def test_push_runs_matches_the_affine_reference(k, data):
     for i in data.draw(st.permutations(range(len(letters)))):
         got, runs = _push_runs(letters[i], runs), push_runs_ref(letters[i], runs)
         assert got == runs
+
+
+def _one_point_runs_beside_another_cell(runs):
+    """The one-point runs whose point lies in a run of another cell."""
+    return [p for p in runs if p[0] == p[1] and any(
+        q[2] != p[2] and pair_cmp(q[0], p[0]) <= 0 <= pair_cmp(q[1], p[0]) for q in runs)]
+
+
+def test_pushed_cells_hold_no_one_point_run_beside_another_cell():
+    # no cell of measure_cells ends at a point that two branch sources
+    # share, so one letter pushes no one-point run of one cell beside a run
+    # of another, as invariance_rows relies on
+    for letters in _alphabets():
+        K = letters[0].space
+        for depth in range(K.depth + 2) if K.ifs is not None else [0]:
+            cells = measure_cells(K, depth)
+            for g in letters:
+                runs = _push_runs(g, [(l, r, i) for i, (l, r) in enumerate(cells)])
+                assert _one_point_runs_beside_another_cell(runs) == [], (g.label, depth)
+    # cells ending at 1/2, where P's two sources on [0, 1] meet, do give them
+    cells = [((0, 1), (1, 2)), ((1, 2), (1, 1)), ((2, 1), (3, 1)), ((4, 1), (6, 1))]
+    runs = _push_runs(PLAIN_LETTERS[0], [(l, r, i) for i, (l, r) in enumerate(cells)])
+    assert runs[:4] == [((0, 1), (1, 4), 0), ((1, 4), (1, 4), 1),
+                        ((1, 4), (1, 4), 0), ((1, 4), (1, 1), 1)]
+    assert _one_point_runs_beside_another_cell(runs) == runs[1:3]
