@@ -21,7 +21,7 @@ from .maps import (PAHomeo, _apply, apply, compose, equals, identity_map, image,
 from .space import Piece, PointSet, Region, epsilon_neighborhood
 from .measure_solver import solve_feasibility
 from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, CellMeasure,
-                   cell_image_runs, forward_orbit, forward_word, invariance_rows,
+                   cell_image_runs, forward_word, invariance_rows,
                    measure_cells, _repulsor_extremes)
 
 
@@ -87,6 +87,12 @@ class UnprovedMeasure(NamedTuple):
     equations are not expressible on the depth-d cells."""
     depth: int
     skipped: int
+    __bool__ = _failure
+
+
+class UnalignedMeasure(NamedTuple):
+    """No cell depth up to the d_max budget is aligned with the generators."""
+    d_max: int
     __bool__ = _failure
 
 
@@ -204,7 +210,8 @@ def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
     for r in range(streams):
         t = Trajectory(model, stream=r)
         keep = range(len(cells))
-        for runs in islice(cell_image_runs(t, cells, h), h // 2, None):
+        for runs in islice(cell_image_runs(t, [(*c, i) for i, c in enumerate(cells)], h),
+                           h // 2, None):
             # a cell's image diameter, last run's hi - first run's lo, against
             # delta by cross-multiplication
             first = {c: lo for lo, _, c in reversed(runs)}
@@ -275,16 +282,26 @@ def verify_ping_pong(cert: PingPongCertificate) -> Verdict:
 
 def _first_inclusion(usable, off: Region, b_reg: Region, n_max: int):
     """The first word w = forward_word(t, n2) of the samples (t, n, ...),
-    n2 = n..n_max, with image(w, off) inside b_reg.  The middle end x of K's
-    intervals in off screens words uncomposed: w(x) must lie in b_reg."""
-    ends = [x for c in off.space.intervals for x in c if off.contains(x)]
+    n2 = n..n_max, with image(w, off) inside b_reg.  off is closed, so its
+    pieces (tag 1) and the gaps between them (tag 0) tile K's hull; pushed
+    n2 letters, the tag-1 runs hold image(w, off) and end in it.  Where a
+    run merged across a gap of K's limit set, later letters can carry the
+    gap into an interval of K that the image skips.  So w passes when each
+    run lies in one piece of b_reg, fails when one has an end in K outside
+    it, and is composed for maps_into only when neither settles a run."""
+    (lo, _), (_, hi) = off.space.ends[0], off.space.ends[-1]
+    tiling = []
+    for a, b, _, _ in off.pieces:
+        tiling += [(lo, a, 0)] * (a != lo) + [(a, b, 1)]
+        lo = b
+    tiling += [(lo, hi, 0)] * (lo != hi)
     for t, n, _, _, _ in usable:
-        orbit = forward_orbit(t, ends[len(ends) // 2], n_max) if ends else None
-        for n2 in range(n, n_max + 1):
-            if orbit is None or b_reg.contains(orbit[n2]):
-                w = forward_word(t, n2)
-                if maps_into(w, off, b_reg):
-                    return w
+        for n2, runs in islice(enumerate(cell_image_runs(t, tiling, n_max)), n, None):
+            tested = (b_reg._covers(Piece._make((a, b, True, True)), False)
+                      for a, b, tag in runs if tag)
+            held = next((v for v in tested if v is not True), True)
+            if held or held is None and maps_into(forward_word(t, n2), off, b_reg):
+                return forward_word(t, n2)
     return None
 
 
@@ -411,8 +428,9 @@ def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
     have symbolic measure 1), so each child onto a child: consistent to d_max.
 
     Returns a certificate, or a falsy InfeasibilityReport carrying the
-    exact phase-1 gap when the system has no solution, or a falsy
-    UnprovedMeasure when it has one but skips equations.
+    exact phase-1 gap when the system has no solution, a falsy
+    UnprovedMeasure when it has one but skips equations, or a falsy
+    UnalignedMeasure when no depth up to d_max is cell-aligned.
     """
     if d_max < depth:
         raise CertifyError(f"budget 'd_max': {d_max} is below the cell depth {depth}")
@@ -423,7 +441,7 @@ def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
         if _cells_compatible(maps, cells):
             break
     else:
-        raise CertifyError(f"generators not cell-aligned at any depth <= {d_max}")
+        return UnalignedMeasure(d_max)
 
     inv_rows = invariance_rows(maps, cells)
     res = solve_feasibility(*_invariance_system(inv_rows, len(cells)), len(cells))

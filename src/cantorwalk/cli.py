@@ -26,8 +26,8 @@ from .maps import PrefixTable, from_prefix_table, invert
 from .giet import blow_up
 from .walk import (Trajectory, estimate_entropy, estimate_stationary_measure,
                    global_contraction_report, invariance_residual, make_model)
-from .certify import (UnprovedMeasure, assemble_free_pair, find_morse_smale,
-                      solve_invariant_measure)
+from .certify import (UnalignedMeasure, UnprovedMeasure, assemble_free_pair,
+                      find_morse_smale, solve_invariant_measure)
 from . import serialize as ser
 
 KINDS = ("simulate", "certify-free", "find-measure", "morse-smale",
@@ -244,6 +244,10 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
                         report={"kind": s.kind, "seed": seed, "depth": res.depth,
                                 "masses": [rat_str(m) for m in res.measure.masses],
                                 "consistency_depth": res.consistency_depth})
+        if isinstance(res, UnalignedMeasure):
+            return done(2, f"undecided: generators not cell-aligned at any depth <= {res.d_max}",
+                        report={"kind": s.kind, "seed": seed, "budget": "d_max",
+                                "d_max": res.d_max})
         if isinstance(res, UnprovedMeasure):
             return done(2, (f"undecided: {res.skipped} invariance equations "
                             f"not expressible at depth {res.depth}"),

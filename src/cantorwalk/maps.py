@@ -15,7 +15,6 @@ Break pairs and the regularity radius r0 are computed exactly.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -503,20 +502,5 @@ def image(f: PAHomeo, S: Region) -> Region:
 
 
 def maps_into(f: PAHomeo, S: Region, T: Region) -> bool:
-    """image(f, S).subset_of(T), stopping at the first piece outside T.  A
-    piece inside the one piece of T that starts at or before it, flags
-    included, is in T; any other goes through T's sweep on K."""
-    ts = T.pieces
-    for _, p in _image_pieces(f, S):
-        (pn, pd), (qn, qd), p_lo_closed, p_hi_closed = p
-        i = bisect_pairs(ts, 0, p[0]) - 1
-        if i >= 0:
-            (ln, ld), (hn, hd), lo_closed, hi_closed = ts[i]
-            # the bisection puts that piece's lo at or before p's
-            if (ln * pd < pn * ld or lo_closed >= p_lo_closed) and (
-                    (c := qn * hd - hn * qd) < 0 or c == 0 and hi_closed >= p_hi_closed):
-                continue
-        # operator.lt on flags: in the image piece and not in T
-        if T._meets_where((p,), operator.lt):
-            return False
-    return True
+    """image(f, S).subset_of(T), stopping at the first piece outside T."""
+    return all(map(T._covers, (p for _, p in _image_pieces(f, S))))

@@ -481,9 +481,12 @@ class Region(_Frozen):
 
     def contains(self, x) -> bool:
         x = as_pair(rat(x))
-        return self.space._holds(x) and any(
-            pair_cmp(p[0], x) <= 0 <= pair_cmp(p[1], x) and _meets(p, x, x)
-            for p in self.pieces)
+        return self.space._holds(x) and self._pieces_hold(x)
+
+    def _pieces_hold(self, x: tuple) -> bool:
+        """Whether a piece holds the int pair x: the last that starts at or before it."""
+        i = bisect_pairs(self.pieces, 0, x) - 1
+        return i >= 0 and pair_cmp(x, self.pieces[i][1]) <= 0 and _meets(self.pieces[i], x, x)
 
     def _piece_meets_space(self, p: Piece) -> bool:
         return any(_meets(p, l, r) for l, r in self.space._meeting(p[0], p[1]))
@@ -491,6 +494,25 @@ class Region(_Frozen):
     def _meets_where(self, pieces: Sequence[Piece], keep) -> bool:
         """Whether K has a point where keep(in self, in the sorted, disjoint pieces)."""
         return any(map(self._piece_meets_space, _sweep(self.pieces, pieces, keep)))
+
+    def _covers(self, p: Piece, sweep: bool = True) -> Optional[bool]:
+        """Whether every point of K in the piece p lies in self: yes when p
+        lies in the one piece that starts at or before it, flags included, no
+        when p holds an end in K outside self, and else the sweep on K
+        decides, or None when not asked to sweep."""
+        (pn, pd), (qn, qd), p_lo_closed, p_hi_closed = p
+        i = bisect_pairs(self.pieces, 0, p[0]) - 1
+        if i >= 0:
+            (ln, ld), (hn, hd), lo_closed, hi_closed = self.pieces[i]
+            # the bisection puts that piece's lo at or before p's
+            if (ln * pd < pn * ld or lo_closed >= p_lo_closed) and (
+                    (c := qn * hd - hn * qd) < 0 or c == 0 and hi_closed >= p_hi_closed):
+                return True
+        if any(held and self.space._holds(x) and not self._pieces_hold(x)
+               for x, held in ((p[0], p_lo_closed), (p[1], p_hi_closed))):
+            return False
+        # operator.lt on flags: in p and not in self
+        return not self._meets_where((p,), operator.lt) if sweep else None
 
     def is_empty(self) -> bool:
         return not any(map(self._piece_meets_space, self.pieces))

@@ -475,10 +475,11 @@ class CellScan(NamedTuple):
 def _push_runs(g: PAHomeo, runs: list) -> list:
     """The runs after one more letter g: each run cut at g's sources, its
     pieces mapped and taken in branch image order (reversed in a decreasing
-    branch), which sorts them as no two images overlap; neighbours of a cell merge."""
+    branch), which sorts them as no two images overlap; neighbours with one
+    tag merge."""
     bs, order = g._pairs, g._image_order
     pieces, j, nb = [[] for _ in bs], 0, len(bs)
-    for (ln, ld), (hn, hd), cell in runs:
+    for (ln, ld), (hn, hd), tag in runs:
         while bs[j][1][0] * ld < ln * bs[j][1][1]:
             j += 1
         i = j
@@ -498,7 +499,7 @@ def _push_runs(g: PAHomeo, runs: list) -> list:
                 yb = (n // (k := gcd(n, d)), d // k)
             else:
                 yb = (ia, ib)[up]
-            pieces[i].append((ya, yb, cell) if up else (yb, ya, cell))
+            pieces[i].append((ya, yb, tag) if up else (yb, ya, tag))
             i += 1
     out, last = [], None
     for i in order:
@@ -511,12 +512,12 @@ def _push_runs(g: PAHomeo, runs: list) -> list:
     return out
 
 
-def cell_image_runs(t: Trajectory, cells, n: int):
-    """For k = 0..n, the images under f_omega^k of the sorted closed cells,
-    composing no word: they tile K as sorted runs (lo, hi, cell) of int pairs
-    with ends in K (its limit set on IFS sets), so only a gap of K separates
-    sorted neighbours."""
-    runs = [(l, r, i) for i, (l, r) in enumerate(cells)]
+def cell_image_runs(t: Trajectory, runs, n: int):
+    """For k = 0..n, the images under f_omega^k of sorted closed runs (lo, hi,
+    tag) of int pairs, composing no word: K's cells tagged by index, or a
+    tagged tiling of K's hull.  The images of runs that cover K are sorted
+    runs, and only a gap of K (of its limit set on IFS sets) separates
+    neighbours, which merge when they share a tag."""
     yield runs
     # the last letter first, so that the trajectory draws them all at once
     for g in [t.step_map(k) for k in range(n - 1, -1, -1)][::-1]:
@@ -536,8 +537,8 @@ def contraction_scan(t: Trajectory, depth: int, n: int,
     delta = rat(delta)
     K = t.model.space
     cells = measure_cells(K, depth)
-    diam_series = tuple(zip(*(run_diameters(runs, len(cells))
-                              for runs in cell_image_runs(t, cells, n))))
+    steps = cell_image_runs(t, [(*c, i) for i, c in enumerate(cells)], n)
+    diam_series = tuple(zip(*(run_diameters(runs, len(cells)) for runs in steps)))
     verdicts = tuple(_tail_verdict(series[n // 2:], delta,
                                    "repulsor", "attractor")[0]
                      for series in diam_series)

@@ -6,7 +6,6 @@ so every run is reproducible.
 """
 
 import itertools
-import json
 import random
 import time
 from collections import Counter

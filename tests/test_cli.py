@@ -15,8 +15,11 @@ from cantorwalk import certify
 from cantorwalk.cli import (BUDGET_ENV, DEFAULT_BUDGETS, ScenarioError,
                             _budget, _env_budgets, main, parse_scenario, run_scenario,
                             _load_scenario_text)
-from cantorwalk.maps import MapError
+from cantorwalk.maps import MapError, compose, invert
+from cantorwalk.serialize import map_to_obj
 from cantorwalk.space import ternary_cantor
+
+from fixtures import fixture
 
 BUNDLED = ("free_pair", "klein_four", "g3", "rotation_third", "identity")
 
@@ -644,6 +647,29 @@ def test_find_measure_refuses_a_d_max_below_the_cell_depth(tmp_path, capsys):
     assert captured.err == "error: budget 'd_max': 3 is below the cell depth 5\n"
     assert not any(out.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]
+
+
+def test_find_measure_that_aligns_at_no_depth_is_undecided(tmp_path, capsys):
+    # H and R conjugated by A1^2 have branch sources down to depth-9
+    # cylinders, so no cell depth from 3 to the d_max budget 8 is aligned:
+    # the budget ran out, which is exit 2 with a report and no certificate
+    K = ternary_cantor(3)
+    a = compose(fixture("A1", K), fixture("A1", K))
+    gens = [{"name": name, "branches": map_to_obj(compose(a, compose(fixture(name, K),
+                                                                     invert(a))))["branches"]}
+            for name in ("H", "R")]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": "find-measure", "space": {"ifs": "ternary", "depth": 3},
+                                "generators": gens, "seed": 0, "output": "fm",
+                                "budgets": {"depth": 3, "d_max": 8}}))
+    assert main(["find-measure", str(path), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "undecided: generators not cell-aligned at any depth <= 8\n"
+    assert captured.err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fm_meta.json", "fm_report.json", "scenario.json"]
+    assert json.loads((tmp_path / "fm_report.json").read_text()) == {
+        "kind": "find-measure", "seed": 0, "budget": "d_max", "d_max": 8}
 
 
 TERNARY_SPACE = {"ifs": {"ratios": ["1/3", "1/3"], "offsets": ["0", "2/3"],

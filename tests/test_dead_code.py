@@ -15,6 +15,9 @@ reached class reaches its dunder methods and its class-level code.  The
 definitions it leaves must be exactly those of REACHED_ONLY_BY_TESTS, each
 with a test or acceptance criterion that reaches it by the same closure
 from the names the test mentions, so that the list can only shrink.
+
+Every name that a module-level import binds, in the package and in its
+tests, must be read somewhere in its module.
 """
 
 import ast
@@ -79,6 +82,28 @@ def test_no_unreferenced_public_names():
     assert unreferenced_names(False, SRC, TESTS) == []
 
 
+def unused_imports(*dirs):
+    """module:name for each name that a module-level import in dirs binds
+    and its module never reads."""
+    unused = []
+    for d in dirs:
+        for path, tree in _trees(d).items():
+            read = {n.id for n in ast.walk(tree)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unused += [f"{path.stem}:{name}" for node in tree.body
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       and getattr(node, "module", None) != "__future__"
+                       for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                       if name not in read]
+    return sorted(unused)
+
+
+def test_no_unused_imports(tmp_path):
+    (tmp_path / "m.py").write_text("import json, os.path as osp\nfrom a import b\nb(osp)\n")
+    assert unused_imports(tmp_path) == ["m:json"]
+    assert unused_imports(SRC, TESTS) == []
+
+
 # module:name of each definition no CLI run reaches -> the test that calls it
 REACHED_ONLY_BY_TESTS = {
     "certify:find_contraction": "test_acceptance.py::test_criterion_6_deterministic_contraction",
@@ -95,6 +120,7 @@ REACHED_ONLY_BY_TESTS = {
     "walk:backward_value": "test_walk.py::test_forward_word_matches_pointwise_orbit",
     "walk:delta_sum_statistic": "test_acceptance.py::test_criterion_9_backward_accumulation",
     "walk:dichotomy_report": "test_acceptance.py::test_criterion_8_dichotomy",
+    "walk:forward_orbit": "test_acceptance.py::test_criterion_8_dichotomy",
     "walk:uniform_cell_measure": "test_acceptance.py::test_criterion_10_entropy",
 }
 

@@ -3,15 +3,17 @@
 certify._contraction_candidates takes a stream's repulsor cells by dropping
 each cell at its first image diameter below DEFAULT_DELTA over the tail of
 the horizon, and stops pushing the cells' images once no cell is left.
-certify._first_inclusion screens each word of the ping-pong shrink loop by
-the image of one end of K's intervals in K off A before composing it.  The
+certify._first_inclusion pushes a tiling of K's hull, the pieces of K off
+A^eps tagged 1 and the gaps between them 0, through each sample's letters,
+tests the tag-1 runs against B^eps at each length, and composes only the
+word it returns, or one whose runs the quick tests leave open.  The
 references below are the search as it was: the repulsors read off the full
 walk.contraction_scan series, and every word composed and tested with
 maps_into.  Both must give the same candidates, the same certificates and
-the same failures, and the screen must never reject a word whose inclusion
-holds.  The repulsor screen compares each cell's image diameter with
-DEFAULT_DELTA by cross-multiplication; its reference reduces every cell's
-diameter through walk.run_diameters, as the screen did before.
+the same failures, and each pushed verdict must be maps_into's verdict on
+the composed word.  The repulsor screen compares each cell's image
+diameter with DEFAULT_DELTA by cross-multiplication; its reference reduces
+every cell's diameter through walk.run_diameters, as the screen did before.
 """
 
 from collections import Counter
@@ -22,12 +24,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk import certify, maps, walk
-from cantorwalk.certify import _contraction_candidates, _fixed_points, assemble_free_pair
+from cantorwalk.certify import (_contraction_candidates, _first_inclusion, _fixed_points,
+                                assemble_free_pair)
 from cantorwalk.cli import _load_scenario_text, parse_scenario
 from cantorwalk.maps import apply, image, maps_into
 from cantorwalk.rational import as_pair, coprime_fraction, pair_cmp, pair_key
 from cantorwalk.serialize import certificate_to_obj, dumps
-from cantorwalk.space import Region, epsilon_neighborhood
+from cantorwalk.space import Piece, Region, epsilon_neighborhood
 from cantorwalk.walk import (DEFAULT_DELTA, Trajectory, WalkError, _extremes,
                              _repulsor_extremes, _single_linkage, cell_image_runs,
                              contraction_scan, forward_word, make_model, measure_cells,
@@ -81,7 +84,8 @@ def contraction_candidates_screen_ref(model, eps, p_cap, n_max, streams):
     for r in range(streams):
         t = Trajectory(model, stream=r)
         keep = range(len(cells))
-        for runs in islice(cell_image_runs(t, cells, h), h // 2, None):
+        for runs in islice(cell_image_runs(t, [(*c, i) for i, c in enumerate(cells)], h),
+                           h // 2, None):
             diams = run_diameters(runs, len(cells))
             keep = [i for i in keep if pair_cmp(diams[i], delta) >= 0]
             if not keep:
@@ -169,7 +173,10 @@ def test_candidates_need_a_positive_horizon():
 @settings(max_examples=80, deadline=None)
 @given(letter_words(max_size=6), st.data())
 def test_screen_never_rejects_an_inclusion(word, data):
-    # any point x of S and K: image(w, S) inside T puts w(x) in T
+    # maps_into against pointwise values: for any point x of S and K,
+    # image(w, S) inside T puts w(x) in T.  Written for the one-point screen
+    # that the ping-pong shrink loop has since dropped, it still pins the
+    # inclusion test that certificates and the candidate search use
     _, w = word
     K = w.space
     lo, hi = K.hull
@@ -193,7 +200,9 @@ def test_screen_never_rejects_an_inclusion(word, data):
 def test_search_composes_and_tests_fewer_words(monkeypatch):
     # free model at depth 3, walk seed 0: the full scan and the unscreened
     # loop made 65 maps_into and 138 compose calls, the early-exit scan
-    # and the point screen 35 and 124; the scan now composes no word
+    # and the point screen 35 and 124, and with the scan composing no word
+    # 35 and 60; the pushed tiling composes only the word it returns, 28
+    # and 29
     counts = Counter()
     for name in ("maps_into", "compose"):
         for mod in (maps, walk, certify):
@@ -202,8 +211,85 @@ def test_search_composes_and_tests_fewer_words(monkeypatch):
                 monkeypatch.setattr(mod, name, lambda *a, name=name, fn=fn:
                                     counts.update([name]) or fn(*a))
     assert assemble_free_pair(_free_model(3, 0), F(1, 27))
-    assert counts["maps_into"] <= 40
-    assert counts["compose"] <= 64
+    assert counts["maps_into"] <= 30
+    assert counts["compose"] <= 32
+
+
+EPS = [F(1, 9), F(1, 27), F(1, 81), F(1, 20), F(2, 45)]
+
+
+def _grid(K):
+    """The ends, midpoints and thirds of K's intervals."""
+    return sorted({l + (r - l) * k / 6 for l, r in K.intervals for k in (0, 2, 3, 4, 6)})
+
+
+def _verdicts(t, off, b_reg, n_max=30):
+    """For n = 1..n_max, whether _first_inclusion returns a word for the one
+    sample (t, n), and whether the composed word maps off into b_reg."""
+    return [(_first_inclusion([(t, n, None, None, None)], off, b_reg, n) is not None,
+             maps_into(forward_word(t, n), off, b_reg)) for n in range(1, n_max + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(0, 9), st.integers(0, 15), st.data())
+def test_pushed_verdicts_match_the_composed_words(depth, seed, stream, data):
+    model = _free_model(depth, seed)
+    K, grid = model.space, _grid(model.space)
+    A = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=3))
+    B = data.draw(st.lists(st.sampled_from(grid), min_size=1, max_size=4))
+    eps = data.draw(st.sampled_from(EPS))
+    off = Region.whole(K).difference(epsilon_neighborhood(A, eps, K))
+    pushed, composed = zip(*_verdicts(Trajectory(model, stream=stream), off,
+                                      epsilon_neighborhood(B, eps, K)))
+    assert pushed == composed
+
+
+def test_a_one_point_piece_of_off_is_pushed(monkeypatch):
+    # A = {0, 2/9} at eps = 1/9 leaves off = {1/9} and [1/3, 1], so the
+    # tiling carries the one-point run [1/9, 1/9] tagged 1; over streams 0
+    # to 9 and B each end of K's intervals, the push settles all 4,800
+    # verdicts without composing a word for maps_into, and 605 hold
+    model = _free_model(3, 0)
+    K = model.space
+    off = Region.whole(K).difference(epsilon_neighborhood([0, F(2, 9)], F(1, 9), K))
+    assert off.pieces[0] == ((1, 9), (1, 9), True, True)
+    settled = Counter()
+    monkeypatch.setattr(certify, "maps_into",
+                        lambda *a: settled.update(["open"]) or maps_into(*a))
+    for stream in range(10):
+        t = Trajectory(model, stream=stream)
+        for x in sorted({x for c in K.intervals for x in c}):
+            for pushed, composed in _verdicts(t, off, epsilon_neighborhood([x], F(1, 9), K)):
+                assert pushed == composed
+                settled[pushed] += 1
+    assert settled == {False: 4195, True: 605}
+
+
+def test_a_run_that_the_quick_tests_leave_open_is_settled_by_the_word():
+    # two letters A1 of stream 0 map off = K off (2/27)^(1/81) onto a run
+    # [0, 1625/6561] that spans (19/81, 20/81): a gap of K's limit set
+    # between two branch images of the first letter, carried by the second
+    # into K's interval [2/9, 7/27].  The word's image skips it, so with
+    # b_reg that image the run's sweep on K finds a point outside, while
+    # maps_into holds and _first_inclusion returns the word.  With the
+    # image's point 1621/6561 taken out of b_reg, the run is still left
+    # open, and the word is rejected
+    model = _free_model(3, 0)
+    K, t = model.space, Trajectory(model, stream=0)
+    off = Region.whole(K).difference(epsilon_neighborhood([F(2, 27)], F(1, 81), K))
+    w = forward_word(t, 2)
+    b_reg = image(w, off)
+    tiling = [((0, 1), (5, 81), 1), ((5, 81), (7, 81), 0), ((7, 81), (1, 1), 1)]
+    runs = list(cell_image_runs(t, tiling, 2))[2]
+    assert ((0, 1), (1625, 6561), 1) in runs
+    run = Piece._make(((0, 1), (1625, 6561), True, True))
+    assert b_reg._covers(run, False) is None and not b_reg._covers(run)
+    assert not b_reg.contains(F(39, 162)) and K.contains(F(39, 162))
+    assert maps_into(w, off, b_reg)
+    assert _first_inclusion([(t, 2, None, None, None)], off, b_reg, 2) is w
+    hole = b_reg.difference(epsilon_neighborhood([F(1621, 6561)], F(1, 59049), K))
+    assert hole._covers(run, False) is None and not maps_into(w, off, hole)
+    assert _first_inclusion([(t, 2, None, None, None)], off, hole, 2) is None
 
 
 def test_cell_scans_compose_no_word(monkeypatch):

@@ -457,7 +457,8 @@ def test_cell_image_diameter_series_matches_image_regions(data):
     for d in range(K.depth + 2):
         cells = measure_cells(K, d)
         series = ([coprime_fraction(*x) for x in run_diameters(runs, len(cells))]
-                  for runs in cell_image_runs(walk, cells, len(steps)))
+                  for runs in cell_image_runs(
+                      walk, [(*c, i) for i, c in enumerate(cells)], len(steps)))
         for w, diams in zip(words, series, strict=True):
             assert diams == [
                 region_diameter(image(w, Region(K, (Piece._make((l, r, True, True)),))))

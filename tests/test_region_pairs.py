@@ -6,17 +6,20 @@ cross-multiplication.  The Fraction versions of those kernels are kept
 below as the reference: on flagged pieces drawn from the ends of K's
 intervals, the midpoints of its gaps and a few other points, so that pieces
 touch K in one point and open and closed ends meet at one key, every
-Boolean operation, inclusion test, image and maps_into must agree with them,
-and point membership, emptiness and the extremes with a scan of K.
+Boolean operation, inclusion test (Region._covers of one piece included),
+image and maps_into must agree with them, and point membership, emptiness
+and the extremes with a scan of K.
 """
 
 import operator
 from collections import namedtuple
+from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk.maps import image, maps_into
-from cantorwalk.space import Piece, Region
+from cantorwalk.space import Piece, Region, ternary_cantor
 
 from test_lookups import infimum_ref, is_empty_ref, letter_words, supremum_ref
 from test_space import bounded_gaps
@@ -150,6 +153,12 @@ def test_region_kernels_match_fraction_kernels(word, data):
         meets_space_ref(K, p) for p in sweep_ref(ra, rb, operator.gt)))
     assert A.disjoint_from(B) == (not any(
         meets_space_ref(K, p) for p in sweep_ref(ra, rb, operator.and_)))
+    # one piece at a time, as maps_into and the ping-pong shrink loop ask;
+    # without the sweep, an answer or None
+    for p in ra:
+        inside = not any(meets_space_ref(K, q) for q in sweep_ref((p,), rb, operator.gt))
+        assert B._covers(Piece(*p)) == inside
+        assert B._covers(Piece(*p), False) in (inside, None)
     img = normalize_ref(image_pieces_ref(w, ra))
     assert fractions_of(image(w, A)) == img
     # B, and B joined with the image, so that both answers occur
@@ -157,3 +166,20 @@ def test_region_kernels_match_fraction_kernels(word, data):
         T = Region(K, tuple(Piece(*p) for p in rt))
         assert maps_into(w, A, T) == (not any(
             meets_space_ref(K, p) for p in sweep_ref(img, rt, operator.gt)))
+
+
+@pytest.mark.parametrize("p, pieces, quick, inside", [
+    # an open end in K outside T is not a point of p
+    ((F(0), F(1), False, True), [(F(0), F(1, 2), False, False), (F(1, 2), F(1), False, True)],
+     None, True),
+    # a held end outside T and outside K is not a point of K
+    ((F(1, 2), F(1), True, True), [(F(2, 3), F(1), True, True)], None, True),
+    ((F(0), F(1), True, True), [(F(0), F(1), False, True)], False, False),
+    ((F(0), F(1, 3), True, True), [(F(0), F(1, 2), True, False)], True, True),
+])
+def test_covers_reads_only_held_ends_in_K(p, pieces, quick, inside):
+    # K = [0, 1/3] and [2/3, 1]; 1/2 lies in its gap
+    K = ternary_cantor(1)
+    T = Region.from_pieces(K, [Piece(*q) for q in pieces])
+    assert T._covers(Piece(*p), False) is quick
+    assert T._covers(Piece(*p)) is inside

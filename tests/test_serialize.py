@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk import serialize as ser
-from cantorwalk.certify import (FiniteOrbitCertificate,
-                                InvariantMeasureCertificate, PingPongCertificate,
+from cantorwalk.certify import (InvariantMeasureCertificate, PingPongCertificate,
                                 check_morse_smale, find_finite_orbit,
                                 find_morse_smale, solve_invariant_measure)
 from cantorwalk.giet import rotation

@@ -179,7 +179,7 @@ def _diameter_series_ref(t, depth, n):
     cells = measure_cells(t.model.space, depth)
     steps = [[max(F(*hi) for _, hi, c in runs if c == i)
               - min(F(*lo) for lo, _, c in runs if c == i) for i in range(len(cells))]
-             for runs in walk.cell_image_runs(t, cells, n)]
+             for runs in walk.cell_image_runs(t, [(*c, i) for i, c in enumerate(cells)], n)]
     return tuple(zip(*steps))
 
 
