@@ -10,14 +10,14 @@ budget yields a falsy failure report, never an unverified claim.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 from .rational import (affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat,
                        value_order)
 from .maps import (PAHomeo, _apply, apply, compose, equals, identity_map, image,
-                   invert, is_identity, maps_into, orbit_bfs)
+                   invert, maps_into, orbit_bfs)
 from .space import Piece, PointSet, Region, epsilon_neighborhood
 from .measure_solver import solve_feasibility
 from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, CellMeasure,
@@ -240,19 +240,6 @@ def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
                 break
 
 
-def find_contraction(model: WalkModel, eps, p_cap: int = 4, n_max: int = 40,
-                     runs: int = 20):
-    """(g, A, B) with image(g, K off A^eps) inside B^eps, exactly; A comes
-    from repulsor clusters of the sampled walk, B from attracting fixed
-    points of the sampled word.  None within budget is a legitimate result."""
-    if rat(eps) <= 0 or p_cap < 1:
-        raise CertifyError("need eps > 0 and p_cap >= 1")
-    for _, _, w, A, B in _contraction_candidates(model, eps, p_cap, n_max, runs):
-        K = model.space
-        return w, PointSet.of(K, A), PointSet.of(K, B)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # ping-pong assembly
 
@@ -364,33 +351,6 @@ def assemble_free_pair(model: WalkModel, eps, max_len: int = 6,
     return failure(last_stage)
 
 
-def free_group_sanity(a1: PAHomeo, a2: PAHomeo, L: int) -> bool:
-    """True iff every nontrivial reduced word of length <= L in a1, a2 and
-    inverses differs from the identity.
-
-    Words are screened on witness points (exact evaluation); only words
-    fixing every witness are compared to the identity as full maps.
-    """
-    if L < 1:
-        raise CertifyError("L must be at least 1")
-    if is_identity(a1) or is_identity(a2):
-        return False
-    letters = [a1, invert(a1), a2, invert(a2)]
-    ends = a1.space.endpoints()
-    witnesses = tuple(sorted({ends[0], ends[len(ends) // 3],
-                              ends[(2 * len(ends)) // 3], ends[-1]}))
-
-    def move(vals, g):
-        return tuple(apply(g, v) for v in vals)
-
-    for idxs, vals in _reduced_words(letters, [1, 0, 3, 2], L, witnesses, move):
-        # the word fixes every witness: compare as a full map
-        if vals == witnesses and is_identity(
-                reduce(_then, (letters[k] for k in idxs), None)):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # invariant cell measures
 
@@ -477,11 +437,13 @@ def verify_invariant_measure(cert: InvariantMeasureCertificate) -> Verdict:
 
 
 def verify_finite_orbit(cert: FiniteOrbitCertificate) -> Verdict:
-    """Standalone re-check of a serialized finite-orbit certificate."""
+    """Standalone re-check of a serialized finite-orbit certificate.  The
+    generators alone are applied: a finite S with g(S) inside S for an
+    injective g has g(S) = S, so g^-1(S) = S as well."""
     pts = set(cert.orbit)
     if not pts:
         return Verdict(False, "empty orbit")
-    for op in cert.gens + tuple(invert(g) for g in cert.gens):
+    for op in cert.gens:
         for p in pts:
             if apply(op, p) not in pts:
                 return Verdict(False, f"orbit not stable at {p}")
@@ -538,9 +500,11 @@ def _constraining_slope_max(f: PAHomeo, region: Region) -> Fraction:
 
 def check_morse_smale(f: PAHomeo, A: Region, B: Region):
     """Certificate iff |f'| < 1 off A, |(f^-1)'| < 1 off B, A and B are
-    disjoint, and all periodic points up to the horizon are hyperbolic and
-    sit in A or B; the image inclusion f(K off A) in B, though implied by
-    the slope bounds, is re-verified explicitly."""
+    disjoint, and all periodic points up to the horizon are hyperbolic; the
+    image inclusion f(K off A) in B, though implied by the slope bounds, is
+    re-verified explicitly.  Each periodic point x, a point of K, then sits
+    in A or B: if x is off A, f(x) is in B, and B is off A, so f^k(x) stays
+    in B for every k >= 1 and x = f^p(x) is in B."""
     K = f.space
     if A.space != K or B.space != K:
         raise CertifyError("regions live on a different space")
@@ -564,8 +528,6 @@ def check_morse_smale(f: PAHomeo, A: Region, B: Region):
     for x, per, mult in rep.points:
         if abs(mult) == 1:
             return Verdict(False, f"non-hyperbolic periodic point {x}")
-        if not (A.contains(x) or B.contains(x)):
-            return Verdict(False, f"periodic point {x} outside A and B")
     return MorseSmaleCertificate(f, rep.points, A, B)
 
 

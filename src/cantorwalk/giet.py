@@ -34,9 +34,6 @@ class Giet(NamedTuple):
                 return br
         raise GietError(f"{x} outside [{self.a}, {self.b})")
 
-    def apply(self, x) -> Fraction:
-        return self.branch_at(rat(x)).value(rat(x))
-
     def preimage(self, y: Fraction) -> Fraction:
         for br in self.branches:
             ia, ib = br.ends
@@ -77,14 +74,6 @@ def giet_from_branches(interval, branches) -> Giet:
     if not _tiles(K, [br.pairs[4:] for br in bs]):
         raise GietError("images do not tile the interval")
     return Giet(a, b, tuple(bs))
-
-
-def rotation(interval, amount) -> Giet:
-    a, b = rat(interval[0]), rat(interval[1])
-    t = rat(amount) % (b - a)
-    if t == 0:
-        return giet_from_branches((a, b), [(a, b, 1, 0)])
-    return giet_from_branches((a, b), [(a, b - t, 1, t), (b - t, b, 1, t - (b - a))])
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +120,6 @@ class BlowUpResult(NamedTuple):
     jumps: tuple[tuple[Fraction, Fraction], ...]  # (c, F(c-)) for c > a
     exact: bool
     defects: tuple[str, ...]
-
-    def conjugate_point(self, x) -> Fraction:
-        """F(x) = x + sum of weights at blown points <= x."""
-        x = rat(x)
-        return x + sum(al for c, al in self.blown_points if c <= x)
 
 
 def blow_up(gens: Sequence[Giet], L: int, rho,

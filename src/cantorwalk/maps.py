@@ -10,7 +10,7 @@ set (no IFS) branches are stored cut at the gaps of K, and the sources and
 the images each tile K.  So no two branch images overlap on either kind of
 set; compose and invert keep that, as they only subdivide both.
 
-Break pairs and the regularity radius r0 are computed exactly.
+Break pairs are computed exactly.
 """
 
 from __future__ import annotations
@@ -380,21 +380,13 @@ def equals(f: PAHomeo, g: PAHomeo) -> bool:
     return True
 
 
-def is_identity(f: PAHomeo) -> bool:
-    return equals(f, identity_map(f.space))
-
-
 # ---------------------------------------------------------------------------
-# break pairs and regularity
+# break pairs
 
 
 class BreakPair(NamedTuple):
     a: Fraction
     b: Fraction
-
-    @property
-    def span(self) -> Fraction:
-        return self.b - self.a
 
 
 def break_pairs(f: PAHomeo) -> list[BreakPair]:
@@ -421,28 +413,6 @@ def break_pairs(f: PAHomeo) -> list[BreakPair]:
 
 def break_points(f: PAHomeo) -> list[Fraction]:
     return sorted({x for p in break_pairs(f) for x in (p.a, p.b)})
-
-
-def is_regular_on(f: PAHomeo, a, b) -> bool:
-    a, b = rat(a), rat(b)
-    if a > b:
-        raise MapError("reversed segment")
-    return not any(a <= p.a and p.b <= b for p in break_pairs(f))
-
-
-INFINITE_RADIUS = None
-
-
-def regularity_radius(gens: Sequence[PAHomeo]) -> Optional[Fraction]:
-    """r0: every interval shorter than r0 contains no generator break pair.
-
-    Returns None (the infinity sentinel) when no generator has any break
-    pair at all.
-    """
-    if not gens:
-        raise MapError("empty generator list")
-    spans = [p.span for g in gens for p in break_pairs(g)]
-    return min(spans) if spans else INFINITE_RADIUS
 
 
 # ---------------------------------------------------------------------------

@@ -255,14 +255,6 @@ class CompactSet(_Frozen):
             return self.contains(x)
         return self.ifs.contains_limit_point(x)
 
-    def endpoints(self) -> list[Fraction]:
-        pts = []
-        for l, r in self.intervals:
-            pts.append(l)
-            if r != l:
-                pts.append(r)
-        return pts
-
     # -- IFS-aware structure ------------------------------------------------
 
     def cylinder(self, address: str) -> tuple[tuple, tuple]:
@@ -465,17 +457,8 @@ class Region(_Frozen):
         return Region(space, (Piece._make((space.ends[0][0], space.ends[-1][1], True, True)),))
 
     @staticmethod
-    def from_intervals(space: CompactSet, pairs) -> "Region":
-        ps = [Piece(rat(l), rat(r), True, True) for l, r in pairs]
-        return Region(space, _normalize_pieces(ps))
-
-    @staticmethod
     def from_pieces(space: CompactSet, pieces: Iterable[Piece]) -> "Region":
         return Region(space, _normalize_pieces(pieces))
-
-    @staticmethod
-    def cylinder(space: CompactSet, address: str) -> "Region":
-        return Region(space, (Piece._make((*space.cylinder(address), True, True)),))
 
     # -- membership ---------------------------------------------------------
 

@@ -19,7 +19,7 @@ from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .rational import affine, as_pair, bisect_pairs, coprime_fraction, pair_cmp, rat
-from .maps import (PAHomeo, _apply, apply, break_points, compose,
+from .maps import (PAHomeo, _apply, break_points, compose,
                    identity_map, image, invert, equals)
 from .space import CompactSet, Piece, Region, _Frozen, epsilon_neighborhood
 
@@ -120,9 +120,6 @@ class Trajectory:
     def step_map(self, k: int) -> PAHomeo:
         return self.model.gens[self.index(k)]
 
-    def word(self, n: int) -> list[str]:
-        return [self.model.names[self.index(k)] for k in range(n)]
-
 
 def forward_word(t: Trajectory, n: int) -> PAHomeo:
     """f_omega^n = f_{omega_{n-1}} o ... o f_{omega_0}: the longest cached
@@ -140,24 +137,6 @@ def forward_word(t: Trajectory, n: int) -> PAHomeo:
                     for i in range(0, len(maps), 2)]
         words[n] = compose(maps[0], words[m])
     return words[n]
-
-
-def forward_orbit(t: Trajectory, x, n: int) -> list[Fraction]:
-    """Exact values f_omega^k(x) for k = 0..n, computed pointwise."""
-    x = rat(x)
-    out = [x]
-    # the last letter first, so that the trajectory draws them all at once
-    for f in [t.step_map(k) for k in range(n - 1, -1, -1)][::-1]:
-        x = apply(f, x)
-        out.append(x)
-    return out
-
-
-def backward_value(t: Trajectory, x, k: int) -> Fraction:
-    y = rat(x)
-    for i in range(k - 1, -1, -1):
-        y = apply(t.step_map(i), y)
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +164,6 @@ class CellMeasure(_Frozen):
                 raise WalkError(f"exact masses sum to {total}")
         elif abs(total - 1.0) > 1e-12:
             raise WalkError(f"masses sum to {total}")
-
-
-def uniform_cell_measure(space: CompactSet, depth: int) -> CellMeasure:
-    cells = measure_cells(space, depth)
-    return CellMeasure(depth, tuple([Fraction(1, len(cells))] * len(cells)), True)
 
 
 def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int,
@@ -386,7 +360,7 @@ def estimate_entropy(mu: CellMeasure, model: WalkModel) -> EntropyReport:
 
 
 # ---------------------------------------------------------------------------
-# synchronization dichotomy
+# decay verdicts of exact series
 
 
 def _fit_slope(ys: Sequence[float]) -> float:
@@ -415,45 +389,6 @@ def _tail_verdict(tail, delta, far: str, near: str):
     if slope < SLOPE_MARGIN and n * dd < dn * d:
         return near, -slope
     return "undecided", 0.0
-
-
-def _pair_verdict(t: Trajectory, x, y, delta, n: int):
-    """The dichotomy verdict for one pair along one trajectory,
-    'synchronized', 'separated' or 'undecided', with its fitted decay rate."""
-    x, y, delta = rat(x), rat(y), rat(delta)
-    if n < 1:
-        raise WalkError("horizon must be positive")
-    if x == y:
-        return "synchronized", 0.0
-    dists = [as_pair(abs(a - b)) for a, b in zip(forward_orbit(t, x, n),
-                                                 forward_orbit(t, y, n))]
-    return _tail_verdict(dists[n // 2:], delta, "separated", "synchronized")
-
-
-class DichotomyReport(NamedTuple):
-    delta: Fraction
-    lambda_fit: float
-    synchronized: int
-    separated: int
-    undecided: int
-    horizon: int
-
-
-def dichotomy_report(model: WalkModel, pairs, delta=DEFAULT_DELTA,
-                     n: int = 60, stream_base: int = 0) -> DichotomyReport:
-    delta = rat(delta)
-    counts = {"synchronized": 0, "separated": 0, "undecided": 0}
-    rates = []
-    for i, (x, y) in enumerate(pairs):
-        t = Trajectory(model, stream=stream_base + i)
-        verdict, rate = _pair_verdict(t, x, y, delta, n)
-        counts[verdict] += 1
-        if verdict == "synchronized" and rat(x) != rat(y):
-            rates.append(rate)
-    import numpy as np
-    lam = float(np.mean(rates)) if rates else 0.0
-    return DichotomyReport(delta, lam, counts["synchronized"],
-                           counts["separated"], counts["undecided"], n)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +486,7 @@ def contraction_scan(t: Trajectory, depth: int, n: int,
 
 
 # ---------------------------------------------------------------------------
-# break accumulation and backward clusters
+# break accumulation
 
 
 def _single_linkage(points: Iterable[Fraction], radius: Fraction):
@@ -598,47 +533,6 @@ def break_accumulation(t: Trajectory, n: int, radius=Fraction(1, 27)):
         acc = base | {_apply(inverse, p) for p in acc}
     pts = sorted(coprime_fraction(*p) for p in acc)
     return pts, _single_linkage(pts, radius)
-
-
-def backward_cluster(model: WalkModel, x, n: int, runs: int,
-                     radius=Fraction(1, 81), stream_base: int = 0):
-    """Cluster counts of {f-bar^k(x) : n/2 <= k <= n} per run."""
-    x, radius = rat(x), rat(radius)
-    if n < 2 or runs < 1:
-        raise WalkError("need n >= 2 and runs >= 1")
-    counts = []
-    for r in range(runs):
-        t = Trajectory(model, stream=stream_base + r)
-        vals = {backward_value(t, x, k) for k in range(n // 2, n + 1)}
-        counts.append(len(_single_linkage(vals, radius)))
-    return counts, max(counts)
-
-
-def delta_sum_statistic(model: WalkModel, points, n: int, runs: int,
-                        stream_base: int = 0):
-    """Partial sums S = sum_k Delta_m(f-bar^k(tuple)); returns
-    (mean, max, last_quarter_mean_increment)."""
-    pts = [rat(p) for p in points]
-    if len(set(pts)) != len(pts) or len(pts) < 2:
-        raise WalkError("tuple must hold at least two distinct points")
-    sums = []
-    increments = []
-    for r in range(runs):
-        t = Trajectory(model, stream=stream_base + r)
-        partial = []
-        s = 0.0
-        for k in range(n + 1):
-            vals = [backward_value(t, p, k) for p in pts]
-            vs = sorted(vals)
-            dm = min(float(b - a) for a, b in zip(vs, vs[1:]))
-            s += dm
-            partial.append(s)
-        sums.append(s)
-        q = max(1, n // 4)
-        increments.append((partial[-1] - partial[-1 - q]) / q)
-    import numpy as np
-    return (float(np.mean(sums)), float(np.max(sums)),
-            float(np.mean(increments)))
 
 
 # ---------------------------------------------------------------------------

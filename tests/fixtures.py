@@ -9,8 +9,10 @@ tables are read from the bundled scenarios that use them.
 import json
 from importlib import resources
 
-from cantorwalk.maps import PAHomeo, PrefixTable, from_prefix_table, invert
-from cantorwalk.space import CompactSet, ternary_cantor
+from cantorwalk.giet import Giet, giet_from_branches
+from cantorwalk.maps import (PAHomeo, PrefixTable, break_pairs, equals, from_prefix_table,
+                             identity_map, invert)
+from cantorwalk.space import CompactSet, Piece, Region, ternary_cantor
 
 
 def _scenario_tables(*names) -> dict:
@@ -51,3 +53,40 @@ def named_generators(names, space: CompactSet = None,
         for n in list(gens):
             gens[n + "^-1"] = invert(gens[n])
     return gens
+
+
+def endpoints(K: CompactSet) -> list:
+    """The ends of K's intervals, sorted."""
+    return sorted({x for iv in K.intervals for x in iv})
+
+
+def region(K: CompactSet, pairs) -> Region:
+    """The region of K holding the closed intervals (lo, hi) of pairs."""
+    return Region.from_pieces(K, [Piece(lo, hi, True, True) for lo, hi in pairs])
+
+
+def cylinder_region(K: CompactSet, address: str) -> Region:
+    return Region(K, (Piece._make((*K.cylinder(address), True, True)),))
+
+
+def is_identity(f: PAHomeo) -> bool:
+    return equals(f, identity_map(f.space))
+
+
+def regular_on(f: PAHomeo, a, b) -> bool:
+    """Whether [a, b] holds no break pair of f."""
+    return not any(a <= p.a and p.b <= b for p in break_pairs(f))
+
+
+def rotation(t) -> Giet:
+    """x -> x + t mod 1 on [0, 1), for 0 < t < 1."""
+    return giet_from_branches((0, 1), [(0, 1 - t, 1, t), (1 - t, 1, 1, t - 1)])
+
+
+def giet_value(g: Giet, x):
+    return g.branch_at(x).value(x)
+
+
+def conjugate_point(res, x):
+    """A blow-up's F(x): x plus the weights blown at points <= x."""
+    return x + sum(al for c, al in res.blown_points if c <= x)

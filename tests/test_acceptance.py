@@ -12,25 +12,27 @@ from collections import Counter
 from fractions import Fraction as F
 
 from cantorwalk.certify import (AssemblyFailure, PingPongCertificate,
-                                check_morse_smale, find_contraction,
+                                _contraction_candidates, check_morse_smale,
                                 find_finite_orbit, find_morse_smale,
-                                assemble_free_pair, free_group_sanity,
-                                periodic_points, solve_invariant_measure,
-                                verify_finite_orbit, verify_ping_pong)
+                                assemble_free_pair, periodic_points,
+                                solve_invariant_measure, verify_finite_orbit,
+                                verify_ping_pong)
 from cantorwalk.cli import parse_scenario, run_scenario, _load_scenario_text
-from cantorwalk.giet import blow_up, discontinuity_closure, rotation
+from cantorwalk.giet import blow_up, discontinuity_closure
 from cantorwalk.maps import (apply, break_pairs, break_points, compose,
-                             identity_map, image, invert, is_regular_on,
-                             regularity_radius)
+                             identity_map, image, invert)
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
-from cantorwalk.walk import (Trajectory, backward_cluster, contraction_scan,
-                             delta_sum_statistic, dichotomy_report,
+from cantorwalk.walk import (CellMeasure, Trajectory, contraction_scan,
                              estimate_entropy, estimate_stationary_measure,
                              global_contraction_report, invariance_residual,
-                             make_model, uniform_cell_measure)
+                             make_model)
 
-from fixtures import cantor_space, fixture, named_generators
+from fixtures import (cantor_space, conjugate_point, cylinder_region, endpoints,
+                      fixture, giet_value, named_generators, region, regular_on,
+                      rotation)
 from test_space import bounded_gaps, diameter
+from walk_statistics import (backward_cluster, delta_sum_statistic, dichotomy_report,
+                             free_group_sanity)
 
 K = cantor_space(3)
 A1 = fixture("A1", K)
@@ -64,8 +66,8 @@ def _limit_points(rng, count, max_digits=12):
 def test_criterion_1_ping_pong_and_sanity():
     t0 = time.monotonic()
     cert = PingPongCertificate(
-        A1, A2, Region.cylinder(K, "22"), Region.cylinder(K, "02"),
-        Region.cylinder(K, "00"), Region.cylinder(K, "20"))
+        A1, A2, cylinder_region(K, "22"), cylinder_region(K, "02"),
+        cylinder_region(K, "00"), cylinder_region(K, "20"))
     ok = bool(verify_ping_pong(cert))
     ok = ok and free_group_sanity(A1, A2, 8)
     elapsed = time.monotonic() - t0
@@ -93,18 +95,18 @@ def test_criterion_2_break_inclusion():
 
 def test_criterion_3_regularity():
     rng = random.Random(3)
-    ends = sorted({v for iv in K.intervals for v in iv})
+    ends = endpoints(K)
     violations = 0
     checked = 0
     while checked < 1000:
         w = _random_word(rng, 4)
         a, b = sorted(rng.sample(ends, 2))
-        if not is_regular_on(w, a, b):
+        if not regular_on(w, a, b):
             continue
         checked += 1
-        seg = Region.from_intervals(K, [(a, b)])
+        seg = region(K, [(a, b)])
         fa, fb = sorted((apply(w, a), apply(w, b)))
-        tgt = Region.from_intervals(K, [(fa, fb)])
+        tgt = region(K, [(fa, fb)])
         img = image(w, seg)
         # exact equality on the limit set: both inclusions plus attained
         # endpoints (the truncated approximation carries non-limit
@@ -112,8 +114,9 @@ def test_criterion_3_regularity():
         if not (img.subset_of(tgt) and image(invert(w), tgt).subset_of(seg)
                 and img.infimum() == fa and img.supremum() == fb):
             violations += 1
-    # every interval shorter than r0 contains no generator break pair
-    r0 = regularity_radius([A1, A2])
+    # every interval shorter than r0, the least break-pair span of the
+    # generators, contains no generator break pair
+    r0 = min(p.b - p.a for g in (A1, A2) for p in break_pairs(g))
     assert r0 == F(1, 27)
     for _ in range(1000):
         lo = rng.choice(ends)
@@ -162,10 +165,10 @@ def test_criterion_6_deterministic_contraction():
     K5 = cantor_space(5)
     model = make_model(K5, {"A1": fixture("A1", K5)})
     eps = F(1, 27)
-    res = find_contraction(model, eps)
+    res = next(_contraction_candidates(model, eps, 4, 40, 20), None)
     ok = res is not None
     if ok:
-        w, A, B = res
+        _, _, w, A, B = res
         k = len(w.label)
         ok = set(w.label) == {"A1"} and k <= 8
         ok = ok and list(A) == [F(1)] and list(B) == [F(1, 4)]
@@ -174,7 +177,7 @@ def test_criterion_6_deterministic_contraction():
             epsilon_neighborhood(A, eps, K5))
         ok = ok and image(w, off).subset_of(
             epsilon_neighborhood(B, eps, K5))
-    _report(6, "find_contraction({A1}) = (A1^k, {1}, {1/4}), k <= 8", ok)
+    _report(6, "first contraction candidate of {A1} = (A1^k, {1}, {1/4}), k <= 8", ok)
 
 
 def test_criterion_7_global_contraction():
@@ -195,7 +198,7 @@ def test_criterion_7_global_contraction():
 
 def test_criterion_8_dichotomy():
     rng = random.Random(8)
-    ends = sorted({v for iv in K.intervals for v in iv})
+    ends = endpoints(K)
     pairs = []
     while len(pairs) < 500:
         x, y = rng.sample(ends, 2)
@@ -224,7 +227,8 @@ def test_criterion_9_backward_accumulation():
 
 def test_criterion_10_entropy():
     klein = make_model(K, KLEIN_GENS)
-    h_klein = estimate_entropy(uniform_cell_measure(K, 1), klein).h_estimate
+    uniform = CellMeasure(1, (F(1, 2), F(1, 2)), True)
+    h_klein = estimate_entropy(uniform, klein).h_estimate
     ok = h_klein == 0.0
     h_free = None
     for seed in range(3):
@@ -267,7 +271,7 @@ def test_criterion_11_morse_smale():
     ok = ok and _brute_periodic(A1, 6) == set(expected)
     A = Region.from_pieces(K, (Piece(F(8, 9), F(1), False, True),))
     B = epsilon_neighborhood([F(0), F(1, 3)], F(1, 27), K).union(
-        Region.from_intervals(K, [(0, F(1, 3))]))
+        region(K, [(0, F(1, 3))]))
     cert = check_morse_smale(A1, A, B)
     ok = ok and bool(cert)
     # orbit simulation: forward and backward starts reach the periodic set
@@ -294,7 +298,7 @@ def test_criterion_11_morse_smale():
 
 
 def test_criterion_12_giet_blowup():
-    rot = rotation((0, 1), F(1, 3))
+    rot = rotation(F(1, 3))
     D, closed = discontinuity_closure([rot], 3)
     ok = closed and sorted(D) == [F(0), F(1, 3), F(2, 3)]
     res = blow_up([rot], 3, F(1, 4))
@@ -303,7 +307,7 @@ def test_criterion_12_giet_blowup():
     rng = random.Random(12)
     for _ in range(500):
         x = F(rng.randrange(0, 3 ** 7), 3 ** 7)
-        if apply(g, res.conjugate_point(x)) != res.conjugate_point(rot.apply(x)):
+        if apply(g, conjugate_point(res, x)) != conjugate_point(res, giet_value(rot, x)):
             ok = False
             break
     # break points sit exactly at the gap extremities blown from the
@@ -312,13 +316,13 @@ def test_criterion_12_giet_blowup():
     extremities = {v for gp in bounded_gaps(res.space) for v in gp}
     jump_ext = set()
     for c in rot.jump_points():
-        fc = res.conjugate_point(c)
+        fc = conjugate_point(res, c)
         gap = next(gp for gp in bounded_gaps(res.space) if gp[1] == fc)
         jump_ext.update(gap)
     bpts = set(break_points(g))
     ok = ok and bpts == jump_ext and bpts <= extremities
     # every orbit of a cell endpoint is finite of size 3
-    for start in res.space.endpoints():
+    for start in endpoints(res.space):
         orb = find_finite_orbit({"g": g}, [start], bound=10)
         if orb is None or len(orb.orbit) != 3 or not verify_finite_orbit(orb):
             ok = False

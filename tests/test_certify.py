@@ -10,10 +10,9 @@ from cantorwalk import certify, maps, walk
 from cantorwalk.certify import (_is_invariant, _make_letters, _reduced_words, _then,
                                 AssemblyFailure, CertifyError,
                                 InfeasibilityReport, InvariantMeasureCertificate,
-                                PingPongCertificate, assemble_free_pair,
-                                check_morse_smale, find_contraction,
-                                find_finite_orbit,
-                                find_morse_smale, free_group_sanity,
+                                PingPongCertificate, _contraction_candidates,
+                                assemble_free_pair, check_morse_smale,
+                                find_finite_orbit, find_morse_smale,
                                 periodic_points, solve_invariant_measure,
                                 UnprovedMeasure,
                                 verify_finite_orbit, verify_invariant_measure,
@@ -23,9 +22,10 @@ from cantorwalk.maps import (PrefixTable, apply, compose, equals, from_prefix_ta
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
 from cantorwalk.walk import CellMeasure, invariance_rows, make_model, measure_cells
 
-from fixtures import cantor_space, fixture, named_generators
+from fixtures import cantor_space, cylinder_region, fixture, named_generators, region
 from test_known_answers import X0, X1, finite_groups
 from test_lookups import S, SPANNING_LETTERS
+from walk_statistics import free_group_sanity
 
 K = cantor_space(3)
 H = fixture("H", K)
@@ -118,7 +118,24 @@ def test_find_finite_orbit_inverts_no_map(monkeypatch):
     assert find_finite_orbit(FREE_GENS, [F(0)]) is None
 
 
+def test_verify_finite_orbit_applies_only_the_generators(monkeypatch):
+    # the orbit theorem above: stable under each generator is stable under
+    # its inverse, so verify inverts no map either
+    orbit = find_finite_orbit(KLEIN_GENS, [F(0)])
+
+    def refuse(*args):
+        raise AssertionError("verify_finite_orbit inverted a map")
+
+    monkeypatch.setattr(certify, "invert", refuse)
+    assert verify_finite_orbit(orbit)
+
+
 # -- contraction pairs -------------------------------------------------------
+
+
+def find_contraction(model, eps):
+    """The word, A and B of the first contraction candidate, or None."""
+    return next((c[2:] for c in _contraction_candidates(model, eps, 4, 40, 20)), None)
 
 
 def test_find_contraction_a1():
@@ -150,8 +167,7 @@ def test_find_contraction_identity_none():
 # -- ping-pong ---------------------------------------------------------------
 
 
-def _cyl(addr):
-    return Region.cylinder(K, addr)
+_cyl = partial(cylinder_region, K)
 
 
 def test_verify_ping_pong_fixture():
@@ -427,7 +443,7 @@ def test_periodic_points_r_family():
 def test_check_morse_smale_a1():
     A = Region.from_pieces(K, (Piece(F(8, 9), F(1), False, True),))
     B = epsilon_neighborhood([F(0), F(1, 3)], F(1, 27), K).union(
-        Region.from_intervals(K, [(0, F(1, 3))]))
+        region(K, [(0, F(1, 3))]))
     cert = check_morse_smale(A1, A, B)
     assert cert
     assert cert.periodic == ((F(1, 4), 1, F(1, 9)), (F(1), 1, F(9)))

@@ -699,6 +699,10 @@ IDENTITY = {"label": ["I"], "branches": [{"src": ["0", "1"], "slope": "1", "offs
     pytest.param({"type": "finite-orbit", "space": TERNARY_SPACE,
                   "generators": [IDENTITY], "orbit": []}, "INVALID (empty orbit)",
                  id="empty-orbit"),
+    # B grown by A's pieces: less of K lies off B, and f(K off A) stays in B
+    pytest.param(_edited_certificate(
+        "free_pair", lambda d: d["B"]["pieces"].extend(d["A"]["pieces"]), **MORSE_SMALE),
+                 "INVALID (A meets B)", id="A-meets-B"),
 ])
 def test_verify_rejects_forged_certificates(tmp_path, capsys, doc, line):
     # each document passes every check of verify but the one it forges

@@ -7,14 +7,14 @@ somewhere in the package or its tests outside its own definition.  A
 reference inside the body of the definition (a recursive call, or a
 method calling a namesake) does not count.
 
-A stricter pass asks what the command line can reach.  It starts from
-cli.main and the module-level code of every module, and closes over the
-names that each reached definition mentions: a definition is reached when
-its name is mentioned (a method by any attribute of its name), and a
-reached class reaches its dunder methods and its class-level code.  The
-definitions it leaves must be exactly those of REACHED_ONLY_BY_TESTS, each
-with a test or acceptance criterion that reaches it by the same closure
-from the names the test mentions, so that the list can only shrink.
+A stricter pass asks what the command line can reach, and every
+definition must be reached: code that only tests call is test code, and
+lives in tests/.  The pass starts from cli.main and the module-level code
+of every module, and closes over the names that each reached definition
+mentions.  A function or class is reached when its name is mentioned, as
+a name or as an attribute; a method only when an attribute of its name
+is, since a bare name never calls a method.  A reached class reaches its
+dunder methods and its class-level code.
 
 Every name that a module-level import binds, in the package and in its
 tests, must be read somewhere in its module.
@@ -104,41 +104,29 @@ def test_no_unused_imports(tmp_path):
     assert unused_imports(SRC, TESTS) == []
 
 
-# module:name of each definition no CLI run reaches -> the test that calls it
-REACHED_ONLY_BY_TESTS = {
-    "certify:find_contraction": "test_acceptance.py::test_criterion_6_deterministic_contraction",
-    "certify:free_group_sanity": "test_acceptance.py::test_criterion_1_ping_pong_and_sanity",
-    "giet:BlowUpResult.conjugate_point": "test_acceptance.py::test_criterion_12_giet_blowup",
-    "giet:rotation": "test_acceptance.py::test_criterion_12_giet_blowup",
-    "maps:BreakPair.span": "test_acceptance.py::test_criterion_3_regularity",
-    "maps:is_regular_on": "test_acceptance.py::test_criterion_3_regularity",
-    "maps:regularity_radius": "test_acceptance.py::test_criterion_3_regularity",
-    "space:CompactSet.endpoints": "test_acceptance.py::test_criterion_12_giet_blowup",
-    "walk:DichotomyReport": "test_acceptance.py::test_criterion_8_dichotomy",
-    "walk:_pair_verdict": "test_acceptance.py::test_criterion_8_dichotomy",
-    "walk:backward_cluster": "test_acceptance.py::test_criterion_9_backward_accumulation",
-    "walk:backward_value": "test_walk.py::test_forward_word_matches_pointwise_orbit",
-    "walk:delta_sum_statistic": "test_acceptance.py::test_criterion_9_backward_accumulation",
-    "walk:dichotomy_report": "test_acceptance.py::test_criterion_8_dichotomy",
-    "walk:forward_orbit": "test_acceptance.py::test_criterion_8_dichotomy",
-    "walk:uniform_cell_measure": "test_acceptance.py::test_criterion_10_entropy",
-}
+def _mentions(node):
+    """(name, whether as an attribute) of each name that node mentions."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            out.add((n.attr, True))
+        elif isinstance(n, ast.Name):
+            out.add((n.id, False))
+        elif isinstance(n, ast.alias):
+            out.add((n.name, False))
+    return out
 
 
-def _names(node):
-    return {name for name, _ in _references(node)}
-
-
-def _definition_keys():
+def _definition_keys(src):
     """({module:name or module:class.method: (name, code, class key)}, the
-    names that module-level code outside the definitions mentions)."""
+    mentions of module-level code outside the definitions)."""
     defs, mentioned = {}, set()
-    for path, tree in _trees(SRC).items():
+    for path, tree in _trees(src).items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                mentioned |= set().union(*map(_names, node.decorator_list))
+                mentioned |= set().union(*map(_mentions, node.decorator_list))
             else:
-                mentioned |= _names(node)
+                mentioned |= _mentions(node)
             if isinstance(node, ast.ClassDef):
                 # the class's own code: bases and statements other than methods
                 code = node.bases + [n for n in node.body if not isinstance(
@@ -154,37 +142,30 @@ def _definition_keys():
 
 
 def _reached(defs, mentioned, frontier):
-    """The keys of defs that frontier's definitions and the mentioned names
-    reach, closing over the names each reached definition mentions."""
+    """The keys of defs that frontier's definitions and the mentions reach,
+    closing over the mentions of each reached definition."""
     reached, mentioned = set(), set(mentioned)
     while True:
         reached |= set(frontier)
         for key in frontier:
-            mentioned |= set().union(*map(_names, defs[key][1]))
+            mentioned |= set().union(*map(_mentions, defs[key][1]))
         frontier = [key for key, (name, _, cls) in defs.items() if key not in reached and (
-            name in mentioned or cls in reached and name.startswith("__") and name.endswith("__"))]
+            (name, True) in mentioned or cls is None and (name, False) in mentioned
+            or cls in reached and name.startswith("__") and name.endswith("__"))]
         if not frontier:
             return reached
 
 
-def unreachable_from_cli():
+def unreachable_from_cli(src=SRC):
     """module:name (module:class.method for methods) of each definition in
-    the package that no run of cli.main reaches, by names mentioned."""
-    defs, mentioned = _definition_keys()
+    the modules of src that no run of cli.main reaches, by mentions."""
+    defs, mentioned = _definition_keys(src)
     return sorted(defs.keys() - _reached(defs, mentioned, ["cli:main"]))
 
 
-def test_every_definition_is_reached_from_the_cli_or_listed():
-    assert unreachable_from_cli() == sorted(REACHED_ONLY_BY_TESTS)
-
-
-def test_listed_definitions_name_a_test_that_exists():
-    # and that reaches them by the names it mentions, closed over the
-    # package as from cli.main
-    defs, _ = _definition_keys()
-    for key, test in REACHED_ONLY_BY_TESTS.items():
-        file, name = test.split("::")
-        tree = ast.parse((TESTS / file).read_text())
-        node = next((n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name),
-                    None)
-        assert node is not None and key in _reached(defs, _names(node), []), key
+def test_every_definition_is_reached_from_the_cli(tmp_path):
+    # a local name `word` calls no method word
+    (tmp_path / "cli.py").write_text(
+        "def main(word): return T(word)\nclass T:\n    def word(self): pass\n")
+    assert unreachable_from_cli(tmp_path) == ["cli:T.word"]
+    assert unreachable_from_cli() == []

@@ -7,12 +7,13 @@ from math import gcd
 import pytest
 
 from cantorwalk.giet import (GietError, _ops, _preimage, blow_up, discontinuity_closure,
-                             giet_from_branches, rotation)
-from cantorwalk.maps import apply, break_pairs, break_points, is_identity, orbit_bfs
+                             giet_from_branches)
+from cantorwalk.maps import apply, break_pairs, break_points, orbit_bfs
 
+from fixtures import conjugate_point, giet_value, is_identity, rotation
 from test_space import bounded_gaps
 
-ROT3 = rotation((0, 1), F(1, 3))
+ROT3 = rotation(F(1, 3))
 SWAP = giet_from_branches((0, 1), [(0, F(1, 2), 1, F(1, 2)),
                                    (F(1, 2), 1, 1, F(-1, 2))])
 
@@ -22,20 +23,20 @@ def test_rotation_branches():
         (F(0), F(2, 3), F(1), F(1, 3)),
         (F(2, 3), F(1), F(1), F(-2, 3))]
     assert all(b.slope == 1 for b in ROT3.branches)
-    assert ROT3.apply(0) == F(1, 3)
-    assert ROT3.apply(F(2, 3)) == 0
+    assert giet_value(ROT3, 0) == F(1, 3)
+    assert giet_value(ROT3, F(2, 3)) == 0
 
 
 def test_swap_is_valid_iet():
     assert all(b.slope == 1 for b in SWAP.branches)
-    assert SWAP.apply(0) == F(1, 2)
+    assert giet_value(SWAP, 0) == F(1, 2)
     assert is_identity_like(SWAP)
 
 
 def is_identity_like(g):
     # swap is an involution of [0,1)
     for x in (F(0), F(1, 4), F(1, 2), F(3, 4)):
-        if g.apply(g.apply(x)) != x:
+        if giet_value(g, giet_value(g, x)) != x:
             return False
     return True
 
@@ -60,8 +61,8 @@ def test_sources_and_images_tile_the_interval(branches, message):
 def test_inverse_and_preimage():
     inv = ROT3.inverse()
     for x in (F(0), F(1, 5), F(2, 3), F(9, 10)):
-        assert inv.apply(ROT3.apply(x)) == x
-        assert ROT3.preimage(ROT3.apply(x)) == x
+        assert giet_value(inv, giet_value(ROT3, x)) == x
+        assert ROT3.preimage(giet_value(ROT3, x)) == x
 
 
 def test_discontinuity_closure_oracles():
@@ -71,7 +72,7 @@ def test_discontinuity_closure_oracles():
     D2, closed2 = discontinuity_closure([SWAP], 2)
     assert sorted(D2) == [F(0), F(1, 2)]
     assert closed2
-    rot4 = rotation((0, 1), F(1, 4))
+    rot4 = rotation(F(1, 4))
     _, c1 = discontinuity_closure([rot4], 1)
     assert not c1
     D4, c4 = discontinuity_closure([rot4], 4)
@@ -88,7 +89,7 @@ def discontinuity_closure_two_pass(gens, L):
 
 
 # the benchmark's giet pool: rotations by p/q, q up to 5, p prime to q
-ROTATION_POOL = [rotation((0, 1), F(p, q)) for q in range(2, 6) for p in range(1, q)
+ROTATION_POOL = [rotation(F(p, q)) for q in range(2, 6) for p in range(1, q)
                  if gcd(p, q) == 1][:8]
 
 
@@ -104,7 +105,7 @@ def test_discontinuity_closure_at_the_edges():
     # round, before L = 4 is reached
     assert discontinuity_closure([ROT3], 0) == ([F(2, 3)], False)
     assert discontinuity_closure([ROT3], 0) == discontinuity_closure_two_pass([ROT3], 0)
-    half = rotation((0, 1), F(1, 2))
+    half = rotation(F(1, 2))
     assert discontinuity_closure([half], 4) == ([F(1, 2), F(0)], True)
     assert discontinuity_closure([half], 4) == discontinuity_closure_two_pass([half], 4)
 
@@ -120,15 +121,14 @@ def test_blow_up_rotation_third():
     # conjugacy F o rot = induced o F on sampled points
     for i in range(50):
         x = F(i, 50)
-        assert apply(g, res.conjugate_point(x)) == \
-            res.conjugate_point(ROT3.apply(x))
+        assert apply(g, conjugate_point(res, x)) == conjugate_point(res, giet_value(ROT3, x))
     # break pairs sit exactly at the gaps blown from genuine jump points
     jumps = ROT3.jump_points()
     expected = set()
     for c, _ in res.blown_points:
         if c in jumps:
             gap = next(gp for gp in bounded_gaps(res.space)
-                       if gp[0] < res.conjugate_point(c) <= gp[1])
+                       if gp[0] < conjugate_point(res, c) <= gp[1])
             expected.update(gap)
     assert set(break_points(g)) == expected
 

@@ -49,7 +49,7 @@ from cantorwalk.walk import (SPLIT_DEPTH, CellMeasure, _region_mass,
                              cell_image_runs, invariance_rows, measure_cells,
                              run_diameters)
 
-from fixtures import TABLES, fixture
+from fixtures import TABLES, cylinder_region, fixture, region
 from test_space import (NEGATIVE, THREE_MAPS, bounded_gaps, decompose_into_cylinders, gaps_at,
                         region_diameter)
 
@@ -523,7 +523,7 @@ def test_region_mass_splits_a_plain_cell_by_the_length_of_its_overlap():
     # holds half that cell, though its hull there is the whole cell
     K = CompactSet.from_intervals([(0, 1), (2, 3)])
     mu = CellMeasure(0, (F(1, 2), F(1, 2)), True)
-    R = Region.from_intervals(K, [(0, F(1, 4)), (F(3, 4), 1)])
+    R = region(K, [(0, F(1, 4)), (F(3, 4), 1)])
     assert _region_mass(mu, measure_cells(K, 0), K, R) == 0.25
     assert region_mass_ref(mu, measure_cells(K, 0), K, R) == 0.25
 
@@ -556,7 +556,7 @@ def test_maps_into_reads_the_flags_of_a_shared_end(flags, inside):
     # the image of the cylinder [0, 1/3] under the identity ends where T's
     # one piece ends: it is inside T iff T holds both ends, which lie in K
     K = CompactSet.from_ifs(TERNARY, 2)
-    S, T = Region.cylinder(K, "0"), Region(K, (Piece(F(0), F(1, 3), *flags),))
+    S, T = cylinder_region(K, "0"), Region(K, (Piece(F(0), F(1, 3), *flags),))
     assert maps_into(identity_map(K), S, T) == inside
 
 

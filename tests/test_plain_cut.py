@@ -18,15 +18,16 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorwalk.giet import blow_up, rotation
+from cantorwalk.giet import blow_up
 from cantorwalk.maps import (Branch, BreakPair, MapError, apply, break_pairs, compose, invert,
                              pa_homeo)
 from cantorwalk.space import CompactSet
 
+from fixtures import endpoints, rotation
 from test_lookups import SPANNING, SPANNING_BRANCHES, _alphabets, _word
 
 # blow-ups of the rotations by p/q, q <= 6, at orbit length 3 and weight ratio 1/3
-BLOW_UPS = [blow_up([rotation((0, 1), F(p, q))], 3, F(1, 3))
+BLOW_UPS = [blow_up([rotation(F(p, q))], 3, F(1, 3))
             for q in range(2, 7) for p in range(1, q) if gcd(p, q) == 1]
 
 
@@ -106,7 +107,7 @@ def test_plain_maps_are_stored_cut_at_the_gaps(f):
     assert all(i[1] <= j[0] for i, j in zip(images, images[1:]))
     assert pa_homeo(K, f.branches, f.label).branches == f.branches
     g = invert(f)
-    for x in K.endpoints():
+    for x in endpoints(K):
         assert apply(g, apply(f, x)) == x
 
 

@@ -10,13 +10,12 @@ from cantorwalk import serialize as ser
 from cantorwalk.certify import (InvariantMeasureCertificate, PingPongCertificate,
                                 check_morse_smale, find_finite_orbit,
                                 find_morse_smale, solve_invariant_measure)
-from cantorwalk.giet import rotation
 from cantorwalk.maps import compose, equals
 from cantorwalk.measure_solver import solve_feasibility
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
 from cantorwalk.walk import CellMeasure, make_model
 
-from fixtures import cantor_space, fixture, named_generators
+from fixtures import cantor_space, cylinder_region, fixture, named_generators, region, rotation
 from test_space import same_set
 
 K = cantor_space(3)
@@ -95,7 +94,7 @@ def test_region_round_trip():
 
 def test_giet_round_trip():
     # the document form of a rotation reads back as that rotation
-    g = rotation((0, 1), F(1, 3))
+    g = rotation(F(1, 3))
     obj = {"interval": ["0", "1"],
            "branches": [{"src": ["0", "2/3"], "slope": "1", "offset": "1/3"},
                         {"src": ["2/3", "1"], "slope": "1", "offset": "-2/3"}]}
@@ -110,8 +109,8 @@ def test_giet_round_trip():
 def test_ping_pong_certificate_round_trip():
     cert = PingPongCertificate(
         fixture("A1", K), fixture("A2", K),
-        Region.cylinder(K, "22"), Region.cylinder(K, "02"),
-        Region.cylinder(K, "00"), Region.cylinder(K, "20"))
+        cylinder_region(K, "22"), cylinder_region(K, "02"),
+        cylinder_region(K, "00"), cylinder_region(K, "20"))
     obj = ser.certificate_to_obj(cert)
     assert obj["type"] == "ping-pong"
     assert ser.verify_certificate(obj)
@@ -154,7 +153,7 @@ def test_finite_orbit_certificate_round_trip():
 def test_morse_smale_certificate_round_trip():
     A1 = fixture("A1", K)
     A = Region.from_pieces(K, (Piece(F(8, 9), F(1), False, True),))
-    B = Region.from_intervals(K, [(0, F(1, 3))])
+    B = region(K, [(0, F(1, 3))])
     cert = check_morse_smale(A1, A, B)
     assert cert
     obj = ser.certificate_to_obj(cert)

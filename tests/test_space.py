@@ -13,6 +13,8 @@ from cantorwalk.rational import affine, as_pair, bisect_pairs, coprime_fraction
 from cantorwalk.space import (CompactSet, Ifs, Piece, PointSet, Region, SpaceError,
                               epsilon_neighborhood, ternary_cantor)
 
+from fixtures import endpoints, region
+
 
 # ---------------------------------------------------------------------------
 # exact distance references; no CLI run reports them
@@ -47,7 +49,7 @@ def hausdorff_distance(a: CompactSet, b: CompactSet) -> F:
     """
 
     def directed(src: CompactSet, dst: CompactSet) -> F:
-        candidates = src.endpoints()
+        candidates = endpoints(src)
         for (l1, r1), (l2, r2) in zip(dst.intervals, dst.intervals[1:]):
             mid = (r1 + l2) / 2
             if src.contains(mid):
@@ -292,7 +294,7 @@ def _rand_region(K, data):
     pairs = data.draw(st.lists(
         st.tuples(st.integers(0, 27), st.integers(0, 27)), max_size=3))
     pieces = [(F(min(p), 27), F(max(p) + 1, 27)) for p in pairs]
-    return Region.from_intervals(K, pieces)
+    return region(K, pieces)
 
 
 @settings(max_examples=60, deadline=None)
@@ -428,7 +430,7 @@ def test_flagged_region_operations(seed, K, grid):
             W.pieces, _normalize_ref(_complement_ref(B.pieces, lo, hi)))
         # every end and midpoint decides membership on the line and on K
         ends = sorted({x for p in A.pieces + B.pieces + W.pieces
-                       for x in (p.lo, p.hi)} | set(K.endpoints()))
+                       for x in (p.lo, p.hi)} | set(endpoints(K)))
         pts = ends + [(u + v) / 2 for u, v in zip(ends, ends[1:])]
         pts += [ends[0] - 1, ends[-1] + 1]
         a_on_k = a_not_b_on_k = both_on_k = False
@@ -451,7 +453,7 @@ def test_flagged_region_operations(seed, K, grid):
 def test_region_isolated_point_diameter():
     # a region meeting K in one point has zero diameter
     K = ternary_cantor(2)
-    r = Region.from_intervals(K, [(F(1, 9), F(1, 9) + F(1, 100))])
+    r = region(K, [(F(1, 9), F(1, 9) + F(1, 100))])
     assert not r.is_empty()
     assert region_diameter(r) == 0
     assert r.infimum() == r.supremum() == F(1, 9)
@@ -467,7 +469,7 @@ def test_ifs_symbols_are_single_characters(symbols):
 def test_region_empty_queries():
     K = ternary_cantor(1)
     # lives entirely inside the middle gap
-    r = Region.from_intervals(K, [(F(2, 5), F(3, 5))])
+    r = region(K, [(F(2, 5), F(3, 5))])
     assert r.is_empty()
     with pytest.raises(SpaceError):
         r.infimum()
@@ -529,7 +531,7 @@ def test_long_period_limit_point():
 def test_address_engine_against_depth_d_sets(ifs, d, data):
     K = CompactSet.from_ifs(ifs, d)
     gaps = bounded_gaps(K)
-    ends = K.endpoints()
+    ends = endpoints(K)
     for lo, hi in gaps:
         # each end of a gap touches that gap only, and so does its inside
         assert gaps_at(ifs, lo) == gaps_at(ifs, hi) == ((lo, hi),)
@@ -556,7 +558,7 @@ def test_gaps_at_is_the_three_queries_in_one(ifs, d, data):
     # which the plain set finds by bisection
     K = CompactSet.from_ifs(ifs, d)
     plain = CompactSet.from_intervals(K.intervals)
-    points = K.endpoints() + [
+    points = endpoints(K) + [
         lo + (hi - lo) * data.draw(st.fractions(0, 1).filter(lambda q: 0 < q < 1))
         for lo, hi in bounded_gaps(K)]
     for t in points:
@@ -637,10 +639,10 @@ def test_integer_expansion_matches_fraction_loop(ifs, data):
     K = CompactSet.from_ifs(ifs, data.draw(st.integers(0, 4)))
     lo, hi = ifs.hull
     t = data.draw(st.one_of(
-        st.sampled_from(K.endpoints()),
+        st.sampled_from(endpoints(K)),
         st.fractions(lo - 1, hi + 1, max_denominator=10 ** 4),
-        st.builds(lambda a, b: a + (b - a) / 7, st.sampled_from(K.endpoints()),
-                  st.sampled_from(K.endpoints()))))
+        st.builds(lambda a, b: a + (b - a) / 7, st.sampled_from(endpoints(K)),
+                  st.sampled_from(endpoints(K)))))
     levels, gap = ifs._expand((t.numerator, t.denominator))
     ref_levels, ref_gap = expand_ref(ifs, t)
     # the same levels and gap point, as reduced pairs with positive

@@ -10,20 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk import walk
-from cantorwalk.maps import (apply, compose, equals, identity_map, image, invert,
-                             is_identity)
+from cantorwalk.maps import apply, compose, equals, identity_map, image, invert
 from cantorwalk.rational import affine, coprime_fraction, pair_cmp
 from cantorwalk.walk import (TWO64, CellMeasure, Trajectory, WalkError, _philox, _push_runs,
-                             backward_cluster, backward_value, break_accumulation,
-                             contraction_scan, delta_sum_statistic,
-                             dichotomy_report, estimate_entropy,
-                             estimate_stationary_measure, forward_orbit, forward_word,
+                             break_accumulation, contraction_scan, estimate_entropy,
+                             estimate_stationary_measure, forward_word,
                              global_contraction_report, invariance_residual,
-                             make_model, measure_cells, uniform_cell_measure)
+                             make_model, measure_cells)
 
-from fixtures import cantor_space, fixture, named_generators
+from fixtures import cantor_space, fixture, is_identity, named_generators
 from test_lookups import PLAIN_LETTERS, _alphabets
 from test_space import diameter
+from walk_statistics import (backward_cluster, backward_value, delta_sum_statistic,
+                             dichotomy_report, forward_orbit, pair_verdict)
 
 K = cantor_space(3)
 KLEIN = make_model(K, named_generators(["H", "R"]))
@@ -79,12 +78,16 @@ def test_forward_word_matches_pointwise_orbit():
         assert apply(bw, x) == backward_value(t, x, n)
 
 
+def _indices(t: Trajectory, n: int) -> list:
+    return [t.index(k) for k in range(n)]
+
+
 def test_trajectory_is_deterministic():
     a = Trajectory(FREE, stream=5)
     b = Trajectory(FREE, stream=5)
-    assert a.word(40) == b.word(40)
+    assert _indices(a, 40) == _indices(b, 40)
     c = Trajectory(FREE, stream=6)
-    assert a.word(40) != c.word(40)
+    assert _indices(a, 40) != _indices(c, 40)
 
 
 def test_negative_seeds_key_distinct_streams():
@@ -97,7 +100,7 @@ def test_negative_seeds_key_distinct_streams():
         for seed in (-1, -2):
             model = make_model(K, {"G3": g3, "G3^-1": invert(g3)},
                                [F(2, 3), F(1, 3)], seed)
-            words.append(Trajectory(model, stream=0).word(20))
+            words.append(_indices(Trajectory(model, stream=0), 20))
     assert words[0] != words[1]
 
 
@@ -113,9 +116,11 @@ def test_stationary_measure_identity_is_delta():
     assert mu.masses[0] == 1.0
 
 
+UNIFORM_1 = CellMeasure(1, (F(1, 2), F(1, 2)), True)
+
+
 def test_invariance_residual_oracles():
-    u1 = uniform_cell_measure(K, 1)
-    avg, per_gen = invariance_residual(u1, KLEIN)
+    avg, per_gen = invariance_residual(UNIFORM_1, KLEIN)
     assert (avg, per_gen) == (0, 0)
     # a point mass on the left cell is off by a full unit under the swap
     d1 = CellMeasure(1, (F(1), F(0)), True)
@@ -127,8 +132,7 @@ def test_invariance_residual_oracles():
 
 
 def test_entropy_oracles():
-    u1 = uniform_cell_measure(K, 1)
-    ent = estimate_entropy(u1, KLEIN)
+    ent = estimate_entropy(UNIFORM_1, KLEIN)
     assert ent.h_estimate == 0.0
     assert ent.per_generator == (0.0, 0.0)
     d1 = CellMeasure(1, (F(1), F(0)), True)
@@ -144,9 +148,9 @@ def test_dichotomy_free_pairs_mostly_decided():
 
 def test_classify_pair():
     t = Trajectory(KLEIN, stream=0)
-    assert walk._pair_verdict(t, 0, 0, walk.DEFAULT_DELTA, 60)[0] == "synchronized"
+    assert pair_verdict(t, 0, 0, walk.DEFAULT_DELTA, 60)[0] == "synchronized"
     # Klein generators are isometries: distance stays 1 >= delta
-    assert walk._pair_verdict(t, 0, 1, walk.DEFAULT_DELTA, 60)[0] == "separated"
+    assert pair_verdict(t, 0, 1, walk.DEFAULT_DELTA, 60)[0] == "separated"
     rep = dichotomy_report(KLEIN, [(F(0), F(0)), (F(0), F(1))], n=60)
     assert (rep.synchronized, rep.separated, rep.undecided) == (1, 1, 0)
     assert rep.lambda_fit == 0.0
@@ -204,7 +208,7 @@ def test_contraction_scan_matches_fraction_series(seed):
 
 
 def test_pair_verdicts_match_fraction_distances():
-    # the distances of _pair_verdict's orbits as Fractions, some pairs
+    # the distances of pair_verdict's orbits as Fractions, some pairs
     # synchronizing and some separating, at delta equal to a distance
     pairs = [(F(0), F(1, 9)), (F(0), F(1)), (F(2, 3), F(1)), (F(2, 9), F(8, 9)), (F(1, 3), F(2, 3))]
     for stream, (x, y) in enumerate(pairs):
@@ -212,7 +216,7 @@ def test_pair_verdicts_match_fraction_distances():
             for n in (4, 20, 60):
                 t = Trajectory(FREE, stream)
                 dists = [abs(a - b) for a, b in zip(forward_orbit(t, x, n), forward_orbit(t, y, n))]
-                assert walk._pair_verdict(t, x, y, delta, n) == _tail_verdict_ref(
+                assert pair_verdict(t, x, y, delta, n) == _tail_verdict_ref(
                     dists[n // 2:], delta, "separated", "synchronized")
 
 
@@ -226,9 +230,9 @@ def test_break_accumulation_oracles():
 
 
 def test_backward_cluster_oracles():
-    counts, worst = backward_cluster(IDENT, 0, 10, 5)
+    counts, worst = backward_cluster(IDENT, 0, 10, 5, F(1, 81))
     assert worst == 1
-    counts2, worst2 = backward_cluster(G3_ONLY, 0, 10, 5)
+    counts2, worst2 = backward_cluster(G3_ONLY, 0, 10, 5, F(1, 81))
     assert worst2 == 1  # 0 is fixed by G3
 
 
