@@ -200,7 +200,13 @@ def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
     """Yields (trajectory, n, word, A points, B points) with the inclusion
     word(K off A^eps) subset of B^eps verified exactly; A comes from the
     repulsors of contraction_scan at horizon h = min(n_max, 24), each cell
-    dropped at its first image diameter below DEFAULT_DELTA, steps h//2..h."""
+    dropped at its first image diameter below DEFAULT_DELTA, steps h//2..h.
+    A dropped cell stays dropped, so after each check every dropped cell's
+    runs are tagged -1 and neighbours among them merge, across the gap of K
+    between them.  A merged run covers the runs it replaces and that gap,
+    so each kept cell's pieces keep their neighbours in image order, and
+    its runs and diameters, hence keep and A, are those of the scan that
+    pushes every cell to the horizon."""
     if n_max < 1:
         raise CertifyError("n_max must be at least 1")
     eps = rat(eps)
@@ -220,6 +226,15 @@ def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
                     if (hn * ld - ln * hd) * dd >= dn * hd * ld]
             if not keep:
                 break
+            # pushed runs have no neighbours with one tag, so only -1 merges
+            kept, merged = set(keep), []
+            for lo, hi, c in runs:
+                c = c if c in kept else -1
+                if merged and merged[-1][2] == c:
+                    merged[-1] = (merged[-1][0], hi, c)
+                else:
+                    merged.append((lo, hi, c))
+            runs[:] = merged  # cell_image_runs pushes the merged runs next
         live = [cells[i] for i in keep]
         A = _repulsor_extremes(live, cells, K.hull)
         if not A or len(A) > p_cap or len(live) * DEFAULT_DELTA > K.hull[1] - K.hull[0]:
@@ -268,34 +283,39 @@ def verify_ping_pong(cert: PingPongCertificate) -> Verdict:
 
 
 def _first_inclusion(usable, off: Region, b_reg: Region, n_max: int):
-    """The first word w = forward_word(t, n2) of the samples (t, n, ...),
-    n2 = n..n_max, with image(w, off) inside b_reg.  off is closed, so its
-    pieces (tag 1) and the gaps between them (tag 0) tile K's hull; pushed
-    n2 letters, the tag-1 runs hold image(w, off) and end in it.  Where a
-    run merged across a gap of K's limit set, later letters can carry the
-    gap into an interval of K that the image skips.  So w passes when each
-    run lies in one piece of b_reg, fails when one has an end in K outside
-    it, and is composed for maps_into only when neither settles a run."""
+    """The first word w = forward_word(t, n2) of the samples (t, n), n2 =
+    n..n_max, with image(w, off) inside b_reg, and the samples from (t, n2)
+    on, or None.  off is closed, so its pieces (tag 1) and the gaps between
+    them (tag 0) tile K's hull; pushed n2 letters, the tag-1 runs hold
+    image(w, off) and end in it.  Where a run merged across a gap of K's
+    limit set, later letters can carry the gap into an interval of K that
+    the image skips.  So w passes when each run lies in one piece of b_reg,
+    fails when one has an end in K outside it, and is composed for
+    maps_into only when neither settles a run."""
     (lo, _), (_, hi) = off.space.ends[0], off.space.ends[-1]
     tiling = []
     for a, b, _, _ in off.pieces:
         tiling += [(lo, a, 0)] * (a != lo) + [(a, b, 1)]
         lo = b
     tiling += [(lo, hi, 0)] * (lo != hi)
-    for t, n, _, _, _ in usable:
+    for i, (t, n) in enumerate(usable):
         for n2, runs in islice(enumerate(cell_image_runs(t, tiling, n_max)), n, None):
             tested = (b_reg._covers(Piece._make((a, b, True, True)), False)
                       for a, b, tag in runs if tag)
             held = next((v for v in tested if v is not True), True)
             if held or held is None and maps_into(forward_word(t, n2), off, b_reg):
-                return forward_word(t, n2)
+                return forward_word(t, n2), [(t, n2)] + usable[i + 1:]
     return None
 
 
 def assemble_free_pair(model: WalkModel, eps, max_len: int = 6,
                        runs: int = 100, n_max: int = 40):
     """Contraction, displacement, conjugation, exact verification; eps
-    shrinks by thirds until the four sets separate."""
+    shrinks by thirds, at most three times, until the four sets separate.
+    As eps falls, K off A^eps only grows and B^eps only shrinks, so a word
+    that fails the inclusion at eps fails it at eps/3: each shrink resumes
+    the word search at the word the last one returned, and the loop ends at
+    the first shrink that finds none."""
     eps = rat(eps)
     K = model.space
     named = {n: g for n, g in zip(model.names, model.gens)}
@@ -321,15 +341,16 @@ def assemble_free_pair(model: WalkModel, eps, max_len: int = 6,
     # for the limits
     A, B = usable[-1][3:]
 
-    last_stage = "displacement"
+    last_stage, todo = "displacement", [s[:2] for s in usable]
     for shrink in range(4):
         e = eps / 3 ** shrink
         a_reg = epsilon_neighborhood(A, e, K)
         b_reg = epsilon_neighborhood(B, e, K)
         off = Region.whole(K).difference(a_reg)
-        g = _first_inclusion(usable, off, b_reg, n_max)
-        if g is None:
-            continue
+        found = _first_inclusion(todo, off, b_reg, n_max)
+        if found is None:
+            break
+        g, todo = found
         if a_reg.disjoint_from(b_reg):
             a1, A1, B1 = g, a_reg, b_reg
         else:

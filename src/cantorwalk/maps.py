@@ -90,6 +90,15 @@ class PAHomeo(_Frozen):
         """The branch indices in the order of their images, which do not overlap."""
         return value_order([p[4:5] for p in self._pairs])
 
+    @cached_property
+    def _push_rows(self) -> tuple:
+        """Per branch, in source order, what walk._push_runs reads: the source
+        ends, whether it increases, x -> (a*xn + b*xd) / (c*xd) as a, b, c,
+        and the images of the source's lo and hi."""
+        return tuple((lo, hi, sn > 0, sn * od, on * sd, sd * od)
+                     + ((ya, yb) if sn > 0 else (yb, ya))
+                     for lo, hi, (sn, sd), (on, od), ya, yb in self._pairs)
+
     def _branch_at(self, x: tuple) -> tuple:
         """The pairs of the branch whose source holds the int pair x; raises off them.
 

@@ -78,8 +78,10 @@ def bisect_pairs(rows, j: int, x: tuple, right: bool = True) -> int:
     return lo
 
 
+def pair_str(p: tuple) -> str:
+    """The "p/q" string of a reduced int pair, "p" when q is 1."""
+    return str(p[0]) if p[1] == 1 else f"{p[0]}/{p[1]}"
+
+
 def rat_str(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return pair_str(as_pair(Fraction(value)))

@@ -14,7 +14,7 @@ import os
 import tempfile
 from datetime import datetime, timezone
 
-from .rational import RationalError, rat, rat_str
+from .rational import RationalError, pair_str, rat, rat_str
 from .space import CompactSet, Ifs, Piece, PointSet, Region
 from .maps import Branch, PAHomeo, pa_homeo
 from .giet import BlowUpResult, Giet, giet_from_branches
@@ -44,7 +44,7 @@ def _exact(v, kind: type, what: str):
 
 
 def space_to_obj(space: CompactSet) -> dict:
-    obj = {"intervals": [[_q(l), _q(r)] for l, r in space.intervals]}
+    obj = {"intervals": [[pair_str(l), pair_str(r)] for l, r in space.ends]}
     if space.ifs is not None:
         obj["ifs"] = {"ratios": [_q(v) for v in space.ifs.ratios],
                       "offsets": [_q(v) for v in space.ifs.offsets],
@@ -69,9 +69,9 @@ def space_from_obj(obj: dict) -> CompactSet:
 
 def map_to_obj(f: PAHomeo) -> dict:
     return {"label": list(f.label),
-            "branches": [{"src": [_q(b.lo), _q(b.hi)],
-                          "slope": _q(b.slope), "offset": _q(b.offset)}
-                         for b in f.branches]}
+            "branches": [{"src": [pair_str(lo), pair_str(hi)],
+                          "slope": pair_str(s), "offset": pair_str(o)}
+                         for lo, hi, s, o, _, _ in f._pairs]}
 
 
 def map_from_obj(space: CompactSet, obj: dict) -> PAHomeo:
@@ -82,9 +82,9 @@ def map_from_obj(space: CompactSet, obj: dict) -> PAHomeo:
 
 
 def region_to_obj(reg: Region) -> dict:
-    return {"pieces": [{"lo": _q(p.lo), "hi": _q(p.hi),
-                        "lo_closed": p.lo_closed, "hi_closed": p.hi_closed}
-                       for p in reg.pieces]}
+    return {"pieces": [{"lo": pair_str(lo), "hi": pair_str(hi),
+                        "lo_closed": lc, "hi_closed": hc}
+                       for lo, hi, lc, hc in reg.pieces]}
 
 
 def region_from_obj(space: CompactSet, obj: dict) -> Region:

@@ -411,34 +411,34 @@ def _push_runs(g: PAHomeo, runs: list) -> list:
     """The runs after one more letter g: each run cut at g's sources, its
     pieces mapped and taken in branch image order (reversed in a decreasing
     branch), which sorts them as no two images overlap; neighbours with one
-    tag merge."""
-    bs, order = g._pairs, g._image_order
-    pieces, j, nb = [[] for _ in bs], 0, len(bs)
+    tag merge.  Each branch's constants come from g._push_rows, built once
+    per letter."""
+    rows, order = g._push_rows, g._image_order
+    pieces, j, nb = [[] for _ in rows], 0, len(rows)
     for (ln, ld), (hn, hd), tag in runs:
-        while bs[j][1][0] * ld < ln * bs[j][1][1]:
+        while rows[j][1][0] * ld < ln * rows[j][1][1]:
             j += 1
         i = j
         while i < nb:
-            blo, bhi, (sn, sd), (on, od), ia, ib = bs[i]
-            if blo[0] * hd > hn * blo[1]:
+            (bln, bld), (bhn, bhd), up, a, b, c, ylo, yhi = rows[i]
+            if bln * hd > hn * bld:
                 break
             # the branch as x -> (a*xn + b*xd) / (c*xd), reduced in line
-            up, a, b, c = sn > 0, sn * od, on * sd, sd * od
-            if blo[0] * ld <= ln * blo[1]:
+            if bln * ld <= ln * bld:
                 n, d = a * ln + b * ld, c * ld
                 ya = (n // (k := gcd(n, d)), d // k)
             else:
-                ya = (ib, ia)[up]
-            if bhi[0] * hd >= hn * bhi[1]:
+                ya = ylo
+            if bhn * hd >= hn * bhd:
                 n, d = a * hn + b * hd, c * hd
                 yb = (n // (k := gcd(n, d)), d // k)
             else:
-                yb = (ia, ib)[up]
+                yb = yhi
             pieces[i].append((ya, yb, tag) if up else (yb, ya, tag))
             i += 1
     out, last = [], None
     for i in order:
-        for p in (pieces[i] if bs[i][2][0] > 0 else reversed(pieces[i])):
+        for p in (pieces[i] if rows[i][2] else reversed(pieces[i])):
             if p[2] == last:
                 out[-1] = (out[-1][0], p[1], last)
             else:
@@ -452,7 +452,8 @@ def cell_image_runs(t: Trajectory, runs, n: int):
     tag) of int pairs, composing no word: K's cells tagged by index, or a
     tagged tiling of K's hull.  The images of runs that cover K are sorted
     runs, and only a gap of K (of its limit set on IFS sets) separates
-    neighbours, which merge when they share a tag."""
+    neighbours, which merge when they share a tag.  Each step pushes the
+    list it last yielded, which a caller may retag in place."""
     yield runs
     # the last letter first, so that the trajectory draws them all at once
     for g in [t.step_map(k) for k in range(n - 1, -1, -1)][::-1]:

@@ -2,18 +2,25 @@
 
 certify._contraction_candidates takes a stream's repulsor cells by dropping
 each cell at its first image diameter below DEFAULT_DELTA over the tail of
-the horizon, and stops pushing the cells' images once no cell is left.
-certify._first_inclusion pushes a tiling of K's hull, the pieces of K off
-A^eps tagged 1 and the gaps between them 0, through each sample's letters,
-tests the tag-1 runs against B^eps at each length, and composes only the
-word it returns, or one whose runs the quick tests leave open.  The
-references below are the search as it was: the repulsors read off the full
-walk.contraction_scan series, and every word composed and tested with
-maps_into.  Both must give the same candidates, the same certificates and
-the same failures, and each pushed verdict must be maps_into's verdict on
-the composed word.  The repulsor screen compares each cell's image
-diameter with DEFAULT_DELTA by cross-multiplication; its reference reduces
-every cell's diameter through walk.run_diameters, as the screen did before.
+the horizon, and stops pushing the cells' images once no cell is left.  A
+dropped cell stays dropped, so its runs ride on under one separator tag,
+merged with neighbouring separator runs across the gaps of K between them;
+the kept cells' runs are unchanged.  certify._first_inclusion pushes a
+tiling of K's hull, the pieces of K off A^eps tagged 1 and the gaps
+between them 0, through each sample's letters, tests the tag-1 runs
+against B^eps at each length, and composes only the word it returns, or
+one whose runs the quick tests leave open.  As eps shrinks, K off A^eps
+grows and B^eps shrinks, so a word that fails at eps fails at eps/3: each
+shrink resumes at the word the last one returned, and the loop stops at
+the first shrink that finds none.  The references below are the search as
+it was: the repulsors read off the full walk.contraction_scan series, and
+every word composed and tested with maps_into, every shrink restarted at
+the first sample.  Both must give the same candidates, the same
+certificates and the same failures, and each pushed verdict must be
+maps_into's verdict on the composed word.  The repulsor screen compares
+each cell's image diameter with DEFAULT_DELTA by cross-multiplication; its
+reference reduces every cell's diameter through walk.run_diameters and
+pushes every cell to the horizon, as the screen did before.
 """
 
 from collections import Counter
@@ -99,12 +106,13 @@ def contraction_candidates_screen_ref(model, eps, p_cap, n_max, streams):
 
 
 def first_inclusion_ref(usable, off, b_reg, n_max):
-    """The unscreened shrink loop: every word composed and tested."""
-    for t, n, _, _, _ in usable:
+    """The unscreened shrink loop: every word composed and tested, and every
+    shrink restarted at the first sample."""
+    for t, n in usable:
         for n2 in range(n, n_max + 1):
             w2 = forward_word(t, n2)
             if maps_into(w2, off, b_reg):
-                return w2
+                return w2, usable
     return None
 
 
@@ -129,9 +137,9 @@ def _model(which, seed):
     return _free_model(which, seed) if isinstance(which, int) else _bundled_model(which, seed)
 
 
-def _candidates(search, model, streams=16):
+def _candidates(search, model, streams=16, n_max=40):
     return [(t.stream, n, w.branches, tuple(A), tuple(B))
-            for t, n, w, A, B in search(model, F(1, 27), 4, 40, streams)]
+            for t, n, w, A, B in search(model, F(1, 27), 4, n_max, streams)]
 
 
 @pytest.mark.parametrize("which, seed", MODELS)
@@ -163,6 +171,21 @@ def test_candidates_match_the_run_diameter_screen(depth, seed):
     model = _free_model(depth, seed)
     assert _candidates(_contraction_candidates, model, 4) == \
         _candidates(contraction_candidates_screen_ref, model, 4)
+
+
+@pytest.mark.parametrize("names", [["G3"], ["A1", "G3", "R"]], ids="-".join)
+@pytest.mark.parametrize("inverses", [False, True], ids=["", "inv"])
+@pytest.mark.parametrize("n_max", [7, 10, 40])
+@pytest.mark.parametrize("seed", [0, 1, 5, 8])
+def test_candidates_match_the_run_diameter_screen_on_more_models(names, inverses, n_max,
+                                                                  seed):
+    # depth 5: the merged runs of dropped cells against the scan that pushes
+    # every cell to the horizon h = min(n_max, 24), on models whose cells
+    # drop at other steps
+    K = cantor_space(5)
+    model = make_model(K, named_generators(names, K, with_inverses=inverses), seed=seed)
+    assert _candidates(_contraction_candidates, model, 4, n_max) == \
+        _candidates(contraction_candidates_screen_ref, model, 4, n_max)
 
 
 def test_candidates_need_a_positive_horizon():
@@ -215,6 +238,66 @@ def test_search_composes_and_tests_fewer_words(monkeypatch):
     assert counts["compose"] <= 32
 
 
+def _shrinks(model, eps=F(1, 27)):
+    """The usable samples (t, n) of assemble_free_pair on the model, and
+    (K off A^e, B^e) for e = eps, eps/3, eps/9 and eps/27."""
+    K = model.space
+    samples = list(islice(_contraction_candidates(model, eps, 4, 40, 16), 4))
+    usable = [s for s in samples if (len(s[3]), len(s[4])) == tuple(map(len, samples[0][3:]))]
+    A, B = usable[-1][3:]
+    return [s[:2] for s in usable], [
+        (Region.whole(K).difference(epsilon_neighborhood(A, eps / 3 ** k, K)),
+         epsilon_neighborhood(B, eps / 3 ** k, K)) for k in range(4)]
+
+
+FREE_MODELS = [pytest.param(depth, seed, id=f"free-d{depth}-w{seed}")
+               for depth in (3, 4) for seed in range(10)]
+
+
+@pytest.mark.parametrize("depth, seed", FREE_MODELS)
+def test_a_failed_inclusion_fails_at_every_smaller_eps(depth, seed):
+    # every (sample, n2) pair whose word fails the inclusion at eps fails it
+    # at eps/3, eps/9 and eps/27, so the shrink loop may resume at the word
+    # it last returned and stop at the first shrink that finds none
+    usable, shrinks = _shrinks(_free_model(depth, seed))
+    for t, n in usable:
+        for n2 in range(n, 41):
+            w = forward_word(t, n2)
+            held = [maps_into(w, off, b_reg) for off, b_reg in shrinks]
+            assert held == sorted(held, reverse=True)
+
+
+@pytest.mark.parametrize("depth, seed", FREE_MODELS)
+def test_each_shrink_resumes_at_the_word_the_last_one_returned(depth, seed):
+    # at each eps, the word of the search resumed where the last shrink
+    # returned is the word of the search restarted at the first sample
+    usable, shrinks = _shrinks(_free_model(depth, seed))
+    todo = usable
+    for off, b_reg in shrinks:
+        found = _first_inclusion(todo, off, b_reg, 40)
+        want = first_inclusion_ref(usable, off, b_reg, 40)
+        assert (found and found[0]) is (want and want[0])
+        todo = found[1] if found else todo
+
+
+def test_search_pushes_fewer_runs(monkeypatch):
+    # free model at depth 3: _push_runs calls and the runs they take.  The
+    # scan that pushed dropped cells to the horizon and the shrink loop that
+    # restarted each shrink at the first sample made 709 calls on 2,770 runs
+    # at walk seed 5 (four shrinks, then a failure at stage verify) and 166
+    # on 1,151 at walk seed 0 (one shrink)
+    counts = Counter()
+    push = walk._push_runs
+    monkeypatch.setattr(walk, "_push_runs", lambda g, runs: counts.update(
+        calls=1, runs=len(runs)) or push(g, runs))
+    res = assemble_free_pair(_free_model(3, 5), F(1, 27))
+    assert not res and res.stage == "verify"
+    assert counts == {"calls": 269, "runs": 1122}
+    counts.clear()
+    assert assemble_free_pair(_free_model(3, 0), F(1, 27))
+    assert counts == {"calls": 166, "runs": 851}
+
+
 EPS = [F(1, 9), F(1, 27), F(1, 81), F(1, 20), F(2, 45)]
 
 
@@ -226,7 +309,7 @@ def _grid(K):
 def _verdicts(t, off, b_reg, n_max=30):
     """For n = 1..n_max, whether _first_inclusion returns a word for the one
     sample (t, n), and whether the composed word maps off into b_reg."""
-    return [(_first_inclusion([(t, n, None, None, None)], off, b_reg, n) is not None,
+    return [(_first_inclusion([(t, n)], off, b_reg, n) is not None,
              maps_into(forward_word(t, n), off, b_reg)) for n in range(1, n_max + 1)]
 
 
@@ -286,10 +369,10 @@ def test_a_run_that_the_quick_tests_leave_open_is_settled_by_the_word():
     assert b_reg._covers(run, False) is None and not b_reg._covers(run)
     assert not b_reg.contains(F(39, 162)) and K.contains(F(39, 162))
     assert maps_into(w, off, b_reg)
-    assert _first_inclusion([(t, 2, None, None, None)], off, b_reg, 2) is w
+    assert _first_inclusion([(t, 2)], off, b_reg, 2)[0] is w
     hole = b_reg.difference(epsilon_neighborhood([F(1621, 6561)], F(1, 59049), K))
     assert hole._covers(run, False) is None and not maps_into(w, off, hole)
-    assert _first_inclusion([(t, 2, None, None, None)], off, hole, 2) is None
+    assert _first_inclusion([(t, 2)], off, hole, 2) is None
 
 
 def test_cell_scans_compose_no_word(monkeypatch):
