@@ -32,7 +32,6 @@ class Giet(NamedTuple):
         for br in self.branches:
             if br.lo <= x < br.hi:
                 return br
-        raise GietError(f"{x} outside [{self.a}, {self.b})")
 
     def preimage(self, y: Fraction) -> Fraction:
         for br in self.branches:
@@ -86,16 +85,12 @@ def _ops(gens: Sequence[Giet]) -> list[Giet]:
     return out
 
 
-def discontinuity_closure(gens: Sequence[Giet], L: int,
-                          seeds: Sequence[Fraction] = None):
+def discontinuity_closure(gens: Sequence[Giet], L: int):
     """(D_L, closed): preimages of generator jumps under words of length
     <= L over the generators and their inverses, in BFS discovery order."""
     if L < 0:
         raise GietError("negative word length bound")
-    if seeds is None:
-        seedset = sorted({p for g in gens for p in g.jump_points()})
-    else:
-        seedset = sorted({rat(s) for s in seeds})
+    seedset = sorted({p for g in gens for p in g.jump_points()})
     steps = [partial(_preimage, op) for op in _ops(gens)]
     # closed: round L + 1, whose points are dropped, finds nothing new
     order, new = orbit_bfs(seedset, steps, L + 1)
@@ -122,8 +117,7 @@ class BlowUpResult(NamedTuple):
     defects: tuple[str, ...]
 
 
-def blow_up(gens: Sequence[Giet], L: int, rho,
-            seeds: Sequence[Fraction] = None) -> BlowUpResult:
+def blow_up(gens: Sequence[Giet], L: int, rho) -> BlowUpResult:
     rho = rat(rho)
     if not 0 < rho < 1:
         raise GietError("weight ratio must be in (0, 1)")
@@ -132,10 +126,7 @@ def blow_up(gens: Sequence[Giet], L: int, rho,
     for g in gens:
         if (g.a, g.b) != (a, b):
             raise GietError("generators live on different intervals")
-    order, closed = discontinuity_closure(gens, L, seeds)
-    for c in order:
-        if not a <= c < b:
-            raise GietError(f"blown point {c} outside [{a}, {b})")
+    order, closed = discontinuity_closure(gens, L)
     weights = {c: rho ** (rank + 1) * (b - a) for rank, c in enumerate(order)}
 
     def F(x: Fraction) -> Fraction:

@@ -111,9 +111,6 @@ class PAHomeo(_Frozen):
             return ps[i]
         raise MapError(f"{coprime_fraction(*x)} is not in any branch source")
 
-    def __call__(self, x) -> Fraction:
-        return apply(self, x)
-
 
 def _apply(f: PAHomeo, x: tuple) -> tuple:
     """f at the int pair x, a point of its ambient set, as an int pair."""
@@ -321,8 +318,6 @@ def compose(f: PAHomeo, g: PAHomeo) -> PAHomeo:
     source of f keeps its source, a cut one takes g's preimages of the cuts,
     and f gives the image ends; pieces come out in source order.  An affine
     map is x -> (a*xn + b*xd) / (c*xd) on x = xn/xd, reduced in line."""
-    if f.space != g.space:
-        raise MapError("composition across different spaces")
     fq, out, new, put = f._pairs, [], object.__new__, object.__setattr__
     for glo, ghi, (sn, sd), (on, od), ia, ib in (gb.pairs for gb in g.branches):
         (an, ad), (bn, bd), up = ia, ib, sn > 0
@@ -431,8 +426,6 @@ def break_points(f: PAHomeo) -> list[Fraction]:
 def _image_pieces(f: PAHomeo, S: Region):
     """The images of S's pieces clipped to f's branch sources, each with the
     index of its branch; the pieces of one branch come in source order."""
-    if S.space != f.space:
-        raise MapError("region lives on a different space")
     ps = f._pairs
     for plo, phi, plo_closed, phi_closed in S.pieces:
         (pln, pld), (phn, phd), j = plo, phi, bisect_pairs(ps, 1, plo, False)

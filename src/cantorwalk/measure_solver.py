@@ -42,8 +42,6 @@ def solve_feasibility(rows: Sequence[dict], rhs: Sequence[Fraction],
     column n holds the right-hand side.  The artificial of row i (basis
     index n + i) never re-enters, so its column is not stored."""
     m = len(rows)
-    if m == 0:
-        return FeasibilityResult(True, (), Fraction(0))
     T = []
     for row, b in zip(rows, rhs):
         sign = -1 if b < 0 else 1

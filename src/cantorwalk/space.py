@@ -231,9 +231,6 @@ class CompactSet(_Frozen):
         (coprime_fraction(*l), coprime_fraction(*r)) for l, r in s.ends))
     hull = property(lambda s: (coprime_fraction(*s.ends[0][0]), coprime_fraction(*s.ends[-1][1])))
 
-    def __contains__(self, x) -> bool:
-        return self.contains(rat(x))
-
     def _holds(self, x: tuple) -> bool:
         """Whether K holds the int pair x."""
         ends = self.ends
@@ -258,8 +255,6 @@ class CompactSet(_Frozen):
     # -- IFS-aware structure ------------------------------------------------
 
     def cylinder(self, address: str) -> tuple[tuple, tuple]:
-        if self.ifs is None:
-            raise SpaceError("set has no IFS structure")
         return self.ifs.cylinder(address)
 
     def _cylinder_pairs(self, lo: tuple, hi: tuple) -> Optional[list[tuple[str, tuple, tuple]]]:
@@ -267,8 +262,6 @@ class CompactSet(_Frozen):
         union of maximal cylinders, left to right as (address, lo, hi)
         triples, or None if the interval is not cylinder-aligned.  The ends,
         in and out, are reduced int pairs."""
-        if self.ifs is None:
-            raise SpaceError("set has no IFS structure")
         ifs, ((ln, ld), (hn, hd)) = self.ifs, (lo, hi)
         # descend while one child holds [lo, hi], read in the coordinates of the
         # cylinder reached (as _expand reads a point): it is that cylinder at the hull's ends
@@ -462,10 +455,6 @@ class Region(_Frozen):
 
     # -- membership ---------------------------------------------------------
 
-    def contains(self, x) -> bool:
-        x = as_pair(rat(x))
-        return self.space._holds(x) and self._pieces_hold(x)
-
     def _pieces_hold(self, x: tuple) -> bool:
         """Whether a piece holds the int pair x: the last that starts at or before it."""
         i = bisect_pairs(self.pieces, 0, x) - 1
@@ -525,14 +514,12 @@ class Region(_Frozen):
             for l, r in self.space._meeting(p[0], p[1]):
                 if _meets(p, l, r):
                     return coprime_fraction(*max(l, p[0], key=pair_key))
-        raise SpaceError("empty region has no infimum")
 
     def supremum(self) -> Fraction:
         for p in reversed(self.pieces):
             for l, r in reversed(self.space._meeting(p[0], p[1])):
                 if _meets(p, l, r):
                     return coprime_fraction(*min(r, p[1], key=pair_key))
-        raise SpaceError("empty region has no supremum")
 
 
 def epsilon_neighborhood(points: Iterable, eps, space: CompactSet) -> Region:

@@ -49,15 +49,8 @@ class WalkModel(_Frozen):
         object.__setattr__(self, "seed", seed)
         if not (len(self.names) == len(self.gens) == len(self.probs)):
             raise WalkError("names, generators and probabilities must align")
-        if len(set(self.names)) != len(self.names):
-            raise WalkError("duplicate generator names")
         if any(p <= 0 for p in self.probs):
             raise WalkError("probabilities must be positive (total support)")
-        if sum(self.probs) != 1:
-            raise WalkError(f"probabilities sum to {sum(self.probs)}, not 1")
-        for g in self.gens:
-            if g.space != self.space:
-                raise WalkError("generator on a different space")
 
     @property
     def is_symmetric(self) -> bool:
@@ -126,8 +119,6 @@ def forward_word(t: Trajectory, n: int) -> PAHomeo:
     word of length m <= n followed by the letters m..n-1 multiplied by
     halves; composition is associative branch for branch, so any bracketing
     gives the same map."""
-    if n < 0:
-        raise WalkError("negative horizon")
     words = t._fwd
     if n not in words:
         m = max(k for k in words if k < n)
@@ -166,19 +157,16 @@ class CellMeasure(_Frozen):
             raise WalkError(f"masses sum to {total}")
 
 
-def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int,
-                                restarts: int = 4) -> CellMeasure:
+def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int) -> CellMeasure:
     """Birkhoff cell-occupation average of the chain x' = f_omega(x),
-    pooled over restarts from cell-endpoint starts.  Float-flagged."""
-    if n_steps < 1:
-        raise WalkError("need at least one step")
+    pooled over four restarts from cell-endpoint starts.  Float-flagged."""
     cells = measure_cells(model.space, depth)
     gens_f = [[tuple(n / d for n, d in b.pairs[:4]) for b in g.branches]
               for g in model.gens]
     branch_los = [[b[0] for b in branches] for branches in gens_f]
     los, his = [n / d for (n, d), _ in cells], [n / d for _, (n, d) in cells]
     visited = []
-    for r in range(restarts):
+    for r in range(4):
         t = Trajectory(model, stream=r)
         t.index(n_steps - 1)
         x = los[r % len(cells)]
@@ -251,8 +239,6 @@ def invariance_residual(mu: CellMeasure, model: WalkModel):
     preimages finer than the cell depth.  Whether an exact measure is
     invariant is certify.verify_invariant_measure's question."""
     cells = measure_cells(model.space, mu.depth)
-    if len(cells) != len(mu.masses):
-        raise WalkError("measure depth incompatible with the space")
     K = model.space
     invs = [invert(g) for g in model.gens]
     per_gen = averaged = 0.0
@@ -275,8 +261,6 @@ def invariance_residual(mu: CellMeasure, model: WalkModel):
 class EntropyReport(NamedTuple):
     h_estimate: float
     per_generator: tuple
-    depth: int
-    skipped_cells: int
 
 
 def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region) -> float:
@@ -332,31 +316,23 @@ def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region) -> f
 
 def estimate_entropy(mu: CellMeasure, model: WalkModel) -> EntropyReport:
     """h ~= sum_s P(s) sum_c mu(c) log(mu(c)/mu(s(c))), s(c) the exact
-    image of cell c of mu's depth; zero-mass cells are skipped and counted."""
+    image of cell c of mu's depth; cells of zero mass or image mass are skipped."""
     cells = measure_cells(model.space, mu.depth)
-    if len(cells) != len(mu.masses):
-        raise WalkError("measure depth incompatible")
-    skipped = 0
     per_gen = []
-    support = [i for i, m in enumerate(mu.masses) if float(m) > 0]
-    if not support:
-        raise WalkError("measure has empty support")
     for g, p in zip(model.gens, model.probs):
         term = 0.0
         for ci, (l, r) in enumerate(cells):
             m = float(mu.masses[ci])
             if m <= 0:
-                skipped += 1
                 continue
             img = image(g, Region(model.space, (Piece._make((l, r, True, True)),)))
             im = _region_mass(mu, cells, model.space, img)
             if im <= 0:
-                skipped += 1
                 continue
             term += m * math.log(m / im)
         per_gen.append(term)
     h = sum(float(p) * term for p, term in zip(model.probs, per_gen))
-    return EntropyReport(h, tuple(per_gen), mu.depth, skipped)
+    return EntropyReport(h, tuple(per_gen))
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +373,7 @@ def _tail_verdict(tail, delta, far: str, near: str):
 
 class CellScan(NamedTuple):
     verdicts: tuple[str, ...]  # attractor | repulsor | undecided per cell
-    delta: Fraction
-    depth: int
-    horizon: int
-    diameters: tuple  # exact image diameters per cell as int pairs, steps 0..horizon
+    diameters: tuple  # exact image diameters per cell as int pairs, steps 0..n
 
     @property
     def repulsor_count(self) -> int:
@@ -468,21 +441,19 @@ def run_diameters(runs, count: int) -> list[tuple]:
     return [affine((1, 1), last[c], (-first[c][0], first[c][1])) for c in range(count)]
 
 
-def contraction_scan(t: Trajectory, depth: int, n: int,
-                     delta=DEFAULT_DELTA) -> CellScan:
-    delta = rat(delta)
+def contraction_scan(t: Trajectory, depth: int, n: int) -> CellScan:
     K = t.model.space
     cells = measure_cells(K, depth)
     steps = cell_image_runs(t, [(*c, i) for i, c in enumerate(cells)], n)
     diam_series = tuple(zip(*(run_diameters(runs, len(cells)) for runs in steps)))
-    verdicts = tuple(_tail_verdict(series[n // 2:], delta,
+    verdicts = tuple(_tail_verdict(series[n // 2:], DEFAULT_DELTA,
                                    "repulsor", "attractor")[0]
                      for series in diam_series)
-    scan = CellScan(verdicts, delta, depth, n, diam_series)
+    scan = CellScan(verdicts, diam_series)
     lo, hi = K.hull
-    if scan.repulsor_count * delta > hi - lo:
+    if scan.repulsor_count * DEFAULT_DELTA > hi - lo:
         raise WalkError("repulsor count bound violated: "
-                        f"{scan.repulsor_count} * {delta} > diam(K)")
+                        f"{scan.repulsor_count} * {DEFAULT_DELTA} > diam(K)")
     return scan
 
 
@@ -520,12 +491,12 @@ def _repulsor_extremes(repulsors, cells, hull) -> list:
     return _extremes(_single_linkage(pts, 3 * (hi - lo)), hull)
 
 
-def break_accumulation(t: Trajectory, n: int, radius=Fraction(1, 27)):
+def break_accumulation(t: Trajectory, n: int):
     """(Delta_n, clusters): all pullbacks of generator break points through
-    forward words up to length n, exactly.  The pullbacks U_i through the
-    letters k-1, ..., i of every k <= n are the break points and letter i's
-    inverse image of U_{i+1}, so no word is composed or inverted."""
-    radius = rat(radius)
+    forward words up to length n, exactly, and their clusters at radius
+    1/27.  The pullbacks U_i through the letters k-1, ..., i of every k <= n
+    are the break points and letter i's inverse image of U_{i+1}, so no
+    word is composed or inverted."""
     base = {as_pair(p) for g in t.model.gens for p in break_points(g)}
     inverses = {gi: invert(t.model.gens[gi]) for gi in {t.index(k) for k in range(n)}}
     acc = base
@@ -533,7 +504,7 @@ def break_accumulation(t: Trajectory, n: int, radius=Fraction(1, 27)):
         inverse = inverses[t.index(i)]
         acc = base | {_apply(inverse, p) for p in acc}
     pts = sorted(coprime_fraction(*p) for p in acc)
-    return pts, _single_linkage(pts, radius)
+    return pts, _single_linkage(pts, Fraction(1, 27))
 
 
 # ---------------------------------------------------------------------------
@@ -545,17 +516,13 @@ class ContractionReport(NamedTuple):
     p: Optional[int]  # None is the infinity sentinel
     lambda_fit: float
     cover: tuple  # (center, radius) pairs
-    horizon: int
-    eps: Fraction
     scan: CellScan  # the cell scan F was drawn from
 
 
-def global_contraction_report(t: Trajectory, depth: int, n: int, eps,
-                              delta=DEFAULT_DELTA,
-                              p_cap: int = 8) -> ContractionReport:
+def global_contraction_report(t: Trajectory, depth: int, n: int, eps) -> ContractionReport:
     eps = rat(eps)
     K = t.model.space
-    scan = contraction_scan(t, depth, n, delta)
+    scan = contraction_scan(t, depth, n)
     cells = measure_cells(K, depth)
     # F: the repulsor cluster representatives, plus those of the break
     # accumulation clusters not within eps of one already taken
@@ -567,29 +534,29 @@ def global_contraction_report(t: Trajectory, depth: int, n: int, eps,
             F.append(cand)
     F = sorted(set(F))
     off = Region.whole(K).difference(epsilon_neighborhood(F, eps, K))
-    if len(F) > p_cap or off.is_empty():
-        return ContractionReport(tuple(F), None, 0.0, (), n, eps, scan)
+    # p is finite only for at most 8 points of F and 8 image clusters
+    if len(F) > 8 or off.is_empty():
+        return ContractionReport(tuple(F), None, 0.0, (), scan)
     img = off  # image(forward_word(t, n), off), one letter at a time
     for k in range(n):
         img = image(t.step_map(k), img)
-    # cluster the image pieces at scale delta; each cluster must itself be
+    # cluster the image pieces at scale DEFAULT_DELTA; each cluster must itself be
     # tiny for the walk to count as contracting, and one ball per cluster
     # with radius e^{-n*lam} := max cluster half-diameter covers exactly
     clusters = []
     for p in img.pieces:
-        if clusters and p.lo - clusters[-1][1] <= delta:
+        if clusters and p.lo - clusters[-1][1] <= DEFAULT_DELTA:
             clusters[-1][1] = max(clusters[-1][1], p.hi)
         else:
             clusters.append([p.lo, p.hi])
     cdiam = max(b - a for a, b in clusters)
-    if cdiam >= delta or len(clusters) > p_cap:
-        return ContractionReport(tuple(F), None, 0.0, (), n, eps, scan)
+    if cdiam >= DEFAULT_DELTA or len(clusters) > 8:
+        return ContractionReport(tuple(F), None, 0.0, (), scan)
     radius = max(cdiam / 2, Fraction(1, 3 ** (4 * n)))
     lam = -math.log(float(radius)) / n
     balls = tuple(((a + b) / 2, radius) for a, b in clusters)
     ball_region = Region.from_pieces(K, tuple(
         Piece(c - r, c + r, True, True) for c, r in balls))
     if not img.subset_of(ball_region):
-        return ContractionReport(tuple(F), None, lam, (), n, eps, scan)
-    return ContractionReport(tuple(F), len(balls), lam, tuple(balls), n, eps,
-                             scan)
+        return ContractionReport(tuple(F), None, lam, (), scan)
+    return ContractionReport(tuple(F), len(balls), lam, tuple(balls), scan)

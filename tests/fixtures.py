@@ -12,6 +12,7 @@ from importlib import resources
 from cantorwalk.giet import Giet, giet_from_branches
 from cantorwalk.maps import (PAHomeo, PrefixTable, break_pairs, equals, from_prefix_table,
                              identity_map, invert)
+from cantorwalk.rational import as_pair, rat
 from cantorwalk.space import CompactSet, Piece, Region, ternary_cantor
 
 
@@ -63,6 +64,12 @@ def endpoints(K: CompactSet) -> list:
 def region(K: CompactSet, pairs) -> Region:
     """The region of K holding the closed intervals (lo, hi) of pairs."""
     return Region.from_pieces(K, [Piece(lo, hi, True, True) for lo, hi in pairs])
+
+
+def in_region(S: Region, x) -> bool:
+    """Whether the rational x is a point of K that a piece of S holds."""
+    x = as_pair(rat(x))
+    return S.space._holds(x) and S._pieces_hold(x)
 
 
 def cylinder_region(K: CompactSet, address: str) -> Region:

@@ -428,6 +428,72 @@ def test_malformed_scenario_exits_1(tmp_path, capsys, doc):
     assert not any(out.iterdir())
 
 
+def _simulate(**fields):
+    """A simulate scenario of the letter A1 on the ternary set at depth 3,
+    with the given fields replaced."""
+    return dict({"kind": "simulate", "space": {"ifs": "ternary", "depth": 3},
+                 "generators": [A1]}, **fields)
+
+
+def _blowup(*giets, **fields):
+    return dict({"kind": "giet-blowup", "space": {}, "giets": list(giets)}, **fields)
+
+
+def _giet(interval, *branches):
+    return {"interval": interval, "branches": [
+        {"src": [lo, hi], "slope": s, "offset": o} for lo, hi, s, o in branches]}
+
+
+def _ifs(ratios, offsets, symbols=("0", "2")):
+    return {"ifs": {"ratios": ratios, "offsets": offsets, "symbols": list(symbols)},
+            "depth": 1}
+
+
+A1 = json.loads(_load_scenario_text("free_pair"))["generators"][0]
+R = {"name": "R", "table": [["", "", -1]]}
+ROTATION = json.loads(_load_scenario_text("rotation_third"))["giets"][0]
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_simulate(space=3), "field 'space': missing or not an object"),
+    (_simulate(space={"ifs": "dyadic"}), "unknown space shorthand 'dyadic'"),
+    (_simulate(generators=[A1, A1]), "duplicate generator name 'A1'"),
+    (_simulate(generators=[A1, dict(A1, name="A1^-1")], include_inverses=True),
+     "duplicate generator names ['A1^-1']"),
+    (_blowup(), "giet-blowup needs at least one giet"),
+    (_blowup(_giet(["1", "1"], ("1", "1", "1", "0"))), "empty interval"),
+    (_blowup(_giet(["0", "1"], ("0", "1", "-1", "1"))), "slopes must be positive"),
+    (_blowup(_giet(["0", "1"], ("1/2", "1/2", "1", "0"), ("0", "1", "1", "0"))),
+     "degenerate branch source"),
+    (_blowup(ROTATION, blowup={"L": -1}), "negative word length bound"),
+    (_blowup(ROTATION, _giet(["0", "2"], ("0", "2", "1", "0"))),
+     "generators live on different intervals"),
+    (_simulate(space=_ifs(["1/3"], ["0", "2/3"])), "IFS component lists must have equal length"),
+    (_simulate(space=_ifs(["1/3"], ["0"], ["0"])), "IFS needs at least two maps"),
+    (_simulate(space=_ifs(["3/2", "1/3"], ["0", "2/3"])), "IFS ratio 3/2 not in (0,1)"),
+    (_simulate(space=_ifs(["1/3", "1/3"], ["0", "2/3"], ["0", "0"])),
+     "IFS symbols must be distinct"),
+    (_simulate(space=_ifs(["1/3", "1/3"], ["2/3", "0"])), "degenerate IFS hull"),
+    (_simulate(space=_ifs(["2/3", "2/3"], ["0", "1/3"])),
+     "IFS images must be disjoint, left to right"),
+    (_simulate(space=_ifs(["1/4", "1/3"], ["0", "2/3"]), generators=[R]),
+     "orientation-reversing branch on an asymmetric IFS"),
+    (_simulate(space={"intervals": [["0", "1"]]}), "prefix tables need an IFS-structured set"),
+    # the sum is 1, but there are two weights for one generator
+    (_simulate(probabilities=["1/2", "1/2"]), "names, generators and probabilities must align"),
+    (_simulate(include_inverses=True, probabilities=["3/2", "-1/2"]),
+     "probabilities must be positive (total support)"),
+])
+def test_outside_input_check_names_its_fault(tmp_path, capsys, doc, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([doc["kind"], str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["verify", "certify-free"])
 def test_deeply_nested_json_exits_1(tmp_path, capsys, command):
     # json.dumps cannot build this document, and json.load gives up on it
@@ -672,6 +738,43 @@ def test_find_measure_that_aligns_at_no_depth_is_undecided(tmp_path, capsys):
         "kind": "find-measure", "seed": 0, "budget": "d_max", "d_max": 8}
 
 
+def _open_piece(lo, hi):
+    return {"lo": lo, "hi": hi, "lo_closed": False, "hi_closed": False}
+
+
+def test_find_measure_with_inexpressible_equations_is_undecided(tmp_path, capsys):
+    # G3 alone on the depth-3 cells: its cells align, and the system is
+    # feasible, but 4 equations need cells finer than depth 3
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "kind": "find-measure", "space": {"ifs": "ternary", "depth": 3},
+        "generators": [{"name": "G3", "table": [["0", "00", 1], ["20", "02", 1],
+                                                ["22", "2", 1]]}],
+        "output": "fm"}))
+    assert main(["find-measure", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == (
+        "undecided: 4 invariance equations not expressible at depth 3\n", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fm_meta.json", "fm_report.json", "scenario.json"]
+    assert json.loads((tmp_path / "fm_report.json").read_text()) == {
+        "depth": 3, "kind": "find-measure", "seed": 0, "skipped": 4}
+
+
+def test_probabilities_by_name_give_the_list_report(tmp_path):
+    # an object naming every generator reads as the list in generator order
+    weights = ["1/8", "3/8", "1/8", "3/8"]
+    base = dict(json.loads(_load_scenario_text("free_pair")), kind="simulate",
+                seed=4, budgets={"n": 20})
+    names = ["A1", "A2", "A1^-1", "A2^-1"]
+    reports = []
+    for name, probs in (("list", weights), ("named", dict(zip(names[::-1], weights[::-1])))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(base, probabilities=probs, output=name)))
+        assert main(["simulate", str(path), "--out", str(tmp_path)]) == 0
+        reports.append((tmp_path / f"{name}_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 TERNARY_SPACE = {"ifs": {"ratios": ["1/3", "1/3"], "offsets": ["0", "2/3"],
                          "symbols": ["0", "2"]}, "depth": 1}
 IDENTITY = {"label": ["I"], "branches": [{"src": ["0", "1"], "slope": "1", "offset": "0"}]}
@@ -703,6 +806,24 @@ IDENTITY = {"label": ["I"], "branches": [{"src": ["0", "1"], "slope": "1", "offs
     pytest.param(_edited_certificate(
         "free_pair", lambda d: d["B"]["pieces"].extend(d["A"]["pieces"]), **MORSE_SMALE),
                  "INVALID (A meets B)", id="A-meets-B"),
+    # B shrunk to its left part: f's slope off A is still below 1, but
+    # f^-1's is not off the smaller B
+    pytest.param(_edited_certificate("free_pair", lambda d: d["B"].update(
+        pieces=[_open_piece("23/36", "55/81")]), **MORSE_SMALE),
+                 "INVALID (inverse slope off B not below 1)", id="inverse-slope-off-B"),
+    # B cut to its part from 2/3 on: both slope bounds hold, but f(K off A)
+    # leaves it
+    pytest.param(_edited_certificate("free_pair", lambda d: d["B"].update(
+        pieces=[_open_piece("2/3", "77/108")]), **MORSE_SMALE),
+                 "INVALID (image of K off A escapes B)", id="image-escapes-B"),
+    pytest.param(_edited_certificate(
+        "free_pair", lambda d: d["B"].update(pieces=[]), **MORSE_SMALE),
+                 "INVALID (A and B must be nonempty)", id="empty-B"),
+    # one mass for the two depth-1 cells
+    pytest.param({"type": "invariant-measure", "space": TERNARY_SPACE,
+                  "generators": [IDENTITY], "depth": 1, "masses": ["1"],
+                  "consistency_depth": 1},
+                 "INVALID (mass vector does not match the cell count)", id="mass-count"),
 ])
 def test_verify_rejects_forged_certificates(tmp_path, capsys, doc, line):
     # each document passes every check of verify but the one it forges

@@ -16,11 +16,19 @@ a name or as an attribute; a method only when an attribute of its name
 is, since a bare name never calls a method.  A reached class reaches its
 dunder methods and its class-level code.
 
+Every parameter with a default must be set by some call in the package,
+by position or by keyword: a default that every run takes is a constant,
+and the parameter a knob that no run turns.  A call matches each function
+of its callee's name, as a mention reaches each definition of its name.
+Dunder methods, called by the language, and cli.main, whose argv only
+tests pass, are exempt.
+
 Every name that a module-level import binds, in the package and in its
 tests, must be read somewhere in its module.
 """
 
 import ast
+import math
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -52,6 +60,10 @@ def _trees(d):
     return {p: ast.parse(p.read_text()) for p in sorted(d.glob("*.py"))}
 
 
+def _is_dunder(name) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _used(node, path, refs) -> bool:
     """Whether a reference to node's name lies outside node's own lines."""
     return any(not (p == path and node.lineno <= line <= node.end_lineno)
@@ -71,7 +83,7 @@ def unreferenced_names(private: bool, *dirs):
         for path, tree in _trees(SRC).items()
         for node in _definitions(tree)
         if node.name.startswith("_") == private and not _used(node, path, refs)
-        and not (node.name.startswith("__") and node.name.endswith("__")))
+        and not _is_dunder(node.name))
 
 
 def test_no_unreferenced_private_names():
@@ -102,6 +114,44 @@ def test_no_unused_imports(tmp_path):
     (tmp_path / "m.py").write_text("import json, os.path as osp\nfrom a import b\nb(osp)\n")
     assert unused_imports(tmp_path) == ["m:json"]
     assert unused_imports(SRC, TESTS) == []
+
+
+def unset_parameters(src):
+    """module:function(parameter) for each parameter with a default that no
+    call in src passes, by position or by keyword.  A call matches every
+    function of its callee's name, as a mention does; a starred argument
+    passes every position, and a double-starred one every keyword."""
+    trees, calls = _trees(src), {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(
+                    (math.inf if starred else len(node.args), {k.arg for k in node.keywords}))
+    unset = []
+    for path, tree in trees.items():
+        # a method's first parameter is the object or class it is called on
+        owner = {id(n): c.name + "." for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for n in c.body if not any(
+                     getattr(d, "id", None) == "staticmethod" for d in getattr(n, "decorator_list", ()))}
+        for fn in ast.walk(tree):
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_dunder(fn.name)
+                    or (path.stem, fn.name) == ("cli", "main")):
+                continue
+            args, bound = fn.args.posonlyargs + fn.args.args, id(fn) in owner
+            first = len(args) - len(fn.args.defaults)
+            params = [(a.arg, i - bound) for i, a in enumerate(args) if i >= first] + [
+                (a.arg, math.inf) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+            unset += [f"{path.stem}:{owner.get(id(fn), '')}{fn.name}({arg})" for arg, i in params
+                      if not any(n > i or {arg, None} & kw for n, kw in calls.get(fn.name, ()))]
+    return sorted(unset)
+
+
+def test_every_parameter_default_is_overridden(tmp_path):
+    (tmp_path / "m.py").write_text("def f(a, b=1, *, c=2): pass\nf(0, c=3)\n")
+    assert unset_parameters(tmp_path) == ["m:f(b)"]
+    assert unset_parameters(SRC) == []
 
 
 def _mentions(node):
@@ -151,7 +201,7 @@ def _reached(defs, mentioned, frontier):
             mentioned |= set().union(*map(_mentions, defs[key][1]))
         frontier = [key for key, (name, _, cls) in defs.items() if key not in reached and (
             (name, True) in mentioned or cls is None and (name, False) in mentioned
-            or cls in reached and name.startswith("__") and name.endswith("__"))]
+            or cls in reached and _is_dunder(name))]
         if not frontier:
             return reached
 

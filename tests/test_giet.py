@@ -145,8 +145,9 @@ def test_blow_up_swap():
 
 
 def test_blow_up_identity_giet():
+    # the half turn blows up its jump at 1/2, where the identity is continuous
     ident = giet_from_branches((0, 1), [(0, 1, 1, 0)])
-    res = blow_up([ident], 2, F(1, 3), seeds=[F(1, 2)])
+    res = blow_up([ident, rotation(F(1, 2))], 2, F(1, 3))
     assert res.exact
     assert is_identity(res.induced[0])
     assert break_pairs(res.induced[0]) == []

@@ -12,8 +12,8 @@ from cantorwalk.maps import (Branch, BreakPair, MapError, PAHomeo, PrefixTable,
                              from_prefix_table, identity_map, image, invert, pa_homeo)
 from cantorwalk.space import Ifs, Piece, Region, ternary_cantor
 
-from fixtures import (TABLES, cantor_space, cylinder_region, fixture, is_identity, region,
-                      regular_on)
+from fixtures import (TABLES, cantor_space, cylinder_region, fixture, in_region,
+                      is_identity, region, regular_on)
 from test_space import same_set
 
 
@@ -43,16 +43,16 @@ def distortion(f: PAHomeo, B: Region) -> F:
     cand = set()
     for p in B.pieces:
         for v in (p.lo, p.hi):
-            if K.contains(v) and (B.contains(v) or
+            if K.contains(v) and (in_region(B, v) or
                                   any(q.lo <= v <= q.hi for q in B.pieces)):
                 cand.add(v)
     for l, r in K.intervals:
         for v in (l, r):
-            if B.contains(v):
+            if in_region(B, v):
                 cand.add(v)
     for b in f.branches:
         for v in (b.lo, b.hi):
-            if B.contains(v):
+            if in_region(B, v):
                 cand.add(v)
     pts = sorted(cand)
     if len(pts) < 2:
