@@ -148,7 +148,7 @@ def _then(m: Optional[PAHomeo], g: PAHomeo) -> PAHomeo:
 # finite orbits and displacement
 
 
-def find_finite_orbit(gens: dict, starts, bound: int = 2000):
+def find_finite_orbit(gens: dict, starts, bound: int):
     """BFS closure of the start points under the generators, which is the
     orbit when finite; a certificate iff it has at most `bound` points."""
     maps = list(gens.values())
@@ -302,8 +302,8 @@ def _first_inclusion(usable, off: Region, b_reg: Region, n_max: int):
     return None
 
 
-def assemble_free_pair(model: WalkModel, eps, max_len: int = 6,
-                       runs: int = 100, n_max: int = 40):
+def assemble_free_pair(model: WalkModel, eps, max_len: int, runs: int,
+                       n_max: int):
     """Contraction, displacement, conjugation, exact verification; eps
     shrinks by thirds, at most three times, until the four sets separate.
     As eps falls, K off A^eps only grows and B^eps only shrinks, so a word
@@ -396,7 +396,7 @@ def _is_invariant(inv_rows, masses) -> bool:
                for _, ci, js in inv_rows)
 
 
-def solve_invariant_measure(gens: dict, depth: int, d_max: int = 6):
+def solve_invariant_measure(gens: dict, depth: int, d_max: int):
     """Exact feasibility of {mu(g^-1 c) = mu(c), sum mu = 1, mu >= 0} over
     depth-d cells.  On a complete system each generator maps each cell onto
     a cell (a cylinder's image is a cylinder inside one cell, and the images
@@ -553,7 +553,7 @@ def verify_morse_smale(cert: MorseSmaleCertificate) -> Verdict:
     return Verdict(True)
 
 
-def find_morse_smale(model: WalkModel, eps, n_max: int = 40, runs: int = 20):
+def find_morse_smale(model: WalkModel, eps, n_max: int, runs: int):
     """Samples words of the symmetric walk and certifies the first one that
     is Morse-Smale with A from repulsor clusters and B from attracting
     fixed points, both fattened by eps."""

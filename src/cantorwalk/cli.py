@@ -30,13 +30,16 @@ from .certify import (UnalignedMeasure, UnprovedMeasure, assemble_free_pair,
                       find_morse_smale, solve_invariant_measure)
 from . import serialize as ser
 
-KINDS = ("simulate", "certify-free", "find-measure", "morse-smale",
-         "giet-blowup")
+# the budgets each kind reads, with their defaults; a depth of None is the
+# space's depth
+BUDGETS = {"simulate": {"n": 40, "eps": "1/27", "depth": None},
+           "certify-free": {"n": 40, "runs": 100, "eps": "1/27", "max_len": 6},
+           "find-measure": {"depth": None, "d_max": 6},
+           "morse-smale": {"n": 40, "runs": 100, "eps": "1/27"},
+           "giet-blowup": {}}
 
-DEFAULT_BUDGETS = {"n": 40, "runs": 100, "eps": "1/27", "max_len": 6,
-                   "d_max": 6, "depth": None}
-
-BUDGET_ENV = "CANTORWALK_BUDGET"
+SCENARIO_KEYS = {"kind", "space", "generators", "include_inverses",
+                 "probabilities", "seed", "budgets", "giets", "blowup", "output"}
 
 
 class ScenarioError(ValueError):
@@ -55,22 +58,6 @@ class Scenario(NamedTuple):
     output: str
 
 
-def _env_budgets() -> dict:
-    raw = os.environ.get(BUDGET_ENV, "")
-    out = {}
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ScenarioError(f"bad {BUDGET_ENV} entry {part!r}")
-        k, v = part.split("=", 1)
-        if k not in DEFAULT_BUDGETS:
-            raise ScenarioError(f"unknown budget key {k!r} in {BUDGET_ENV}")
-        out[k] = v if k == "eps" else int(v)
-    return out
-
-
 def _integer(v, what: str) -> int:
     """v, when an int and not a bool: a float or a string is refused, not truncated."""
     if type(v) is not int:
@@ -83,9 +70,12 @@ def parse_scenario(text: str) -> Scenario:
     (inverses appended when asked), walk law, giets and blow-up built."""
     try:
         obj = json.loads(text)
+        unknown = sorted(obj.keys() - SCENARIO_KEYS)
+        if unknown:
+            raise ScenarioError(f"unknown scenario key {unknown[0]!r}")
         kind = obj.get("kind")
-        if kind not in KINDS:
-            raise ScenarioError(f"field 'kind': {kind!r} not one of {KINDS}")
+        if kind not in BUDGETS:
+            raise ScenarioError(f"field 'kind': {kind!r} not one of {tuple(BUDGETS)}")
         spec = obj.get("space")
         if not isinstance(spec, dict):
             raise ScenarioError("field 'space': missing or not an object")
@@ -131,8 +121,8 @@ def parse_scenario(text: str) -> Scenario:
                         f"probabilities sum {rat_str(sum(probs))}, not 1")
         budgets = dict(obj.get("budgets", {}))
         for k, v in budgets.items():
-            if k not in DEFAULT_BUDGETS:
-                raise ScenarioError(f"unknown budget key {k!r}")
+            if k not in BUDGETS[kind]:
+                raise ScenarioError(f"unknown budget key {k!r} for {kind}")
             if k == "eps":
                 budgets[k] = rat(v)
             elif (k, v) != ("depth", None):
@@ -141,6 +131,9 @@ def parse_scenario(text: str) -> Scenario:
         if kind == "giet-blowup" and not giets:
             raise ScenarioError("giet-blowup needs at least one giet")
         blowup = dict(obj.get("blowup", {}))
+        unknown = sorted(blowup.keys() - {"L", "rho"})
+        if unknown:
+            raise ScenarioError(f"unknown blowup key {unknown[0]!r}")
         if type(blowup.get("L", 3)) is not int:
             raise ScenarioError(f"blowup 'L': {blowup['L']!r} is not an integer")
         if "rho" in blowup:
@@ -160,24 +153,22 @@ def parse_scenario(text: str) -> Scenario:
 # scenario execution
 
 
-def _budget(s: Scenario, overrides: dict) -> dict:
-    out = dict(DEFAULT_BUDGETS)
-    out.update(_env_budgets())
-    out.update(s.budgets)
-    out.update({k: v for k, v in overrides.items() if v is not None})
+def _budget(s: Scenario) -> dict:
+    """The budgets the scenario's kind reads: its defaults, then the
+    scenario's budgets; a depth left unset is the space's."""
+    out = {**BUDGETS[s.kind], **s.budgets}
+    if "depth" in out and out["depth"] is None:
+        out["depth"] = s.space.depth
     for k in ("n", "runs", "max_len"):
-        if out[k] < 1:
+        if k in out and out[k] < 1:
             raise ScenarioError(f"budget {k!r}: {out[k]} is below 1")
     return out
 
 
-def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
-                 seed: int = None, runs: int = None, depth: int = None):
+def run_scenario(s: Scenario, out_dir: str, emit_series: bool):
     """(exit_code, verdict line); writes report/certificate/meta files."""
-    bud = _budget(s, {"runs": runs, "depth": depth})
-    seed = s.seed if seed is None else seed
-    stem = s.output
-    eps = rat(bud["eps"])
+    bud = _budget(s)
+    seed, stem = s.seed, s.output
 
     def done(code: int, line: str, **documents):
         """Write each document as <stem>_<name>.json, then the meta file."""
@@ -199,17 +190,16 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
                     blowup=ser.blowup_to_scenario(result))
 
     model = make_model(s.space, s.generators, s.probabilities, seed)
-    depth_eff = s.space.depth if bud["depth"] is None else bud["depth"]
 
     if s.kind == "simulate":
-        mu = estimate_stationary_measure(model, bud["n"] * 25, depth_eff)
+        mu = estimate_stationary_measure(model, bud["n"] * 25, bud["depth"])
         avg, per_gen = invariance_residual(mu, model)
         ent = estimate_entropy(mu, model)
         t = Trajectory(model, stream=0)
-        rep = global_contraction_report(t, depth_eff, bud["n"], eps)
+        rep = global_contraction_report(t, bud["depth"], bud["n"], bud["eps"])
         if emit_series:
             _emit_diameter_series(out_dir, stem, rep.scan.diameters)
-        report = {"kind": s.kind, "seed": seed, "depth": depth_eff,
+        report = {"kind": s.kind, "seed": seed, "depth": bud["depth"],
                   "stationary_masses": [float(m) for m in mu.masses],
                   # the float residual splits every preimage, so it skips
                   # no equation
@@ -223,7 +213,7 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
                     report=report)
 
     if s.kind == "certify-free":
-        cert = assemble_free_pair(model, eps, max_len=bud["max_len"],
+        cert = assemble_free_pair(model, bud["eps"], max_len=bud["max_len"],
                                   runs=bud["runs"], n_max=bud["n"])
         if cert:
             return done(0, "FREE (ping-pong verified)",
@@ -236,7 +226,7 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
                             "stage": cert.stage, "flag": cert.flag})
 
     if s.kind == "find-measure":
-        res = solve_invariant_measure(s.generators, depth_eff, bud["d_max"])
+        res = solve_invariant_measure(s.generators, bud["depth"], bud["d_max"])
         if res:
             return done(0, (f"INVARIANT MEASURE (depth {res.depth}, "
                             f"consistent to {res.consistency_depth})"),
@@ -258,7 +248,7 @@ def run_scenario(s: Scenario, out_dir: str = ".", emit_series: bool = False,
                             "infeasible": True, "gap": rat_str(res.gap)})
 
     # morse-smale
-    cert = find_morse_smale(model, eps, n_max=bud["n"], runs=bud["runs"])
+    cert = find_morse_smale(model, bud["eps"], n_max=bud["n"], runs=bud["runs"])
     if cert:
         return done(0, f"MORSE-SMALE ({len(cert.periodic)} periodic points)",
                     certificate=ser.certificate_to_obj(cert),
@@ -296,30 +286,42 @@ def _load_scenario_text(name: str) -> str:
     raise ScenarioError(f"scenario {name!r} not found on disk or bundled")
 
 
+def _usage_error(message):
+    """argparse's error hook: a usage error is bad input, exit 1."""
+    raise ScenarioError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """One subcommand per kind, each with only the flags that kind reads:
+    --runs and --depth where it reads that budget, --emit-series on
+    simulate."""
     ap = argparse.ArgumentParser(
         prog="cantorwalk",
         description="Random-walk diagnostics and Tits-alternative "
                     "certificates on compact subsets of the line.")
+    ap.error = _usage_error
     sub = ap.add_subparsers(dest="command", required=True)
-    for kind in KINDS:
+    for kind, budgets in BUDGETS.items():
         p = sub.add_parser(kind)
+        p.error = _usage_error
         p.add_argument("scenario", help="scenario file or bundled name")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--runs", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
+        p.add_argument("--seed", type=int)
         p.add_argument("--out", default=".", metavar="DIR")
-        p.add_argument("--emit-series", action="store_true")
+        for flag in ("runs", "depth"):
+            if flag in budgets:
+                p.add_argument(f"--{flag}", type=int)
+        if kind == "simulate":
+            p.add_argument("--emit-series", action="store_true")
     pv = sub.add_parser("verify")
+    pv.error = _usage_error
     pv.add_argument("certificate", help="certificate file to re-check")
     return ap
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-
     try:
+        args = _parser().parse_args(argv)
         if args.command == "verify":
             with open(args.certificate) as fh:
                 try:
@@ -337,10 +339,11 @@ def main(argv=None) -> int:
             raise ScenarioError(
                 f"scenario kind {scn.kind!r} does not match "
                 f"command {args.command!r}")
-        code, line = run_scenario(scn, out_dir=args.out,
-                                  emit_series=args.emit_series,
-                                  seed=args.seed, runs=args.runs,
-                                  depth=args.depth)
+        flags = vars(args)
+        budgets = {k: flags[k] for k in ("runs", "depth") if flags.get(k) is not None}
+        scn = scn._replace(seed=scn.seed if args.seed is None else args.seed,
+                           budgets={**scn.budgets, **budgets})
+        code, line = run_scenario(scn, args.out, flags.get("emit_series", False))
         print(line)
         return code
     except (OSError, ValueError) as e:

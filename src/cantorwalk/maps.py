@@ -295,8 +295,8 @@ def from_prefix_table(table: PrefixTable, K: CompactSet,
     for src, dst, sign in table.rules:
         if sign not in (1, -1):
             raise MapError(f"bad orientation {sign!r}")
-        slo, shi = K.cylinder(src)
-        dlo, dhi = K.cylinder(dst)
+        slo, shi = K.ifs.cylinder(src)
+        dlo, dhi = K.ifs.cylinder(dst)
         # slope sign * (dhi - dlo) / (shi - slo); slo goes to dlo, or to dhi
         # when decreasing
         (dn, dd), (sn, sd) = (affine((1, 1), b, (-a[0], a[1]))

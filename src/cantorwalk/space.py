@@ -254,9 +254,6 @@ class CompactSet(_Frozen):
 
     # -- IFS-aware structure ------------------------------------------------
 
-    def cylinder(self, address: str) -> tuple[tuple, tuple]:
-        return self.ifs.cylinder(address)
-
     def _cylinder_pairs(self, lo: tuple, hi: tuple) -> Optional[list[tuple[str, tuple, tuple]]]:
         """Write [lo, hi] (intersected with the limit set) as a disjoint
         union of maximal cylinders, left to right as (address, lo, hi)

@@ -461,18 +461,16 @@ def contraction_scan(t: Trajectory, depth: int, n: int) -> CellScan:
 # break accumulation
 
 
-def _single_linkage(points: Iterable[Fraction], radius: Fraction):
-    """Clusters of the sorted points, split where neighbours are more than
-    radius apart."""
-    pts = sorted(points)
-    if not pts:
-        return []
-    clusters = [[pts[0]]]
-    for p in pts[1:]:
-        if p - clusters[-1][-1] <= radius:
-            clusters[-1].append(p)
+def _single_linkage(spans: Iterable[tuple], radius: Fraction) -> list:
+    """The hulls [lo, hi] of the clusters of the sorted spans (lo, hi), split
+    where a span starts more than radius past the hull before it; a point p
+    is the span (p, p)."""
+    clusters = []
+    for lo, hi in sorted(spans):
+        if clusters and lo - clusters[-1][1] <= radius:
+            clusters[-1][1] = max(clusters[-1][1], hi)
         else:
-            clusters.append([p])
+            clusters.append([lo, hi])
     return clusters
 
 
@@ -480,7 +478,7 @@ def _extremes(clusters, hull) -> list:
     """One point per cluster: its end toward the hull extreme nearer the
     cluster's midpoint."""
     center = (hull[0] + hull[1]) / 2
-    return [c[-1] if (c[0] + c[-1]) / 2 >= center else c[0] for c in clusters]
+    return [hi if (lo + hi) / 2 >= center else lo for lo, hi in clusters]
 
 
 def _repulsor_extremes(repulsors, cells, hull) -> list:
@@ -488,7 +486,7 @@ def _repulsor_extremes(repulsors, cells, hull) -> list:
     clustered at three widths of the first of all cells; cell ends are int pairs."""
     pts = [coprime_fraction(*x) for cell in repulsors for x in cell]
     lo, hi = (coprime_fraction(*x) for x in cells[0])
-    return _extremes(_single_linkage(pts, 3 * (hi - lo)), hull)
+    return _extremes(_single_linkage([(p, p) for p in pts], 3 * (hi - lo)), hull)
 
 
 def break_accumulation(t: Trajectory, n: int):
@@ -504,7 +502,7 @@ def break_accumulation(t: Trajectory, n: int):
         inverse = inverses[t.index(i)]
         acc = base | {_apply(inverse, p) for p in acc}
     pts = sorted(coprime_fraction(*p) for p in acc)
-    return pts, _single_linkage(pts, Fraction(1, 27))
+    return pts, _single_linkage([(p, p) for p in pts], Fraction(1, 27))
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +541,7 @@ def global_contraction_report(t: Trajectory, depth: int, n: int, eps) -> Contrac
     # cluster the image pieces at scale DEFAULT_DELTA; each cluster must itself be
     # tiny for the walk to count as contracting, and one ball per cluster
     # with radius e^{-n*lam} := max cluster half-diameter covers exactly
-    clusters = []
-    for p in img.pieces:
-        if clusters and p.lo - clusters[-1][1] <= DEFAULT_DELTA:
-            clusters[-1][1] = max(clusters[-1][1], p.hi)
-        else:
-            clusters.append([p.lo, p.hi])
+    clusters = _single_linkage([(p.lo, p.hi) for p in img.pieces], DEFAULT_DELTA)
     cdiam = max(b - a for a, b in clusters)
     if cdiam >= DEFAULT_DELTA or len(clusters) > 8:
         return ContractionReport(tuple(F), None, 0.0, (), scan)

@@ -73,7 +73,7 @@ def in_region(S: Region, x) -> bool:
 
 
 def cylinder_region(K: CompactSet, address: str) -> Region:
-    return Region(K, (Piece._make((*K.cylinder(address), True, True)),))
+    return Region(K, (Piece._make((*K.ifs.cylinder(address), True, True)),))
 
 
 def is_identity(f: PAHomeo) -> bool:

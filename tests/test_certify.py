@@ -41,14 +41,14 @@ FREE_GENS = named_generators(["A1", "A2"], with_inverses=True)
 
 
 def test_find_finite_orbit_klein():
-    orb = find_finite_orbit(KLEIN_GENS, [F(0)])
+    orb = find_finite_orbit(KLEIN_GENS, [F(0)], bound=2000)
     assert list(orb.orbit) == [F(0), F(1, 3), F(2, 3), F(1)]
     assert verify_finite_orbit(orb)
 
 
 def test_find_finite_orbit_negative_cases():
-    assert find_finite_orbit(FREE_GENS, [F(0)]) is None
-    single = find_finite_orbit({"id": identity_map(K)}, [F(1, 3)])
+    assert find_finite_orbit(FREE_GENS, [F(0)], bound=2000) is None
+    single = find_finite_orbit({"id": identity_map(K)}, [F(1, 3)], bound=2000)
     assert list(single.orbit) == [F(1, 3)]
 
 
@@ -69,7 +69,7 @@ def _tables_on(space, tables) -> dict:
 
 
 def _assert_closure_matches(gens, starts):
-    orbit = find_finite_orbit(gens, starts)
+    orbit = find_finite_orbit(gens, starts, bound=2000)
     assert (None if orbit is None else list(orbit.orbit)) == orbit_closure_ref(gens, starts)
     if orbit is None:
         return
@@ -89,7 +89,7 @@ def _assert_closure_matches(gens, starts):
 def test_finite_orbit_of_a_finite_group_is_the_two_sided_closure(group, starts):
     gens = _tables_on(cantor_space(3), group[1])
     _assert_closure_matches(gens, starts)
-    assert find_finite_orbit(gens, starts) is not None
+    assert find_finite_orbit(gens, starts, bound=2000) is not None
 
 
 THOMPSON_F = _tables_on(K, [X0, X1])
@@ -105,7 +105,7 @@ THOMPSON_F = _tables_on(K, [X0, X1])
 def test_finite_orbit_under_f_and_the_free_pair_is_the_two_sided_closure(
         gens, starts, finite):
     _assert_closure_matches(gens, starts)
-    assert (find_finite_orbit(gens, starts) is not None) == finite
+    assert (find_finite_orbit(gens, starts, bound=2000) is not None) == finite
 
 
 def test_find_finite_orbit_inverts_no_map(monkeypatch):
@@ -114,14 +114,15 @@ def test_find_finite_orbit_inverts_no_map(monkeypatch):
 
     monkeypatch.setattr(certify, "invert", refuse)
     monkeypatch.setattr(maps, "invert", refuse)
-    assert list(find_finite_orbit(KLEIN_GENS, [F(0)]).orbit) == [F(0), F(1, 3), F(2, 3), F(1)]
-    assert find_finite_orbit(FREE_GENS, [F(0)]) is None
+    assert list(find_finite_orbit(KLEIN_GENS, [F(0)], bound=2000).orbit) == [
+        F(0), F(1, 3), F(2, 3), F(1)]
+    assert find_finite_orbit(FREE_GENS, [F(0)], bound=2000) is None
 
 
 def test_verify_finite_orbit_applies_only_the_generators(monkeypatch):
     # the orbit theorem above: stable under each generator is stable under
     # its inverse, so verify inverts no map either
-    orbit = find_finite_orbit(KLEIN_GENS, [F(0)])
+    orbit = find_finite_orbit(KLEIN_GENS, [F(0)], bound=2000)
 
     def refuse(*args):
         raise AssertionError("verify_finite_orbit inverted a map")
@@ -248,14 +249,14 @@ def test_free_group_sanity():
 
 def test_assemble_free_pair_free_model():
     model = make_model(K, FREE_GENS, seed=3)
-    cert = assemble_free_pair(model, F(1, 27))
+    cert = assemble_free_pair(model, F(1, 27), max_len=6, runs=100, n_max=40)
     assert isinstance(cert, PingPongCertificate)
     assert verify_ping_pong(cert)
 
 
 def test_assemble_free_pair_klein_flags_finite_orbit():
     model = make_model(K, KLEIN_GENS)
-    res = assemble_free_pair(model, F(1, 27))
+    res = assemble_free_pair(model, F(1, 27), max_len=6, runs=100, n_max=40)
     assert isinstance(res, AssemblyFailure)
     assert res.stage == "contraction"
     assert res.flag == "finite-orbit"
@@ -263,7 +264,7 @@ def test_assemble_free_pair_klein_flags_finite_orbit():
 
 def test_assemble_free_pair_identity_fails_at_contraction():
     model = make_model(K, {"id": identity_map(K)})
-    res = assemble_free_pair(model, F(1, 27))
+    res = assemble_free_pair(model, F(1, 27), max_len=6, runs=100, n_max=40)
     assert not res and res.stage == "contraction"
 
 
@@ -271,7 +272,7 @@ def test_assemble_free_pair_identity_fails_at_contraction():
 
 
 def test_solve_invariant_measure_klein():
-    cert = solve_invariant_measure(KLEIN_GENS, 1)
+    cert = solve_invariant_measure(KLEIN_GENS, 1, d_max=6)
     assert cert
     assert cert.depth == 1
     assert cert.measure.masses == (F(1, 2), F(1, 2))
@@ -284,14 +285,14 @@ def test_solve_invariant_measure_g3_is_undecided():
     # depth-d cell inside [2/3, 1] is a depth-(d + 1) cylinder: at no depth
     # is every equation expressible, and a solution of the others proves
     # nothing
-    res = solve_invariant_measure({"G3": G3}, 2)
+    res = solve_invariant_measure({"G3": G3}, 2, d_max=6)
     assert not res
     assert isinstance(res, UnprovedMeasure)
     assert (res.depth, res.skipped) == (2, 2)
 
 
 def test_solve_invariant_measure_free_is_infeasible():
-    res = solve_invariant_measure(named_generators(["A1", "A2"]), 3)
+    res = solve_invariant_measure(named_generators(["A1", "A2"]), 3, d_max=6)
     assert not res
     assert isinstance(res, InfeasibilityReport)
     assert res.depth == 3
@@ -299,7 +300,7 @@ def test_solve_invariant_measure_free_is_infeasible():
 
 
 def test_verify_invariant_measure_rejects_tampering():
-    cert = solve_invariant_measure(KLEIN_GENS, 1)
+    cert = solve_invariant_measure(KLEIN_GENS, 1, d_max=6)
     bad = InvariantMeasureCertificate(
         cert.gens, 1, CellMeasure(1, (F(1), F(0)), True), cert.consistency_depth)
     v = verify_invariant_measure(bad)
@@ -332,7 +333,7 @@ def test_measure_under_a_map_carrying_a_gap_over_another_image():
     assert verify_invariant_measure(InvariantMeasureCertificate((S,), 0, uniform, 0))
     lopsided = CellMeasure(0, (F(0), F(0), F(1), F(0)), True)
     assert verify_invariant_measure(InvariantMeasureCertificate((S,), 0, lopsided, 0))
-    cert = solve_invariant_measure({"S": S, "V": SPANNING_LETTERS[1]}, 0)
+    cert = solve_invariant_measure({"S": S, "V": SPANNING_LETTERS[1]}, 0, d_max=6)
     assert cert and cert.measure == uniform
 
 
@@ -343,7 +344,7 @@ def test_find_measure_inverts_and_images_nothing(monkeypatch, names, depth):
     # the rows come from pushing the cells forward on int pairs, so the
     # solve inverts no map, takes no image and builds no region
     gens = named_generators(names, cantor_space(depth))
-    expected = solve_invariant_measure(gens, depth)
+    expected = solve_invariant_measure(gens, depth, d_max=6)
 
     def refuse(*args, **kwargs):
         raise AssertionError("an inversion, image or region in find-measure")
@@ -353,7 +354,7 @@ def test_find_measure_inverts_and_images_nothing(monkeypatch, names, depth):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
     monkeypatch.setattr(Region, "__init__", refuse)
-    assert solve_invariant_measure(gens, depth) == expected
+    assert solve_invariant_measure(gens, depth, d_max=6) == expected
 
 
 def consistency_ladder_ref(cert: InvariantMeasureCertificate, d_max: int) -> int:
@@ -413,7 +414,7 @@ def test_find_measure_builds_the_rows_once(monkeypatch):
     calls = []
     monkeypatch.setattr(certify, "invariance_rows",
                         lambda *a: calls.append(a) or invariance_rows(*a))
-    cert = solve_invariant_measure(KLEIN_GENS, 1)
+    cert = solve_invariant_measure(KLEIN_GENS, 1, d_max=6)
     assert cert.consistency_depth == 6
     assert len(calls) == 1
 
@@ -466,9 +467,9 @@ def test_check_morse_smale_rejects_isometry():
 
 
 def test_find_morse_smale():
-    cert = find_morse_smale(make_model(K, FREE_GENS, seed=3), F(1, 27))
+    cert = find_morse_smale(make_model(K, FREE_GENS, seed=3), F(1, 27), n_max=40, runs=20)
     assert cert
     assert check_morse_smale(cert.g, cert.A, cert.B)
-    assert find_morse_smale(make_model(K, KLEIN_GENS), F(1, 27)) is None
+    assert find_morse_smale(make_model(K, KLEIN_GENS), F(1, 27), n_max=40, runs=20) is None
     with pytest.raises(CertifyError):
-        find_morse_smale(make_model(K, {"A1": A1}), F(1, 27))
+        find_morse_smale(make_model(K, {"A1": A1}), F(1, 27), n_max=40, runs=20)

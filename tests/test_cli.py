@@ -11,10 +11,9 @@ from pathlib import Path
 import pytest
 
 import cantorwalk
-from cantorwalk import certify
-from cantorwalk.cli import (BUDGET_ENV, DEFAULT_BUDGETS, ScenarioError,
-                            _budget, _env_budgets, main, parse_scenario, run_scenario,
-                            _load_scenario_text)
+from cantorwalk import certify, cli
+from cantorwalk.cli import (BUDGETS, ScenarioError, _budget, main, parse_scenario,
+                            run_scenario, _load_scenario_text)
 from cantorwalk.maps import MapError, compose, invert
 from cantorwalk.serialize import map_to_obj
 from cantorwalk.space import ternary_cantor
@@ -95,31 +94,33 @@ def test_scenario_round_trip():
     assert s.giets == () and s.blowup == {}
 
 
-def test_env_budget_parsing(monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV, "n=10, eps=1/81")
-    assert _env_budgets() == {"n": 10, "eps": "1/81"}
-    monkeypatch.setenv(BUDGET_ENV, "bogus=3")
-    with pytest.raises(ScenarioError):
-        _env_budgets()
-
-
 def test_budget_layers(monkeypatch):
-    # defaults, then the environment, then the scenario's budgets, then
-    # --runs/--depth; a flag left unset (None) keeps the layer below it
-    monkeypatch.setenv(BUDGET_ENV, "n=80, eps=1/81, runs=7, max_len=4")
+    # the kind's defaults, then the scenario's budgets, then --seed, --runs
+    # and --depth, which main copies into the scenario; a flag left unset
+    # keeps the scenario's value
     scn = parse_scenario(json.dumps(dict(
         json.loads(_load_scenario_text("free_pair")),
-        budgets={"eps": "1/27", "max_len": 5, "runs": 9, "depth": 3})))
-    assert _budget(scn, {"runs": 3, "depth": None}) == {
-        "d_max": DEFAULT_BUDGETS["d_max"],  # default
-        "n": 80,                            # environment
-        "eps": F(1, 27), "max_len": 5,      # scenario over environment
-        "depth": 3,                         # scenario; the flag is unset
-        "runs": 3}                          # flag over scenario and environment
+        budgets={"eps": "1/81", "max_len": 5, "runs": 9})))
+    assert _budget(scn) == {
+        "n": 40,                                   # default
+        "eps": F(1, 81), "max_len": 5, "runs": 9}  # scenario
+    # a depth left unset is the space's depth
+    assert _budget(_bundled("g3"))["depth"] == 3
+    assert _budget(_bundled("klein_four"))["depth"] == 1
+    seen = []
+    monkeypatch.setattr(cli, "run_scenario",
+                        lambda s, out_dir, emit: seen.append((s, out_dir, emit)) or (0, ""))
+    assert main(["certify-free", "free_pair", "--runs", "3", "--seed", "5"]) == 0
+    assert main(["simulate", "g3", "--depth", "2", "--emit-series", "--out", "o"]) == 0
+    assert main(["find-measure", "klein_four"]) == 0
+    (fp, _, fp_emit), (g3, g3_out, g3_emit), (klein, _, _) = seen
+    assert (fp.seed, fp.budgets, fp_emit) == (5, {"eps": F(1, 27), "runs": 3}, False)
+    assert (g3.seed, g3.budgets, g3_out, g3_emit) == (0, {"n": 40, "depth": 2}, "o", True)
+    assert klein.budgets == {"depth": 1, "d_max": 6}
 
 
 def test_run_identity_is_undecided(tmp_path):
-    code, line = run_scenario(_bundled("identity"), out_dir=str(tmp_path))
+    code, line = run_scenario(_bundled("identity"), str(tmp_path), False)
     assert code == 2
     assert line == "undecided within budget"
     report = json.load(open(tmp_path / "identity_report.json"))
@@ -127,7 +128,7 @@ def test_run_identity_is_undecided(tmp_path):
 
 
 def test_run_klein_four_measure(tmp_path):
-    code, line = run_scenario(_bundled("klein_four"), out_dir=str(tmp_path))
+    code, line = run_scenario(_bundled("klein_four"), str(tmp_path), False)
     assert code == 0
     assert line == "INVARIANT MEASURE (depth 1, consistent to 6)"
     cert = json.load(open(tmp_path / "klein_four_certificate.json"))
@@ -135,7 +136,7 @@ def test_run_klein_four_measure(tmp_path):
 
 
 def test_run_rotation_blowup(tmp_path):
-    code, line = run_scenario(_bundled("rotation_third"), out_dir=str(tmp_path))
+    code, line = run_scenario(_bundled("rotation_third"), str(tmp_path), False)
     assert code == 0
     assert line == "BLOWUP (3 points, exact)"
     blow = json.load(open(tmp_path / "rotation_third_blowup.json"))
@@ -144,8 +145,7 @@ def test_run_rotation_blowup(tmp_path):
 
 
 def test_run_g3_simulation_with_series(tmp_path):
-    code, line = run_scenario(_bundled("g3"), out_dir=str(tmp_path),
-                              emit_series=True)
+    code, line = run_scenario(_bundled("g3"), str(tmp_path), True)
     assert code == 0
     assert line.startswith("SIMULATED")
     assert (tmp_path / "g3_report.json").exists()
@@ -157,7 +157,7 @@ def test_reports_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
     for d in (a, b):
-        run_scenario(_bundled("klein_four"), out_dir=str(d))
+        run_scenario(_bundled("klein_four"), str(d), False)
     ra = (a / "klein_four_report.json").read_bytes()
     rb = (b / "klein_four_report.json").read_bytes()
     assert ra == rb
@@ -323,11 +323,97 @@ MORSE_SMALE = dict(kind="morse-smale", seed=3, budgets={}, output="ms")
 def test_morse_smale_kind(tmp_path):
     scn = parse_scenario(json.dumps(dict(
         json.loads(_load_scenario_text("free_pair")), **MORSE_SMALE)))
-    code, line = run_scenario(scn, out_dir=str(tmp_path))
+    code, line = run_scenario(scn, str(tmp_path), False)
     assert code == 0
     assert line.startswith("MORSE-SMALE")
     report = json.load(open(tmp_path / "ms_report.json"))
     assert report["periodic"]
+
+
+# the budgets each kind reads, with their defaults, and the flags beyond
+# --seed and --out that it reads; the kinds read nothing else
+KIND_BUDGETS = {"simulate": {"n": 40, "eps": "1/27", "depth": None},
+                "certify-free": {"n": 40, "runs": 100, "eps": "1/27", "max_len": 6},
+                "find-measure": {"depth": None, "d_max": 6},
+                "morse-smale": {"n": 40, "runs": 100, "eps": "1/27"},
+                "giet-blowup": {}}
+KIND_FLAGS = {"simulate": {"--depth", "--emit-series"}, "certify-free": {"--runs"},
+              "find-measure": {"--depth"}, "morse-smale": {"--runs"}, "giet-blowup": set()}
+# a value of each budget, and the argv of each flag, that keep the runs short
+BUDGET_VALUES = {"n": 5, "runs": 1, "eps": "1/27", "max_len": 2, "d_max": 6, "depth": 1}
+FLAG_ARGV = {"--runs": ["--runs", "1"], "--depth": ["--depth", "1"],
+             "--emit-series": ["--emit-series"]}
+
+
+def _kind_doc(kind, **fields):
+    """A scenario of the kind, with the given fields replaced: g3, free_pair,
+    klein_four, rotation_third, and free_pair as a Morse-Smale search."""
+    name = {"simulate": "g3", "certify-free": "free_pair", "find-measure": "klein_four",
+            "morse-smale": "free_pair", "giet-blowup": "rotation_third"}[kind]
+    doc = json.loads(_load_scenario_text(name))
+    return {**doc, **(MORSE_SMALE if kind == "morse-smale" else {}), **fields}
+
+
+def test_budget_table():
+    assert BUDGETS == KIND_BUDGETS
+
+
+@pytest.mark.parametrize("kind, knob", [
+    *((kind, key) for kind in KIND_BUDGETS for key in BUDGET_VALUES
+      if key not in KIND_BUDGETS[kind]),
+    *((kind, flag) for kind in KIND_FLAGS for flag in FLAG_ARGV
+      if flag not in KIND_FLAGS[kind])])
+def test_unread_budgets_and_flags_are_refused(tmp_path, capsys, kind, knob):
+    # a budget or flag that the kind does not read exits 1 with one line,
+    # rather than running as if it had been read
+    flag = knob.startswith("--")
+    doc = _kind_doc(kind) if flag else _kind_doc(kind, budgets={knob: BUDGET_VALUES[knob]})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = FLAG_ARGV[knob] if flag else []
+    assert main([kind, str(path), "--out", str(out), *argv]) == 1
+    message = (f"unrecognized arguments: {' '.join(argv)}" if flag
+               else f"unknown budget key {knob!r} for {kind}")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("kind", KIND_BUDGETS)
+def test_read_budgets_and_flags_are_accepted(tmp_path, capsys, kind):
+    # every budget of the kind's table and every flag it reads, at once; the
+    # report echoes --seed
+    doc = _kind_doc(kind, budgets={k: BUDGET_VALUES[k] for k in KIND_BUDGETS[kind]})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    argv = [a for flag in sorted(KIND_FLAGS[kind]) for a in FLAG_ARGV[flag]]
+    assert main([kind, str(path), "--out", str(tmp_path), "--seed", "7", *argv]) in (0, 2)
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / f"{doc['output']}_report.json").read_text())
+    assert report["seed"] == 7
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["simulate"], "the following arguments are required: scenario"),
+    (["verify"], "the following arguments are required: certificate"),
+    (["dance", "g3"], "argument command: invalid choice: 'dance'"),
+    (["certify-free", "free_pair", "--runs", "x"], "argument --runs: invalid int value: 'x'"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    # exit 2 means undecided within budget, so a usage error is bad input
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cantorwalk")
 
 
 def _quote_false_flags(doc):
@@ -344,7 +430,7 @@ def _edited_certificate(name, edit, **changes):
     def build(tmp_path):
         scn = parse_scenario(json.dumps(dict(
             json.loads(_load_scenario_text(name)), **changes)))
-        run_scenario(scn, out_dir=str(tmp_path))
+        run_scenario(scn, str(tmp_path), False)
         doc = json.loads((tmp_path / f"{scn.output}_certificate.json").read_text())
         edit(doc)
         return doc
@@ -483,6 +569,9 @@ ROTATION = json.loads(_load_scenario_text("rotation_third"))["giets"][0]
     (_simulate(probabilities=["1/2", "1/2"]), "names, generators and probabilities must align"),
     (_simulate(include_inverses=True, probabilities=["3/2", "-1/2"]),
      "probabilities must be positive (total support)"),
+    # a misspelt key would otherwise run with the defaults it meant to change
+    (_simulate(budget={"n": 80}), "unknown scenario key 'budget'"),
+    (_blowup(ROTATION, blowup={"l": 5}), "unknown blowup key 'l'"),
 ])
 def test_outside_input_check_names_its_fault(tmp_path, capsys, doc, message):
     path = tmp_path / "scenario.json"
@@ -559,7 +648,7 @@ def test_parse_rejects_deep_space():
 
 
 def test_verify_rejects_deep_certificate_space(tmp_path, capsys):
-    run_scenario(_bundled("klein_four"), out_dir=str(tmp_path))
+    run_scenario(_bundled("klein_four"), str(tmp_path), False)
     path = tmp_path / "klein_four_certificate.json"
     doc = json.loads(path.read_text())
     doc["space"]["depth"] = 17
@@ -571,7 +660,7 @@ def test_verify_rejects_deep_certificate_space(tmp_path, capsys):
 
 def test_certificate_with_long_ifs_symbols_exits_1(tmp_path, capsys):
     # a decomposition address of such a set could not be read back
-    run_scenario(_bundled("free_pair"), out_dir=str(tmp_path))
+    run_scenario(_bundled("free_pair"), str(tmp_path), False)
     path = tmp_path / "free_pair_certificate.json"
     doc = json.loads(path.read_text())
     doc["space"]["ifs"]["symbols"] = ["0", "22"]
@@ -585,7 +674,7 @@ def test_verify_rejects_duplicate_generator_labels(tmp_path, capsys):
     # H and the identity, both labelled X: the masses (1, 0) are invariant
     # under the identity only, so checking one generator per label would
     # accept the document
-    run_scenario(_bundled("klein_four"), out_dir=str(tmp_path))
+    run_scenario(_bundled("klein_four"), str(tmp_path), False)
     path = tmp_path / "klein_four_certificate.json"
     doc = json.loads(path.read_text())
     h = next(g for g in doc["generators"] if g["label"] == ["H"])
@@ -606,7 +695,7 @@ def test_verify_accepts_deep_image_cylinders(tmp_path, capsys):
     # at walk seed 6 the certified a2 maps cylinder 0 onto a cylinder of
     # depth 22, far deeper than the depth-3 space
     scn = parse_scenario(_load_scenario_text("free_pair"))
-    code, _ = run_scenario(scn, out_dir=str(tmp_path), seed=6)
+    code, _ = run_scenario(scn._replace(seed=6), str(tmp_path), False)
     assert code == 0
     cert = tmp_path / "free_pair_certificate.json"
     slopes = [F(b["slope"]) for b in json.loads(cert.read_text())["a2"]["branches"]]

@@ -76,9 +76,9 @@ def contraction_candidates_ref(model, eps, p_cap, n_max, streams):
             scan = contraction_scan(t, K.depth, min(n_max, 24))
         except WalkError:
             continue
-        pts = [x for v, cell in zip(scan.verdicts, cells) if v == "repulsor"
-               for x in cell]
-        A = _extremes(_single_linkage(pts, 3 * (cells[0][1] - cells[0][0])), K.hull)
+        spans = [(x, x) for v, cell in zip(scan.verdicts, cells) if v == "repulsor"
+                 for x in cell]
+        A = _extremes(_single_linkage(spans, 3 * (cells[0][1] - cells[0][0])), K.hull)
         if A and len(A) <= p_cap and (found := _first_word(t, A, eps, p_cap, n_max)):
             yield found
 
@@ -152,7 +152,7 @@ def test_candidates_match_full_scan(which, seed):
 @pytest.mark.parametrize("which, seed", MODELS)
 def test_free_pair_matches_unscreened_search(monkeypatch, which, seed):
     def assemble():
-        res = assemble_free_pair(_model(which, seed), F(1, 27))
+        res = assemble_free_pair(_model(which, seed), F(1, 27), max_len=6, runs=100, n_max=40)
         return dumps(certificate_to_obj(res)) if res else res
 
     got = assemble()
@@ -228,7 +228,7 @@ def test_search_composes_and_tests_fewer_words(monkeypatch):
                 fn = getattr(mod, name)
                 monkeypatch.setattr(mod, name, lambda *a, name=name, fn=fn:
                                     counts.update([name]) or fn(*a))
-    assert assemble_free_pair(_free_model(3, 0), F(1, 27))
+    assert assemble_free_pair(_free_model(3, 0), F(1, 27), max_len=6, runs=100, n_max=40)
     assert counts["maps_into"] <= 30
     assert counts["compose"] <= 32
 
@@ -285,11 +285,11 @@ def test_search_pushes_fewer_runs(monkeypatch):
     push = walk._push_runs
     monkeypatch.setattr(walk, "_push_runs", lambda g, runs: counts.update(
         calls=1, runs=len(runs)) or push(g, runs))
-    res = assemble_free_pair(_free_model(3, 5), F(1, 27))
+    res = assemble_free_pair(_free_model(3, 5), F(1, 27), max_len=6, runs=100, n_max=40)
     assert not res and res.stage == "verify"
     assert counts == {"calls": 269, "runs": 1122}
     counts.clear()
-    assert assemble_free_pair(_free_model(3, 0), F(1, 27))
+    assert assemble_free_pair(_free_model(3, 0), F(1, 27), max_len=6, runs=100, n_max=40)
     assert counts == {"calls": 166, "runs": 851}
 
 

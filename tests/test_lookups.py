@@ -854,7 +854,7 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
         assert break_pairs(w) == pairs
     for (lo, hi), parts in cylinders:
         assert decompose_into_cylinders(K, lo, hi) == parts
-    assert K.cylinder("02") == ((2, 9), (1, 3))
+    assert K.ifs.cylinder("02") == ((2, 9), (1, 3))
     assert _region_answers(cases, a1, cells) == regions
     assert [periodic_points(f, n) for f, n in powers] == periodic
     assert _region_masses(mass_cases) == masses

@@ -121,7 +121,7 @@ def test_ping_pong_certificate_round_trip():
 
 def test_invariant_measure_certificate_round_trip():
     gens = named_generators(["H", "R"])
-    cert = solve_invariant_measure(gens, 1)
+    cert = solve_invariant_measure(gens, 1, d_max=6)
     obj = ser.certificate_to_obj(cert)
     assert obj["type"] == "invariant-measure"
     assert obj["masses"] == ["1/2", "1/2"]
@@ -144,7 +144,7 @@ def test_verify_checks_a_word_whose_sources_leave_gaps_of_the_limit_set():
 
 def test_finite_orbit_certificate_round_trip():
     gens = named_generators(["H", "R"])
-    cert = find_finite_orbit(gens, [F(0)])
+    cert = find_finite_orbit(gens, [F(0)], bound=2000)
     obj = ser.certificate_to_obj(cert)
     assert obj["type"] == "finite-orbit"
     assert ser.verify_certificate(obj)
@@ -164,7 +164,7 @@ def test_morse_smale_certificate_round_trip():
 @pytest.mark.parametrize("periodic", [[["1/2", 7, "5"]], []])
 def test_verify_rejects_tampered_periodic_points(periodic):
     gens = named_generators(["A1", "A2"], with_inverses=True)
-    cert = find_morse_smale(make_model(K, gens, seed=3), F(1, 27))
+    cert = find_morse_smale(make_model(K, gens, seed=3), F(1, 27), n_max=40, runs=20)
     obj = ser.certificate_to_obj(cert)
     assert ser.verify_certificate(obj)
     obj["periodic"] = periodic
@@ -174,7 +174,7 @@ def test_verify_rejects_tampered_periodic_points(periodic):
 
 def test_verify_rejects_corrupted_certificate():
     gens = named_generators(["H", "R"])
-    cert = find_finite_orbit(gens, [F(0)])
+    cert = find_finite_orbit(gens, [F(0)], bound=2000)
     obj = ser.certificate_to_obj(cert)
     obj["orbit"] = obj["orbit"][:-1]  # drop a point: closure breaks
     assert not ser.verify_certificate(obj)

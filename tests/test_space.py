@@ -489,8 +489,8 @@ def test_region_extremes_skip_points_a_piece_does_not_hold():
 
 def test_cylinders():
     K = ternary_cantor(3)
-    assert K.cylinder("02") == ((2, 9), (1, 3))
-    assert K.cylinder("") == ((0, 1), (1, 1))
+    assert K.ifs.cylinder("02") == ((2, 9), (1, 3))
+    assert K.ifs.cylinder("") == ((0, 1), (1, 1))
     assert decompose_into_cylinders(K, F(0), F(1, 3)) == [("0", F(0), F(1, 3))]
     assert decompose_into_cylinders(K, F(0), F(1)) == [("", F(0), F(1))]
     assert decompose_into_cylinders(K, F(2, 9), F(7, 9)) == [

@@ -161,7 +161,7 @@ def test_validation_looks_up_no_gap(tmp_path, monkeypatch):
     # expansion: every source and image there is one cylinder, found by
     # descending to it
     scn = parse_scenario(_load_scenario_text("free_pair"))
-    assert run_scenario(scn, out_dir=str(tmp_path))[0] == 0
+    assert run_scenario(scn, str(tmp_path), False)[0] == 0
     doc = json.loads((tmp_path / "free_pair_certificate.json").read_text())
     K = cantor_space(3)
     a1 = from_prefix_table(TABLES["A1"], K, label=("A1",))

@@ -316,7 +316,7 @@ def test_break_accumulation_matches_inverted_words(model):
         t = Trajectory(model, stream=stream)
         pts, clusters = break_accumulation(t, 12)
         assert pts == _break_accumulation_ref(Trajectory(model, stream=stream), 12)
-        assert clusters == walk._single_linkage(pts, F(1, 27))
+        assert clusters == walk._single_linkage([(p, p) for p in pts], F(1, 27))
 
 
 # -- the fused Birkhoff chain against the step loop it replaced -------------

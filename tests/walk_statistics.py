@@ -87,7 +87,7 @@ def backward_cluster(model, x, n: int, runs: int, radius):
     for r in range(runs):
         t = Trajectory(model, stream=r)
         vals = {backward_value(t, x, k) for k in range(n // 2, n + 1)}
-        counts.append(len(_single_linkage(vals, radius)))
+        counts.append(len(_single_linkage([(v, v) for v in vals], radius)))
     return counts, max(counts)
 
 
