@@ -16,9 +16,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from .rational import (affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat,
                        value_order)
-from .maps import (PAHomeo, _apply, apply, compose, equals, identity_map, image,
-                   invert, maps_into, orbit_bfs)
-from .space import Piece, PointSet, Region, epsilon_neighborhood
+from .maps import (PAHomeo, _apply, apply, compose, equals, image, invert, maps_into,
+                   orbit_bfs)
+from .space import Piece, Region, epsilon_neighborhood
 from .measure_solver import solve_feasibility
 from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, CellMeasure,
                    cell_image_runs, forward_word, invariance_rows,
@@ -51,7 +51,7 @@ class InvariantMeasureCertificate(NamedTuple):
 
 class FiniteOrbitCertificate(NamedTuple):
     gens: tuple  # the generator maps, in order
-    orbit: PointSet
+    orbit: tuple  # the orbit's points, sorted Fractions
 
 
 class MorseSmaleCertificate(NamedTuple):
@@ -158,8 +158,8 @@ def find_finite_orbit(gens: dict, starts, bound: int):
         return None
     # _apply found every point in the ambient set
     pts = closure[0]
-    return FiniteOrbitCertificate(tuple(maps), PointSet(maps[0].space, tuple(
-        coprime_fraction(*pts[i]) for i in value_order([(x,) for x in pts]))))
+    return FiniteOrbitCertificate(tuple(maps), tuple(
+        coprime_fraction(*pts[i]) for i in value_order([(x,) for x in pts])))
 
 
 def _find_region_displacement(letters, inv, src: Region, avoid: Region,
@@ -476,14 +476,14 @@ class PeriodicReport(NamedTuple):
 
 def periodic_points(f: PAHomeo, max_period: int) -> PeriodicReport:
     """Exact enumeration by powers: the fixed points of f^p are those of the
-    branches of f^p = f∘f^(p-1), composed once per period.  Each point keeps
-    its least period, with that branch's slope as its multiplier; points are
-    sorted.  A branch of f^p that is the identity is a non-hyperbolic family
+    branches of f^p = f∘f^(p-1), composed once per period after the first.
+    Each point keeps its least period, with that branch's slope as its
+    multiplier; points are sorted.  A branch of f^p that is the identity is a non-hyperbolic family
     (lo, hi, p), unless a family of a period dividing p already covers it;
     families come out in order of period, then source."""
-    found, fams, fp = {}, [], identity_map(f.space)
+    found, fams, fp = {}, [], None
     for p in range(1, max_period + 1):
-        fp = compose(f, fp)
+        fp = _then(fp, f)
         points, sources = _fixed_points(fp)
         for x, s in points:
             found.setdefault(x, (p, s))

@@ -76,9 +76,12 @@ def parse_scenario(text: str) -> Scenario:
         kind = obj.get("kind")
         if kind not in BUDGETS:
             raise ScenarioError(f"field 'kind': {kind!r} not one of {tuple(BUDGETS)}")
-        spec = obj.get("space")
+        # giet-blowup reads no space, so it needs none
+        spec = obj.get("space", {} if kind == "giet-blowup" else None)
         if not isinstance(spec, dict):
             raise ScenarioError("field 'space': missing or not an object")
+        if "probabilities" in obj and kind in ("find-measure", "giet-blowup"):
+            raise ScenarioError(f"field 'probabilities' is not read by {kind}")
         space, gens, probs = None, {}, None
         if kind != "giet-blowup":
             if spec.get("ifs") == "ternary":
@@ -189,42 +192,6 @@ def run_scenario(s: Scenario, out_dir: str, emit_series: bool):
                             "defects": list(result.defects)},
                     blowup=ser.blowup_to_scenario(result))
 
-    model = make_model(s.space, s.generators, s.probabilities, seed)
-
-    if s.kind == "simulate":
-        mu = estimate_stationary_measure(model, bud["n"] * 25, bud["depth"])
-        avg, per_gen = invariance_residual(mu, model)
-        ent = estimate_entropy(mu, model)
-        t = Trajectory(model, stream=0)
-        rep = global_contraction_report(t, bud["depth"], bud["n"], bud["eps"])
-        if emit_series:
-            _emit_diameter_series(out_dir, stem, rep.scan.diameters)
-        report = {"kind": s.kind, "seed": seed, "depth": bud["depth"],
-                  "stationary_masses": [float(m) for m in mu.masses],
-                  # the float residual splits every preimage, so it skips
-                  # no equation
-                  "residual": {"averaged": float(avg),
-                               "per_generator": float(per_gen), "skipped": 0},
-                  "entropy": ent.h_estimate,
-                  "contraction": {"F": [rat_str(f) for f in rep.F],
-                                  "p": rep.p, "lambda": rep.lambda_fit}}
-        return done(0, (f"SIMULATED (entropy {ent.h_estimate:.4f}, "
-                        f"p {'inf' if rep.p is None else rep.p})"),
-                    report=report)
-
-    if s.kind == "certify-free":
-        cert = assemble_free_pair(model, bud["eps"], max_len=bud["max_len"],
-                                  runs=bud["runs"], n_max=bud["n"])
-        if cert:
-            return done(0, "FREE (ping-pong verified)",
-                        certificate=ser.certificate_to_obj(cert),
-                        report={"kind": s.kind, "seed": seed, "verified": True,
-                                "a1": list(cert.a1.label),
-                                "a2": list(cert.a2.label)})
-        return done(2, "undecided within budget",
-                    report={"kind": s.kind, "seed": seed, "verified": False,
-                            "stage": cert.stage, "flag": cert.flag})
-
     if s.kind == "find-measure":
         res = solve_invariant_measure(s.generators, bud["depth"], bud["d_max"])
         if res:
@@ -246,6 +213,42 @@ def run_scenario(s: Scenario, out_dir: str, emit_series: bool):
         return done(0, f"INFEASIBLE (no invariant cell measure at depth {res.depth})",
                     report={"kind": s.kind, "seed": seed, "depth": res.depth,
                             "infeasible": True, "gap": rat_str(res.gap)})
+
+    model = make_model(s.space, s.generators, s.probabilities, seed)
+
+    if s.kind == "simulate":
+        mu = estimate_stationary_measure(model, bud["n"] * 25, bud["depth"])
+        avg, per_gen = invariance_residual(mu, model)
+        h = estimate_entropy(mu, model)
+        t = Trajectory(model, stream=0)
+        rep = global_contraction_report(t, bud["depth"], bud["n"], bud["eps"])
+        if emit_series:
+            _emit_diameter_series(out_dir, stem, rep.scan.diameters)
+        report = {"kind": s.kind, "seed": seed, "depth": bud["depth"],
+                  "stationary_masses": [float(m) for m in mu.masses],
+                  # the float residual splits every preimage, so it skips
+                  # no equation
+                  "residual": {"averaged": float(avg),
+                               "per_generator": float(per_gen), "skipped": 0},
+                  "entropy": h,
+                  "contraction": {"F": [rat_str(f) for f in rep.F],
+                                  "p": rep.p, "lambda": rep.lambda_fit}}
+        return done(0, (f"SIMULATED (entropy {h:.4f}, "
+                        f"p {'inf' if rep.p is None else rep.p})"),
+                    report=report)
+
+    if s.kind == "certify-free":
+        cert = assemble_free_pair(model, bud["eps"], max_len=bud["max_len"],
+                                  runs=bud["runs"], n_max=bud["n"])
+        if cert:
+            return done(0, "FREE (ping-pong verified)",
+                        certificate=ser.certificate_to_obj(cert),
+                        report={"kind": s.kind, "seed": seed, "verified": True,
+                                "a1": list(cert.a1.label),
+                                "a2": list(cert.a2.label)})
+        return done(2, "undecided within budget",
+                    report={"kind": s.kind, "seed": seed, "verified": False,
+                            "stage": cert.stage, "flag": cert.flag})
 
     # morse-smale
     cert = find_morse_smale(model, bud["eps"], n_max=bud["n"], runs=bud["runs"])

@@ -110,7 +110,7 @@ def _preimage(g: Giet, y: Fraction) -> Optional[Fraction]:
 
 class BlowUpResult(NamedTuple):
     space: CompactSet
-    induced: tuple[PAHomeo, ...]
+    induced: tuple[PAHomeo, ...]  # the generators' maps that pa_homeo accepts
     blown_points: tuple[tuple[Fraction, Fraction], ...]  # (c, alpha_c)
     jumps: tuple[tuple[Fraction, Fraction], ...]  # (c, F(c-)) for c > a
     exact: bool
@@ -171,13 +171,11 @@ def blow_up(gens: Sequence[Giet], L: int, rho) -> BlowUpResult:
             cq = F(gy) - gy
             branches.append(Branch(F(p), F_left(q), s,
                                    br.offset + cq - s * cp))
+        # a map pa_homeo refuses is left out, and its defect says why
         try:
-            hom = pa_homeo(space, branches, label=(f"g{gi}",), validate=True)
-            induced.append(hom)
+            induced.append(pa_homeo(space, branches, label=(f"g{gi}",)))
         except (MapError, SpaceError) as e:
             defects.append(f"generator {gi}: {e}")
-            induced.append(pa_homeo(space, branches, label=(f"g{gi}",),
-                                    validate=False))
     exact = closed and not defects
     return BlowUpResult(
         space=space,

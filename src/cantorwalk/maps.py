@@ -236,7 +236,7 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
 
 
 def pa_homeo(space: CompactSet, branches: Iterable[Branch],
-             label: tuple[str, ...] = (), validate: bool = True) -> PAHomeo:
+             label: tuple[str, ...] = ()) -> PAHomeo:
     bs = list(branches)
     bs = [bs[i] for i in value_order([b.pairs[:2] for b in bs])]
     if not bs:
@@ -250,28 +250,22 @@ def pa_homeo(space: CompactSet, branches: Iterable[Branch],
     for b1, b2 in zip(bs, bs[1:]):
         if pair_cmp(b2.pairs[0], b1.pairs[1]) < 0:
             raise MapError("branch sources overlap")
-    if validate and space.ifs is not None:
+    if space.ifs is not None:
         # limit-set coverage is part of the source antichain check;
         # sources may legitimately split across gaps of deeper cylinders
         _validate_ifs(space, bs)
-    if space.ifs is None:
-        if validate:
-            for b1, b2 in zip(bs, bs[1:]):
-                (_, x, s, o), (y, _, t, u) = b1.pairs[:4], b2.pairs[:4]
-                # where two branches as given share a point of K, they must agree
-                if x == y and space._holds(x) and affine(s, x, o) != affine(t, x, u):
-                    raise MapError(f"branches disagree at {b1.hi}")
+    else:
+        for b1, b2 in zip(bs, bs[1:]):
+            (_, x, s, o), (y, _, t, u) = b1.pairs[:4], b2.pairs[:4]
+            # where two branches as given share a point of K, they must agree
+            if x == y and space._holds(x) and affine(s, x, o) != affine(t, x, u):
+                raise MapError(f"branches disagree at {b1.hi}")
         bs = [piece for b in bs for piece in _cut(space, b)]
-        if validate and not _tiles(space, [b.pairs[:2] for b in bs]):
+        if not _tiles(space, [b.pairs[:2] for b in bs]):
             raise MapError("branch sources do not tile the ambient set")
-        if validate and not _tiles(space, [b.pairs[4:] for b in bs]):
+        if not _tiles(space, [b.pairs[4:] for b in bs]):
             raise MapError("branch images do not tile the ambient set")
     return PAHomeo(space, tuple(bs), tuple(label))
-
-
-def identity_map(space: CompactSet) -> PAHomeo:
-    lo, hi = space.ends[0][0], space.ends[-1][1]
-    return pa_homeo(space, [Branch.from_pairs((lo, hi, (1, 1), (0, 1), lo, hi))], validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -361,27 +355,25 @@ def invert(f: PAHomeo) -> PAHomeo:
     return PAHomeo(f.space, invert_branches(f.branches), label)
 
 
+def _affine_pieces(f: PAHomeo) -> list[tuple]:
+    """f's maximal affine pieces: each run of neighbouring branches with one
+    slope and offset, as the int pairs (lo, hi, slope, offset)."""
+    out = []
+    for lo, hi, s, o, _, _ in f._pairs:
+        if out and out[-1][2:] == (s, o):
+            out[-1] = (out[-1][0], hi, s, o)
+        else:
+            out.append((lo, hi, s, o))
+    return out
+
+
 def equals(f: PAHomeo, g: PAHomeo) -> bool:
-    """Equality as maps restricted to the ambient set: equal branches, or
-    the same slope and offset on every cut segment meeting it, on int pairs."""
-    if f.space != g.space:
-        return False
-    if f.branches == g.branches:
-        return True
-    ends = list({x for b in f.branches + g.branches for x in b.pairs[:2]})
-    cuts = [ends[i] for i in value_order([(x,) for x in ends])]
-    K = f.space
-    for l, r in zip(cuts, cuts[1:]):
-        for kl, kr in K._meeting(l, r):
-            olo = kl if pair_cmp(kl, l) > 0 else l
-            ohi = kr if pair_cmp(kr, r) < 0 else r
-            if pair_cmp(olo, ohi) < 0:
-                # both branches cover the whole cut segment
-                if f._branch_at(olo)[2:4] != g._branch_at(olo)[2:4]:
-                    return False
-            elif _apply(f, olo) != _apply(g, olo):
-                return False
-    return True
+    """Equality as maps restricted to the ambient set.  Every branch source
+    ends in K and meets it in more than a point (cylinder-aligned on an IFS
+    set, cut at K's gaps on a plain one), so the affine map on each source
+    is fixed by its values on K, and two maps agree on K exactly when their
+    maximal affine pieces are the same."""
+    return f.space == g.space and _affine_pieces(f) == _affine_pieces(g)
 
 
 # ---------------------------------------------------------------------------

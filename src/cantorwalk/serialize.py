@@ -15,7 +15,7 @@ import tempfile
 from datetime import datetime, timezone
 
 from .rational import RationalError, pair_str, rat, rat_str
-from .space import CompactSet, Ifs, Piece, PointSet, Region
+from .space import CompactSet, Ifs, Piece, Region, SpaceError
 from .maps import Branch, PAHomeo, pa_homeo
 from .giet import BlowUpResult, Giet, giet_from_branches
 from .walk import CellMeasure
@@ -121,7 +121,7 @@ def certificate_to_obj(cert) -> dict:
                 "consistency_depth": cert.consistency_depth}
     if isinstance(cert, FiniteOrbitCertificate):
         return {"type": "finite-orbit",
-                "space": space_to_obj(cert.orbit.space),
+                "space": space_to_obj(cert.gens[0].space),
                 "generators": [map_to_obj(g) for g in cert.gens],
                 "orbit": [_q(p) for p in cert.orbit]}
     if isinstance(cert, MorseSmaleCertificate):
@@ -164,9 +164,12 @@ def certificate_from_obj(obj: dict):
                 gens, depth, CellMeasure(depth, masses, True),
                 _exact(obj["consistency_depth"], int, "consistency_depth"))
         if kind == "finite-orbit":
-            return FiniteOrbitCertificate(
-                _generators_from_obj(space, obj["generators"]),
-                PointSet.of(space, [rat(p) for p in obj["orbit"]]))
+            gens = _generators_from_obj(space, obj["generators"])
+            orbit = tuple(sorted({rat(p) for p in obj["orbit"]}))
+            for p in orbit:
+                if not space.contains(p):
+                    raise SpaceError(f"point {p} not in the ambient set")
+            return FiniteOrbitCertificate(gens, orbit)
         if kind == "morse-smale":
             g = map_from_obj(space, obj["g"])
             periodic = tuple((rat(x), _exact(per, int, "period"), rat(m))

@@ -309,34 +309,6 @@ def ternary_cantor(depth: int) -> CompactSet:
 
 
 # ---------------------------------------------------------------------------
-# point sets
-
-
-class PointSet(_Frozen):
-    """Finite sorted set of rationals, all members of an ambient set."""
-
-    __slots__ = ("space", "points")
-
-    def __init__(self, space: CompactSet, points: tuple[Fraction, ...]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "points", points)
-
-    @staticmethod
-    def of(space: CompactSet, points: Iterable) -> "PointSet":
-        pts = sorted({rat(p) for p in points})
-        for p in pts:
-            if not space.contains(p):
-                raise SpaceError(f"point {p} not in the ambient set")
-        return PointSet(space, tuple(pts))
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
-# ---------------------------------------------------------------------------
 # regions
 
 
@@ -521,7 +493,7 @@ class Region(_Frozen):
 
 def epsilon_neighborhood(points: Iterable, eps, space: CompactSet) -> Region:
     """The strict neighborhood {x in K : d(x, A) < eps}, exactly, of the
-    rationals A (a PointSet or any iterable of them)."""
+    rationals A."""
     eps = rat(eps)
     if eps <= 0:
         raise SpaceError("eps must be positive")

@@ -19,8 +19,7 @@ from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .rational import affine, as_pair, bisect_pairs, coprime_fraction, pair_cmp, rat
-from .maps import (PAHomeo, _apply, break_points, compose,
-                   identity_map, image, invert, equals)
+from .maps import PAHomeo, _apply, break_points, compose, image, invert, equals
 from .space import CompactSet, Piece, Region, _Frozen, epsilon_neighborhood
 
 TWO64 = 2 ** 64
@@ -96,7 +95,7 @@ class Trajectory:
         import numpy as np
         self._cuts = np.array(cuts, dtype=np.uint64)
         # the forward words computed so far, by length
-        self._fwd = {0: identity_map(model.space)}
+        self._fwd = {}
 
     def index(self, k: int) -> int:
         """The k-th index.  The first draw reaches k, and a later one at
@@ -115,18 +114,18 @@ class Trajectory:
 
 
 def forward_word(t: Trajectory, n: int) -> PAHomeo:
-    """f_omega^n = f_{omega_{n-1}} o ... o f_{omega_0}: the longest cached
-    word of length m <= n followed by the letters m..n-1 multiplied by
-    halves; composition is associative branch for branch, so any bracketing
-    gives the same map."""
+    """f_omega^n = f_{omega_{n-1}} o ... o f_{omega_0}, for n >= 1: the
+    longest cached word of length m < n, if any, followed by the letters
+    m..n-1 multiplied by halves; composition is associative branch for
+    branch, so any bracketing gives the same map."""
     words = t._fwd
     if n not in words:
-        m = max(k for k in words if k < n)
+        m = max((k for k in words if k < n), default=0)
         maps = [t.step_map(k) for k in range(m, n)]
         while len(maps) > 1:
             maps = [reduce(lambda u, v: compose(v, u), maps[i:i + 2])
                     for i in range(0, len(maps), 2)]
-        words[n] = compose(maps[0], words[m])
+        words[n] = compose(maps[0], words[m]) if m else maps[0]
     return words[n]
 
 
@@ -258,11 +257,6 @@ def invariance_residual(mu: CellMeasure, model: WalkModel):
 # entropy
 
 
-class EntropyReport(NamedTuple):
-    h_estimate: float
-    per_generator: tuple
-
-
 def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region) -> float:
     """Mass of a region under mu, splitting cells uniformly (each IFS child
     carries half the parent mass) when the region cuts through a cell; a cell
@@ -314,7 +308,7 @@ def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region) -> f
     return total
 
 
-def estimate_entropy(mu: CellMeasure, model: WalkModel) -> EntropyReport:
+def estimate_entropy(mu: CellMeasure, model: WalkModel) -> float:
     """h ~= sum_s P(s) sum_c mu(c) log(mu(c)/mu(s(c))), s(c) the exact
     image of cell c of mu's depth; cells of zero mass or image mass are skipped."""
     cells = measure_cells(model.space, mu.depth)
@@ -331,8 +325,7 @@ def estimate_entropy(mu: CellMeasure, model: WalkModel) -> EntropyReport:
                 continue
             term += m * math.log(m / im)
         per_gen.append(term)
-    h = sum(float(p) * term for p, term in zip(model.probs, per_gen))
-    return EntropyReport(h, tuple(per_gen))
+    return sum(float(p) * term for p, term in zip(model.probs, per_gen))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +506,6 @@ class ContractionReport(NamedTuple):
     F: tuple[Fraction, ...]
     p: Optional[int]  # None is the infinity sentinel
     lambda_fit: float
-    cover: tuple  # (center, radius) pairs
     scan: CellScan  # the cell scan F was drawn from
 
 
@@ -534,7 +526,7 @@ def global_contraction_report(t: Trajectory, depth: int, n: int, eps) -> Contrac
     off = Region.whole(K).difference(epsilon_neighborhood(F, eps, K))
     # p is finite only for at most 8 points of F and 8 image clusters
     if len(F) > 8 or off.is_empty():
-        return ContractionReport(tuple(F), None, 0.0, (), scan)
+        return ContractionReport(tuple(F), None, 0.0, scan)
     img = off  # image(forward_word(t, n), off), one letter at a time
     for k in range(n):
         img = image(t.step_map(k), img)
@@ -544,12 +536,12 @@ def global_contraction_report(t: Trajectory, depth: int, n: int, eps) -> Contrac
     clusters = _single_linkage([(p.lo, p.hi) for p in img.pieces], DEFAULT_DELTA)
     cdiam = max(b - a for a, b in clusters)
     if cdiam >= DEFAULT_DELTA or len(clusters) > 8:
-        return ContractionReport(tuple(F), None, 0.0, (), scan)
+        return ContractionReport(tuple(F), None, 0.0, scan)
     radius = max(cdiam / 2, Fraction(1, 3 ** (4 * n)))
     lam = -math.log(float(radius)) / n
     balls = tuple(((a + b) / 2, radius) for a, b in clusters)
     ball_region = Region.from_pieces(K, tuple(
         Piece(c - r, c + r, True, True) for c, r in balls))
     if not img.subset_of(ball_region):
-        return ContractionReport(tuple(F), None, lam, (), scan)
-    return ContractionReport(tuple(F), len(balls), lam, tuple(balls), scan)
+        return ContractionReport(tuple(F), None, lam, scan)
+    return ContractionReport(tuple(F), len(balls), lam, scan)

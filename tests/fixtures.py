@@ -7,11 +7,12 @@ tables are read from the bundled scenarios that use them.
 """
 
 import json
+from fractions import Fraction
 from importlib import resources
 
 from cantorwalk.giet import Giet, giet_from_branches
-from cantorwalk.maps import (PAHomeo, PrefixTable, break_pairs, equals, from_prefix_table,
-                             identity_map, invert)
+from cantorwalk.maps import (Branch, PAHomeo, PrefixTable, break_pairs, equals,
+                             from_prefix_table, invert, pa_homeo)
 from cantorwalk.rational import as_pair, rat
 from cantorwalk.space import CompactSet, Piece, Region, ternary_cantor
 
@@ -74,6 +75,12 @@ def in_region(S: Region, x) -> bool:
 
 def cylinder_region(K: CompactSet, address: str) -> Region:
     return Region(K, (Piece._make((*K.ifs.cylinder(address), True, True)),))
+
+
+def identity_map(space: CompactSet) -> PAHomeo:
+    """The identity of K: one branch over K's hull, as pa_homeo stores it."""
+    lo, hi = space.hull
+    return pa_homeo(space, [Branch(lo, hi, Fraction(1), Fraction(0))])
 
 
 def is_identity(f: PAHomeo) -> bool:

@@ -17,12 +17,13 @@ from cantorwalk.certify import (_is_invariant, _make_letters, _reduced_words, _t
                                 UnprovedMeasure,
                                 verify_finite_orbit, verify_invariant_measure,
                                 verify_ping_pong)
-from cantorwalk.maps import (PrefixTable, apply, compose, equals, from_prefix_table,
-                             identity_map, invert, orbit_bfs)
+from cantorwalk.maps import (PrefixTable, apply, compose, equals, from_prefix_table, invert,
+                             orbit_bfs)
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
 from cantorwalk.walk import CellMeasure, invariance_rows, make_model, measure_cells
 
-from fixtures import cantor_space, cylinder_region, fixture, named_generators, region
+from fixtures import (cantor_space, cylinder_region, fixture, identity_map, named_generators,
+                      region)
 from test_known_answers import X0, X1, finite_groups
 from test_lookups import S, SPANNING_LETTERS
 from walk_statistics import free_group_sanity

@@ -15,7 +15,7 @@ from cantorwalk.certify import (AssemblyFailure, FiniteOrbitCertificate, Infeasi
                                 PingPongCertificate, UnprovedMeasure, Verdict)
 from cantorwalk.cli import _load_scenario_text, parse_scenario
 from cantorwalk.maps import Branch, PAHomeo
-from cantorwalk.space import CompactSet, Ifs, Piece, PointSet, Region, ternary_cantor
+from cantorwalk.space import CompactSet, Ifs, Piece, Region, ternary_cantor
 from cantorwalk.walk import CellMeasure, WalkModel
 
 
@@ -53,8 +53,6 @@ CASES = {
                    label=("J",))),
     Region: (lambda: dict(space=ternary_cantor(1), pieces=(Piece(F(0), F(1, 3), True, True),)),
              dict(space=ternary_cantor(2), pieces=(Piece(F(0), F(1, 3), True, False),))),
-    PointSet: (lambda: dict(space=ternary_cantor(1), points=(F(0), F(1))),
-               dict(space=ternary_cantor(2), points=(F(0),))),
     # the generators must live on the model's space, so space is not
     # changed on its own
     WalkModel: (lambda: dict(space=ternary_cantor(1), names=("I", "R"),
@@ -80,9 +78,8 @@ CASES = {
              measure=CellMeasure(1, (F(1, 3), F(2, 3)), True), consistency_depth=4)),
     FiniteOrbitCertificate: (
         lambda: dict(gens=(_flip(ternary_cantor(1)),),
-                     orbit=PointSet(ternary_cantor(1), (F(0), F(1)))),
-        dict(gens=(_identity(ternary_cantor(1)),),
-             orbit=PointSet(ternary_cantor(1), (F(0),)))),
+                     orbit=(F(0), F(1))),
+        dict(gens=(_identity(ternary_cantor(1)),), orbit=(F(0),))),
     MorseSmaleCertificate: (
         lambda: dict(g=_flip(ternary_cantor(1)), periodic=((F(1, 2), 1, F(-1)),),
                      A=_region(ternary_cantor(1), 0, F(1, 3)),

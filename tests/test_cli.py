@@ -15,7 +15,7 @@ from cantorwalk import certify, cli
 from cantorwalk.cli import (BUDGETS, ScenarioError, _budget, main, parse_scenario,
                             run_scenario, _load_scenario_text)
 from cantorwalk.maps import MapError, compose, invert
-from cantorwalk.serialize import map_to_obj
+from cantorwalk.serialize import map_from_obj, map_to_obj, space_from_obj
 from cantorwalk.space import ternary_cantor
 
 from fixtures import fixture
@@ -343,6 +343,9 @@ KIND_FLAGS = {"simulate": {"--depth", "--emit-series"}, "certify-free": {"--runs
 BUDGET_VALUES = {"n": 5, "runs": 1, "eps": "1/27", "max_len": 2, "d_max": 6, "depth": 1}
 FLAG_ARGV = {"--runs": ["--runs", "1"], "--depth": ["--depth", "1"],
              "--emit-series": ["--emit-series"]}
+# walk laws for the kinds that draw no walk: one weight too few for
+# klein_four, and two that would fit
+UNREAD_LAWS = {"probabilities=1": ["1"], "probabilities=1/4,3/4": ["1/4", "3/4"]}
 
 
 def _kind_doc(kind, **fields):
@@ -362,12 +365,14 @@ def test_budget_table():
     *((kind, key) for kind in KIND_BUDGETS for key in BUDGET_VALUES
       if key not in KIND_BUDGETS[kind]),
     *((kind, flag) for kind in KIND_FLAGS for flag in FLAG_ARGV
-      if flag not in KIND_FLAGS[kind])])
+      if flag not in KIND_FLAGS[kind]),
+    *((kind, law) for kind in ("find-measure", "giet-blowup") for law in UNREAD_LAWS)])
 def test_unread_budgets_and_flags_are_refused(tmp_path, capsys, kind, knob):
-    # a budget or flag that the kind does not read exits 1 with one line,
-    # rather than running as if it had been read
-    flag = knob.startswith("--")
-    doc = _kind_doc(kind) if flag else _kind_doc(kind, budgets={knob: BUDGET_VALUES[knob]})
+    # a budget, flag or walk law that the kind does not read exits 1 with
+    # one line, rather than running as if it had been read
+    flag, law = knob.startswith("--"), UNREAD_LAWS.get(knob)
+    doc = (_kind_doc(kind) if flag else _kind_doc(kind, probabilities=law) if law
+           else _kind_doc(kind, budgets={knob: BUDGET_VALUES[knob]}))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -375,6 +380,7 @@ def test_unread_budgets_and_flags_are_refused(tmp_path, capsys, kind, knob):
     argv = FLAG_ARGV[knob] if flag else []
     assert main([kind, str(path), "--out", str(out), *argv]) == 1
     message = (f"unrecognized arguments: {' '.join(argv)}" if flag
+               else f"field 'probabilities' is not read by {kind}" if law
                else f"unknown budget key {knob!r} for {kind}")
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not any(out.iterdir())
@@ -581,6 +587,42 @@ def test_outside_input_check_names_its_fault(tmp_path, capsys, doc, message):
     assert main([doc["kind"], str(path), "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not any(out.iterdir())
+
+
+def test_giet_blowup_needs_no_space(tmp_path, capsys):
+    # giet-blowup reads no space: without one it writes the bundled run's bytes
+    doc = json.loads(_load_scenario_text("rotation_third"))
+    del doc["space"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    bundled, spaceless = tmp_path / "bundled", tmp_path / "spaceless"
+    assert main(["giet-blowup", "rotation_third", "--out", str(bundled)]) == 0
+    assert main(["giet-blowup", str(path), "--out", str(spaceless)]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("rotation_third_report.json", "rotation_third_blowup.json"):
+        assert (spaceless / name).read_bytes() == (bundled / name).read_bytes()
+
+
+# the giet of slopes 1/2 and 2 beside a rotation: at L = 1 the truncated
+# orbit leaves each induced map (beside the rotation by 2/5) or g0 alone
+# (beside the half turn) with two branches that disagree at a shared point
+SLOPES_HALF_AND_TWO = _giet(["0", "1"], ("0", "2/3", "1/2", "0"), ("2/3", "1", "2", "-1"))
+
+
+@pytest.mark.parametrize("rotation, written", [
+    (_giet(["0", "1"], ("0", "3/5", "1", "2/5"), ("3/5", "1", "1", "-3/5")), []),
+    (_giet(["0", "1"], ("0", "1/2", "1", "1/2"), ("1/2", "1", "1", "-1/2")), ["g1"])],
+    ids=["rotation-2/5", "half-turn"])
+def test_blowup_writes_only_maps_that_read_back(tmp_path, rotation, written):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_blowup(SLOPES_HALF_AND_TWO, rotation, blowup={"L": 1})))
+    assert main(["giet-blowup", str(path), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "scenario_blowup.json").read_text())
+    space = space_from_obj(doc["space"])
+    assert [map_from_obj(space, m).label for m in doc["maps"]] == [(g,) for g in written]
+    left_out = [i for i in range(2) if f"g{i}" not in written]
+    assert [d.split(":")[0] for d in doc["defects"]] == [f"generator {i}" for i in left_out]
+    assert doc["exact"] is False
 
 
 @pytest.mark.parametrize("command", ["verify", "certify-free"])

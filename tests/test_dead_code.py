@@ -25,6 +25,10 @@ tests pass, are exempt.
 
 Every name that a module-level import binds, in the package and in its
 tests, must be read somewhere in its module.
+
+Every field of a NamedTuple declared in the package must be read as an
+attribute somewhere in the package: a field that nothing reads is carried
+by every instance and shown by no run.
 """
 
 import ast
@@ -219,3 +223,24 @@ def test_every_definition_is_reached_from_the_cli(tmp_path):
         "def main(word): return T(word)\nclass T:\n    def word(self): pass\n")
     assert unreachable_from_cli(tmp_path) == ["cli:T.word"]
     assert unreachable_from_cli() == []
+
+
+def unread_fields(src=SRC):
+    """Class.field for each field of a NamedTuple declared in the modules of
+    src that no module of src reads as an attribute."""
+    read, fields = set(), []
+    for tree in _trees(src).values():
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+        fields += [f"{c.name}.{n.target.id}" for c in ast.walk(tree)
+                   if isinstance(c, ast.ClassDef)
+                   and any(getattr(b, "id", None) == "NamedTuple" for b in c.bases)
+                   for n in c.body if isinstance(n, ast.AnnAssign)]
+    return sorted(f for f in fields if f.split(".")[1] not in read)
+
+
+def test_every_named_tuple_field_is_read(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class R(NamedTuple):\n    a: int\n    b: int\nR(1, 2).a\nR(3, 4)._replace(b=5)\n")
+    assert unread_fields(tmp_path) == ["R.b"]
+    assert unread_fields() == []

@@ -41,7 +41,7 @@ from cantorwalk import maps
 from cantorwalk.certify import periodic_points
 from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
                              break_pairs, break_points, compose,
-                             from_prefix_table, identity_map, image, invert,
+                             from_prefix_table, image, invert,
                              maps_into, pa_homeo)
 from cantorwalk.space import CompactSet, Ifs, Piece, Region, epsilon_neighborhood
 from cantorwalk.rational import coprime_fraction
@@ -49,7 +49,7 @@ from cantorwalk.walk import (SPLIT_DEPTH, CellMeasure, _region_mass,
                              cell_image_runs, invariance_rows, measure_cells,
                              run_diameters)
 
-from fixtures import TABLES, cylinder_region, fixture, region
+from fixtures import TABLES, cylinder_region, fixture, identity_map, region
 from test_space import (NEGATIVE, THREE_MAPS, bounded_gaps, decompose_into_cylinders, gaps_at,
                         region_diameter)
 

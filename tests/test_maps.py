@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from cantorwalk.maps import (Branch, BreakPair, MapError, PAHomeo, PrefixTable,
                              apply, break_pairs, break_points, compose, equals,
-                             from_prefix_table, identity_map, image, invert, pa_homeo)
+                             from_prefix_table, image, invert, pa_homeo)
 from cantorwalk.space import Ifs, Piece, Region, ternary_cantor
 
-from fixtures import (TABLES, cantor_space, cylinder_region, fixture, in_region,
+from fixtures import (TABLES, cantor_space, cylinder_region, fixture, identity_map, in_region,
                       is_identity, region, regular_on)
 from test_space import same_set
 

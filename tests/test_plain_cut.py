@@ -88,7 +88,13 @@ def _accepted(check, space, branches) -> bool:
 
 def _ref_check(space, branches):
     # the checks on single branches and on overlap, made before the cut, then the old validator
-    pa_homeo(space, branches, validate=False)
+    bs = sorted(branches, key=lambda b: (b.lo, b.hi))
+    if not bs:
+        raise MapError("a map needs at least one branch")
+    if any(b.slope == 0 or b.lo >= b.hi for b in bs):
+        raise MapError("zero slope or degenerate branch source")
+    if any(b2.lo < b1.hi for b1, b2 in zip(bs, bs[1:])):
+        raise MapError("branch sources overlap")
     validate_plain_ref(space, branches)
 
 

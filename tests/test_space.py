@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk.rational import affine, as_pair, bisect_pairs, coprime_fraction
-from cantorwalk.space import (CompactSet, Ifs, Piece, PointSet, Region, SpaceError,
-                              epsilon_neighborhood, ternary_cantor)
+from cantorwalk.space import (CompactSet, Ifs, Piece, Region, SpaceError, epsilon_neighborhood,
+                              ternary_cantor)
 
 from fixtures import endpoints, in_region, region
 
@@ -20,11 +20,11 @@ from fixtures import endpoints, in_region, region
 # exact distance references; no CLI run reports them
 
 
-def delta_m(points: PointSet) -> F:
-    """Minimal pairwise distance among the points."""
-    if len(points) < 2:
+def delta_m(points) -> F:
+    """Minimal pairwise distance among the distinct rationals of points."""
+    pts = sorted({F(p) for p in points})
+    if len(pts) < 2:
         raise SpaceError("delta_m needs at least two points")
-    pts = points.points
     return min(b - a for a, b in zip(pts, pts[1:]))
 
 
@@ -230,10 +230,10 @@ def test_is_gap_pair_sees_limit_set():
 
 def test_epsilon_neighborhood_strictness():
     K = ternary_cantor(2)
-    nb = epsilon_neighborhood(PointSet.of(K, [0]), F(1, 9), K)
+    nb = epsilon_neighborhood([0], F(1, 9), K)
     assert not in_region(nb, F(1, 9))  # d = 1/9 is not < 1/9
     assert in_region(nb, 0)
-    allk = epsilon_neighborhood(PointSet.of(K, [0, 1]), 2, K)
+    allk = epsilon_neighborhood([0, 1], 2, K)
     assert Region.whole(K).subset_of(allk)
     with pytest.raises(SpaceError):
         epsilon_neighborhood([F(0)], 0, K)
@@ -250,14 +250,13 @@ def test_hausdorff_oracles():
 
 
 def test_delta_m():
-    K = ternary_cantor(3)
-    assert delta_m(PointSet.of(K, [0, F(1, 3), 1])) == F(1, 3)
-    assert delta_m(PointSet.of(K, [0, F(1, 9), F(2, 9), 1])) == F(1, 9)
+    assert delta_m([0, F(1, 3), 1]) == F(1, 3)
+    assert delta_m([0, F(1, 9), F(2, 9), 1]) == F(1, 9)
     # duplicates collapse; a single point has no pairwise distance
     with pytest.raises(SpaceError):
-        delta_m(PointSet.of(K, [0, 0]))
+        delta_m([0, 0])
     # unsorted input
-    assert delta_m(PointSet.of(K, [F(1), F(0), F(1, 3)])) == F(1, 3)
+    assert delta_m([F(1), F(0), F(1, 3)]) == F(1, 3)
 
 
 def test_point_to_set_distance():
