@@ -40,6 +40,11 @@ BUDGETS = {"simulate": {"n": 40, "eps": "1/27", "depth": None},
 
 SCENARIO_KEYS = {"kind", "space", "generators", "include_inverses",
                  "probabilities", "seed", "budgets", "giets", "blowup", "output"}
+# the scenario fields each kind does not read, which it refuses
+UNREAD = {"simulate": ("giets", "blowup"), "certify-free": ("giets", "blowup"),
+          "find-measure": ("probabilities", "giets", "blowup"),
+          "morse-smale": ("giets", "blowup"),
+          "giet-blowup": ("generators", "include_inverses", "probabilities")}
 
 
 class ScenarioError(ValueError):
@@ -76,14 +81,29 @@ def parse_scenario(text: str) -> Scenario:
         kind = obj.get("kind")
         if kind not in BUDGETS:
             raise ScenarioError(f"field 'kind': {kind!r} not one of {tuple(BUDGETS)}")
-        # giet-blowup reads no space, so it needs none
+        # giet-blowup reads no space, so it needs none; it accepts an empty one
         spec = obj.get("space", {} if kind == "giet-blowup" else None)
         if not isinstance(spec, dict):
             raise ScenarioError("field 'space': missing or not an object")
-        if "probabilities" in obj and kind in ("find-measure", "giet-blowup"):
-            raise ScenarioError(f"field 'probabilities' is not read by {kind}")
-        space, gens, probs = None, {}, None
-        if kind != "giet-blowup":
+        unread = [f for f in UNREAD[kind] if f in obj]
+        if kind == "giet-blowup" and spec:
+            unread.append("space")
+        if unread:
+            raise ScenarioError(f"field {unread[0]!r} is not read by {kind}")
+        space, gens, probs, giets, blowup = None, {}, None, (), {}
+        if kind == "giet-blowup":
+            giets = tuple(ser.giet_from_obj(g) for g in obj.get("giets", ()))
+            if not giets:
+                raise ScenarioError("giet-blowup needs at least one giet")
+            blowup = dict(obj.get("blowup", {}))
+            unknown = sorted(blowup.keys() - {"L", "rho"})
+            if unknown:
+                raise ScenarioError(f"unknown blowup key {unknown[0]!r}")
+            if type(blowup.get("L", 3)) is not int:
+                raise ScenarioError(f"blowup 'L': {blowup['L']!r} is not an integer")
+            if "rho" in blowup:
+                blowup["rho"] = rat(blowup["rho"])
+        else:
             if spec.get("ifs") == "ternary":
                 space = ternary_cantor(_integer(spec.get("depth", 3), "field 'space.depth'"))
             elif isinstance(spec.get("ifs"), str):
@@ -130,17 +150,6 @@ def parse_scenario(text: str) -> Scenario:
                 budgets[k] = rat(v)
             elif (k, v) != ("depth", None):
                 _integer(v, f"budget {k!r}")
-        giets = tuple(ser.giet_from_obj(g) for g in obj.get("giets", ()))
-        if kind == "giet-blowup" and not giets:
-            raise ScenarioError("giet-blowup needs at least one giet")
-        blowup = dict(obj.get("blowup", {}))
-        unknown = sorted(blowup.keys() - {"L", "rho"})
-        if unknown:
-            raise ScenarioError(f"unknown blowup key {unknown[0]!r}")
-        if type(blowup.get("L", 3)) is not int:
-            raise ScenarioError(f"blowup 'L': {blowup['L']!r} is not an integer")
-        if "rho" in blowup:
-            blowup["rho"] = rat(blowup["rho"])
         output = obj.get("output", "scenario")
         if os.path.basename(output) != output or output in ("", ".", ".."):
             raise ScenarioError(f"field 'output': {output!r} is not a file name")

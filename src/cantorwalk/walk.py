@@ -3,16 +3,18 @@
 All set and map computations feeding the statistics are exact; the
 statistics themselves (measure estimates, log-distance fits, entropy) are
 floating point and flagged as such.  Randomness comes from a counter-based
-Philox stream keyed by (model seed, stream index), so every report is a
-deterministic function of the model, the seed and the parameters.
-numpy is imported only inside the functions that draw or average, so runs
-that draw nothing (verify, find-measure, giet-blowup) never load it.
+Philox4x64-10 stream (Salmon, Moraes, Dror and Shaw, SC '11) keyed by
+(model seed, stream index), so every report is a deterministic function of
+the model, the seed and the parameters.  The stream is computed here, bit
+for bit the one numpy's Philox gives, with each block's words packed into
+Python ints; nothing in this package loads numpy.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import struct
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -70,44 +72,84 @@ def make_model(space, named_gens: dict, probs=None, seed: int = 0) -> WalkModel:
     return WalkModel(space, names, gens, tuple(rat(p) for p in probs), seed)
 
 
-def _philox(seed: int, stream: int):
-    """The Philox generator keyed by (seed, stream), each taken mod 2**64;
-    an explicit uint64 key keeps keys of 2**63 and more exact."""
-    import numpy as np
-    return np.random.Generator(np.random.Philox(
-        key=np.array([seed % TWO64, stream % TWO64], dtype=np.uint64)))
+M0, M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157  # Philox round multipliers
+W0, W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # Weyl key increments
+
+
+def _lanes(count: int) -> int:
+    """count ones, 128 bits apart: the unit of a packed int's lanes."""
+    return int.from_bytes((b"\1" + bytes(15)) * count, "little")
+
+
+def _philox_words(k0: int, k1: int, first: int, count: int) -> list:
+    """The four output words of Philox4x64-10 keyed by (k0, k1) < 2**64 on
+    blocks first .. first + count - 1, block b's counter being b < 2**64:
+    each word packed as one int whose 64-bit lanes lie 128 bits apart,
+    block first's lowest.  A lane times a 64-bit multiplier fits in its
+    128 bits, so a round is two multiplies and some shifts, masks and xors
+    over all blocks at once."""
+    ones = _lanes(count)
+    low = (ones << 64) - ones
+    # block b's counter b fills the low 8 of its lane's 16 bytes
+    counters = struct.pack(f"<{count}Q", *range(first, first + count))
+    lanes = bytearray(16 * count)
+    for i in range(8):
+        lanes[i::16] = counters[i::8]
+    x0, x1, x2, x3 = int.from_bytes(lanes, "little"), 0, 0, 0
+    # the round keys, and x1 and x3 as whole products, carry bits above 64
+    # in their lanes (never past 128); one mask per word clears them
+    k0, k1, w0, w1 = k0 * ones, k1 * ones, W0 * ones, W1 * ones
+    for r in range(10):
+        if r:
+            k0 += w0
+            k1 += w1
+        p0, p1 = x0 * M0, x2 * M1
+        x0, x1, x2, x3 = ((p1 >> 64) ^ x1 ^ k0) & low, p1, ((p0 >> 64) ^ x3 ^ k1) & low, p0
+    return [x0, x1 & low, x2, x3 & low]
 
 
 class Trajectory:
-    """The i.i.d. generator-index stream omega for one (model, stream) key."""
+    """The i.i.d. generator-index stream omega for one (model, stream) key:
+    draw i is word i % 4 of Philox block i // 4 + 1 keyed by (seed, stream),
+    each taken mod 2**64, as numpy's Philox gives it."""
 
     def __init__(self, model: WalkModel, stream: int = 0):
         self.model = model
         self.stream = stream
         self._indices: list[int] = []
-        self._rng = _philox(model.seed, stream)
+        self._key = (model.seed % TWO64, stream % TWO64)
         # a draw u picks generator #{cut <= u}, the cuts being the cumulative
         # probabilities times 2**64 but the last (2**64, above every draw)
-        cum, cuts = Fraction(0), []
+        cum, self._cuts = Fraction(0), []
         for p in model.probs[:-1]:
             cum += p
-            cuts.append(int(cum * TWO64))
-        import numpy as np
-        self._cuts = np.array(cuts, dtype=np.uint64)
+            self._cuts.append(int(cum * TWO64))
         # the forward words computed so far, by length
         self._fwd = {}
 
     def index(self, k: int) -> int:
         """The k-th index.  The first draw reaches k, and a later one at
-        least doubles what is drawn; a full-range uint64 draw takes one
-        Philox output, so the stream does not depend on the draw sizes."""
+        least doubles what is drawn; each draw is one Philox output, so the
+        stream does not depend on the draw sizes."""
         have = len(self._indices)
         if have <= k:
-            import numpy as np
-            draws = self._rng.integers(0, TWO64 - 1, size=max(k + 1 - have, have),
-                                       dtype=np.uint64, endpoint=True)
-            self._indices += np.searchsorted(self._cuts, draws, side="right").tolist()
+            self._indices += self._draw(have, max(k + 1 - have, have))
         return self._indices[k]
+
+    def _draw(self, start: int, n: int) -> tuple:
+        """The indices of draws start .. start + n - 1.  Bit 64 of
+        u + 2**64 - c is [u >= c], so per cut one add and mask count it in
+        every lane; the four words' counts, 32 bits apart, read out in draw
+        order."""
+        first, count = start // 4, (start + n + 3) // 4 - start // 4
+        ones = _lanes(count)
+        high = ones << 64
+        offsets = [(TWO64 - c) * ones for c in self._cuts]
+        packed = 0
+        for j, w in enumerate(_philox_words(*self._key, first + 1, count)):
+            packed |= sum((w + o) & high for o in offsets) << 32 * j
+        drawn = struct.unpack(f"<{4 * count}I", (packed >> 64).to_bytes(16 * count, "little"))
+        return drawn[start - 4 * first:start - 4 * first + n]
 
     def step_map(self, k: int) -> PAHomeo:
         return self.model.gens[self.index(k)]
@@ -183,12 +225,12 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int) -> C
                         lo, hi, s, o = branches[j + 1]
                 x = min(max(x, lo), hi)
             x = s * x + o
-    # x may drift into a gap; past the gap's midpoint it counts to the next cell
-    mids = [(h + l) / 2 for h, l in zip(his, los[1:])]
-    import numpy as np
-    counts = np.bincount(np.searchsorted(mids, visited), minlength=len(cells))
-    masses = counts / counts.sum()
-    return CellMeasure(depth, tuple(float(m) for m in masses), False)
+    # x may drift into a gap; past the gap's midpoint it counts to the next
+    # cell, so cell i holds the visits in (mids[i - 1], mids[i]]
+    visited.sort()
+    ends = [bisect.bisect_right(visited, (h + l) / 2) for h, l in zip(his, los[1:])]
+    counts = [b - a for a, b in zip([0] + ends, ends + [len(visited)])]
+    return CellMeasure(depth, tuple(c / len(visited) for c in counts), False)
 
 
 def invariance_rows(gens: Sequence[PAHomeo], cs) -> list:

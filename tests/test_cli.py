@@ -225,16 +225,19 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_cold_start_imports_neither_numpy_nor_dataclasses(tmp_path):
-    # the import and verify, find-measure and giet-blowup load neither numpy
-    # nor dataclasses, nor the inspect module dataclasses imports; simulate
-    # draws its walk from numpy's Philox, so it loads numpy, and numpy
-    # imports inspect itself
+    # the import and every command load neither numpy nor dataclasses, nor
+    # the inspect module dataclasses imports; the walks of simulate,
+    # certify-free and morse-smale draw their Philox stream without numpy
     assert main(["certify-free", "free_pair", "--out", str(tmp_path)]) == 0
+    ms = tmp_path / "ms.json"
+    ms.write_text(json.dumps(_kind_doc("morse-smale")))
     out = str(tmp_path / "fresh")
     argvs = [["verify", str(tmp_path / "free_pair_certificate.json")],
              ["find-measure", "klein_four", "--out", out],
              ["giet-blowup", "rotation_third", "--out", out],
-             ["simulate", "g3", "--out", out]]
+             ["simulate", "g3", "--out", out],
+             ["certify-free", "free_pair", "--out", out],
+             ["morse-smale", str(ms), "--out", out]]
     src = str(Path(cantorwalk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
@@ -245,8 +248,9 @@ def test_cold_start_imports_neither_numpy_nor_dataclasses(tmp_path):
     assert [step[:4] for step in steps] == [
         ["import", None, False, False], ["verify", 0, False, False],
         ["find-measure", 0, False, False], ["giet-blowup", 0, False, False],
-        ["simulate", 0, True, False]]
-    assert [inspect for *_, inspect in steps[:4]] == [False] * 4
+        ["simulate", 0, False, False], ["certify-free", 0, False, False],
+        ["morse-smale", 0, False, False]]
+    assert [inspect for *_, inspect in steps] == [False] * 7
 
 
 @pytest.mark.xfail(strict=True, reason="ping-pong certificates carry no "
@@ -346,6 +350,13 @@ FLAG_ARGV = {"--runs": ["--runs", "1"], "--depth": ["--depth", "1"],
 # walk laws for the kinds that draw no walk: one weight too few for
 # klein_four, and two that would fit
 UNREAD_LAWS = {"probabilities=1": ["1"], "probabilities=1/4,3/4": ["1/4", "3/4"]}
+# fields of other kinds: rotation_third's giets and a blow-up for the kinds
+# that read generators, and free_pair's generators, inverses and a space for
+# giet-blowup
+UNREAD_FIELDS = {"giets": json.loads(_load_scenario_text("rotation_third"))["giets"],
+                 "blowup": {"L": 5},
+                 "generators": json.loads(_load_scenario_text("free_pair"))["generators"],
+                 "include_inverses": True, "space": {"ifs": "ternary", "depth": 2}}
 
 
 def _kind_doc(kind, **fields):
@@ -366,12 +377,16 @@ def test_budget_table():
       if key not in KIND_BUDGETS[kind]),
     *((kind, flag) for kind in KIND_FLAGS for flag in FLAG_ARGV
       if flag not in KIND_FLAGS[kind]),
-    *((kind, law) for kind in ("find-measure", "giet-blowup") for law in UNREAD_LAWS)])
+    *((kind, law) for kind in ("find-measure", "giet-blowup") for law in UNREAD_LAWS),
+    *((kind, field) for kind in KIND_BUDGETS if kind != "giet-blowup"
+      for field in ("giets", "blowup")),
+    *(("giet-blowup", field) for field in ("generators", "include_inverses", "space"))])
 def test_unread_budgets_and_flags_are_refused(tmp_path, capsys, kind, knob):
-    # a budget, flag or walk law that the kind does not read exits 1 with
-    # one line, rather than running as if it had been read
-    flag, law = knob.startswith("--"), UNREAD_LAWS.get(knob)
+    # a budget, flag, walk law or field that the kind does not read exits 1
+    # with one line, rather than running as if it had been read
+    flag, law, field = knob.startswith("--"), UNREAD_LAWS.get(knob), knob in UNREAD_FIELDS
     doc = (_kind_doc(kind) if flag else _kind_doc(kind, probabilities=law) if law
+           else _kind_doc(kind, **{knob: UNREAD_FIELDS[knob]}) if field
            else _kind_doc(kind, budgets={knob: BUDGET_VALUES[knob]}))
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -381,6 +396,7 @@ def test_unread_budgets_and_flags_are_refused(tmp_path, capsys, kind, knob):
     assert main([kind, str(path), "--out", str(out), *argv]) == 1
     message = (f"unrecognized arguments: {' '.join(argv)}" if flag
                else f"field 'probabilities' is not read by {kind}" if law
+               else f"field {knob!r} is not read by {kind}" if field
                else f"unknown budget key {knob!r} for {kind}")
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not any(out.iterdir())

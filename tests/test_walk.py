@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from cantorwalk import walk
 from cantorwalk.maps import apply, compose, equals, image, invert
 from cantorwalk.rational import affine, coprime_fraction, pair_cmp
-from cantorwalk.walk import (TWO64, CellMeasure, Trajectory, WalkError, _philox, _push_runs,
+from cantorwalk.walk import (TWO64, CellMeasure, Trajectory, WalkError, _push_runs,
                              break_accumulation, contraction_scan, estimate_entropy,
                              estimate_stationary_measure, forward_word,
                              global_contraction_report, invariance_residual,
@@ -333,13 +333,14 @@ def _branch_dist_ref(b, x):
 
 
 def _indices_ref(model, stream, n):
-    """The generator indices of a stream, drawn 512 at a time, one
-    bisection per draw."""
+    """The generator indices of a stream, drawn 512 at a time from numpy's
+    Philox keyed by (seed, stream) mod 2**64, one bisection per draw."""
     cum, thresholds = F(0), []
     for p in model.probs:
         cum += p
         thresholds.append(int(cum * TWO64))
-    rng = _philox(model.seed, stream)
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([model.seed % TWO64, stream % TWO64], dtype=np.uint64)))
     out = []
     while len(out) < n:
         for u in rng.integers(0, TWO64 - 1, size=512,
