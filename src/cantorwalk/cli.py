@@ -11,9 +11,7 @@ so equal runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -227,8 +225,9 @@ def run_scenario(s: Scenario, out_dir: str, emit_series: bool):
 
     if s.kind == "simulate":
         mu = estimate_stationary_measure(model, bud["n"] * 25, bud["depth"])
-        avg, per_gen = invariance_residual(mu, model)
-        h = estimate_entropy(mu, model)
+        masses = {}  # image region pieces -> mass under mu, for this run only
+        avg, per_gen = invariance_residual(mu, model, masses)
+        h = estimate_entropy(mu, model, masses)
         t = Trajectory(model, stream=0)
         rep = global_contraction_report(t, bud["depth"], bud["n"], bud["eps"])
         if emit_series:
@@ -274,13 +273,13 @@ def run_scenario(s: Scenario, out_dir: str, emit_series: bool):
 
 def _emit_diameter_series(out_dir, stem, diameters):
     """Per-step image diameter of every depth-d cell, as plot-ready CSV; the
-    diameters are int pairs, each written as the float of its Fraction."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["step"] + [f"diam_cell_{i}" for i in range(len(diameters))])
-    for k, row in enumerate(zip(*diameters)):
-        w.writerow([k] + [n / d for n, d in row])
-    ser.write_text_atomic(os.path.join(out_dir, f"{stem}_series.csv"), buf.getvalue())
+    diameters are int pairs, each written as the float of its Fraction.
+    Each row ends in CRLF, and no field needs quoting, as csv.writer writes it."""
+    lines = [",".join(["step"] + [f"diam_cell_{i}" for i in range(len(diameters))])]
+    lines += (",".join(map(repr, [k] + [n / d for n, d in row]))
+              for k, row in enumerate(zip(*diameters)))
+    ser.write_text_atomic(os.path.join(out_dir, f"{stem}_series.csv"),
+                          "\r\n".join(lines) + "\r\n")
 
 
 # ---------------------------------------------------------------------------

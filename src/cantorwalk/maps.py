@@ -20,8 +20,8 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .rational import (affine, as_pair, bisect_pairs, coprime_fraction, pair_cmp, pair_key,
-                       rat, value_order)
+from .rational import (affine, as_pair, coprime_fraction, pair_cmp, pair_key, pair_keys,
+                       place_left, place_right, rat, value_order)
 from .space import CompactSet, Piece, Region, _Frozen
 
 
@@ -86,6 +86,16 @@ class PAHomeo(_Frozen):
         return tuple(b.pairs for b in self.branches)
 
     @cached_property
+    def _lo_keys(self) -> tuple:
+        """The pair_keys of the branch sources' left ends."""
+        return pair_keys([p[0] for p in self._pairs])
+
+    @cached_property
+    def _hi_keys(self) -> tuple:
+        """The pair_keys of the branch sources' right ends."""
+        return pair_keys([p[1] for p in self._pairs])
+
+    @cached_property
     def _image_order(self) -> list:
         """The branch indices in the order of their images, which do not overlap."""
         return value_order([p[4:5] for p in self._pairs])
@@ -106,7 +116,7 @@ class PAHomeo(_Frozen):
         the ambient set; the right one is returned.
         """
         ps = self._pairs
-        i = bisect_pairs(ps, 0, x) - 1
+        i = place_right(self._lo_keys, x) - 1
         if i >= 0 and pair_cmp(x, ps[i][1]) <= 0:
             return ps[i]
         raise MapError(f"{coprime_fraction(*x)} is not in any branch source")
@@ -318,7 +328,7 @@ def compose(f: PAHomeo, g: PAHomeo) -> PAHomeo:
         # g^-1 as y -> (p*yn + q*yd) / (r*yd), r > 0
         p, q, r = (od * sd, -on * sd, od * sn) if up else (-od * sd, on * sd, -od * sn)
         pieces = []
-        for (ln, ld), (hn, hd), (tn, td), (un, ud), ea, eb in fq[bisect_pairs(fq, 1, ia):]:
+        for (ln, ld), (hn, hd), (tn, td), (un, ud), ea, eb in fq[place_right(f._hi_keys, ia):]:
             if ln * bd >= bn * ld:
                 break
             a, b, c = tn * ud, un * td, td * ud  # f
@@ -408,7 +418,10 @@ def break_pairs(f: PAHomeo) -> list[BreakPair]:
 
 
 def break_points(f: PAHomeo) -> list[Fraction]:
-    return sorted({x for p in break_pairs(f) for x in (p.a, p.b)})
+    """The ends of f's break pairs, each once, sorted as int pairs."""
+    ends = {as_pair(x): x for p in break_pairs(f) for x in (p.a, p.b)}
+    xs = list(ends)
+    return [ends[xs[i]] for i in value_order([(x,) for x in xs])]
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +431,11 @@ def break_points(f: PAHomeo) -> list[Fraction]:
 def _image_pieces(f: PAHomeo, S: Region):
     """The images of S's pieces clipped to f's branch sources, each with the
     index of its branch; the pieces of one branch come in source order."""
-    ps = f._pairs
+    ps, lo_keys, hi_keys = f._pairs, f._lo_keys, f._hi_keys
     for plo, phi, plo_closed, phi_closed in S.pieces:
-        (pln, pld), (phn, phd), j = plo, phi, bisect_pairs(ps, 1, plo, False)
+        (pln, pld), (phn, phd), j = plo, phi, place_left(hi_keys, plo)
         for i, (blo, bhi, (sn, sd), (on, od), ea, eb) in enumerate(
-                ps[j:bisect_pairs(ps, 0, phi)], j):
+                ps[j:place_right(lo_keys, phi)], j):
             # clip the piece to a closed branch source; the bisection makes them meet
             holds_lo = (c := pln * blo[1] - blo[0] * pld) < 0 or c == 0 and plo_closed
             holds_hi = (c := bhi[0] * phd - phn * bhi[1]) < 0 or c == 0 and phi_closed

@@ -1,6 +1,7 @@
 """Helpers for exact rationals, their reduced (numerator, denominator > 0)
 int pairs and their "p/q" string form."""
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
@@ -67,15 +68,25 @@ def value_order(rows) -> list[int]:
     return sorted(range(len(rows)), key=ks.__getitem__)
 
 
-def bisect_pairs(rows, j: int, x: tuple, right: bool = True) -> int:
-    """bisect.bisect_right (bisect_left when not right) of the pair x in the
-    rows, sorted by the value of their pairs row[j], by cross-multiplication."""
-    (xn, xd), lo, hi = x, 0, len(rows)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        c = rows[mid][j][0] * xd - xn * rows[mid][j][1]
-        lo, hi = (mid + 1, hi) if c < 0 or right and c == 0 else (lo, mid)
-    return lo
+def pair_keys(col) -> tuple:
+    """(m, keys) of a column of (numerator, denominator > 0) pairs: m the
+    least common denominator and keys the pairs' values times m, ints, in
+    the column's order.  A key k is at most x = xn/xd iff
+    k <= floor(xn*m / xd), and below it iff k < ceil(xn*m / xd)."""
+    m = lcm(*(d for _, d in col))
+    return m, [n * (m // d) for n, d in col]
+
+
+def place_right(mk: tuple, x: tuple) -> int:
+    """bisect.bisect_right of the pair x in the sorted column whose pair_keys are mk."""
+    (m, keys), (xn, xd) = mk, x
+    return bisect_right(keys, xn * m // xd)
+
+
+def place_left(mk: tuple, x: tuple) -> int:
+    """bisect.bisect_left of the pair x in the sorted column whose pair_keys are mk."""
+    (m, keys), (xn, xd) = mk, x
+    return bisect_left(keys, -(-xn * m // xd))
 
 
 def pair_str(p: tuple) -> str:

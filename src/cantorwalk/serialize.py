@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from datetime import datetime, timezone
 
 from .rational import RationalError, pair_str, rat, rat_str
@@ -220,10 +219,12 @@ def write_json_atomic(path: str, obj) -> None:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Replace path with the text as given, through a temp file beside it."""
+    """Replace path with the text as given, through a temp file beside it
+    that, as open() does, takes mode 0o666 less the umask."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = os.path.join(d, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)

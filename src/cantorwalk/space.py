@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cache, cmp_to_key
+from functools import cache, cached_property, cmp_to_key
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .rational import affine, as_pair, bisect_pairs, coprime_fraction, pair_cmp, pair_key, rat
+from .rational import (affine, as_pair, coprime_fraction, pair_cmp, pair_key, pair_keys,
+                       place_left, place_right, rat)
 
 MAX_INTERVALS = 2 ** 16  # the most cylinders intervals_at builds
 
@@ -210,7 +211,7 @@ class CompactSet(_Frozen):
     holds them as pairs of reduced (numerator, denominator > 0) int pairs;
     intervals and hull are Fraction views of it."""
 
-    __slots__ = ("ends", "ifs", "depth")
+    __slots__ = ("ends", "ifs", "depth", "__dict__")  # __dict__ holds the caches
 
     def __init__(self, ends: tuple, ifs: Optional[Ifs] = None, depth: int = 0):
         object.__setattr__(self, "ends", ends)
@@ -231,19 +232,27 @@ class CompactSet(_Frozen):
         (coprime_fraction(*l), coprime_fraction(*r)) for l, r in s.ends))
     hull = property(lambda s: (coprime_fraction(*s.ends[0][0]), coprime_fraction(*s.ends[-1][1])))
 
+    @cached_property
+    def _lo_keys(self) -> tuple:
+        """The pair_keys of the intervals' left ends."""
+        return pair_keys([l for l, _ in self.ends])
+
+    @cached_property
+    def _hi_keys(self) -> tuple:
+        """The pair_keys of the intervals' right ends."""
+        return pair_keys([r for _, r in self.ends])
+
     def _holds(self, x: tuple) -> bool:
         """Whether K holds the int pair x."""
-        ends = self.ends
-        i = bisect_pairs(ends, 0, x) - 1
-        return i >= 0 and pair_cmp(x, ends[i][1]) <= 0
+        i = place_right(self._lo_keys, x) - 1
+        return i >= 0 and pair_cmp(x, self.ends[i][1]) <= 0
 
     def contains(self, x: Fraction) -> bool:
         return self._holds(as_pair(x))
 
     def _meeting(self, lo: tuple, hi: tuple) -> list:
         """The intervals that meet [lo, hi], found by bisection; all int pairs."""
-        ends = self.ends
-        return list(ends[bisect_pairs(ends, 1, lo, False):bisect_pairs(ends, 0, hi)])
+        return list(self.ends[place_left(self._hi_keys, lo):place_right(self._lo_keys, hi)])
 
     def contains_limit_point(self, x: Fraction) -> bool:
         """Membership in the underlying limit set (equals contains() when
@@ -408,7 +417,7 @@ class Region(_Frozen):
     the hull of K; on K it is the same set.
     """
 
-    __slots__ = ("space", "pieces")
+    __slots__ = ("space", "pieces", "__dict__")  # __dict__ holds the caches
 
     def __init__(self, space: CompactSet, pieces: tuple[Piece, ...]):
         object.__setattr__(self, "space", space)
@@ -424,9 +433,14 @@ class Region(_Frozen):
 
     # -- membership ---------------------------------------------------------
 
+    @cached_property
+    def _lo_keys(self) -> tuple:
+        """The pair_keys of the pieces' left ends."""
+        return pair_keys([p[0] for p in self.pieces])
+
     def _pieces_hold(self, x: tuple) -> bool:
         """Whether a piece holds the int pair x: the last that starts at or before it."""
-        i = bisect_pairs(self.pieces, 0, x) - 1
+        i = place_right(self._lo_keys, x) - 1
         return i >= 0 and pair_cmp(x, self.pieces[i][1]) <= 0 and _meets(self.pieces[i], x, x)
 
     def _piece_meets_space(self, p: Piece) -> bool:
@@ -442,7 +456,7 @@ class Region(_Frozen):
         when p holds an end in K outside self, and else the sweep on K
         decides, or None when not asked to sweep."""
         (pn, pd), (qn, qd), p_lo_closed, p_hi_closed = p
-        i = bisect_pairs(self.pieces, 0, p[0]) - 1
+        i = place_right(self._lo_keys, p[0]) - 1
         if i >= 0:
             (ln, ld), (hn, hd), lo_closed, hi_closed = self.pieces[i]
             # the bisection puts that piece's lo at or before p's

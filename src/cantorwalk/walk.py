@@ -20,7 +20,8 @@ from functools import reduce
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .rational import affine, as_pair, bisect_pairs, coprime_fraction, pair_cmp, rat
+from .rational import (affine, as_pair, coprime_fraction, pair_cmp, pair_keys, place_left,
+                       place_right, rat, value_order)
 from .maps import PAHomeo, _apply, break_points, compose, image, invert, equals
 from .space import CompactSet, Piece, Region, _Frozen, epsilon_neighborhood
 
@@ -272,13 +273,14 @@ def invariance_rows(gens: Sequence[PAHomeo], cs) -> list:
     return rows
 
 
-def invariance_residual(mu: CellMeasure, model: WalkModel):
+def invariance_residual(mu: CellMeasure, model: WalkModel, masses: dict):
     """Max violation of the harmonic-measure equation, in floats, as
     (averaged_residual, per_generator_residual): averaged uses
     mu(c) = sum_s P(s) mu(s^{-1} c) and per-generator is
     max |mu(c) - mu(g^{-1} c)|, with the uniform-split convention for
     preimages finer than the cell depth.  Whether an exact measure is
-    invariant is certify.verify_invariant_measure's question."""
+    invariant is certify.verify_invariant_measure's question.  masses is
+    _image_mass's dict for mu."""
     cells = measure_cells(model.space, mu.depth)
     K = model.space
     invs = [invert(g) for g in model.gens]
@@ -288,7 +290,7 @@ def invariance_residual(mu: CellMeasure, model: WalkModel):
         acc = 0.0
         for gi, ginv in enumerate(invs):
             pre = image(ginv, cell)
-            pm = _region_mass(mu, cells, K, pre)
+            pm = _image_mass(masses, mu, cells, K, pre)
             per_gen = max(per_gen, abs(float(mu.masses[ci]) - pm))
             acc += float(model.probs[gi]) * pm
         averaged = max(averaged, abs(float(mu.masses[ci]) - acc))
@@ -307,7 +309,7 @@ def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region) -> f
     [a, b] of K lies in the region iff it lies in the last piece starting at
     or before a, and meets it iff that piece or the next one holds a point
     of it, flags included."""
-    ps = region.pieces
+    ps, lo_keys = region.pieces, region._lo_keys
 
     def portion(lo, hi, depth_left) -> float:
         inside, meets = True, False
@@ -315,7 +317,7 @@ def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region) -> f
             # [a, b]: the cell's part of this interval of K
             (an, ad) = a = kl if kl[0] * lo[1] > lo[0] * kl[1] else lo
             bn, bd = kr if kr[0] * hi[1] < hi[0] * kr[1] else hi
-            i, held = bisect_pairs(ps, 0, a), False
+            i, held = place_right(lo_keys, a), False
             if i:
                 (ln, ld), (hn, hd), lc, hc = ps[i - 1]
                 held = (ln * ad < an * ld or lc) and ((c := bn * hd - hn * bd) < 0 or c == 0 and hc)
@@ -344,15 +346,27 @@ def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region) -> f
     total = 0.0
     if not ps:
         return total
-    a, b = bisect_pairs(cells, 1, ps[0][0], False), bisect_pairs(cells, 0, ps[-1][1])
+    a = place_left(pair_keys([r for _, r in cells]), ps[0][0])
+    b = place_right(pair_keys([l for l, _ in cells]), ps[-1][1])
     for m, (l, r) in zip(mu.masses[a:b], cells[a:b]):
         total += float(m) * portion(l, r, SPLIT_DEPTH)
     return total
 
 
-def estimate_entropy(mu: CellMeasure, model: WalkModel) -> float:
+def _image_mass(masses: dict, mu: CellMeasure, cells, space: CompactSet, region: Region) -> float:
+    """_region_mass of the region, kept in masses under its pieces: one dict
+    serves every image region under one measure mu, so the residual and the
+    entropy of a generating set closed under inverses share their masses."""
+    m = masses.get(region.pieces)
+    if m is None:
+        m = masses[region.pieces] = _region_mass(mu, cells, space, region)
+    return m
+
+
+def estimate_entropy(mu: CellMeasure, model: WalkModel, masses: dict) -> float:
     """h ~= sum_s P(s) sum_c mu(c) log(mu(c)/mu(s(c))), s(c) the exact
-    image of cell c of mu's depth; cells of zero mass or image mass are skipped."""
+    image of cell c of mu's depth; cells of zero mass or image mass are
+    skipped.  masses is _image_mass's dict for mu."""
     cells = measure_cells(model.space, mu.depth)
     per_gen = []
     for g, p in zip(model.gens, model.probs):
@@ -362,7 +376,7 @@ def estimate_entropy(mu: CellMeasure, model: WalkModel) -> float:
             if m <= 0:
                 continue
             img = image(g, Region(model.space, (Piece._make((l, r, True, True)),)))
-            im = _region_mass(mu, cells, model.space, img)
+            im = _image_mass(masses, mu, cells, model.space, img)
             if im <= 0:
                 continue
             term += m * math.log(m / im)
@@ -536,7 +550,8 @@ def break_accumulation(t: Trajectory, n: int):
     for i in range(n - 1, -1, -1):
         inverse = inverses[t.index(i)]
         acc = base | {_apply(inverse, p) for p in acc}
-    pts = sorted(coprime_fraction(*p) for p in acc)
+    acc = list(acc)
+    pts = [coprime_fraction(*acc[i]) for i in value_order([(p,) for p in acc])]
     return pts, _single_linkage([(p, p) for p in pts], Fraction(1, 27))
 
 

@@ -133,7 +133,7 @@ def test_criterion_4_klein_invariant_branch():
     ok = bool(cert) and cert.measure.masses == (F(1, 2), F(1, 2))
     ok = ok and cert.consistency_depth == 6
     model = make_model(K, KLEIN_GENS)
-    avg, per_gen = invariance_residual(cert.measure, model)
+    avg, per_gen = invariance_residual(cert.measure, model, {})
     ok = ok and avg == 0 and per_gen == 0
     orb = find_finite_orbit(KLEIN_GENS, [F(0)], bound=2000)
     ok = ok and list(orb.orbit) == [F(0), F(1, 3), F(2, 3), F(1)]
@@ -227,13 +227,13 @@ def test_criterion_9_backward_accumulation():
 def test_criterion_10_entropy():
     klein = make_model(K, KLEIN_GENS)
     uniform = CellMeasure(1, (F(1, 2), F(1, 2)), True)
-    h_klein = estimate_entropy(uniform, klein)
+    h_klein = estimate_entropy(uniform, klein, {})
     ok = h_klein == 0.0
     h_free = None
     for seed in range(3):
         model = make_model(K, FREE_GENS, seed=seed)
         mu = estimate_stationary_measure(model, 10000, 2)
-        h = estimate_entropy(mu, model)
+        h = estimate_entropy(mu, model, {})
         ok = ok and h >= -1e-9  # Jensen lower bound, every run
         h_free = h
     ok = ok and h_free > 0

@@ -1,6 +1,8 @@
 """Scenario parsing, bundled runs, determinism and the verify subcommand."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -153,6 +155,22 @@ def test_run_g3_simulation_with_series(tmp_path):
     assert head.startswith("step,diam_cell_0")
 
 
+def test_series_text_is_what_csv_writer_writes(tmp_path):
+    # 0.0, the least subnormal 5e-324, 1e-300, 1/3 and 1.0 as diameter
+    # pairs, and a second cell's series beside them
+    first = ((0, 1), (1, 2 ** 1074), (1, 10 ** 300), (1, 3), (1, 1))
+    diameters = (first, tuple((n, d * 7) for n, d in first[::-1]))
+    cli._emit_diameter_series(str(tmp_path), "s", diameters)
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["step", "diam_cell_0", "diam_cell_1"])
+    for k, row in enumerate(zip(*diameters)):
+        w.writerow([k] + [float(F(n, d)) for n, d in row])
+    assert (tmp_path / "s_series.csv").read_bytes() == buf.getvalue().encode()
+    assert buf.getvalue().splitlines()[1:3] == ["0,0.0,0.14285714285714285",
+                                                "1,5e-324,0.047619047619047616"]
+
+
 def test_reports_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
@@ -215,7 +233,7 @@ import json, sys
 from cantorwalk import cli
 
 def loaded(step, code):
-    mods = [m in sys.modules for m in ("numpy", "dataclasses", "inspect")]
+    mods = [m in sys.modules for m in ("numpy", "dataclasses", "csv", "inspect")]
     print(json.dumps([step, code, *mods]), file=sys.stderr)
 
 loaded("import", None)
@@ -226,8 +244,9 @@ for argv in json.loads(sys.argv[1]):
 
 def test_cold_start_imports_neither_numpy_nor_dataclasses(tmp_path):
     # the import and every command load neither numpy nor dataclasses, nor
-    # the inspect module dataclasses imports; the walks of simulate,
-    # certify-free and morse-smale draw their Philox stream without numpy
+    # the inspect module dataclasses imports, nor csv, which the series
+    # text does without; the walks of simulate, certify-free and
+    # morse-smale draw their Philox stream without numpy
     assert main(["certify-free", "free_pair", "--out", str(tmp_path)]) == 0
     ms = tmp_path / "ms.json"
     ms.write_text(json.dumps(_kind_doc("morse-smale")))
@@ -235,7 +254,7 @@ def test_cold_start_imports_neither_numpy_nor_dataclasses(tmp_path):
     argvs = [["verify", str(tmp_path / "free_pair_certificate.json")],
              ["find-measure", "klein_four", "--out", out],
              ["giet-blowup", "rotation_third", "--out", out],
-             ["simulate", "g3", "--out", out],
+             ["simulate", "g3", "--emit-series", "--out", out],
              ["certify-free", "free_pair", "--out", out],
              ["morse-smale", str(ms), "--out", out]]
     src = str(Path(cantorwalk.__file__).resolve().parents[1])
@@ -245,11 +264,11 @@ def test_cold_start_imports_neither_numpy_nor_dataclasses(tmp_path):
                        env=env, capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
     steps = [json.loads(line) for line in p.stderr.splitlines()]
-    assert [step[:4] for step in steps] == [
-        ["import", None, False, False], ["verify", 0, False, False],
-        ["find-measure", 0, False, False], ["giet-blowup", 0, False, False],
-        ["simulate", 0, False, False], ["certify-free", 0, False, False],
-        ["morse-smale", 0, False, False]]
+    assert [step[:5] for step in steps] == [
+        ["import", None, False, False, False], ["verify", 0, False, False, False],
+        ["find-measure", 0, False, False, False], ["giet-blowup", 0, False, False, False],
+        ["simulate", 0, False, False, False], ["certify-free", 0, False, False, False],
+        ["morse-smale", 0, False, False, False]]
     assert [inspect for *_, inspect in steps] == [False] * 7
 
 

@@ -19,11 +19,12 @@ whether each image pair bounds a gap from its right end, where
 maps.break_pairs compares the image pairs at the gaps between consecutive
 sources with the gaps between consecutive branch images, on either kind of
 set; the region-mass reference sums every cell.
-maps.break_pairs, maps.apply, CompactSet._cylinder_pairs, the
-Region operations, maps.image, maps.maps_into, walk.invariance_rows,
-certify.periodic_points and walk._region_mass work on int pairs; a last
-test makes Fraction arithmetic and ordering raise and asks them for the
-answers they gave before.
+maps.break_pairs, maps.break_points, maps.apply, CompactSet._cylinder_pairs,
+the Region operations, maps.image, maps.maps_into, walk.invariance_rows,
+certify.periodic_points, walk._region_mass and the pullbacks of
+walk.break_accumulation work on int pairs; a last test makes Fraction
+arithmetic and ordering raise and asks them for the answers they gave
+before.
 """
 
 import operator
@@ -37,7 +38,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cantorwalk import maps
+from cantorwalk import maps, walk
 from cantorwalk.certify import periodic_points
 from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
                              break_pairs, break_points, compose,
@@ -45,9 +46,9 @@ from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
                              maps_into, pa_homeo)
 from cantorwalk.space import CompactSet, Ifs, Piece, Region, epsilon_neighborhood
 from cantorwalk.rational import coprime_fraction
-from cantorwalk.walk import (SPLIT_DEPTH, CellMeasure, _region_mass,
-                             cell_image_runs, invariance_rows, measure_cells,
-                             run_diameters)
+from cantorwalk.walk import (SPLIT_DEPTH, CellMeasure, Trajectory, _region_mass,
+                             break_accumulation, cell_image_runs, invariance_rows,
+                             make_model, measure_cells, run_diameters)
 
 from fixtures import TABLES, cylinder_region, fixture, identity_map, region
 from test_space import (NEGATIVE, THREE_MAPS, bounded_gaps, decompose_into_cylinders, gaps_at,
@@ -806,11 +807,12 @@ def _region_masses(cases):
 
 
 def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
-    # break_pairs on words of the ternary, unequal and plain sets, the
-    # cylinder lookups of tests/test_space.py::test_cylinders, the region
-    # kernels and periodic points of A1, R and the plain involution, and the
-    # region masses of A1 and U1, with every Fraction comparison and
-    # arithmetic operator raising
+    # break_pairs and break_points on words of the ternary, unequal and
+    # plain sets, the cylinder lookups of
+    # tests/test_space.py::test_cylinders, the region kernels and periodic
+    # points of A1, R and the plain involution, the region masses of A1 and
+    # U1, and the break accumulation points of walks on all three sets, with
+    # every Fraction comparison and arithmetic operator raising
     a1, a2, a1i, a2i = _letters(TERNARY, 3)
     u1, u2 = _letters(UNEQUAL, 3)[:2]
     p, q = PLAIN_LETTERS
@@ -843,6 +845,16 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
     mass_cases = [_mass_regions(f) for f in (a1, u1)]
     masses = _region_masses(mass_cases)
     assert masses[0][-1] == 1 / 36 * 0.75 + 2 / 36 + 3 / 36 + 4 / 36
+    points = [break_points(w) for w, _ in recorded]
+    assert points[1] == [F(7, 9), F(8, 9)]
+    # each trajectory is built, and its Fraction probabilities cut, before
+    # the operators raise; the clustering of the points is Fraction
+    # arithmetic by design, so only the sorted points are compared
+    models = [make_model(gens[0].space, dict(zip("abcd", gens)), seed=5)
+              for gens in (_letters(TERNARY, 3), _letters(UNEQUAL, 3), PLAIN_LETTERS)]
+    walks = [(Trajectory(m, stream=1), Trajectory(m, stream=1)) for m in models]
+    accumulated = [break_accumulation(t, 12)[0] for t, _ in walks]
+    assert all(accumulated)
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic or comparison in a pair kernel")
@@ -858,3 +870,6 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
     assert _region_answers(cases, a1, cells) == regions
     assert [periodic_points(f, n) for f, n in powers] == periodic
     assert _region_masses(mass_cases) == masses
+    assert [break_points(w) for w, _ in recorded] == points
+    monkeypatch.setattr(walk, "_single_linkage", lambda spans, radius: [])
+    assert [break_accumulation(t, 12)[0] for _, t in walks] == accumulated

@@ -1,6 +1,8 @@
 """Round trips for the JSON layer plus the exact feasibility solver."""
 
 import json
+import os
+import stat
 from fractions import Fraction as F
 
 import pytest
@@ -202,3 +204,19 @@ def test_atomic_text_write_keeps_line_ends_and_leaves_nothing_on_failure(tmp_pat
         ser.write_text_atomic(str(path), None)
     assert path.read_bytes() == b"step,x\r\n0,1.0\r\n"
     assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_atomic_write_takes_the_mode_open_gives(tmp_path, umask):
+    # the file is created as open() creates one, 0o666 less the umask, so a
+    # certificate is as readable as any other file its writer makes
+    path = tmp_path / "out.json"
+    old = os.umask(umask)
+    try:
+        ser.write_json_atomic(str(path), {"x": 1})
+        ser.write_text_atomic(str(tmp_path / "series.csv"), "step\r\n")
+    finally:
+        os.umask(old)
+    for p in (path, tmp_path / "series.csv"):
+        assert stat.S_IMODE(p.stat().st_mode) == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "series.csv"]

@@ -9,7 +9,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorwalk.rational import affine, as_pair, bisect_pairs, coprime_fraction
+from cantorwalk.rational import (affine, as_pair, coprime_fraction, pair_key, pair_keys,
+                                 place_left, place_right)
 from cantorwalk.space import (CompactSet, Ifs, Piece, Region, SpaceError, epsilon_neighborhood,
                               ternary_cantor)
 
@@ -88,6 +89,42 @@ def region_diameter(r: Region) -> F:
 
 def same_set(a: Region, b: Region) -> bool:
     return a.subset_of(b) and b.subset_of(a)
+
+
+def bisect_pairs(rows, j: int, x: tuple, right: bool = True) -> int:
+    """bisect.bisect_right (bisect_left when not right) of the pair x in the
+    rows, sorted by the value of their pairs row[j], by cross-multiplication:
+    the oracle of rational.place_right and place_left."""
+    (xn, xd), lo, hi = x, 0, len(rows)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        c = rows[mid][j][0] * xd - xn * rows[mid][j][1]
+        lo, hi = (mid + 1, hi) if c < 0 or right and c == 0 else (lo, mid)
+    return lo
+
+
+# denominators small, prime, and large powers of 2 and 3 and their mixes
+pair_denominators = st.sampled_from([1, 2, 3, 7, 9, 27, 2 ** 40, 3 ** 25, 2 ** 13 * 3 ** 11,
+                                     10 ** 12 + 39]) | st.integers(1, 10 ** 9)
+pair_values = st.builds(lambda n, d: as_pair(F(n, d)), st.integers(-10 ** 15, 10 ** 15),
+                        pair_denominators)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(pair_values, max_size=24), st.lists(st.integers(0, 23), max_size=8),
+       st.lists(pair_values, max_size=4))
+def test_keyed_bisection_matches_cross_multiplication(values, repeats, others):
+    # sorted columns with repeated values, asked at each row value, just
+    # past and before it, halfway between neighbours and at other pairs
+    col = sorted(values + [values[i % len(values)] for i in repeats if values], key=pair_key)
+    eps = F(1, 2 * math.lcm(*(d for _, d in col)) + 1)
+    vals = [coprime_fraction(*p) for p in col]
+    queries = [as_pair(v + e) for v in vals for e in (0, eps, -eps)] + others + [
+        as_pair((u + v) / 2) for u, v in zip(vals, vals[1:])]
+    mk, rows = pair_keys(col), [(p,) for p in col]
+    for x in queries:
+        assert place_right(mk, x) == bisect_pairs(rows, 0, x)
+        assert place_left(mk, x) == bisect_pairs(rows, 0, x, False)
 
 
 def _ifs_gap_pairs(ifs: Ifs, t: tuple) -> tuple:

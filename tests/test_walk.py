@@ -119,21 +119,39 @@ UNIFORM_1 = CellMeasure(1, (F(1, 2), F(1, 2)), True)
 
 
 def test_invariance_residual_oracles():
-    avg, per_gen = invariance_residual(UNIFORM_1, KLEIN)
+    avg, per_gen = invariance_residual(UNIFORM_1, KLEIN, {})
     assert (avg, per_gen) == (0, 0)
     # a point mass on the left cell is off by a full unit under the swap
     d1 = CellMeasure(1, (F(1), F(0)), True)
-    avg, per_gen = invariance_residual(d1, H_ONLY)
+    avg, per_gen = invariance_residual(d1, H_ONLY, {})
     assert per_gen == 1
     assert avg == 1
-    avg, per_gen = invariance_residual(d1, IDENT)
+    avg, per_gen = invariance_residual(d1, IDENT, {})
     assert (avg, per_gen) == (0, 0)
 
 
 def test_entropy_oracles():
-    assert estimate_entropy(UNIFORM_1, KLEIN) == 0.0
+    assert estimate_entropy(UNIFORM_1, KLEIN, {}) == 0.0
     d1 = CellMeasure(1, (F(1), F(0)), True)
-    assert estimate_entropy(d1, IDENT) == 0.0
+    assert estimate_entropy(d1, IDENT, {}) == 0.0
+
+
+@pytest.mark.parametrize("model, shared", [
+    (FREE, True),
+    (make_model(K, {"G3": fixture("G3", K), "H": fixture("H", K)}, [F(2, 3), F(1, 3)]), False)],
+    ids=["free", "g3_h"])
+def test_shared_masses_match_unshared(model, shared):
+    # one mass dict for the residual and the entropy gives bit for bit what
+    # a fresh dict for each gives; on a set closed under inverses the
+    # entropy finds every image region's mass already there
+    mu = estimate_stationary_measure(model, 2000, 3)
+    masses = {}
+    residual = invariance_residual(mu, model, masses)
+    known = len(masses)
+    h = estimate_entropy(mu, model, masses)
+    assert (len(masses) == known) == shared
+    fresh = (*invariance_residual(mu, model, {}), estimate_entropy(mu, model, {}))
+    assert [x.hex() for x in (*residual, h)] == [x.hex() for x in fresh]
 
 
 def test_dichotomy_free_pairs_mostly_decided():
