@@ -180,7 +180,7 @@ def _fixed_points(w: PAHomeo) -> tuple[list, list]:
     A branch x -> s*x + o with s != 1 fixes x = o / (1 - s) when x lies on
     its closed source and in K's limit set."""
     points, sources = [], []
-    for lo, hi, s, o, _, _ in (b.pairs for b in w.branches):
+    for lo, hi, s, o, _, _ in w.branches:
         if s == (1, 1):
             if o == (0, 1):
                 sources.append((lo, hi))
@@ -373,7 +373,7 @@ def assemble_free_pair(model: WalkModel, eps, max_len: int, runs: int,
 def _cells_compatible(maps: Sequence[PAHomeo], cells) -> bool:
     """Whether every branch source starts and ends at cell ends."""
     los, his = ({c[i] for c in cells} for i in (0, 1))
-    return all(b.pairs[0] in los and b.pairs[1] in his for g in maps for b in g.branches)
+    return all(b[0] in los and b[1] in his for g in maps for b in g.branches)
 
 
 def _invariance_system(inv_rows, nvar: int):
@@ -504,10 +504,10 @@ def _constraining_slope_max(f: PAHomeo, region: Region) -> Fraction:
     pointwise slope bound."""
     best = (0, 1)
     for b in f.branches:
-        inter = Region(f.space, (Piece._make(b.pairs[:2] + (True, True)),)).intersect(region)
+        inter = Region(f.space, (Piece._make(b[:2] + (True, True)),)).intersect(region)
         if inter.is_empty() or inter.infimum() == inter.supremum():
             continue
-        best = max(best, (abs(b.pairs[2][0]), b.pairs[2][1]), key=pair_key)
+        best = max(best, (abs(b[2][0]), b[2][1]), key=pair_key)
     return coprime_fraction(*best)
 
 

@@ -68,9 +68,9 @@ def giet_from_branches(interval, branches) -> Giet:
         bs.append(Branch(lo, hi, slope, offset))
     bs.sort(key=lambda br: br.lo)
     K = CompactSet(((as_pair(a), as_pair(b)),))
-    if not _tiles(K, [br.pairs[:2] for br in bs]):
+    if not _tiles(K, [br[:2] for br in bs]):
         raise GietError("sources do not partition the interval")
-    if not _tiles(K, [br.pairs[4:] for br in bs]):
+    if not _tiles(K, [br[4:] for br in bs]):
         raise GietError("images do not tile the interval")
     return Giet(a, b, tuple(bs))
 

@@ -35,36 +35,29 @@ def _inverse(s: tuple, o: tuple) -> tuple:
     return t, affine(t, (-o[0], o[1]))
 
 
-class Branch(_Frozen):
-    """x -> slope*x + offset on the closed source [lo, hi].  `pairs` holds lo,
-    hi, slope, offset and the sorted image ends as reduced (numerator,
-    denominator > 0) int pairs, which equality compares and the kernels use;
-    the Fraction views lo, hi, slope, offset and ends are built when read."""
+class Branch(tuple):
+    """x -> slope*x + offset on the closed source [lo, hi]: the reduced
+    (numerator, denominator > 0) int pairs lo, hi, slope, offset and the
+    sorted image ends, which equality compares and the kernels unpack.
+    Branch._make builds one from those six pairs; lo, hi, slope, offset and
+    ends are Fraction views."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ()
+    _make = classmethod(tuple.__new__)
 
-    def __init__(self, lo, hi, slope, offset):
+    def __new__(cls, lo, hi, slope, offset):
         lo, hi, s, o = ((v.numerator, v.denominator) for v in (lo, hi, slope, offset))
         a, b = affine(s, lo, o), affine(s, hi, o)
-        ends = (a, b) if pair_cmp(a, b) <= 0 else (b, a)
-        object.__setattr__(self, "pairs", (lo, hi, s, o) + ends)
+        return tuple.__new__(cls, (lo, hi, s, o) + ((a, b) if pair_cmp(a, b) <= 0 else (b, a)))
 
-    @classmethod
-    def from_pairs(cls, pairs: tuple) -> "Branch":
-        """The branch whose `pairs` are these six reduced pairs."""
-        b = object.__new__(cls)
-        object.__setattr__(b, "pairs", pairs)
-        return b
-
-    lo, hi, slope, offset = (property(lambda b, i=i: coprime_fraction(*b.pairs[i]))
-                             for i in range(4))
-    ends = property(lambda b: tuple(coprime_fraction(*p) for p in b.pairs[4:]))
+    lo, hi, slope, offset = (property(lambda b, i=i: coprime_fraction(*b[i])) for i in range(4))
+    ends = property(lambda b: tuple(coprime_fraction(*p) for p in b[4:]))
 
     def value(self, x: Fraction) -> Fraction:
-        return coprime_fraction(*affine(self.pairs[2], as_pair(x), self.pairs[3]))
+        return coprime_fraction(*affine(self[2], as_pair(x), self[3]))
 
     def preimage(self, y: Fraction) -> Fraction:
-        t, u = _inverse(*self.pairs[2:4])
+        t, u = _inverse(self[2], self[3])
         return coprime_fraction(*affine(t, as_pair(y), u))
 
 
@@ -81,24 +74,19 @@ class PAHomeo(_Frozen):
         object.__setattr__(self, "label", label)
 
     @cached_property
-    def _pairs(self) -> tuple:
-        """The branches' pairs, in source order."""
-        return tuple(b.pairs for b in self.branches)
-
-    @cached_property
     def _lo_keys(self) -> tuple:
         """The pair_keys of the branch sources' left ends."""
-        return pair_keys([p[0] for p in self._pairs])
+        return pair_keys([b[0] for b in self.branches])
 
     @cached_property
     def _hi_keys(self) -> tuple:
         """The pair_keys of the branch sources' right ends."""
-        return pair_keys([p[1] for p in self._pairs])
+        return pair_keys([b[1] for b in self.branches])
 
     @cached_property
     def _image_order(self) -> list:
         """The branch indices in the order of their images, which do not overlap."""
-        return value_order([p[4:5] for p in self._pairs])
+        return value_order([b[4:5] for b in self.branches])
 
     @cached_property
     def _push_rows(self) -> tuple:
@@ -107,18 +95,18 @@ class PAHomeo(_Frozen):
         and the images of the source's lo and hi."""
         return tuple((lo, hi, sn > 0, sn * od, on * sd, sd * od)
                      + ((ya, yb) if sn > 0 else (yb, ya))
-                     for lo, hi, (sn, sd), (on, od), ya, yb in self._pairs)
+                     for lo, hi, (sn, sd), (on, od), ya, yb in self.branches)
 
     def _branch_at(self, x: tuple) -> tuple:
-        """The pairs of the branch whose source holds the int pair x; raises off them.
+        """The branch whose source holds the int pair x; raises off them.
 
         When two branches share the point x they must agree there for x in
         the ambient set; the right one is returned.
         """
-        ps = self._pairs
+        bs = self.branches
         i = place_right(self._lo_keys, x) - 1
-        if i >= 0 and pair_cmp(x, ps[i][1]) <= 0:
-            return ps[i]
+        if i >= 0 and pair_cmp(x, bs[i][1]) <= 0:
+            return bs[i]
         raise MapError(f"{coprime_fraction(*x)} is not in any branch source")
 
 
@@ -177,13 +165,13 @@ def _tiles(K: CompactSet, ivs: Sequence[tuple]) -> bool:
 
 def _cut(K: CompactSet, b: Branch) -> list[Branch]:
     """b clipped to each interval of K that it meets in more than a point."""
-    lo, hi, s, o = b.pairs[:4]
+    lo, hi, s, o = b[:4]
     out = []
     for kl, kr in K._meeting(lo, hi):
         l, r = max(kl, lo, key=pair_key), min(kr, hi, key=pair_key)
         if pair_cmp(l, r) < 0:
             ya, yb = affine(s, l, o), affine(s, r, o)
-            out.append(Branch.from_pairs((l, r, s, o) + ((ya, yb) if s[0] > 0 else (yb, ya))))
+            out.append(Branch._make((l, r, s, o) + ((ya, yb) if s[0] > 0 else (yb, ya))))
     return out
 
 
@@ -209,7 +197,7 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
     their addresses form a complete prefix code, whose sum of n^-len(address)
     over n maps is 1 (the equality case of Kraft's inequality).  All on int
     pairs."""
-    if any(b.pairs[2][0] < 0 for b in branches):
+    if any(b[2][0] < 0 for b in branches):
         _check_reflection_symmetric(space)
     n = len(space.ifs.symbols)
 
@@ -228,7 +216,7 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
 
     img_cyls, src_cyls = [], []
     for b in branches:
-        lo, hi, s, o, _, _ = b.pairs
+        lo, hi, s, o, _, _ = b
         parts = space._cylinder_pairs(lo, hi)
         if not parts:
             raise MapError(f"branch source [{b.lo}, {b.hi}] not cylinder-aligned")
@@ -248,17 +236,17 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
 def pa_homeo(space: CompactSet, branches: Iterable[Branch],
              label: tuple[str, ...] = ()) -> PAHomeo:
     bs = list(branches)
-    bs = [bs[i] for i in value_order([b.pairs[:2] for b in bs])]
+    bs = [bs[i] for i in value_order([b[:2] for b in bs])]
     if not bs:
         raise MapError("a map needs at least one branch")
     for b in bs:
-        (ln, ld), (hn, hd), s = b.pairs[:3]
+        (ln, ld), (hn, hd), s = b[:3]
         if s[0] == 0:
             raise MapError("zero slope")
         if ln * hd >= hn * ld:
             raise MapError("degenerate branch source")
     for b1, b2 in zip(bs, bs[1:]):
-        if pair_cmp(b2.pairs[0], b1.pairs[1]) < 0:
+        if pair_cmp(b2[0], b1[1]) < 0:
             raise MapError("branch sources overlap")
     if space.ifs is not None:
         # limit-set coverage is part of the source antichain check;
@@ -266,14 +254,14 @@ def pa_homeo(space: CompactSet, branches: Iterable[Branch],
         _validate_ifs(space, bs)
     else:
         for b1, b2 in zip(bs, bs[1:]):
-            (_, x, s, o), (y, _, t, u) = b1.pairs[:4], b2.pairs[:4]
+            (_, x, s, o), (y, _, t, u) = b1[:4], b2[:4]
             # where two branches as given share a point of K, they must agree
             if x == y and space._holds(x) and affine(s, x, o) != affine(t, x, u):
                 raise MapError(f"branches disagree at {b1.hi}")
         bs = [piece for b in bs for piece in _cut(space, b)]
-        if not _tiles(space, [b.pairs[:2] for b in bs]):
+        if not _tiles(space, [b[:2] for b in bs]):
             raise MapError("branch sources do not tile the ambient set")
-        if not _tiles(space, [b.pairs[4:] for b in bs]):
+        if not _tiles(space, [b[4:] for b in bs]):
             raise MapError("branch images do not tile the ambient set")
     return PAHomeo(space, tuple(bs), tuple(label))
 
@@ -307,7 +295,7 @@ def from_prefix_table(table: PrefixTable, K: CompactSet,
                               for a, b in ((dlo, dhi), (slo, shi)))
         s = affine((sign * dn * sd, dd), (1, sn))
         o = affine((-s[0], s[1]), slo, dlo if sign == 1 else dhi)
-        branches.append(Branch.from_pairs((slo, shi, s, o, dlo, dhi)))
+        branches.append(Branch._make((slo, shi, s, o, dlo, dhi)))
     # pa_homeo rejects sources or targets that do not tile the limit set
     return pa_homeo(K, branches, label=label)
 
@@ -322,8 +310,8 @@ def compose(f: PAHomeo, g: PAHomeo) -> PAHomeo:
     source of f keeps its source, a cut one takes g's preimages of the cuts,
     and f gives the image ends; pieces come out in source order.  An affine
     map is x -> (a*xn + b*xd) / (c*xd) on x = xn/xd, reduced in line."""
-    fq, out, new, put = f._pairs, [], object.__new__, object.__setattr__
-    for glo, ghi, (sn, sd), (on, od), ia, ib in (gb.pairs for gb in g.branches):
+    fq, out, make = f.branches, [], Branch._make
+    for glo, ghi, (sn, sd), (on, od), ia, ib in g.branches:
         (an, ad), (bn, bd), up = ia, ib, sn > 0
         # g^-1 as y -> (p*yn + q*yd) / (r*yd), r > 0
         p, q, r = (od * sd, -on * sd, od * sn) if up else (-od * sd, on * sd, -od * sn)
@@ -345,19 +333,17 @@ def compose(f: PAHomeo, g: PAHomeo) -> PAHomeo:
                 n, d = a * bn + b * bd, c * bd
                 xb, yb = (ghi if up else glo), (n // (k := gcd(n, d)), d // k)
             n, d, m, e = tn * sn, td * sd, a * on + b * od, c * od
-            pieces.append(br := new(Branch))
-            put(br, "pairs", ((xa, xb) if up else (xb, xa)) + (
+            pieces.append(make(((xa, xb) if up else (xb, xa)) + (
                 (n // (k := gcd(n, d)), d // k), (m // (k := gcd(m, e)), e // k))
-                + ((ya, yb) if tn > 0 else (yb, ya)))
+                + ((ya, yb) if tn > 0 else (yb, ya))))
         out += pieces if up else reversed(pieces)
     return PAHomeo(f.space, tuple(out), f.label + g.label)
 
 
 def invert_branches(branches: Iterable[Branch]) -> tuple[Branch, ...]:
     """The inverse branches y -> (y - offset) / slope on the images, sorted."""
-    inv = [Branch.from_pairs(b.pairs[4:] + _inverse(*b.pairs[2:4]) + b.pairs[:2])
-           for b in branches]
-    return tuple(inv[i] for i in value_order([b.pairs[:1] for b in inv]))
+    inv = [Branch._make(b[4:] + _inverse(b[2], b[3]) + b[:2]) for b in branches]
+    return tuple(inv[i] for i in value_order([b[:1] for b in inv]))
 
 
 def invert(f: PAHomeo) -> PAHomeo:
@@ -369,7 +355,7 @@ def _affine_pieces(f: PAHomeo) -> list[tuple]:
     """f's maximal affine pieces: each run of neighbouring branches with one
     slope and offset, as the int pairs (lo, hi, slope, offset)."""
     out = []
-    for lo, hi, s, o, _, _ in f._pairs:
+    for lo, hi, s, o, _, _ in f.branches:
         if out and out[-1][2:] == (s, o):
             out[-1] = (out[-1][0], hi, s, o)
         else:
@@ -407,12 +393,11 @@ def break_pairs(f: PAHomeo) -> list[BreakPair]:
     images I, J.  All on int pairs.
     """
     bs = f.branches
-    imgs = [bs[i].pairs[4:] for i in f._image_order]
+    imgs = [bs[i][4:] for i in f._image_order]
     gaps = {(i[1], j[0]) for i, j in zip(imgs, imgs[1:])}
     # f(p.hi) is p's upper image end, and f(q.lo) q's lower one, iff increasing
-    candidates = [((p.pairs[1], q.pairs[0]), (p.pairs[4 + (p.pairs[2][0] > 0)],
-                                              q.pairs[5 - (q.pairs[2][0] > 0)]))
-                  for p, q in zip(bs, bs[1:]) if p.pairs[1] != q.pairs[0]]
+    candidates = [((p[1], q[0]), (p[4 + (p[2][0] > 0)], q[5 - (q[2][0] > 0)]))
+                  for p, q in zip(bs, bs[1:]) if p[1] != q[0]]
     return [BreakPair(coprime_fraction(*a), coprime_fraction(*b))
             for (a, b), (u, v) in candidates if (u, v) not in gaps and (v, u) not in gaps]
 
@@ -431,11 +416,11 @@ def break_points(f: PAHomeo) -> list[Fraction]:
 def _image_pieces(f: PAHomeo, S: Region):
     """The images of S's pieces clipped to f's branch sources, each with the
     index of its branch; the pieces of one branch come in source order."""
-    ps, lo_keys, hi_keys = f._pairs, f._lo_keys, f._hi_keys
+    bs, lo_keys, hi_keys = f.branches, f._lo_keys, f._hi_keys
     for plo, phi, plo_closed, phi_closed in S.pieces:
         (pln, pld), (phn, phd), j = plo, phi, place_left(hi_keys, plo)
         for i, (blo, bhi, (sn, sd), (on, od), ea, eb) in enumerate(
-                ps[j:place_right(lo_keys, phi)], j):
+                bs[j:place_right(lo_keys, phi)], j):
             # clip the piece to a closed branch source; the bisection makes them meet
             holds_lo = (c := pln * blo[1] - blo[0] * pld) < 0 or c == 0 and plo_closed
             holds_hi = (c := bhi[0] * phd - phn * bhi[1]) < 0 or c == 0 and phi_closed
@@ -465,12 +450,12 @@ def image(f: PAHomeo, S: Region) -> Region:
     branch, reversed in a decreasing one, taken in the image order of the
     branches, which do not overlap, come out sorted, and neighbours that
     touch at a point one of them holds merge."""
-    ps, buckets = f._pairs, [[] for _ in f._pairs]
+    bs, buckets = f.branches, [[] for _ in f.branches]
     for i, p in _image_pieces(f, S):
         buckets[i].append(p)
     out = []
     for i in f._image_order:
-        for p in (buckets[i] if ps[i][2][0] > 0 else reversed(buckets[i])):
+        for p in (buckets[i] if bs[i][2][0] > 0 else reversed(buckets[i])):
             if out and p[0] == (q := out[-1])[1] and (q[3] or p[2]):
                 out[-1] = Piece._make((q[0], p[1], q[2], p[3]))
             else:

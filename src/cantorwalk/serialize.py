@@ -70,7 +70,7 @@ def map_to_obj(f: PAHomeo) -> dict:
     return {"label": list(f.label),
             "branches": [{"src": [pair_str(lo), pair_str(hi)],
                           "slope": pair_str(s), "offset": pair_str(o)}
-                         for lo, hi, s, o, _, _ in f._pairs]}
+                         for lo, hi, s, o, _, _ in f.branches]}
 
 
 def map_from_obj(space: CompactSet, obj: dict) -> PAHomeo:

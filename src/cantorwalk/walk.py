@@ -28,7 +28,6 @@ from .space import CompactSet, Piece, Region, _Frozen, epsilon_neighborhood
 TWO64 = 2 ** 64
 
 DEFAULT_DELTA = Fraction(1, 9)
-SLOPE_MARGIN = -0.01  # fitted log-slope below this counts as decay
 SPLIT_DEPTH = 14  # the levels _region_mass splits a cut cell into
 
 
@@ -203,7 +202,7 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int) -> C
     """Birkhoff cell-occupation average of the chain x' = f_omega(x),
     pooled over four restarts from cell-endpoint starts.  Float-flagged."""
     cells = measure_cells(model.space, depth)
-    gens_f = [[tuple(n / d for n, d in b.pairs[:4]) for b in g.branches]
+    gens_f = [[tuple(n / d for n, d in b[:4]) for b in g.branches]
               for g in model.gens]
     branch_los = [[b[0] for b in branches] for branches in gens_f]
     los, his = [n / d for (n, d), _ in cells], [n / d for _, (n, d) in cells]
@@ -385,48 +384,16 @@ def estimate_entropy(mu: CellMeasure, model: WalkModel, masses: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
-# decay verdicts of exact series
-
-
-def _fit_slope(ys: Sequence[float]) -> float:
-    """Least-squares slope of ys against 0..len-1."""
-    n = len(ys)
-    if n < 2:
-        return 0.0
-    xs = range(n)
-    mx = (n - 1) / 2
-    my = sum(ys) / n
-    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    den = sum((x - mx) ** 2 for x in xs)
-    return num / den
-
-
-def _tail_verdict(tail, delta, far: str, near: str):
-    """(verdict, rate) for the tail of a distance or diameter series of int
-    pairs: `far` if it stays at least delta; `near`, with the fitted decay
-    rate, if its log decays and it ends below delta; else 'undecided'."""
-    dn, dd = delta.numerator, delta.denominator
-    if all(n * dd >= dn * d for n, d in tail):
-        return far, 0.0
-    slope = _fit_slope([math.log(n / d) if n > 0 else math.log(1e-300)
-                        for n, d in tail])
-    n, d = tail[-1]
-    if slope < SLOPE_MARGIN and n * dd < dn * d:
-        return near, -slope
-    return "undecided", 0.0
-
-
-# ---------------------------------------------------------------------------
-# attractor / repulsor scan
+# repulsor scan
 
 
 class CellScan(NamedTuple):
-    verdicts: tuple[str, ...]  # attractor | repulsor | undecided per cell
+    repulsors: tuple[bool, ...]  # per cell: image diameter >= delta at every step from n//2
     diameters: tuple  # exact image diameters per cell as int pairs, steps 0..n
 
     @property
     def repulsor_count(self) -> int:
-        return sum(1 for v in self.verdicts if v == "repulsor")
+        return sum(self.repulsors)
 
 
 def _push_runs(g: PAHomeo, runs: list) -> list:
@@ -495,10 +462,9 @@ def contraction_scan(t: Trajectory, depth: int, n: int) -> CellScan:
     cells = measure_cells(K, depth)
     steps = cell_image_runs(t, [(*c, i) for i, c in enumerate(cells)], n)
     diam_series = tuple(zip(*(run_diameters(runs, len(cells)) for runs in steps)))
-    verdicts = tuple(_tail_verdict(series[n // 2:], DEFAULT_DELTA,
-                                   "repulsor", "attractor")[0]
-                     for series in diam_series)
-    scan = CellScan(verdicts, diam_series)
+    dn, dd = as_pair(DEFAULT_DELTA)
+    scan = CellScan(tuple(all(a * dd >= dn * b for a, b in series[n // 2:])
+                          for series in diam_series), diam_series)
     lo, hi = K.hull
     if scan.repulsor_count * DEFAULT_DELTA > hi - lo:
         raise WalkError("repulsor count bound violated: "
@@ -510,40 +476,46 @@ def contraction_scan(t: Trajectory, depth: int, n: int) -> CellScan:
 # break accumulation
 
 
-def _single_linkage(spans: Iterable[tuple], radius: Fraction) -> list:
-    """The hulls [lo, hi] of the clusters of the sorted spans (lo, hi), split
-    where a span starts more than radius past the hull before it; a point p
-    is the span (p, p)."""
+def _single_linkage(spans: Iterable[tuple], radius: tuple) -> list:
+    """The hulls [lo, hi] of the clusters of the spans (lo, hi), int pairs
+    in order of both ends, split where a span starts more than the int pair
+    radius past the hull before it; a point p is the span (p, p).  No sort:
+    sorted int pairs are in lexicographic order, not in order of value."""
+    rn, rd = radius
     clusters = []
-    for lo, hi in sorted(spans):
-        if clusters and lo - clusters[-1][1] <= radius:
-            clusters[-1][1] = max(clusters[-1][1], hi)
-        else:
-            clusters.append([lo, hi])
+    for lo, hi in spans:
+        if clusters:
+            (ln, ld), (hn, hd) = lo, clusters[-1][1]
+            if (ln * hd - hn * ld) * rd <= rn * ld * hd:
+                clusters[-1][1] = hi
+                continue
+        clusters.append([lo, hi])
     return clusters
 
 
 def _extremes(clusters, hull) -> list:
-    """One point per cluster: its end toward the hull extreme nearer the
-    cluster's midpoint."""
-    center = (hull[0] + hull[1]) / 2
-    return [hi if (lo + hi) / 2 >= center else lo for lo, hi in clusters]
+    """One point per cluster of int pairs, as a Fraction: its end toward the
+    hull extreme nearer the cluster's midpoint."""
+    twice_center = hull[0] + hull[1]
+    ends = [(coprime_fraction(*lo), coprime_fraction(*hi)) for lo, hi in clusters]
+    return [hi if lo + hi >= twice_center else lo for lo, hi in ends]
 
 
 def _repulsor_extremes(repulsors, cells, hull) -> list:
     """Cluster representatives of the endpoints of the repulsor cells,
-    clustered at three widths of the first of all cells; cell ends are int pairs."""
-    pts = [coprime_fraction(*x) for cell in repulsors for x in cell]
-    lo, hi = (coprime_fraction(*x) for x in cells[0])
-    return _extremes(_single_linkage([(p, p) for p in pts], 3 * (hi - lo)), hull)
+    clustered at three widths of the first of all cells; the cells are
+    sorted and disjoint, their ends int pairs."""
+    (ln, ld), (hn, hd) = cells[0]
+    return _extremes(_single_linkage([(x, x) for cell in repulsors for x in cell],
+                                     (3 * (hn * ld - ln * hd), ld * hd)), hull)
 
 
-def break_accumulation(t: Trajectory, n: int):
-    """(Delta_n, clusters): all pullbacks of generator break points through
-    forward words up to length n, exactly, and their clusters at radius
-    1/27.  The pullbacks U_i through the letters k-1, ..., i of every k <= n
-    are the break points and letter i's inverse image of U_{i+1}, so no
-    word is composed or inverted."""
+def break_accumulation(t: Trajectory, n: int) -> list:
+    """The clusters at radius 1/27 of all pullbacks of generator break
+    points through forward words up to length n, exactly, as int-pair
+    hulls.  The pullbacks U_i through the letters k-1, ..., i of every
+    k <= n are the break points and letter i's inverse image of U_{i+1},
+    so no word is composed or inverted."""
     base = {as_pair(p) for g in t.model.gens for p in break_points(g)}
     inverses = {gi: invert(t.model.gens[gi]) for gi in {t.index(k) for k in range(n)}}
     acc = base
@@ -551,8 +523,7 @@ def break_accumulation(t: Trajectory, n: int):
         inverse = inverses[t.index(i)]
         acc = base | {_apply(inverse, p) for p in acc}
     acc = list(acc)
-    pts = [coprime_fraction(*acc[i]) for i in value_order([(p,) for p in acc])]
-    return pts, _single_linkage([(p, p) for p in pts], Fraction(1, 27))
+    return _single_linkage([(acc[i], acc[i]) for i in value_order([(p,) for p in acc])], (1, 27))
 
 
 # ---------------------------------------------------------------------------
@@ -573,10 +544,8 @@ def global_contraction_report(t: Trajectory, depth: int, n: int, eps) -> Contrac
     cells = measure_cells(K, depth)
     # F: the repulsor cluster representatives, plus those of the break
     # accumulation clusters not within eps of one already taken
-    F = _repulsor_extremes([c for v, c in zip(scan.verdicts, cells)
-                            if v == "repulsor"], cells, K.hull)
-    _, bclusters = break_accumulation(t, min(n, 12))
-    for cand in _extremes(bclusters, K.hull):
+    F = _repulsor_extremes([c for r, c in zip(scan.repulsors, cells) if r], cells, K.hull)
+    for cand in _extremes(break_accumulation(t, min(n, 12)), K.hull):
         if all(abs(cand - f) > eps for f in F):
             F.append(cand)
     F = sorted(set(F))
@@ -590,7 +559,8 @@ def global_contraction_report(t: Trajectory, depth: int, n: int, eps) -> Contrac
     # cluster the image pieces at scale DEFAULT_DELTA; each cluster must itself be
     # tiny for the walk to count as contracting, and one ball per cluster
     # with radius e^{-n*lam} := max cluster half-diameter covers exactly
-    clusters = _single_linkage([(p.lo, p.hi) for p in img.pieces], DEFAULT_DELTA)
+    clusters = [(coprime_fraction(*a), coprime_fraction(*b))
+                for a, b in _single_linkage([p[:2] for p in img.pieces], as_pair(DEFAULT_DELTA))]
     cdiam = max(b - a for a, b in clusters)
     if cdiam >= DEFAULT_DELTA or len(clusters) > 8:
         return ContractionReport(tuple(F), None, 0.0, scan)

@@ -3,7 +3,9 @@
 Each class is built twice from equal but distinct inputs: the two copies
 are equal with equal hashes, whatever caches one of them has filled, and
 hash as the tuple of their fields; a change to any one field makes them
-differ, and no field can be assigned or deleted.
+differ, and no field can be assigned or deleted.  The tuple classes Piece
+and Branch hash as the tuple of their items, _make rebuilds one from those
+items, and their Fraction views read back the constructor's inputs.
 """
 
 from fractions import Fraction as F
@@ -88,10 +90,12 @@ CASES = {
              A=_region(ternary_cantor(1), 0, 1), B=_region(ternary_cantor(1), 0, 1))),
 }
 
-FIELDS = {Branch: ("pairs",)}  # a Branch is built from its ends, slope and offset
+# a Branch is built from Fraction ends, slope and offset, and hashes as its
+# items: those four as int pairs and its sorted image ends
+HASH_KEYS = {Branch: tuple}
 
 # class -> the cached properties that fill an instance's underscored slots
-CACHES = {PAHomeo: ("_pairs", "_image_order")}
+CACHES = {PAHomeo: ("_lo_keys", "_image_order")}
 
 
 def _fill_caches(obj):
@@ -112,7 +116,8 @@ def test_equal_inputs_give_equal_instances(cls):
     assert a is not b and a == b and not a != b
     assert hash(a) == hash(b)
     # equality and hash read the fields alone, caches and views aside
-    assert hash(a) == hash(tuple(getattr(a, f) for f in FIELDS.get(cls, make())))
+    key = HASH_KEYS.get(cls, lambda obj: tuple(getattr(obj, f) for f in make()))
+    assert hash(a) == hash(key(a))
     for name, value in other.items():
         changed = cls(**dict(make(), **{name: value}))
         assert changed != a and not changed == a, name
@@ -122,13 +127,41 @@ def test_equal_inputs_give_equal_instances(cls):
 def test_fields_cannot_be_assigned_or_deleted(cls):
     make, other = CASES[cls]
     obj = cls(**make())
-    for name in FIELDS.get(cls, make()):
+    for name in make():
         before = getattr(obj, name)
         with pytest.raises(AttributeError):
             setattr(obj, name, other.get(name))
         with pytest.raises(AttributeError):
             delattr(obj, name)
         assert getattr(obj, name) == before
+
+
+# tuple class -> (the constructor's arguments, built afresh on each call;
+# the views that read them back, in order; another value for each)
+TUPLES = {
+    Piece: (lambda: (F(1, 3), F(2, 3), True, False), ("lo", "hi", "lo_closed", "hi_closed"),
+            (F(1, 4), F(3, 4), False, True)),
+    Branch: (lambda: (F(1, 3), F(2, 3), F(-2), F(5, 3)), ("lo", "hi", "slope", "offset"),
+             (F(0), F(1), F(3), F(-1))),
+}
+
+
+@pytest.mark.parametrize("cls", TUPLES, ids=lambda c: c.__name__)
+def test_tuple_classes_are_their_items(cls):
+    make, views, other = TUPLES[cls]
+    a, b = cls(*make()), cls(*make())
+    assert a is not b and a == b and hash(a) == hash(b) == hash(tuple(a))
+    for i, value in enumerate(other):
+        assert cls(*make()[:i], value, *make()[i + 1:]) != a, views[i]
+    rebuilt = cls._make(tuple(a))
+    assert type(rebuilt) is cls and rebuilt == a
+    assert tuple(getattr(a, v) for v in views) == make()
+    for name in views + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(a, name, F(0))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
 
 
 def test_reports_keep_their_truthiness():

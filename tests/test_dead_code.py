@@ -29,6 +29,10 @@ tests, must be read somewhere in its module.
 Every field of a NamedTuple declared in the package must be read as an
 attribute somewhere in the package: a field that nothing reads is carried
 by every instance and shown by no run.
+
+Every name that a module-level assignment in the package binds, dunders
+aside, must be read somewhere in the package outside that assignment, as
+a name or as an attribute: a constant that nothing reads steers no run.
 """
 
 import ast
@@ -244,3 +248,30 @@ def test_every_named_tuple_field_is_read(tmp_path):
         "class R(NamedTuple):\n    a: int\n    b: int\nR(1, 2).a\nR(3, 4)._replace(b=5)\n")
     assert unread_fields(tmp_path) == ["R.b"]
     assert unread_fields() == []
+
+
+def unread_constants(src=SRC):
+    """module:name for each name, dunders aside, that a module-level
+    assignment in the modules of src binds and that no module of src reads,
+    as a name or as an attribute, outside that assignment."""
+    reads, bound = {}, []
+    for path, tree in _trees(src).items():
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+                name = n.id if isinstance(n, ast.Name) else n.attr
+                reads.setdefault(name, []).append((path, n.lineno))
+        bound += [(path, n.id, node) for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                  for n in ast.walk(target)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                  and not _is_dunder(n.id)]
+    return sorted(f"{path.stem}:{name}" for path, name, node in bound
+                  if not any(p != path or not node.lineno <= line <= node.end_lineno
+                             for p, line in reads.get(name, ())))
+
+
+def test_every_module_constant_is_read(tmp_path):
+    (tmp_path / "m.py").write_text("A, B = 1, 2\nC: tuple = (A, C)\n__all__ = ()\nf(m.B)\n")
+    assert unread_constants(tmp_path) == ["m:C"]
+    assert unread_constants() == []

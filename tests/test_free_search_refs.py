@@ -38,10 +38,9 @@ from cantorwalk.maps import apply, image, maps_into
 from cantorwalk.rational import as_pair, coprime_fraction, pair_cmp, pair_key
 from cantorwalk.serialize import certificate_to_obj, dumps
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
-from cantorwalk.walk import (DEFAULT_DELTA, Trajectory, WalkError, _extremes,
-                             _repulsor_extremes, _single_linkage, cell_image_runs,
-                             contraction_scan, forward_word, make_model, measure_cells,
-                             run_diameters)
+from cantorwalk.walk import (DEFAULT_DELTA, Trajectory, WalkError, _repulsor_extremes,
+                             cell_image_runs, contraction_scan, forward_word, make_model,
+                             measure_cells, run_diameters)
 
 from fixtures import cantor_space, in_region, named_generators
 from test_lookups import letter_words, regions
@@ -69,16 +68,15 @@ def _first_word(t, A, eps, p_cap, n_max):
 def contraction_candidates_ref(model, eps, p_cap, n_max, streams):
     """The candidate search with A from the full contraction_scan."""
     K = model.space
-    cells = K.intervals  # the cells at K's depth, as Fractions
+    cells = measure_cells(K, K.depth)
     for r in range(streams):
         t = Trajectory(model, stream=r)
         try:
             scan = contraction_scan(t, K.depth, min(n_max, 24))
         except WalkError:
             continue
-        spans = [(x, x) for v, cell in zip(scan.verdicts, cells) if v == "repulsor"
-                 for x in cell]
-        A = _extremes(_single_linkage(spans, 3 * (cells[0][1] - cells[0][0])), K.hull)
+        A = _repulsor_extremes([c for rep, c in zip(scan.repulsors, cells) if rep],
+                               cells, K.hull)
         if A and len(A) <= p_cap and (found := _first_word(t, A, eps, p_cap, n_max)):
             yield found
 

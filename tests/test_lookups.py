@@ -21,8 +21,8 @@ sources with the gaps between consecutive branch images, on either kind of
 set; the region-mass reference sums every cell.
 maps.break_pairs, maps.break_points, maps.apply, CompactSet._cylinder_pairs,
 the Region operations, maps.image, maps.maps_into, walk.invariance_rows,
-certify.periodic_points, walk._region_mass and the pullbacks of
-walk.break_accumulation work on int pairs; a last test makes Fraction
+certify.periodic_points, walk._region_mass and walk.break_accumulation
+work on int pairs; a last test makes Fraction
 arithmetic and ordering raise and asks them for the answers they gave
 before.
 """
@@ -577,15 +577,15 @@ def test_uncut_compose_takes_no_preimage(space):
         out = compose(a1, w)
         assert out == compose_ref(a1, w)
         assert len(out.branches) == len(w.branches)
-        assert all(u.pairs[0] is b.pairs[0] and u.pairs[1] is b.pairs[1]
+        assert all(u[0] is b[0] and u[1] is b[1]
                    for u, b in zip(out.branches, w.branches))
 
 
 def _assert_canonical(b):
     """b stores int numerators over positive int denominators in lowest
     terms, and the branch rebuilt from its Fraction views equals it."""
-    assert len(b.pairs) == 6
-    for n, d in b.pairs:
+    assert type(b) is Branch and len(b) == 6
+    for n, d in b:
         assert type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1
     twin = Branch(b.lo, b.hi, b.slope, b.offset)
     assert twin == b and hash(twin) == hash(b)
@@ -848,12 +848,11 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
     points = [break_points(w) for w, _ in recorded]
     assert points[1] == [F(7, 9), F(8, 9)]
     # each trajectory is built, and its Fraction probabilities cut, before
-    # the operators raise; the clustering of the points is Fraction
-    # arithmetic by design, so only the sorted points are compared
+    # the operators raise
     models = [make_model(gens[0].space, dict(zip("abcd", gens)), seed=5)
               for gens in (_letters(TERNARY, 3), _letters(UNEQUAL, 3), PLAIN_LETTERS)]
     walks = [(Trajectory(m, stream=1), Trajectory(m, stream=1)) for m in models]
-    accumulated = [break_accumulation(t, 12)[0] for t, _ in walks]
+    accumulated = [break_accumulation(t, 12) for t, _ in walks]
     assert all(accumulated)
 
     def refuse(*args):
@@ -871,5 +870,4 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
     assert [periodic_points(f, n) for f, n in powers] == periodic
     assert _region_masses(mass_cases) == masses
     assert [break_points(w) for w, _ in recorded] == points
-    monkeypatch.setattr(walk, "_single_linkage", lambda spans, radius: [])
-    assert [break_accumulation(t, 12)[0] for _, t in walks] == accumulated
+    assert [break_accumulation(t, 12) for _, t in walks] == accumulated

@@ -24,7 +24,7 @@ from test_space import same_set
 def slope_range(f: PAHomeo, S: Region) -> tuple[F, F]:
     """(min, max) of |slope| over branches meeting S inside K."""
     mags = [abs(b.slope) for b in f.branches
-            if S._meets_where((Piece._make(b.pairs[:2] + (True, True)),), operator.and_)]
+            if S._meets_where((Piece._make(b[:2] + (True, True)),), operator.and_)]
     if not mags:
         raise MapError("region meets no branch")
     return min(mags), max(mags)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantorwalk import walk
 from cantorwalk.maps import apply, compose, equals, image, invert
-from cantorwalk.rational import affine, coprime_fraction, pair_cmp
+from cantorwalk.rational import affine, as_pair, coprime_fraction, pair_cmp
 from cantorwalk.walk import (TWO64, CellMeasure, Trajectory, WalkError, _push_runs,
                              break_accumulation, contraction_scan, estimate_entropy,
                              estimate_stationary_measure, forward_word,
@@ -21,8 +21,9 @@ from cantorwalk.walk import (TWO64, CellMeasure, Trajectory, WalkError, _push_ru
 from fixtures import cantor_space, fixture, identity_map, named_generators
 from test_lookups import PLAIN_LETTERS, _alphabets
 from test_space import diameter
-from walk_statistics import (backward_cluster, backward_value, delta_sum_statistic,
-                             dichotomy_report, forward_orbit, pair_verdict)
+from walk_statistics import (SLOPE_MARGIN, _fit_slope, backward_cluster, backward_value,
+                             delta_sum_statistic, dichotomy_report, forward_orbit,
+                             pair_verdict)
 
 K = cantor_space(3)
 KLEIN = make_model(K, named_generators(["H", "R"]))
@@ -172,22 +173,21 @@ def test_classify_pair():
 
 
 def test_contraction_scan_oracles():
-    # constant cell diameters below delta: everything is undecided
+    # constant cell diameters below delta: no repulsor
     scan = contraction_scan(Trajectory(IDENT, 0), 3, 20)
-    assert set(scan.verdicts) == {"undecided"}
+    assert scan.repulsors == (False,) * 8
     # G3 attracts everything except the fixed repeller at 1
     scan2 = contraction_scan(Trajectory(G3_ONLY, 0), 2, 30)
-    assert scan2.verdicts == ("attractor", "attractor", "attractor", "repulsor")
+    assert scan2.repulsors == (False, False, False, True)
     assert scan2.repulsor_count * walk.DEFAULT_DELTA <= diameter(K)
 
 
 def _tail_verdict_ref(tail, delta, far, near):
-    """walk._tail_verdict on a tail of Fractions."""
+    """walk_statistics._tail_verdict on a tail of Fractions."""
     if all(d >= delta for d in tail):
         return far, 0.0
-    slope = walk._fit_slope([math.log(float(d)) if d > 0 else math.log(1e-300)
-                             for d in tail])
-    if slope < walk.SLOPE_MARGIN and tail[-1] < delta:
+    slope = _fit_slope([math.log(float(d)) if d > 0 else math.log(1e-300) for d in tail])
+    if slope < SLOPE_MARGIN and tail[-1] < delta:
         return near, -slope
     return "undecided", 0.0
 
@@ -215,9 +215,8 @@ def test_contraction_scan_matches_fraction_series(seed):
         assert tuple(tuple(coprime_fraction(*d) for d in s) for s in scan.diameters) == series
         assert [[a / b for a, b in s] for s in scan.diameters] == [
             list(map(float, s)) for s in series]
-        assert scan.verdicts == tuple(_tail_verdict_ref(s[n // 2:], walk.DEFAULT_DELTA,
-                                                        "repulsor", "attractor")[0]
-                                      for s in series)
+        assert scan.repulsors == tuple(all(d >= walk.DEFAULT_DELTA for d in s[n // 2:])
+                                       for s in series)
         at_delta += sum(s[n // 2:].count(walk.DEFAULT_DELTA) for s in series)
     assert at_delta
 
@@ -236,12 +235,10 @@ def test_pair_verdicts_match_fraction_distances():
 
 
 def test_break_accumulation_oracles():
-    t = Trajectory(G3_ONLY, 0)
-    pts, clusters = break_accumulation(t, 5)
-    assert pts == []  # G3 has no break points
-    th = Trajectory(H_ONLY, 0)
-    pts2, _ = break_accumulation(th, 1)
-    assert pts2 == [F(0), F(1, 3), F(2, 3), F(1)]
+    assert break_accumulation(Trajectory(G3_ONLY, 0), 5) == []  # G3 has no break points
+    # H's break points lie more than 1/27 apart
+    assert break_accumulation(Trajectory(H_ONLY, 0), 1) == [
+        [p, p] for p in ((0, 1), (1, 3), (2, 3), (1, 1))]
 
 
 def test_backward_cluster_oracles():
@@ -322,16 +319,33 @@ def _break_accumulation_ref(t, n):
                                for k in range(1, n + 1) for p in base})
 
 
+def _single_linkage_ref(points, radius):
+    """The hulls [lo, hi] of the clusters of the points, Fractions, split
+    where a point lies more than radius past the one before it."""
+    clusters = []
+    for p in sorted(points):
+        if clusters and p - clusters[-1][1] <= radius:
+            clusters[-1][1] = p
+        else:
+            clusters.append([p, p])
+    return clusters
+
+
 @pytest.mark.parametrize("model", [FREE, KLEIN, G3_ONLY, H_ONLY,
                                    make_model(PLAIN_LETTERS[0].space,
                                               {"P": PLAIN_LETTERS[0], "Q": PLAIN_LETTERS[1]})],
                          ids=["free", "klein", "g3", "h", "plain"])
-def test_break_accumulation_matches_inverted_words(model):
+def test_break_accumulation_matches_inverted_words(model, monkeypatch):
+    # the points break_accumulation clusters, and its clusters, as Fractions
+    spans, linkage = [], walk._single_linkage
+    monkeypatch.setattr(walk, "_single_linkage",
+                        lambda s, radius: spans.append((s, radius)) or linkage(s, radius))
     for stream in range(3):
-        t = Trajectory(model, stream=stream)
-        pts, clusters = break_accumulation(t, 12)
-        assert pts == _break_accumulation_ref(Trajectory(model, stream=stream), 12)
-        assert clusters == walk._single_linkage([(p, p) for p in pts], F(1, 27))
+        clusters = break_accumulation(Trajectory(model, stream=stream), 12)
+        pts = _break_accumulation_ref(Trajectory(model, stream=stream), 12)
+        assert spans.pop() == ([(as_pair(p),) * 2 for p in pts], (1, 27))
+        assert clusters == [[as_pair(lo), as_pair(hi)]
+                            for lo, hi in _single_linkage_ref(pts, F(1, 27))]
 
 
 # -- the fused Birkhoff chain against the step loop it replaced -------------
@@ -447,7 +461,7 @@ def test_trajectory_draws_only_what_it_reads(seed):
 
 def push_runs_ref(g, runs):
     """_push_runs with every image end through rational.affine."""
-    bs, order = g._pairs, g._image_order
+    bs, order = g.branches, g._image_order
     pieces, j = [[] for _ in bs], 0
     for lo, hi, c in runs:
         (ln, ld), (hn, hd) = lo, hi

@@ -8,16 +8,19 @@ point accumulate (criterion 9).  Orbits are exact and pointwise, through
 the package's own kernels; rates and sums are floats.
 """
 
+import math
 from functools import reduce
 from statistics import fmean
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from cantorwalk.certify import _reduced_words, _then
 from cantorwalk.maps import apply, invert
 from cantorwalk.rational import as_pair, rat
-from cantorwalk.walk import DEFAULT_DELTA, Trajectory, _single_linkage, _tail_verdict
+from cantorwalk.walk import DEFAULT_DELTA, Trajectory, _single_linkage
 
 from fixtures import endpoints, is_identity
+
+SLOPE_MARGIN = -0.01  # fitted log-slope below this counts as decay
 
 
 def free_group_sanity(a1, a2, L: int) -> bool:
@@ -48,6 +51,34 @@ def forward_orbit(t: Trajectory, x, n: int) -> list:
 def backward_value(t: Trajectory, x, k: int):
     """f_omega_0 o ... o f_omega_(k-1) at x, exactly."""
     return reduce(lambda y, i: apply(t.step_map(i), y), range(k - 1, -1, -1), rat(x))
+
+
+def _fit_slope(ys: Sequence[float]) -> float:
+    """Least-squares slope of ys against 0..len-1."""
+    n = len(ys)
+    if n < 2:
+        return 0.0
+    xs = range(n)
+    mx = (n - 1) / 2
+    my = sum(ys) / n
+    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    den = sum((x - mx) ** 2 for x in xs)
+    return num / den
+
+
+def _tail_verdict(tail, delta, far: str, near: str):
+    """(verdict, rate) for the tail of a distance series of int pairs:
+    `far` if it stays at least delta; `near`, with the fitted decay rate,
+    if its log decays and it ends below delta; else 'undecided'."""
+    dn, dd = delta.numerator, delta.denominator
+    if all(n * dd >= dn * d for n, d in tail):
+        return far, 0.0
+    slope = _fit_slope([math.log(n / d) if n > 0 else math.log(1e-300)
+                        for n, d in tail])
+    n, d = tail[-1]
+    if slope < SLOPE_MARGIN and n * dd < dn * d:
+        return near, -slope
+    return "undecided", 0.0
 
 
 def pair_verdict(t: Trajectory, x, y, delta, n: int):
@@ -86,8 +117,8 @@ def backward_cluster(model, x, n: int, runs: int, radius):
     counts = []
     for r in range(runs):
         t = Trajectory(model, stream=r)
-        vals = {backward_value(t, x, k) for k in range(n // 2, n + 1)}
-        counts.append(len(_single_linkage([(v, v) for v in vals], radius)))
+        vals = sorted({backward_value(t, x, k) for k in range(n // 2, n + 1)})
+        counts.append(len(_single_linkage([(as_pair(v),) * 2 for v in vals], as_pair(radius))))
     return counts, max(counts)
 
 
