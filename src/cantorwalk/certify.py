@@ -20,9 +20,8 @@ from .maps import (PAHomeo, _apply, apply, compose, equals, image, invert, maps_
                    orbit_bfs)
 from .space import Piece, Region, epsilon_neighborhood
 from .measure_solver import solve_feasibility
-from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, CellMeasure,
-                   cell_image_runs, forward_word, invariance_rows,
-                   measure_cells, _repulsor_extremes)
+from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, cell_image_runs, forward_word,
+                   invariance_rows, measure_cells, _repulsor_extremes)
 
 
 class CertifyError(ValueError):
@@ -45,7 +44,7 @@ class PingPongCertificate(NamedTuple):
 class InvariantMeasureCertificate(NamedTuple):
     gens: tuple  # the generator maps, in order
     depth: int
-    measure: CellMeasure
+    masses: tuple  # a Fraction per depth-d cell, in cell order
     consistency_depth: int
 
 
@@ -427,16 +426,17 @@ def solve_invariant_measure(gens: dict, depth: int, d_max: int):
     masses = list(res.solution)
     if not _is_invariant(inv_rows, masses):
         raise CertifyError(f"simplex solution not invariant at depth {d}")
-    return InvariantMeasureCertificate(
-        tuple(maps), d, CellMeasure(d, tuple(masses), True), d_max)
+    return InvariantMeasureCertificate(tuple(maps), d, tuple(masses), d_max)
 
 
 def verify_invariant_measure(cert: InvariantMeasureCertificate) -> Verdict:
     """Standalone re-check of a serialized invariant-measure certificate."""
     cells = measure_cells(cert.gens[0].space, cert.depth)
-    masses = cert.measure.masses
+    masses = cert.masses
     if len(masses) != len(cells):
         return Verdict(False, "mass vector does not match the cell count")
+    if sum(masses) != 1:
+        return Verdict(False, "masses do not sum to 1")
     if any(m < 0 for m in masses):
         return Verdict(False, "negative mass")
     if cert.consistency_depth < cert.depth:

@@ -18,7 +18,7 @@ import sys
 from importlib import resources
 from typing import NamedTuple
 
-from .rational import rat, rat_str
+from .rational import clip, exact, rat, rat_str
 from .space import CompactSet, ternary_cantor
 from .maps import PrefixTable, from_prefix_table, invert
 from .giet import blow_up
@@ -61,24 +61,14 @@ class Scenario(NamedTuple):
     output: str
 
 
-def _integer(v, what: str) -> int:
-    """v, when an int and not a bool: a float or a string is refused, not truncated."""
-    if type(v) is not int:
-        raise ScenarioError(f"{what}: {v!r} is not an integer")
-    return v
-
-
 def parse_scenario(text: str) -> Scenario:
     """The scenario a JSON document states, with its space, generators
     (inverses appended when asked), walk law, giets and blow-up built."""
     try:
-        obj = json.loads(text)
-        unknown = sorted(obj.keys() - SCENARIO_KEYS)
-        if unknown:
-            raise ScenarioError(f"unknown scenario key {unknown[0]!r}")
+        obj = ser.only_keys(json.loads(text), SCENARIO_KEYS, "scenario")
         kind = obj.get("kind")
         if kind not in BUDGETS:
-            raise ScenarioError(f"field 'kind': {kind!r} not one of {tuple(BUDGETS)}")
+            raise ScenarioError(f"field 'kind': {clip(kind)} not one of {tuple(BUDGETS)}")
         # giet-blowup reads no space, so it needs none; it accepts an empty one
         spec = obj.get("space", {} if kind == "giet-blowup" else None)
         if not isinstance(spec, dict):
@@ -93,28 +83,25 @@ def parse_scenario(text: str) -> Scenario:
             giets = tuple(ser.giet_from_obj(g) for g in obj.get("giets", ()))
             if not giets:
                 raise ScenarioError("giet-blowup needs at least one giet")
-            blowup = dict(obj.get("blowup", {}))
-            unknown = sorted(blowup.keys() - {"L", "rho"})
-            if unknown:
-                raise ScenarioError(f"unknown blowup key {unknown[0]!r}")
-            if type(blowup.get("L", 3)) is not int:
-                raise ScenarioError(f"blowup 'L': {blowup['L']!r} is not an integer")
-            if "rho" in blowup:
-                blowup["rho"] = rat(blowup["rho"])
+            blowup = ser.only_keys(obj.get("blowup", {}), {"L", "rho"}, "blowup")
+            blowup = {"L": exact(blowup.get("L", 3), int, "blowup 'L'"),
+                      "rho": rat(blowup.get("rho", "1/3"))}
         else:
             if spec.get("ifs") == "ternary":
-                space = ternary_cantor(_integer(spec.get("depth", 3), "field 'space.depth'"))
+                ser.only_keys(spec, {"ifs", "depth"}, "space")
+                space = ternary_cantor(exact(spec.get("depth", 3), int, "field 'space.depth'"))
             elif isinstance(spec.get("ifs"), str):
-                raise ScenarioError(f"unknown space shorthand {spec['ifs']!r}")
+                raise ScenarioError(f"unknown space shorthand {clip(spec['ifs'])}")
             else:
                 space = ser.space_from_obj(spec)
             for g in obj.get("generators", ()):
-                name = g["name"]
+                ser.only_keys(g, {"name", "table" if "table" in g else "branches"}, "generator")
+                name = exact(g["name"], str, "generator name")
                 if name in gens:
-                    raise ScenarioError(f"duplicate generator name {name!r}")
+                    raise ScenarioError(f"duplicate generator name {clip(name)}")
                 if "table" in g:
                     table = PrefixTable(tuple(
-                        (row[0], row[1], _integer(row[2], f"generator {name!r} orientation"))
+                        (row[0], row[1], exact(row[2], int, f"generator {clip(name)} orientation"))
                         for row in g["table"]))
                     gens[name] = from_prefix_table(table, space, label=(name,))
                 else:
@@ -122,7 +109,7 @@ def parse_scenario(text: str) -> Scenario:
                         space, {"label": [name], "branches": g["branches"]})
             if not gens:
                 raise ScenarioError("field 'generators': missing or empty")
-            if obj.get("include_inverses"):
+            if exact(obj.get("include_inverses", False), bool, "field 'include_inverses'"):
                 inverses = {n + "^-1": invert(g) for n, g in gens.items()}
                 clash = sorted(inverses.keys() & gens.keys())
                 if clash:
@@ -147,12 +134,12 @@ def parse_scenario(text: str) -> Scenario:
             if k == "eps":
                 budgets[k] = rat(v)
             elif (k, v) != ("depth", None):
-                _integer(v, f"budget {k!r}")
+                exact(v, int, f"budget {k!r}")
         output = obj.get("output", "scenario")
         if os.path.basename(output) != output or output in ("", ".", ".."):
-            raise ScenarioError(f"field 'output': {output!r} is not a file name")
+            raise ScenarioError(f"field 'output': {clip(output)} is not a file name")
         return Scenario(kind=kind, space=space, generators=gens,
-                        probabilities=probs, seed=_integer(obj.get("seed", 0), "field 'seed'"),
+                        probabilities=probs, seed=exact(obj.get("seed", 0), int, "field 'seed'"),
                         budgets=budgets, giets=giets, blowup=blowup,
                         output=output)
     except (KeyError, TypeError, AttributeError, IndexError,
@@ -190,7 +177,7 @@ def run_scenario(s: Scenario, out_dir: str, emit_series: bool):
         return code, line
 
     if s.kind == "giet-blowup":
-        result = blow_up(s.giets, s.blowup.get("L", 3), s.blowup.get("rho", "1/3"))
+        result = blow_up(s.giets, s.blowup["L"], s.blowup["rho"])
         tag = "exact" if result.exact else "inexact"
         return done(0, f"BLOWUP ({len(result.blown_points)} points, {tag})",
                     report={"kind": s.kind, "seed": seed,
@@ -206,7 +193,7 @@ def run_scenario(s: Scenario, out_dir: str, emit_series: bool):
                             f"consistent to {res.consistency_depth})"),
                         certificate=ser.certificate_to_obj(res),
                         report={"kind": s.kind, "seed": seed, "depth": res.depth,
-                                "masses": [rat_str(m) for m in res.measure.masses],
+                                "masses": [rat_str(m) for m in res.masses],
                                 "consistency_depth": res.consistency_depth})
         if isinstance(res, UnalignedMeasure):
             return done(2, f"undecided: generators not cell-aligned at any depth <= {res.d_max}",

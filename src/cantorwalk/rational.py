@@ -1,5 +1,5 @@
-"""Helpers for exact rationals, their reduced (numerator, denominator > 0)
-int pairs and their "p/q" string form."""
+"""Exact rationals, their reduced (numerator, denominator > 0) int pairs,
+their "p/q" strings, and the type checks that read JSON input exactly."""
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -8,26 +8,39 @@ from math import gcd, lcm
 
 
 class RationalError(ValueError):
-    pass
+    """JSON input that states no exact value of the type asked for."""
+
+
+def clip(value) -> str:
+    """The repr of value, cut short past 40 characters, for a message."""
+    return r if len(r := repr(value)) <= 40 else r[:37] + "..."
 
 
 def rat(value) -> Fraction:
     """Coerce ints, "p/q" strings, or Fractions to an exact Fraction.
 
-    Floats are rejected, and a string stating no rational ("1/0") raises
+    Floats and bools are rejected, and a string stating no rational ("1/0") raises
     RationalError: every quantity entering the exact layer must be stated
     as a rational.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise RationalError(f"not an exact rational: {value!r}") from None
-    raise TypeError(f"not an exact rational: {value!r}")
+            raise RationalError(f"not an exact rational: {clip(value)}") from None
+    raise TypeError(f"not an exact rational: {clip(value)}")
+
+
+def exact(value, kind: type, what: str):
+    """value, when its type is kind itself: a bool is no int, and no float is truncated."""
+    if type(value) is not kind:
+        noun = {int: "an integer", bool: "a boolean", str: "a string"}[kind]
+        raise RationalError(f"{what}: {clip(value)} is not {noun}")
+    return value
 
 
 def coprime_fraction(n: int, d: int) -> Fraction:

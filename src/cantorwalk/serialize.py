@@ -4,7 +4,8 @@ Rationals travel as "p/q" strings, so round-trips are lossless.  Reports
 are written with sorted keys and no timestamps (metadata lives in a
 sibling file), which makes equal runs byte-identical.  Every certificate
 file is self-contained: it carries the space, the maps and the regions
-needed to re-verify it from scratch.
+needed to re-verify it from scratch.  Each certificate type is a row of
+CERTIFICATES; every reader refuses a key that it does not name.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import json
 import os
 from datetime import datetime, timezone
 
-from .rational import RationalError, pair_str, rat, rat_str
+from .rational import RationalError, clip, exact, pair_str, rat, rat_str
 from .space import CompactSet, Ifs, Piece, Region, SpaceError
 from .maps import Branch, PAHomeo, pa_homeo
 from .giet import BlowUpResult, Giet, giet_from_branches
-from .walk import CellMeasure
 from . import certify as cert_mod
 from .certify import (FiniteOrbitCertificate, InvariantMeasureCertificate,
                       MorseSmaleCertificate, PingPongCertificate, Verdict)
@@ -31,11 +31,11 @@ def _q(x) -> str:
     return rat_str(rat(x))
 
 
-def _exact(v, kind: type, what: str):
-    """v, when its type is kind itself (a bool is no int here)."""
-    if type(v) is not kind:
-        raise TypeError(f"{what} {v!r} is not {kind.__name__}")
-    return v
+def only_keys(obj: dict, keys: set, what: str) -> dict:
+    """obj, a JSON object, when it holds no key but the given ones."""
+    if not obj.keys() <= keys:
+        raise SerializeError(f"unknown {what} key {clip(min(obj.keys() - keys))}")
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +54,16 @@ def space_to_obj(space: CompactSet) -> dict:
 
 def space_from_obj(obj: dict) -> CompactSet:
     if "ifs" in obj:
-        ifs = Ifs(tuple(rat(v) for v in obj["ifs"]["ratios"]),
-                  tuple(rat(v) for v in obj["ifs"]["offsets"]),
-                  tuple(obj["ifs"]["symbols"]))
-        return CompactSet.from_ifs(ifs, _exact(obj["depth"], int, "depth"))
+        only_keys(obj, {"ifs", "depth", "intervals"}, "space")
+        spec = only_keys(obj["ifs"], {"ratios", "offsets", "symbols"}, "ifs")
+        ifs = Ifs(tuple(rat(v) for v in spec["ratios"]),
+                  tuple(rat(v) for v in spec["offsets"]), tuple(spec["symbols"]))
+        K = CompactSet.from_ifs(ifs, exact(obj["depth"], int, "depth"))
+        # the intervals follow from the IFS: they may be left out, not changed
+        if "intervals" in obj and obj["intervals"] != space_to_obj(K)["intervals"]:
+            raise SerializeError(f"space intervals are not the IFS's at depth {K.depth}")
+        return K
+    only_keys(obj, {"intervals"}, "space")
     K = CompactSet.from_intervals([(rat(l), rat(r)) for l, r in obj["intervals"]])
     for l, r in K.intervals:
         if l == r:
@@ -73,11 +79,16 @@ def map_to_obj(f: PAHomeo) -> dict:
                          for lo, hi, s, o, _, _ in f.branches]}
 
 
+def _branch_from_obj(b: dict) -> tuple:
+    """(lo, hi, slope, offset) of a map's or a giet's branch."""
+    only_keys(b, {"src", "slope", "offset"}, "branch")
+    return rat(b["src"][0]), rat(b["src"][1]), rat(b["slope"]), rat(b["offset"])
+
+
 def map_from_obj(space: CompactSet, obj: dict) -> PAHomeo:
-    branches = [Branch(rat(b["src"][0]), rat(b["src"][1]),
-                       rat(b["slope"]), rat(b["offset"]))
-                for b in obj["branches"]]
-    return pa_homeo(space, branches, label=tuple(obj["label"]))
+    only_keys(obj, {"label", "branches"}, "map")
+    return pa_homeo(space, [Branch(*_branch_from_obj(b)) for b in obj["branches"]],
+                    label=tuple(exact(w, str, "label") for w in obj["label"]))
 
 
 def region_to_obj(reg: Region) -> dict:
@@ -87,49 +98,20 @@ def region_to_obj(reg: Region) -> dict:
 
 
 def region_from_obj(space: CompactSet, obj: dict) -> Region:
+    pieces = [only_keys(p, {"lo", "hi", "lo_closed", "hi_closed"}, "piece")
+              for p in only_keys(obj, {"pieces"}, "region")["pieces"]]
     return Region.from_pieces(space, [
-        Piece(rat(p["lo"]), rat(p["hi"]), _exact(p["lo_closed"], bool, "lo_closed"),
-              _exact(p["hi_closed"], bool, "hi_closed")) for p in obj["pieces"]])
+        Piece(rat(p["lo"]), rat(p["hi"]), exact(p["lo_closed"], bool, "lo_closed"),
+              exact(p["hi_closed"], bool, "hi_closed")) for p in pieces])
 
 
 def giet_from_obj(obj: dict) -> Giet:
-    return giet_from_branches(
-        (rat(obj["interval"][0]), rat(obj["interval"][1])),
-        [(rat(b["src"][0]), rat(b["src"][1]), rat(b["slope"]),
-          rat(b["offset"])) for b in obj["branches"]])
+    only_keys(obj, {"interval", "branches"}, "giet")
+    return giet_from_branches(obj["interval"], [_branch_from_obj(b) for b in obj["branches"]])
 
 
 # ---------------------------------------------------------------------------
 # certificates
-
-
-def certificate_to_obj(cert) -> dict:
-    """Self-contained certificate document."""
-    if isinstance(cert, PingPongCertificate):
-        return {"type": "ping-pong",
-                "space": space_to_obj(cert.a1.space),
-                "a1": map_to_obj(cert.a1), "a2": map_to_obj(cert.a2),
-                "A1": region_to_obj(cert.A1), "B1": region_to_obj(cert.B1),
-                "A2": region_to_obj(cert.A2), "B2": region_to_obj(cert.B2)}
-    if isinstance(cert, InvariantMeasureCertificate):
-        return {"type": "invariant-measure",
-                "space": space_to_obj(cert.gens[0].space),
-                "generators": [map_to_obj(g) for g in cert.gens],
-                "depth": cert.depth,
-                "masses": [_q(m) for m in cert.measure.masses],
-                "consistency_depth": cert.consistency_depth}
-    if isinstance(cert, FiniteOrbitCertificate):
-        return {"type": "finite-orbit",
-                "space": space_to_obj(cert.gens[0].space),
-                "generators": [map_to_obj(g) for g in cert.gens],
-                "orbit": [_q(p) for p in cert.orbit]}
-    if isinstance(cert, MorseSmaleCertificate):
-        return {"type": "morse-smale",
-                "space": space_to_obj(cert.g.space),
-                "g": map_to_obj(cert.g),
-                "periodic": [[_q(x), per, _q(m)] for x, per, m in cert.periodic],
-                "A": region_to_obj(cert.A), "B": region_to_obj(cert.B)}
-    raise SerializeError(f"unknown certificate {type(cert).__name__}")
 
 
 def _generators_from_obj(space: CompactSet, objs) -> tuple:
@@ -140,8 +122,57 @@ def _generators_from_obj(space: CompactSet, objs) -> tuple:
     names = ["-".join(g.label) or f"g{i}" for i, g in enumerate(gens)]
     for i, name in enumerate(names):
         if name in names[:i]:
-            raise SerializeError(f"duplicate generator label {name!r}")
+            raise SerializeError(f"duplicate generator label {clip(name)}")
     return gens
+
+
+def _orbit_from_obj(space: CompactSet, objs) -> tuple:
+    orbit = tuple(sorted({rat(p) for p in objs}))
+    for p in orbit:
+        if not space.contains(p):
+            raise SpaceError(f"point {p} not in the ambient set")
+    return orbit
+
+
+# the (write, read) codecs of certificate fields: write takes the field, read
+# the space and the field's JSON value.  _int(key) is the codec of an int field
+def _int(key: str) -> tuple:
+    return int, lambda space, v: exact(v, int, key)
+
+
+MAP, REGION = (map_to_obj, map_from_obj), (region_to_obj, region_from_obj)
+GENERATORS = (lambda gens: [map_to_obj(g) for g in gens], _generators_from_obj)
+RATIONALS = (lambda xs: [_q(x) for x in xs], lambda space, v: tuple(rat(x) for x in v))
+PERIODIC = (lambda ps: [[_q(x), per, _q(m)] for x, per, m in ps],
+            lambda space, v: tuple((rat(x), exact(per, int, "period"), rat(m))
+                                   for x, per, m in v))
+
+# type -> (class, verifier, the JSON key and codec of each field in order);
+# a document holds these keys, "type" and "space".  Each verifier is read
+# off the certify module at call time, so a rebinding of its name takes effect
+CERTIFICATES = {
+    "ping-pong": (PingPongCertificate, lambda c: cert_mod.verify_ping_pong(c),
+                  (("a1", MAP), ("a2", MAP), ("A1", REGION), ("B1", REGION),
+                   ("A2", REGION), ("B2", REGION))),
+    "invariant-measure": (InvariantMeasureCertificate,
+                          lambda c: cert_mod.verify_invariant_measure(c),
+                          (("generators", GENERATORS), ("depth", _int("depth")),
+                           ("masses", RATIONALS),
+                           ("consistency_depth", _int("consistency_depth")))),
+    "finite-orbit": (FiniteOrbitCertificate, lambda c: cert_mod.verify_finite_orbit(c),
+                     (("generators", GENERATORS), ("orbit", (RATIONALS[0], _orbit_from_obj)))),
+    "morse-smale": (MorseSmaleCertificate, lambda c: cert_mod.verify_morse_smale(c),
+                    (("g", MAP), ("periodic", PERIODIC), ("A", REGION), ("B", REGION))),
+}
+
+
+def certificate_to_obj(cert) -> dict:
+    """Self-contained certificate document."""
+    kind = next(k for k, row in CERTIFICATES.items() if row[0] is type(cert))
+    # the first field is a map, or the tuple of generator maps
+    space = (cert[0][0] if isinstance(cert[0], tuple) else cert[0]).space
+    return {"type": kind, "space": space_to_obj(space),
+            **{key: write(v) for (key, (write, _)), v in zip(CERTIFICATES[kind][2], cert)}}
 
 
 def certificate_from_obj(obj: dict):
@@ -149,51 +180,21 @@ def certificate_from_obj(obj: dict):
     raises SerializeError."""
     try:
         kind = obj.get("type")
+        if kind not in CERTIFICATES:
+            raise SerializeError(f"unknown certificate type {clip(kind)}")
+        cls, _, fields = CERTIFICATES[kind]
+        only_keys(obj, {"type", "space", *(key for key, _ in fields)}, "certificate")
         space = space_from_obj(obj["space"])
-        if kind == "ping-pong":
-            return PingPongCertificate(
-                map_from_obj(space, obj["a1"]), map_from_obj(space, obj["a2"]),
-                region_from_obj(space, obj["A1"]), region_from_obj(space, obj["B1"]),
-                region_from_obj(space, obj["A2"]), region_from_obj(space, obj["B2"]))
-        if kind == "invariant-measure":
-            gens = _generators_from_obj(space, obj["generators"])
-            masses = tuple(rat(m) for m in obj["masses"])
-            depth = _exact(obj["depth"], int, "depth")
-            return InvariantMeasureCertificate(
-                gens, depth, CellMeasure(depth, masses, True),
-                _exact(obj["consistency_depth"], int, "consistency_depth"))
-        if kind == "finite-orbit":
-            gens = _generators_from_obj(space, obj["generators"])
-            orbit = tuple(sorted({rat(p) for p in obj["orbit"]}))
-            for p in orbit:
-                if not space.contains(p):
-                    raise SpaceError(f"point {p} not in the ambient set")
-            return FiniteOrbitCertificate(gens, orbit)
-        if kind == "morse-smale":
-            g = map_from_obj(space, obj["g"])
-            periodic = tuple((rat(x), _exact(per, int, "period"), rat(m))
-                             for x, per, m in obj["periodic"])
-            return MorseSmaleCertificate(g, periodic,
-                                         region_from_obj(space, obj["A"]),
-                                         region_from_obj(space, obj["B"]))
+        return cls(*(read(space, obj[key]) for key, (_, read) in fields))
     except (KeyError, TypeError, AttributeError, IndexError, RationalError) as e:
         raise SerializeError(
             f"malformed certificate ({type(e).__name__}: {e})") from None
-    raise SerializeError(f"unknown certificate type {kind!r}")
 
 
 def verify_certificate(obj: dict) -> Verdict:
-    """Re-verify a serialized certificate from scratch, exactly.  Each
-    verifier is read off the certify module at call time, so a rebinding
-    of its name takes effect."""
+    """Re-verify a serialized certificate from scratch, exactly."""
     cert = certificate_from_obj(obj)
-    if isinstance(cert, PingPongCertificate):
-        return cert_mod.verify_ping_pong(cert)
-    if isinstance(cert, InvariantMeasureCertificate):
-        return cert_mod.verify_invariant_measure(cert)
-    if isinstance(cert, FiniteOrbitCertificate):
-        return cert_mod.verify_finite_orbit(cert)
-    return cert_mod.verify_morse_smale(cert)
+    return CERTIFICATES[obj["type"]][1](cert)
 
 
 def blowup_to_scenario(result: BlowUpResult) -> dict:
@@ -235,8 +236,5 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def write_meta(path: str, extra: dict = None) -> None:
-    meta = {"written_at": datetime.now(timezone.utc).isoformat()}
-    if extra:
-        meta.update(extra)
-    write_json_atomic(path, meta)
+def write_meta(path: str, extra: dict) -> None:
+    write_json_atomic(path, {"written_at": datetime.now(timezone.utc).isoformat(), **extra})

@@ -33,10 +33,6 @@ def _region(K, lo, hi):
     return Region(K, (Piece(F(lo), F(hi), True, True),))
 
 
-def _measure():
-    return CellMeasure(1, (F(1, 2), F(1, 2)), True)
-
-
 # class -> (the keyword arguments of one instance, built afresh on each
 # call; another value for each field that the change test replaces)
 CASES = {
@@ -74,10 +70,10 @@ CASES = {
              A1=_region(ternary_cantor(1), 0, 1), B1=_region(ternary_cantor(1), 0, 1),
              A2=_region(ternary_cantor(1), 0, 1), B2=_region(ternary_cantor(1), 0, 1))),
     InvariantMeasureCertificate: (
-        lambda: dict(gens=(_identity(ternary_cantor(1)),), depth=1, measure=_measure(),
-                     consistency_depth=3),
-        dict(gens=(_flip(ternary_cantor(1)),), depth=2,
-             measure=CellMeasure(1, (F(1, 3), F(2, 3)), True), consistency_depth=4)),
+        lambda: dict(gens=(_identity(ternary_cantor(1)),), depth=1,
+                     masses=(F(1, 2), F(1, 2)), consistency_depth=3),
+        dict(gens=(_flip(ternary_cantor(1)),), depth=2, masses=(F(1, 3), F(2, 3)),
+             consistency_depth=4)),
     FiniteOrbitCertificate: (
         lambda: dict(gens=(_flip(ternary_cantor(1)),),
                      orbit=(F(0), F(1))),

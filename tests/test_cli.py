@@ -512,6 +512,57 @@ def test_verify_malformed_certificate_exits_1(tmp_path, capsys, doc):
     assert captured.err.count("\n") == 1
 
 
+def _set(value, *path):
+    """An edit that sets the item at path, keys and indices, to value."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, line", [
+    # the intervals of an IFS space follow from the IFS at its depth
+    (_set([["0", "1/2"]], "space", "intervals"), "space intervals are not the IFS's at depth 3"),
+    (_set("nonsense", "space", "intervals"), "space intervals are not the IFS's at depth 3"),
+    (_set(1, "extra"), "unknown certificate key 'extra'"),
+    (_set(1, "a1", "branches", 0, "extra"), "unknown branch key 'extra'"),
+    (_set(1, "A1", "pieces", 0, "extra"), "unknown piece key 'extra'"),
+    (_set(1, "space", "ifs", "extra"), "unknown ifs key 'extra'"),
+], ids=["intervals-changed", "intervals-nonsense", "top-level", "a1-branch", "A1-piece",
+        "space-ifs"])
+def test_verify_refuses_what_it_does_not_read(tmp_path, capsys, edit, line):
+    # each edit names a key that no check reads, or changes one that follows
+    # from others, so the certificate would verify as it stands
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_edited_certificate("free_pair", edit)(tmp_path)))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+def test_verify_accepts_an_ifs_space_without_intervals(tmp_path, capsys):
+    # the intervals are derived from the IFS and claim nothing, so they may
+    # be left out
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_edited_certificate(
+        "free_pair", lambda d: d["space"].pop("intervals"))(tmp_path)))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("VERIFIED\n")
+
+
+def test_a_message_cuts_a_long_value_short(tmp_path, capsys):
+    # a piece end of 5,002 characters, whose denominator is too long to read
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_edited_certificate(
+        "free_pair", _set("1/" + "3" * 5000, "A1", "pieces", 0, "lo"))(tmp_path)))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: malformed certificate")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "simulate", "space": {"ifs": "ternary", "depth": 3}},
     {"kind": "simulate", "space": {"ifs": "ternary", "depth": 3},
@@ -539,6 +590,10 @@ def test_verify_malformed_certificate_exits_1(tmp_path, capsys, doc):
       for key, v in (("n", 0), ("n", -3), ("runs", 0), ("runs", -1), ("max_len", 0))),
     *(dict(json.loads(_load_scenario_text("free_pair")), **dict(MORSE_SMALE, budgets={key: v}))
       for key, v in (("n", 0), ("n", -1), ("runs", 0), ("runs", -2))),
+    # a bool for a rational and a string for a flag, which would read as 1
+    # and as true
+    dict(json.loads(_load_scenario_text("free_pair")), budgets={"eps": True}),
+    dict(json.loads(_load_scenario_text("free_pair")), include_inverses="no"),
 ])
 def test_malformed_scenario_exits_1(tmp_path, capsys, doc):
     path = tmp_path / "scenario.json"
@@ -621,6 +676,26 @@ def test_outside_input_check_names_its_fault(tmp_path, capsys, doc, message):
     out.mkdir()
     assert main([doc["kind"], str(path), "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("doc, line", [
+    (dict(json.loads(_load_scenario_text("free_pair")), generators=[
+        dict(A1, extra=1), json.loads(_load_scenario_text("free_pair"))["generators"][1]]),
+     "unknown generator key 'extra'"),
+    (dict(json.loads(_load_scenario_text("free_pair")),
+          space={"ifs": "ternary", "depth": 3, "extra": 1}), "unknown space key 'extra'"),
+    (_blowup(dict(ROTATION, extra=1)), "unknown giet key 'extra'"),
+    (_blowup(dict(ROTATION, branches=[dict(ROTATION["branches"][0], extra=1),
+                                      ROTATION["branches"][1]])), "unknown branch key 'extra'"),
+], ids=["generator", "ternary-space", "giet", "giet-branch"])
+def test_scenario_refuses_a_key_it_does_not_read(tmp_path, capsys, doc, line):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([doc["kind"], str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
     assert not any(out.iterdir())
 
 
@@ -990,6 +1065,11 @@ IDENTITY = {"label": ["I"], "branches": [{"src": ["0", "1"], "slope": "1", "offs
                   "generators": [IDENTITY], "depth": 1, "masses": ["1"],
                   "consistency_depth": 1},
                  "INVALID (mass vector does not match the cell count)", id="mass-count"),
+    # each mass is nonnegative and every row of the identity holds
+    pytest.param({"type": "invariant-measure", "space": TERNARY_SPACE,
+                  "generators": [IDENTITY], "depth": 1, "masses": ["1/2", "1/4"],
+                  "consistency_depth": 1},
+                 "INVALID (masses do not sum to 1)", id="mass-sum"),
 ])
 def test_verify_rejects_forged_certificates(tmp_path, capsys, doc, line):
     # each document passes every check of verify but the one it forges

@@ -15,7 +15,7 @@ from cantorwalk.certify import (InvariantMeasureCertificate, PingPongCertificate
 from cantorwalk.maps import compose, equals
 from cantorwalk.measure_solver import solve_feasibility
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
-from cantorwalk.walk import CellMeasure, make_model
+from cantorwalk.walk import make_model
 
 from fixtures import cantor_space, cylinder_region, fixture, named_generators, region, rotation
 from test_space import same_set
@@ -139,7 +139,7 @@ def test_verify_checks_a_word_whose_sources_leave_gaps_of_the_limit_set():
     A1 = fixture("A1", K)
     a1a1 = compose(A1, A1)
     assert not any(b.lo <= F(159, 162) <= b.hi for b in a1a1.branches)
-    cert = InvariantMeasureCertificate((a1a1,), 0, CellMeasure(0, (F(1),), True), 0)
+    cert = InvariantMeasureCertificate((a1a1,), 0, (F(1),), 0)
     obj = json.loads(ser.dumps(ser.certificate_to_obj(cert)))
     assert ser.verify_certificate(obj)
 
