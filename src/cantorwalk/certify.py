@@ -173,11 +173,12 @@ def _find_region_displacement(letters, inv, src: Region, avoid: Region,
 # contraction pairs
 
 
-def _fixed_points(w: PAHomeo) -> tuple[list, list]:
+def _fixed_points(w: PAHomeo, attracting: bool = False) -> tuple[list, list]:
     """The fixed points of w's branches, as int pairs (x, slope) in branch
-    order, and the sources (lo, hi) of the branches that are the identity.
-    A branch x -> s*x + o with s != 1 fixes x = o / (1 - s) when x lies on
-    its closed source and in K's limit set."""
+    order, only those of slope in (-1, 1) when attracting, and the sources
+    (lo, hi) of the branches that are the identity.  A branch
+    x -> s*x + o with s != 1 fixes x = o / (1 - s) when x lies on its
+    closed source and in K's limit set."""
     points, sources = [], []
     for lo, hi, s, o, _, _ in w.branches:
         if s == (1, 1):
@@ -185,6 +186,8 @@ def _fixed_points(w: PAHomeo) -> tuple[list, list]:
                 sources.append((lo, hi))
             continue
         sn, sd = s
+        if attracting and abs(sn) >= sd:
+            continue
         x = affine((sd, sd - sn) if sd > sn else (-sd, sn - sd), o)  # o / (1 - s)
         if pair_cmp(lo, x) <= 0 <= pair_cmp(hi, x) and \
                 w.space.contains_limit_point(coprime_fraction(*x)):
@@ -241,7 +244,7 @@ def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
         for n in range(1, n_max + 1):
             w = forward_word(t, n)
             B = [coprime_fraction(*x) for x in sorted(
-                {x for x, (sn, sd) in _fixed_points(w)[0] if abs(sn) < sd}, key=pair_key)]
+                {x for x, _ in _fixed_points(w, attracting=True)[0]}, key=pair_key)]
             if not B or len(B) > p_cap:
                 continue
             b_reg = epsilon_neighborhood(B, eps, K)

@@ -212,7 +212,7 @@ def run_scenario(s: Scenario, out_dir: str, emit_series: bool):
 
     if s.kind == "simulate":
         mu = estimate_stationary_measure(model, bud["n"] * 25, bud["depth"])
-        masses = {}  # image region pieces -> mass under mu, for this run only
+        masses = {}  # region pieces -> mass, map branches -> cell images; this run only
         avg, per_gen = invariance_residual(mu, model, masses)
         h = estimate_entropy(mu, model, masses)
         t = Trajectory(model, stream=0)
@@ -262,9 +262,9 @@ def _emit_diameter_series(out_dir, stem, diameters):
     """Per-step image diameter of every depth-d cell, as plot-ready CSV; the
     diameters are int pairs, each written as the float of its Fraction.
     Each row ends in CRLF, and no field needs quoting, as csv.writer writes it."""
+    field = functools.cache(lambda p: repr(p[0] / p[1]))  # once per distinct diameter
     lines = [",".join(["step"] + [f"diam_cell_{i}" for i in range(len(diameters))])]
-    lines += (",".join(map(repr, [k] + [n / d for n, d in row]))
-              for k, row in enumerate(zip(*diameters)))
+    lines += (",".join([str(k), *map(field, row)]) for k, row in enumerate(zip(*diameters)))
     ser.write_text_atomic(os.path.join(out_dir, f"{stem}_series.csv"),
                           "\r\n".join(lines) + "\r\n")
 

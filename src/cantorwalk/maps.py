@@ -20,8 +20,8 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .rational import (affine, as_pair, coprime_fraction, pair_cmp, pair_key, pair_keys,
-                       place_left, place_right, rat, value_order)
+from .rational import (affine, as_pair, clip, coprime_fraction, pair_cmp, pair_key,
+                       pair_keys, place_left, place_right, rat, value_order)
 from .space import CompactSet, Piece, Region, _Frozen
 
 
@@ -39,14 +39,16 @@ class Branch(tuple):
     """x -> slope*x + offset on the closed source [lo, hi]: the reduced
     (numerator, denominator > 0) int pairs lo, hi, slope, offset and the
     sorted image ends, which equality compares and the kernels unpack.
-    Branch._make builds one from those six pairs; lo, hi, slope, offset and
-    ends are Fraction views."""
+    Branch._make builds one from those six pairs, Branch(lo, hi, slope,
+    offset) from rationals or their pairs; lo, hi, slope, offset and ends
+    are Fraction views."""
 
     __slots__ = ()
     _make = classmethod(tuple.__new__)
 
     def __new__(cls, lo, hi, slope, offset):
-        lo, hi, s, o = ((v.numerator, v.denominator) for v in (lo, hi, slope, offset))
+        lo, hi, s, o = (v if type(v) is tuple else (v.numerator, v.denominator)
+                        for v in (lo, hi, slope, offset))
         a, b = affine(s, lo, o), affine(s, hi, o)
         return tuple.__new__(cls, (lo, hi, s, o) + ((a, b) if pair_cmp(a, b) <= 0 else (b, a)))
 
@@ -107,13 +109,13 @@ class PAHomeo(_Frozen):
         i = place_right(self._lo_keys, x) - 1
         if i >= 0 and pair_cmp(x, bs[i][1]) <= 0:
             return bs[i]
-        raise MapError(f"{coprime_fraction(*x)} is not in any branch source")
+        raise MapError(f"{clip(coprime_fraction(*x))} is not in any branch source")
 
 
 def _apply(f: PAHomeo, x: tuple) -> tuple:
     """f at the int pair x, a point of its ambient set, as an int pair."""
     if not f.space._holds(x):
-        raise MapError(f"{coprime_fraction(*x)} not in the ambient set")
+        raise MapError(f"{clip(coprime_fraction(*x))} not in the ambient set")
     _, _, s, o, _, _ = f._branch_at(x)
     return affine(s, x, o)
 
@@ -170,24 +172,18 @@ def _cut(K: CompactSet, b: Branch) -> list[Branch]:
     for kl, kr in K._meeting(lo, hi):
         l, r = max(kl, lo, key=pair_key), min(kr, hi, key=pair_key)
         if pair_cmp(l, r) < 0:
-            ya, yb = affine(s, l, o), affine(s, r, o)
-            out.append(Branch._make((l, r, s, o) + ((ya, yb) if s[0] > 0 else (yb, ya))))
+            out.append(Branch(l, r, s, o))
     return out
 
 
 def _check_reflection_symmetric(space: CompactSet) -> None:
-    ifs = space.ifs
-    lo, hi = ifs._int_hull
-    c2 = affine((1, 1), lo, hi)  # twice the center
-    n = len(ifs.ratios)
-    for i in range(n):
-        j = n - 1 - i
-        # sigma phi_i sigma = phi_j with sigma(x) = c2 - x
-        if ifs.ratios[i] != ifs.ratios[j]:
-            raise MapError("orientation-reversing branch on an asymmetric IFS")
-        image = affine(as_pair(ifs.ratios[i]), c2, as_pair(ifs.offsets[i]))
-        if affine((-1, 1), image, c2) != as_pair(ifs.offsets[j]):
-            raise MapError("orientation-reversing branch on an asymmetric IFS")
+    """sigma phi_i sigma = phi_j for sigma(x) = c2 - x, c2 twice the hull's
+    center, and j = n - 1 - i: as both are increasing affine maps, iff sigma
+    carries child i onto child j, which holds for every i iff c2 - hi_i = lo_j."""
+    lo, hi = space.ifs._int_hull
+    kids, c2 = space.ifs._int_children, affine((1, 1), lo, hi)
+    if any(affine((-1, 1), b, c2) != a for (_, b), (a, _) in zip(kids, reversed(kids))):
+        raise MapError("orientation-reversing branch on an asymmetric IFS")
 
 
 def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
@@ -218,10 +214,9 @@ def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
     for b in branches:
         lo, hi, s, o, _, _ = b
         parts = space._cylinder_pairs(lo, hi)
-        if not parts:
-            raise MapError(f"branch source [{b.lo}, {b.hi}] not cylinder-aligned")
-        if (parts[0][1], parts[-1][2]) != (lo, hi):
-            raise MapError(f"branch source [{b.lo}, {b.hi}] does not end on the limit set")
+        if not parts or (parts[0][1], parts[-1][2]) != (lo, hi):
+            raise MapError(f"branch source [{clip(b.lo)}, {clip(b.hi)}] " + (
+                "does not end on the limit set" if parts else "not cylinder-aligned"))
         for w, clo, chi in parts:
             src_cyls.append((clo, chi, w, (clo, chi)))
             ia, ib = (affine(s, x, o) for x in ((clo, chi) if s[0] > 0 else (chi, clo)))
@@ -257,7 +252,7 @@ def pa_homeo(space: CompactSet, branches: Iterable[Branch],
             (_, x, s, o), (y, _, t, u) = b1[:4], b2[:4]
             # where two branches as given share a point of K, they must agree
             if x == y and space._holds(x) and affine(s, x, o) != affine(t, x, u):
-                raise MapError(f"branches disagree at {b1.hi}")
+                raise MapError(f"branches disagree at {clip(b1.hi)}")
         bs = [piece for b in bs for piece in _cut(space, b)]
         if not _tiles(space, [b[:2] for b in bs]):
             raise MapError("branch sources do not tile the ambient set")

@@ -1,6 +1,7 @@
 """Exact rationals, their reduced (numerator, denominator > 0) int pairs,
 their "p/q" strings, and the type checks that read JSON input exactly."""
 
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
@@ -12,8 +13,10 @@ class RationalError(ValueError):
 
 
 def clip(value) -> str:
-    """The repr of value, cut short past 40 characters, for a message."""
-    return r if len(r := repr(value)) <= 40 else r[:37] + "..."
+    """A value's text for a message, cut short past 40 characters: the repr
+    of a string, quoted, else its str, which writes a Fraction as p/q."""
+    t = repr(value) if isinstance(value, str) else str(value)
+    return t if len(t) <= 40 else t[:37] + "..."
 
 
 def rat(value) -> Fraction:
@@ -33,6 +36,23 @@ def rat(value) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise RationalError(f"not an exact rational: {clip(value)}") from None
     raise TypeError(f"not an exact rational: {clip(value)}")
+
+
+# the strings pair_str writes, but for the coprimality of p and q > 1
+_PAIR_STR = re.compile(r"(-?[1-9][0-9]*|0)(?:/(1[0-9]+|[2-9][0-9]*))?")
+
+
+def read_pair(value) -> tuple:
+    """as_pair(rat(value)), read straight into ints when value is a string
+    that pair_str writes; any other value goes through rat."""
+    if type(value) is str and (m := _PAIR_STR.fullmatch(value)):
+        try:
+            n, d = map(int, m.groups("1"))
+        except ValueError:  # past the digit limit of int(): rat refuses it
+            n = d = 0
+        if gcd(n, d) == 1:
+            return n, d
+    return as_pair(rat(value))
 
 
 def exact(value, kind: type, what: str):
@@ -107,5 +127,6 @@ def pair_str(p: tuple) -> str:
     return str(p[0]) if p[1] == 1 else f"{p[0]}/{p[1]}"
 
 
-def rat_str(value: Fraction) -> str:
-    return pair_str(as_pair(Fraction(value)))
+def rat_str(value) -> str:
+    """The "p/q" string of rat(value)."""
+    return pair_str(as_pair(rat(value)))

@@ -10,11 +10,12 @@ CERTIFICATES; every reader refuses a key that it does not name.
 
 from __future__ import annotations
 
-import json
 import os
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
 
-from .rational import RationalError, clip, exact, pair_str, rat, rat_str
+from .rational import (RationalError, clip, coprime_fraction, exact, pair_str, rat, rat_str,
+                       read_pair)
 from .space import CompactSet, Ifs, Piece, Region, SpaceError
 from .maps import Branch, PAHomeo, pa_homeo
 from .giet import BlowUpResult, Giet, giet_from_branches
@@ -27,8 +28,16 @@ class SerializeError(ValueError):
     pass
 
 
-def _q(x) -> str:
-    return rat_str(rat(x))
+def _fraction(value):
+    """rat(value), through read_pair."""
+    return coprime_fraction(*read_pair(value))
+
+
+def _values(v, n: int, what: str) -> list:
+    """v, when it is a JSON list of n values."""
+    if type(v) is not list or len(v) != n:
+        raise SerializeError(f"{what}: {clip(v)} is not a list of {n} values")
+    return v
 
 
 def only_keys(obj: dict, keys: set, what: str) -> dict:
@@ -45,8 +54,8 @@ def only_keys(obj: dict, keys: set, what: str) -> dict:
 def space_to_obj(space: CompactSet) -> dict:
     obj = {"intervals": [[pair_str(l), pair_str(r)] for l, r in space.ends]}
     if space.ifs is not None:
-        obj["ifs"] = {"ratios": [_q(v) for v in space.ifs.ratios],
-                      "offsets": [_q(v) for v in space.ifs.offsets],
+        obj["ifs"] = {"ratios": [rat_str(v) for v in space.ifs.ratios],
+                      "offsets": [rat_str(v) for v in space.ifs.offsets],
                       "symbols": list(space.ifs.symbols)}
         obj["depth"] = space.depth
     return obj
@@ -60,15 +69,16 @@ def space_from_obj(obj: dict) -> CompactSet:
                   tuple(rat(v) for v in spec["offsets"]), tuple(spec["symbols"]))
         K = CompactSet.from_ifs(ifs, exact(obj["depth"], int, "depth"))
         # the intervals follow from the IFS: they may be left out, not changed
-        if "intervals" in obj and obj["intervals"] != space_to_obj(K)["intervals"]:
+        if "intervals" in obj and obj["intervals"] != [
+                [pair_str(l), pair_str(r)] for l, r in K.ends]:
             raise SerializeError(f"space intervals are not the IFS's at depth {K.depth}")
         return K
     only_keys(obj, {"intervals"}, "space")
-    K = CompactSet.from_intervals([(rat(l), rat(r)) for l, r in obj["intervals"]])
+    K = CompactSet.from_intervals([_values(iv, 2, "space interval") for iv in obj["intervals"]])
     for l, r in K.intervals:
         if l == r:
             # a map could carry no branch over it: branches are cut at K's gaps
-            raise SerializeError(f"space interval [{_q(l)}, {_q(r)}] is a single point")
+            raise SerializeError(f"space interval [{clip(l)}, {clip(r)}] is a single point")
     return K
 
 
@@ -80,9 +90,10 @@ def map_to_obj(f: PAHomeo) -> dict:
 
 
 def _branch_from_obj(b: dict) -> tuple:
-    """(lo, hi, slope, offset) of a map's or a giet's branch."""
+    """(lo, hi, slope, offset) of a map's or a giet's branch, as int pairs."""
     only_keys(b, {"src", "slope", "offset"}, "branch")
-    return rat(b["src"][0]), rat(b["src"][1]), rat(b["slope"]), rat(b["offset"])
+    return (*map(read_pair, _values(b["src"], 2, "branch src")),
+            read_pair(b["slope"]), read_pair(b["offset"]))
 
 
 def map_from_obj(space: CompactSet, obj: dict) -> PAHomeo:
@@ -101,13 +112,15 @@ def region_from_obj(space: CompactSet, obj: dict) -> Region:
     pieces = [only_keys(p, {"lo", "hi", "lo_closed", "hi_closed"}, "piece")
               for p in only_keys(obj, {"pieces"}, "region")["pieces"]]
     return Region.from_pieces(space, [
-        Piece(rat(p["lo"]), rat(p["hi"]), exact(p["lo_closed"], bool, "lo_closed"),
-              exact(p["hi_closed"], bool, "hi_closed")) for p in pieces])
+        Piece._make((read_pair(p["lo"]), read_pair(p["hi"]),
+                     exact(p["lo_closed"], bool, "lo_closed"),
+                     exact(p["hi_closed"], bool, "hi_closed"))) for p in pieces])
 
 
 def giet_from_obj(obj: dict) -> Giet:
     only_keys(obj, {"interval", "branches"}, "giet")
-    return giet_from_branches(obj["interval"], [_branch_from_obj(b) for b in obj["branches"]])
+    return giet_from_branches(obj["interval"], [
+        [coprime_fraction(*p) for p in _branch_from_obj(b)] for b in obj["branches"]])
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +140,10 @@ def _generators_from_obj(space: CompactSet, objs) -> tuple:
 
 
 def _orbit_from_obj(space: CompactSet, objs) -> tuple:
-    orbit = tuple(sorted({rat(p) for p in objs}))
+    orbit = tuple(sorted({_fraction(p) for p in objs}))
     for p in orbit:
         if not space.contains(p):
-            raise SpaceError(f"point {p} not in the ambient set")
+            raise SpaceError(f"point {clip(p)} not in the ambient set")
     return orbit
 
 
@@ -142,10 +155,10 @@ def _int(key: str) -> tuple:
 
 MAP, REGION = (map_to_obj, map_from_obj), (region_to_obj, region_from_obj)
 GENERATORS = (lambda gens: [map_to_obj(g) for g in gens], _generators_from_obj)
-RATIONALS = (lambda xs: [_q(x) for x in xs], lambda space, v: tuple(rat(x) for x in v))
-PERIODIC = (lambda ps: [[_q(x), per, _q(m)] for x, per, m in ps],
-            lambda space, v: tuple((rat(x), exact(per, int, "period"), rat(m))
-                                   for x, per, m in v))
+RATIONALS = (lambda xs: [rat_str(x) for x in xs], lambda space, v: tuple(map(_fraction, v)))
+PERIODIC = (lambda ps: [[rat_str(x), per, rat_str(m)] for x, per, m in ps],
+            lambda space, v: tuple((_fraction(x), exact(per, int, "period"), _fraction(m))
+                                   for x, per, m in (_values(e, 3, "periodic entry") for e in v)))
 
 # type -> (class, verifier, the JSON key and codec of each field in order);
 # a document holds these keys, "type" and "space".  Each verifier is read
@@ -201,8 +214,8 @@ def blowup_to_scenario(result: BlowUpResult) -> dict:
     """Space + induced maps, consumable by the walk and certify modules."""
     return {"space": space_to_obj(result.space),
             "maps": [map_to_obj(g) for g in result.induced],
-            "blown_points": [[_q(c), _q(a)] for c, a in result.blown_points],
-            "jumps": [[_q(c), _q(v)] for c, v in result.jumps],
+            "blown_points": [[rat_str(c), rat_str(a)] for c, a in result.blown_points],
+            "jumps": [[rat_str(c), rat_str(v)] for c, v in result.jumps],
             "exact": result.exact,
             "defects": list(result.defects)}
 
@@ -211,8 +224,32 @@ def blowup_to_scenario(result: BlowUpResult) -> dict:
 # canonical output
 
 
+# json's text for the values whose repr it does not write
+JSON_NAMES = {"None": "null", "True": "true", "False": "false",
+              "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(x, pad: str) -> str:
+    """x, of plain JSON types, as json.dumps(x, indent=2, sort_keys=True)
+    writes it, its lines after the first indented by pad."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None or isinstance(x, (int, float)):
+        return JSON_NAMES.get(text := repr(x), text)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        items, ends = [f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(x.items())], "{}"
+    elif isinstance(x, (list, tuple)):
+        items, ends = [_encode(v, inner) for v in x], "[]"
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return (f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
+            if items else ends)
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True), ended by a newline."""
+    return _encode(obj, "") + "\n"
 
 
 def write_json_atomic(path: str, obj) -> None:

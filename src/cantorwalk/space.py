@@ -15,8 +15,8 @@ from functools import cache, cached_property, cmp_to_key
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .rational import (affine, as_pair, coprime_fraction, pair_cmp, pair_key, pair_keys,
-                       place_left, place_right, rat)
+from .rational import (affine, as_pair, clip, coprime_fraction, pair_cmp, pair_key,
+                       pair_keys, place_left, place_right, rat)
 
 MAX_INTERVALS = 2 ** 16  # the most cylinders intervals_at builds
 
@@ -86,40 +86,40 @@ class Ifs(_Frozen):
             raise SpaceError("IFS needs at least two maps")
         for r in self.ratios:
             if not 0 < r < 1:
-                raise SpaceError(f"IFS ratio {r} not in (0,1)")
+                raise SpaceError(f"IFS ratio {clip(r)} not in (0,1)")
         if len(set(self.symbols)) != len(self.symbols):
             raise SpaceError("IFS symbols must be distinct")
         if not all(isinstance(s, str) and len(s) == 1 for s in self.symbols):
             raise SpaceError(f"IFS symbols {self.symbols} are not all single characters")
-        lo = self.offsets[0] / (1 - self.ratios[0])
-        hi = self.offsets[-1] / (1 - self.ratios[-1])
-        if lo >= hi:
+        # in int pairs: the hull, ends o / (1 - r) = o * d / (d - n) for r = n/d;
+        # the children, also as fractions of the hull (for _child_pairs); for
+        # _expand and _cylinder_pairs, each inverse map y -> (y - o) / r as
+        # p/q -> (p*a - q*b) / (q*c), where r = c/a, with a, b and c coprime
+        maps = [(as_pair(r), as_pair(o)) for r, o in zip(self.ratios, self.offsets)]
+        lo, hi = (affine((d, d - n), o) for (n, d), o in (maps[0], maps[-1]))
+        if pair_cmp(lo, hi) >= 0:
             raise SpaceError("degenerate IFS hull")
-        children = tuple((r * lo + o, r * hi + o)
-                         for r, o in zip(self.ratios, self.offsets))
-        if any(h1 >= l2 for (_, h1), (l2, _) in zip(children, children[1:])):
+        children = tuple((affine(r, lo, o), affine(r, hi, o)) for r, o in maps)
+        if any(pair_cmp(h1, l2) >= 0 for (_, h1), (l2, _) in zip(children, children[1:])):
             raise SpaceError("IFS images must be disjoint, left to right")
-        # in int pairs: the hull, the children as fractions of the hull (for
-        # _child_pairs) and the children themselves; for _expand and
-        # _cylinder_pairs, each inverse map y -> (y - o) / r as
-        # p/q -> (p*a - q*b) / (q*c), where r = c/a
-        object.__setattr__(self, "_int_hull", (as_pair(lo), as_pair(hi)))
+        wn, wd = affine(hi, (1, 1), (-lo[0], lo[1]))  # hi - lo
+        shift = affine((wd, wn), (-lo[0], lo[1]))
+        object.__setattr__(self, "_int_hull", (lo, hi))
         object.__setattr__(self, "_unit_children", tuple(
-            tuple(as_pair((x - lo) / (hi - lo)) for x in c) for c in children))
-        object.__setattr__(self, "_int_children", tuple(
-            tuple(as_pair(x) for x in c) for c in children))
+            tuple(affine((wd, wn), x, shift) for x in c) for c in children))
+        object.__setattr__(self, "_int_children", children)
+        inverses = ((od * rd, on * rd, od * rn) for (rn, rd), (on, od) in maps)
         object.__setattr__(self, "_int_inverses", tuple(
-            (o.denominator * r.denominator, o.numerator * r.denominator,
-             o.denominator * r.numerator) for r, o in zip(self.ratios, self.offsets)))
+            (a // g, b // g, c // g) for a, b, c in inverses for g in [gcd(a, b, c)]))
 
     hull = property(lambda s: tuple(coprime_fraction(*p) for p in s._int_hull))
 
-    def _child_pairs(self, lo: tuple, hi: tuple) -> list[tuple[tuple, tuple]]:
-        """The child cylinders of the cylinder [lo, hi], left to right: the
-        hull's children scaled into it, I_{w s} = phi_w(I_s).  The ends, in
-        and out, are reduced int pairs."""
+    def _child_pairs(self, lo: tuple, hi: tuple, which=slice(None)) -> list[tuple[tuple, tuple]]:
+        """The child cylinders of the cylinder [lo, hi], left to right, or
+        the slice which of them: the hull's children scaled into it,
+        I_{w s} = phi_w(I_s).  The ends, in and out, are reduced int pairs."""
         k = affine(hi, (1, 1), (-lo[0], lo[1]))  # hi - lo
-        return [(affine(k, a, lo), affine(k, b, lo)) for a, b in self._unit_children]
+        return [(affine(k, a, lo), affine(k, b, lo)) for a, b in self._unit_children[which]]
 
     def cylinder(self, address: str) -> tuple[tuple, tuple]:
         """The ends, as int pairs, of the cylinder addressed by a word over
@@ -132,7 +132,7 @@ class Ifs(_Frozen):
             if sym not in self.symbols:
                 raise SpaceError(f"address symbol {sym!r} not in the IFS "
                                  f"alphabet {self.symbols}")
-            lo, hi = self._child_pairs(lo, hi)[self.symbols.index(sym)]
+            lo, hi = self._child_pairs(lo, hi, slice(i := self.symbols.index(sym), i + 1))[0]
         return lo, hi
 
     def check_depth(self, depth: int) -> None:
@@ -199,7 +199,7 @@ def _normalize_intervals(pairs) -> tuple[tuple[tuple, tuple], ...]:
     for l, r in pairs:
         l, r = rat(l), rat(r)
         if l > r:
-            raise SpaceError(f"interval [{l}, {r}] reversed")
+            raise SpaceError(f"interval [{clip(l)}, {clip(r)}] reversed")
         cleaned.append(Piece(l, r, True, True))
     if not cleaned:
         raise SpaceError("empty interval list")
@@ -269,22 +269,21 @@ class CompactSet(_Frozen):
         triples, or None if the interval is not cylinder-aligned.  The ends,
         in and out, are reduced int pairs."""
         ifs, ((ln, ld), (hn, hd)) = self.ifs, (lo, hi)
+        (an, ad), (bn, bd) = ifs._int_hull
+        rows = tuple(zip(ifs._int_children, ifs._int_inverses, ifs.symbols))
         # descend while one child holds [lo, hi], read in the coordinates of the
-        # cylinder reached (as _expand reads a point): it is that cylinder at the hull's ends
-        addr, u, v = "", lo, hi
-        while ln * hd < hn * ld and (u, v) != ifs._int_hull:
-            (un, ud), (vn, vd) = u, v
-            for i, ((cln, cld), (chn, chd)) in enumerate(ifs._int_children):
+        # cylinder reached (as _expand reads a point): it is that cylinder at
+        # the hull's ends.  The coordinates [un/ud, vn/vd] are left unreduced
+        addr, (un, ud), (vn, vd) = "", lo, hi
+        while ln * hd < hn * ld and not (un * ad == an * ud and vn * bd == bn * vd):
+            for ((cln, cld), (chn, chd)), (a, b, c), sym in rows:
                 if cln * ud <= un * cld and vn * chd <= chn * vd:
-                    a, b, c = ifs._int_inverses[i]
                     un, ud, vn, vd = un * a - ud * b, ud * c, vn * a - vd * b, vd * c
-                    u = (un // (k := gcd(un, ud)), ud // k)
-                    v = (vn // (k := gcd(vn, vd)), vd // k)
-                    addr += ifs.symbols[i]
+                    addr += sym
                     break
             else:
                 break
-        if (u, v) == ifs._int_hull:
+        if un * ad == an * ud and vn * bd == bn * vd:
             return [(addr, lo, hi)]
         # otherwise, descending from the hull, only cylinders holding lo or
         # hi without lying inside [lo, hi] are split.  Deeper than that

@@ -281,15 +281,13 @@ def invariance_residual(mu: CellMeasure, model: WalkModel, masses: dict):
     invariant is certify.verify_invariant_measure's question.  masses is
     _image_mass's dict for mu."""
     cells = measure_cells(model.space, mu.depth)
-    K = model.space
     invs = [invert(g) for g in model.gens]
+    images = [masses.setdefault(ginv.branches, {}) for ginv in invs]
     per_gen = averaged = 0.0
-    for ci, (l, r) in enumerate(cells):
-        cell = Region.from_pieces(K, (Piece._make((l, r, True, True)),))
+    for ci, cell in enumerate(cells):
         acc = 0.0
         for gi, ginv in enumerate(invs):
-            pre = image(ginv, cell)
-            pm = _image_mass(masses, mu, cells, K, pre)
+            pm = _image_mass(masses, images[gi], mu, cells, ginv, cell)
             per_gen = max(per_gen, abs(float(mu.masses[ci]) - pm))
             acc += float(model.probs[gi]) * pm
         averaged = max(averaged, abs(float(mu.masses[ci]) - acc))
@@ -352,13 +350,19 @@ def _region_mass(mu: CellMeasure, cells, space: CompactSet, region: Region) -> f
     return total
 
 
-def _image_mass(masses: dict, mu: CellMeasure, cells, space: CompactSet, region: Region) -> float:
-    """_region_mass of the region, kept in masses under its pieces: one dict
-    serves every image region under one measure mu, so the residual and the
-    entropy of a generating set closed under inverses share their masses."""
-    m = masses.get(region.pieces)
+def _image_mass(masses: dict, images: dict, mu: CellMeasure, cells, f: PAHomeo,
+                cell: tuple) -> float:
+    """_region_mass of image(f, cell), for an int-pair cell.  The image is
+    kept in images, the dict that masses holds under f's branches, and its
+    mass in masses under its pieces: one dict serves one measure mu, so the
+    residual and the entropy of a generating set closed under inverses share
+    images and masses (an inverse inverted again has the map's branches)."""
+    img = images.get(cell)
+    if img is None:
+        img = images[cell] = image(f, Region(f.space, (Piece._make((*cell, True, True)),)))
+    m = masses.get(img.pieces)
     if m is None:
-        m = masses[region.pieces] = _region_mass(mu, cells, space, region)
+        m = masses[img.pieces] = _region_mass(mu, cells, f.space, img)
     return m
 
 
@@ -369,13 +373,12 @@ def estimate_entropy(mu: CellMeasure, model: WalkModel, masses: dict) -> float:
     cells = measure_cells(model.space, mu.depth)
     per_gen = []
     for g, p in zip(model.gens, model.probs):
-        term = 0.0
-        for ci, (l, r) in enumerate(cells):
+        term, images = 0.0, masses.setdefault(g.branches, {})
+        for ci, cell in enumerate(cells):
             m = float(mu.masses[ci])
             if m <= 0:
                 continue
-            img = image(g, Region(model.space, (Piece._make((l, r, True, True)),)))
-            im = _image_mass(masses, mu, cells, model.space, img)
+            im = _image_mass(masses, images, mu, cells, g, cell)
             if im <= 0:
                 continue
             term += m * math.log(m / im)

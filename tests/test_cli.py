@@ -563,6 +563,47 @@ def test_a_message_cuts_a_long_value_short(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and len(captured.err) < 200
 
 
+def test_a_source_end_is_cut_short_in_its_message(tmp_path, capsys):
+    # a1's first source end, 1/27, set to a value of 3,002 characters that
+    # reads as a rational: the map check repeats it in its message
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_edited_certificate(
+        "free_pair", _set("1/" + "3" * 3000, "a1", "branches", 0, "src", 1))(tmp_path)))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: branch source [0, 1/333")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+
+
+def _append(value, *path):
+    """An edit that appends value to the list at path, keys and indices."""
+    def edit(doc):
+        for key in path:
+            doc = doc[key]
+        doc.append(value)
+    return edit
+
+
+@pytest.mark.parametrize("changes, edit, line", [
+    ({}, _append("junk", "a1", "branches", 0, "src"),
+     "branch src: ['0', '1/27', 'junk'] is not a list of 2 values"),
+    ({}, _set(["0"], "a1", "branches", 0, "src"), "branch src: ['0'] is not a list of 2 values"),
+    (MORSE_SMALE, _append("junk", "periodic", 0), "periodic entry: "),
+    (MORSE_SMALE, _set(["1/4", 1], "periodic", 0), "periodic entry: ['1/4', 1] is not"),
+], ids=["src-three", "src-one", "periodic-four", "periodic-two"])
+def test_verify_names_a_list_of_the_wrong_length(tmp_path, capsys, changes, edit, line):
+    # a branch source holds two rationals and a periodic entry three values;
+    # any other length is refused with one line that names the field
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_edited_certificate("free_pair", edit, **changes)(tmp_path)))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {line}") and err.count("\n") == 1
+    assert err.endswith(f" is not a list of {3 if 'periodic' in line else 2} values\n")
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "simulate", "space": {"ifs": "ternary", "depth": 3}},
     {"kind": "simulate", "space": {"ifs": "ternary", "depth": 3},

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cantorwalk.maps import (Branch, BreakPair, MapError, PAHomeo, PrefixTable,
                              apply, break_pairs, break_points, compose, equals,
                              from_prefix_table, image, invert, pa_homeo)
-from cantorwalk.space import Ifs, Piece, Region, ternary_cantor
+from cantorwalk.space import CompactSet, Ifs, Piece, Region, ternary_cantor
 
 from fixtures import (TABLES, cantor_space, cylinder_region, fixture, identity_map, in_region,
                       is_identity, region, regular_on)
@@ -290,3 +290,42 @@ def test_regularity_radius_property(idxs, cell):
     seg = (lo, lo + min(hi - lo, r0 * F(9, 10)))
     for g in (A1, A2):
         assert regular_on(g, seg[0], seg[1])
+
+
+def _reflection_symmetric_ref(ifs: Ifs) -> bool:
+    """sigma phi_i sigma = phi_{n-1-i} for sigma(x) = c2 - x, c2 twice the
+    hull's center, checked on the ratios and offsets: equal ratios, and
+    o_j = c2 - r_i * c2 - o_i."""
+    lo, hi = ifs.hull
+    c2, n = lo + hi, len(ifs.ratios)
+    return all(ifs.ratios[i] == ifs.ratios[n - 1 - i]
+               and ifs.offsets[n - 1 - i] == c2 - ifs.ratios[i] * c2 - ifs.offsets[i]
+               for i in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([F(1, 3), F(1, 4), F(1, 5), F(2, 7)]), min_size=2, max_size=4),
+       st.data())
+def test_reflection_check_reads_the_children(ratios, data):
+    # the check compares child i, reflected, with child n - 1 - i; on IFSs
+    # built mirror-symmetric about a centre c, and on others, it decides as
+    # the check on ratios and offsets does
+    n = len(ratios)
+    offsets = sorted(data.draw(st.lists(st.fractions(-1, 2, max_denominator=12),
+                                        min_size=n, max_size=n, unique=True)))
+    if data.draw(st.booleans()):
+        ratios = [ratios[min(i, n - 1 - i)] for i in range(n)]
+        c = data.draw(st.fractions(0, 2, max_denominator=4))
+        for i in range(n // 2, n):
+            j = n - 1 - i
+            offsets[i] = c * (1 - ratios[i]) / 2 if i == j else c - ratios[j] * c - offsets[j]
+    try:
+        K = CompactSet.from_ifs(Ifs(tuple(ratios), tuple(offsets), tuple("abcd"[:n])), 0)
+    except ValueError:
+        return
+    try:
+        from_prefix_table(PrefixTable((("", "", -1),)), K)
+    except MapError as e:
+        assert not _reflection_symmetric_ref(K.ifs) and "asymmetric IFS" in str(e)
+    else:
+        assert _reflection_symmetric_ref(K.ifs)

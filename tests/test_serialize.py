@@ -1,19 +1,23 @@
 """Round trips for the JSON layer plus the exact feasibility solver."""
 
 import json
+import math
 import os
 import stat
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorwalk import serialize as ser
+from cantorwalk import rational, serialize as ser
+from cantorwalk.cli import _load_scenario_text, parse_scenario, run_scenario
 from cantorwalk.certify import (InvariantMeasureCertificate, PingPongCertificate,
                                 check_morse_smale, find_finite_orbit,
                                 find_morse_smale, solve_invariant_measure)
 from cantorwalk.maps import compose, equals
 from cantorwalk.measure_solver import solve_feasibility
+from cantorwalk.rational import as_pair, pair_str, rat, read_pair
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
 from cantorwalk.walk import make_model
 
@@ -187,6 +191,75 @@ def test_verify_rejects_corrupted_certificate():
 def test_dumps_is_canonical():
     text = ser.dumps({"b": 1, "a": "2/3"})
     assert text == '{\n  "a": "2/3",\n  "b": 1\n}\n'
+
+
+# -- the fast paths against the ones they replace -----------------------------
+
+
+JSON_TEXT = st.text(max_size=8) | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "é", "日本", "\U0001f600", ""])
+JSON_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, math.nan, math.inf, -math.inf])
+JSON_INTS = st.integers() | st.integers(10 ** 300, 10 ** 1000).map(lambda n: n * (-1) ** (n % 2))
+JSON_VALUES = st.recursive(
+    JSON_TEXT | JSON_INTS | JSON_FLOATS | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_dumps_is_what_json_dumps_writes(x):
+    assert ser.dumps(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+def _outcome(read, value):
+    """What read(value) returns, or the type and message of what it raises."""
+    try:
+        return read(value)
+    except Exception as e:
+        return type(e), str(e)
+
+
+CANONICAL = ["0", "1", "-1", "1/3", "-2/3", "26/27", "-80/81", "7/2", "123456789012345678901/10",
+             "2/" + "3" * 300, "-" + "9" * 4300]
+NOT_CANONICAL = ["2/4", " 1/3", "1/3 ", "+1", "-0", "0/5", "3/1", "01/3", "1/03", "1.5", "1e3",
+                 "1_000", "\u0661/\u0663", "\uff11/3", "1" * 4301, "1" * 4301 + "/3"]
+REFUSED = ["1/0", "", "x", "1/", "/3", "--1", None, 1.5, True, ["1"]]
+
+
+@pytest.mark.parametrize("value", CANONICAL + NOT_CANONICAL + REFUSED + [0, -7, 2 ** 70, F(-2, 6)])
+def test_read_pair_is_the_pair_of_rat(value):
+    assert _outcome(read_pair, value) == _outcome(lambda v: as_pair(rat(v)), value)
+    if value in REFUSED:
+        assert isinstance(_outcome(read_pair, value)[0], type)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(), st.integers(1, 10 ** 40), st.text(alphabet="0123456789-+/ ._e\u0661", max_size=9))
+def test_read_pair_matches_rat_on_written_and_other_strings(n, d, text):
+    assert read_pair(pair_str(as_pair(F(n, d)))) == as_pair(F(n, d))
+    assert _outcome(read_pair, text) == _outcome(lambda v: as_pair(rat(v)), text)
+
+
+def test_reading_a_certificate_calls_rat_only_for_the_ifs(tmp_path, monkeypatch):
+    # every branch, piece and mass string is written canonical, so only the
+    # IFS ratios and offsets, which are read as Fractions, go through rat
+    scn = parse_scenario(_load_scenario_text("free_pair"))
+    run_scenario(scn, str(tmp_path), False)
+    doc = json.loads((tmp_path / f"{scn.output}_certificate.json").read_text())
+    calls = []
+
+    def counted(value, rat=rational.rat):
+        calls.append(value)
+        return rat(value)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cantorwalk") and hasattr(module, "rat"):
+            monkeypatch.setattr(module, "rat", counted)
+    assert ser.verify_certificate(doc)
+    spec = doc["space"]["ifs"]
+    assert calls == spec["ratios"] + spec["offsets"]
 
 
 def test_atomic_write(tmp_path):

@@ -155,6 +155,19 @@ def test_shared_masses_match_unshared(model, shared):
     assert [x.hex() for x in (*residual, h)] == [x.hex() for x in fresh]
 
 
+def test_entropy_takes_the_cell_images_of_the_residual(monkeypatch):
+    # on the free model, closed under inverses, the residual's inverses
+    # inverted again have the generators' branches, so the entropy images no
+    # cell: 8 cells under 4 letters make 32 images, each made once
+    mu = estimate_stationary_measure(FREE, 2000, 3)
+    masses, calls = {}, []
+    monkeypatch.setattr(walk, "image", lambda f, S: calls.append(S) or image(f, S))
+    invariance_residual(mu, FREE, masses)
+    made = len(calls)
+    estimate_entropy(mu, FREE, masses)
+    assert made == len(calls) == 32
+
+
 def test_dichotomy_free_pairs_mostly_decided():
     pairs = [(F(0), F(1, 9)), (F(0), F(1)), (F(2, 3), F(1)), (F(2, 9), F(8, 9))]
     rep = dichotomy_report(FREE, pairs, n=60)
