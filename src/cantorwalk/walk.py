@@ -184,17 +184,13 @@ def measure_cells(space: CompactSet, depth: int):
 
 
 class CellMeasure(_Frozen):
-    __slots__ = ("depth", "masses", "exact")
+    __slots__ = ("depth", "masses")
 
-    def __init__(self, depth: int, masses: tuple, exact: bool):
+    def __init__(self, depth: int, masses: tuple):
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "exact", exact)
         total = sum(self.masses)
-        if self.exact:
-            if total != 1:
-                raise WalkError(f"exact masses sum to {total}")
-        elif abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > 1e-12:
             raise WalkError(f"masses sum to {total}")
 
 
@@ -230,7 +226,7 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int) -> C
     visited.sort()
     ends = [bisect.bisect_right(visited, (h + l) / 2) for h, l in zip(his, los[1:])]
     counts = [b - a for a, b in zip([0] + ends, ends + [len(visited)])]
-    return CellMeasure(depth, tuple(c / len(visited) for c in counts), False)
+    return CellMeasure(depth, tuple(c / len(visited) for c in counts))
 
 
 def invariance_rows(gens: Sequence[PAHomeo], cs) -> list:

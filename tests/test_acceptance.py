@@ -26,10 +26,10 @@ from cantorwalk.walk import (CellMeasure, Trajectory, contraction_scan,
                              global_contraction_report, invariance_residual,
                              make_model)
 
-from fixtures import (cantor_space, conjugate_point, cylinder_region, endpoints,
+from fixtures import (cantor_space, conjugate_point, cylinder_region, diameter, endpoints,
                       fixture, giet_value, identity_map, named_generators, region,
                       regular_on, rotation)
-from test_space import bounded_gaps, diameter
+from reference import bounded_gaps
 from walk_statistics import (backward_cluster, delta_sum_statistic, dichotomy_report,
                              free_group_sanity)
 
@@ -133,7 +133,7 @@ def test_criterion_4_klein_invariant_branch():
     ok = bool(cert) and cert.masses == (F(1, 2), F(1, 2))
     ok = ok and cert.consistency_depth == 6
     model = make_model(K, KLEIN_GENS)
-    avg, per_gen = invariance_residual(CellMeasure(cert.depth, cert.masses, True), model, {})
+    avg, per_gen = invariance_residual(CellMeasure(cert.depth, cert.masses), model, {})
     ok = ok and avg == 0 and per_gen == 0
     orb = find_finite_orbit(KLEIN_GENS, [F(0)], bound=2000)
     ok = ok and list(orb.orbit) == [F(0), F(1, 3), F(2, 3), F(1)]
@@ -226,7 +226,7 @@ def test_criterion_9_backward_accumulation():
 
 def test_criterion_10_entropy():
     klein = make_model(K, KLEIN_GENS)
-    uniform = CellMeasure(1, (F(1, 2), F(1, 2)), True)
+    uniform = CellMeasure(1, (F(1, 2), F(1, 2)))
     h_klein = estimate_entropy(uniform, klein, {})
     ok = h_klein == 0.0
     h_free = None

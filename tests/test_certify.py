@@ -17,15 +17,13 @@ from cantorwalk.certify import (_is_invariant, _make_letters, _reduced_words, _t
                                 UnprovedMeasure,
                                 verify_finite_orbit, verify_invariant_measure,
                                 verify_ping_pong)
-from cantorwalk.maps import (PrefixTable, apply, compose, equals, from_prefix_table, invert,
-                             orbit_bfs)
+from cantorwalk.maps import PrefixTable, compose, equals, from_prefix_table, invert
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
 from cantorwalk.walk import invariance_rows, make_model, measure_cells
 
-from fixtures import (cantor_space, cylinder_region, fixture, identity_map, named_generators,
-                      region)
-from test_known_answers import X0, X1, finite_groups
-from test_lookups import S, SPANNING_LETTERS
+from fixtures import (SPANNING_LETTERS, X0, X1, S, cantor_space, cylinder_region, finite_groups,
+                      fixture, identity_map, named_generators, region)
+from reference import orbit_closure_ref
 from walk_statistics import free_group_sanity
 
 K = cantor_space(3)
@@ -53,16 +51,6 @@ def test_find_finite_orbit_negative_cases():
     assert list(single.orbit) == [F(1, 3)]
 
 
-def orbit_closure_ref(gens: dict, starts, bound: int = 2000):
-    """The sorted closure of the start points under the generators and their
-    inverses, or None past `bound` points: the search find_finite_orbit ran
-    before it dropped the inverses."""
-    ops = [partial(apply, g) for g in gens.values()]
-    ops += [partial(apply, invert(g)) for g in gens.values()]
-    closure = orbit_bfs(list(dict.fromkeys(F(s) for s in starts)), ops, cap=bound)
-    return None if closure is None else sorted(closure[0])
-
-
 def _tables_on(space, tables) -> dict:
     return {f"g{i}": from_prefix_table(PrefixTable(tuple(map(tuple, t))), space,
                                        label=(f"g{i}",))
@@ -71,7 +59,7 @@ def _tables_on(space, tables) -> dict:
 
 def _assert_closure_matches(gens, starts):
     orbit = find_finite_orbit(gens, starts, bound=2000)
-    assert (None if orbit is None else list(orbit.orbit)) == orbit_closure_ref(gens, starts)
+    assert (None if orbit is None else orbit.orbit) == orbit_closure_ref(gens, starts)
     if orbit is None:
         return
     n = len(orbit.orbit)

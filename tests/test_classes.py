@@ -58,8 +58,8 @@ CASES = {
                              probs=(F(1, 2), F(1, 2)), seed=7),
                 dict(names=("I", "S"), gens=(_flip(ternary_cantor(1)), _identity(ternary_cantor(1))),
                      probs=(F(1, 3), F(2, 3)), seed=8)),
-    CellMeasure: (lambda: dict(depth=1, masses=(F(1, 2), F(1, 2)), exact=True),
-                  dict(depth=2, masses=(F(1, 4), F(3, 4)), exact=False)),
+    CellMeasure: (lambda: dict(depth=1, masses=(F(1, 2), F(1, 2))),
+                  dict(depth=2, masses=(F(1, 4), F(3, 4)))),
     PingPongCertificate: (
         lambda: dict(a1=_identity(ternary_cantor(1)), a2=_flip(ternary_cantor(1)),
                      A1=_region(ternary_cantor(1), 0, F(1, 3)),

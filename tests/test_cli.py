@@ -20,7 +20,7 @@ from cantorwalk.maps import MapError, compose, invert
 from cantorwalk.serialize import map_from_obj, map_to_obj, space_from_obj
 from cantorwalk.space import ternary_cantor
 
-from fixtures import fixture
+from fixtures import edited_certificate, fixture
 
 BUNDLED = ("free_pair", "klein_four", "g3", "rotation_third", "identity")
 
@@ -465,19 +465,6 @@ def _quote_false_flags(doc):
                     piece[flag] = "false"
 
 
-def _edited_certificate(name, edit, **changes):
-    """The certificate of a bundled scenario, its fields replaced by
-    changes, with edit applied to it, built when the test runs."""
-    def build(tmp_path):
-        scn = parse_scenario(json.dumps(dict(
-            json.loads(_load_scenario_text(name)), **changes)))
-        run_scenario(scn, str(tmp_path), False)
-        doc = json.loads((tmp_path / f"{scn.output}_certificate.json").read_text())
-        edit(doc)
-        return doc
-    return build
-
-
 @pytest.mark.parametrize("doc", [
     {"type": "ping-pong"},
     [1, 2],
@@ -487,16 +474,16 @@ def _edited_certificate(name, edit, **changes):
     # a zero denominator, and flags, depths and periods of the wrong JSON
     # type: each would verify, or end in a traceback, if it were read by
     # coercion
-    pytest.param(_edited_certificate(
+    pytest.param(edited_certificate(
         "free_pair", lambda d: d["A1"]["pieces"][0].update(lo="1/0")), id="zero-denominator"),
-    pytest.param(_edited_certificate("free_pair", _quote_false_flags), id="string-flags"),
-    pytest.param(_edited_certificate(
+    pytest.param(edited_certificate("free_pair", _quote_false_flags), id="string-flags"),
+    pytest.param(edited_certificate(
         "free_pair", lambda d: d["space"].update(depth=3.9)), id="float-depth"),
-    pytest.param(_edited_certificate(
+    pytest.param(edited_certificate(
         "klein_four", lambda d: d.update(depth=True)), id="bool-depth"),
-    pytest.param(_edited_certificate(
+    pytest.param(edited_certificate(
         "klein_four", lambda d: d.update(consistency_depth=4.0)), id="float-consistency-depth"),
-    *(pytest.param(_edited_certificate(
+    *(pytest.param(edited_certificate(
         "free_pair", lambda d, v=v: d["periodic"][0].__setitem__(1, v), **MORSE_SMALE),
         id=f"{name}-period") for name, v in (("float", 1.9), ("string", "1"), ("bool", True))),
 ])
@@ -535,7 +522,7 @@ def test_verify_refuses_what_it_does_not_read(tmp_path, capsys, edit, line):
     # each edit names a key that no check reads, or changes one that follows
     # from others, so the certificate would verify as it stands
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(_edited_certificate("free_pair", edit)(tmp_path)))
+    path.write_text(json.dumps(edited_certificate("free_pair", edit)(tmp_path)))
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: {line}\n")
@@ -545,7 +532,7 @@ def test_verify_accepts_an_ifs_space_without_intervals(tmp_path, capsys):
     # the intervals are derived from the IFS and claim nothing, so they may
     # be left out
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(_edited_certificate(
+    path.write_text(json.dumps(edited_certificate(
         "free_pair", lambda d: d["space"].pop("intervals"))(tmp_path)))
     assert main(["verify", str(path)]) == 0
     assert capsys.readouterr().out.endswith("VERIFIED\n")
@@ -554,7 +541,7 @@ def test_verify_accepts_an_ifs_space_without_intervals(tmp_path, capsys):
 def test_a_message_cuts_a_long_value_short(tmp_path, capsys):
     # a piece end of 5,002 characters, whose denominator is too long to read
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(_edited_certificate(
+    path.write_text(json.dumps(edited_certificate(
         "free_pair", _set("1/" + "3" * 5000, "A1", "pieces", 0, "lo"))(tmp_path)))
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
@@ -567,7 +554,7 @@ def test_a_source_end_is_cut_short_in_its_message(tmp_path, capsys):
     # a1's first source end, 1/27, set to a value of 3,002 characters that
     # reads as a rational: the map check repeats it in its message
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(_edited_certificate(
+    path.write_text(json.dumps(edited_certificate(
         "free_pair", _set("1/" + "3" * 3000, "a1", "branches", 0, "src", 1))(tmp_path)))
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
@@ -596,7 +583,7 @@ def test_verify_names_a_list_of_the_wrong_length(tmp_path, capsys, changes, edit
     # a branch source holds two rationals and a periodic entry three values;
     # any other length is refused with one line that names the field
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(_edited_certificate("free_pair", edit, **changes)(tmp_path)))
+    path.write_text(json.dumps(edited_certificate("free_pair", edit, **changes)(tmp_path)))
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     out, err = capsys.readouterr()
@@ -1064,7 +1051,7 @@ IDENTITY = {"label": ["I"], "branches": [{"src": ["0", "1"], "slope": "1", "offs
 
 @pytest.mark.parametrize("doc, line", [
     # a2 replaced by a1, which keeps A1's complement inside B1, not A2's inside B2
-    pytest.param(_edited_certificate("free_pair", lambda d: d.update(a2=d["a1"])),
+    pytest.param(edited_certificate("free_pair", lambda d: d.update(a2=d["a1"])),
                  "INVALID (image(a2, K off A2) not inside B2)", id="a2-is-a1"),
     # every row of the identity holds, and the masses sum to 1
     pytest.param({"type": "invariant-measure", "space": TERNARY_SPACE,
@@ -1078,27 +1065,27 @@ IDENTITY = {"label": ["I"], "branches": [{"src": ["0", "1"], "slope": "1", "offs
                  "INVALID (consistency_depth is below the depth)", id="shallow-consistency"),
     # an empty A1 meets no other region; the emptiness check names it
     # before the inclusion of a1(K) in B1 fails
-    pytest.param(_edited_certificate("free_pair", lambda d: d["A1"].update(pieces=[])),
+    pytest.param(edited_certificate("free_pair", lambda d: d["A1"].update(pieces=[])),
                  "INVALID (A1 is empty)", id="empty-A1"),
     # no point moves out of an empty orbit
     pytest.param({"type": "finite-orbit", "space": TERNARY_SPACE,
                   "generators": [IDENTITY], "orbit": []}, "INVALID (empty orbit)",
                  id="empty-orbit"),
     # B grown by A's pieces: less of K lies off B, and f(K off A) stays in B
-    pytest.param(_edited_certificate(
+    pytest.param(edited_certificate(
         "free_pair", lambda d: d["B"]["pieces"].extend(d["A"]["pieces"]), **MORSE_SMALE),
                  "INVALID (A meets B)", id="A-meets-B"),
     # B shrunk to its left part: f's slope off A is still below 1, but
     # f^-1's is not off the smaller B
-    pytest.param(_edited_certificate("free_pair", lambda d: d["B"].update(
+    pytest.param(edited_certificate("free_pair", lambda d: d["B"].update(
         pieces=[_open_piece("23/36", "55/81")]), **MORSE_SMALE),
                  "INVALID (inverse slope off B not below 1)", id="inverse-slope-off-B"),
     # B cut to its part from 2/3 on: both slope bounds hold, but f(K off A)
     # leaves it
-    pytest.param(_edited_certificate("free_pair", lambda d: d["B"].update(
+    pytest.param(edited_certificate("free_pair", lambda d: d["B"].update(
         pieces=[_open_piece("2/3", "77/108")]), **MORSE_SMALE),
                  "INVALID (image of K off A escapes B)", id="image-escapes-B"),
-    pytest.param(_edited_certificate(
+    pytest.param(edited_certificate(
         "free_pair", lambda d: d["B"].update(pieces=[]), **MORSE_SMALE),
                  "INVALID (A and B must be nonempty)", id="empty-B"),
     # one mass for the two depth-1 cells

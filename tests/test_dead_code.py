@@ -33,6 +33,11 @@ by every instance and shown by no run.
 Every name that a module-level assignment in the package binds, dunders
 aside, must be read somewhere in the package outside that assignment, as
 a name or as an attribute: a constant that nothing reads steers no run.
+
+No module of the tests imports a test module, at module level or inside a
+function: what tests share lives in helper modules (tests/fixtures.py,
+tests/reference.py, tests/walk_statistics.py), so each test module is
+read, and its references found, in one place.
 """
 
 import ast
@@ -275,3 +280,22 @@ def test_every_module_constant_is_read(tmp_path):
     (tmp_path / "m.py").write_text("A, B = 1, 2\nC: tuple = (A, C)\n__all__ = ()\nf(m.B)\n")
     assert unread_constants(tmp_path) == ["m:C"]
     assert unread_constants() == []
+
+
+
+def imported_test_modules(d=TESTS):
+    """module:name for each import, at any depth, in the modules of d that
+    names a test module, one whose name starts with test_."""
+    return sorted(
+        f"{path.stem}:{name}" for path, tree in _trees(d).items() for node in ast.walk(tree)
+        for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if name.split(".")[0].startswith("test_"))
+
+
+def test_no_test_module_imports_another(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import json, test_a as a\nfrom test_b import c\nfrom fixtures import test_d\n"
+        "def f():\n    import test_e.sub\n")
+    assert imported_test_modules(tmp_path) == ["m:test_a", "m:test_b", "m:test_e.sub"]
+    assert imported_test_modules() == []

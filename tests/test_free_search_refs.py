@@ -42,8 +42,8 @@ from cantorwalk.walk import (DEFAULT_DELTA, Trajectory, WalkError, _repulsor_ext
                              cell_image_runs, contraction_scan, forward_word, make_model,
                              measure_cells, run_diameters)
 
-from fixtures import cantor_space, in_region, named_generators
-from test_lookups import letter_words, regions
+from fixtures import cantor_space, letter_words, named_generators, regions
+from reference import in_region
 
 
 def _first_word(t, A, eps, p_cap, n_max):

@@ -11,7 +11,7 @@ from cantorwalk.giet import (GietError, _ops, _preimage, blow_up, discontinuity_
 from cantorwalk.maps import apply, break_pairs, break_points, orbit_bfs
 
 from fixtures import conjugate_point, giet_value, is_identity, rotation
-from test_space import bounded_gaps
+from reference import bounded_gaps
 
 ROT3 = rotation(F(1, 3))
 SWAP = giet_from_branches((0, 1), [(0, F(1, 2), 1, F(1, 2)),

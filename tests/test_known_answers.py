@@ -19,7 +19,6 @@ prefix codes of equal size, paired in order, orientation +1.
 
 import json
 import tempfile
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -30,24 +29,13 @@ from cantorwalk.maps import PrefixTable, from_prefix_table
 from cantorwalk.serialize import map_to_obj
 from cantorwalk.space import ternary_cantor
 
-from test_cli import _edited_certificate
+from fixtures import X0, X1, edited_certificate, finite_groups
 
 BRIN_SQUIER = ("Thompson's F contains no free subgroup of rank 2 (Brin and Squier, "
                "Invent. Math. 79, 1985)")
 FINITE_MEASURE = ("a finite group of signed cylinder permutations preserves the "
                   "Cantor measure, invariant on the depth-k cells it permutes")
 FINITE_NOT_FREE = "a finite group contains no free subgroup of rank 2"
-R_TABLE = [["", "", -1]]
-# H and tables of its kind from the benchmark's find-measure pools: signed
-# permutations of the depth-2 cylinders, one written with a depth-1 row
-KLEIN_TYPE = (
-    (1, [["0", "2", 1], ["2", "0", 1]]),
-    (2, [["00", "20", 1], ["20", "00", 1], ["02", "22", -1], ["22", "02", -1]]),
-    (2, [["00", "22", 1], ["22", "00", 1], ["02", "02", 1], ["20", "20", 1]]),
-    (2, [["00", "02", -1], ["02", "00", -1], ["2", "2", 1]]),
-)
-X0 = [["0", "00", 1], ["20", "02", 1], ["22", "2", 1]]
-X1 = [["0", "0", 1], ["20", "200", 1], ["220", "202", 1], ["222", "22", 1]]
 
 
 def _thompson_map(name, table):
@@ -69,7 +57,7 @@ def test_certify_free_gives_up_on_thompsons_f(tmp_path, capsys, seed):
 
 def test_ping_pong_certificate_on_thompsons_f_is_invalid(tmp_path, capsys):
     # free_pair's regions with its maps replaced by x0 and x1
-    doc = _edited_certificate("free_pair", lambda d: d.update(
+    doc = edited_certificate("free_pair", lambda d: d.update(
         a1=_thompson_map("x0", X0), a2=_thompson_map("x1", X1)))(tmp_path)
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(doc))
@@ -114,29 +102,6 @@ def test_certify_free_gives_up_on_random_thompson_pairs(x, y, seed):
             "output": "thompson"}))
         assert main(["certify-free", str(path), "--out", tmp]) != 0, BRIN_SQUIER
         assert not (Path(tmp) / "thompson_certificate.json").exists(), BRIN_SQUIER
-
-
-@st.composite
-def signed_permutations(draw, k):
-    """A prefix table sending the 2**k depth-k cylinders of the ternary set
-    onto a drawn permutation of them, each row with a drawn orientation."""
-    cylinders = ["".join(w) for w in product("02", repeat=k)]
-    return [[s, t, draw(st.sampled_from([1, -1]))]
-            for s, t in zip(cylinders, draw(st.permutations(cylinders)))]
-
-
-@st.composite
-def finite_groups(draw):
-    """(k, tables): one or two signed permutations of the depth-k cylinders,
-    1 <= k <= 3, or a Klein-type table, with R or without.  The group they
-    generate is finite and permutes the depth-k cells."""
-    if draw(st.booleans()):
-        k, table = draw(st.sampled_from(KLEIN_TYPE))
-        tables = [table]
-    else:
-        k = draw(st.integers(1, 3))
-        tables = draw(st.lists(signed_permutations(k), min_size=1, max_size=2))
-    return k, tables + [R_TABLE] * draw(st.booleans())
 
 
 def _finite_group_scenario(kind, tables, **fields) -> dict:

@@ -10,15 +10,16 @@ region's hull, and maps.break_pairs reads break pairs off a
 tiling, with no address expansion or gap lookup.
 maps.compose keeps an inner branch's source when its image lies inside one
 outer source, and maps.image takes a whole branch source's image ends as
-they are.  The references below scan every interval, branch and cell pair,
-and cut and evaluate every branch, as a plain reading of the definitions
-would; the rows reference takes the preimage region of every cell and
-tests every cell for inclusion in it; the break-pair reference asks for the
-gaps at every branch boundary (every bounded gap on a plain set) and
-whether each image pair bounds a gap from its right end, where
-maps.break_pairs compares the image pairs at the gaps between consecutive
-sources with the gaps between consecutive branch images, on either kind of
-set; the region-mass reference sums every cell.
+they are.  The references, below and in tests/reference.py, scan every
+interval, branch and cell pair, and cut and evaluate every branch, as a
+plain reading of the definitions would; the rows reference takes the
+preimage region of every cell and tests every cell for inclusion in it;
+the break-pair reference asks for the gaps at every branch boundary
+(every bounded gap on a plain set) and whether each image pair bounds a
+gap from its right end, where maps.break_pairs compares the image pairs at
+the gaps between consecutive sources with the gaps between consecutive
+branch images, on either kind of set; the region-mass reference sums
+every cell.
 maps.break_pairs, maps.break_points, maps.apply, CompactSet._cylinder_pairs,
 the Region operations, maps.image, maps.maps_into, walk.invariance_rows,
 certify.periodic_points, walk._region_mass and walk.break_accumulation
@@ -29,7 +30,6 @@ before.
 
 import operator
 from fractions import Fraction as F
-from functools import cache
 from itertools import product
 from math import gcd
 from types import SimpleNamespace
@@ -40,31 +40,20 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cantorwalk import maps, walk
 from cantorwalk.certify import periodic_points
-from cantorwalk.maps import (Branch, BreakPair, PAHomeo, PrefixTable, apply,
-                             break_pairs, break_points, compose,
-                             from_prefix_table, image, invert,
-                             maps_into, pa_homeo)
+from cantorwalk.maps import (Branch, BreakPair, PAHomeo, apply, break_pairs, break_points,
+                             compose, image, invert, maps_into)
 from cantorwalk.space import CompactSet, Ifs, Piece, Region, epsilon_neighborhood
 from cantorwalk.rational import coprime_fraction
 from cantorwalk.walk import (SPLIT_DEPTH, CellMeasure, Trajectory, _region_mass,
                              break_accumulation, cell_image_runs, invariance_rows,
                              make_model, measure_cells, run_diameters)
 
-from fixtures import TABLES, cylinder_region, fixture, identity_map, region
-from test_space import (NEGATIVE, THREE_MAPS, bounded_gaps, decompose_into_cylinders, gaps_at,
-                        region_diameter)
-
-TERNARY = Ifs((F(1, 3), F(1, 3)), (F(0), F(2, 3)), ("0", "2"))
-UNEQUAL = Ifs((F(1, 4), F(1, 3)), (F(0), F(2, 3)), ("0", "2"))
-SPACES = [(TERNARY, d) for d in (3, 4, 5)] + [(UNEQUAL, 3), (UNEQUAL, 4)]
-
-
-@cache
-def _letters(ifs, depth):
-    """A1, A2 and their inverses on the depth-d set of the IFS."""
-    K = CompactSet.from_ifs(ifs, depth)
-    gens = [from_prefix_table(TABLES[n], K, label=(n,)) for n in ("A1", "A2")]
-    return gens + [invert(g) for g in gens]
+from fixtures import (PLAIN_INVOLUTION, PLAIN_LETTERS, S, SPACES, SPANNING_LETTERS, TERNARY,
+                      UNEQUAL, alphabets, cylinder_region, decompose_into_cylinders, fixture,
+                      free_letters, identity_map, letter_words, region, region_diameter, regions,
+                      word_in)
+from reference import (bounded_gaps, break_pairs_ref, contains_ref, gaps_at, image_ref,
+                       infimum_ref, is_empty_ref, supremum_ref)
 
 
 @st.composite
@@ -72,7 +61,7 @@ def words(draw, max_size=6):
     """(space, a reduced word of length 0 to max_size in A1, A2 and
     inverses)."""
     ifs, depth = draw(st.sampled_from(SPACES))
-    letters = _letters(ifs, depth)
+    letters = free_letters(ifs, depth)
     w, last = None, None
     for i in draw(st.lists(st.integers(0, 3), max_size=max_size)):
         if last is not None and i == (last + 2) % 4:
@@ -83,203 +72,7 @@ def words(draw, max_size=6):
     return K, (w if w is not None else compose(letters[0], letters[2]))
 
 
-# a set without IFS structure, a piecewise-linear map with a break inside
-# [0, 1] that swaps [2, 3] and [4, 6], and an orientation-reversing involution
-PLAIN = CompactSet.from_intervals([(0, 1), (2, 3), (4, 6)])
-PLAIN_LETTERS = (
-    pa_homeo(PLAIN, [Branch(F(0), F(1, 2), F(1, 2), F(0)),
-                     Branch(F(1, 2), F(1), F(3, 2), F(-1, 2)),
-                     Branch(F(2), F(3), F(2), F(0)),
-                     Branch(F(4), F(6), F(1, 2), F(0))], label=("P",)),
-    pa_homeo(PLAIN, [Branch(F(0), F(1), F(-1), F(3)),
-                     Branch(F(2), F(3), F(-1), F(3)),
-                     Branch(F(4), F(6), F(-1), F(10))], label=("Q",)))
-# P^-1∘Q∘P: an orientation-reversing involution with kinks at 1/2 and 11/2
-PLAIN_INVOLUTION = compose(invert(PLAIN_LETTERS[0]),
-                           compose(PLAIN_LETTERS[1], PLAIN_LETTERS[0]))
-# a plain set with branches given across its gaps, which pa_homeo stores
-# cut at the gaps.  T swaps [0, 1] and [4, 5] and is the identity on
-# [2, 19/5], carrying the gap (3, 16/5) onto itself; V is the identity on
-# [0, 3], across the gap (1, 2), and swaps [16/5, 19/5] and [4, 5].  S is
-# x + 2 on [0, 3], which would carry the gap (1, 2) onto (3, 4), holding
-# [16/5, 19/5], the identity on that interval and x - 4 on [4, 5]; cut at
-# the gap, its branch images do not overlap
-SPANNING = CompactSet.from_intervals([(0, 1), (2, 3), (F(16, 5), F(19, 5)), (4, 5)])
-SPANNING_BRANCHES = {  # as given, before the cut
-    "T": [Branch(F(0), F(1), F(1), F(4)),
-          Branch(F(2), F(19, 5), F(1), F(0)),
-          Branch(F(4), F(5), F(1), F(-4))],
-    "V": [Branch(F(0), F(3), F(1), F(0)),
-          Branch(F(16, 5), F(19, 5), F(5, 3), F(-4, 3)),
-          Branch(F(4), F(5), F(3, 5), F(4, 5))],
-    "S": [Branch(F(0), F(3), F(1), F(2)),
-          Branch(F(16, 5), F(19, 5), F(1), F(0)),
-          Branch(F(4), F(5), F(1), F(-4))]}
-SPANNING_LETTERS = tuple(pa_homeo(SPANNING, SPANNING_BRANCHES[n], label=(n,)) for n in "TV")
-S = pa_homeo(SPANNING, SPANNING_BRANCHES["S"], label=("S",))
-
-
-def _table_letters(K, *tables):
-    """The maps of the prefix tables on K, then their inverses."""
-    gens = [from_prefix_table(PrefixTable(tuple(map(tuple, t))), K) for t in tables]
-    return gens + [invert(g) for g in gens]
-
-
-@cache
-def _alphabets(extra=0):
-    """Letter sets: A1, A2 and inverses on every space; the same with the
-    reflection R on the ternary set; two orientation-reversing depth-2
-    involutions on the ternary set; a depth-2 map and a swap of the outer
-    children on THREE_MAPS; A1, A2, their inverses and the reflection on
-    NEGATIVE; P, Q and P^-1 on the plain set; S, T, their inverses and V on
-    SPANNING.
-    With extra > 0 the IFS sets are that many levels deeper."""
-    K = CompactSet.from_ifs(TERNARY, 3 + extra)
-    reflection = PrefixTable((("", "", -1),))
-    r = from_prefix_table(reflection, K, label=("R",))
-    klein = _table_letters(
-        K, [["00", "20", 1], ["20", "00", 1], ["02", "22", -1], ["22", "02", -1]],
-        [["00", "02", -1], ["02", "00", -1], ["2", "2", -1]])
-    three = _table_letters(
-        CompactSet.from_ifs(THREE_MAPS, 2 + extra),
-        [["a", "aa", 1], ["b", "ab", 1], ["ca", "ac", 1], ["cb", "b", 1], ["cc", "c", 1]],
-        [["a", "c", 1], ["b", "b", 1], ["c", "a", 1]])
-    lr = str.maketrans("02", "lr")
-    KN = CompactSet.from_ifs(NEGATIVE, 3 + extra)
-    negative = _table_letters(KN, *([[s.translate(lr), d.translate(lr), o]
-                                     for s, d, o in TABLES[n].rules] for n in ("A1", "A2")))
-    return ([_letters(ifs, d + extra) for ifs, d in SPACES] +
-            [_letters(TERNARY, 3 + extra) + [r], klein, three,
-             negative + [from_prefix_table(reflection, KN)],
-             list(PLAIN_LETTERS) + [invert(PLAIN_LETTERS[0])],
-             [S, SPANNING_LETTERS[0], invert(S), invert(SPANNING_LETTERS[0]),
-              SPANNING_LETTERS[1]]])
-
-
-def _word(letters, indices):
-    """The word in the letters of these indices, right to left, skipping a
-    letter next to its inverse: among the first four, letters i and
-    (i + 2) % 4 are mutually inverse."""
-    w, last = None, None
-    for i in indices:
-        if last is not None and max(i, last) < 4 and i == (last + 2) % 4:
-            continue
-        w = letters[i] if w is None else compose(letters[i], w)
-        last = i
-    return w
-
-
-@st.composite
-def letter_words(draw, max_size=10):
-    """(letters, a word of length 1 to max_size in them) with no letter
-    next to its inverse."""
-    letters = draw(st.sampled_from(_alphabets()))
-    return letters, _word(letters, draw(st.lists(
-        st.integers(0, len(letters) - 1), min_size=1, max_size=max_size)))
-
-
-@st.composite
-def regions(draw, K):
-    """Unions of cells of K and of flagged rational intervals near its hull."""
-    lo, hi = K.hull
-    cells = measure_cells(K, draw(st.integers(1, K.depth + 1)))
-    pieces = [Piece._make((l, r, True, True)) for l, r in
-              draw(st.lists(st.sampled_from(cells), max_size=3))]
-    for _ in range(draw(st.integers(0, 3))):
-        a, b = sorted(draw(st.lists(
-            st.fractions(lo - F(1, 8), hi + F(1, 8), max_denominator=3 ** 6),
-            min_size=2, max_size=2)))
-        pieces.append(Piece(a, b, draw(st.booleans()), draw(st.booleans())))
-    return Region.from_pieces(K, pieces)
-
-
 # -- brute-force references ------------------------------------------------
-
-
-def contains_ref(K, x):
-    return any(l <= x <= r for l, r in K.intervals)
-
-
-def meets_ref(K, p):
-    for l, r in K.intervals:
-        olo, ohi = max(l, p.lo), min(r, p.hi)
-        if olo < ohi or (olo == ohi and (olo > p.lo or p.lo_closed)
-                         and (ohi < p.hi or p.hi_closed)):
-            return True
-    return False
-
-
-def is_empty_ref(S):
-    return not any(meets_ref(S.space, p) for p in S.pieces)
-
-
-def _overlaps_held(S):
-    """(inf, sup) of each interval of K that S's pieces meet in more than
-    a point, or in a point the piece holds."""
-    for p in S.pieces:
-        for l, r in S.space.intervals:
-            olo, ohi = max(l, p.lo), min(r, p.hi)
-            if olo < ohi or (olo == ohi and (olo > p.lo or p.lo_closed)
-                             and (ohi < p.hi or p.hi_closed)):
-                yield olo, ohi
-
-
-def infimum_ref(S):
-    """The inf of S ∩ K, over every piece and every interval of K."""
-    return min((olo for olo, _ in _overlaps_held(S)), default=None)
-
-
-def supremum_ref(S):
-    """The sup of S ∩ K, over every piece and every interval of K."""
-    return max((ohi for _, ohi in _overlaps_held(S)), default=None)
-
-
-def break_candidates_ref(f):
-    """The gaps to test: on an IFS set those whose closure holds an interior
-    branch boundary, and on a plain set every bounded gap."""
-    K = f.space
-    if K.ifs is None:
-        return set(bounded_gaps(K))
-    bounds = {x for b in f.branches for x in (b.lo, b.hi)} - set(K.hull)
-    return {g for t in bounds for g in gaps_at(K, t)}
-
-
-def break_pairs_ref(f):
-    out = []
-    for a, b in sorted(break_candidates_ref(f)):
-        u, v = sorted((apply(f, a), apply(f, b)))
-        if (u, v) not in gaps_at(f.space, v):
-            out.append(BreakPair(a, b))
-    return out
-
-
-def _intersect_piece(a, b):
-    if a.lo > b.lo or (a.lo == b.lo and (b.lo_closed or not a.lo_closed)):
-        lo, lo_closed = a.lo, a.lo_closed and (b.lo < a.lo or b.lo_closed)
-    else:
-        lo, lo_closed = b.lo, b.lo_closed and (a.lo < b.lo or a.lo_closed)
-    if a.hi < b.hi or (a.hi == b.hi and (b.hi_closed or not a.hi_closed)):
-        hi, hi_closed = a.hi, a.hi_closed and (b.hi > a.hi or b.hi_closed)
-    else:
-        hi, hi_closed = b.hi, b.hi_closed and (a.hi > b.hi or a.hi_closed)
-    if lo < hi or lo == hi and lo_closed and hi_closed:
-        return Piece(lo, hi, lo_closed, hi_closed)
-    return None
-
-
-def image_ref(f, S):
-    pieces = []
-    for b in f.branches:
-        for p in S.pieces:
-            q = _intersect_piece(p, Piece(b.lo, b.hi, True, True))
-            if q is None:
-                continue
-            va, vb = b.value(q.lo), b.value(q.hi)
-            if b.slope > 0:
-                pieces.append(Piece(va, vb, q.lo_closed, q.hi_closed))
-            else:
-                pieces.append(Piece(vb, va, q.hi_closed, q.lo_closed))
-    return Region.from_pieces(f.space, pieces)
 
 
 def compose_ref(f, g):
@@ -382,8 +175,8 @@ def plain_words(draw):
     Q and P^-1, whose branch images touch at the image of a break inside an
     interval of K, or of S, T, their inverses and V, with one-point and
     flagged pieces between interval ends, branch ends and gap midpoints."""
-    letters = draw(st.sampled_from(_alphabets()[-2:]))
-    w = _word(letters, draw(st.lists(st.integers(0, len(letters) - 1),
+    letters = draw(st.sampled_from(alphabets()[-2:]))
+    w = word_in(letters, draw(st.lists(st.integers(0, len(letters) - 1),
                                      min_size=1, max_size=4)))
     K = w.space
     marks = sorted({x for b in w.branches for x in (b.lo, b.hi) + b.ends} |
@@ -411,7 +204,7 @@ def test_image_sorts_no_pieces(monkeypatch):
     # regions with one-point and flagged pieces, with the sort of
     # Region.from_pieces raising
     cases = []
-    for letters in _alphabets():
+    for letters in alphabets():
         K = letters[0].space
         lo, hi = K.hull
         Ss = [Region.whole(K), Region.from_pieces(K, [
@@ -448,7 +241,7 @@ def test_compose_and_image_match_reference_loops(word, data):
 def test_cell_image_diameter_series_matches_image_regions(data):
     # the diameters after k steps against the image regions of the word of
     # the first k letters, for every k up to n
-    letters = data.draw(st.sampled_from(_alphabets()))
+    letters = data.draw(st.sampled_from(alphabets()))
     steps = data.draw(st.lists(st.sampled_from(letters), max_size=10))
     K = letters[0].space
     words = [identity_map(K)]
@@ -477,15 +270,15 @@ def test_region_mass_matches_every_cell_sum(data):
     # eps-neighbourhoods of both ends of an interval of K and of other such
     # ends, eps with denominators such as 4914, and on the empty region; the
     # cells split must be the reference's too
-    letters = data.draw(st.sampled_from(_alphabets()))
+    letters = data.draw(st.sampled_from(alphabets()))
     K = letters[0].space
     cells = measure_cells(K, data.draw(st.integers(0, K.depth + 2)))
     weights = data.draw(st.lists(st.integers(0, 9), min_size=len(cells),
                                  max_size=len(cells)).filter(any))
     if data.draw(st.booleans()):
-        mu = CellMeasure(0, tuple(F(w, sum(weights)) for w in weights), True)
+        mu = CellMeasure(0, tuple(F(w, sum(weights)) for w in weights))
     else:
-        mu = CellMeasure(0, tuple(w / sum(weights) for w in weights), False)
+        mu = CellMeasure(0, tuple(w / sum(weights) for w in weights))
     ends = [x for l, r in K.intervals for x in (l, r)]
     ends += [(a + b) / 2 for a, b in zip(ends[1::2], ends[2::2])]
     pieces = []
@@ -523,7 +316,7 @@ def test_region_mass_splits_a_plain_cell_by_the_length_of_its_overlap():
     # the region cuts the first cell of [0, 1] ∪ [2, 3] in two quarters: it
     # holds half that cell, though its hull there is the whole cell
     K = CompactSet.from_intervals([(0, 1), (2, 3)])
-    mu = CellMeasure(0, (F(1, 2), F(1, 2)), True)
+    mu = CellMeasure(0, (F(1, 2), F(1, 2)))
     R = region(K, [(0, F(1, 4)), (F(3, 4), 1)])
     assert _region_mass(mu, measure_cells(K, 0), K, R) == 0.25
     assert region_mass_ref(mu, measure_cells(K, 0), K, R) == 0.25
@@ -567,7 +360,7 @@ def test_uncut_compose_takes_no_preimage(space):
     # of A1, so A1 after it cuts no branch: each branch of the product holds
     # the very source pairs of its branch of w, where taking preimages of
     # the image ends would build new ones
-    a1, a2, a1i, a2i = _letters(*space)
+    a1, a2, a1i, a2i = free_letters(*space)
     src = [(b.lo, b.hi) for b in a1.branches]
     for w in (a1i, compose(a1i, a2), compose(a1i, compose(a2i, a1)),
               compose(a1i, compose(a2, compose(a2, a1)))):
@@ -621,10 +414,10 @@ def test_preimage_cells_match_scan(data):
     # then puts in no row; its rows on cells no finer than K are read on the
     # same tables over a set deep enough that the sources cover it, where
     # the cells, the tiling and the branches are the same
-    k = data.draw(st.integers(0, len(_alphabets()) - 1))
-    letters = _alphabets()[k]
+    k = data.draw(st.integers(0, len(alphabets()) - 1))
+    letters = alphabets()[k]
     idx = data.draw(st.lists(st.integers(0, len(letters) - 1), min_size=1, max_size=6))
-    gens = [_word(letters, idx), letters[0]]
+    gens = [word_in(letters, idx), letters[0]]
     K = gens[0].space
     d = data.draw(st.integers(0, K.depth + 2))
     cells = measure_cells(K, d)
@@ -632,8 +425,8 @@ def test_preimage_cells_match_scan(data):
     while d <= K.depth and not all(map(_sources_cover_k, ref)):
         extra += 1
         assume(extra <= 6)  # the deeper sets grow geometrically
-        deeper = _alphabets(extra)[k]
-        ref = [_word(deeper, idx), deeper[0]]
+        deeper = alphabets(extra)[k]
+        ref = [word_in(deeper, idx), deeper[0]]
     assert invariance_rows(gens, cells) == rows_ref(ref, cells)
 
 
@@ -663,12 +456,12 @@ def test_break_pairs_expand_each_point_once(space, monkeypatch):
     # expands no point (the gap lookups live in the tests), on words over the plain
     # alphabets and, evaluating no point either, on words over this
     # space's letters and over every IFS alphabet
-    a1, a2, a1i, a2i = _letters(*space)
+    a1, a2, a1i, a2i = free_letters(*space)
     ws = [a1, a2i, compose(a1, a2), compose(a2, compose(a1i, a2)),
           compose(a1, compose(a1, compose(a2i, a1)))]
-    ws += [compose(g, h) for letters in _alphabets() if letters[0].space.ifs
+    ws += [compose(g, h) for letters in alphabets() if letters[0].space.ifs
            for g in letters for h in letters]
-    plain = [compose(g, h) for letters in _alphabets() if not letters[0].space.ifs
+    plain = [compose(g, h) for letters in alphabets() if not letters[0].space.ifs
              for g in letters for h in letters]
     pairs, plain_pairs = [break_pairs_ref(w) for w in ws], [break_pairs_ref(w) for w in plain]
     assert all(pairs[:5]) and any(plain_pairs)
@@ -732,7 +525,7 @@ def test_queries_on_pieces_touching_k(space):
             if not T.is_empty():
                 assert T.infimum() == infimum_ref(T)
                 assert T.supremum() == supremum_ref(T)
-            for g in _letters(*space):
+            for g in free_letters(*space):
                 assert image(g, T) == image_ref(g, T)
 
 
@@ -802,7 +595,7 @@ def _mass_regions(f):
 
 
 def _region_masses(cases):
-    mu = CellMeasure(3, tuple(i / 36 for i in range(1, 9)), False)
+    mu = CellMeasure(3, tuple(i / 36 for i in range(1, 9)))
     return [[_region_mass(mu, cells, R.space, R) for R in regions] for cells, regions in cases]
 
 
@@ -813,8 +606,8 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
     # points of A1, R and the plain involution, the region masses of A1 and
     # U1, and the break accumulation points of walks on all three sets, with
     # every Fraction comparison and arithmetic operator raising
-    a1, a2, a1i, a2i = _letters(TERNARY, 3)
-    u1, u2 = _letters(UNEQUAL, 3)[:2]
+    a1, a2, a1i, a2i = free_letters(TERNARY, 3)
+    u1, u2 = free_letters(UNEQUAL, 3)[:2]
     p, q = PLAIN_LETTERS
     recorded = [
         (a1, _pairs(("7/9", "8/9"), ("25/27", "26/27"))),
@@ -850,7 +643,7 @@ def test_pair_kernels_do_no_fraction_arithmetic(monkeypatch):
     # each trajectory is built, and its Fraction probabilities cut, before
     # the operators raise
     models = [make_model(gens[0].space, dict(zip("abcd", gens)), seed=5)
-              for gens in (_letters(TERNARY, 3), _letters(UNEQUAL, 3), PLAIN_LETTERS)]
+              for gens in (free_letters(TERNARY, 3), free_letters(UNEQUAL, 3), PLAIN_LETTERS)]
     walks = [(Trajectory(m, stream=1), Trajectory(m, stream=1)) for m in models]
     accumulated = [break_accumulation(t, 12) for t, _ in walks]
     assert all(accumulated)

@@ -12,9 +12,9 @@ from cantorwalk.maps import (Branch, BreakPair, MapError, PAHomeo, PrefixTable,
                              from_prefix_table, image, invert, pa_homeo)
 from cantorwalk.space import CompactSet, Ifs, Piece, Region, ternary_cantor
 
-from fixtures import (TABLES, cantor_space, cylinder_region, fixture, identity_map, in_region,
-                      is_identity, region, regular_on)
-from test_space import same_set
+from fixtures import (TABLES, cantor_space, cylinder_region, fixture, identity_map, is_identity,
+                      region, regular_on, same_set)
+from reference import in_region
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 maps.pa_homeo sorts and validates branches on their int pairs, maps.equals
 compares the maps' maximal affine pieces on pairs, and
 certify.find_finite_orbit closes its seeds on pairs and builds the orbit's
-Fractions once, at the end.  The references below are the Fraction
-versions: equality by a sweep over the cuts with every branch found by a
-scan, and the orbit closure under maps.apply.  The last two tests make
+Fractions once, at the end.  The references are the Fraction versions:
+equals_ref below sweeps over the cuts with every branch found by a scan,
+and reference.orbit_closure_ref closes the seeds by a breadth-first search
+over a scan of K and the branches.  The last two tests make
 every way of building a Fraction raise: one validates a long word and
 compares letters, the other builds prefix-table maps, cells at other
 depths than the space's and their invariance rows.
@@ -13,7 +14,6 @@ depths than the space's and their invariance rows.
 
 import random
 from fractions import Fraction as F
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,23 +21,15 @@ from hypothesis import given, settings, strategies as st
 from cantorwalk import maps, space, walk
 from cantorwalk.certify import _make_letters, find_finite_orbit
 from cantorwalk.cli import _load_scenario_text, parse_scenario
-from cantorwalk.maps import (MapError, apply, compose, equals, from_prefix_table, invert,
-                             orbit_bfs, pa_homeo)
+from cantorwalk.maps import MapError, compose, equals, from_prefix_table, invert, pa_homeo
 from cantorwalk.walk import invariance_rows, measure_cells
 
-from fixtures import TABLES, cantor_space, fixture, identity_map, named_generators
-from test_lookups import _alphabets, _word
+from fixtures import (TABLES, alphabets, cantor_space, fixture, identity_map, named_generators,
+                      word_in)
+from reference import branch_ref, orbit_closure_ref
 
 
 # -- references ---------------------------------------------------------------
-
-
-def _branch_ref(f, x):
-    """The rightmost branch whose source holds x, by a scan."""
-    held = [b for b in f.branches if b.lo <= x <= b.hi]
-    if not held:
-        raise MapError(f"{x} is not in any branch source")
-    return held[-1]
 
 
 def equals_ref(f, g):
@@ -52,21 +44,13 @@ def equals_ref(f, g):
             if kr < l or r < kl:
                 continue
             olo, ohi = max(kl, l), min(kr, r)
-            bf, bg = _branch_ref(f, olo), _branch_ref(g, olo)
+            bf, bg = branch_ref(f, olo), branch_ref(g, olo)
             if olo < ohi:
                 if (bf.slope, bf.offset) != (bg.slope, bg.offset):
                     return False
             elif bf.value(olo) != bg.value(olo):
                 return False
     return True
-
-
-def find_finite_orbit_ref(gens, starts, bound=2000):
-    """The orbit closure under maps.apply on Fractions, sorted, or None."""
-    maps_ = list(gens.values())
-    ops = [partial(apply, g) for g in maps_ + [invert(g) for g in maps_]]
-    closure = orbit_bfs({F(s) for s in starts}, ops, cap=bound)
-    return None if closure is None else tuple(sorted(closure[0]))
 
 
 # -- equality -------------------------------------------------------------------
@@ -77,9 +61,9 @@ def find_finite_orbit_ref(gens, starts, bound=2000):
 def test_equals_matches_the_fraction_sweep(data):
     # two words over one alphabet, and each word against itself with a
     # letter and its inverse appended: equal maps whose branch lists differ
-    letters = data.draw(st.sampled_from(_alphabets()))
+    letters = data.draw(st.sampled_from(alphabets()))
     index = st.integers(0, len(letters) - 1)
-    w, v = (_word(letters, data.draw(st.lists(index, min_size=1, max_size=6)))
+    w, v = (word_in(letters, data.draw(st.lists(index, min_size=1, max_size=6)))
             for _ in range(2))
     g = letters[data.draw(index)]
     padded = compose(w, compose(invert(g), g))
@@ -113,7 +97,7 @@ def _scenario_gens(name):
 def test_finite_orbits_of_the_bundled_generators(name, bound, expected):
     gens = _scenario_gens(name)
     orbit = find_finite_orbit(gens, [F(0)], bound=bound)
-    ref = find_finite_orbit_ref(gens, [F(0)], bound=bound)
+    ref = orbit_closure_ref(gens, [F(0)], bound=bound)
     if expected is None:
         assert orbit is None and ref is None
     else:
@@ -125,7 +109,7 @@ def test_finite_orbits_of_the_bundled_generators(name, bound, expected):
 def test_finite_orbit_from_several_seeds():
     gens = _scenario_gens("klein_four")
     starts = [F(1, 9), "2/9", 0, F(1, 9)]
-    assert find_finite_orbit(gens, starts, bound=2000).orbit == find_finite_orbit_ref(gens, starts)
+    assert find_finite_orbit(gens, starts, bound=2000).orbit == orbit_closure_ref(gens, starts)
 
 
 def test_finite_orbit_seed_off_k_raises_as_before():
@@ -134,7 +118,7 @@ def test_finite_orbit_seed_off_k_raises_as_before():
         with pytest.raises(MapError) as new:
             find_finite_orbit(gens, [seed], bound=2000)
         with pytest.raises(MapError) as ref:
-            find_finite_orbit_ref(gens, [seed])
+            orbit_closure_ref(gens, [seed])
         assert str(new.value) == str(ref.value) == f"{seed} not in the ambient set"
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantorwalk.certify import _fixed_points, periodic_points
 
-from test_lookups import letter_words
+from fixtures import letter_words
 
 
 def periodic_points_ref(f, max_period):

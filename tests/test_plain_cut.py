@@ -4,12 +4,13 @@ pa_homeo clips each branch on a plain set to the intervals of K it meets
 in more than a point, checks that the sorted sources and the sorted images
 each run through every interval of K end to end (maps._tiles, on int
 pairs), and break_pairs then reads a plain map's break pairs as it reads an
-IFS map's.  validate_plain_ref is the check made before the cut: the
-sources cover each interval of K, their images of K material tile K by a
-Fraction merge and a length count, and branches that share a point of K
-agree there.  plain_break_pairs_ref is the rule that tested every bounded
-gap of K.  Both are compared with the code that replaced them, on the
-plain alphabets, on blow-ups of rotations and on perturbed branch lists.
+IFS map's.  reference.validate_plain_ref is the check made before the cut:
+nonzero slopes and sources that do not overlap, sources that cover each
+interval of K, images of K material that tile K by a Fraction merge and a
+length count, and branches that agree where they share a point of K.
+reference.break_pairs_ref tests every bounded gap of a plain K.  Both are
+compared with the code that replaced them, on the plain alphabets, on
+blow-ups of rotations and on perturbed branch lists.
 """
 
 from fractions import Fraction as F
@@ -19,12 +20,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk.giet import blow_up
-from cantorwalk.maps import (Branch, BreakPair, MapError, apply, break_pairs, compose, invert,
-                             pa_homeo)
+from cantorwalk.maps import Branch, MapError, apply, break_pairs, compose, invert, pa_homeo
 from cantorwalk.space import CompactSet
 
-from fixtures import endpoints, rotation
-from test_lookups import SPANNING, SPANNING_BRANCHES, _alphabets, _word
+from fixtures import SPANNING, SPANNING_BRANCHES, alphabets, endpoints, rotation, word_in
+from reference import break_pairs_ref, validate_plain_ref
 
 # blow-ups of the rotations by p/q, q <= 6, at orbit length 3 and weight ratio 1/3
 BLOW_UPS = [blow_up([rotation(F(p, q))], 3, F(1, 3))
@@ -32,50 +32,12 @@ BLOW_UPS = [blow_up([rotation(F(p, q))], 3, F(1, 3))
 
 
 def _plain_alphabets():
-    return [letters for letters in _alphabets() if letters[0].space.ifs is None] + [
+    return [letters for letters in alphabets() if letters[0].space.ifs is None] + [
         [*r.induced, *map(invert, r.induced)] for r in BLOW_UPS]
 
 
 def _plain_letters():
     return [g for letters in _plain_alphabets() for g in letters]
-
-
-def validate_plain_ref(space, branches):
-    """Raise MapError unless the branches, sorted, cover every interval of
-    K with their sources, their images of K material tile K (the merged
-    images are K's intervals and their lengths add up to K's), and two
-    branches that share a point of K agree there."""
-    bs = sorted(branches, key=lambda b: b.lo)
-    merged = CompactSet.from_intervals([(b.lo, b.hi) for b in bs]).intervals
-    for kl, kr in space.intervals:
-        if not any(l <= kl and kr <= r for l, r in merged):
-            raise MapError(f"sources do not cover [{kl}, {kr}]")
-    imgs, total = [], F(0)
-    for b in bs:
-        for kl, kr in space.intervals:
-            olo, ohi = max(kl, b.lo), min(kr, b.hi)
-            if olo < ohi:
-                ia, ib = b.value(olo), b.value(ohi)
-                imgs.append((min(ia, ib), max(ia, ib)))
-                total += abs(b.slope) * (ohi - olo)
-    if not imgs:
-        raise MapError("branches miss the ambient set entirely")
-    if CompactSet.from_intervals(imgs).intervals != space.intervals:
-        raise MapError("branch images do not tile the ambient set")
-    if total != sum(r - l for l, r in space.intervals):
-        raise MapError("branch images overlap (length mismatch)")
-    for b1, b2 in zip(bs, bs[1:]):
-        if b1.hi == b2.lo and space.contains(b1.hi) and b1.value(b1.hi) != b2.value(b1.hi):
-            raise MapError(f"branches disagree at {b1.hi}")
-
-
-def plain_break_pairs_ref(f):
-    """Every bounded gap (a, b) of K whose image ends f(a), f(b) bound no
-    gap of K, either way round."""
-    ivs = f.space.intervals
-    gaps = [(r, l) for (_, r), (l, _) in zip(ivs, ivs[1:])]
-    return [BreakPair(a, b) for a, b in gaps
-            if (apply(f, a), apply(f, b)) not in gaps and (apply(f, b), apply(f, a)) not in gaps]
 
 
 def _accepted(check, space, branches) -> bool:
@@ -84,18 +46,6 @@ def _accepted(check, space, branches) -> bool:
     except MapError:
         return False
     return True
-
-
-def _ref_check(space, branches):
-    # the checks on single branches and on overlap, made before the cut, then the old validator
-    bs = sorted(branches, key=lambda b: (b.lo, b.hi))
-    if not bs:
-        raise MapError("a map needs at least one branch")
-    if any(b.slope == 0 or b.lo >= b.hi for b in bs):
-        raise MapError("zero slope or degenerate branch source")
-    if any(b2.lo < b1.hi for b1, b2 in zip(bs, bs[1:])):
-        raise MapError("branch sources overlap")
-    validate_plain_ref(space, branches)
 
 
 def _inside_one_interval(K, b) -> bool:
@@ -123,7 +73,7 @@ def test_spanning_branches_are_cut_at_the_gaps():
         f = pa_homeo(SPANNING, given_branches, label=(name,))
         spans = [b for b in given_branches if not _inside_one_interval(SPANNING, b)]
         assert len(f.branches) == len(given_branches) + len(spans)
-        assert plain_break_pairs_ref(f) == break_pairs(f)
+        assert break_pairs_ref(f) == break_pairs(f)
     S = pa_homeo(SPANNING, SPANNING_BRANCHES["S"])
     assert apply(invert(S), F(4)) == 2
 
@@ -159,10 +109,10 @@ def perturbed(draw):
 def test_tiling_check_accepts_what_the_fraction_validator_accepts(case):
     K, bs = case
     accepted = _accepted(pa_homeo, K, bs)
-    assert accepted == _accepted(_ref_check, K, bs)
+    assert accepted == _accepted(validate_plain_ref, K, bs)
     if accepted:
         f = pa_homeo(K, bs)
-        assert break_pairs(f) == plain_break_pairs_ref(f)
+        assert break_pairs(f) == break_pairs_ref(f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,9 +121,9 @@ def test_break_pairs_match_every_bounded_gap_rule(data):
     # words over the plain alphabets and the blow-ups' maps
     letters = data.draw(st.sampled_from(_plain_alphabets()))
     idx = data.draw(st.lists(st.integers(0, len(letters) - 1), min_size=1, max_size=6))
-    w = _word(letters, idx)
+    w = word_in(letters, idx)
     for f in (w, invert(w), compose(w, w)):
-        assert break_pairs(f) == plain_break_pairs_ref(f)
+        assert break_pairs(f) == break_pairs_ref(f)
 
 
 def test_one_point_interval_has_no_map():

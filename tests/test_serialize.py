@@ -21,8 +21,8 @@ from cantorwalk.rational import as_pair, pair_str, rat, read_pair
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
 from cantorwalk.walk import make_model
 
-from fixtures import cantor_space, cylinder_region, fixture, named_generators, region, rotation
-from test_space import same_set
+from fixtures import (cantor_space, cylinder_region, fixture, named_generators, region, rotation,
+                      same_set)
 
 K = cantor_space(3)
 

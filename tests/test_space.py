@@ -3,18 +3,21 @@
 import itertools
 import math
 import random
-from collections import namedtuple
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorwalk.rational import (affine, as_pair, coprime_fraction, pair_key, pair_keys,
-                                 place_left, place_right)
+from cantorwalk.rational import (as_pair, coprime_fraction, pair_key, pair_keys, place_left,
+                                 place_right)
 from cantorwalk.space import (CompactSet, Ifs, Piece, Region, SpaceError, epsilon_neighborhood,
                               ternary_cantor)
 
-from fixtures import endpoints, in_region, region
+from fixtures import (NEGATIVE, THREE_MAPS, cylinder, decompose_into_cylinders, endpoints, region,
+                      region_diameter, same_set)
+from reference import (bisect_pairs, bounded_gaps, contains_ref, difference_ref, fractions_of,
+                       gaps, gaps_at, in_region, intersect_ref, merge_ref, normalize_ref,
+                       on_pieces, union_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -60,49 +63,6 @@ def hausdorff_distance(a: CompactSet, b: CompactSet) -> F:
     return max(directed(a, b), directed(b, a))
 
 
-# ---------------------------------------------------------------------------
-# gaps, diameters and set equality of regions, the gaps at a point, and
-# child cylinders and cylinder decompositions on Fractions; no CLI run reads them
-
-Gap = namedtuple("Gap", "kind left right")  # kind: bounded, left- or right-unbounded
-
-
-def gaps(k: CompactSet) -> list[Gap]:
-    """The gaps of k, left to right: the two unbounded ones and each bounded one."""
-    return [Gap("left-unbounded", None, k.intervals[0][0]),
-            *(Gap("bounded", r1, l2) for (_, r1), (l2, _) in zip(k.intervals, k.intervals[1:])),
-            Gap("right-unbounded", k.intervals[-1][1], None)]
-
-
-def bounded_gaps(k: CompactSet) -> list[tuple[F, F]]:
-    return [(g.left, g.right) for g in gaps(k) if g.kind == "bounded"]
-
-
-def diameter(k: CompactSet) -> F:
-    lo, hi = k.hull
-    return hi - lo
-
-
-def region_diameter(r: Region) -> F:
-    return r.supremum() - r.infimum()
-
-
-def same_set(a: Region, b: Region) -> bool:
-    return a.subset_of(b) and b.subset_of(a)
-
-
-def bisect_pairs(rows, j: int, x: tuple, right: bool = True) -> int:
-    """bisect.bisect_right (bisect_left when not right) of the pair x in the
-    rows, sorted by the value of their pairs row[j], by cross-multiplication:
-    the oracle of rational.place_right and place_left."""
-    (xn, xd), lo, hi = x, 0, len(rows)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        c = rows[mid][j][0] * xd - xn * rows[mid][j][1]
-        lo, hi = (mid + 1, hi) if c < 0 or right and c == 0 else (lo, mid)
-    return lo
-
-
 # denominators small, prime, and large powers of 2 and 3 and their mixes
 pair_denominators = st.sampled_from([1, 2, 3, 7, 9, 27, 2 ** 40, 3 ** 25, 2 ** 13 * 3 ** 11,
                                      10 ** 12 + 39]) | st.integers(1, 10 ** 9)
@@ -127,71 +87,6 @@ def test_keyed_bisection_matches_cross_multiplication(values, repeats, others):
         assert place_left(mk, x) == bisect_pairs(rows, 0, x, False)
 
 
-def _ifs_gap_pairs(ifs: Ifs, t: tuple) -> tuple:
-    """The bounded gaps of the limit set whose closure holds t: the gap
-    containing t, or the gap adjacent to the limit point t; () when t is
-    off the hull or touches no gap.  t and the gap ends are reduced int
-    pairs."""
-    levels, gap = ifs._expand(t)
-    children = ifs._int_children
-    if gap is None:
-        # a limit point touches a gap where it ends a child with a
-        # neighbour on that side; from the next level on it sits at a
-        # hull end, which repeats at once: that is the second-last level
-        if len(levels) < 2:
-            return ()
-        k = len(levels) - 2
-        i, y = levels[k]
-        if y == children[i][0] and i > 0:
-            gap = k, i - 1, y
-        elif y == children[i][1] and i + 1 < len(children):
-            gap = k, i, y
-        else:
-            return ()
-    # each end is t + scale * (child end - y), scale = product of the c/a above
-    k, g, (yn, yd) = gap
-    above = [ifs._int_inverses[i] for i, _ in levels[:k]]
-    scale = math.prod(c for _, _, c in above), math.prod(a for a, _, _ in above)
-    return (tuple(affine(scale, (cn * yd - yn * cd, cd * yd), t)
-                  for cn, cd in (children[g][1], children[g + 1][0])),)
-
-
-def gap_pairs(k, t: tuple) -> tuple:
-    """The bounded gaps of the true set k, an Ifs or a CompactSet (with IFS
-    structure, of the limit set), whose closure holds t, left to right; all
-    ends are int pairs."""
-    if isinstance(k, Ifs) or k.ifs is not None:
-        return _ifs_gap_pairs(k if isinstance(k, Ifs) else k.ifs, t)
-    # gap j is (right end of interval j, left end of interval j + 1)
-    ends = k.ends
-    first = max(bisect_pairs(ends, 0, t, False) - 1, 0)
-    stop = min(bisect_pairs(ends, 1, t), len(ends) - 1)
-    return tuple((ends[j][1], ends[j + 1][0]) for j in range(first, stop))
-
-
-def gaps_at(k, t: F) -> tuple[tuple[F, F], ...]:
-    """gap_pairs on Fractions."""
-    return tuple((coprime_fraction(*a), coprime_fraction(*b))
-                 for a, b in gap_pairs(k, as_pair(t)))
-
-
-def children(ifs: Ifs, lo: F, hi: F) -> list[tuple[F, F]]:
-    """Ifs._child_pairs on Fractions."""
-    return [(coprime_fraction(*a), coprime_fraction(*b))
-            for a, b in ifs._child_pairs(as_pair(lo), as_pair(hi))]
-
-
-def cylinder(ifs: Ifs, address: str) -> tuple[F, F]:
-    """Ifs.cylinder on Fractions."""
-    return tuple(coprime_fraction(*x) for x in ifs.cylinder(address))
-
-
-def decompose_into_cylinders(k: CompactSet, lo: F, hi: F):
-    """CompactSet._cylinder_pairs on Fractions: (address, lo, hi) triples."""
-    parts = k._cylinder_pairs(as_pair(lo), as_pair(hi))
-    return parts and [(w, coprime_fraction(*a), coprime_fraction(*b)) for w, a, b in parts]
-
-
 def test_normalization():
     assert CompactSet.from_intervals([(0, 1)]).intervals == ((F(0), F(1)),)
     # touching intervals merge
@@ -200,17 +95,6 @@ def test_normalization():
     # unsorted input is sorted
     assert CompactSet.from_intervals([(F(2, 3), 1), (0, F(1, 3))]).intervals == \
         ((F(0), F(1, 3)), (F(2, 3), F(1)))
-
-
-def merge_ref(pairs):
-    """Sort the closed intervals and merge those that overlap or touch."""
-    merged = []
-    for l, r in sorted(pairs):
-        if merged and l <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], r))
-        else:
-            merged.append((l, r))
-    return tuple(merged)
 
 
 @settings(max_examples=100, deadline=None)
@@ -353,75 +237,10 @@ def test_region_boolean_laws(data):
 
 # -- flagged regions against a point oracle and the pairwise reference ------
 #
-# The reference is the region algebra these operations replaced: pairwise
-# piece intersection, a complement within the hull, and one sort and merge.
-# Serialized regions hold the piece tuples, so the sweep must give exactly
-# the same ones.
-
-
-def _valid_ref(p):
-    if p.lo < p.hi:
-        return True
-    return p.lo == p.hi and p.lo_closed and p.hi_closed
-
-
-def _normalize_ref(pieces):
-    ps = sorted((p for p in pieces if _valid_ref(p)),
-                key=lambda p: (p.lo, not p.lo_closed))
-    out = []
-    for p in ps:
-        if out:
-            q = out[-1]
-            if p.lo < q.hi or (p.lo == q.hi and (q.hi_closed or p.lo_closed)):
-                hi, hi_closed = max((q.hi, q.hi_closed), (p.hi, p.hi_closed),
-                                    key=lambda t: (t[0], t[1]))
-                out[-1] = Piece(q.lo, hi, q.lo_closed, hi_closed)
-                continue
-        out.append(p)
-    return tuple(out)
-
-
-def _complement_ref(pieces, lo, hi):
-    out = []
-    cur, cur_closed = lo, True
-    for p in pieces:
-        if p.hi < lo or p.lo > hi:
-            continue
-        seg = Piece(cur, min(p.lo, hi), cur_closed, not p.lo_closed)
-        if _valid_ref(seg) and seg.lo <= hi:
-            out.append(Piece(seg.lo, min(seg.hi, hi), seg.lo_closed,
-                             seg.hi_closed if seg.hi <= hi else True))
-        cur, cur_closed = p.hi, not p.hi_closed
-        if cur > hi:
-            return out
-    tail = Piece(cur, hi, cur_closed, True)
-    if _valid_ref(tail):
-        out.append(tail)
-    return out
-
-
-def _intersect_piece_ref(a, b):
-    if a.lo > b.lo or (a.lo == b.lo and (b.lo_closed or not a.lo_closed)):
-        lo, lo_closed = a.lo, a.lo_closed and (b.lo < a.lo or b.lo_closed)
-    else:
-        lo, lo_closed = b.lo, b.lo_closed and (a.lo < b.lo or a.lo_closed)
-    if a.hi < b.hi or (a.hi == b.hi and (b.hi_closed or not a.hi_closed)):
-        hi, hi_closed = a.hi, a.hi_closed and (b.hi > a.hi or b.hi_closed)
-    else:
-        hi, hi_closed = b.hi, b.hi_closed and (a.hi > b.hi or a.hi_closed)
-    p = Piece(lo, hi, lo_closed, hi_closed)
-    return p if _valid_ref(p) else None
-
-
-def _intersect_ref(a, b):
-    cut = (_intersect_piece_ref(p, q) for p in a for q in b)
-    return _normalize_ref(c for c in cut if c is not None)
-
-
-def _on_pieces(pieces, x):
-    """Point membership in the union of the pieces, on the line."""
-    return any(p.lo < x < p.hi or x == p.lo and p.lo_closed
-               or x == p.hi and p.hi_closed for p in pieces)
+# The reference is the region algebra of tests/reference.py: pairwise piece
+# intersection, a complement between the pieces' ends, and one sort and
+# merge.  Serialized regions hold the piece tuples, so the sweep must give
+# exactly the same ones.
 
 
 def _rand_flagged(rng, grid):
@@ -450,32 +269,31 @@ FLAGGED_SPACES = [
                          ids=["ternary3", "ternary5", "plain"])
 def test_flagged_region_operations(seed, K, grid):
     W = Region.whole(K)
+    fw, k_ends = fractions_of(W), set(endpoints(K))
     rng = random.Random(seed)
     for _ in range(600):
         bag_a, bag_b = _rand_flagged(rng, grid), _rand_flagged(rng, grid)
         A, B = Region.from_pieces(K, bag_a), Region.from_pieces(K, bag_b)
-        assert A.pieces == _normalize_ref(bag_a)
-        assert B.pieces == _normalize_ref(bag_b)
-        union, inter = A.union(B), A.intersect(B)
-        diff, off_b = A.difference(B), W.difference(B)
+        fa, fb = fractions_of(A), fractions_of(B)
+        assert fa == normalize_ref(bag_a)
+        assert fb == normalize_ref(bag_b)
+        union, inter = fractions_of(A.union(B)), fractions_of(A.intersect(B))
+        diff, off_b = fractions_of(A.difference(B)), W.difference(B)
         # the piece tuples of the pairwise reference, exactly
-        assert union.pieces == _normalize_ref(A.pieces + B.pieces)
-        assert inter.pieces == _intersect_ref(A.pieces, B.pieces)
-        lo, hi = K.hull
-        assert off_b.pieces == _intersect_ref(
-            W.pieces, _normalize_ref(_complement_ref(B.pieces, lo, hi)))
+        assert union == union_ref(fa, fb)
+        assert inter == intersect_ref(fa, fb)
+        assert fractions_of(off_b) == difference_ref(fw, fb)
         # every end and midpoint decides membership on the line and on K
-        ends = sorted({x for p in A.pieces + B.pieces + W.pieces
-                       for x in (p.lo, p.hi)} | set(endpoints(K)))
+        ends = sorted({x for p in fa + fb + fw for x in (p.lo, p.hi)} | k_ends)
         pts = ends + [(u + v) / 2 for u, v in zip(ends, ends[1:])]
         pts += [ends[0] - 1, ends[-1] + 1]
         a_on_k = a_not_b_on_k = both_on_k = False
         for x in pts:
-            a, b = _on_pieces(A.pieces, x), _on_pieces(B.pieces, x)
-            assert _on_pieces(union.pieces, x) == (a or b)
-            assert _on_pieces(inter.pieces, x) == (a and b)
-            assert _on_pieces(diff.pieces, x) == (a and not b)
-            on_k = K.contains(x)
+            a, b = on_pieces(fa, x), on_pieces(fb, x)
+            assert on_pieces(union, x) == (a or b)
+            assert on_pieces(inter, x) == (a and b)
+            assert on_pieces(diff, x) == (a and not b)
+            on_k = contains_ref(K, x)
             assert in_region(off_b, x) == (on_k and not b)
             a_on_k = a_on_k or on_k and a
             a_not_b_on_k = a_not_b_on_k or on_k and a and not b
@@ -614,6 +432,12 @@ def test_gaps_at_deep_and_plain():
 # -- the integer expansion against a Fraction reference ----------------------
 
 
+def children(ifs: Ifs, lo: F, hi: F) -> list[tuple[F, F]]:
+    """Ifs._child_pairs on Fractions."""
+    return [(coprime_fraction(*a), coprime_fraction(*b))
+            for a, b in ifs._child_pairs(as_pair(lo), as_pair(hi))]
+
+
 def expand_ref(ifs, t):
     """The expansion loop in Fraction arithmetic: (levels, gap) with every
     local coordinate a Fraction."""
@@ -654,12 +478,6 @@ def gaps_at_ref(ifs, t):
         scale *= ifs.ratios[i]
     return ((t + scale * (kids[g][1] - y),
              t + scale * (kids[g + 1][0] - y)),)
-
-
-THREE_MAPS = Ifs((F(1, 5), F(1, 4), F(1, 5)), (F(0), F(2, 5), F(4, 5)),
-                 ("a", "b", "c"))
-# hull [-3/2, 1/2]: local coordinates change sign along the expansion
-NEGATIVE = Ifs((F(1, 3), F(1, 3)), (F(-1), F(1, 3)), ("l", "r"))
 
 
 @settings(max_examples=80, deadline=None)

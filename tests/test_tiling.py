@@ -4,7 +4,7 @@ Cylinders tile the limit set iff they are disjoint and their addresses form
 a complete prefix code, whose sum of n^-len(address) over n maps is 1, so
 _validate_ifs looks up no gap.  The reference below is the check it
 replaced: every pair of neighbouring cylinders must bound a gap of the limit
-set, found by gaps_at (which only the tests define).  Both are asked about
+set, found by reference.gaps_at.  Both are asked about
 complete codes mapped onto complete codes, and about codes with a cylinder
 dropped, duplicated or nested, or widened or narrowed so that it ends off
 its cylinder.
@@ -22,9 +22,9 @@ from cantorwalk.maps import Branch, MapError, from_prefix_table
 from cantorwalk.serialize import verify_certificate
 from cantorwalk.space import CompactSet, Ifs
 
-from fixtures import TABLES, cantor_space
-from test_lookups import TERNARY, UNEQUAL
-from test_space import NEGATIVE, THREE_MAPS, cylinder, decompose_into_cylinders, gaps_at
+from fixtures import (NEGATIVE, TABLES, TERNARY, THREE_MAPS, UNEQUAL, cantor_space, cylinder,
+                      decompose_into_cylinders)
+from reference import gaps_at
 
 SETS = (TERNARY, THREE_MAPS, UNEQUAL, NEGATIVE)
 MUTATIONS = ("complete", "drop", "duplicate", "nest", "reach")
@@ -167,7 +167,7 @@ def test_validation_looks_up_no_gap(tmp_path, monkeypatch):
     a1 = from_prefix_table(TABLES["A1"], K, label=("A1",))
 
     # the program has no gap lookup left to call: gap_pairs and gaps_at
-    # live in tests/test_space.py
+    # live in tests/reference.py
     for owner in (Ifs, CompactSet):
         for name in ("_gap_pairs", "gaps_at"):
             assert not hasattr(owner, name)
