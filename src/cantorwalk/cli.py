@@ -78,6 +78,9 @@ def parse_scenario(text: str) -> Scenario:
             unread.append("space")
         if unread:
             raise ScenarioError(f"field {unread[0]!r} is not read by {kind}")
+        for key in ("budgets", "blowup"):
+            if not isinstance(obj.get(key, {}), dict):
+                raise ScenarioError(f"field {key!r}: {clip(obj[key])} is not an object")
         space, gens, probs, giets, blowup = None, {}, None, (), {}
         if kind == "giet-blowup":
             giets = tuple(ser.giet_from_obj(g) for g in obj.get("giets", ()))

@@ -9,9 +9,10 @@ maps sit exactly at the blown discontinuities.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import partial
-from typing import NamedTuple, Optional, Sequence
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 from .rational import as_pair, rat
 from .maps import (Branch, MapError, PAHomeo, _tiles, invert_branches, orbit_bfs,
@@ -91,17 +92,12 @@ def discontinuity_closure(gens: Sequence[Giet], L: int):
     if L < 0:
         raise GietError("negative word length bound")
     seedset = sorted({p for g in gens for p in g.jump_points()})
-    steps = [partial(_preimage, op) for op in _ops(gens)]
+    # a jump lies in (a, b), and a preimage of a point of [a, b) lies in
+    # [a, b): giet_from_branches checks that the images tile [a, b]
+    steps = [op.preimage for op in _ops(gens)]
     # closed: round L + 1, whose points are dropped, finds nothing new
     order, new = orbit_bfs(seedset, steps, L + 1)
     return order[:len(order) - len(new)], not new
-
-
-def _preimage(g: Giet, y: Fraction) -> Optional[Fraction]:
-    try:
-        return g.preimage(y)
-    except GietError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +124,15 @@ def blow_up(gens: Sequence[Giet], L: int, rho) -> BlowUpResult:
             raise GietError("generators live on different intervals")
     order, closed = discontinuity_closure(gens, L)
     weights = {c: rho ** (rank + 1) * (b - a) for rank, c in enumerate(order)}
+    # the blown points in order, and the sums of their weights below each
+    blown = sorted(weights)
+    below = list(accumulate((weights[c] for c in blown), initial=0))
 
     def F(x: Fraction) -> Fraction:
-        return x + sum(al for c, al in weights.items() if c <= x)
+        return x + below[bisect_right(blown, x)]
 
     def F_left(x: Fraction) -> Fraction:
-        return x + sum(al for c, al in weights.items() if c < x)
+        return x + below[bisect_left(blown, x)]
 
     # K_L: [F(a), F(b)] minus the open jump gaps at each blown c > a
     cuts = sorted(c for c in order if c > a)
@@ -152,12 +151,8 @@ def blow_up(gens: Sequence[Giet], L: int, rho) -> BlowUpResult:
         for br in g.branches:
             pts.add(br.lo)
             pts.add(br.hi)
-        for c in list(pts):
-            if a <= c < b:
-                try:
-                    pts.add(g.preimage(c))
-                except GietError:
-                    pass
+        # every point of [a, b) has a preimage, as the images tile [a, b]
+        pts |= {g.preimage(c) for c in pts if a <= c < b}
         cutpts = sorted(p for p in pts if a <= p <= b)
         branches = []
         for p, q in zip(cutpts, cutpts[1:]):

@@ -15,6 +15,7 @@ Break pairs are computed exactly.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .rational import (affine, as_pair, clip, coprime_fraction, pair_cmp, pair_key,
                        pair_keys, place_left, place_right, rat, value_order)
-from .space import CompactSet, Piece, Region, _Frozen
+from .space import CompactSet, Piece, Region
 
 
 class MapError(ValueError):
@@ -67,13 +68,9 @@ def inverse_name(name: str) -> str:
     return name[:-3] if name.endswith("^-1") else name + "^-1"
 
 
-class PAHomeo(_Frozen):
-    __slots__ = ("space", "branches", "label", "__dict__")  # __dict__ holds the caches
-
-    def __init__(self, space: CompactSet, branches: tuple, label: tuple[str, ...] = ()):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "label", label)
+class PAHomeo(namedtuple("PAHomeo", "space branches label")):
+    """Branches sorted by source, and the letters of the word the map is;
+    the instance dict holds the caches."""
 
     @cached_property
     def _lo_keys(self) -> tuple:
@@ -129,10 +126,10 @@ def orbit_bfs(seeds: Iterable[Fraction], steps: Sequence[Callable],
               rounds: Optional[int] = None, cap: Optional[int] = None):
     """Breadth-first closure of the seed points under the step functions.
 
-    A step maps a point to a point, or to None where it is undefined.
-    Expands `rounds` times (None: until no new point appears) and returns
-    (points in discovery order, points found in the last round), or None
-    when more than `cap` points are known before a round.
+    A step maps a point to a point.  Expands `rounds` times (None: until
+    no new point appears) and returns (points in discovery order, points
+    found in the last round), or None when more than `cap` points are
+    known before a round.
     """
     order = list(dict.fromkeys(seeds))
     known, frontier, k = set(order), order, 0
@@ -143,7 +140,7 @@ def orbit_bfs(seeds: Iterable[Fraction], steps: Sequence[Callable],
         for p in frontier:
             for step in steps:
                 q = step(p)
-                if q is not None and q not in known:
+                if q not in known:
                     known.add(q)
                     nxt.append(q)
         order, frontier, k = order + nxt, nxt, k + 1

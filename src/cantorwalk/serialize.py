@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
+from typing import Optional
 
 from .rational import (RationalError, clip, coprime_fraction, exact, pair_str, rat, rat_str,
                        read_pair)
@@ -33,10 +34,11 @@ def _fraction(value):
     return coprime_fraction(*read_pair(value))
 
 
-def _values(v, n: int, what: str) -> list:
-    """v, when it is a JSON list of n values."""
-    if type(v) is not list or len(v) != n:
-        raise SerializeError(f"{what}: {clip(v)} is not a list of {n} values")
+def _values(v, what: str, n: Optional[int] = None) -> list:
+    """v, when it is a JSON list, of n values when n is given: a string or
+    an object, read as a list, would give its characters or its keys."""
+    if type(v) is not list or n is not None and len(v) != n:
+        raise SerializeError(f"{what}: {clip(v)} is not a list" + (f" of {n} values" if n else ""))
     return v
 
 
@@ -65,8 +67,9 @@ def space_from_obj(obj: dict) -> CompactSet:
     if "ifs" in obj:
         only_keys(obj, {"ifs", "depth", "intervals"}, "space")
         spec = only_keys(obj["ifs"], {"ratios", "offsets", "symbols"}, "ifs")
-        ifs = Ifs(tuple(rat(v) for v in spec["ratios"]),
-                  tuple(rat(v) for v in spec["offsets"]), tuple(spec["symbols"]))
+        ratios, offsets, symbols = (_values(spec[k], f"ifs {k}")
+                                    for k in ("ratios", "offsets", "symbols"))
+        ifs = Ifs(tuple(map(rat, ratios)), tuple(map(rat, offsets)), tuple(symbols))
         K = CompactSet.from_ifs(ifs, exact(obj["depth"], int, "depth"))
         # the intervals follow from the IFS: they may be left out, not changed
         if "intervals" in obj and obj["intervals"] != [
@@ -74,7 +77,7 @@ def space_from_obj(obj: dict) -> CompactSet:
             raise SerializeError(f"space intervals are not the IFS's at depth {K.depth}")
         return K
     only_keys(obj, {"intervals"}, "space")
-    K = CompactSet.from_intervals([_values(iv, 2, "space interval") for iv in obj["intervals"]])
+    K = CompactSet.from_intervals([_values(iv, "space interval", 2) for iv in obj["intervals"]])
     for l, r in K.intervals:
         if l == r:
             # a map could carry no branch over it: branches are cut at K's gaps
@@ -92,14 +95,14 @@ def map_to_obj(f: PAHomeo) -> dict:
 def _branch_from_obj(b: dict) -> tuple:
     """(lo, hi, slope, offset) of a map's or a giet's branch, as int pairs."""
     only_keys(b, {"src", "slope", "offset"}, "branch")
-    return (*map(read_pair, _values(b["src"], 2, "branch src")),
+    return (*map(read_pair, _values(b["src"], "branch src", 2)),
             read_pair(b["slope"]), read_pair(b["offset"]))
 
 
 def map_from_obj(space: CompactSet, obj: dict) -> PAHomeo:
     only_keys(obj, {"label", "branches"}, "map")
     return pa_homeo(space, [Branch(*_branch_from_obj(b)) for b in obj["branches"]],
-                    label=tuple(exact(w, str, "label") for w in obj["label"]))
+                    label=tuple(exact(w, str, "label") for w in _values(obj["label"], "label")))
 
 
 def region_to_obj(reg: Region) -> dict:
@@ -140,7 +143,7 @@ def _generators_from_obj(space: CompactSet, objs) -> tuple:
 
 
 def _orbit_from_obj(space: CompactSet, objs) -> tuple:
-    orbit = tuple(sorted({_fraction(p) for p in objs}))
+    orbit = tuple(sorted({_fraction(p) for p in _values(objs, "orbit")}))
     for p in orbit:
         if not space.contains(p):
             raise SpaceError(f"point {clip(p)} not in the ambient set")
@@ -148,17 +151,22 @@ def _orbit_from_obj(space: CompactSet, objs) -> tuple:
 
 
 # the (write, read) codecs of certificate fields: write takes the field, read
-# the space and the field's JSON value.  _int(key) is the codec of an int field
+# the space and the field's JSON value.  _int(key) is the codec of an int field,
+# _rationals(key) of a list of rationals
 def _int(key: str) -> tuple:
     return int, lambda space, v: exact(v, int, key)
 
 
+def _rationals(key: str) -> tuple:
+    return (lambda xs: [rat_str(x) for x in xs],
+            lambda space, v: tuple(map(_fraction, _values(v, key))))
+
+
 MAP, REGION = (map_to_obj, map_from_obj), (region_to_obj, region_from_obj)
 GENERATORS = (lambda gens: [map_to_obj(g) for g in gens], _generators_from_obj)
-RATIONALS = (lambda xs: [rat_str(x) for x in xs], lambda space, v: tuple(map(_fraction, v)))
 PERIODIC = (lambda ps: [[rat_str(x), per, rat_str(m)] for x, per, m in ps],
             lambda space, v: tuple((_fraction(x), exact(per, int, "period"), _fraction(m))
-                                   for x, per, m in (_values(e, 3, "periodic entry") for e in v)))
+                                   for x, per, m in (_values(e, "periodic entry", 3) for e in v)))
 
 # type -> (class, verifier, the JSON key and codec of each field in order);
 # a document holds these keys, "type" and "space".  Each verifier is read
@@ -170,10 +178,11 @@ CERTIFICATES = {
     "invariant-measure": (InvariantMeasureCertificate,
                           lambda c: cert_mod.verify_invariant_measure(c),
                           (("generators", GENERATORS), ("depth", _int("depth")),
-                           ("masses", RATIONALS),
+                           ("masses", _rationals("masses")),
                            ("consistency_depth", _int("consistency_depth")))),
     "finite-orbit": (FiniteOrbitCertificate, lambda c: cert_mod.verify_finite_orbit(c),
-                     (("generators", GENERATORS), ("orbit", (RATIONALS[0], _orbit_from_obj)))),
+                     (("generators", GENERATORS),
+                      ("orbit", (_rationals("orbit")[0], _orbit_from_obj)))),
     "morse-smale": (MorseSmaleCertificate, lambda c: cert_mod.verify_morse_smale(c),
                     (("g", MAP), ("periodic", PERIODIC), ("A", REGION), ("B", REGION))),
 }
@@ -183,7 +192,7 @@ def certificate_to_obj(cert) -> dict:
     """Self-contained certificate document."""
     kind = next(k for k, row in CERTIFICATES.items() if row[0] is type(cert))
     # the first field is a map, or the tuple of generator maps
-    space = (cert[0][0] if isinstance(cert[0], tuple) else cert[0]).space
+    space = (cert[0] if isinstance(cert[0], PAHomeo) else cert[0][0]).space
     return {"type": kind, "space": space_to_obj(space),
             **{key: write(v) for (key, (write, _)), v in zip(CERTIFICATES[kind][2], cert)}}
 

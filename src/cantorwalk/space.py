@@ -10,6 +10,7 @@ set; every membership and inclusion query is exact.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property, cmp_to_key
 from math import gcd
@@ -25,77 +26,37 @@ class SpaceError(ValueError):
     pass
 
 
-class _Frozen:
-    """Base of the immutable classes: __init__ sets each field once through
-    object.__setattr__, and assigning or deleting an attribute raises.
-    The fields are the slots whose names do not start with an underscore.
-    Instances of one class are equal when their fields are, and hash as the
-    tuple of them.  A slot named with an underscore, __dict__ among them,
-    holds only what is derived from the fields, such as a cache; equality,
-    hash and repr skip it."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
 # ---------------------------------------------------------------------------
 # iterated function systems
 
 
-class Ifs(_Frozen):
+class Ifs(namedtuple("Ifs", "ratios offsets symbols")):
     """Finitely many increasing affine contractions x -> ratio*x + offset.
 
     Maps are ordered left to right; their images of the convex hull must be
     disjoint.  ``symbols`` name the maps and form the address alphabet; each
-    is one character, so an address has one character per level.
+    is one character, so an address has one character per level.  The
+    instance dict holds the int pairs derived from the fields.
     """
 
-    __slots__ = ("ratios", "offsets", "symbols", "_int_hull",
-                 "_unit_children", "_int_children", "_int_inverses")
-
-    def __init__(self, ratios: tuple, offsets: tuple, symbols: tuple[str, ...]):
-        object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "symbols", symbols)
-        if not (len(self.ratios) == len(self.offsets) == len(self.symbols)):
+    def __new__(cls, ratios: tuple, offsets: tuple, symbols: tuple[str, ...]):
+        self = super().__new__(cls, ratios, offsets, symbols)
+        if not (len(ratios) == len(offsets) == len(symbols)):
             raise SpaceError("IFS component lists must have equal length")
-        if len(self.ratios) < 2:
+        if len(ratios) < 2:
             raise SpaceError("IFS needs at least two maps")
-        for r in self.ratios:
+        for r in ratios:
             if not 0 < r < 1:
                 raise SpaceError(f"IFS ratio {clip(r)} not in (0,1)")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise SpaceError("IFS symbols must be distinct")
-        if not all(isinstance(s, str) and len(s) == 1 for s in self.symbols):
-            raise SpaceError(f"IFS symbols {self.symbols} are not all single characters")
+        if not all(isinstance(s, str) and len(s) == 1 for s in symbols):
+            raise SpaceError(f"IFS symbols {symbols} are not all single characters")
         # in int pairs: the hull, ends o / (1 - r) = o * d / (d - n) for r = n/d;
         # the children, also as fractions of the hull (for _child_pairs); for
         # _expand and _cylinder_pairs, each inverse map y -> (y - o) / r as
         # p/q -> (p*a - q*b) / (q*c), where r = c/a, with a, b and c coprime
-        maps = [(as_pair(r), as_pair(o)) for r, o in zip(self.ratios, self.offsets)]
+        maps = [(as_pair(r), as_pair(o)) for r, o in zip(ratios, offsets)]
         lo, hi = (affine((d, d - n), o) for (n, d), o in (maps[0], maps[-1]))
         if pair_cmp(lo, hi) >= 0:
             raise SpaceError("degenerate IFS hull")
@@ -104,13 +65,13 @@ class Ifs(_Frozen):
             raise SpaceError("IFS images must be disjoint, left to right")
         wn, wd = affine(hi, (1, 1), (-lo[0], lo[1]))  # hi - lo
         shift = affine((wd, wn), (-lo[0], lo[1]))
-        object.__setattr__(self, "_int_hull", (lo, hi))
-        object.__setattr__(self, "_unit_children", tuple(
-            tuple(affine((wd, wn), x, shift) for x in c) for c in children))
-        object.__setattr__(self, "_int_children", children)
+        self._int_hull, self._int_children = (lo, hi), children
+        self._unit_children = tuple(
+            tuple(affine((wd, wn), x, shift) for x in c) for c in children)
         inverses = ((od * rd, on * rd, od * rn) for (rn, rd), (on, od) in maps)
-        object.__setattr__(self, "_int_inverses", tuple(
-            (a // g, b // g, c // g) for a, b, c in inverses for g in [gcd(a, b, c)]))
+        self._int_inverses = tuple(
+            (a // g, b // g, c // g) for a, b, c in inverses for g in [gcd(a, b, c)])
+        return self
 
     hull = property(lambda s: tuple(coprime_fraction(*p) for p in s._int_hull))
 
@@ -206,17 +167,10 @@ def _normalize_intervals(pairs) -> tuple[tuple[tuple, tuple], ...]:
     return tuple(p[:2] for p in _normalize_pieces(cleaned))
 
 
-class CompactSet(_Frozen):
+class CompactSet(namedtuple("CompactSet", "ends ifs depth", defaults=(None, 0))):
     """Finite union of disjoint closed rational intervals, sorted.  `ends`
     holds them as pairs of reduced (numerator, denominator > 0) int pairs;
     intervals and hull are Fraction views of it."""
-
-    __slots__ = ("ends", "ifs", "depth", "__dict__")  # __dict__ holds the caches
-
-    def __init__(self, ends: tuple, ifs: Optional[Ifs] = None, depth: int = 0):
-        object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "ifs", ifs)
-        object.__setattr__(self, "depth", depth)
 
     @staticmethod
     def from_intervals(pairs) -> "CompactSet":
@@ -406,7 +360,7 @@ def _meets(p: Piece, l: tuple, r: tuple) -> bool:
             and (hi_closed or pair_cmp(r, hi) < 0))
 
 
-class Region(_Frozen):
+class Region(namedtuple("Region", "space pieces")):
     """A finite union of flagged rational intervals intersected with K.
 
     The pieces are sorted, disjoint and maximal: no two of them overlap or
@@ -415,12 +369,6 @@ class Region(_Frozen):
     on the pieces as sets of the line, so A.difference(B) is not clipped to
     the hull of K; on K it is the same set.
     """
-
-    __slots__ = ("space", "pieces", "__dict__")  # __dict__ holds the caches
-
-    def __init__(self, space: CompactSet, pieces: tuple[Piece, ...]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "pieces", pieces)
 
     @staticmethod
     def whole(space: CompactSet) -> "Region":

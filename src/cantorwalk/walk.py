@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 import struct
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -23,7 +24,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .rational import (affine, as_pair, coprime_fraction, pair_cmp, pair_keys, place_left,
                        place_right, rat, value_order)
 from .maps import PAHomeo, _apply, break_points, compose, image, invert, equals
-from .space import CompactSet, Piece, Region, _Frozen, epsilon_neighborhood
+from .space import CompactSet, Piece, Region, epsilon_neighborhood
 
 TWO64 = 2 ** 64
 
@@ -39,19 +40,15 @@ class WalkError(ValueError):
 # model and trajectories
 
 
-class WalkModel(_Frozen):
-    __slots__ = ("space", "names", "gens", "probs", "seed")
+class WalkModel(namedtuple("WalkModel", "space names gens probs seed")):
+    __slots__ = ()
 
-    def __init__(self, space: CompactSet, names: tuple, gens: tuple, probs: tuple, seed: int):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "seed", seed)
-        if not (len(self.names) == len(self.gens) == len(self.probs)):
+    def __new__(cls, space: CompactSet, names: tuple, gens: tuple, probs: tuple, seed: int):
+        if not (len(names) == len(gens) == len(probs)):
             raise WalkError("names, generators and probabilities must align")
-        if any(p <= 0 for p in self.probs):
+        if any(p <= 0 for p in probs):
             raise WalkError("probabilities must be positive (total support)")
+        return super().__new__(cls, space, names, gens, probs, seed)
 
     @property
     def is_symmetric(self) -> bool:
@@ -183,15 +180,14 @@ def measure_cells(space: CompactSet, depth: int):
     return list(space.ends)
 
 
-class CellMeasure(_Frozen):
-    __slots__ = ("depth", "masses")
+class CellMeasure(namedtuple("CellMeasure", "depth masses")):
+    __slots__ = ()
 
-    def __init__(self, depth: int, masses: tuple):
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "masses", masses)
-        total = sum(self.masses)
+    def __new__(cls, depth: int, masses: tuple):
+        total = sum(masses)
         if abs(total - 1.0) > 1e-12:
             raise WalkError(f"masses sum to {total}")
+        return super().__new__(cls, depth, masses)
 
 
 def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int) -> CellMeasure:

@@ -90,17 +90,15 @@ CASES = {
 # items: those four as int pairs and its sorted image ends
 HASH_KEYS = {Branch: tuple}
 
-# class -> the cached properties that fill an instance's underscored slots
+# class -> the cached properties that fill an instance's dict
 CACHES = {PAHomeo: ("_lo_keys", "_image_order")}
 
 
 def _fill_caches(obj):
-    """Read every cache of obj and of all that its slots or items hold."""
+    """Read every cache of obj and of all that its items hold."""
     for name in CACHES.get(type(obj), ()):
         getattr(obj, name)
-    parts = obj if isinstance(obj, tuple) else (
-        getattr(obj, f) for f in getattr(obj, "__slots__", ()) if f != "__dict__")
-    for part in parts:
+    for part in obj if isinstance(obj, tuple) else ():
         _fill_caches(part)
 
 

@@ -696,6 +696,11 @@ ROTATION = json.loads(_load_scenario_text("rotation_third"))["giets"][0]
     # a misspelt key would otherwise run with the defaults it meant to change
     (_simulate(budget={"n": 80}), "unknown scenario key 'budget'"),
     (_blowup(ROTATION, blowup={"l": 5}), "unknown blowup key 'l'"),
+    # a list of pairs would be read as budgets, a string or a list refused
+    # with a message that names no field
+    (_simulate(budgets=[["n", 40]]), "field 'budgets': [['n', 40]] is not an object"),
+    (_simulate(budgets="nn"), "field 'budgets': 'nn' is not an object"),
+    (_blowup(ROTATION, blowup=[]), "field 'blowup': [] is not an object"),
 ])
 def test_outside_input_check_names_its_fault(tmp_path, capsys, doc, message):
     path = tmp_path / "scenario.json"
@@ -1109,3 +1114,33 @@ def test_verify_rejects_forged_certificates(tmp_path, capsys, doc, line):
     assert main(["verify", str(path)]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (line + "\n", "")
+
+
+@pytest.mark.parametrize("doc, line", [
+    # each value, read as a list, gives its characters or its keys: one
+    # mass "1" at depth 0, a1's label A1, the symbols 0 and 2, the offsets 0
+    # and 2/3, and the orbit {0} of the identity would each verify
+    pytest.param(edited_certificate("klein_four", lambda d: d.update(depth=0, masses="1")),
+                 "masses: '1' is not a list", id="masses-one"),
+    pytest.param(edited_certificate("klein_four", lambda d: d.update(depth=0, masses="11")),
+                 "masses: '11' is not a list", id="masses-two"),
+    pytest.param(edited_certificate("free_pair", lambda d: d["a1"].update(label="A1")),
+                 "label: 'A1' is not a list", id="label"),
+    pytest.param(edited_certificate(
+        "free_pair", lambda d: d["space"]["ifs"].update(symbols="02")),
+                 "ifs symbols: '02' is not a list", id="symbols"),
+    pytest.param(edited_certificate(
+        "free_pair", lambda d: d["space"]["ifs"].update(offsets={"0": 1, "2/3": 2})),
+                 "ifs offsets: {'0': 1, '2/3': 2} is not a list", id="offsets"),
+    pytest.param({"type": "finite-orbit", "space": TERNARY_SPACE,
+                  "generators": [IDENTITY], "orbit": "0"}, "orbit: '0' is not a list",
+                 id="orbit"),
+])
+def test_verify_names_a_list_field_that_is_not_a_list(tmp_path, capsys, doc, line):
+    if callable(doc):
+        doc = doc(tmp_path)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")

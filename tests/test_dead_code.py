@@ -234,24 +234,35 @@ def test_every_definition_is_reached_from_the_cli(tmp_path):
     assert unreachable_from_cli() == []
 
 
+def _record_fields(c: ast.ClassDef) -> list:
+    """The fields a class declares: the annotated names of a NamedTuple, or
+    the field names of the collections.namedtuple call it is built on."""
+    for b in c.bases:
+        if getattr(b, "id", None) == "NamedTuple":
+            return [n.target.id for n in c.body if isinstance(n, ast.AnnAssign)]
+        if isinstance(b, ast.Call) and getattr(b.func, "id", None) == "namedtuple":
+            return b.args[1].value.replace(",", " ").split()
+    return []
+
+
 def unread_fields(src=SRC):
-    """Class.field for each field of a NamedTuple declared in the modules of
-    src that no module of src reads as an attribute."""
+    """Class.field for each field of a NamedTuple or a namedtuple-based class
+    declared in the modules of src that no module of src reads as an
+    attribute."""
     read, fields = set(), []
     for tree in _trees(src).values():
         read |= {n.attr for n in ast.walk(tree)
                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-        fields += [f"{c.name}.{n.target.id}" for c in ast.walk(tree)
-                   if isinstance(c, ast.ClassDef)
-                   and any(getattr(b, "id", None) == "NamedTuple" for b in c.bases)
-                   for n in c.body if isinstance(n, ast.AnnAssign)]
+        fields += [f"{c.name}.{f}" for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in _record_fields(c)]
     return sorted(f for f in fields if f.split(".")[1] not in read)
 
 
 def test_every_named_tuple_field_is_read(tmp_path):
     (tmp_path / "m.py").write_text(
-        "class R(NamedTuple):\n    a: int\n    b: int\nR(1, 2).a\nR(3, 4)._replace(b=5)\n")
-    assert unread_fields(tmp_path) == ["R.b"]
+        "class R(NamedTuple):\n    a: int\n    b: int\nR(1, 2).a\nR(3, 4)._replace(b=5)\n"
+        "class S(namedtuple('S', 'c, d e')):\n    pass\nS(1, 2, 3).e.c\n")
+    assert unread_fields(tmp_path) == ["R.b", "S.d"]
     assert unread_fields() == []
 
 

@@ -1,13 +1,11 @@
 """Interval exchanges, discontinuity orbits and the blow-up construction."""
 
 from fractions import Fraction as F
-from functools import partial
 from math import gcd
 
 import pytest
 
-from cantorwalk.giet import (GietError, _ops, _preimage, blow_up, discontinuity_closure,
-                             giet_from_branches)
+from cantorwalk.giet import GietError, _ops, blow_up, discontinuity_closure, giet_from_branches
 from cantorwalk.maps import apply, break_pairs, break_points, orbit_bfs
 
 from fixtures import conjugate_point, giet_value, is_identity, rotation
@@ -83,7 +81,7 @@ def discontinuity_closure_two_pass(gens, L):
     """D_L by L rounds of BFS, then closed iff one more round from every
     point of D_L finds nothing new."""
     seedset = sorted({p for g in gens for p in g.jump_points()})
-    steps = [partial(_preimage, op) for op in _ops(gens)]
+    steps = [op.preimage for op in _ops(gens)]
     order, _ = orbit_bfs(seedset, steps, L)
     return order, not orbit_bfs(order, steps, 1)[1]
 

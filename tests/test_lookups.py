@@ -28,7 +28,6 @@ arithmetic and ordering raise and asks them for the answers they gave
 before.
 """
 
-import operator
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
@@ -52,8 +51,9 @@ from fixtures import (PLAIN_INVOLUTION, PLAIN_LETTERS, S, SPACES, SPANNING_LETTE
                       UNEQUAL, alphabets, cylinder_region, decompose_into_cylinders, fixture,
                       free_letters, identity_map, letter_words, region, region_diameter, regions,
                       word_in)
-from reference import (bounded_gaps, break_pairs_ref, contains_ref, gaps_at, image_ref,
-                       infimum_ref, is_empty_ref, supremum_ref)
+from reference import (FPiece, bounded_gaps, break_pairs_ref, contains_ref, difference_ref,
+                       fractions_of, gaps_at, image_ref, infimum_ref, intersect_ref,
+                       is_empty_ref, region_of, supremum_ref)
 
 
 @st.composite
@@ -91,20 +91,25 @@ def compose_ref(f, g):
 
 
 def region_mass_ref(mu, cells, K, region):
-    """walk._region_mass as a sum over every cell: a cell inside the region
-    counts whole, one outside it not at all, and a cut one is split into its
-    IFS children down to SPLIT_DEPTH levels, or on a plain set by the length
-    of its overlap with the region, summed over the overlap's pieces."""
+    """walk._region_mass as a sum over every cell, and the cells that it
+    splits, in order, as ("children", lo, hi) or ("length", lo, hi): a cell
+    inside the region counts whole, one outside it not at all, and a cut one
+    is split into its IFS children down to SPLIT_DEPTH levels, or on a plain
+    set by the length of its overlap with the region, summed over the
+    overlap's pieces."""
+    S, splits = fractions_of(region), []
 
     def portion(lo, hi, depth_left):
-        cell = Piece._make((lo, hi, True, True))
-        if not region._meets_where((cell,), operator.lt):
+        cell = FPiece(coprime_fraction(*lo), coprime_fraction(*hi), True, True)
+        if is_empty_ref(region_of(K, difference_ref((cell,), S))):
             return 1.0
-        if not region._meets_where((cell,), operator.and_):
+        overlap = intersect_ref((cell,), S)
+        if is_empty_ref(region_of(K, overlap)):
             return 0.0
         if K.ifs is None or depth_left <= 0:
-            inter = Region(K, (cell,)).intersect(region)
-            return float(sum(p.hi - p.lo for p in inter.pieces) / (cell.hi - cell.lo))
+            splits.append(("length", lo, hi))
+            return float(sum(p.hi - p.lo for p in overlap) / (cell.hi - cell.lo))
+        splits.append(("children", lo, hi))
         kids = K.ifs._child_pairs(lo, hi)
         return sum(portion(clo, chi, depth_left - 1) / len(kids)
                    for clo, chi in kids)
@@ -112,21 +117,22 @@ def region_mass_ref(mu, cells, K, region):
     total = 0.0
     for m, (l, r) in zip(mu.masses, cells):
         total += float(m) * portion(l, r, SPLIT_DEPTH)
-    return total
+    return total, splits
 
 
 def preimage_ref(g, cells):
     """For each cell c: the cells j inside g^-1(c), or None when they do not
-    cover it; images, inclusions and covers of regions."""
-    ginv = invert(g)
-    K = g.space
-    regs = [Region.from_pieces(K, [Piece._make((l, r, True, True))]) for l, r in cells]
+    cover it; images, differences and emptiness by scans.  A cell not
+    inside the hull of g^-1(c) has an end, a point of K, outside it."""
+    ginv, K = invert(g), g.space
+    cs = [FPiece(coprime_fraction(*l), coprime_fraction(*r), True, True) for l, r in cells]
     out = []
-    for reg in regs:
-        pre = image(ginv, reg)
-        js = [j for j, cr in enumerate(regs) if cr.subset_of(pre)]
-        cover = Region.from_pieces(K, [p for j in js for p in regs[j].pieces])
-        out.append(js if pre.subset_of(cover) else None)
+    for c in cs:
+        pre = fractions_of(image_ref(ginv, region_of(K, (c,))))
+        js = [j for j, cj in enumerate(cs) if pre and pre[0].lo <= cj.lo and cj.hi <= pre[-1].hi
+              and is_empty_ref(region_of(K, difference_ref((cj,), pre)))]
+        out.append(js if is_empty_ref(region_of(K, difference_ref(pre, [cs[j] for j in js])))
+                   else None)
     return out
 
 
@@ -297,19 +303,19 @@ def test_region_mass_matches_every_cell_sum(data):
     regions = [image(h, c) for g in letters for h in (g, invert(g)) for c in cell_regions]
     for R in regions + [Region.from_pieces(K, pieces), epsilon_neighborhood(centers, eps, K),
                         Region(K, ())]:
-        assert _split_cells(_region_mass, mu, cells, K, R) == _split_cells(
-            region_mass_ref, mu, cells, K, R)
+        assert _split_cells(mu, cells, K, R) == region_mass_ref(mu, cells, K, R)
 
 
-def _split_cells(mass, *args):
-    """The mass and the cells that it splits into IFS children or measures
-    by length, in order: a cell cut only at a point, which carries no mass,
-    splits as one cut anywhere else does."""
+def _split_cells(*args):
+    """_region_mass's mass and the cells that it splits, in order, as
+    region_mass_ref gives them: a cell cut only at a point, which carries
+    no mass, splits as one cut anywhere else does."""
     calls, child_pairs, intersect = [], Ifs._child_pairs, Region.intersect
     with mock.patch.object(Ifs, "_child_pairs", lambda ifs, lo, hi: calls.append(
-            (lo, hi)) or child_pairs(ifs, lo, hi)), mock.patch.object(
-            Region, "intersect", lambda a, b: calls.append(a.pieces) or intersect(a, b)):
-        return mass(*args), calls
+            ("children", lo, hi)) or child_pairs(ifs, lo, hi)), mock.patch.object(
+            Region, "intersect", lambda a, b: calls.append(
+                ("length", *a.pieces[0][:2])) or intersect(a, b)):
+        return _region_mass(*args), calls
 
 
 def test_region_mass_splits_a_plain_cell_by_the_length_of_its_overlap():
@@ -319,7 +325,7 @@ def test_region_mass_splits_a_plain_cell_by_the_length_of_its_overlap():
     mu = CellMeasure(0, (F(1, 2), F(1, 2)))
     R = region(K, [(0, F(1, 4)), (F(3, 4), 1)])
     assert _region_mass(mu, measure_cells(K, 0), K, R) == 0.25
-    assert region_mass_ref(mu, measure_cells(K, 0), K, R) == 0.25
+    assert region_mass_ref(mu, measure_cells(K, 0), K, R)[0] == 0.25
 
 
 @settings(max_examples=60, deadline=None)

@@ -458,28 +458,6 @@ def expand_ref(ifs, t):
     return levels, None
 
 
-def gaps_at_ref(ifs, t):
-    levels, gap = expand_ref(ifs, t)
-    kids = children(ifs, *ifs.hull)
-    if gap is None:
-        if len(levels) < 2:
-            return ()
-        k = len(levels) - 2
-        i, y = levels[k]
-        if y == kids[i][0] and i > 0:
-            gap = k, i - 1, y
-        elif y == kids[i][1] and i + 1 < len(kids):
-            gap = k, i, y
-        else:
-            return ()
-    k, g, y = gap
-    scale = F(1)
-    for i, _ in levels[:k]:
-        scale *= ifs.ratios[i]
-    return ((t + scale * (kids[g][1] - y),
-             t + scale * (kids[g + 1][0] - y)),)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([TERNARY, UNEQUAL, THREE_MAPS, NEGATIVE]), st.data())
 def test_integer_expansion_matches_fraction_loop(ifs, data):
@@ -497,7 +475,6 @@ def test_integer_expansion_matches_fraction_loop(ifs, data):
     # denominators, so the same number of levels before a repeat
     assert levels == [(i, (y.numerator, y.denominator)) for i, y in ref_levels]
     assert gap == (ref_gap and (*ref_gap[:2], (ref_gap[2].numerator, ref_gap[2].denominator)))
-    assert gaps_at(ifs, t) == gaps_at_ref(ifs, t)
 
 
 @settings(max_examples=60, deadline=None)
