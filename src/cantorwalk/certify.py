@@ -24,6 +24,9 @@ from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, cell_image_runs, forwar
                    invariance_rows, measure_cells, _repulsor_extremes)
 
 
+MAX_POINTS = 4  # the most repulsors (A) or attractors (B) a contraction candidate has
+
+
 class CertifyError(ValueError):
     pass
 
@@ -195,8 +198,7 @@ def _fixed_points(w: PAHomeo, attracting: bool = False) -> tuple[list, list]:
     return points, sources
 
 
-def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
-                            streams: int):
+def _contraction_candidates(model: WalkModel, eps, n_max: int, streams: int):
     """Yields (trajectory, n, word, A points, B points) with the inclusion
     word(K off A^eps) subset of B^eps verified exactly; A comes from the
     repulsors of contraction_scan at horizon h = min(n_max, 24), each cell
@@ -235,7 +237,7 @@ def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
             runs[:] = merged  # cell_image_runs pushes the merged runs next
         live = [cells[i] for i in keep]
         A = _repulsor_extremes(live, cells, K.hull)
-        if not A or len(A) > p_cap or len(live) * DEFAULT_DELTA > K.hull[1] - K.hull[0]:
+        if not A or len(A) > MAX_POINTS or len(live) * DEFAULT_DELTA > K.hull[1] - K.hull[0]:
             continue
         off = Region.whole(K).difference(
             epsilon_neighborhood(A, eps, K))
@@ -245,7 +247,7 @@ def _contraction_candidates(model: WalkModel, eps, p_cap: int, n_max: int,
             w = forward_word(t, n)
             B = [coprime_fraction(*x) for x in sorted(
                 {x for x, _ in _fixed_points(w, attracting=True)[0]}, key=pair_key)]
-            if not B or len(B) > p_cap:
+            if not B or len(B) > MAX_POINTS:
                 continue
             b_reg = epsilon_neighborhood(B, eps, K)
             if maps_into(w, off, b_reg):
@@ -324,7 +326,7 @@ def assemble_free_pair(model: WalkModel, eps, max_len: int, runs: int,
         return AssemblyFailure(stage, flag)
 
     samples = []
-    for cand in _contraction_candidates(model, eps, 4, n_max, min(runs, 16)):
+    for cand in _contraction_candidates(model, eps, n_max, min(runs, 16)):
         samples.append(cand)
         if len(samples) >= 4:
             break
@@ -566,7 +568,7 @@ def find_morse_smale(model: WalkModel, eps, n_max: int, runs: int):
     if not 0 < eps < 1:
         raise CertifyError("need 0 < eps < 1")
     K = model.space
-    for _, _, w, A, B in _contraction_candidates(model, eps, 4, n_max, runs):
+    for _, _, w, A, B in _contraction_candidates(model, eps, n_max, runs):
         for e in (eps, eps / 3):
             a_reg = epsilon_neighborhood(A, e, K)
             b_reg = epsilon_neighborhood(B, e, K)

@@ -173,56 +173,31 @@ def _cut(K: CompactSet, b: Branch) -> list[Branch]:
     return out
 
 
-def _check_reflection_symmetric(space: CompactSet) -> None:
-    """sigma phi_i sigma = phi_j for sigma(x) = c2 - x, c2 twice the hull's
-    center, and j = n - 1 - i: as both are increasing affine maps, iff sigma
-    carries child i onto child j, which holds for every i iff c2 - hi_i = lo_j."""
-    lo, hi = space.ifs._int_hull
-    kids, c2 = space.ifs._int_children, affine((1, 1), lo, hi)
-    if any(affine((-1, 1), b, c2) != a for (_, b), (a, _) in zip(kids, reversed(kids))):
-        raise MapError("orientation-reversing branch on an asymmetric IFS")
-
-
 def _validate_ifs(space: CompactSet, branches: Sequence[Branch]) -> None:
     """Bijectivity of the limit set: every branch source decomposes into
     cylinders, each mapped affinely onto a single cylinder, and the source
-    and the image cylinders each tile the limit set: they are disjoint and
-    their addresses form a complete prefix code, whose sum of n^-len(address)
-    over n maps is 1 (the equality case of Kraft's inequality).  All on int
-    pairs."""
-    if any(b[2][0] < 0 for b in branches):
-        _check_reflection_symmetric(space)
-    n = len(space.ifs.symbols)
-
-    def antichain(cyls, what):
-        # (lo, hi, address, cylinder): an interval that must be the cylinder;
-        # sorted by (lo, hi), as cylinders equal in both fail as overlapping
-        cyls = [cyls[i] for i in value_order([c[:2] for c in cyls])]
-        lo, hi = space.ifs._int_hull
-        if cyls[0][0] != lo or cyls[-1][1] != hi:
-            raise MapError(f"{what} cylinders do not reach the extremes")
-        top = max(len(c[2]) for c in cyls)
-        if (any(c[:2] != c[3] for c in cyls)
-                or any(pair_cmp(c[1], d[0]) >= 0 for c, d in zip(cyls, cyls[1:]))
-                or sum(n ** (top - len(c[2])) for c in cyls) != n ** top):
-            raise MapError(f"{what} cylinders do not tile the limit set")
-
+    and the image cylinders each tile the limit set, as Ifs._tiling_fault
+    decides.  All on int pairs."""
+    ifs = space.ifs
+    if not ifs.symmetric and any(b[2][0] < 0 for b in branches):
+        raise MapError("orientation-reversing branch on an asymmetric IFS")
     img_cyls, src_cyls = [], []
     for b in branches:
         lo, hi, s, o, _, _ = b
-        parts = space._cylinder_pairs(lo, hi)
+        parts = ifs._cylinder_pairs(lo, hi)
         if not parts or (parts[0][1], parts[-1][2]) != (lo, hi):
             raise MapError(f"branch source [{clip(b.lo)}, {clip(b.hi)}] " + (
                 "does not end on the limit set" if parts else "not cylinder-aligned"))
         for w, clo, chi in parts:
             src_cyls.append((clo, chi, w, (clo, chi)))
             ia, ib = (affine(s, x, o) for x in ((clo, chi) if s[0] > 0 else (chi, clo)))
-            dec = space._cylinder_pairs(ia, ib)
+            dec = ifs._cylinder_pairs(ia, ib)
             if dec is None or len(dec) != 1:
                 raise MapError(f"image of cylinder {w or 'hull'} is not a cylinder")
             img_cyls.append((ia, ib, dec[0][0], dec[0][1:]))
-    antichain(src_cyls, "source")
-    antichain(img_cyls, "image")
+    for what, cyls in (("source", src_cyls), ("image", img_cyls)):
+        if fault := ifs._tiling_fault(cyls):
+            raise MapError(f"{what} cylinders {fault}")
 
 
 def pa_homeo(space: CompactSet, branches: Iterable[Branch],

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .rational import (affine, as_pair, clip, coprime_fraction, pair_cmp, pair_key,
-                       pair_keys, place_left, place_right, rat)
+                       pair_keys, place_left, place_right, rat, value_order)
 
 MAX_INTERVALS = 2 ** 16  # the most cylinders intervals_at builds
 
@@ -53,9 +53,10 @@ class Ifs(namedtuple("Ifs", "ratios offsets symbols")):
         if not all(isinstance(s, str) and len(s) == 1 for s in symbols):
             raise SpaceError(f"IFS symbols {symbols} are not all single characters")
         # in int pairs: the hull, ends o / (1 - r) = o * d / (d - n) for r = n/d;
-        # the children, also as fractions of the hull (for _child_pairs); for
-        # _expand and _cylinder_pairs, each inverse map y -> (y - o) / r as
-        # p/q -> (p*a - q*b) / (q*c), where r = c/a, with a, b and c coprime
+        # the maps by symbol (for cylinder); the children, also as fractions
+        # of the hull (for _child_pairs); for _expand and _cylinder_pairs, each
+        # inverse map y -> (y - o) / r as p/q -> (p*a - q*b) / (q*c), where
+        # r = c/a, with a, b and c coprime
         maps = [(as_pair(r), as_pair(o)) for r, o in zip(ratios, offsets)]
         lo, hi = (affine((d, d - n), o) for (n, d), o in (maps[0], maps[-1]))
         if pair_cmp(lo, hi) >= 0:
@@ -66,35 +67,39 @@ class Ifs(namedtuple("Ifs", "ratios offsets symbols")):
         wn, wd = affine(hi, (1, 1), (-lo[0], lo[1]))  # hi - lo
         shift = affine((wd, wn), (-lo[0], lo[1]))
         self._int_hull, self._int_children = (lo, hi), children
+        self._int_maps = dict(zip(symbols, maps))
         self._unit_children = tuple(
             tuple(affine((wd, wn), x, shift) for x in c) for c in children)
         inverses = ((od * rd, on * rd, od * rn) for (rn, rd), (on, od) in maps)
         self._int_inverses = tuple(
             (a // g, b // g, c // g) for a, b, c in inverses for g in [gcd(a, b, c)])
+        # a map of K may reverse orientation only if sigma phi_i sigma = phi_j,
+        # for sigma(x) = c2 - x, c2 twice the hull's center, and j = n - 1 - i:
+        # iff sigma carries child i onto child j, iff c2 - hi_i = lo_j
+        c2 = affine((1, 1), lo, hi)
+        self.symmetric = all(affine((-1, 1), b, c2) == a
+                             for (_, b), (a, _) in zip(children, reversed(children)))
         return self
 
-    hull = property(lambda s: tuple(coprime_fraction(*p) for p in s._int_hull))
-
-    def _child_pairs(self, lo: tuple, hi: tuple, which=slice(None)) -> list[tuple[tuple, tuple]]:
-        """The child cylinders of the cylinder [lo, hi], left to right, or
-        the slice which of them: the hull's children scaled into it,
-        I_{w s} = phi_w(I_s).  The ends, in and out, are reduced int pairs."""
+    def _child_pairs(self, lo: tuple, hi: tuple) -> list[tuple[tuple, tuple]]:
+        """The child cylinders of the cylinder [lo, hi], left to right: the
+        hull's children scaled into it, I_{w s} = phi_w(I_s).  The ends, in
+        and out, are reduced int pairs."""
         k = affine(hi, (1, 1), (-lo[0], lo[1]))  # hi - lo
-        return [(affine(k, a, lo), affine(k, b, lo)) for a, b in self._unit_children[which]]
+        return [(affine(k, a, lo), affine(k, b, lo)) for a, b in self._unit_children]
 
     def cylinder(self, address: str) -> tuple[tuple, tuple]:
         """The ends, as int pairs, of the cylinder addressed by a word over
-        the symbols.
-
-        The word is read outermost-first: I_w = phi_{w0}(I_{w1 w2 ...}).
-        """
-        lo, hi = self._int_hull
+        the symbols, read outermost-first: I_w = phi_w(hull), the map phi_w
+        = phi_{w0} o phi_{w1} o ... composed as x -> r*x + o from the left."""
+        r, o = (1, 1), (0, 1)
         for sym in address:
-            if sym not in self.symbols:
+            if sym not in self._int_maps:
                 raise SpaceError(f"address symbol {sym!r} not in the IFS "
                                  f"alphabet {self.symbols}")
-            lo, hi = self._child_pairs(lo, hi, slice(i := self.symbols.index(sym), i + 1))[0]
-        return lo, hi
+            a, b = self._int_maps[sym]
+            r, o = affine(r, a), affine(r, b, o)
+        return tuple(affine(r, x, o) for x in self._int_hull)
 
     def check_depth(self, depth: int) -> None:
         """Refuse a negative depth, or one with more than MAX_INTERVALS cylinders."""
@@ -149,6 +154,66 @@ class Ifs(namedtuple("Ifs", "ratios offsets symbols")):
         """Exact membership of a rational in the limit (infinite-depth) set."""
         levels, gap = self._expand(as_pair(x))
         return bool(levels) and gap is None
+
+    def _cylinder_pairs(self, lo: tuple, hi: tuple) -> Optional[list[tuple[str, tuple, tuple]]]:
+        """Write [lo, hi] (intersected with the limit set) as a disjoint
+        union of maximal cylinders, left to right as (address, lo, hi)
+        triples, or None if the interval is not cylinder-aligned.  The ends,
+        in and out, are reduced int pairs."""
+        (ln, ld), (hn, hd) = lo, hi
+        (an, ad), (bn, bd) = self._int_hull
+        rows = tuple(zip(self._int_children, self._int_inverses, self.symbols))
+        # descend while one child holds [lo, hi], read in the coordinates of the
+        # cylinder reached (as _expand reads a point): it is that cylinder at
+        # the hull's ends.  The coordinates [un/ud, vn/vd] are left unreduced
+        addr, (un, ud), (vn, vd) = "", lo, hi
+        while ln * hd < hn * ld and not (un * ad == an * ud and vn * bd == bn * vd):
+            for ((cln, cld), (chn, chd)), (a, b, c), sym in rows:
+                if cln * ud <= un * cld and vn * chd <= chn * vd:
+                    un, ud, vn, vd = un * a - ud * b, ud * c, vn * a - vd * b, vd * c
+                    addr += sym
+                    break
+            else:
+                break
+        if un * ad == an * ud and vn * bd == bn * vd:
+            return [(addr, lo, hi)]
+        # otherwise, descending from the hull, only cylinders holding lo or
+        # hi without lying inside [lo, hi] are split.  Deeper than that
+        # point's address expansion, no cylinder holds it, or one starts (lo)
+        # or ends (hi) at it, or [lo, hi] is not cylinder-aligned at any depth
+        max_depth = 1 + max(len(self._expand(x)[0]) for x in (lo, hi))
+        parts, stack = [], [("", *self._int_hull)]
+        while stack:
+            addr, a, b = stack.pop()
+            if hn * a[1] < a[0] * hd or b[0] * ld < ln * b[1]:
+                continue
+            if ln * a[1] <= a[0] * ld and b[0] * hd <= hn * b[1]:
+                parts.append((addr, a, b))
+            elif len(addr) >= max_depth:
+                return None
+            else:
+                # a child cylinder is its parent's image of the child of the hull
+                stack.extend((addr + s, *c) for s, c in zip(
+                    self.symbols[::-1], self._child_pairs(a, b)[::-1]))
+        return parts
+
+    def _tiling_fault(self, cyls: list) -> Optional[str]:
+        """Why the cylinders do not tile the limit set, or None when they
+        do: they tile it iff they are disjoint and their addresses form a
+        complete prefix code, whose sum of n^-len(address) over n maps is 1
+        (the equality case of Kraft's inequality).  A row is (lo, hi,
+        address, cylinder): an interval that must be the cylinder found for
+        it.  All on int pairs."""
+        # sorted by (lo, hi), as cylinders equal in both fail as overlapping
+        cyls = [cyls[i] for i in value_order([c[:2] for c in cyls])]
+        if (cyls[0][0], cyls[-1][1]) != self._int_hull:
+            return "do not reach the extremes"
+        n, top = len(self.symbols), max(len(c[2]) for c in cyls)
+        if (any(c[:2] != c[3] for c in cyls)
+                or any(pair_cmp(c[1], d[0]) >= 0 for c, d in zip(cyls, cyls[1:]))
+                or sum(n ** (top - len(c[2])) for c in cyls) != n ** top):
+            return "do not tile the limit set"
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -215,50 +280,6 @@ class CompactSet(namedtuple("CompactSet", "ends ifs depth", defaults=(None, 0)))
             return self.contains(x)
         return self.ifs.contains_limit_point(x)
 
-    # -- IFS-aware structure ------------------------------------------------
-
-    def _cylinder_pairs(self, lo: tuple, hi: tuple) -> Optional[list[tuple[str, tuple, tuple]]]:
-        """Write [lo, hi] (intersected with the limit set) as a disjoint
-        union of maximal cylinders, left to right as (address, lo, hi)
-        triples, or None if the interval is not cylinder-aligned.  The ends,
-        in and out, are reduced int pairs."""
-        ifs, ((ln, ld), (hn, hd)) = self.ifs, (lo, hi)
-        (an, ad), (bn, bd) = ifs._int_hull
-        rows = tuple(zip(ifs._int_children, ifs._int_inverses, ifs.symbols))
-        # descend while one child holds [lo, hi], read in the coordinates of the
-        # cylinder reached (as _expand reads a point): it is that cylinder at
-        # the hull's ends.  The coordinates [un/ud, vn/vd] are left unreduced
-        addr, (un, ud), (vn, vd) = "", lo, hi
-        while ln * hd < hn * ld and not (un * ad == an * ud and vn * bd == bn * vd):
-            for ((cln, cld), (chn, chd)), (a, b, c), sym in rows:
-                if cln * ud <= un * cld and vn * chd <= chn * vd:
-                    un, ud, vn, vd = un * a - ud * b, ud * c, vn * a - vd * b, vd * c
-                    addr += sym
-                    break
-            else:
-                break
-        if un * ad == an * ud and vn * bd == bn * vd:
-            return [(addr, lo, hi)]
-        # otherwise, descending from the hull, only cylinders holding lo or
-        # hi without lying inside [lo, hi] are split.  Deeper than that
-        # point's address expansion, no cylinder holds it, or one starts (lo)
-        # or ends (hi) at it, or [lo, hi] is not cylinder-aligned at any depth
-        max_depth = 1 + max(len(ifs._expand(x)[0]) for x in (lo, hi))
-        parts, stack = [], [("", *ifs._int_hull)]
-        while stack:
-            addr, a, b = stack.pop()
-            if hn * a[1] < a[0] * hd or b[0] * ld < ln * b[1]:
-                continue
-            if ln * a[1] <= a[0] * ld and b[0] * hd <= hn * b[1]:
-                parts.append((addr, a, b))
-            elif len(addr) >= max_depth:
-                return None
-            else:
-                # a child cylinder is its parent's image of the child of the hull
-                stack.extend((addr + s, *c) for s, c in zip(
-                    ifs.symbols[::-1], ifs._child_pairs(a, b)[::-1]))
-        return parts
-
 
 @cache
 def ternary_cantor(depth: int) -> CompactSet:
@@ -286,7 +307,6 @@ class Piece(tuple):
         return tuple.__new__(cls, (as_pair(lo), as_pair(hi), lo_closed, hi_closed))
 
     lo, hi = (property(lambda p, i=i: coprime_fraction(*p[i])) for i in (0, 1))
-    lo_closed, hi_closed = (property(operator.itemgetter(i)) for i in (2, 3))
 
 
 def _normalize_pieces(pieces: Iterable[Piece]) -> tuple[Piece, ...]:

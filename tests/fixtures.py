@@ -300,8 +300,8 @@ def cylinder(ifs: Ifs, address: str) -> tuple[F, F]:
 
 
 def decompose_into_cylinders(k: CompactSet, lo: F, hi: F):
-    """CompactSet._cylinder_pairs on Fractions: (address, lo, hi) triples."""
-    parts = k._cylinder_pairs(as_pair(lo), as_pair(hi))
+    """Ifs._cylinder_pairs of k's IFS on Fractions: (address, lo, hi) triples."""
+    parts = k.ifs._cylinder_pairs(as_pair(lo), as_pair(hi))
     return parts and [(w, coprime_fraction(*a), coprime_fraction(*b)) for w, a, b in parts]
 
 

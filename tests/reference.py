@@ -6,7 +6,7 @@ views of the program's classes (K's intervals are found by the standard
 library's bisection of their Fraction ends), and calls no kernel that it
 is the reference of.  Pieces are FPieces (any object with lo, hi,
 lo_closed and hi_closed reads as one); a Region's pieces are read through
-their views.  The gap lookups read the IFS address expansion, Ifs._expand,
+fractions_of.  The gap lookups read the IFS address expansion, Ifs._expand,
 which tests/test_space.py holds to a Fraction loop of its own.
 """
 
@@ -23,8 +23,8 @@ FPiece = namedtuple("FPiece", "lo hi lo_closed hi_closed")
 
 
 def fractions_of(region: Region) -> tuple:
-    """The pieces of a region as FPieces."""
-    return tuple(FPiece(p.lo, p.hi, p.lo_closed, p.hi_closed) for p in region.pieces)
+    """The pieces of a region as FPieces: their Fraction views and flags."""
+    return tuple(FPiece(p.lo, p.hi, p[2], p[3]) for p in region.pieces)
 
 
 def region_of(K, pieces) -> Region:
@@ -65,7 +65,7 @@ def on_pieces(pieces, x) -> bool:
 def in_region(S: Region, x) -> bool:
     """Whether the rational x is a point of K that a piece of S holds."""
     x = Fraction(x)
-    return contains_ref(S.space, x) and on_pieces(S.pieces, x)
+    return contains_ref(S.space, x) and on_pieces(fractions_of(S), x)
 
 
 def _overlaps(K, p):
@@ -83,17 +83,19 @@ def meets_ref(K, p) -> bool:
 
 
 def is_empty_ref(S: Region) -> bool:
-    return not any(meets_ref(S.space, p) for p in S.pieces)
+    return not any(meets_ref(S.space, p) for p in fractions_of(S))
 
 
 def infimum_ref(S: Region):
     """The inf of S ∩ K, over every piece and every interval of K."""
-    return min((lo for p in S.pieces for lo, _ in _overlaps(S.space, p)), default=None)
+    return min((lo for p in fractions_of(S) for lo, _ in _overlaps(S.space, p)),
+               default=None)
 
 
 def supremum_ref(S: Region):
     """The sup of S ∩ K, over every piece and every interval of K."""
-    return max((hi for p in S.pieces for _, hi in _overlaps(S.space, p)), default=None)
+    return max((hi for p in fractions_of(S) for _, hi in _overlaps(S.space, p)),
+               default=None)
 
 
 # -- piece normalization and the Boolean operations ----------------------------
@@ -184,7 +186,7 @@ def image_ref(f, S: Region) -> Region:
     meets, carried by that branch, and the images normalized."""
     pieces = []
     for b in f.branches:
-        for p in S.pieces:
+        for p in fractions_of(S):
             q = intersect_piece_ref(p, FPiece(b.lo, b.hi, True, True))
             if q is None:
                 continue
@@ -248,6 +250,18 @@ def validate_plain_ref(space, branches):
         if b1.hi == b2.lo and contains_ref(space, b1.hi) and (
                 b1.slope * b1.hi + b1.offset != b2.slope * b1.hi + b2.offset):
             raise MapError(f"branches disagree at {b1.hi}")
+
+
+def reflection_symmetric_ref(ifs: Ifs) -> bool:
+    """sigma phi_i sigma = phi_{n-1-i} for sigma(x) = c2 - x, c2 twice the
+    hull's center, checked on the ratios and offsets: equal ratios, and
+    o_j = c2 - r_i * c2 - o_i.  The hull ends are the fixed points
+    o / (1 - r) of the first and the last map."""
+    (r0, *_, r1), (o0, *_, o1) = ifs.ratios, ifs.offsets
+    c2, n = o0 / (1 - r0) + o1 / (1 - r1), len(ifs.ratios)
+    return all(ifs.ratios[i] == ifs.ratios[n - 1 - i]
+               and ifs.offsets[n - 1 - i] == c2 - ifs.ratios[i] * c2 - ifs.offsets[i]
+               for i in range(n))
 
 
 # -- gaps and break pairs -----------------------------------------------------

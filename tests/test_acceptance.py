@@ -164,7 +164,7 @@ def test_criterion_6_deterministic_contraction():
     K5 = cantor_space(5)
     model = make_model(K5, {"A1": fixture("A1", K5)})
     eps = F(1, 27)
-    res = next(_contraction_candidates(model, eps, 4, 40, 20), None)
+    res = next(_contraction_candidates(model, eps, 40, 20), None)
     ok = res is not None
     if ok:
         _, _, w, A, B = res

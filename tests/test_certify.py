@@ -125,7 +125,7 @@ def test_verify_finite_orbit_applies_only_the_generators(monkeypatch):
 
 def find_contraction(model, eps):
     """The word, A and B of the first contraction candidate, or None."""
-    return next((c[2:] for c in _contraction_candidates(model, eps, 4, 40, 20)), None)
+    return next((c[2:] for c in _contraction_candidates(model, eps, 40, 20)), None)
 
 
 def test_find_contraction_a1():

@@ -12,9 +12,10 @@ definition must be reached: code that only tests call is test code, and
 lives in tests/.  The pass starts from cli.main and the module-level code
 of every module, and closes over the names that each reached definition
 mentions.  A function or class is reached when its name is mentioned, as
-a name or as an attribute; a method only when an attribute of its name
-is, since a bare name never calls a method.  A reached class reaches its
-dunder methods and its class-level code.
+a name or as an attribute; a method, or a name that an assignment in a
+class body binds (a property view, say), only when an attribute of its
+name is, since a bare name never reads a class attribute.  A reached class
+reaches its dunder methods and names and the rest of its class-level code.
 
 Every parameter with a default must be set by some call in the package,
 by position or by keyword: a default that every run takes is a constant,
@@ -180,8 +181,17 @@ def _mentions(node):
     return out
 
 
+def _class_names(n) -> list:
+    """The names that the statement n of a class body binds as class
+    attributes, dunders aside: a method's, or each of an assignment's."""
+    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [n.name]
+    return [t.id for target in getattr(n, "targets", ()) for t in ast.walk(target)
+            if isinstance(t, ast.Name) and not _is_dunder(t.id)]
+
+
 def _definition_keys(src):
-    """({module:name or module:class.method: (name, code, class key)}, the
+    """({module:name or module:class.member: (name, code, class key)}, the
     mentions of module-level code outside the definitions)."""
     defs, mentioned = {}, set()
     for path, tree in _trees(src).items():
@@ -191,14 +201,13 @@ def _definition_keys(src):
             else:
                 mentioned |= _mentions(node)
             if isinstance(node, ast.ClassDef):
-                # the class's own code: bases and statements other than methods
-                code = node.bases + [n for n in node.body if not isinstance(
-                    n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-                defs[f"{path.stem}:{node.name}"] = (node.name, code, None)
+                # the class's own code: bases and statements that bind no member
+                cls = f"{path.stem}:{node.name}"
+                code = node.bases + [n for n in node.body if not _class_names(n)]
+                defs[cls] = (node.name, code, None)
                 for n in node.body:
-                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        defs[f"{path.stem}:{node.name}.{n.name}"] = (
-                            n.name, [n], f"{path.stem}:{node.name}")
+                    for name in _class_names(n):
+                        defs[f"{cls}.{name}"] = (name, [n], cls)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs[f"{path.stem}:{node.name}"] = (node.name, [node], None)
     return defs, mentioned
@@ -227,10 +236,11 @@ def unreachable_from_cli(src=SRC):
 
 
 def test_every_definition_is_reached_from_the_cli(tmp_path):
-    # a local name `word` calls no method word
+    # a local name `word` calls no method word, nor reads the view w
     (tmp_path / "cli.py").write_text(
-        "def main(word): return T(word)\nclass T:\n    def word(self): pass\n")
-    assert unreachable_from_cli(tmp_path) == ["cli:T.word"]
+        "def main(word, w): return T(word).v\nclass T:\n    def word(self): pass\n"
+        "    __slots__ = ()\n    v, w = (property(len) for _ in 'vw')\n")
+    assert unreachable_from_cli(tmp_path) == ["cli:T.w", "cli:T.word"]
     assert unreachable_from_cli() == []
 
 

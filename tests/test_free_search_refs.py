@@ -31,8 +31,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk import certify, maps, walk
-from cantorwalk.certify import (_contraction_candidates, _first_inclusion, _fixed_points,
-                                assemble_free_pair)
+from cantorwalk.certify import (MAX_POINTS, _contraction_candidates, _first_inclusion,
+                                _fixed_points, assemble_free_pair)
 from cantorwalk.cli import _load_scenario_text, parse_scenario
 from cantorwalk.maps import apply, image, maps_into
 from cantorwalk.rational import as_pair, coprime_fraction, pair_cmp, pair_key
@@ -46,7 +46,7 @@ from fixtures import cantor_space, letter_words, named_generators, regions
 from reference import in_region
 
 
-def _first_word(t, A, eps, p_cap, n_max):
+def _first_word(t, A, eps, n_max):
     """The candidate (t, n, word, A, B) of the trajectory t for the points A,
     the first n with image(word, K off A^eps) inside B^eps, or None."""
     K = t.model.space
@@ -57,7 +57,7 @@ def _first_word(t, A, eps, p_cap, n_max):
         w = forward_word(t, n)
         B = [coprime_fraction(*x) for x in sorted(
             {x for x, (sn, sd) in _fixed_points(w)[0] if abs(sn) < sd}, key=pair_key)]
-        if not B or len(B) > p_cap:
+        if not B or len(B) > MAX_POINTS:
             continue
         b_reg = epsilon_neighborhood(B, eps, K)
         if maps_into(w, off, b_reg):
@@ -65,7 +65,7 @@ def _first_word(t, A, eps, p_cap, n_max):
     return None
 
 
-def contraction_candidates_ref(model, eps, p_cap, n_max, streams):
+def contraction_candidates_ref(model, eps, n_max, streams):
     """The candidate search with A from the full contraction_scan."""
     K = model.space
     cells = measure_cells(K, K.depth)
@@ -77,11 +77,11 @@ def contraction_candidates_ref(model, eps, p_cap, n_max, streams):
             continue
         A = _repulsor_extremes([c for rep, c in zip(scan.repulsors, cells) if rep],
                                cells, K.hull)
-        if A and len(A) <= p_cap and (found := _first_word(t, A, eps, p_cap, n_max)):
+        if A and len(A) <= MAX_POINTS and (found := _first_word(t, A, eps, n_max)):
             yield found
 
 
-def contraction_candidates_screen_ref(model, eps, p_cap, n_max, streams):
+def contraction_candidates_screen_ref(model, eps, n_max, streams):
     """The candidate search with the repulsor screen on run_diameters."""
     K = model.space
     cells = measure_cells(K, K.depth)
@@ -97,9 +97,9 @@ def contraction_candidates_screen_ref(model, eps, p_cap, n_max, streams):
                 break
         live = [cells[i] for i in keep]
         A = _repulsor_extremes(live, cells, K.hull)
-        if not A or len(A) > p_cap or len(live) * DEFAULT_DELTA > K.hull[1] - K.hull[0]:
+        if not A or len(A) > MAX_POINTS or len(live) * DEFAULT_DELTA > K.hull[1] - K.hull[0]:
             continue
-        if found := _first_word(t, A, eps, p_cap, n_max):
+        if found := _first_word(t, A, eps, n_max):
             yield found
 
 
@@ -137,7 +137,7 @@ def _model(which, seed):
 
 def _candidates(search, model, streams=16, n_max=40):
     return [(t.stream, n, w.branches, tuple(A), tuple(B))
-            for t, n, w, A, B in search(model, F(1, 27), 4, n_max, streams)]
+            for t, n, w, A, B in search(model, F(1, 27), n_max, streams)]
 
 
 @pytest.mark.parametrize("which, seed", MODELS)
@@ -235,7 +235,7 @@ def _shrinks(model, eps=F(1, 27)):
     """The usable samples (t, n) of assemble_free_pair on the model, and
     (K off A^e, B^e) for e = eps, eps/3, eps/9 and eps/27."""
     K = model.space
-    samples = list(islice(_contraction_candidates(model, eps, 4, 40, 16), 4))
+    samples = list(islice(_contraction_candidates(model, eps, 40, 16), 4))
     usable = [s for s in samples if (len(s[3]), len(s[4])) == tuple(map(len, samples[0][3:]))]
     A, B = usable[-1][3:]
     return [s[:2] for s in usable], [
@@ -380,7 +380,7 @@ def test_cell_scans_compose_no_word(monkeypatch):
     model = _free_model(3, 0)
     scan = contraction_scan(Trajectory(model, stream=1), 3, 40)
     assert scan.repulsor_count and len(scan.diameters[0]) == 41
-    assert list(_contraction_candidates(model, F(1, 27), 4, 40, 1)) == []
+    assert list(_contraction_candidates(model, F(1, 27), 40, 1)) == []
 
 
 @pytest.mark.parametrize("depth, skipped", [(4, True), (3, False)])
@@ -389,8 +389,8 @@ def test_too_many_live_cells_skip_the_stream(monkeypatch, depth, skipped):
     # diam(K) / delta cells at an image diameter of delta or more, and the
     # skip for len(live) * delta > diam(K) fires only on a scan that says
     # otherwise: here every cell's image diameter reads diam(K) = 1.  Both
-    # sets give A at most p_cap = 4 points (4 and 2 clusters); the 16 live
-    # depth-4 cells (16/9 > 1) skip the stream before any word is composed,
+    # sets give A at most MAX_POINTS = 4 points (4 and 2 clusters); the 16
+    # live depth-4 cells (16/9 > 1) skip the stream before any word is composed,
     # the 8 depth-3 cells (8/9 <= 1) go on to the words.  The scan reads
     # each cell's runs, here one run over the hull of K per cell and step
     words = []
@@ -398,5 +398,5 @@ def test_too_many_live_cells_skip_the_stream(monkeypatch, depth, skipped):
         [(cells[0][0], cells[-1][1], c) for c in range(len(cells))] for _ in range(n + 1)))
     monkeypatch.setattr(certify, "forward_word",
                         lambda t, n: words.append(n) or forward_word(t, n))
-    found = list(_contraction_candidates(_free_model(depth, 0), F(1, 27), 4, 3, 1))
+    found = list(_contraction_candidates(_free_model(depth, 0), F(1, 27), 3, 1))
     assert (found == words == []) == skipped

@@ -20,7 +20,7 @@ gap from its right end, where maps.break_pairs compares the image pairs at
 the gaps between consecutive sources with the gaps between consecutive
 branch images, on either kind of set; the region-mass reference sums
 every cell.
-maps.break_pairs, maps.break_points, maps.apply, CompactSet._cylinder_pairs,
+maps.break_pairs, maps.break_points, maps.apply, Ifs._cylinder_pairs,
 the Region operations, maps.image, maps.maps_into, walk.invariance_rows,
 certify.periodic_points, walk._region_mass and walk.break_accumulation
 work on int pairs; a last test makes Fraction

@@ -14,7 +14,7 @@ from cantorwalk.space import CompactSet, Ifs, Piece, Region, ternary_cantor
 
 from fixtures import (TABLES, cantor_space, cylinder_region, fixture, identity_map, is_identity,
                       region, regular_on, same_set)
-from reference import in_region
+from reference import in_region, reflection_symmetric_ref
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +292,6 @@ def test_regularity_radius_property(idxs, cell):
         assert regular_on(g, seg[0], seg[1])
 
 
-def _reflection_symmetric_ref(ifs: Ifs) -> bool:
-    """sigma phi_i sigma = phi_{n-1-i} for sigma(x) = c2 - x, c2 twice the
-    hull's center, checked on the ratios and offsets: equal ratios, and
-    o_j = c2 - r_i * c2 - o_i."""
-    lo, hi = ifs.hull
-    c2, n = lo + hi, len(ifs.ratios)
-    return all(ifs.ratios[i] == ifs.ratios[n - 1 - i]
-               and ifs.offsets[n - 1 - i] == c2 - ifs.ratios[i] * c2 - ifs.offsets[i]
-               for i in range(n))
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from([F(1, 3), F(1, 4), F(1, 5), F(2, 7)]), min_size=2, max_size=4),
        st.data())
@@ -326,6 +315,6 @@ def test_reflection_check_reads_the_children(ratios, data):
     try:
         from_prefix_table(PrefixTable((("", "", -1),)), K)
     except MapError as e:
-        assert not _reflection_symmetric_ref(K.ifs) and "asymmetric IFS" in str(e)
+        assert not reflection_symmetric_ref(K.ifs) and "asymmetric IFS" in str(e)
     else:
-        assert _reflection_symmetric_ref(K.ifs)
+        assert reflection_symmetric_ref(K.ifs)

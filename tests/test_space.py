@@ -15,9 +15,9 @@ from cantorwalk.space import (CompactSet, Ifs, Piece, Region, SpaceError, epsilo
 
 from fixtures import (NEGATIVE, THREE_MAPS, cylinder, decompose_into_cylinders, endpoints, region,
                       region_diameter, same_set)
-from reference import (bisect_pairs, bounded_gaps, contains_ref, difference_ref, fractions_of,
-                       gaps, gaps_at, in_region, intersect_ref, merge_ref, normalize_ref,
-                       on_pieces, union_ref)
+from reference import (FPiece, bisect_pairs, bounded_gaps, contains_ref, difference_ref,
+                       fractions_of, gaps, gaps_at, in_region, intersect_ref, merge_ref,
+                       normalize_ref, on_pieces, union_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +244,14 @@ def test_region_boolean_laws(data):
 
 
 def _rand_flagged(rng, grid):
-    """A bag of up to four pieces with ends on the grid: closed, open and
+    """A bag of up to four FPieces with ends on the grid: closed, open and
     half-open ones, single points, and empty ones (lo == hi, not closed)."""
     pieces = []
     for _ in range(rng.randint(0, 4)):
         lo, hi = sorted(rng.choice(grid) for _ in range(2))
         if rng.random() < 0.2:
             hi = lo
-        pieces.append(Piece(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+        pieces.append(FPiece(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
     return pieces
 
 
@@ -273,7 +273,7 @@ def test_flagged_region_operations(seed, K, grid):
     rng = random.Random(seed)
     for _ in range(600):
         bag_a, bag_b = _rand_flagged(rng, grid), _rand_flagged(rng, grid)
-        A, B = Region.from_pieces(K, bag_a), Region.from_pieces(K, bag_b)
+        A, B = (Region.from_pieces(K, [Piece(*p) for p in bag]) for bag in (bag_a, bag_b))
         fa, fb = fractions_of(A), fractions_of(B)
         assert fa == normalize_ref(bag_a)
         assert fb == normalize_ref(bag_b)
@@ -442,10 +442,10 @@ def expand_ref(ifs, t):
     """The expansion loop in Fraction arithmetic: (levels, gap) with every
     local coordinate a Fraction."""
     levels, seen = [], set()
-    lo, hi = ifs.hull
+    lo, hi = cylinder(ifs, "")
     if not lo <= t <= hi:
         return levels, None
-    kids, y = children(ifs, *ifs.hull), t
+    kids, y = children(ifs, lo, hi), t
     while (key := (y.numerator, y.denominator)) not in seen:
         seen.add(key)
         for i, (clo, chi) in enumerate(kids):
@@ -463,7 +463,7 @@ def expand_ref(ifs, t):
 def test_integer_expansion_matches_fraction_loop(ifs, data):
     # cell ends, gap points and arbitrary rationals in and around the hull
     K = CompactSet.from_ifs(ifs, data.draw(st.integers(0, 4)))
-    lo, hi = ifs.hull
+    lo, hi = cylinder(ifs, "")
     t = data.draw(st.one_of(
         st.sampled_from(endpoints(K)),
         st.fractions(lo - 1, hi + 1, max_denominator=10 ** 4),
@@ -484,7 +484,7 @@ def test_cylinders_match_the_map_composition(ifs, data):
     # its children are the I_{w s}, it is one cylinder of the limit set, and
     # the depth-d cylinders in address order are intervals_at(d)
     w = data.draw(st.text(alphabet="".join(ifs.symbols), max_size=6))
-    lo, hi = ifs.hull
+    lo, hi = cylinder(ifs, "")
     for sym in reversed(w):
         i = ifs.symbols.index(sym)
         r, o = ifs.ratios[i], ifs.offsets[i]
@@ -502,7 +502,7 @@ def decompose_ref(ifs, lo, hi):
     Fractions: every cylinder holding lo or hi without lying inside [lo, hi]
     is split, down to one level past the longer address expansion."""
     max_depth = 1 + max(len(expand_ref(ifs, x)[0]) for x in (lo, hi))
-    parts, stack = [], [("", *ifs.hull)]
+    parts, stack = [], [("", *cylinder(ifs, ""))]
     while stack:
         addr, a, b = stack.pop()
         if hi < a or b < lo:
@@ -526,7 +526,7 @@ def test_cylinder_descent_matches_the_stack_descent(ifs, data):
     # sources and images of composed words reach: descending into the one
     # child that holds the interval answers as the plain stack descent does
     cells = CompactSet.from_ifs(ifs, data.draw(st.integers(0, 4))).intervals
-    lo, hi = ifs.hull
+    lo, hi = cylinder(ifs, "")
     ends = st.one_of(st.sampled_from([x for c in cells for x in c]),
                      st.fractions(lo - 1, hi + 1, max_denominator=3 ** 5))
     kind = data.draw(st.sampled_from(["cell", "ends", "deep"]))

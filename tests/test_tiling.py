@@ -24,7 +24,7 @@ from cantorwalk.space import CompactSet, Ifs
 
 from fixtures import (NEGATIVE, TABLES, TERNARY, THREE_MAPS, UNEQUAL, cantor_space, cylinder,
                       decompose_into_cylinders)
-from reference import gaps_at
+from reference import gaps_at, reflection_symmetric_ref
 
 SETS = (TERNARY, THREE_MAPS, UNEQUAL, NEGATIVE)
 MUTATIONS = ("complete", "drop", "duplicate", "nest", "reach")
@@ -34,8 +34,8 @@ def _validate_ifs_ref(space, branches):
     """The tiling check by gap lookups: sorted, each cylinder ends where a
     gap of the limit set starts and its right neighbour starts where that
     gap ends."""
-    if any(b.slope < 0 for b in branches):
-        maps._check_reflection_symmetric(space)
+    if any(b.slope < 0 for b in branches) and not reflection_symmetric_ref(space.ifs):
+        raise MapError("orientation-reversing branch on an asymmetric IFS")
 
     def antichain(cyls, what):
         cyls = sorted(cyls)
