@@ -1,9 +1,8 @@
-"""Exact certificates for the two branches of the alternative.
+"""The searches for certificates of the two branches of the alternative.
 
-Every certificate emitted here is verified by exact rational computation
-before it is returned: ping-pong freeness, finite orbits, invariant cell
-measures, and Morse-Smale structure.  Searches are budgeted and
-deterministic (shortlex word order, seeded walk streams); exhausting a
+Every certificate emitted here is verified by exact rational computation,
+by the checks of verify.py, before it is returned.  Searches are budgeted
+and deterministic (shortlex word order, seeded walk streams); exhausting a
 budget yields a falsy failure report, never an unverified claim.
 """
 
@@ -14,14 +13,15 @@ from functools import partial
 from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
-from .rational import (affine, as_pair, coprime_fraction, pair_cmp, pair_key, rat,
-                       value_order)
-from .maps import (PAHomeo, _apply, apply, compose, equals, image, invert, maps_into,
-                   orbit_bfs)
-from .space import Piece, Region, epsilon_neighborhood
+from .rational import as_pair, coprime_fraction, pair_key, rat, value_order
+from .maps import PAHomeo, _apply, compose, equals, image, invert, maps_into, orbit_bfs
+from .space import Piece, Region, epsilon_neighborhood, measure_cells
 from .measure_solver import solve_feasibility
 from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, cell_image_runs, forward_word,
-                   invariance_rows, measure_cells, _repulsor_extremes)
+                   _repulsor_extremes)
+from .verify import (FiniteOrbitCertificate, InvariantMeasureCertificate, PingPongCertificate,
+                     _fixed_points, _is_invariant, _then, check_morse_smale, invariance_rows,
+                     verify_ping_pong)
 
 
 MAX_POINTS = 4  # the most repulsors (A) or attractors (B) a contraction candidate has
@@ -32,43 +32,7 @@ class CertifyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# certificate types
-
-
-class PingPongCertificate(NamedTuple):
-    a1: PAHomeo
-    a2: PAHomeo
-    A1: Region
-    B1: Region
-    A2: Region
-    B2: Region
-
-
-class InvariantMeasureCertificate(NamedTuple):
-    gens: tuple  # the generator maps, in order
-    depth: int
-    masses: tuple  # a Fraction per depth-d cell, in cell order
-    consistency_depth: int
-
-
-class FiniteOrbitCertificate(NamedTuple):
-    gens: tuple  # the generator maps, in order
-    orbit: tuple  # the orbit's points, sorted Fractions
-
-
-class MorseSmaleCertificate(NamedTuple):
-    g: PAHomeo
-    periodic: tuple  # (point, period, multiplier) triples
-    A: Region
-    B: Region
-
-
-class Verdict(NamedTuple):
-    ok: bool
-    reason: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
+# failure reports
 
 
 def _failure(self) -> bool:
@@ -141,11 +105,6 @@ def _reduced_words(letters, inv, max_len: int, start, step):
         frontier = nxt
 
 
-def _then(m: Optional[PAHomeo], g: PAHomeo) -> PAHomeo:
-    """The word map m followed by the letter g; None is the empty word."""
-    return g if m is None else compose(g, m)
-
-
 # ---------------------------------------------------------------------------
 # finite orbits and displacement
 
@@ -174,28 +133,6 @@ def _find_region_displacement(letters, inv, src: Region, avoid: Region,
 
 # ---------------------------------------------------------------------------
 # contraction pairs
-
-
-def _fixed_points(w: PAHomeo, attracting: bool = False) -> tuple[list, list]:
-    """The fixed points of w's branches, as int pairs (x, slope) in branch
-    order, only those of slope in (-1, 1) when attracting, and the sources
-    (lo, hi) of the branches that are the identity.  A branch
-    x -> s*x + o with s != 1 fixes x = o / (1 - s) when x lies on its
-    closed source and in K's limit set."""
-    points, sources = [], []
-    for lo, hi, s, o, _, _ in w.branches:
-        if s == (1, 1):
-            if o == (0, 1):
-                sources.append((lo, hi))
-            continue
-        sn, sd = s
-        if attracting and abs(sn) >= sd:
-            continue
-        x = affine((sd, sd - sn) if sd > sn else (-sd, sn - sd), o)  # o / (1 - s)
-        if pair_cmp(lo, x) <= 0 <= pair_cmp(hi, x) and \
-                w.space.contains_limit_point(coprime_fraction(*x)):
-            points.append((x, s))
-    return points, sources
 
 
 def _contraction_candidates(model: WalkModel, eps, n_max: int, streams: int):
@@ -257,27 +194,6 @@ def _contraction_candidates(model: WalkModel, eps, n_max: int, streams: int):
 
 # ---------------------------------------------------------------------------
 # ping-pong assembly
-
-
-def verify_ping_pong(cert: PingPongCertificate) -> Verdict:
-    """Exact check of the ping-pong hypotheses; true certifies that a1 and
-    a2 generate a rank-2 free group (the reverse inclusions follow from
-    bijectivity, so two inclusions suffice)."""
-    regs = {"A1": cert.A1, "B1": cert.B1, "A2": cert.A2, "B2": cert.B2}
-    for name, reg in regs.items():
-        if reg.is_empty():
-            return Verdict(False, f"{name} is empty")
-    names = list(regs)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if not regs[names[i]].disjoint_from(regs[names[j]]):
-                return Verdict(False, f"{names[i]} meets {names[j]}")
-    K = cert.a1.space
-    for i, a in (("1", cert.a1), ("2", cert.a2)):
-        off = Region.whole(K).difference(regs["A" + i])
-        if not maps_into(a, off, regs["B" + i]):
-            return Verdict(False, f"image(a{i}, K off A{i}) not inside B{i}")
-    return Verdict(True)
 
 
 def _first_inclusion(usable, off: Region, b_reg: Region, n_max: int):
@@ -394,12 +310,6 @@ def _invariance_system(inv_rows, nvar: int):
     return rows, rhs
 
 
-def _is_invariant(inv_rows, masses) -> bool:
-    """Whether the masses satisfy the invariance rows."""
-    return all(masses[ci] == sum(masses[j] for j in js)
-               for _, ci, js in inv_rows)
-
-
 def solve_invariant_measure(gens: dict, depth: int, d_max: int):
     """Exact feasibility of {mu(g^-1 c) = mu(c), sum mu = 1, mu >= 0} over
     depth-d cells.  On a complete system each generator maps each cell onto
@@ -434,128 +344,8 @@ def solve_invariant_measure(gens: dict, depth: int, d_max: int):
     return InvariantMeasureCertificate(tuple(maps), d, tuple(masses), d_max)
 
 
-def verify_invariant_measure(cert: InvariantMeasureCertificate) -> Verdict:
-    """Standalone re-check of a serialized invariant-measure certificate."""
-    cells = measure_cells(cert.gens[0].space, cert.depth)
-    masses = cert.masses
-    if len(masses) != len(cells):
-        return Verdict(False, "mass vector does not match the cell count")
-    if sum(masses) != 1:
-        return Verdict(False, "masses do not sum to 1")
-    if any(m < 0 for m in masses):
-        return Verdict(False, "negative mass")
-    if cert.consistency_depth < cert.depth:
-        return Verdict(False, "consistency_depth is below the depth")
-    inv_rows = invariance_rows(cert.gens, cells)
-    skipped = len(cert.gens) * len(cells) - len(inv_rows)
-    if skipped:
-        return Verdict(False, f"{skipped} invariance equations are not "
-                              f"expressible at depth {cert.depth}")
-    if not _is_invariant(inv_rows, masses):
-        return Verdict(False, "invariance equation violated")
-    return Verdict(True)
-
-
-def verify_finite_orbit(cert: FiniteOrbitCertificate) -> Verdict:
-    """Standalone re-check of a serialized finite-orbit certificate.  The
-    generators alone are applied: a finite S with g(S) inside S for an
-    injective g has g(S) = S, so g^-1(S) = S as well."""
-    pts = set(cert.orbit)
-    if not pts:
-        return Verdict(False, "empty orbit")
-    for op in cert.gens:
-        for p in pts:
-            if apply(op, p) not in pts:
-                return Verdict(False, f"orbit not stable at {p}")
-    return Verdict(True)
-
-
 # ---------------------------------------------------------------------------
-# periodic points and Morse-Smale
-
-
-class PeriodicReport(NamedTuple):
-    points: tuple  # (point, period, multiplier), least periods, sorted
-    families: tuple  # (lo, hi, period) intervals of non-hyperbolic points
-
-
-def periodic_points(f: PAHomeo, max_period: int) -> PeriodicReport:
-    """Exact enumeration by powers: the fixed points of f^p are those of the
-    branches of f^p = f∘f^(p-1), composed once per period after the first.
-    Each point keeps its least period, with that branch's slope as its
-    multiplier; points are sorted.  A branch of f^p that is the identity is a non-hyperbolic family
-    (lo, hi, p), unless a family of a period dividing p already covers it;
-    families come out in order of period, then source."""
-    found, fams, fp = {}, [], None
-    for p in range(1, max_period + 1):
-        fp = _then(fp, f)
-        points, sources = _fixed_points(fp)
-        for x, s in points:
-            found.setdefault(x, (p, s))
-        for lo, hi in sources:
-            if not any(p % q == 0 and pair_cmp(a, lo) <= 0 <= pair_cmp(b, hi)
-                       for a, b, q in fams):
-                fams.append((lo, hi, p))
-    pts = tuple((coprime_fraction(*x), p, coprime_fraction(*s))
-                for x, (p, s) in sorted(found.items(), key=lambda i: pair_key(i[0])))
-    return PeriodicReport(pts, tuple((coprime_fraction(*lo), coprime_fraction(*hi), p)
-                                     for lo, hi, p in fams))
-
-
-def _constraining_slope_max(f: PAHomeo, region: Region) -> Fraction:
-    """Max |slope| over branches whose source meets the region in more than
-    one point of K.  A branch touching the region only in an isolated point
-    constrains no difference quotient there, so it is vacuous for the
-    pointwise slope bound."""
-    best = (0, 1)
-    for b in f.branches:
-        inter = Region(f.space, (Piece._make(b[:2] + (True, True)),)).intersect(region)
-        if inter.is_empty() or inter.infimum() == inter.supremum():
-            continue
-        best = max(best, (abs(b[2][0]), b[2][1]), key=pair_key)
-    return coprime_fraction(*best)
-
-
-def check_morse_smale(f: PAHomeo, A: Region, B: Region):
-    """Certificate iff |f'| < 1 off A, |(f^-1)'| < 1 off B, A and B are
-    disjoint, and all periodic points up to the horizon are hyperbolic; the
-    image inclusion f(K off A) in B, though implied by the slope bounds, is
-    re-verified explicitly.  Each periodic point x, a point of K, then sits
-    in A or B: if x is off A, f(x) is in B, and B is off A, so f^k(x) stays
-    in B for every k >= 1 and x = f^p(x) is in B."""
-    K = f.space
-    if A.is_empty() or B.is_empty():
-        return Verdict(False, "A and B must be nonempty")
-    if not A.disjoint_from(B):
-        return Verdict(False, "A meets B")
-    off_a = Region.whole(K).difference(A)
-    off_b = Region.whole(K).difference(B)
-    if _constraining_slope_max(f, off_a) >= 1:
-        return Verdict(False, "slope off A not below 1")
-    finv = invert(f)
-    if _constraining_slope_max(finv, off_b) >= 1:
-        return Verdict(False, "inverse slope off B not below 1")
-    if not maps_into(f, off_a, B):
-        return Verdict(False, "image of K off A escapes B")
-    horizon = max(4, min(6, len(f.branches)))
-    rep = periodic_points(f, horizon)
-    if rep.families:
-        return Verdict(False, "non-hyperbolic periodic family")
-    for x, per, mult in rep.points:
-        if abs(mult) == 1:
-            return Verdict(False, f"non-hyperbolic periodic point {x}")
-    return MorseSmaleCertificate(f, rep.points, A, B)
-
-
-def verify_morse_smale(cert: MorseSmaleCertificate) -> Verdict:
-    """Standalone re-check of a serialized Morse-Smale certificate, its
-    periodic points included."""
-    res = check_morse_smale(cert.g, cert.A, cert.B)
-    if not res:
-        return res
-    if res.periodic != cert.periodic:
-        return Verdict(False, "periodic points differ from the recomputed ones")
-    return Verdict(True)
+# Morse-Smale
 
 
 def find_morse_smale(model: WalkModel, eps, n_max: int, runs: int):

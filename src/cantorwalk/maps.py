@@ -89,7 +89,7 @@ class PAHomeo(namedtuple("PAHomeo", "space branches label")):
 
     @cached_property
     def _push_rows(self) -> tuple:
-        """Per branch, in source order, what walk._push_runs reads: the source
+        """Per branch, in source order, what _push_runs reads: the source
         ends, whether it increases, x -> (a*xn + b*xd) / (c*xd) as a, b, c,
         and the images of the source's lo and hi."""
         return tuple((lo, hi, sn > 0, sn * od, on * sd, sd * od)
@@ -428,6 +428,46 @@ def image(f: PAHomeo, S: Region) -> Region:
             else:
                 out.append(p)
     return Region(f.space, tuple(out))
+
+
+def _push_runs(g: PAHomeo, runs: list) -> list:
+    """The runs after one more letter g: each run cut at g's sources, its
+    pieces mapped and taken in branch image order (reversed in a decreasing
+    branch), which sorts them as no two images overlap; neighbours with one
+    tag merge.  Each branch's constants come from g._push_rows, built once
+    per letter."""
+    rows, order = g._push_rows, g._image_order
+    pieces, j, nb = [[] for _ in rows], 0, len(rows)
+    for (ln, ld), (hn, hd), tag in runs:
+        while rows[j][1][0] * ld < ln * rows[j][1][1]:
+            j += 1
+        i = j
+        while i < nb:
+            (bln, bld), (bhn, bhd), up, a, b, c, ylo, yhi = rows[i]
+            if bln * hd > hn * bld:
+                break
+            # the branch as x -> (a*xn + b*xd) / (c*xd), reduced in line
+            if bln * ld <= ln * bld:
+                n, d = a * ln + b * ld, c * ld
+                ya = (n // (k := gcd(n, d)), d // k)
+            else:
+                ya = ylo
+            if bhn * hd >= hn * bhd:
+                n, d = a * hn + b * hd, c * hd
+                yb = (n // (k := gcd(n, d)), d // k)
+            else:
+                yb = yhi
+            pieces[i].append((ya, yb, tag) if up else (yb, ya, tag))
+            i += 1
+    out, last = [], None
+    for i in order:
+        for p in (pieces[i] if rows[i][2] else reversed(pieces[i])):
+            if p[2] == last:
+                out[-1] = (out[-1][0], p[1], last)
+            else:
+                out.append(p)
+                last = p[2]
+    return out
 
 
 def maps_into(f: PAHomeo, S: Region, T: Region) -> bool:

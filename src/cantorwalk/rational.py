@@ -2,6 +2,7 @@
 their "p/q" strings, and the type checks that read JSON input exactly."""
 
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
@@ -22,7 +23,8 @@ def clip(value) -> str:
 def rat(value) -> Fraction:
     """Coerce ints, "p/q" strings, or Fractions to an exact Fraction.
 
-    Floats and bools are rejected, and a string stating no rational ("1/0") raises
+    Floats and bools are rejected, and a string stating no rational ("1/0"),
+    or with a decimal exponent past the digit limit of int(), raises
     RationalError: every quantity entering the exact layer must be stated
     as a rational.
     """
@@ -32,6 +34,9 @@ def rat(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            exponent = int(value.lower().partition("e")[2] or 0)  # Fraction builds 10**exponent
+            if 0 < sys.get_int_max_str_digits() < abs(exponent):
+                raise ValueError
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise RationalError(f"not an exact rational: {clip(value)}") from None

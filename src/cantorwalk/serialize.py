@@ -15,14 +15,14 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
-from .rational import (RationalError, clip, coprime_fraction, exact, pair_str, rat, rat_str,
-                       read_pair)
+from .rational import (RationalError, as_pair, clip, coprime_fraction, exact, pair_str, rat,
+                       rat_str, read_pair)
 from .space import CompactSet, Ifs, Piece, Region, SpaceError
 from .maps import Branch, PAHomeo, pa_homeo
 from .giet import BlowUpResult, Giet, giet_from_branches
-from . import certify as cert_mod
-from .certify import (FiniteOrbitCertificate, InvariantMeasureCertificate,
-                      MorseSmaleCertificate, PingPongCertificate, Verdict)
+from .verify import (FiniteOrbitCertificate, InvariantMeasureCertificate, MorseSmaleCertificate,
+                     PingPongCertificate, Verdict, verify_finite_orbit, verify_invariant_measure,
+                     verify_morse_smale, verify_ping_pong)
 
 
 class SerializeError(ValueError):
@@ -145,7 +145,7 @@ def _generators_from_obj(space: CompactSet, objs) -> tuple:
 def _orbit_from_obj(space: CompactSet, objs) -> tuple:
     orbit = tuple(sorted({_fraction(p) for p in _values(objs, "orbit")}))
     for p in orbit:
-        if not space.contains(p):
+        if not space._holds(as_pair(p)):
             raise SpaceError(f"point {clip(p)} not in the ambient set")
     return orbit
 
@@ -169,21 +169,19 @@ PERIODIC = (lambda ps: [[rat_str(x), per, rat_str(m)] for x, per, m in ps],
                                    for x, per, m in (_values(e, "periodic entry", 3) for e in v)))
 
 # type -> (class, verifier, the JSON key and codec of each field in order);
-# a document holds these keys, "type" and "space".  Each verifier is read
-# off the certify module at call time, so a rebinding of its name takes effect
+# a document holds these keys, "type" and "space"
 CERTIFICATES = {
-    "ping-pong": (PingPongCertificate, lambda c: cert_mod.verify_ping_pong(c),
+    "ping-pong": (PingPongCertificate, verify_ping_pong,
                   (("a1", MAP), ("a2", MAP), ("A1", REGION), ("B1", REGION),
                    ("A2", REGION), ("B2", REGION))),
-    "invariant-measure": (InvariantMeasureCertificate,
-                          lambda c: cert_mod.verify_invariant_measure(c),
+    "invariant-measure": (InvariantMeasureCertificate, verify_invariant_measure,
                           (("generators", GENERATORS), ("depth", _int("depth")),
                            ("masses", _rationals("masses")),
                            ("consistency_depth", _int("consistency_depth")))),
-    "finite-orbit": (FiniteOrbitCertificate, lambda c: cert_mod.verify_finite_orbit(c),
+    "finite-orbit": (FiniteOrbitCertificate, verify_finite_orbit,
                      (("generators", GENERATORS),
                       ("orbit", (_rationals("orbit")[0], _orbit_from_obj)))),
-    "morse-smale": (MorseSmaleCertificate, lambda c: cert_mod.verify_morse_smale(c),
+    "morse-smale": (MorseSmaleCertificate, verify_morse_smale,
                     (("g", MAP), ("periodic", PERIODIC), ("A", REGION), ("B", REGION))),
 }
 

@@ -266,19 +266,22 @@ class CompactSet(namedtuple("CompactSet", "ends ifs depth", defaults=(None, 0)))
         i = place_right(self._lo_keys, x) - 1
         return i >= 0 and pair_cmp(x, self.ends[i][1]) <= 0
 
-    def contains(self, x: Fraction) -> bool:
-        return self._holds(as_pair(x))
-
     def _meeting(self, lo: tuple, hi: tuple) -> list:
         """The intervals that meet [lo, hi], found by bisection; all int pairs."""
         return list(self.ends[place_left(self._hi_keys, lo):place_right(self._lo_keys, hi)])
 
     def contains_limit_point(self, x: Fraction) -> bool:
-        """Membership in the underlying limit set (equals contains() when
-        the set carries no IFS structure)."""
-        if self.ifs is None:
-            return self.contains(x)
-        return self.ifs.contains_limit_point(x)
+        """Membership in the underlying limit set (K itself when the set
+        carries no IFS structure)."""
+        return self._holds(as_pair(x)) if self.ifs is None else self.ifs.contains_limit_point(x)
+
+
+def measure_cells(space: CompactSet, depth: int):
+    """Depth-d cells as closed intervals, their ends int pairs (the space's
+    intervals at its own depth, or when no IFS structure is available)."""
+    if space.ifs is not None and depth != space.depth:
+        return space.ifs.intervals_at(depth)
+    return list(space.ends)
 
 
 @cache
@@ -457,19 +460,11 @@ class Region(namedtuple("Region", "space pieces")):
     def disjoint_from(self, other: "Region") -> bool:
         return not self._meets_where(other.pieces, operator.and_)
 
-    # -- metric queries -----------------------------------------------------
-
-    def infimum(self) -> Fraction:
-        for p in self.pieces:
-            for l, r in self.space._meeting(p[0], p[1]):
-                if _meets(p, l, r):
-                    return coprime_fraction(*max(l, p[0], key=pair_key))
-
-    def supremum(self) -> Fraction:
-        for p in reversed(self.pieces):
-            for l, r in reversed(self.space._meeting(p[0], p[1])):
-                if _meets(p, l, r):
-                    return coprime_fraction(*min(r, p[1], key=pair_key))
+    def _parts(self) -> list:
+        """The closed int-pair spans, left to right, that the pieces cut from K's intervals."""
+        return [(max(l, p[0], key=pair_key), min(r, p[1], key=pair_key))
+                for p in self.pieces for l, r in self.space._meeting(p[0], p[1])
+                if _meets(p, l, r)]
 
 
 def epsilon_neighborhood(points: Iterable, eps, space: CompactSet) -> Region:

@@ -18,13 +18,13 @@ import struct
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
-from .rational import (affine, as_pair, coprime_fraction, pair_cmp, pair_keys, place_left,
+from .rational import (affine, as_pair, coprime_fraction, pair_keys, place_left,
                        place_right, rat, value_order)
-from .maps import PAHomeo, _apply, break_points, compose, image, invert, equals
-from .space import CompactSet, Piece, Region, epsilon_neighborhood
+from .maps import (PAHomeo, _apply, _push_runs, break_points, compose, image, invert,
+                   equals)
+from .space import CompactSet, Piece, Region, epsilon_neighborhood, measure_cells
 
 TWO64 = 2 ** 64
 
@@ -172,14 +172,6 @@ def forward_word(t: Trajectory, n: int) -> PAHomeo:
 # cells and measures
 
 
-def measure_cells(space: CompactSet, depth: int):
-    """Depth-d cells as closed intervals, their ends int pairs (the space's
-    intervals at its own depth, or when no IFS structure is available)."""
-    if space.ifs is not None and depth != space.depth:
-        return space.ifs.intervals_at(depth)
-    return list(space.ends)
-
-
 class CellMeasure(namedtuple("CellMeasure", "depth masses")):
     __slots__ = ()
 
@@ -225,52 +217,13 @@ def estimate_stationary_measure(model: WalkModel, n_steps: int, depth: int) -> C
     return CellMeasure(depth, tuple(c / len(visited) for c in counts))
 
 
-def invariance_rows(gens: Sequence[PAHomeo], cs) -> list:
-    """The equations mu(c) = mu(g^{-1} c) expressible on the sorted cells
-    cs (int-pair intervals), as (generator index, cell index, js) with
-    g^{-1}(c) the union of the cells js.  g pushes a tiling of K forward:
-    the cells and, as open runs ~j before cell j, the parts of K between
-    cells finer than K's intervals.
-    Runs and cells end in K, so they meet in K iff they meet as intervals;
-    c has a row iff every run meeting it is from a cell with all runs in c.
-    No cell end is a point that two branch sources share (on plain sets the
-    cells are K's intervals, and sources meet only inside them; on IFS sets
-    sources are disjoint cylinders), so no one-point run of one cell lies
-    beside a run of another at the same point."""
-    rights = {r for _, r in gens[0].space.ends}
-    tiling = []
-    for j, (lo, hi) in enumerate(cs):
-        if tiling and tiling[-1][1] not in rights:
-            tiling.append((tiling[-1][1], lo, ~j))
-        tiling.append((lo, hi, j))
-    rows = []
-    for gi, g in enumerate(gens):
-        home, sources, i = {}, [set() for _ in cs], 0
-        for lo, hi, j in _push_runs(g, tiling):
-            while pair_cmp(cs[i][1], lo) < 0:
-                i += 1
-            inside = None  # the one cell holding the run, else -1
-            for c in range(i, len(cs)):
-                l, r = cs[c]
-                if pair_cmp(l, hi) > 0 or j < 0 and pair_cmp(l, hi) == 0:
-                    break
-                if j >= 0 or pair_cmp(r, lo) > 0:
-                    sources[c].add(j)
-                held = pair_cmp(l, lo) <= 0 <= pair_cmp(r, hi)
-                inside = c if inside is None and held else -1
-            home[j] = inside if home.get(j, inside) == inside else -1
-        rows += [(gi, ci, sorted(js)) for ci, js in enumerate(sources)
-                 if all(j >= 0 and home[j] == ci for j in js)]
-    return rows
-
-
 def invariance_residual(mu: CellMeasure, model: WalkModel, masses: dict):
     """Max violation of the harmonic-measure equation, in floats, as
     (averaged_residual, per_generator_residual): averaged uses
     mu(c) = sum_s P(s) mu(s^{-1} c) and per-generator is
     max |mu(c) - mu(g^{-1} c)|, with the uniform-split convention for
     preimages finer than the cell depth.  Whether an exact measure is
-    invariant is certify.verify_invariant_measure's question.  masses is
+    invariant is verify.verify_invariant_measure's question.  masses is
     _image_mass's dict for mu."""
     cells = measure_cells(model.space, mu.depth)
     invs = [invert(g) for g in model.gens]
@@ -389,46 +342,6 @@ class CellScan(NamedTuple):
     @property
     def repulsor_count(self) -> int:
         return sum(self.repulsors)
-
-
-def _push_runs(g: PAHomeo, runs: list) -> list:
-    """The runs after one more letter g: each run cut at g's sources, its
-    pieces mapped and taken in branch image order (reversed in a decreasing
-    branch), which sorts them as no two images overlap; neighbours with one
-    tag merge.  Each branch's constants come from g._push_rows, built once
-    per letter."""
-    rows, order = g._push_rows, g._image_order
-    pieces, j, nb = [[] for _ in rows], 0, len(rows)
-    for (ln, ld), (hn, hd), tag in runs:
-        while rows[j][1][0] * ld < ln * rows[j][1][1]:
-            j += 1
-        i = j
-        while i < nb:
-            (bln, bld), (bhn, bhd), up, a, b, c, ylo, yhi = rows[i]
-            if bln * hd > hn * bld:
-                break
-            # the branch as x -> (a*xn + b*xd) / (c*xd), reduced in line
-            if bln * ld <= ln * bld:
-                n, d = a * ln + b * ld, c * ld
-                ya = (n // (k := gcd(n, d)), d // k)
-            else:
-                ya = ylo
-            if bhn * hd >= hn * bhd:
-                n, d = a * hn + b * hd, c * hd
-                yb = (n // (k := gcd(n, d)), d // k)
-            else:
-                yb = yhi
-            pieces[i].append((ya, yb, tag) if up else (yb, ya, tag))
-            i += 1
-    out, last = [], None
-    for i in order:
-        for p in (pieces[i] if rows[i][2] else reversed(pieces[i])):
-            if p[2] == last:
-                out[-1] = (out[-1][0], p[1], last)
-            else:
-                out.append(p)
-                last = p[2]
-    return out
 
 
 def cell_image_runs(t: Trajectory, runs, n: int):

@@ -6,8 +6,8 @@ R is the reflection, G3 translates mass toward 0, and A1/A2 admit an exact
 ping-pong certificate.  The prefix tables are read from the bundled
 scenarios that use them.  Beside them: IFSs and plain sets, the letter sets
 over them and words in those letters, hypothesis strategies for words,
-regions and finite groups, and small builders and Fraction views of the
-program's cylinder lookups.
+regions and finite groups, small builders and Fraction views of the
+program's cylinder lookups, and written certificates of each type.
 """
 
 import json
@@ -18,13 +18,14 @@ from itertools import product
 
 from hypothesis import strategies as st
 
+from cantorwalk.certify import find_finite_orbit
 from cantorwalk.cli import _load_scenario_text, parse_scenario, run_scenario
 from cantorwalk.giet import Giet, giet_from_branches
 from cantorwalk.maps import (Branch, PAHomeo, PrefixTable, break_pairs, compose, equals,
                              from_prefix_table, invert, pa_homeo)
 from cantorwalk.rational import as_pair, coprime_fraction
-from cantorwalk.space import CompactSet, Ifs, Piece, Region, ternary_cantor
-from cantorwalk.walk import measure_cells
+from cantorwalk.serialize import CERTIFICATES, certificate_to_obj, dumps
+from cantorwalk.space import CompactSet, Ifs, Piece, Region, measure_cells, ternary_cantor
 
 
 def _scenario_tables(*names) -> dict:
@@ -286,8 +287,18 @@ def diameter(k: CompactSet) -> F:
     return hi - lo
 
 
+def extremes(r: Region) -> tuple:
+    """(inf, sup) of r ∩ K, the outer ends of the spans that r cuts from K's
+    intervals; (None, None) when r misses K."""
+    parts = r._parts()
+    if not parts:
+        return None, None
+    return coprime_fraction(*parts[0][0]), coprime_fraction(*parts[-1][1])
+
+
 def region_diameter(r: Region) -> F:
-    return r.supremum() - r.infimum()
+    inf, sup = extremes(r)
+    return sup - inf
 
 
 def same_set(a: Region, b: Region) -> bool:
@@ -303,6 +314,26 @@ def decompose_into_cylinders(k: CompactSet, lo: F, hi: F):
     """Ifs._cylinder_pairs of k's IFS on Fractions: (address, lo, hi) triples."""
     parts = k.ifs._cylinder_pairs(as_pair(lo), as_pair(hi))
     return parts and [(w, coprime_fraction(*a), coprime_fraction(*b)) for w, a, b in parts]
+
+
+# free_pair as a Morse-Smale search, which certifies at seed 3
+MORSE_SMALE = dict(kind="morse-smale", seed=3, budgets={}, output="ms")
+
+
+def written_certificates(out) -> list:
+    """The documents of a ping-pong, a Morse-Smale, an invariant-measure and
+    a finite-orbit certificate: bundled free_pair, also run as MORSE_SMALE,
+    and klein_four write the first three into out."""
+    free_pair = json.loads(_load_scenario_text("free_pair"))
+    for doc in (free_pair, dict(free_pair, **MORSE_SMALE),
+                json.loads(_load_scenario_text("klein_four"))):
+        assert run_scenario(parse_scenario(json.dumps(doc)), str(out), False)[0] == 0
+    docs = [json.loads((out / f"{stem}_certificate.json").read_text())
+            for stem in ("free_pair", "ms", "klein_four")]
+    orbit = find_finite_orbit(named_generators(["H", "R"]), [F(0)], bound=2000)
+    docs.append(json.loads(dumps(certificate_to_obj(orbit))))
+    assert sorted(d["type"] for d in docs) == sorted(CERTIFICATES)
+    return docs
 
 
 def edited_certificate(name, edit, **changes):

@@ -11,23 +11,21 @@ import time
 from collections import Counter
 from fractions import Fraction as F
 
-from cantorwalk.certify import (AssemblyFailure, PingPongCertificate,
-                                _contraction_candidates, check_morse_smale,
-                                find_finite_orbit, find_morse_smale,
-                                assemble_free_pair, periodic_points,
-                                solve_invariant_measure, verify_finite_orbit,
-                                verify_ping_pong)
+from cantorwalk.certify import (AssemblyFailure, _contraction_candidates, find_finite_orbit,
+                                find_morse_smale, assemble_free_pair, solve_invariant_measure)
 from cantorwalk.cli import parse_scenario, run_scenario, _load_scenario_text
 from cantorwalk.giet import blow_up, discontinuity_closure
 from cantorwalk.maps import apply, break_pairs, break_points, compose, image, invert
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
+from cantorwalk.verify import (PingPongCertificate, check_morse_smale, periodic_points,
+                               verify_finite_orbit, verify_ping_pong)
 from cantorwalk.walk import (CellMeasure, Trajectory, contraction_scan,
                              estimate_entropy, estimate_stationary_measure,
                              global_contraction_report, invariance_residual,
                              make_model)
 
 from fixtures import (cantor_space, conjugate_point, cylinder_region, diameter, endpoints,
-                      fixture, giet_value, identity_map, named_generators, region,
+                      extremes, fixture, giet_value, identity_map, named_generators, region,
                       regular_on, rotation)
 from reference import bounded_gaps
 from walk_statistics import (backward_cluster, delta_sum_statistic, dichotomy_report,
@@ -111,7 +109,7 @@ def test_criterion_3_regularity():
         # endpoints (the truncated approximation carries non-limit
         # material, so one-sided subset tests are the faithful check)
         if not (img.subset_of(tgt) and image(invert(w), tgt).subset_of(seg)
-                and img.infimum() == fa and img.supremum() == fb):
+                and extremes(img) == (fa, fb)):
             violations += 1
     # every interval shorter than r0, the least break-pair span of the
     # generators, contains no generator break pair

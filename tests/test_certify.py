@@ -6,20 +6,18 @@ from functools import partial, reduce
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cantorwalk import certify, maps, walk
-from cantorwalk.certify import (_is_invariant, _make_letters, _reduced_words, _then,
-                                AssemblyFailure, CertifyError,
-                                InfeasibilityReport, InvariantMeasureCertificate,
-                                PingPongCertificate, _contraction_candidates,
-                                assemble_free_pair, check_morse_smale,
-                                find_finite_orbit, find_morse_smale,
-                                periodic_points, solve_invariant_measure,
-                                UnprovedMeasure,
-                                verify_finite_orbit, verify_invariant_measure,
-                                verify_ping_pong)
+from cantorwalk import certify, maps, verify, walk
+from cantorwalk.certify import (_make_letters, _reduced_words, AssemblyFailure, CertifyError,
+                                InfeasibilityReport, _contraction_candidates,
+                                assemble_free_pair, find_finite_orbit, find_morse_smale,
+                                solve_invariant_measure, UnprovedMeasure)
 from cantorwalk.maps import PrefixTable, compose, equals, from_prefix_table, invert
-from cantorwalk.space import Piece, Region, epsilon_neighborhood
-from cantorwalk.walk import invariance_rows, make_model, measure_cells
+from cantorwalk.space import Piece, Region, epsilon_neighborhood, measure_cells
+from cantorwalk.verify import (_is_invariant, _then, InvariantMeasureCertificate,
+                               PingPongCertificate, check_morse_smale, invariance_rows,
+                               periodic_points, verify_finite_orbit, verify_invariant_measure,
+                               verify_ping_pong)
+from cantorwalk.walk import make_model
 
 from fixtures import (SPANNING_LETTERS, X0, X1, S, cantor_space, cylinder_region, finite_groups,
                       fixture, identity_map, named_generators, region)
@@ -116,7 +114,7 @@ def test_verify_finite_orbit_applies_only_the_generators(monkeypatch):
     def refuse(*args):
         raise AssertionError("verify_finite_orbit inverted a map")
 
-    monkeypatch.setattr(certify, "invert", refuse)
+    monkeypatch.setattr(verify, "invert", refuse)
     assert verify_finite_orbit(orbit)
 
 
@@ -338,7 +336,7 @@ def test_find_measure_inverts_and_images_nothing(monkeypatch, names, depth):
     def refuse(*args, **kwargs):
         raise AssertionError("an inversion, image or region in find-measure")
 
-    for mod in (maps, walk, certify):
+    for mod in (maps, walk, certify, verify):
         for name in ("image", "invert"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)

@@ -12,12 +12,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantorwalk.certify import (AssemblyFailure, FiniteOrbitCertificate, InfeasibilityReport,
-                                InvariantMeasureCertificate, MorseSmaleCertificate,
-                                PingPongCertificate, UnprovedMeasure, Verdict)
+from cantorwalk.certify import AssemblyFailure, InfeasibilityReport, UnprovedMeasure
 from cantorwalk.cli import _load_scenario_text, parse_scenario
 from cantorwalk.maps import Branch, PAHomeo
 from cantorwalk.space import CompactSet, Ifs, Piece, Region, ternary_cantor
+from cantorwalk.verify import (FiniteOrbitCertificate, InvariantMeasureCertificate,
+                               MorseSmaleCertificate, PingPongCertificate, Verdict)
 from cantorwalk.walk import CellMeasure, WalkModel
 
 

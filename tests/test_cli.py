@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -550,6 +551,21 @@ def test_a_message_cuts_a_long_value_short(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and len(captured.err) < 200
 
 
+def test_a_huge_exponent_is_refused_at_once(tmp_path, capsys):
+    # A1's first end as "1e-10000000": Fraction would build 10**10000000,
+    # seconds of work, and the certificate would still verify.  An exponent
+    # past the digit limit of int() is refused as that many digits would be
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(edited_certificate(
+        "free_pair", _set("1e-10000000", "A1", "pieces", 0, "lo"))(tmp_path)))
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["verify", str(path)]) == 1
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr() == ("", "error: malformed certificate (RationalError: "
+                                       "not an exact rational: '1e-10000000')\n")
+
+
 def test_a_source_end_is_cut_short_in_its_message(tmp_path, capsys):
     # a1's first source end, 1/27, set to a value of 3,002 characters that
     # reads as a rational: the map check repeats it in its message
@@ -622,6 +638,9 @@ def test_verify_names_a_list_of_the_wrong_length(tmp_path, capsys, changes, edit
     # and as true
     dict(json.loads(_load_scenario_text("free_pair")), budgets={"eps": True}),
     dict(json.loads(_load_scenario_text("free_pair")), include_inverses="no"),
+    # an exponent past the digit limit of int(), whose power of ten Fraction
+    # would build
+    dict(json.loads(_load_scenario_text("free_pair")), budgets={"eps": "1e-10000000"}),
 ])
 def test_malformed_scenario_exits_1(tmp_path, capsys, doc):
     path = tmp_path / "scenario.json"

@@ -30,20 +30,21 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorwalk import certify, maps, walk
+from cantorwalk import certify, maps, verify, walk
 from cantorwalk.certify import (MAX_POINTS, _contraction_candidates, _first_inclusion,
-                                _fixed_points, assemble_free_pair)
+                                assemble_free_pair)
 from cantorwalk.cli import _load_scenario_text, parse_scenario
 from cantorwalk.maps import apply, image, maps_into
 from cantorwalk.rational import as_pair, coprime_fraction, pair_cmp, pair_key
 from cantorwalk.serialize import certificate_to_obj, dumps
-from cantorwalk.space import Piece, Region, epsilon_neighborhood
+from cantorwalk.space import Piece, Region, epsilon_neighborhood, measure_cells
+from cantorwalk.verify import _fixed_points
 from cantorwalk.walk import (DEFAULT_DELTA, Trajectory, WalkError, _repulsor_extremes,
                              cell_image_runs, contraction_scan, forward_word, make_model,
-                             measure_cells, run_diameters)
+                             run_diameters)
 
 from fixtures import cantor_space, letter_words, named_generators, regions
-from reference import in_region
+from reference import contains_ref, in_region
 
 
 def _first_word(t, A, eps, n_max):
@@ -221,7 +222,7 @@ def test_search_composes_and_tests_fewer_words(monkeypatch):
     # and 29
     counts = Counter()
     for name in ("maps_into", "compose"):
-        for mod in (maps, walk, certify):
+        for mod in (maps, walk, certify, verify):
             if hasattr(mod, name):
                 fn = getattr(mod, name)
                 monkeypatch.setattr(mod, name, lambda *a, name=name, fn=fn:
@@ -360,7 +361,7 @@ def test_a_run_that_the_quick_tests_leave_open_is_settled_by_the_word():
     assert ((0, 1), (1625, 6561), 1) in runs
     run = Piece._make(((0, 1), (1625, 6561), True, True))
     assert b_reg._covers(run, False) is None and not b_reg._covers(run)
-    assert not in_region(b_reg, F(39, 162)) and K.contains(F(39, 162))
+    assert not in_region(b_reg, F(39, 162)) and contains_ref(K, F(39, 162))
     assert maps_into(w, off, b_reg)
     assert _first_inclusion([(t, 2)], off, b_reg, 2)[0] is w
     hole = b_reg.difference(epsilon_neighborhood([F(1621, 6561)], F(1, 59049), K))
@@ -375,7 +376,7 @@ def test_cell_scans_compose_no_word(monkeypatch):
     def compose(*args):
         raise AssertionError("compose called")
 
-    for mod in (maps, walk, certify):
+    for mod in (maps, walk, certify, verify):
         monkeypatch.setattr(mod, "compose", compose)
     model = _free_model(3, 0)
     scan = contraction_scan(Trajectory(model, stream=1), 3, 40)

@@ -1,9 +1,9 @@
 """Bisected, one-pass and fast-path lookups against brute-force scans.
 
-CompactSet.contains, Region.is_empty, infimum, supremum, maps.image,
+CompactSet._holds, Region.is_empty, Region._parts, maps.image,
 maps.maps_into look up sorted intervals and branch sources by bisection,
 walk.cell_image_runs pushes the cells' image runs through the letters of a
-walk without composing its words, walk.invariance_rows pushes a tiling of K
+walk without composing its words, verify.invariance_rows pushes a tiling of K
 by the cells forward through each map where a preimage route would invert
 it and take cell images, walk._region_mass sums only the cells that meet a
 region's hull, and maps.break_pairs reads break pairs off a
@@ -21,8 +21,8 @@ the gaps between consecutive sources with the gaps between consecutive
 branch images, on either kind of set; the region-mass reference sums
 every cell.
 maps.break_pairs, maps.break_points, maps.apply, Ifs._cylinder_pairs,
-the Region operations, maps.image, maps.maps_into, walk.invariance_rows,
-certify.periodic_points, walk._region_mass and walk.break_accumulation
+the Region operations, maps.image, maps.maps_into, verify.invariance_rows,
+verify.periodic_points, walk._region_mass and walk.break_accumulation
 work on int pairs; a last test makes Fraction
 arithmetic and ordering raise and asks them for the answers they gave
 before.
@@ -38,19 +38,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cantorwalk import maps, walk
-from cantorwalk.certify import periodic_points
 from cantorwalk.maps import (Branch, BreakPair, PAHomeo, apply, break_pairs, break_points,
                              compose, image, invert, maps_into)
-from cantorwalk.space import CompactSet, Ifs, Piece, Region, epsilon_neighborhood
-from cantorwalk.rational import coprime_fraction
+from cantorwalk.space import CompactSet, Ifs, Piece, Region, epsilon_neighborhood, measure_cells
+from cantorwalk.rational import as_pair, coprime_fraction
+from cantorwalk.verify import invariance_rows, periodic_points
 from cantorwalk.walk import (SPLIT_DEPTH, CellMeasure, Trajectory, _region_mass,
-                             break_accumulation, cell_image_runs, invariance_rows,
-                             make_model, measure_cells, run_diameters)
+                             break_accumulation, cell_image_runs, make_model, run_diameters)
 
 from fixtures import (PLAIN_INVOLUTION, PLAIN_LETTERS, S, SPACES, SPANNING_LETTERS, TERNARY,
-                      UNEQUAL, alphabets, cylinder_region, decompose_into_cylinders, fixture,
-                      free_letters, identity_map, letter_words, region, region_diameter, regions,
-                      word_in)
+                      UNEQUAL, alphabets, cylinder_region, decompose_into_cylinders, extremes,
+                      fixture, free_letters, identity_map, letter_words, region, region_diameter,
+                      regions, word_in)
 from reference import (FPiece, bounded_gaps, break_pairs_ref, contains_ref, difference_ref,
                        fractions_of, gaps_at, image_ref, infimum_ref, intersect_ref,
                        is_empty_ref, region_of, supremum_ref)
@@ -137,7 +136,7 @@ def preimage_ref(g, cells):
 
 
 def rows_ref(gens, cells):
-    """walk.invariance_rows read off preimage_ref."""
+    """verify.invariance_rows read off preimage_ref."""
     return [(gi, ci, js) for gi, g in enumerate(gens)
             for ci, js in enumerate(preimage_ref(g, cells)) if js is not None]
 
@@ -153,7 +152,7 @@ def test_contains_matches_scan(space, data):
     x = data.draw(st.one_of(
         st.sampled_from(ends),
         st.fractions(K.hull[0] - 1, K.hull[1] + 1, max_denominator=3 ** 7)))
-    assert K.contains(x) == contains_ref(K, x)
+    assert K._holds(as_pair(x)) == contains_ref(K, x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,8 +162,7 @@ def test_region_queries_match_scan(space, data):
     S = data.draw(regions(K))
     assert S.is_empty() == is_empty_ref(S)
     if not S.is_empty():
-        assert S.infimum() == infimum_ref(S)
-        assert S.supremum() == supremum_ref(S)
+        assert extremes(S) == (infimum_ref(S), supremum_ref(S))
 
 
 @settings(max_examples=60, deadline=None)
@@ -529,8 +527,7 @@ def test_queries_on_pieces_touching_k(space):
             T = Region(K, (Piece(a, b, *flags),))
             assert T.is_empty() == is_empty_ref(T)
             if not T.is_empty():
-                assert T.infimum() == infimum_ref(T)
-                assert T.supremum() == supremum_ref(T)
+                assert extremes(T) == (infimum_ref(T), supremum_ref(T))
             for g in free_letters(*space):
                 assert image(g, T) == image_ref(g, T)
 

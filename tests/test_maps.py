@@ -14,7 +14,7 @@ from cantorwalk.space import CompactSet, Ifs, Piece, Region, ternary_cantor
 
 from fixtures import (TABLES, cantor_space, cylinder_region, fixture, identity_map, is_identity,
                       region, regular_on, same_set)
-from reference import in_region, reflection_symmetric_ref
+from reference import contains_ref, in_region, reflection_symmetric_ref
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ def distortion(f: PAHomeo, B: Region) -> F:
     cand = set()
     for p in B.pieces:
         for v in (p.lo, p.hi):
-            if K.contains(v) and (in_region(B, v) or
+            if contains_ref(K, v) and (in_region(B, v) or
                                   any(q.lo <= v <= q.hi for q in B.pieces)):
                 cand.add(v)
     for l, r in K.intervals:

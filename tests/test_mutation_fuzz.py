@@ -18,14 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk import serialize as ser
-from cantorwalk.certify import find_finite_orbit
-from cantorwalk.cli import _load_scenario_text, main, parse_scenario, run_scenario
+from cantorwalk.cli import _load_scenario_text, main, parse_scenario
 
-from fixtures import named_generators
+from fixtures import written_certificates
 
 BUNDLED = ("free_pair", "klein_four", "g3", "rotation_third", "identity")
-# free_pair as a Morse-Smale search, which certifies at seed 3
-MORSE_SMALE = dict(kind="morse-smale", seed=3, budgets={}, output="ms")
 # a value of each JSON type, and containers of them
 JSON_VALUES = (None, True, 7, 1.5, "x", [], {}, ["0", 1], {"k": "1/2"})
 RATIONAL = re.compile(r"-?\d+(/\d+)?")
@@ -33,19 +30,9 @@ RATIONAL = re.compile(r"-?\d+(/\d+)?")
 
 @pytest.fixture(scope="module")
 def certificates(tmp_path_factory):
-    """The written documents of a ping-pong, a Morse-Smale, an
-    invariant-measure and a finite-orbit certificate."""
+    """Where the written certificates are, and their documents, one of each type."""
     out = tmp_path_factory.mktemp("certificates")
-    free_pair = json.loads(_load_scenario_text("free_pair"))
-    for doc in (free_pair, dict(free_pair, **MORSE_SMALE),
-                json.loads(_load_scenario_text("klein_four"))):
-        assert run_scenario(parse_scenario(json.dumps(doc)), str(out), False)[0] == 0
-    docs = [json.loads((out / f"{stem}_certificate.json").read_text())
-            for stem in ("free_pair", "ms", "klein_four")]
-    orbit = find_finite_orbit(named_generators(["H", "R"]), [F(0)], bound=2000)
-    docs.append(json.loads(ser.dumps(ser.certificate_to_obj(orbit))))
-    assert sorted(d["type"] for d in docs) == sorted(ser.CERTIFICATES)
-    return out, docs
+    return out, written_certificates(out)
 
 
 def _paths(node, path=()):

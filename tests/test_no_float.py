@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cantorwalk"
-EXACT = ("space.py", "maps.py", "certify.py", "measure_solver.py", "giet.py",
+EXACT = ("space.py", "maps.py", "certify.py", "verify.py", "measure_solver.py", "giet.py",
          "rational.py")
 INTEGER_MATH = {"gcd", "prod", "lcm", "isqrt"}
 

@@ -22,7 +22,8 @@ from cantorwalk import maps, space, walk
 from cantorwalk.certify import _make_letters, find_finite_orbit
 from cantorwalk.cli import _load_scenario_text, parse_scenario
 from cantorwalk.maps import MapError, compose, equals, from_prefix_table, invert, pa_homeo
-from cantorwalk.walk import invariance_rows, measure_cells
+from cantorwalk.space import measure_cells
+from cantorwalk.verify import invariance_rows
 
 from fixtures import (TABLES, alphabets, cantor_space, fixture, identity_map, named_generators,
                       word_in)

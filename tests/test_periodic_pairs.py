@@ -1,7 +1,7 @@
 """Periodic points from branch powers against the itinerary search they replaced.
 
-certify.periodic_points solves the fixed points of the branches of f^p,
-composed on int pairs once per period, and certify._fixed_points gives the
+verify.periodic_points solves the fixed points of the branches of f^p,
+composed on int pairs once per period, and verify._fixed_points gives the
 attracting fixed points behind the contraction search.  The Fraction
 itinerary search (a depth-first walk over cyclic branch sequences) and the
 attracting fixed-point scan they replaced are kept below as references.
@@ -17,9 +17,10 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from cantorwalk.certify import _fixed_points, periodic_points
+from cantorwalk.verify import _fixed_points, periodic_points
 
 from fixtures import letter_words
+from reference import contains_ref
 
 
 def periodic_points_ref(f, max_period):
@@ -38,7 +39,7 @@ def periodic_points_ref(f, max_period):
         if depth == target:
             if s != 1:
                 x = t / (1 - s)
-                if dlo <= x <= dhi and K.contains(x) and \
+                if dlo <= x <= dhi and contains_ref(K, x) and \
                         (K.ifs is None or K.contains_limit_point(x)):
                     if x not in found:
                         found[x] = (depth, s)
@@ -70,7 +71,7 @@ def attracting_fixed_points_ref(w):
         if abs(b.slope) >= 1:
             continue
         x = b.offset / (1 - b.slope)
-        if b.lo <= x <= b.hi and w.space.contains(x):
+        if b.lo <= x <= b.hi and contains_ref(w.space, x):
             pts.add(x)
     return sorted(pts)
 

@@ -12,13 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from cantorwalk import rational, serialize as ser
 from cantorwalk.cli import _load_scenario_text, parse_scenario, run_scenario
-from cantorwalk.certify import (InvariantMeasureCertificate, PingPongCertificate,
-                                check_morse_smale, find_finite_orbit,
-                                find_morse_smale, solve_invariant_measure)
+from cantorwalk.certify import find_finite_orbit, find_morse_smale, solve_invariant_measure
 from cantorwalk.maps import compose, equals
 from cantorwalk.measure_solver import solve_feasibility
 from cantorwalk.rational import as_pair, pair_str, rat, read_pair
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
+from cantorwalk.verify import InvariantMeasureCertificate, PingPongCertificate, check_morse_smale
 from cantorwalk.walk import make_model
 
 from fixtures import (cantor_space, cylinder_region, fixture, named_generators, region, rotation,

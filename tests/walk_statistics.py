@@ -13,9 +13,10 @@ from functools import reduce
 from statistics import fmean
 from typing import NamedTuple, Sequence
 
-from cantorwalk.certify import _reduced_words, _then
+from cantorwalk.certify import _reduced_words
 from cantorwalk.maps import apply, invert
 from cantorwalk.rational import as_pair, rat
+from cantorwalk.verify import _then
 from cantorwalk.walk import DEFAULT_DELTA, Trajectory, _single_linkage
 
 from fixtures import endpoints, is_identity
