@@ -56,7 +56,7 @@ class Scenario(NamedTuple):
     probabilities: tuple  # Fractions aligned with generators; None: uniform
     seed: int
     budgets: dict
-    giets: tuple  # of giet.Giet
+    giets: tuple  # PAHomeos, each on its giet's interval
     blowup: dict
     output: str
 
@@ -103,9 +103,11 @@ def parse_scenario(text: str) -> Scenario:
                 if name in gens:
                     raise ScenarioError(f"duplicate generator name {clip(name)}")
                 if "table" in g:
+                    rows = [ser._values(r, f"generator {clip(name)} table row", 3)
+                            for r in g["table"]]
                     table = PrefixTable(tuple(
-                        (row[0], row[1], exact(row[2], int, f"generator {clip(name)} orientation"))
-                        for row in g["table"]))
+                        (src, dst, exact(sign, int, f"generator {clip(name)} orientation"))
+                        for src, dst, sign in rows))
                     gens[name] = from_prefix_table(table, space, label=(name,))
                 else:
                     gens[name] = ser.map_from_obj(
@@ -126,7 +128,7 @@ def parse_scenario(text: str) -> Scenario:
                         f"{sorted(probs.keys() ^ gens.keys())} unmatched")
                 probs = [probs[n] for n in gens]
             if probs is not None:
-                probs = tuple(rat(p) for p in probs)
+                probs = tuple(rat(p) for p in ser._values(probs, "field 'probabilities'"))
                 if sum(probs) != 1:
                     raise ScenarioError(
                         f"probabilities sum {rat_str(sum(probs))}, not 1")

@@ -1,22 +1,24 @@
 """Generalized interval exchange transformations and their blow-ups.
 
-A Giet is a bijection of [a, b) built from finitely many increasing affine
-branches on half-open sources.  Blowing up the (truncated) orbit of its
-discontinuities turns the group action into piecewise-affine homeomorphisms
-of a compact set with one gap per blown point; break pairs of the induced
-maps sit exactly at the blown discontinuities.
+A giet is a bijection of [a, b) built from finitely many increasing affine
+branches on half-open sources, stored as a PAHomeo on the space [a, b]:
+maps looks a point up in it, inverts it and applies it.  Blowing up the
+(truncated) orbit of its discontinuities turns the group action into
+piecewise-affine homeomorphisms of a compact set with one gap per blown
+point; break pairs of the induced maps sit exactly at the blown
+discontinuities.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .rational import as_pair, rat
-from .maps import (Branch, MapError, PAHomeo, _tiles, invert_branches, orbit_bfs,
-                   pa_homeo)
+from .maps import Branch, MapError, PAHomeo, _tiles, apply, invert, orbit_bfs, pa_homeo
 from .space import CompactSet, SpaceError
 
 
@@ -24,37 +26,9 @@ class GietError(ValueError):
     pass
 
 
-class Giet(NamedTuple):
-    a: Fraction
-    b: Fraction
-    branches: tuple[Branch, ...]  # increasing; the source of each is [lo, hi)
-
-    def branch_at(self, x: Fraction) -> Branch:
-        for br in self.branches:
-            if br.lo <= x < br.hi:
-                return br
-
-    def preimage(self, y: Fraction) -> Fraction:
-        for br in self.branches:
-            ia, ib = br.ends
-            if ia <= y < ib:
-                return br.preimage(y)
-        raise GietError(f"{y} not in the image [{self.a}, {self.b})")
-
-    def inverse(self) -> "Giet":
-        return Giet(self.a, self.b, invert_branches(self.branches))
-
-    def jump_points(self) -> list[Fraction]:
-        """Interior points where the map is genuinely discontinuous."""
-        out = []
-        for b1, b2 in zip(self.branches, self.branches[1:]):
-            t = b1.hi
-            if b1.value(t) != b2.value(t):
-                out.append(t)
-        return out
-
-
-def giet_from_branches(interval, branches) -> Giet:
+def giet_from_branches(interval, branches) -> PAHomeo:
+    """The giet with the (lo, hi, slope, offset) branches, as a PAHomeo on
+    [a, b], built directly since pa_homeo refuses a jump."""
     a, b = rat(interval[0]), rat(interval[1])
     if a >= b:
         raise GietError("empty interval")
@@ -73,28 +47,29 @@ def giet_from_branches(interval, branches) -> Giet:
         raise GietError("sources do not partition the interval")
     if not _tiles(K, [br[4:] for br in bs]):
         raise GietError("images do not tile the interval")
-    return Giet(a, b, tuple(bs))
+    return PAHomeo(K, tuple(bs), ())
+
+
+def jump_points(g: PAHomeo) -> list[Fraction]:
+    """Interior points where the giet is genuinely discontinuous: the p.hi
+    where a branch p's upper image end is not the next branch's lower one."""
+    return [p.hi for p, q in zip(g.branches, g.branches[1:]) if p[5] != q[4]]
 
 
 # ---------------------------------------------------------------------------
 # discontinuity orbits
 
 
-def _ops(gens: Sequence[Giet]) -> list[Giet]:
-    out = list(gens)
-    out.extend(g.inverse() for g in gens)
-    return out
-
-
-def discontinuity_closure(gens: Sequence[Giet], L: int):
+def discontinuity_closure(gens: Sequence[PAHomeo], L: int):
     """(D_L, closed): preimages of generator jumps under words of length
     <= L over the generators and their inverses, in BFS discovery order."""
     if L < 0:
         raise GietError("negative word length bound")
-    seedset = sorted({p for g in gens for p in g.jump_points()})
+    seedset = sorted({p for g in gens for p in jump_points(g)})
     # a jump lies in (a, b), and a preimage of a point of [a, b) lies in
-    # [a, b): giet_from_branches checks that the images tile [a, b]
-    steps = [op.preimage for op in _ops(gens)]
+    # [a, b): giet_from_branches checks that the images tile [a, b].  The
+    # preimage under each g, then under each g^-1
+    steps = [partial(apply, h) for h in [*map(invert, gens), *gens]]
     # closed: round L + 1, whose points are dropped, finds nothing new
     order, new = orbit_bfs(seedset, steps, L + 1)
     return order[:len(order) - len(new)], not new
@@ -113,15 +88,13 @@ class BlowUpResult(NamedTuple):
     defects: tuple[str, ...]
 
 
-def blow_up(gens: Sequence[Giet], L: int, rho) -> BlowUpResult:
+def blow_up(gens: Sequence[PAHomeo], L: int, rho) -> BlowUpResult:
     rho = rat(rho)
     if not 0 < rho < 1:
         raise GietError("weight ratio must be in (0, 1)")
-    g0 = gens[0]
-    a, b = g0.a, g0.b
-    for g in gens:
-        if (g.a, g.b) != (a, b):
-            raise GietError("generators live on different intervals")
+    a, b = gens[0].space.hull
+    if any(g.space.hull != (a, b) for g in gens):
+        raise GietError("generators live on different intervals")
     order, closed = discontinuity_closure(gens, L)
     weights = {c: rho ** (rank + 1) * (b - a) for rank, c in enumerate(order)}
     # the blown points in order, and the sums of their weights below each
@@ -152,12 +125,13 @@ def blow_up(gens: Sequence[Giet], L: int, rho) -> BlowUpResult:
             pts.add(br.lo)
             pts.add(br.hi)
         # every point of [a, b) has a preimage, as the images tile [a, b]
-        pts |= {g.preimage(c) for c in pts if a <= c < b}
+        inv = invert(g)
+        pts |= {apply(inv, c) for c in pts if a <= c < b}
         cutpts = sorted(p for p in pts if a <= p <= b)
         branches = []
         for p, q in zip(cutpts, cutpts[1:]):
             mid = (p + q) / 2
-            br = g.branch_at(mid)
+            br = g._branch_at(as_pair(mid))
             s = br.slope
             # F is x + const on (p, q) and on its affine image, so the
             # induced map is affine between the corresponding gap edges

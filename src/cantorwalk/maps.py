@@ -10,7 +10,11 @@ set (no IFS) branches are stored cut at the gaps of K, and the sources and
 the images each tile K.  So no two branch images overlap on either kind of
 set; compose and invert keep that, as they only subdivide both.
 
-Break pairs are computed exactly.
+Break pairs are computed exactly.  A giet (giet.py) is the one PAHomeo that
+is a bijection of its interval [a, b) rather than a homeomorphism: its
+increasing branches tile [a, b] with jumps between them, and only apply,
+invert and _branch_at, which takes the right branch at a shared end, are
+asked of it.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ class Branch(tuple):
     (numerator, denominator > 0) int pairs lo, hi, slope, offset and the
     sorted image ends, which equality compares and the kernels unpack.
     Branch._make builds one from those six pairs, Branch(lo, hi, slope,
-    offset) from rationals or their pairs; lo, hi, slope, offset and ends
-    are Fraction views."""
+    offset) from rationals or their pairs; lo, hi, slope and offset are
+    Fraction views."""
 
     __slots__ = ()
     _make = classmethod(tuple.__new__)
@@ -54,14 +58,9 @@ class Branch(tuple):
         return tuple.__new__(cls, (lo, hi, s, o) + ((a, b) if pair_cmp(a, b) <= 0 else (b, a)))
 
     lo, hi, slope, offset = (property(lambda b, i=i: coprime_fraction(*b[i])) for i in range(4))
-    ends = property(lambda b: tuple(coprime_fraction(*p) for p in b[4:]))
 
     def value(self, x: Fraction) -> Fraction:
         return coprime_fraction(*affine(self[2], as_pair(x), self[3]))
-
-    def preimage(self, y: Fraction) -> Fraction:
-        t, u = _inverse(self[2], self[3])
-        return coprime_fraction(*affine(t, as_pair(y), u))
 
 
 def inverse_name(name: str) -> str:
@@ -307,15 +306,11 @@ def compose(f: PAHomeo, g: PAHomeo) -> PAHomeo:
     return PAHomeo(f.space, tuple(out), f.label + g.label)
 
 
-def invert_branches(branches: Iterable[Branch]) -> tuple[Branch, ...]:
-    """The inverse branches y -> (y - offset) / slope on the images, sorted."""
-    inv = [Branch._make(b[4:] + _inverse(b[2], b[3]) + b[:2]) for b in branches]
-    return tuple(inv[i] for i in value_order([b[:1] for b in inv]))
-
-
 def invert(f: PAHomeo) -> PAHomeo:
+    """The inverse branches y -> (y - offset) / slope on the images, sorted."""
+    inv = [Branch._make(b[4:] + _inverse(b[2], b[3]) + b[:2]) for b in f.branches]
     label = tuple(inverse_name(n) for n in reversed(f.label))
-    return PAHomeo(f.space, invert_branches(f.branches), label)
+    return PAHomeo(f.space, tuple(inv[i] for i in value_order([b[:1] for b in inv])), label)
 
 
 def _affine_pieces(f: PAHomeo) -> list[tuple]:

@@ -19,7 +19,7 @@ from .rational import (RationalError, as_pair, clip, coprime_fraction, exact, pa
                        rat_str, read_pair)
 from .space import CompactSet, Ifs, Piece, Region, SpaceError
 from .maps import Branch, PAHomeo, pa_homeo
-from .giet import BlowUpResult, Giet, giet_from_branches
+from .giet import BlowUpResult, giet_from_branches
 from .verify import (FiniteOrbitCertificate, InvariantMeasureCertificate, MorseSmaleCertificate,
                      PingPongCertificate, Verdict, verify_finite_orbit, verify_invariant_measure,
                      verify_morse_smale, verify_ping_pong)
@@ -120,9 +120,9 @@ def region_from_obj(space: CompactSet, obj: dict) -> Region:
                      exact(p["hi_closed"], bool, "hi_closed"))) for p in pieces])
 
 
-def giet_from_obj(obj: dict) -> Giet:
+def giet_from_obj(obj: dict) -> PAHomeo:
     only_keys(obj, {"interval", "branches"}, "giet")
-    return giet_from_branches(obj["interval"], [
+    return giet_from_branches(_values(obj["interval"], "giet interval", 2), [
         [coprime_fraction(*p) for p in _branch_from_obj(b)] for b in obj["branches"]])
 
 

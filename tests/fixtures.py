@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from cantorwalk.certify import find_finite_orbit
 from cantorwalk.cli import _load_scenario_text, parse_scenario, run_scenario
-from cantorwalk.giet import Giet, giet_from_branches
+from cantorwalk.giet import giet_from_branches
 from cantorwalk.maps import (Branch, PAHomeo, PrefixTable, break_pairs, compose, equals,
                              from_prefix_table, invert, pa_homeo)
 from cantorwalk.rational import as_pair, coprime_fraction
@@ -97,13 +97,30 @@ def regular_on(f: PAHomeo, a, b) -> bool:
     return not any(a <= p.a and p.b <= b for p in break_pairs(f))
 
 
-def rotation(t) -> Giet:
+def rotation(t) -> PAHomeo:
     """x -> x + t mod 1 on [0, 1), for 0 < t < 1."""
     return giet_from_branches((0, 1), [(0, 1 - t, 1, t), (1 - t, 1, 1, t - 1)])
 
 
-def giet_value(g: Giet, x):
-    return g.branch_at(x).value(x)
+def image_ends(b: Branch) -> tuple:
+    """A branch's sorted image ends, as Fractions."""
+    return tuple(F(*p) for p in b[4:])
+
+
+def giet_value(g: PAHomeo, x):
+    """The giet g at x in [a, b): a scan of the half-open sources [lo, hi)."""
+    for b in g.branches:
+        if b.lo <= x < b.hi:
+            return b.slope * x + b.offset
+
+
+def giet_preimage(g: PAHomeo, y):
+    """The x in [a, b) that the giet g maps to y: a scan of the half-open
+    images [lo, hi)."""
+    for b in g.branches:
+        lo, hi = image_ends(b)
+        if lo <= y < hi:
+            return (y - b.offset) / b.slope
 
 
 def conjugate_point(res, x):

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 from cantorwalk.certify import (AssemblyFailure, _contraction_candidates, find_finite_orbit,
                                 find_morse_smale, assemble_free_pair, solve_invariant_measure)
 from cantorwalk.cli import parse_scenario, run_scenario, _load_scenario_text
-from cantorwalk.giet import blow_up, discontinuity_closure
+from cantorwalk.giet import blow_up, discontinuity_closure, jump_points
 from cantorwalk.maps import apply, break_pairs, break_points, compose, image, invert
 from cantorwalk.space import Piece, Region, epsilon_neighborhood
 from cantorwalk.verify import (PingPongCertificate, check_morse_smale, periodic_points,
@@ -312,7 +312,7 @@ def test_criterion_12_giet_blowup():
     # gap-to-gap, so they produce no break pair)
     extremities = {v for gp in bounded_gaps(res.space) for v in gp}
     jump_ext = set()
-    for c in rot.jump_points():
+    for c in jump_points(rot):
         fc = conjugate_point(res, c)
         gap = next(gp for gp in bounded_gaps(res.space) if gp[1] == fc)
         jump_ext.update(gap)

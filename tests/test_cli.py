@@ -607,6 +607,13 @@ def test_verify_names_a_list_of_the_wrong_length(tmp_path, capsys, changes, edit
     assert err.endswith(f" is not a list of {3 if 'periodic' in line else 2} values\n")
 
 
+def _edited(name, edit):
+    """The bundled scenario's document with the edit made to it."""
+    doc = json.loads(_load_scenario_text(name))
+    edit(doc)
+    return doc
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "simulate", "space": {"ifs": "ternary", "depth": 3}},
     {"kind": "simulate", "space": {"ifs": "ternary", "depth": 3},
@@ -641,6 +648,13 @@ def test_verify_names_a_list_of_the_wrong_length(tmp_path, capsys, changes, edit
     # an exponent past the digit limit of int(), whose power of ten Fraction
     # would build
     dict(json.loads(_load_scenario_text("free_pair")), budgets={"eps": "1e-10000000"}),
+    # a list of another length, and a string read as the list of its
+    # characters: a giet interval of two ends, a table row of three entries,
+    # the probabilities of the one generator
+    _edited("rotation_third", _set("01", "giets", 0, "interval")),
+    _edited("rotation_third", _append("junk", "giets", 0, "interval")),
+    _edited("g3", _append("junk", "generators", 0, "table", 0)),
+    dict(json.loads(_load_scenario_text("identity")), probabilities="1"),
 ])
 def test_malformed_scenario_exits_1(tmp_path, capsys, doc):
     path = tmp_path / "scenario.json"

@@ -1,14 +1,17 @@
 """Interval exchanges, discontinuity orbits and the blow-up construction."""
 
 from fractions import Fraction as F
+from functools import partial
 from math import gcd
 
 import pytest
 
-from cantorwalk.giet import GietError, _ops, blow_up, discontinuity_closure, giet_from_branches
-from cantorwalk.maps import apply, break_pairs, break_points, orbit_bfs
+from cantorwalk.giet import (GietError, blow_up, discontinuity_closure, giet_from_branches,
+                             jump_points)
+from cantorwalk.maps import PAHomeo, apply, break_pairs, break_points, invert, orbit_bfs
 
-from fixtures import conjugate_point, giet_value, is_identity, rotation
+from fixtures import (conjugate_point, giet_preimage, giet_value, image_ends, is_identity,
+                      rotation)
 from reference import bounded_gaps
 
 ROT3 = rotation(F(1, 3))
@@ -57,10 +60,10 @@ def test_sources_and_images_tile_the_interval(branches, message):
 
 
 def test_inverse_and_preimage():
-    inv = ROT3.inverse()
+    inv = invert(ROT3)
     for x in (F(0), F(1, 5), F(2, 3), F(9, 10)):
         assert giet_value(inv, giet_value(ROT3, x)) == x
-        assert ROT3.preimage(giet_value(ROT3, x)) == x
+        assert apply(inv, giet_value(ROT3, x)) == x
 
 
 def test_discontinuity_closure_oracles():
@@ -79,9 +82,10 @@ def test_discontinuity_closure_oracles():
 
 def discontinuity_closure_two_pass(gens, L):
     """D_L by L rounds of BFS, then closed iff one more round from every
-    point of D_L finds nothing new."""
-    seedset = sorted({p for g in gens for p in g.jump_points()})
-    steps = [op.preimage for op in _ops(gens)]
+    point of D_L finds nothing new; the steps are the scan references, the
+    preimage under each g, then under each g^-1."""
+    seedset = sorted({p for g in gens for p in jump_points(g)})
+    steps = [partial(giet_preimage, g) for g in gens] + [partial(giet_value, g) for g in gens]
     order, _ = orbit_bfs(seedset, steps, L)
     return order, not orbit_bfs(order, steps, 1)[1]
 
@@ -89,6 +93,28 @@ def discontinuity_closure_two_pass(gens, L):
 # the benchmark's giet pool: rotations by p/q, q up to 5, p prime to q
 ROTATION_POOL = [rotation(F(p, q)) for q in range(2, 6) for p in range(1, q)
                  if gcd(p, q) == 1][:8]
+
+
+# the giet of slopes 1/2 on [0, 2/3) and 2 on [2/3, 1), from the README
+SLOPES_HALF_AND_TWO = giet_from_branches((0, 1), [(0, F(2, 3), F(1, 2), 0),
+                                                  (F(2, 3), 1, 2, -1)])
+
+
+def test_a_giet_is_a_map_on_its_interval():
+    assert all(type(g) is PAHomeo and g.space.hull == (0, 1) and g.label == ()
+               for g in (ROT3, SWAP, SLOPES_HALF_AND_TWO))
+
+
+@pytest.mark.parametrize("g", ROTATION_POOL + [SWAP, SLOPES_HALF_AND_TWO])
+def test_maps_take_a_giets_half_open_values(g):
+    # at a point two sources, or two images, share, maps takes the branch on
+    # its right, as the scans of the half-open [lo, hi) do
+    b = g.space.hull[1]
+    marks = sorted({x for br in g.branches for x in (br.lo, br.hi, *image_ends(br))})
+    inv = invert(g)
+    for x in [x for x in marks if x < b] + [(x + y) / 2 for x, y in zip(marks, marks[1:])]:
+        assert apply(g, x) == giet_value(g, x)
+        assert apply(inv, x) == giet_preimage(g, x)
 
 
 @pytest.mark.parametrize("L", range(6))
@@ -121,7 +147,7 @@ def test_blow_up_rotation_third():
         x = F(i, 50)
         assert apply(g, conjugate_point(res, x)) == conjugate_point(res, giet_value(ROT3, x))
     # break pairs sit exactly at the gaps blown from genuine jump points
-    jumps = ROT3.jump_points()
+    jumps = jump_points(ROT3)
     expected = set()
     for c, _ in res.blown_points:
         if c in jumps:

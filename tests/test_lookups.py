@@ -48,8 +48,8 @@ from cantorwalk.walk import (SPLIT_DEPTH, CellMeasure, Trajectory, _region_mass,
 
 from fixtures import (PLAIN_INVOLUTION, PLAIN_LETTERS, S, SPACES, SPANNING_LETTERS, TERNARY,
                       UNEQUAL, alphabets, cylinder_region, decompose_into_cylinders, extremes,
-                      fixture, free_letters, identity_map, letter_words, region, region_diameter,
-                      regions, word_in)
+                      fixture, free_letters, identity_map, image_ends, letter_words, region,
+                      region_diameter, regions, word_in)
 from reference import (FPiece, bounded_gaps, break_pairs_ref, contains_ref, difference_ref,
                        fractions_of, gaps_at, image_ref, infimum_ref, intersect_ref,
                        is_empty_ref, region_of, supremum_ref)
@@ -82,7 +82,7 @@ def compose_ref(f, g):
         for bf in f.branches:
             olo, ohi = max(ia, bf.lo), min(ib, bf.hi)
             if olo < ohi:
-                pa, pb = sorted((bg.preimage(olo), bg.preimage(ohi)))
+                pa, pb = sorted(((olo - bg.offset) / bg.slope, (ohi - bg.offset) / bg.slope))
                 out.append(Branch(pa, pb, bf.slope * bg.slope,
                                   bf.slope * bg.offset + bf.offset))
     out.sort(key=lambda b: b.lo)
@@ -183,7 +183,7 @@ def plain_words(draw):
     w = word_in(letters, draw(st.lists(st.integers(0, len(letters) - 1),
                                      min_size=1, max_size=4)))
     K = w.space
-    marks = sorted({x for b in w.branches for x in (b.lo, b.hi) + b.ends} |
+    marks = sorted({x for b in w.branches for x in (b.lo, b.hi) + image_ends(b)} |
                    {x for iv in K.intervals for x in iv} |
                    {(a + b) / 2 for a, b in bounded_gaps(K)})
     pieces = []
@@ -233,8 +233,7 @@ def test_compose_and_image_match_reference_loops(word, data):
     for g in letters:
         assert compose(g, w) == compose_ref(g, w)
         assert compose(w, g) == compose_ref(w, g)
-    assert all(b.ends == tuple(sorted((b.value(b.lo),
-                                                   b.value(b.hi))))
+    assert all(image_ends(b) == tuple(sorted((b.value(b.lo), b.value(b.hi))))
                for b in w.branches)
     for S in (Region.whole(K), data.draw(regions(K))):
         assert image(w, S) == image_ref(w, S)
@@ -368,8 +367,7 @@ def test_uncut_compose_takes_no_preimage(space):
     src = [(b.lo, b.hi) for b in a1.branches]
     for w in (a1i, compose(a1i, a2), compose(a1i, compose(a2i, a1)),
               compose(a1i, compose(a2, compose(a2, a1)))):
-        assert all(any(lo <= b.ends[0] and
-                       b.ends[1] <= hi for lo, hi in src)
+        assert all(any(lo <= image_ends(b)[0] and image_ends(b)[1] <= hi for lo, hi in src)
                    for b in w.branches)
         out = compose(a1, w)
         assert out == compose_ref(a1, w)
@@ -504,7 +502,7 @@ def test_consecutive_sources_and_images_bound_gaps(word):
     K = w.space
     lo, hi = K.hull
     for f in (w, invert(w), *letters):
-        for ends in ([(b.lo, b.hi) for b in f.branches], sorted(b.ends for b in f.branches)):
+        for ends in ([(b.lo, b.hi) for b in f.branches], sorted(image_ends(b) for b in f.branches)):
             assert ends[0][0] == lo and ends[-1][1] == hi
             assert all((r, l) in gaps_at(K, r) for (_, r), (l, _) in zip(ends, ends[1:]))
         breaks = break_pairs(f)

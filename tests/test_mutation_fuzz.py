@@ -5,6 +5,9 @@ bundled scenarios through ``parse_scenario`` alone.  A mutation deletes a
 key, adds a key, swaps a value for one of another JSON type, or gives a
 rational a huge denominator.  A mutated document ends in a verdict or in
 one error line, never in a traceback, and an added key is always refused.
+A last, deterministic mutation appends "junk" to each list of each
+document in turn: the reader refuses it in one line, or reads another
+object, so that no list entry is silently ignored.
 """
 
 import contextlib
@@ -150,3 +153,29 @@ def test_mutated_scenarios_parse_or_raise_one_line(data):
         assert "\n" not in str(e)
     else:
         assert kind != "add"
+
+
+def _read(doc):
+    """What a scenario's or a certificate's reader makes of doc."""
+    return ser.certificate_from_obj(doc) if "type" in doc else parse_scenario(json.dumps(doc))
+
+
+def test_no_list_entry_is_ignored(certificates):
+    # "junk" appended to any one list of a bundled scenario or a written
+    # certificate is refused in one line, or read as another object
+    ignored = []
+    for doc in SCENARIOS + certificates[1]:
+        lists = [p for p in _paths(doc) if isinstance(_at(doc, p), list)]
+        assert lists
+        read = _read(doc)
+        for path in lists:
+            mutated = copy.deepcopy(doc)
+            _at(mutated, path).append("junk")
+            try:
+                again = _read(mutated)
+            except ValueError as e:
+                assert "\n" not in str(e)
+                continue
+            if again == read:
+                ignored.append((doc.get("output", doc.get("type")), path))
+    assert ignored == []

@@ -23,7 +23,8 @@ from cantorwalk.giet import blow_up
 from cantorwalk.maps import Branch, MapError, apply, break_pairs, compose, invert, pa_homeo
 from cantorwalk.space import CompactSet
 
-from fixtures import SPANNING, SPANNING_BRANCHES, alphabets, endpoints, rotation, word_in
+from fixtures import (SPANNING, SPANNING_BRANCHES, alphabets, endpoints, image_ends, rotation,
+                      word_in)
 from reference import break_pairs_ref, validate_plain_ref
 
 # blow-ups of the rotations by p/q, q <= 6, at orbit length 3 and weight ratio 1/3
@@ -59,7 +60,7 @@ def test_plain_maps_are_stored_cut_at_the_gaps(f):
     # undoes f at every end of K's intervals
     K = f.space
     assert all(_inside_one_interval(K, b) for b in f.branches)
-    images = sorted(b.ends for b in f.branches)
+    images = sorted(image_ends(b) for b in f.branches)
     assert all(i[1] <= j[0] for i, j in zip(images, images[1:]))
     assert pa_homeo(K, f.branches, f.label).branches == f.branches
     g = invert(f)
