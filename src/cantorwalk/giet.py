@@ -60,7 +60,7 @@ def jump_points(g: PAHomeo) -> list[Fraction]:
 # discontinuity orbits
 
 
-def discontinuity_closure(gens: Sequence[PAHomeo], L: int):
+def discontinuity_closure(gens: Sequence[PAHomeo], inverses: Sequence[PAHomeo], L: int):
     """(D_L, closed): preimages of generator jumps under words of length
     <= L over the generators and their inverses, in BFS discovery order."""
     if L < 0:
@@ -69,7 +69,7 @@ def discontinuity_closure(gens: Sequence[PAHomeo], L: int):
     # a jump lies in (a, b), and a preimage of a point of [a, b) lies in
     # [a, b): giet_from_branches checks that the images tile [a, b].  The
     # preimage under each g, then under each g^-1
-    steps = [partial(apply, h) for h in [*map(invert, gens), *gens]]
+    steps = [partial(apply, h) for h in [*inverses, *gens]]
     # closed: round L + 1, whose points are dropped, finds nothing new
     order, new = orbit_bfs(seedset, steps, L + 1)
     return order[:len(order) - len(new)], not new
@@ -95,7 +95,8 @@ def blow_up(gens: Sequence[PAHomeo], L: int, rho) -> BlowUpResult:
     a, b = gens[0].space.hull
     if any(g.space.hull != (a, b) for g in gens):
         raise GietError("generators live on different intervals")
-    order, closed = discontinuity_closure(gens, L)
+    inverses = [invert(g) for g in gens]
+    order, closed = discontinuity_closure(gens, inverses, L)
     weights = {c: rho ** (rank + 1) * (b - a) for rank, c in enumerate(order)}
     # the blown points in order, and the sums of their weights below each
     blown = sorted(weights)
@@ -119,13 +120,12 @@ def blow_up(gens: Sequence[PAHomeo], L: int, rho) -> BlowUpResult:
 
     defects = []
     induced = []
-    for gi, g in enumerate(gens):
+    for gi, (g, inv) in enumerate(zip(gens, inverses)):
         pts = set(order) | {a, b}
         for br in g.branches:
             pts.add(br.lo)
             pts.add(br.hi)
         # every point of [a, b) has a preimage, as the images tile [a, b]
-        inv = invert(g)
         pts |= {apply(inv, c) for c in pts if a <= c < b}
         cutpts = sorted(p for p in pts if a <= p <= b)
         branches = []

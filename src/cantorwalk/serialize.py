@@ -19,7 +19,6 @@ from .rational import (RationalError, as_pair, clip, coprime_fraction, exact, pa
                        rat_str, read_pair)
 from .space import CompactSet, Ifs, Piece, Region, SpaceError
 from .maps import Branch, PAHomeo, pa_homeo
-from .giet import BlowUpResult, giet_from_branches
 from .verify import (FiniteOrbitCertificate, InvariantMeasureCertificate, MorseSmaleCertificate,
                      PingPongCertificate, Verdict, verify_finite_orbit, verify_invariant_measure,
                      verify_morse_smale, verify_ping_pong)
@@ -120,12 +119,6 @@ def region_from_obj(space: CompactSet, obj: dict) -> Region:
                      exact(p["hi_closed"], bool, "hi_closed"))) for p in pieces])
 
 
-def giet_from_obj(obj: dict) -> PAHomeo:
-    only_keys(obj, {"interval", "branches"}, "giet")
-    return giet_from_branches(_values(obj["interval"], "giet interval", 2), [
-        [coprime_fraction(*p) for p in _branch_from_obj(b)] for b in obj["branches"]])
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -215,16 +208,6 @@ def verify_certificate(obj: dict) -> Verdict:
     """Re-verify a serialized certificate from scratch, exactly."""
     cert = certificate_from_obj(obj)
     return CERTIFICATES[obj["type"]][1](cert)
-
-
-def blowup_to_scenario(result: BlowUpResult) -> dict:
-    """Space + induced maps, consumable by the walk and certify modules."""
-    return {"space": space_to_obj(result.space),
-            "maps": [map_to_obj(g) for g in result.induced],
-            "blown_points": [[rat_str(c), rat_str(a)] for c, a in result.blown_points],
-            "jumps": [[rat_str(c), rat_str(v)] for c, v in result.jumps],
-            "exact": result.exact,
-            "defects": list(result.defects)}
 
 
 # ---------------------------------------------------------------------------

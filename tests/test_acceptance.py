@@ -296,7 +296,7 @@ def test_criterion_11_morse_smale():
 
 def test_criterion_12_giet_blowup():
     rot = rotation(F(1, 3))
-    D, closed = discontinuity_closure([rot], 3)
+    D, closed = discontinuity_closure([rot], [invert(rot)], 3)
     ok = closed and sorted(D) == [F(0), F(1, 3), F(2, 3)]
     res = blow_up([rot], 3, F(1, 4))
     ok = ok and res.exact

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import cantorwalk
-from cantorwalk import certify, cli
-from cantorwalk.cli import (BUDGETS, ScenarioError, _budget, main, parse_scenario,
+from cantorwalk import certify, cli, serialize as ser
+from cantorwalk.cli import (KINDS, ScenarioError, _budget, main, parse_scenario,
                             run_scenario, _load_scenario_text)
 from cantorwalk.maps import MapError, compose, invert
 from cantorwalk.serialize import map_from_obj, map_to_obj, space_from_obj
@@ -161,7 +161,7 @@ def test_series_text_is_what_csv_writer_writes(tmp_path):
     # pairs, and a second cell's series beside them
     first = ((0, 1), (1, 2 ** 1074), (1, 10 ** 300), (1, 3), (1, 1))
     diameters = (first, tuple((n, d * 7) for n, d in first[::-1]))
-    cli._emit_diameter_series(str(tmp_path), "s", diameters)
+    ser.write_text_atomic(str(tmp_path / "s_series.csv"), cli._diameter_series(diameters))
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["step", "diam_cell_0", "diam_cell_1"])
@@ -389,7 +389,27 @@ def _kind_doc(kind, **fields):
 
 
 def test_budget_table():
-    assert BUDGETS == KIND_BUDGETS
+    assert {kind: row.budgets for kind, row in KINDS.items()} == KIND_BUDGETS
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_kind_table_mirrors_the_kinds():
+    # one line per row of cli.KINDS, in its order: the budgets with their
+    # defaults, and the flags beyond --seed and --out
+    head = "| kind | budgets (default) | flags beyond `--seed` and `--out` |"
+    lines = README.read_text().splitlines()
+    table = lines[lines.index(head) + 2:]
+    table = table[:next(i for i, line in enumerate(table) if not line.startswith("|"))]
+    rows = []
+    for kind, row in KINDS.items():
+        budgets = [f"`{k}`" + ("" if v is None else f" ({v})") for k, v in row.budgets.items()]
+        flags = [f"`--{k}`" for k in ("runs", "depth") if k in row.budgets]
+        flags += [f"`{flag}`" for flag in row.flags]
+        rows.append(f"| `{kind}` | {', '.join(budgets) or 'none'} | "
+                    f"{', '.join(flags) or 'none'} |")
+    assert table == rows
 
 
 @pytest.mark.parametrize("kind, knob", [
@@ -743,6 +763,84 @@ def test_outside_input_check_names_its_fault(tmp_path, capsys, doc, message):
     assert main([doc["kind"], str(path), "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not any(out.iterdir())
+
+
+KINDS_TUPLE = "('simulate', 'certify-free', 'find-measure', 'morse-smale', 'giet-blowup')"
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("simulate", _simulate(kind="dance"), f"field 'kind': 'dance' not one of {KINDS_TUPLE}"),
+    ("simulate", _simulate(generators=[]), "field 'generators': missing or empty"),
+    ("simulate", {"kind": "simulate", "space": {"ifs": "ternary", "depth": 3}},
+     "field 'generators': missing or empty"),
+    ("simulate", _simulate(include_inverses=True, probabilities={"A1": "1"}),
+     "probabilities must name every generator once: ['A1^-1'] unmatched"),
+    ("simulate", _simulate(include_inverses=True, probabilities=["1/2", "1/3"]),
+     "probabilities sum 5/6, not 1"),
+    ("simulate", _simulate(output="../escaped"),
+     "field 'output': '../escaped' is not a file name"),
+    ("giet-blowup", _blowup(ROTATION, output="a/b"), "field 'output': 'a/b' is not a file name"),
+    ("simulate", _simulate(generators=[{"name": "A", "table": 5}]),
+     "malformed scenario (TypeError: 'int' object is not iterable)"),
+    ("simulate", [{"kind": "simulate"}],
+     "malformed scenario (AttributeError: 'list' object has no attribute 'keys')"),
+    ("simulate", _simulate(space={}), "malformed scenario (KeyError: 'intervals')"),
+    *(("certify-free", dict(json.loads(_load_scenario_text("free_pair")), budgets={key: v}),
+       f"budget {key!r}: {v} is below 1") for key, v in (("n", 0), ("runs", -1), ("max_len", 0))),
+    ("morse-smale", _kind_doc("morse-smale", budgets={"runs": 0}), "budget 'runs': 0 is below 1"),
+    ("simulate", json.loads(_load_scenario_text("free_pair")),
+     "scenario kind 'certify-free' does not match command 'simulate'"),
+    # giet-blowup reads no space: a space that is no object is refused first,
+    # an empty one passes, so the generators are named, and a space with keys
+    # is refused after the fields of the generator kinds
+    ("giet-blowup", _blowup(ROTATION, space=3, generators=[]),
+     "field 'space': missing or not an object"),
+    ("giet-blowup", _blowup(ROTATION, generators=[]),
+     "field 'generators' is not read by giet-blowup"),
+    ("giet-blowup", _blowup(ROTATION, space={"ifs": "ternary"}, probabilities=["1"]),
+     "field 'probabilities' is not read by giet-blowup"),
+    ("giet-blowup", _blowup(ROTATION, space={"ifs": "ternary"}, blowup=[]),
+     "field 'space' is not read by giet-blowup"),
+    ("simulate", _simulate(space=3, giets=[]), "field 'space': missing or not an object"),
+    ("simulate", _simulate(blowup={}), "field 'blowup' is not read by simulate"),
+    ("giet-blowup", _blowup(ROTATION, blowup=[], budgets=[]),
+     "field 'budgets': [] is not an object"),
+    ("giet-blowup", _blowup(5, blowup=[]), "field 'blowup': [] is not an object"),
+    ("giet-blowup", _blowup(ROTATION, budgets={"n": 3}), "unknown budget key 'n' for giet-blowup"),
+    ("giet-blowup", _blowup(ROTATION, blowup={"L": "2"}), "blowup 'L': '2' is not an integer"),
+    ("giet-blowup", _blowup(ROTATION, blowup={"rho": "2"}), "weight ratio must be in (0, 1)"),
+])
+def test_every_scenario_refusal_names_its_fault(tmp_path, capsys, command, doc, message):
+    # the exact line of each refusal that the reader, the budgets and main
+    # make, where the first fault found is the one named
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["simulate"], "the following arguments are required: scenario"),
+    (["verify"], "the following arguments are required: certificate"),
+    (["dance", "g3"], "argument command: invalid choice: 'dance' (choose from "
+                      f"{KINDS_TUPLE[1:-1]}, 'verify')"),
+    (["certify-free", "free_pair", "--runs", "x"], "argument --runs: invalid int value: 'x'"),
+    (["simulate", "g3", "--depth", "x"], "argument --depth: invalid int value: 'x'"),
+    (["simulate", "g3", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["simulate", "g3", "--out"], "argument --out: expected one argument"),
+    (["giet-blowup", "rotation_third", "--depth", "1"], "unrecognized arguments: --depth 1"),
+    (["verify", "a", "b"], "unrecognized arguments: b"),
+    (["simulate", "no_such_scenario"], "scenario 'no_such_scenario' not found on disk or bundled"),
+])
+def test_command_line_errors_name_their_fault(capsys, argv, message):
+    # the exact line of each usage error, and of a scenario name that names
+    # no file
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("doc, line", [

@@ -67,16 +67,16 @@ def test_inverse_and_preimage():
 
 
 def test_discontinuity_closure_oracles():
-    D, closed = discontinuity_closure([ROT3], 3)
+    D, closed = discontinuity_closure([ROT3], [invert(ROT3)], 3)
     assert sorted(D) == [F(0), F(1, 3), F(2, 3)]
     assert closed
-    D2, closed2 = discontinuity_closure([SWAP], 2)
+    D2, closed2 = discontinuity_closure([SWAP], [invert(SWAP)], 2)
     assert sorted(D2) == [F(0), F(1, 2)]
     assert closed2
     rot4 = rotation(F(1, 4))
-    _, c1 = discontinuity_closure([rot4], 1)
+    _, c1 = discontinuity_closure([rot4], [invert(rot4)], 1)
     assert not c1
-    D4, c4 = discontinuity_closure([rot4], 4)
+    D4, c4 = discontinuity_closure([rot4], [invert(rot4)], 4)
     assert c4 and sorted(D4) == [F(0), F(1, 4), F(1, 2), F(3, 4)]
 
 
@@ -121,17 +121,20 @@ def test_maps_take_a_giets_half_open_values(g):
 @pytest.mark.parametrize("gens", [[g] for g in ROTATION_POOL] + [[ROT3, SWAP]])
 def test_discontinuity_closure_takes_one_pass(gens, L):
     # round L + 1 is run and dropped, not rerun from every point of D_L
-    assert discontinuity_closure(gens, L) == discontinuity_closure_two_pass(gens, L)
+    assert (discontinuity_closure(gens, [invert(g) for g in gens], L)
+            == discontinuity_closure_two_pass(gens, L))
 
 
 def test_discontinuity_closure_at_the_edges():
     # L = 0 is the jump points alone; a rotation by 1/2 closes after one
     # round, before L = 4 is reached
-    assert discontinuity_closure([ROT3], 0) == ([F(2, 3)], False)
-    assert discontinuity_closure([ROT3], 0) == discontinuity_closure_two_pass([ROT3], 0)
+    assert discontinuity_closure([ROT3], [invert(ROT3)], 0) == ([F(2, 3)], False)
+    assert (discontinuity_closure([ROT3], [invert(ROT3)], 0)
+            == discontinuity_closure_two_pass([ROT3], 0))
     half = rotation(F(1, 2))
-    assert discontinuity_closure([half], 4) == ([F(1, 2), F(0)], True)
-    assert discontinuity_closure([half], 4) == discontinuity_closure_two_pass([half], 4)
+    assert discontinuity_closure([half], [invert(half)], 4) == ([F(1, 2), F(0)], True)
+    assert (discontinuity_closure([half], [invert(half)], 4)
+            == discontinuity_closure_two_pass([half], 4))
 
 
 def test_blow_up_rotation_third():

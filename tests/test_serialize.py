@@ -98,12 +98,13 @@ def test_region_round_trip():
 
 
 def test_giet_round_trip():
-    # the document form of a rotation reads back as that rotation
+    # the document form of a rotation, a giet-blowup scenario's giet, reads
+    # back as that rotation
     g = rotation(F(1, 3))
     obj = {"interval": ["0", "1"],
            "branches": [{"src": ["0", "2/3"], "slope": "1", "offset": "1/3"},
                         {"src": ["2/3", "1"], "slope": "1", "offset": "-2/3"}]}
-    assert ser.giet_from_obj(obj) == g
+    assert parse_scenario(json.dumps({"kind": "giet-blowup", "giets": [obj]})).giets == (g,)
 
 
 # -- certificates ------------------------------------------------------------
