@@ -14,11 +14,11 @@ from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 from .rational import as_pair, coprime_fraction, pair_key, rat, value_order
-from .maps import PAHomeo, _apply, compose, equals, image, invert, maps_into, orbit_bfs
-from .space import Piece, Region, epsilon_neighborhood, measure_cells
+from .maps import PAHomeo, _apply, compose, image, invert, maps_into
+from .space import Piece, Region, measure_cells
 from .measure_solver import solve_feasibility
-from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, cell_image_runs, forward_word,
-                   _repulsor_extremes)
+from .walk import (DEFAULT_DELTA, Trajectory, WalkModel, cell_image_runs, epsilon_neighborhood,
+                   equals, forward_word, orbit_bfs, _repulsor_extremes)
 from .verify import (FiniteOrbitCertificate, InvariantMeasureCertificate, PingPongCertificate,
                      _fixed_points, _is_invariant, _then, check_morse_smale, invariance_rows,
                      verify_ping_pong)

@@ -18,8 +18,9 @@ from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .rational import as_pair, rat
-from .maps import Branch, MapError, PAHomeo, _tiles, apply, invert, orbit_bfs, pa_homeo
+from .maps import Branch, MapError, PAHomeo, _tiles, apply, invert, pa_homeo
 from .space import CompactSet, SpaceError
+from .walk import orbit_bfs
 
 
 class GietError(ValueError):
@@ -136,7 +137,7 @@ def blow_up(gens: Sequence[PAHomeo], L: int, rho) -> BlowUpResult:
             # F is x + const on (p, q) and on its affine image, so the
             # induced map is affine between the corresponding gap edges
             cp = F(p) - p
-            gy = br.value(mid)
+            gy = apply(g, mid)
             cq = F(gy) - gy
             branches.append(Branch(F(p), F_left(q), s,
                                    br.offset + cq - s * cp))

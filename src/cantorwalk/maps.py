@@ -23,7 +23,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .rational import (affine, as_pair, clip, coprime_fraction, pair_cmp, pair_key,
                        pair_keys, place_left, place_right, rat, value_order)
@@ -58,9 +58,6 @@ class Branch(tuple):
         return tuple.__new__(cls, (lo, hi, s, o) + ((a, b) if pair_cmp(a, b) <= 0 else (b, a)))
 
     lo, hi, slope, offset = (property(lambda b, i=i: coprime_fraction(*b[i])) for i in range(4))
-
-    def value(self, x: Fraction) -> Fraction:
-        return coprime_fraction(*affine(self[2], as_pair(x), self[3]))
 
 
 def inverse_name(name: str) -> str:
@@ -119,31 +116,6 @@ def _apply(f: PAHomeo, x: tuple) -> tuple:
 def apply(f: PAHomeo, x) -> Fraction:
     """Evaluate f at a point of its ambient set."""
     return coprime_fraction(*_apply(f, as_pair(rat(x))))
-
-
-def orbit_bfs(seeds: Iterable[Fraction], steps: Sequence[Callable],
-              rounds: Optional[int] = None, cap: Optional[int] = None):
-    """Breadth-first closure of the seed points under the step functions.
-
-    A step maps a point to a point.  Expands `rounds` times (None: until
-    no new point appears) and returns (points in discovery order, points
-    found in the last round), or None when more than `cap` points are
-    known before a round.
-    """
-    order = list(dict.fromkeys(seeds))
-    known, frontier, k = set(order), order, 0
-    while frontier and (rounds is None or k < rounds):
-        if cap is not None and len(known) > cap:
-            return None
-        nxt = []
-        for p in frontier:
-            for step in steps:
-                q = step(p)
-                if q not in known:
-                    known.add(q)
-                    nxt.append(q)
-        order, frontier, k = order + nxt, nxt, k + 1
-    return order, frontier
 
 
 # ---------------------------------------------------------------------------
@@ -311,27 +283,6 @@ def invert(f: PAHomeo) -> PAHomeo:
     inv = [Branch._make(b[4:] + _inverse(b[2], b[3]) + b[:2]) for b in f.branches]
     label = tuple(inverse_name(n) for n in reversed(f.label))
     return PAHomeo(f.space, tuple(inv[i] for i in value_order([b[:1] for b in inv])), label)
-
-
-def _affine_pieces(f: PAHomeo) -> list[tuple]:
-    """f's maximal affine pieces: each run of neighbouring branches with one
-    slope and offset, as the int pairs (lo, hi, slope, offset)."""
-    out = []
-    for lo, hi, s, o, _, _ in f.branches:
-        if out and out[-1][2:] == (s, o):
-            out[-1] = (out[-1][0], hi, s, o)
-        else:
-            out.append((lo, hi, s, o))
-    return out
-
-
-def equals(f: PAHomeo, g: PAHomeo) -> bool:
-    """Equality as maps restricted to the ambient set.  Every branch source
-    ends in K and meets it in more than a point (cylinder-aligned on an IFS
-    set, cut at K's gaps on a plain one), so the affine map on each source
-    is fixed by its values on K, and two maps agree on K exactly when their
-    maximal affine pieces are the same."""
-    return f.space == g.space and _affine_pieces(f) == _affine_pieces(g)
 
 
 # ---------------------------------------------------------------------------

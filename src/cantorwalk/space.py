@@ -465,14 +465,3 @@ class Region(namedtuple("Region", "space pieces")):
         return [(max(l, p[0], key=pair_key), min(r, p[1], key=pair_key))
                 for p in self.pieces for l, r in self.space._meeting(p[0], p[1])
                 if _meets(p, l, r)]
-
-
-def epsilon_neighborhood(points: Iterable, eps, space: CompactSet) -> Region:
-    """The strict neighborhood {x in K : d(x, A) < eps}, exactly, of the
-    rationals A."""
-    eps = rat(eps)
-    if eps <= 0:
-        raise SpaceError("eps must be positive")
-    e, minus_e = as_pair(eps), (-eps.numerator, eps.denominator)
-    return Region.from_pieces(space, [Piece._make((affine((1, 1), minus_e, x), affine(
-        (1, 1), e, x), False, False)) for x in map(as_pair, map(rat, points))])

@@ -18,13 +18,12 @@ import struct
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .rational import (affine, as_pair, coprime_fraction, pair_keys, place_left,
                        place_right, rat, value_order)
-from .maps import (PAHomeo, _apply, _push_runs, break_points, compose, image, invert,
-                   equals)
-from .space import CompactSet, Piece, Region, epsilon_neighborhood, measure_cells
+from .maps import PAHomeo, _apply, _push_runs, break_points, compose, image, invert
+from .space import CompactSet, Piece, Region, SpaceError, measure_cells
 
 TWO64 = 2 ** 64
 
@@ -34,6 +33,66 @@ SPLIT_DEPTH = 14  # the levels _region_mass splits a cut cell into
 
 class WalkError(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# orbits, map equality and neighbourhoods, which the searches share
+
+
+def _affine_pieces(f: PAHomeo) -> list[tuple]:
+    """f's maximal affine pieces: each run of neighbouring branches with one
+    slope and offset, as the int pairs (lo, hi, slope, offset)."""
+    out = []
+    for lo, hi, s, o, _, _ in f.branches:
+        if out and out[-1][2:] == (s, o):
+            out[-1] = (out[-1][0], hi, s, o)
+        else:
+            out.append((lo, hi, s, o))
+    return out
+
+
+def equals(f: PAHomeo, g: PAHomeo) -> bool:
+    """Equality as maps restricted to the ambient set.  Every branch source
+    ends in K and meets it in more than a point (cylinder-aligned on an IFS
+    set, cut at K's gaps on a plain one), so the affine map on each source
+    is fixed by its values on K, and two maps agree on K exactly when their
+    maximal affine pieces are the same."""
+    return f.space == g.space and _affine_pieces(f) == _affine_pieces(g)
+
+
+def orbit_bfs(seeds: Iterable[Fraction], steps: Sequence[Callable],
+              rounds: Optional[int] = None, cap: Optional[int] = None):
+    """Breadth-first closure of the seed points under the step functions.
+
+    A step maps a point to a point.  Expands `rounds` times (None: until
+    no new point appears) and returns (points in discovery order, points
+    found in the last round), or None when more than `cap` points are
+    known before a round.
+    """
+    order = list(dict.fromkeys(seeds))
+    known, frontier, k = set(order), order, 0
+    while frontier and (rounds is None or k < rounds):
+        if cap is not None and len(known) > cap:
+            return None
+        nxt = []
+        for p in frontier:
+            for step in steps:
+                q = step(p)
+                if q not in known:
+                    known.add(q)
+                    nxt.append(q)
+        order, frontier, k = order + nxt, nxt, k + 1
+    return order, frontier
+
+
+def epsilon_neighborhood(points: Iterable, eps, space: CompactSet) -> Region:
+    """The strict neighborhood {x in K : d(x, A) < eps} of the rationals A, exactly."""
+    eps = rat(eps)
+    if eps <= 0:
+        raise SpaceError("eps must be positive")
+    e, minus_e = as_pair(eps), (-eps.numerator, eps.denominator)
+    return Region.from_pieces(space, [Piece._make((affine((1, 1), minus_e, x), affine(
+        (1, 1), e, x), False, False)) for x in map(as_pair, map(rat, points))])
 
 
 # ---------------------------------------------------------------------------

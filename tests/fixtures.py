@@ -10,22 +10,27 @@ regions and finite groups, small builders and Fraction views of the
 program's cylinder lookups, and written certificates of each type.
 """
 
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 from functools import cache
 from importlib import resources
 from itertools import product
+from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
-from cantorwalk.certify import find_finite_orbit
-from cantorwalk.cli import _load_scenario_text, parse_scenario, run_scenario
+from cantorwalk.certify import find_finite_orbit, solve_invariant_measure
+from cantorwalk.cli import _load_scenario_text, main, parse_scenario, run_scenario
 from cantorwalk.giet import giet_from_branches
-from cantorwalk.maps import (Branch, PAHomeo, PrefixTable, break_pairs, compose, equals,
+from cantorwalk.maps import (Branch, PAHomeo, PrefixTable, break_pairs, compose,
                              from_prefix_table, invert, pa_homeo)
 from cantorwalk.rational import as_pair, coprime_fraction
 from cantorwalk.serialize import CERTIFICATES, certificate_to_obj, dumps
 from cantorwalk.space import CompactSet, Ifs, Piece, Region, measure_cells, ternary_cantor
+from cantorwalk.walk import equals
 
 
 def _scenario_tables(*names) -> dict:
@@ -339,8 +344,9 @@ MORSE_SMALE = dict(kind="morse-smale", seed=3, budgets={}, output="ms")
 
 def written_certificates(out) -> list:
     """The documents of a ping-pong, a Morse-Smale, an invariant-measure and
-    a finite-orbit certificate: bundled free_pair, also run as MORSE_SMALE,
-    and klein_four write the first three into out."""
+    a finite-orbit certificate, and of an invariant-measure certificate on
+    a plain set: bundled free_pair, also run as MORSE_SMALE, and klein_four
+    write the first three into out."""
     free_pair = json.loads(_load_scenario_text("free_pair"))
     for doc in (free_pair, dict(free_pair, **MORSE_SMALE),
                 json.loads(_load_scenario_text("klein_four"))):
@@ -348,9 +354,81 @@ def written_certificates(out) -> list:
     docs = [json.loads((out / f"{stem}_certificate.json").read_text())
             for stem in ("free_pair", "ms", "klein_four")]
     orbit = find_finite_orbit(named_generators(["H", "R"]), [F(0)], bound=2000)
-    docs.append(json.loads(dumps(certificate_to_obj(orbit))))
-    assert sorted(d["type"] for d in docs) == sorted(CERTIFICATES)
+    # on three intervals, C carries each onto the next by a translation, one
+    # branch of it across a gap, and D is x -> 5 - x, one branch across both;
+    # they permute the intervals, so the uniform mass on them is invariant
+    K = CompactSet.from_intervals([(0, 1), (2, 3), (4, 5)])
+    plain = solve_invariant_measure({
+        "C": pa_homeo(K, [Branch(F(0), F(3), F(1), F(2)), Branch(F(4), F(5), F(1), F(-4))],
+                      label=("C",)),
+        "D": pa_homeo(K, [Branch(F(0), F(5), F(-1), F(5))], label=("D",))}, 0, 0)
+    docs += [json.loads(dumps(certificate_to_obj(c))) for c in (orbit, plain)]
+    assert sorted({d["type"] for d in docs}) == sorted(CERTIFICATES)
+    assert "ifs" not in docs[-1]["space"]
     return docs
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def ping_pong_documents(out) -> dict:
+    """The ping-pong certificates that certify-free writes into out for the
+    bundled free_pair and for the certify_both workload's cf3 and cf4 pool
+    inputs, by the input's record key; perfbench/workloads.py is read as
+    the benchmark's runner reads it.  An input that gives up (exit 2)
+    writes none."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import workloads
+    pools = workloads.WORKLOADS["certify_both"].pools
+    inputs = [("bundled/free_pair", _load_scenario_text("free_pair"))] + [
+        (it.key, it.text) for tag in ("cf3", "cf4") for it in pools[tag]]
+    docs = {}
+    for key, text in inputs:
+        scn = parse_scenario(text)
+        code = run_scenario(scn, str(out), False)[0]
+        path = out / f"{scn.output}_certificate.json"
+        assert code in (0, 2) and path.exists() == (code == 0), key
+        if code == 0:
+            docs[key] = json.loads(path.read_text())
+            path.unlink()
+    return docs
+
+
+def ping_pong_edits(doc):
+    """(what, doc with one field edited) for every region end moved by
+    ±3^-(d+2), every flag flipped and every piece dropped."""
+    delta = F(1, 3 ** (doc["space"]["depth"] + 2))
+
+    def edited(name, k, piece=None):
+        """doc with piece k of the region name replaced by piece, or dropped."""
+        pieces = list(doc[name]["pieces"])
+        if piece is None:
+            del pieces[k]
+        else:
+            pieces[k] = piece
+        return dict(doc, **{name: {"pieces": pieces}})
+
+    for name in ("A1", "B1", "A2", "B2"):
+        for k, piece in enumerate(doc[name]["pieces"]):
+            for end in ("lo", "hi"):
+                for step in (delta, -delta):
+                    yield (f"{name}[{k}].{end} {'+' if step > 0 else '-'}{delta}",
+                           edited(name, k, dict(piece, **{end: str(F(piece[end]) + step)})))
+                flag = f"{end}_closed"
+                yield (f"{name}[{k}].{flag} flipped",
+                       edited(name, k, dict(piece, **{flag: not piece[flag]})))
+            yield f"{name}[{k}] dropped", edited(name, k)
+
+
+def cli_verify(path, doc) -> tuple:
+    """(exit code, stdout, stderr) of `cantorwalk verify` on doc, written
+    as JSON to path."""
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    return code, out.getvalue(), err.getvalue()
 
 
 def edited_certificate(name, edit, **changes):

@@ -7,7 +7,9 @@ library's bisection of their Fraction ends), and calls no kernel that it
 is the reference of.  Pieces are FPieces (any object with lo, hi,
 lo_closed and hi_closed reads as one); a Region's pieces are read through
 fractions_of.  The gap lookups read the IFS address expansion, Ifs._expand,
-which tests/test_space.py holds to a Fraction loop of its own.
+which tests/test_space.py holds to a Fraction loop of its own.  The
+ping-pong checker verify_ping_pong_ref reads a certificate's JSON document
+itself and reaches no name of the package (tests/test_verify_ref.py).
 """
 
 import bisect
@@ -15,9 +17,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from cantorwalk.maps import BreakPair, MapError, invert
+from cantorwalk.maps import Branch, BreakPair, MapError, PAHomeo, invert
 from cantorwalk.rational import affine, as_pair, coprime_fraction
 from cantorwalk.space import Ifs, Piece, Region
+from cantorwalk.walk import SPLIT_DEPTH
 
 FPiece = namedtuple("FPiece", "lo hi lo_closed hi_closed")
 
@@ -196,6 +199,21 @@ def image_ref(f, S: Region) -> Region:
     return region_of(f.space, normalize_ref(pieces))
 
 
+def compose_ref(f, g):
+    """f∘g, cutting every branch of g at every source of f it meets."""
+    out = []
+    for bg in g.branches:
+        ia, ib = sorted((bg.slope * bg.lo + bg.offset, bg.slope * bg.hi + bg.offset))
+        for bf in f.branches:
+            olo, ohi = max(ia, bf.lo), min(ib, bf.hi)
+            if olo < ohi:
+                pa, pb = sorted(((olo - bg.offset) / bg.slope, (ohi - bg.offset) / bg.slope))
+                out.append(Branch(pa, pb, bf.slope * bg.slope,
+                                  bf.slope * bg.offset + bf.offset))
+    out.sort(key=lambda b: b.lo)
+    return PAHomeo(f.space, tuple(out), f.label + g.label)
+
+
 def orbit_closure_ref(gens: dict, starts, bound: int = 2000):
     """The sorted closure of the start points under the generators and their
     inverses, by breadth-first search, or None once it holds more than
@@ -262,6 +280,61 @@ def reflection_symmetric_ref(ifs: Ifs) -> bool:
     return all(ifs.ratios[i] == ifs.ratios[n - 1 - i]
                and ifs.offsets[n - 1 - i] == c2 - ifs.ratios[i] * c2 - ifs.offsets[i]
                for i in range(n))
+
+
+# -- invariance rows and region masses ----------------------------------------
+
+
+def preimage_ref(g, cells):
+    """For each cell c: the cells j inside g^-1(c), or None when they do not
+    cover it; images, differences and emptiness by scans.  A cell not
+    inside the hull of g^-1(c) has an end, a point of K, outside it."""
+    ginv, K = invert(g), g.space
+    cs = [FPiece(coprime_fraction(*l), coprime_fraction(*r), True, True) for l, r in cells]
+    out = []
+    for c in cs:
+        pre = fractions_of(image_ref(ginv, region_of(K, (c,))))
+        js = [j for j, cj in enumerate(cs) if pre and pre[0].lo <= cj.lo and cj.hi <= pre[-1].hi
+              and is_empty_ref(region_of(K, difference_ref((cj,), pre)))]
+        out.append(js if is_empty_ref(region_of(K, difference_ref(pre, [cs[j] for j in js])))
+                   else None)
+    return out
+
+
+def rows_ref(gens, cells):
+    """verify.invariance_rows read off preimage_ref."""
+    return [(gi, ci, js) for gi, g in enumerate(gens)
+            for ci, js in enumerate(preimage_ref(g, cells)) if js is not None]
+
+
+def region_mass_ref(mu, cells, K, region):
+    """walk._region_mass as a sum over every cell, and the cells that it
+    splits, in order, as ("children", lo, hi) or ("length", lo, hi): a cell
+    inside the region counts whole, one outside it not at all, and a cut one
+    is split into its IFS children down to SPLIT_DEPTH levels, or on a plain
+    set by the length of its overlap with the region, summed over the
+    overlap's pieces."""
+    S, splits = fractions_of(region), []
+
+    def portion(lo, hi, depth_left):
+        cell = FPiece(coprime_fraction(*lo), coprime_fraction(*hi), True, True)
+        if is_empty_ref(region_of(K, difference_ref((cell,), S))):
+            return 1.0
+        overlap = intersect_ref((cell,), S)
+        if is_empty_ref(region_of(K, overlap)):
+            return 0.0
+        if K.ifs is None or depth_left <= 0:
+            splits.append(("length", lo, hi))
+            return float(sum(p.hi - p.lo for p in overlap) / (cell.hi - cell.lo))
+        splits.append(("children", lo, hi))
+        kids = K.ifs._child_pairs(lo, hi)
+        return sum(portion(clo, chi, depth_left - 1) / len(kids)
+                   for clo, chi in kids)
+
+    total = 0.0
+    for m, (l, r) in zip(mu.masses, cells):
+        total += float(m) * portion(l, r, SPLIT_DEPTH)
+    return total, splits
 
 
 # -- gaps and break pairs -----------------------------------------------------
@@ -356,3 +429,90 @@ def break_pairs_ref(f) -> list:
         if (u, v) not in gaps_at(K, v):
             out.append(BreakPair(a, b))
     return out
+
+
+# -- certificate documents, read with no name of the package -------------------
+
+
+def _space_doc_ref(obj) -> list:
+    """K_d as sorted (lo, hi) Fraction pairs: the IFS's hull, whose ends are
+    the fixed points o / (1 - r) of the first and the last map, carried by
+    every word of `depth` maps."""
+    maps = [(Fraction(r), Fraction(o))
+            for r, o in zip(obj["ifs"]["ratios"], obj["ifs"]["offsets"])]
+    (r0, o0), (r1, o1) = maps[0], maps[-1]
+    cells = [(o0 / (1 - r0), o1 / (1 - r1))]
+    for _ in range(obj["depth"]):
+        # phi_s(I_w) = I_{s w}; the maps keep order, and their images of the
+        # hull are disjoint, left to right
+        cells = [(r * a + o, r * b + o) for r, o in maps for a, b in cells]
+    return cells
+
+
+def _pieces_doc_ref(obj) -> list:
+    """A region's pieces as (lo, hi, lo_closed, hi_closed), Fraction ends."""
+    return [(Fraction(p["lo"]), Fraction(p["hi"]), p["lo_closed"], p["hi_closed"])
+            for p in obj["pieces"]]
+
+
+def _cap_ref(p, q):
+    """The flagged interval of the points in both p and q, or None when
+    there is none."""
+    (a, b, ac, bc), (c, d, cc, dc) = p, q
+    lo, lc = (a, ac) if a > c else (c, cc) if c > a else (a, ac and cc)
+    hi, hc = (b, bc) if b < d else (d, dc) if d < b else (b, bc and dc)
+    return (lo, hi, lc, hc) if lo < hi or lo == hi and lc and hc else None
+
+
+def _minus_ref(ps, qs) -> list:
+    """Flagged intervals of the points of ps in no interval of qs: each q
+    leaves of a p its part before q and its part after q."""
+    for c, d, cc, dc in qs:
+        ps = [r for p in ps for r in (_cap_ref(p, (p[0], c, p[2], not cc)),
+                                      _cap_ref(p, (d, p[1], not dc, p[3]))) if r]
+    return ps
+
+
+def _on_k_ref(ps, K, ends) -> list:
+    """The flagged intervals of the points of ps in K, sorted (lo, hi)
+    pairs whose left and whose right ends are the two lists ends: for each
+    p, the intervals of K between the standard library's bisections of
+    p's ends."""
+    lefts, rights = ends
+    return [r for p in ps
+            for lo, hi in K[bisect.bisect_left(rights, p[0]):bisect.bisect_right(lefts, p[1])]
+            if (r := _cap_ref(p, (lo, hi, True, True)))]
+
+
+def verify_ping_pong_ref(doc) -> tuple:
+    """(ok, reason) for a ping-pong document, answered on K_d: each region
+    meets K_d, no two regions meet on K_d, and for i = 1, 2 every point of
+    K_d off A_i that a branch of a_i carries into K_d lands in B_i.  A
+    branch carries its closed source's share of K_d off A_i piece by
+    piece, affinely.  verify carries every point of K's hull off A_i, a
+    stronger check; no document of tests/test_verify_ref.py tells the two
+    apart.  Whether a_1 and a_2 are maps of K is not asked."""
+    K = _space_doc_ref(doc["space"])
+    ends = [lo for lo, _ in K], [hi for _, hi in K]
+    names = ("A1", "B1", "A2", "B2")
+    regs = {n: _pieces_doc_ref(doc[n]) for n in names}
+    on_k = {n: _on_k_ref(ps, K, ends) for n, ps in regs.items()}
+    for n in names:
+        if not on_k[n]:
+            return False, f"{n} is empty"
+    for i, m in enumerate(names):
+        for n in names[i + 1:]:
+            if any(_cap_ref(p, q) for p in on_k[m] for q in on_k[n]):
+                return False, f"{m} meets {n}"
+    for i in "12":
+        off = _minus_ref([(lo, hi, True, True) for lo, hi in K], regs["A" + i])
+        for b in doc["a" + i]["branches"]:
+            (lo, hi), s, o = map(Fraction, b["src"]), Fraction(b["slope"]), Fraction(b["offset"])
+            for p in off:
+                if (q := _cap_ref(p, (lo, hi, True, True))) is None:
+                    continue
+                y = ((s * q[0] + o, s * q[1] + o, q[2], q[3]) if s > 0
+                     else (s * q[1] + o, s * q[0] + o, q[3], q[2]))
+                if _minus_ref(_on_k_ref([y], K, ends), regs["B" + i]):
+                    return False, f"a{i} carries a point of K off A{i} outside B{i}"
+    return True, None

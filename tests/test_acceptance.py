@@ -16,10 +16,10 @@ from cantorwalk.certify import (AssemblyFailure, _contraction_candidates, find_f
 from cantorwalk.cli import parse_scenario, run_scenario, _load_scenario_text
 from cantorwalk.giet import blow_up, discontinuity_closure, jump_points
 from cantorwalk.maps import apply, break_pairs, break_points, compose, image, invert
-from cantorwalk.space import Piece, Region, epsilon_neighborhood
+from cantorwalk.space import Piece, Region
 from cantorwalk.verify import (PingPongCertificate, check_morse_smale, periodic_points,
                                verify_finite_orbit, verify_ping_pong)
-from cantorwalk.walk import (CellMeasure, Trajectory, contraction_scan,
+from cantorwalk.walk import (CellMeasure, Trajectory, contraction_scan, epsilon_neighborhood,
                              estimate_entropy, estimate_stationary_measure,
                              global_contraction_report, invariance_residual,
                              make_model)
@@ -255,7 +255,7 @@ def _brute_periodic(f, max_period):
                 if not (b.lo <= y <= b.hi and f.space.contains_limit_point(y)):
                     good = False
                     break
-                y = b.value(y)
+                y = b.slope * y + b.offset
             if good and x not in found:
                 found[x] = (p, s)
     return {(x, p, m) for x, (p, m) in found.items()}

@@ -11,13 +11,13 @@ from cantorwalk.certify import (_make_letters, _reduced_words, AssemblyFailure, 
                                 InfeasibilityReport, _contraction_candidates,
                                 assemble_free_pair, find_finite_orbit, find_morse_smale,
                                 solve_invariant_measure, UnprovedMeasure)
-from cantorwalk.maps import PrefixTable, compose, equals, from_prefix_table, invert
-from cantorwalk.space import Piece, Region, epsilon_neighborhood, measure_cells
+from cantorwalk.maps import PrefixTable, compose, from_prefix_table, invert
+from cantorwalk.space import Piece, Region, measure_cells
 from cantorwalk.verify import (_is_invariant, _then, InvariantMeasureCertificate,
                                PingPongCertificate, check_morse_smale, invariance_rows,
                                periodic_points, verify_finite_orbit, verify_invariant_measure,
                                verify_ping_pong)
-from cantorwalk.walk import make_model
+from cantorwalk.walk import epsilon_neighborhood, equals, make_model
 
 from fixtures import (SPANNING_LETTERS, X0, X1, S, cantor_space, cylinder_region, finite_groups,
                       fixture, identity_map, named_generators, region)

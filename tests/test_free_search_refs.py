@@ -37,11 +37,11 @@ from cantorwalk.cli import _load_scenario_text, parse_scenario
 from cantorwalk.maps import apply, image, maps_into
 from cantorwalk.rational import as_pair, coprime_fraction, pair_cmp, pair_key
 from cantorwalk.serialize import certificate_to_obj, dumps
-from cantorwalk.space import Piece, Region, epsilon_neighborhood, measure_cells
+from cantorwalk.space import Piece, Region, measure_cells
 from cantorwalk.verify import _fixed_points
 from cantorwalk.walk import (DEFAULT_DELTA, Trajectory, WalkError, _repulsor_extremes,
-                             cell_image_runs, contraction_scan, forward_word, make_model,
-                             run_diameters)
+                             cell_image_runs, contraction_scan, epsilon_neighborhood,
+                             forward_word, make_model, run_diameters)
 
 from fixtures import cantor_space, letter_words, named_generators, regions
 from reference import contains_ref, in_region

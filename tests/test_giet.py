@@ -8,7 +8,8 @@ import pytest
 
 from cantorwalk.giet import (GietError, blow_up, discontinuity_closure, giet_from_branches,
                              jump_points)
-from cantorwalk.maps import PAHomeo, apply, break_pairs, break_points, invert, orbit_bfs
+from cantorwalk.maps import PAHomeo, apply, break_pairs, break_points, invert
+from cantorwalk.walk import orbit_bfs
 
 from fixtures import (conjugate_point, giet_preimage, giet_value, image_ends, is_identity,
                       rotation)

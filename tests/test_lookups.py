@@ -10,7 +10,7 @@ region's hull, and maps.break_pairs reads break pairs off a
 tiling, with no address expansion or gap lookup.
 maps.compose keeps an inner branch's source when its image lies inside one
 outer source, and maps.image takes a whole branch source's image ends as
-they are.  The references, below and in tests/reference.py, scan every
+they are.  The references, in tests/reference.py, scan every
 interval, branch and cell pair, and cut and evaluate every branch, as a
 plain reading of the definitions would; the rows reference takes the
 preimage region of every cell and tests every cell for inclusion in it;
@@ -38,21 +38,21 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cantorwalk import maps, walk
-from cantorwalk.maps import (Branch, BreakPair, PAHomeo, apply, break_pairs, break_points,
-                             compose, image, invert, maps_into)
-from cantorwalk.space import CompactSet, Ifs, Piece, Region, epsilon_neighborhood, measure_cells
+from cantorwalk.maps import (Branch, BreakPair, apply, break_pairs, break_points, compose,
+                             image, invert, maps_into)
+from cantorwalk.space import CompactSet, Ifs, Piece, Region, measure_cells
 from cantorwalk.rational import as_pair, coprime_fraction
 from cantorwalk.verify import invariance_rows, periodic_points
-from cantorwalk.walk import (SPLIT_DEPTH, CellMeasure, Trajectory, _region_mass,
-                             break_accumulation, cell_image_runs, make_model, run_diameters)
+from cantorwalk.walk import (CellMeasure, Trajectory, _region_mass, break_accumulation,
+                             cell_image_runs, epsilon_neighborhood, make_model, run_diameters)
 
 from fixtures import (PLAIN_INVOLUTION, PLAIN_LETTERS, S, SPACES, SPANNING_LETTERS, TERNARY,
                       UNEQUAL, alphabets, cylinder_region, decompose_into_cylinders, extremes,
                       fixture, free_letters, identity_map, image_ends, letter_words, region,
                       region_diameter, regions, word_in)
-from reference import (FPiece, bounded_gaps, break_pairs_ref, contains_ref, difference_ref,
-                       fractions_of, gaps_at, image_ref, infimum_ref, intersect_ref,
-                       is_empty_ref, region_of, supremum_ref)
+from reference import (bounded_gaps, break_pairs_ref, compose_ref, contains_ref, gaps_at,
+                       image_ref, infimum_ref, is_empty_ref, region_mass_ref, rows_ref,
+                       supremum_ref)
 
 
 @st.composite
@@ -69,76 +69,6 @@ def words(draw, max_size=6):
         last = i
     K = letters[0].space
     return K, (w if w is not None else compose(letters[0], letters[2]))
-
-
-# -- brute-force references ------------------------------------------------
-
-
-def compose_ref(f, g):
-    """f∘g, cutting every branch of g at every source of f it meets."""
-    out = []
-    for bg in g.branches:
-        ia, ib = sorted((bg.value(bg.lo), bg.value(bg.hi)))
-        for bf in f.branches:
-            olo, ohi = max(ia, bf.lo), min(ib, bf.hi)
-            if olo < ohi:
-                pa, pb = sorted(((olo - bg.offset) / bg.slope, (ohi - bg.offset) / bg.slope))
-                out.append(Branch(pa, pb, bf.slope * bg.slope,
-                                  bf.slope * bg.offset + bf.offset))
-    out.sort(key=lambda b: b.lo)
-    return PAHomeo(f.space, tuple(out), f.label + g.label)
-
-
-def region_mass_ref(mu, cells, K, region):
-    """walk._region_mass as a sum over every cell, and the cells that it
-    splits, in order, as ("children", lo, hi) or ("length", lo, hi): a cell
-    inside the region counts whole, one outside it not at all, and a cut one
-    is split into its IFS children down to SPLIT_DEPTH levels, or on a plain
-    set by the length of its overlap with the region, summed over the
-    overlap's pieces."""
-    S, splits = fractions_of(region), []
-
-    def portion(lo, hi, depth_left):
-        cell = FPiece(coprime_fraction(*lo), coprime_fraction(*hi), True, True)
-        if is_empty_ref(region_of(K, difference_ref((cell,), S))):
-            return 1.0
-        overlap = intersect_ref((cell,), S)
-        if is_empty_ref(region_of(K, overlap)):
-            return 0.0
-        if K.ifs is None or depth_left <= 0:
-            splits.append(("length", lo, hi))
-            return float(sum(p.hi - p.lo for p in overlap) / (cell.hi - cell.lo))
-        splits.append(("children", lo, hi))
-        kids = K.ifs._child_pairs(lo, hi)
-        return sum(portion(clo, chi, depth_left - 1) / len(kids)
-                   for clo, chi in kids)
-
-    total = 0.0
-    for m, (l, r) in zip(mu.masses, cells):
-        total += float(m) * portion(l, r, SPLIT_DEPTH)
-    return total, splits
-
-
-def preimage_ref(g, cells):
-    """For each cell c: the cells j inside g^-1(c), or None when they do not
-    cover it; images, differences and emptiness by scans.  A cell not
-    inside the hull of g^-1(c) has an end, a point of K, outside it."""
-    ginv, K = invert(g), g.space
-    cs = [FPiece(coprime_fraction(*l), coprime_fraction(*r), True, True) for l, r in cells]
-    out = []
-    for c in cs:
-        pre = fractions_of(image_ref(ginv, region_of(K, (c,))))
-        js = [j for j, cj in enumerate(cs) if pre and pre[0].lo <= cj.lo and cj.hi <= pre[-1].hi
-              and is_empty_ref(region_of(K, difference_ref((cj,), pre)))]
-        out.append(js if is_empty_ref(region_of(K, difference_ref(pre, [cs[j] for j in js])))
-                   else None)
-    return out
-
-
-def rows_ref(gens, cells):
-    """verify.invariance_rows read off preimage_ref."""
-    return [(gi, ci, js) for gi, g in enumerate(gens)
-            for ci, js in enumerate(preimage_ref(g, cells)) if js is not None]
 
 
 # -- the comparisons -------------------------------------------------------
@@ -233,7 +163,7 @@ def test_compose_and_image_match_reference_loops(word, data):
     for g in letters:
         assert compose(g, w) == compose_ref(g, w)
         assert compose(w, g) == compose_ref(w, g)
-    assert all(image_ends(b) == tuple(sorted((b.value(b.lo), b.value(b.hi))))
+    assert all(image_ends(b) == tuple(sorted(b.slope * x + b.offset for x in (b.lo, b.hi)))
                for b in w.branches)
     for S in (Region.whole(K), data.draw(regions(K))):
         assert image(w, S) == image_ref(w, S)

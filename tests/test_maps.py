@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk.maps import (Branch, BreakPair, MapError, PAHomeo, PrefixTable,
-                             apply, break_pairs, break_points, compose, equals,
+                             apply, break_pairs, break_points, compose,
                              from_prefix_table, image, invert, pa_homeo)
 from cantorwalk.space import CompactSet, Ifs, Piece, Region, ternary_cantor
+from cantorwalk.walk import equals
 
 from fixtures import (TABLES, cantor_space, cylinder_region, fixture, identity_map, is_identity,
                       region, regular_on, same_set)

@@ -1,7 +1,8 @@
 """Mutation fuzz of the JSON readers.
 
-Written certificates of all four types go through ``verify``, and the
-bundled scenarios through ``parse_scenario`` alone.  A mutation deletes a
+Written certificates of all four types, and an invariant-measure one on a
+plain set, go through ``verify``, and the bundled scenarios through
+``parse_scenario`` alone.  A mutation deletes a
 key, adds a key, swaps a value for one of another JSON type, or gives a
 rational a huge denominator.  A mutated document ends in a verdict or in
 one error line, never in a traceback, and an added key is always refused.
@@ -10,9 +11,7 @@ document in turn: the reader refuses it in one line, or reads another
 object, so that no list entry is silently ignored.
 """
 
-import contextlib
 import copy
-import io
 import json
 import re
 from fractions import Fraction as F
@@ -21,9 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk import serialize as ser
-from cantorwalk.cli import _load_scenario_text, main, parse_scenario
+from cantorwalk.cli import _load_scenario_text, parse_scenario
 
-from fixtures import written_certificates
+from fixtures import cli_verify, written_certificates
 
 BUNDLED = ("free_pair", "klein_four", "g3", "rotation_third", "identity")
 # a value of each JSON type, and containers of them
@@ -98,34 +97,20 @@ def mutations(draw, doc):
     return kind, doc
 
 
-def _write(out, doc):
-    path = out / "doc.json"
-    path.write_text(json.dumps(doc))
-    return path
-
-
-def _verify(path) -> tuple:
-    """(exit code, stdout, stderr) of cantorwalk verify on path."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", str(path)])
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_mutated_certificates_verify_or_exit_1_in_one_line(certificates, data):
     out, docs = certificates
     doc = docs[data.draw(st.integers(0, len(docs) - 1))]
     kind, mutated = data.draw(mutations(doc))
-    code, stdout, stderr = _verify(_write(out, mutated))
+    code, stdout, stderr = cli_verify(out / "doc.json", mutated)
     assert code in (0, 1)
     assert "Traceback" not in stdout + stderr and stderr.count("\n") <= 1
     if kind == "add":
         assert code == 1 and stderr.startswith("error: unknown ")
 
 
-@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("index", range(5))
 def test_every_written_key_is_read(certificates, index):
     # the keys a certificate holds are its type, its space and its row's
     # fields; without any one of them verify exits 1
@@ -133,9 +118,10 @@ def test_every_written_key_is_read(certificates, index):
     doc = docs[index]
     keys = ["type", "space", *(key for key, _ in ser.CERTIFICATES[doc["type"]][2])]
     assert sorted(doc) == sorted(keys)
-    assert _verify(_write(out, doc))[0] == 0
+    assert cli_verify(out / "doc.json", doc)[0] == 0
     for key in keys:
-        code, stdout, stderr = _verify(_write(out, {k: v for k, v in doc.items() if k != key}))
+        code, stdout, stderr = cli_verify(out / "doc.json",
+                                          {k: v for k, v in doc.items() if k != key})
         assert code == 1 and stdout == "" and stderr.count("\n") == 1, key
 
 

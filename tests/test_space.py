@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from cantorwalk.rational import (as_pair, coprime_fraction, pair_key, pair_keys, place_left,
                                  place_right)
-from cantorwalk.space import (CompactSet, Ifs, Piece, Region, SpaceError, epsilon_neighborhood,
-                              ternary_cantor)
+from cantorwalk.space import CompactSet, Ifs, Piece, Region, SpaceError, ternary_cantor
+from cantorwalk.walk import epsilon_neighborhood
 
 from fixtures import (NEGATIVE, THREE_MAPS, cylinder, decompose_into_cylinders, endpoints,
                       extremes, region, region_diameter, same_set)

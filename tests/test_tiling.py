@@ -55,7 +55,7 @@ def _validate_ifs_ref(space, branches):
             raise MapError(f"branch source [{b.lo}, {b.hi}] does not end on the limit set")
         for w, clo, chi in parts:
             src_cyls.append((clo, chi))
-            ia, ib = sorted((b.value(clo), b.value(chi)))
+            ia, ib = sorted((b.slope * clo + b.offset, b.slope * chi + b.offset))
             dec = decompose_into_cylinders(space, ia, ib)
             if dec is None or len(dec) != 1:
                 raise MapError(f"image of cylinder {w or 'hull'} is not a cylinder")

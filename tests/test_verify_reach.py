@@ -1,10 +1,15 @@
-"""What the certificate checks can reach.
+"""What the certificate checks can reach, and what they run.
 
 verify.py holds every check that `cantorwalk verify` runs and imports only
 rational, space and maps; serialize.py reads a document into a certificate
 and hands it to its check, and imports no search.  Each module's import
 closure inside the package is counted in lines, and a traced verify of a
-certificate of each type runs no code of the searches or of the CLI.
+certificate of each type runs no code of the searches or of the CLI.  A
+traced `cantorwalk verify` of the written certificates, the ping-pong
+certificates of the benchmark's certify-free pools and the edits of the
+bundled one enters every function of verify's closure but those of
+UNRUN, each kept for the reason it gives: so code that only the searches
+run does not land in maps or space unseen.
 """
 
 import ast
@@ -13,7 +18,7 @@ from pathlib import Path
 
 from cantorwalk import serialize as ser
 
-from fixtures import written_certificates
+from fixtures import cli_verify, ping_pong_documents, ping_pong_edits, written_certificates
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cantorwalk"
 SEARCHES = {"certify", "walk", "measure_solver"}
@@ -70,10 +75,11 @@ def test_serialize_imports_no_search():
 
 def test_the_checks_reach_few_lines():
     # 2,278 lines for the checks and 2,746 for serialize when the checks
-    # lived in certify.py, beside the searches, and 1,783 for serialize when
-    # it read giets and wrote blow-ups
-    assert lines(closure("verify")) <= 1343
-    assert lines(closure("serialize")) <= 1610
+    # lived in certify.py, beside the searches; 1,783 for serialize when it
+    # read giets and wrote blow-ups; 1,343 and 1,610 when orbit closure, map
+    # equality and epsilon-neighbourhoods lived in maps and space
+    assert lines(closure("verify")) <= 1283
+    assert lines(closure("serialize")) <= 1550
 
 
 def test_a_traced_verify_runs_no_search(tmp_path):
@@ -94,3 +100,54 @@ def test_a_traced_verify_runs_no_search(tmp_path):
         assert verdict, doc["type"]
     assert {"serialize", "verify", "space", "maps"} <= entered
     assert not entered & (SEARCHES | {"cli"})
+
+
+# the functions of verify's closure that no traced verify enters, and why each stays
+UNRUN = {
+    "maps.break_pairs": "the walk's break accumulation and the benchmark's break-word "
+                        "check read it",
+    "maps.break_points": "the walk and the benchmark's break-word check read it",
+    "maps.from_prefix_table": "the scenario reader and the benchmark's runner build maps with it",
+    "maps.image": "the map algebra: the searches take region images with it",
+    "rational.clip": "only a refusal message runs it",
+    "rational.rat_str": "only the writers of documents run it",
+    "space.Ifs.cylinder": "from_prefix_table reads it",
+    "space.Region.subset_of": "the region algebra: the searches test inclusions with it",
+    "space.Region.union": "the region algebra: the searches join regions with it",
+    "space.ternary_cantor": "the scenario reader and the benchmark's runner build K with it",
+}
+
+
+def functions(module: str) -> set:
+    """module.name of each module-level function and each method of a
+    module-level class."""
+    out = set()
+    for node in ast.parse((SRC / f"{module}.py").read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            out.add(f"{module}.{node.name}")
+        elif isinstance(node, ast.ClassDef):
+            out |= {f"{module}.{node.name}.{f.name}" for f in node.body
+                    if isinstance(f, ast.FunctionDef)}
+    return out
+
+
+def test_a_traced_verify_enters_all_but_the_allowlist(tmp_path):
+    pool = ping_pong_documents(tmp_path)
+    docs = [*written_certificates(tmp_path), *pool.values(),
+            *(doc for _, doc in ping_pong_edits(pool["bundled/free_pair"]))]
+    entered = set()
+
+    def trace(frame, event, arg):
+        name = frame.f_globals.get("__name__", "")
+        if name.startswith("cantorwalk."):
+            entered.add(f"{name.partition('.')[2]}.{frame.f_code.co_qualname}")
+
+    for doc in docs:
+        old = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            cli_verify(tmp_path / "doc.json", doc)
+        finally:
+            sys.settrace(old)
+    unrun = set().union(*map(functions, closure("verify"))) - entered
+    assert sorted(unrun) == sorted(UNRUN)

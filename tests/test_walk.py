@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorwalk import walk
-from cantorwalk.maps import _push_runs, apply, compose, equals, image, invert
+from cantorwalk.maps import _push_runs, apply, compose, image, invert
 from cantorwalk.rational import affine, as_pair, coprime_fraction, pair_cmp
 from cantorwalk.space import measure_cells
 from cantorwalk.walk import (TWO64, CellMeasure, Trajectory, WalkError, break_accumulation,
                              contraction_scan, estimate_entropy, estimate_stationary_measure,
-                             forward_word, global_contraction_report, invariance_residual,
-                             make_model)
+                             equals, forward_word, global_contraction_report,
+                             invariance_residual, make_model)
 
 from fixtures import (PLAIN_LETTERS, alphabets, cantor_space, diameter, fixture, identity_map,
                       named_generators)
